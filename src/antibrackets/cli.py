@@ -12,8 +12,8 @@ Subcommands:
   superalgebra and exit nonzero on the first failed identity.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-``ANTIBRACKET_WORKERS`` environment variable caps process parallelism for
-the conjecture report.
+``ANTIBRACKET_WORKERS`` environment variable sets the number of processes
+for the conjecture report, clamped to 1..os.cpu_count().
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
 from .brackets import (
-    jacobi_operators,
     identity_hierarchy,
     inversion_check,
     linfinity_check,
@@ -40,7 +39,6 @@ from .multilinear import (
     nr_bracket,
     op_scale,
     op_sum,
-    ops_equal,
     rho,
 )
 from .qxrep import conjecture_formula, solve_coefficients
@@ -204,13 +202,33 @@ def cmd_coefficients(args) -> int:
 # -- conjecture -------------------------------------------------------------
 
 
+def worker_count(environ) -> int:
+    """Processes for the conjecture report, from ``ANTIBRACKET_WORKERS``.
+
+    Defaults to 1 and is clamped to 1..os.cpu_count(); a value that is not
+    an integer raises ValueError.
+    """
+    text = environ.get("ANTIBRACKET_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(
+            f"ANTIBRACKET_WORKERS must be an integer, got {text!r}"
+        ) from None
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
 def cmd_conjecture(args) -> int:
     N = args.max_n
     if N < 2:
         print("error: --max-n must be >= 2", file=sys.stderr)
         return 2
     degrees = list(range(2, N + 1))
-    workers = int(os.environ.get("ANTIBRACKET_WORKERS", "1"))
+    try:
+        workers = worker_count(os.environ)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_coefficient_row, degrees))

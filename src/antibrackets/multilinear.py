@@ -170,14 +170,19 @@ def op_add(f: MultiOp, g: MultiOp) -> MultiOp:
     if f.parity != g.parity:
         raise ValueError("parity mismatch in operator sum")
     return MultiOp(
-        f.signature, f.degree, f.parity, lambda t: f.value(t) + g.value(t)
+        f.signature,
+        f.degree,
+        f.parity,
+        lambda t: f._canonical_value(t) + g._canonical_value(t),
     )
 
 
 def op_scale(f: MultiOp, c) -> MultiOp:
     if c == 1:
         return f
-    return MultiOp(f.signature, f.degree, f.parity, lambda t: f.value(t).scale(c))
+    return MultiOp(
+        f.signature, f.degree, f.parity, lambda t: f._canonical_value(t).scale(c)
+    )
 
 
 def op_sum(ops) -> MultiOp:
@@ -188,18 +193,6 @@ def op_sum(ops) -> MultiOp:
     for other in ops[1:]:
         first = op_add(first, other)
     return first
-
-
-def _product_of_monomials(signature: Signature, monomials):
-    """Sequential product with Koszul signs; (0, None) if it dies in the quotient."""
-    sign = 1
-    acc = monomials[0]
-    for m in monomials[1:]:
-        s, acc = signature.mul_monomials(acc, m)
-        if not s:
-            return (0, None)
-        sign *= s
-    return (sign, acc)
 
 
 def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -263,10 +256,10 @@ def mu(signature: Signature, n: int) -> MultiOp:
         raise ValueError("degree must be >= 0")
 
     def eval_basis(tup):
-        sign, prod = _product_of_monomials(signature, tup)
-        if not sign:
+        p = signature.mul_indices([signature.index_of(m) for m in tup])
+        if not p:
             return signature.element()
-        return signature.monomial_element(prod, sign)
+        return signature.element_from_indices({abs(p) - 1: 1 if p > 0 else -1})
 
     return MultiOp(signature, n, 0, eval_basis)
 
@@ -280,16 +273,16 @@ def mu_sym(signature: Signature, n: int) -> MultiOp:
 
     def eval_basis(tup):
         parities = [signature.parity(v) for v in tup]
+        idx = [signature.index_of(v) for v in tup]
         out = {}
         for perm in indices:
-            sign = koszul_sign(perm, parities)
-            s, prod = _product_of_monomials(
-                signature, tuple(tup[i] for i in perm)
-            )
-            if s:
-                out[prod] = out.get(prod, 0) + sign * s
-        return AlgebraElement(
-            signature, {k: inv * v for k, v in out.items() if v}
+            p = signature.mul_indices([idx[i] for i in perm])
+            if p:
+                sign = koszul_sign(perm, parities)
+                k = abs(p) - 1
+                out[k] = out.get(k, 0) + (sign if p > 0 else -sign)
+        return signature.element_from_indices(
+            {k: inv * v for k, v in out.items() if v}
         )
 
     return MultiOp(signature, n, 0, eval_basis)

@@ -34,8 +34,11 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text: str):
-    """Inverse of :func:`format_rational`."""
-    if "/" in text:
-        p, q = text.split("/")
-        return rat(int(p), int(q))
-    return rat(int(text))
+    """Inverse of :func:`format_rational`; ValueError on malformed text."""
+    parts = text.split("/")
+    if len(parts) > 2:
+        raise ValueError(f"not a rational: {text!r} has more than one '/'")
+    q = int(parts[1]) if len(parts) == 2 else 1
+    if q == 0:
+        raise ValueError(f"not a rational: {text!r} has a zero denominator")
+    return rat(int(parts[0]), q)

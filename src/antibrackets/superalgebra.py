@@ -10,12 +10,23 @@ Monomials are plain tuples.  Commutative case: ``(exps, odds)`` with ``exps``
 a length-p tuple of exponents and ``odds`` a sorted tuple of odd-generator
 indices (odd generators square to zero).  Associative case: a word, i.e., a
 tuple of generator indices with 0..p-1 even and p..p+q-1 odd.
+
+Products run on basis indices.  :meth:`Signature.mul_row` gives right
+multiplication by the basis monomial j as a list over basis indices i: the
+entry is 0 when basis[i] * basis[j] dies (degree above the bound, or an odd
+letter repeated), and otherwise +(k + 1) or -(k + 1) for sign * basis[k].
+The basis is sorted by degree, so only a prefix of it can survive a product
+with basis[j]; a row covers just that prefix, and any index past its end
+dies by degree.  Rows are built on first use and kept on the signature,
+which is the package's one product cache; :meth:`Signature.mul_monomials`
+and element products are lookups in them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 
 from .rational import format_rational
 
@@ -85,7 +96,9 @@ class Signature:
         self.unital = unital
         self._basis = None
         self._index = None
-        self._mul_cache = {}
+        self._parities = None  # parity of each basis monomial, by index
+        self._prefix = None  # r -> number of basis monomials of degree <= r
+        self._rows = None  # j -> mul_row(j) once built, else None
 
     def _key(self):
         return (self.even, self.odd, self.degree_bound, self.commutative, self.unital)
@@ -148,9 +161,20 @@ class Signature:
             lowest = 0 if self.unital else 1
             for d in range(lowest, self.degree_bound + 1):
                 monomials.extend(self._monomials_of_degree(d))
+            degrees = [self.degree(m) for m in monomials]
             self._basis = monomials
             self._index = {m: i for i, m in enumerate(monomials)}
+            self._parities = [self.parity(m) for m in monomials]
+            self._prefix = [
+                bisect_right(degrees, r) for r in range(self.degree_bound + 1)
+            ]
+            self._rows = [None] * len(monomials)
         return self._basis
+
+    def basis_parities(self):
+        """Parity of each basis monomial, indexed like :meth:`basis`."""
+        self.basis()
+        return self._parities
 
     def _monomials_of_degree(self, d):
         if not self.commutative:
@@ -166,8 +190,55 @@ class Signature:
         return sorted(out)
 
     def index_of(self, m) -> int:
-        self.basis()
-        return self._index[m]
+        index = self._index
+        if index is None:
+            self.basis()
+            index = self._index
+        return index[m]
+
+    def mul_row(self, j):
+        """Right multiplication by basis monomial j, over basis indices.
+
+        Entry i encodes basis[i] * basis[j]: 0 if it dies, else +(k + 1) or
+        -(k + 1) for +basis[k] or -basis[k].  The row stops after the last
+        basis monomial whose degree leaves room for basis[j]; indices past
+        its end die by degree.
+        """
+        rows = self._rows
+        if rows is None:
+            self.basis()
+            rows = self._rows
+        row = rows[j]
+        if row is None:
+            row = rows[j] = self._build_row(j)
+        return row
+
+    def _build_row(self, j):
+        basis, index = self._basis, self._index
+        b = basis[j]
+        row = []
+        for i in range(self._prefix[self.degree_bound - self.degree(b)]):
+            s, m = self._mul_monomials(basis[i], b)
+            row.append(s * (index[m] + 1) if s else 0)
+        return row
+
+    def mul_indices(self, indices) -> int:
+        """Ordered product of basis monomials given by index, encoded as a row entry."""
+        acc = indices[0]
+        sign = 1
+        for j in indices[1:]:
+            row = self.mul_row(j)
+            if acc >= len(row):
+                return 0
+            e = row[acc]
+            if e > 0:
+                acc = e - 1
+            elif e:
+                acc = -e - 1
+                sign = -sign
+            else:
+                return 0
+        return sign * (acc + 1)
 
     def mul_monomials(self, a, b):
         """Product of two monomials: (sign, monomial) or (0, None) if it dies.
@@ -175,12 +246,14 @@ class Signature:
         The Koszul sign comes from odd letters of ``a`` moving past odd
         letters of ``b``; monomials of degree > D are zero in the quotient.
         """
-        key = (a, b)
-        cached = self._mul_cache.get(key)
-        if cached is None:
-            cached = self._mul_monomials(a, b)
-            self._mul_cache[key] = cached
-        return cached
+        try:
+            pair = (self.index_of(a), self.index_of(b))
+        except KeyError:  # not a basis monomial, e.g. the unit when non-unital
+            return self._mul_monomials(a, b)
+        e = self.mul_indices(pair)
+        if not e:
+            return (0, None)
+        return (1, self._basis[e - 1]) if e > 0 else (-1, self._basis[-e - 1])
 
     def _mul_monomials(self, a, b):
         if not self.commutative:
@@ -217,6 +290,11 @@ class Signature:
 
     def element(self, terms=None) -> "AlgebraElement":
         return AlgebraElement(self, terms or {})
+
+    def element_from_indices(self, terms) -> "AlgebraElement":
+        """Element from a map basis index -> coefficient."""
+        basis = self.basis()
+        return AlgebraElement(self, {basis[k]: c for k, c in terms.items()})
 
     def monomial_element(self, m, coeff=1) -> "AlgebraElement":
         return AlgebraElement(self, {m: coeff})
@@ -274,13 +352,19 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             sig = self.signature
+            sig.basis()
+            index = sig._index
+            right = [(sig.mul_row(index[m]), c) for m, c in other.terms.items()]
             out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    s, m = sig.mul_monomials(m1, m2)
-                    if s:
-                        out[m] = out.get(m, 0) + s * c1 * c2
-            return AlgebraElement(sig, out)
+            for m, c1 in self.terms.items():
+                i = index[m]
+                for row, c2 in right:
+                    e = row[i] if i < len(row) else 0
+                    if e > 0:
+                        out[e - 1] = out.get(e - 1, 0) + c1 * c2
+                    elif e:
+                        out[-e - 1] = out.get(-e - 1, 0) - c1 * c2
+            return sig.element_from_indices(out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -289,13 +373,16 @@ class AlgebraElement:
     def mul_monomial(self, m, side="right") -> "AlgebraElement":
         """Product with a single monomial, cheaper than building an element."""
         sig = self.signature
+        j = sig.index_of(m)
         out = {}
         for m1, c1 in self.terms.items():
-            pair = (m1, m) if side == "right" else (m, m1)
-            s, prod = sig.mul_monomials(*pair)
-            if s:
-                out[prod] = out.get(prod, 0) + s * c1
-        return AlgebraElement(sig, out)
+            i = sig.index_of(m1)
+            e = sig.mul_indices((i, j) if side == "right" else (j, i))
+            if e > 0:
+                out[e - 1] = out.get(e - 1, 0) + c1
+            elif e:
+                out[-e - 1] = out.get(-e - 1, 0) - c1
+        return sig.element_from_indices(out)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -339,28 +426,44 @@ class AlgebraElement:
 class EndoOp:
     """Linear operator on the algebra, stored by its images on the basis."""
 
-    __slots__ = ("signature", "images", "parity")
+    __slots__ = ("signature", "images", "parity", "_index_view")
 
     def __init__(self, signature: Signature, images, parity=None):
         self.signature = signature
         self.images = {m: v for m, v in images.items() if not v.is_zero()}
         self.parity = parity
+        self._index_view = None
         if parity is not None:
             for m, v in self.images.items():
                 want = (signature.parity(m) + parity) % 2
                 if any(signature.parity(t) != want for t in v.terms):
                     raise ValueError("image violates the declared parity")
 
+    def index_view(self):
+        """Images by basis index: entry i lists (index, coeff) of the image of
+        basis[i], in index order, so in degree order; built on first use."""
+        view = self._index_view
+        if view is None:
+            sig = self.signature
+            view = [()] * len(sig.basis())
+            for m, v in self.images.items():
+                view[sig.index_of(m)] = sorted(
+                    (sig.index_of(t), c) for t, c in v.terms.items()
+                )
+            self._index_view = view
+        return view
+
     def apply(self, x) -> AlgebraElement:
         """Image of a monomial or an element."""
         sig = self.signature
         if isinstance(x, AlgebraElement):
-            out = sig.element()
+            out = {}
             for m, c in x.terms.items():
                 img = self.images.get(m)
                 if img is not None:
-                    out = out + img.scale(c)
-            return out
+                    for t, v in img.terms.items():
+                        out[t] = out.get(t, 0) + c * v
+            return AlgebraElement(sig, out)
         return self.images.get(x, sig.element())
 
     def __call__(self, x) -> AlgebraElement:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 
-from antibrackets.cli import main
+import pytest
+
+from antibrackets.cli import main, worker_count
 
 
 def run_cli(capsys, *argv):
@@ -137,3 +140,27 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_bad_flag_returns_usage_error(capsys):
     assert main(["koszul-numbers", "--max-n", "not-a-number"]) == 2
+
+
+def test_worker_count_defaults_and_clamps():
+    cores = os.cpu_count() or 1
+    assert worker_count({}) == 1
+    assert worker_count({"ANTIBRACKET_WORKERS": "1"}) == 1
+    assert worker_count({"ANTIBRACKET_WORKERS": "0"}) == 1
+    assert worker_count({"ANTIBRACKET_WORKERS": "-3"}) == 1
+    assert worker_count({"ANTIBRACKET_WORKERS": str(cores)}) == cores
+    assert worker_count({"ANTIBRACKET_WORKERS": "1000000"}) == cores
+
+
+def test_worker_count_rejects_non_integer():
+    for text in ("abc", "", "2.5"):
+        with pytest.raises(ValueError, match="ANTIBRACKET_WORKERS"):
+            worker_count({"ANTIBRACKET_WORKERS": text})
+
+
+def test_conjecture_bad_workers_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ANTIBRACKET_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "conjecture", "--max-n", "3")
+    assert code == 2
+    assert out == ""
+    assert "ANTIBRACKET_WORKERS" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from antibrackets.rational import format_rational, parse_rational, rat
@@ -27,3 +28,12 @@ def test_exact_arithmetic():
     third = rat(1, 3)
     assert third + third + third == 1
     assert rat(1, 10) + rat(2, 10) == rat(3, 10)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("1/0", "zero denominator"), ("1/2/3", "more than one '/'")],
+)
+def test_parse_rejects_malformed_text(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        parse_rational(text)

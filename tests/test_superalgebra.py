@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antibrackets.brackets import inversion_check
 from antibrackets.superalgebra import (
     AlgebraElement,
     EndoOp,
@@ -133,6 +135,83 @@ def test_degree_bound_truncates_products():
         power = power * high
     assert not power.is_zero()
     assert (power * high).is_zero()
+
+
+KERNEL_SIGNATURES = [
+    Signature(even=2, odd=3, degree_bound=4),
+    Signature(even=1, odd=2, degree_bound=3, unital=False),
+    Signature(even=2, odd=1, degree_bound=3, commutative=False),
+]
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
+def test_row_products_match_direct_products(sig):
+    basis = sig.basis()
+    seen = set()
+    for a in basis:
+        for b in basis:
+            got = sig.mul_monomials(a, b)
+            assert got == sig._mul_monomials(a, b)
+            sign, prod = got
+            if sign:
+                seen.add(sign)
+            elif sig.degree(a) + sig.degree(b) > sig.degree_bound:
+                seen.add("degree")
+            else:
+                seen.add("odd letter")
+    if sig.commutative:
+        assert seen == {1, -1, "degree", "odd letter"}
+    else:
+        assert seen == {1, "degree"}
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
+def test_rows_cover_the_surviving_degree_prefix(sig):
+    basis = sig.basis()
+    for j, b in enumerate(basis):
+        room = sig.degree_bound - sig.degree(b)
+        assert len(sig.mul_row(j)) == sum(sig.degree(m) <= room for m in basis)
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
+def test_index_product_matches_sequential_products(sig):
+    basis = sig.basis()
+    rng = random.Random(3)
+    for _ in range(200):
+        tup = [rng.choice(basis) for _ in range(rng.randint(1, 4))]
+        sign, prod = 1, tup[0]
+        for m in tup[1:]:
+            s, prod = sig._mul_monomials(prod, m)
+            sign *= s
+            if not s:
+                break
+        code = sig.mul_indices([sig.index_of(m) for m in tup])
+        if not sign:
+            assert code == 0
+        else:
+            assert code == sign * (sig.index_of(prod) + 1)
+
+
+def test_inversion_formula_on_multi_term_elements():
+    rng = random.Random(5)
+    by_parity = {
+        p: [m for m in SIG.basis() if 1 <= SIG.degree(m) <= 2 and SIG.parity(m) == p]
+        for p in (0, 1)
+    }
+
+    def homogeneous_element():
+        options = by_parity[rng.randint(0, 1)]
+        terms = {m: rng.choice([-3, -2, -1, 1, 2, 3])
+                 for m in rng.sample(options, 3)}
+        return SIG.element(terms)
+
+    for seed, parity in ((3, "even"), (4, "odd")):
+        f = random_endo(SIG, seed, parity=parity)
+        for n in range(1, 5):
+            for _ in range(2):
+                args = [homogeneous_element() for _ in range(n)]
+                assert all(len(a.terms) == 3 for a in args)
+                assert inversion_check(f, n, args)
 
 
 def test_noncommutative_product_concatenates():
