@@ -36,7 +36,6 @@ from .combinatorics import (
 )
 from .multilinear import (
     MultiOp,
-    OpFamily,
     canonical_tuples,
     dump_operator,
     first_mismatch,

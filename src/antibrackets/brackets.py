@@ -24,12 +24,11 @@ from math import factorial, lcm
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
     MultiOp,
-    canonical_tuples,
+    canonical_index_tuples,
     is_zero_op,
     lift_endo,
     mu_for,
     nr_bracket,
-    op_add,
     op_scale,
     op_sum,
     ops_equal,
@@ -55,6 +54,7 @@ __all__ = [
     "phi_hierarchy",
     "exp_rho_family",
     "inversion_check",
+    "jacobi_rhs",
     "jacobi_operators",
     "jacobi_check",
     "linfinity_check",
@@ -81,8 +81,8 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures).
 
     A value is computed on basis indices: block and complement products are
-    looked up in the signature's product rows, f is read through its index
-    view, and the result is keyed by monomial only once, at the end.
+    looked up in the signature's product rows and f is read through its
+    index view.
     """
     sig = f.signature
     if not sig.commutative:
@@ -94,13 +94,12 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
     def eval_basis(tup):
         images = f.index_view()
         basis_parities = sig.basis_parities()
-        idx = [sig.index_of(m) for m in tup]
-        parities = [basis_parities[i] for i in idx]
+        parities = [basis_parities[i] for i in tup]
         acc = {}
         for k in range(1, n + 1):
             outer_sign = (-1) ** (n - k)
             for block in itertools.combinations(positions, k):
-                p = sig.mul_indices([idx[i] for i in block])
+                p = sig.mul_indices([tup[i] for i in block])
                 if not p:
                     continue
                 image = images[abs(p) - 1]
@@ -114,7 +113,7 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
                     for t, c in image:
                         acc[t] = acc.get(t, 0) + total * c
                     continue
-                r = sig.mul_indices([idx[i] for i in rest])
+                r = sig.mul_indices([tup[i] for i in rest])
                 if not r:
                     continue
                 if r < 0:
@@ -129,7 +128,7 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
                         acc[e - 1] = acc.get(e - 1, 0) + total * c
                     elif e:
                         acc[-e - 1] = acc.get(-e - 1, 0) - total * c
-        return sig.element_from_indices(acc)
+        return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
@@ -140,21 +139,36 @@ def phi_direct(f: EndoOp, args) -> AlgebraElement:
 
 
 def _recursion_ops(f: EndoOp, N: int) -> dict:
+    """Phi^r(.., b, c) = Phi^(r-1)(.., bc) - Phi^(r-1)(.., b) c
+    - (-1)^(|b||c|) Phi^(r-1)(.., c) b, on basis indices."""
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the recursive formula needs a commutative signature")
+    parities = sig.basis_parities()
     ops = {1: lift_endo(f)}
     for r in range(2, N + 1):
         prev = ops[r - 1]
 
         def eval_basis(tup, prev=prev):
             front, b, c = tup[:-2], tup[-2], tup[-1]
-            s, bc = sig.mul_monomials(b, c)
-            t1 = prev.value(front + (bc,)).scale(s) if s else sig.element()
-            t2 = prev.value(front + (b,)).mul_monomial(c)
-            t3 = prev.value(front + (c,)).mul_monomial(b)
-            swap = (-1) ** (sig.parity(b) * sig.parity(c))
-            return t1 - t2 - t3.scale(swap)
+            acc = {}
+            p = sig.mul_indices((b, c))
+            if p:
+                s, canon = sig.canonical_indices(front + (abs(p) - 1,))
+                s = s if p > 0 else -s
+                if s:
+                    for k, v in prev._canonical_value(canon).items():
+                        acc[k] = s * v
+            swap = (-1) ** (parities[b] * parities[c])
+            # front + (b,) and front + (c,) are canonical, as tup is
+            for arg, right, factor in ((b, c, -1), (c, b, -swap)):
+                for k, v in prev._canonical_value(front + (arg,)).items():
+                    e = sig.mul_indices((k, right))
+                    if e:
+                        if e < 0:
+                            e, v = -e, -v
+                        acc[e - 1] = acc.get(e - 1, 0) + factor * v
+            return {k: v for k, v in acc.items() if v}
 
         ops[r] = MultiOp(sig, r - 1, f.parity, eval_basis)
     return ops
@@ -218,15 +232,14 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     term = {base.degree: base}
     k = 1
     while term and min(term) < max_degree:
-        new = {}
+        pieces = {}
         for d, op in term.items():
             for n, w in weights.items():
-                if d + n > max_degree:
-                    continue
-                piece = op_scale(nr_bracket(mus[n], op), w)
-                key = d + n
-                new[key] = op_add(new[key], piece) if key in new else piece
-        term = new
+                if d + n <= max_degree:
+                    pieces.setdefault(d + n, []).append(
+                        op_scale(nr_bracket(mus[n], op), w)
+                    )
+        term = {d: op_sum(ops) for d, ops in pieces.items()}
         for d, op in term.items():
             levels.setdefault(d, {})[k] = op
         k += 1
@@ -323,6 +336,14 @@ def inversion_check(f: EndoOp, n: int, args) -> bool:
     return lhs == AlgebraElement(sig, rhs)
 
 
+def jacobi_rhs(phis_f, phis_g, n: int) -> MultiOp:
+    """sum_(i=1..n) [Phi^i_f, Phi^(n+1-i)_g], the right-hand side of the
+    generalized Jacobi identity, from the brackets of two hierarchies."""
+    return op_sum(
+        nr_bracket(phis_f[i], phis_g[n + 1 - i]) for i in range(1, n + 1)
+    )
+
+
 def jacobi_operators(f: EndoOp, g: EndoOp, n: int, method=None):
     """Both sides of the generalized Jacobi identity, as operators."""
     sig = f.signature
@@ -331,12 +352,7 @@ def jacobi_operators(f: EndoOp, g: EndoOp, n: int, method=None):
     build = _METHODS[method]
     h = supercommutator(f, g)
     lhs = build(h, n)[n]
-    phis_f = build(f, n)
-    phis_g = build(g, n)
-    rhs = op_sum(
-        nr_bracket(phis_f[i], phis_g[n + 1 - i]) for i in range(1, n + 1)
-    )
-    return lhs, rhs
+    return lhs, jacobi_rhs(build(f, n), build(g, n), n)
 
 
 def jacobi_check(
@@ -355,10 +371,7 @@ def linfinity_check(delta: EndoOp, N: int, max_total_degree=None) -> bool:
         raise ValueError("operator must be square-zero")
     phis = _METHODS[default_method(delta.signature)](delta, N)
     for n in range(1, N + 1):
-        total = op_sum(
-            nr_bracket(phis[i], phis[n + 1 - i]) for i in range(1, n + 1)
-        )
-        if not is_zero_op(total, max_total_degree):
+        if not is_zero_op(jacobi_rhs(phis, phis, n), max_total_degree):
             return False
     return True
 
@@ -381,23 +394,19 @@ def differential_order_check(f: EndoOp, n: int, max_total_degree=None) -> bool:
 def hierarchy_to_json(h: AntibracketHierarchy, max_total_degree=None) -> list:
     """JSON-ready tables: [{"n": k, "table": [[tuple, element], ...]}, ...]."""
     sig = h.source.signature
+    names = [sig.monomial_str(m) for m in sig.basis()]
     out = []
     for n in sorted(h.brackets):
         op = h.brackets[n]
         table = []
-        for tup in canonical_tuples(sig, op.arity, max_total_degree):
-            val = op.value(tup)
-            if val.is_zero():
+        for tup in canonical_index_tuples(sig, op.arity, max_total_degree):
+            val = op._canonical_value(tup)
+            if not val:
                 continue
             table.append(
                 [
-                    [sig.monomial_str(m) for m in tup],
-                    {
-                        sig.monomial_str(m): format_rational(c)
-                        for m, c in sorted(
-                            val.terms.items(), key=lambda kv: sig.index_of(kv[0])
-                        )
-                    },
+                    [names[i] for i in tup],
+                    {names[k]: format_rational(c) for k, c in sorted(val.items())},
                 ]
             )
         out.append({"n": n, "table": table})

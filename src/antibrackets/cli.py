@@ -28,6 +28,7 @@ from math import factorial
 from .brackets import (
     identity_hierarchy,
     inversion_check,
+    jacobi_rhs,
     linfinity_check,
     phi_hierarchy,
 )
@@ -285,11 +286,7 @@ def _suite_jacobi(sig, N, seed):
         phis_g = phi_hierarchy(g, top, method=method).brackets
         phis_h = phi_hierarchy(supercommutator(f, g), top, method=method).brackets
         for n in range(1, top + 1):
-            rhs = op_sum(
-                nr_bracket(phis_f[i], phis_g[n + 1 - i])
-                for i in range(1, n + 1)
-            )
-            bad = first_mismatch(phis_h[n], rhs)
+            bad = first_mismatch(phis_h[n], jacobi_rhs(phis_f, phis_g, n))
             yield (
                 f"jacobi n={n} parities=({fp},{gp})",
                 bad is None,

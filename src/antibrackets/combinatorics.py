@@ -9,7 +9,6 @@ in :mod:`antibrackets.series`.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import comb, factorial
 
@@ -77,20 +76,16 @@ def koszul_numbers_chain(N: int) -> list:
     Each chain contributes (-1)^(k+1)/k times the product of consecutive
     Stirling numbers {n_2 n_1} ... {n_k n_(k-1)}; the empty-interior chain
     (k = 1) contributes 1.  Independent of the triangle recursion route.
+    The chains are summed in O(N^3): W[j, k], the sum over the chains of
+    length k ending at n_k = j, is sum_(i<j) W[i, k-1] {j i}.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    W = {}
     values = [rat(0)] * (N + 1)
-    for n in range(1, N + 1):
-        total = rat(0)
-        interior = range(2, n + 1)
-        for size in range(0, n):
-            for chosen in itertools.combinations(interior, size):
-                chain = list(chosen) + [n + 1]
-                k = len(chain)
-                prod = 1
-                for lo, hi in zip(chain, chain[1:]):
-                    prod *= stirling2(hi, lo)
-                total += rat((-1) ** (k + 1) * prod, k)
-        values[n] = total
+    for j in range(2, N + 2):
+        W[j, 1] = 1
+        for k in range(2, j):
+            W[j, k] = sum(W[i, k - 1] * stirling2(j, i) for i in range(k, j))
+        values[j - 1] = sum(rat((-1) ** (k + 1) * W[j, k], k) for k in range(1, j))
     return values

@@ -1,13 +1,15 @@
 """Supersymmetric multilinear operators and the Nijenhuis-Richardson bracket.
 
 An operator of degree n takes n+1 arguments.  Values are determined by the
-canonical (sorted, no repeated odd monomial) basis tuples; evaluation on any
-other tuple picks up the Koszul sign of the sorting permutation.  Operators
-are stored as memoized evaluation rules rather than materialized tensors:
-tables are compared over the canonical tuples whose total input degree stays
-within a bound (tuples beyond it are zero in the quotient for the
-multiplication operators, and are outside the comparison domain for
-everything else).  Values are produced on demand, per canonical tuple.
+canonical (sorted, no repeated odd index) tuples of basis indices; evaluation
+on any other tuple picks up the Koszul sign of the sorting permutation.
+Operators are memoized evaluation rules, keyed by canonical index tuple,
+whose values are dicts {basis index: nonzero coefficient}; monomials and
+elements appear only at the public boundary (``value``, ``__call__``,
+:func:`first_mismatch`'s counterexample, :func:`dump_operator`).  Tables are
+compared over the canonical tuples whose total input degree stays within a
+bound (tuples beyond it are zero in the quotient for the multiplication
+operators, and are outside the comparison domain for everything else).
 Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
@@ -31,7 +33,6 @@ from .superalgebra import (
 
 __all__ = [
     "MultiOp",
-    "OpFamily",
     "nr_product",
     "nr_bracket",
     "mu",
@@ -44,6 +45,7 @@ __all__ = [
     "op_scale",
     "op_sum",
     "canonical_tuples",
+    "canonical_index_tuples",
     "ops_equal",
     "is_zero_op",
     "first_mismatch",
@@ -52,7 +54,8 @@ __all__ = [
 
 
 class MultiOp:
-    """Supersymmetric (degree+1)-linear operator with memoized basis values."""
+    """Supersymmetric (degree+1)-linear operator with memoized basis values;
+    ``eval_basis`` maps a canonical index tuple to {index: nonzero coeff}."""
 
     __slots__ = ("signature", "degree", "parity", "_eval", "_cache")
 
@@ -71,32 +74,18 @@ class MultiOp:
 
     def value(self, monomials) -> AlgebraElement:
         """Evaluate on a tuple of basis monomials (any order)."""
-        if len(monomials) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} arguments, got {len(monomials)}"
-            )
-        sig = self.signature
-        keys = [sig.index_of(m) for m in monomials]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        canon = tuple(monomials[i] for i in order)
-        for a, b in zip(canon, canon[1:]):
-            if a == b and sig.parity(a):
-                return sig.element()
-        parities = [sig.parity(m) for m in monomials]
-        sign = koszul_sign(tuple(order), parities)
-        cached = self._canonical_value(canon)
-        return cached if sign == 1 else cached.scale(-1)
+        return self(*monomials)
 
-    def _canonical_value(self, canon) -> AlgebraElement:
-        """Memoized value on a tuple already in canonical order.
+    def _canonical_value(self, canon) -> dict:
+        """Memoized value on a canonical index tuple, as {index: coeff}.
 
         The tuple is not checked; any canonical tuple is accepted, also one
-        beyond the degree bound of the comparison domain.
+        beyond the degree bound of the comparison domain.  The returned dict
+        is the memo entry itself and must not be modified.
         """
         cached = self._cache.get(canon)
         if cached is None:
-            cached = self._eval(canon)
-            self._cache[canon] = cached
+            cached = self._cache[canon] = self._eval(canon)
         return cached
 
     def __call__(self, *args) -> AlgebraElement:
@@ -105,102 +94,79 @@ class MultiOp:
             raise ValueError(
                 f"expected {self.arity} arguments, got {len(args)}"
             )
+        sig = self.signature
         slots = [
-            list(a.terms.items()) if isinstance(a, AlgebraElement) else [(a, 1)]
+            [(sig.index_of(m), c) for m, c in
+             (a.terms.items() if isinstance(a, AlgebraElement) else [(a, 1)])]
             for a in args
         ]
-        sig = self.signature
         acc = {}
         for combo in itertools.product(*slots):
-            coeff = 1
+            sign, canon = sig.canonical_indices([k for k, _ in combo])
+            if not sign:
+                continue
+            coeff = sign
             for _, c in combo:
                 coeff = coeff * c
-            if not coeff:
-                continue
-            val = self.value(tuple(m for m, _ in combo))
-            for m, c in val.terms.items():
-                acc[m] = acc.get(m, 0) + coeff * c
-        return AlgebraElement(sig, acc)
+            for k, v in self._canonical_value(canon).items():
+                acc[k] = acc.get(k, 0) + coeff * v
+        return sig.element_from_indices(acc)
 
 
-class OpFamily:
-    """Finitely many operator components indexed by degree."""
-
-    __slots__ = ("signature", "components")
-
-    def __init__(self, signature: Signature, components=None):
-        self.signature = signature
-        self.components = dict(components or {})
-
-    def component(self, n: int) -> MultiOp:
-        op = self.components.get(n)
-        return op if op is not None else zero_op(self.signature, n)
-
-    def add(self, other: "OpFamily") -> "OpFamily":
-        out = dict(self.components)
-        for n, op in other.components.items():
-            out[n] = op_add(out[n], op) if n in out else op
-        return OpFamily(self.signature, out)
-
-    def scale(self, c) -> "OpFamily":
-        return OpFamily(
-            self.signature, {n: op_scale(op, c) for n, op in self.components.items()}
-        )
-
-    def bracket(self, other: "OpFamily", max_degree=None) -> "OpFamily":
-        """Componentwise Nijenhuis-Richardson bracket of two families."""
-        out = {}
-        for i, f in self.components.items():
-            for j, g in other.components.items():
-                n = i + j
-                if max_degree is not None and n > max_degree:
-                    continue
-                term = nr_bracket(f, g)
-                out[n] = op_add(out[n], term) if n in out else term
-        return OpFamily(self.signature, out)
+def _nonzero(acc: dict) -> dict:
+    return {k: v for k, v in acc.items() if v}
 
 
 def zero_op(signature: Signature, degree: int, parity: int = 0) -> MultiOp:
-    return MultiOp(signature, degree, parity, lambda _t: signature.element())
+    return MultiOp(signature, degree, parity, lambda _t: {})
 
 
 def op_add(f: MultiOp, g: MultiOp) -> MultiOp:
-    if f.signature != g.signature or f.degree != g.degree:
-        raise ValueError("can only add operators of equal signature and degree")
-    if f.parity != g.parity:
-        raise ValueError("parity mismatch in operator sum")
-    return MultiOp(
-        f.signature,
-        f.degree,
-        f.parity,
-        lambda t: f._canonical_value(t) + g._canonical_value(t),
-    )
+    return op_sum((f, g))
 
 
 def op_scale(f: MultiOp, c) -> MultiOp:
-    if c == 1:
-        return f
-    return MultiOp(
-        f.signature, f.degree, f.parity, lambda t: f._canonical_value(t).scale(c)
-    )
+    return _combination([(f, c)])
 
 
 def op_sum(ops) -> MultiOp:
     ops = list(ops)
     if not ops:
         raise ValueError("op_sum needs at least one operator")
-    first = ops[0]
-    for other in ops[1:]:
-        first = op_add(first, other)
-    return first
+    return _combination([(op, 1) for op in ops])
+
+
+def _combination(terms) -> MultiOp:
+    """One node for sum_i c_i f_i over pairs (f_i, c_i), f itself for [(f, 1)].
+
+    Terms that are combinations are not flattened into theirs, as their
+    memos are shared, e.g. across degrees in :func:`exp_rho_family`.
+    """
+    f = terms[0][0]
+    for g, _ in terms[1:]:
+        if g.signature != f.signature or g.degree != f.degree:
+            raise ValueError("can only add operators of equal signature and degree")
+        if g.parity != f.parity:
+            raise ValueError("parity mismatch in operator sum")
+    if len(terms) == 1 and terms[0][1] == 1:
+        return f
+
+    def eval_basis(tup):
+        acc = {}
+        for g, c in terms:
+            for k, v in g._canonical_value(tup).items():
+                acc[k] = acc.get(k, 0) + c * v
+        return _nonzero(acc)
+
+    return MultiOp(f.signature, f.degree, f.parity, eval_basis)
 
 
 def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     """Insertion product f ⊼ g: sum over shuffles feeding g's output into f.
 
     On a canonical tuple, each shuffle block and its complement are canonical
-    already, so g is read on the block as it stands.  Each monomial of g's
-    output is inserted into the sorted complement by basis index, with the
+    already, so g is read on the block as it stands.  Each basis index of g's
+    value is inserted into the sorted complement by bisection, with the
     Koszul sign of the odd arguments it passes, and f is read on the result.
     That tuple can exceed the degree bound of the comparison domain, as a
     general operator raises degrees; its value is evaluated lazily like any
@@ -209,43 +175,38 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     if f.signature != g.signature:
         raise ValueError("signature mismatch")
     sig = f.signature
+    parities = sig.basis_parities()
     n, m = f.degree, g.degree
     perms = shuffles(m + 1, n)
 
     def eval_basis(tup):
-        parities = [sig.parity(v) for v in tup]
-        keys = [sig.index_of(v) for v in tup]
+        tup_parities = [parities[i] for i in tup]
         acc = {}
         for perm in perms:
             inner = g._canonical_value(tuple(tup[i] for i in perm[: m + 1]))
-            if inner.is_zero():
+            if not inner:
                 continue
-            sign = koszul_sign(perm, parities)
-            rest_idx = perm[m + 1 :]
-            rest = tuple(tup[i] for i in rest_idx)
-            rest_keys = [keys[i] for i in rest_idx]
-            for mono, c in inner.terms.items():
-                key = sig.index_of(mono)
-                at = bisect_left(rest_keys, key)
-                if sig.parity(mono):
-                    if at < n and rest_keys[at] == key:
+            sign = koszul_sign(perm, tup_parities)
+            rest = tuple(tup[i] for i in perm[m + 1 :])
+            for k, c in inner.items():
+                at = bisect_left(rest, k)
+                if parities[k]:
+                    if at < n and rest[at] == k:
                         continue  # a repeated odd argument
-                    if sum(parities[i] for i in rest_idx[:at]) % 2:
+                    if sum(parities[i] for i in rest[:at]) % 2:
                         c = -c
-                val = f._canonical_value(rest[:at] + (mono,) + rest[at:])
                 coeff = sign * c
-                for out, v in val.terms.items():
+                for out, v in f._canonical_value(rest[:at] + (k,) + rest[at:]).items():
                     acc[out] = acc.get(out, 0) + coeff * v
-        return AlgebraElement(sig, acc)
+        return _nonzero(acc)
 
     return MultiOp(sig, n + m, f.parity + g.parity, eval_basis)
 
 
 def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """[f, g] = f ⊼ g - (-1)^(|f||g|) g ⊼ f."""
-    left = nr_product(f, g)
-    right = op_scale(nr_product(g, f), -((-1) ** (f.parity * g.parity)))
-    return op_add(left, right)
+    sign = -((-1) ** (f.parity * g.parity))
+    return _combination([(nr_product(f, g), 1), (nr_product(g, f), sign)])
 
 
 def mu(signature: Signature, n: int) -> MultiOp:
@@ -256,10 +217,10 @@ def mu(signature: Signature, n: int) -> MultiOp:
         raise ValueError("degree must be >= 0")
 
     def eval_basis(tup):
-        p = signature.mul_indices([signature.index_of(m) for m in tup])
+        p = signature.mul_indices(tup)
         if not p:
-            return signature.element()
-        return signature.element_from_indices({abs(p) - 1: 1 if p > 0 else -1})
+            return {}
+        return {abs(p) - 1: 1 if p > 0 else -1}
 
     return MultiOp(signature, n, 0, eval_basis)
 
@@ -272,18 +233,16 @@ def mu_sym(signature: Signature, n: int) -> MultiOp:
     indices = list(itertools.permutations(range(n + 1)))
 
     def eval_basis(tup):
-        parities = [signature.parity(v) for v in tup]
-        idx = [signature.index_of(v) for v in tup]
+        parities = signature.basis_parities()
+        tup_parities = [parities[i] for i in tup]
         out = {}
         for perm in indices:
-            p = signature.mul_indices([idx[i] for i in perm])
+            p = signature.mul_indices([tup[i] for i in perm])
             if p:
-                sign = koszul_sign(perm, parities)
+                sign = koszul_sign(perm, tup_parities)
                 k = abs(p) - 1
                 out[k] = out.get(k, 0) + (sign if p > 0 else -sign)
-        return signature.element_from_indices(
-            {k: inv * v for k, v in out.items() if v}
-        )
+        return {k: inv * v for k, v in out.items() if v}
 
     return MultiOp(signature, n, 0, eval_basis)
 
@@ -293,13 +252,8 @@ def mu_for(signature: Signature, n: int) -> MultiOp:
     return mu(signature, n) if signature.commutative else mu_sym(signature, n)
 
 
-def rho(n: int, omega):
-    """Adjoint action [mu_n, .] on an operator or a family."""
-    if isinstance(omega, OpFamily):
-        return OpFamily(
-            omega.signature,
-            {d: rho(n, op) for d, op in omega.components.items()},
-        )
+def rho(n: int, omega: MultiOp) -> MultiOp:
+    """Adjoint action [mu_n, .] on an operator."""
     return nr_bracket(mu_for(omega.signature, n), omega)
 
 
@@ -307,14 +261,15 @@ def lift_endo(f: EndoOp) -> MultiOp:
     """Embed a linear operator as the corresponding degree-0 operator."""
     if f.parity is None:
         raise ValueError("lifted operators need a declared parity")
-    return MultiOp(f.signature, 0, f.parity, lambda t: f.apply(t[0]))
+    return MultiOp(f.signature, 0, f.parity, lambda t: dict(f.index_view()[t[0]]))
 
 
-def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
-    """Canonical basis tuples of the given arity with total degree <= bound.
+def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=None):
+    """Canonical tuples of basis indices of the given arity, total degree <= bound.
 
     The bound defaults to the signature's degree bound: tuples beyond it are
-    omitted from tables per the truncation convention.
+    omitted from tables per the truncation convention.  The tuples come in
+    lexicographic order.
     """
     if arity < 1:
         raise ValueError("arity must be >= 1")
@@ -323,13 +278,13 @@ def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
     )
     basis = signature.basis()
     degrees = [signature.degree(m) for m in basis]
-    odd = [signature.parity(m) for m in basis]
+    odd = signature.basis_parities()
     out = []
     stack = [0] * arity
 
     def extend(start, remaining, depth):
         if depth == arity:
-            out.append(tuple(basis[i] for i in stack))
+            out.append(tuple(stack))
             return
         for i in range(start, len(basis)):
             d = degrees[i]
@@ -344,15 +299,36 @@ def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
     return out
 
 
+def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
+    """Canonical basis tuples of the given arity with total degree <= bound.
+
+    The monomial form of :func:`canonical_index_tuples`, in the same order.
+    """
+    basis = signature.basis()
+    return [
+        tuple(basis[i] for i in tup)
+        for tup in canonical_index_tuples(signature, arity, max_total_degree)
+    ]
+
+
 def first_mismatch(f: MultiOp, g: MultiOp, max_total_degree=None):
-    """First canonical tuple where the two operators differ, or None."""
+    """First canonical tuple where the two operators differ, or None.
+
+    A mismatch is reported as (monomial tuple, f's value, g's value).
+    """
     if f.signature != g.signature or f.degree != g.degree:
         raise ValueError("operators are not comparable")
-    for tup in canonical_tuples(f.signature, f.arity, max_total_degree):
-        a = f.value(tup)
-        b = g.value(tup)
+    sig = f.signature
+    for tup in canonical_index_tuples(sig, f.arity, max_total_degree):
+        a = f._canonical_value(tup)
+        b = g._canonical_value(tup)
         if a != b:
-            return (tup, a, b)
+            basis = sig.basis()
+            return (
+                tuple(basis[i] for i in tup),
+                sig.element_from_indices(a),
+                sig.element_from_indices(b),
+            )
     return None
 
 
@@ -362,17 +338,19 @@ def ops_equal(f: MultiOp, g: MultiOp, max_total_degree=None) -> bool:
 
 
 def is_zero_op(f: MultiOp, max_total_degree=None) -> bool:
-    return all(
-        f.value(t).is_zero()
-        for t in canonical_tuples(f.signature, f.arity, max_total_degree)
+    return not any(
+        f._canonical_value(t)
+        for t in canonical_index_tuples(f.signature, f.arity, max_total_degree)
     )
 
 
 def dump_operator(f: MultiOp, max_total_degree=None) -> str:
     """One line per canonical tuple: "(m1,...,mk) -> element"."""
     sig = f.signature
+    basis = sig.basis()
     lines = []
-    for tup in canonical_tuples(sig, f.arity, max_total_degree):
-        names = ",".join(sig.monomial_str(m) for m in tup)
-        lines.append(f"({names}) -> {f.value(tup)!r}")
+    for tup in canonical_index_tuples(sig, f.arity, max_total_degree):
+        names = ",".join(sig.monomial_str(basis[i]) for i in tup)
+        value = sig.element_from_indices(f._canonical_value(tup))
+        lines.append(f"({names}) -> {value!r}")
     return "\n".join(lines)

@@ -19,7 +19,8 @@ The basis is sorted by degree, so only a prefix of it can survive a product
 with basis[j]; a row covers just that prefix, and any index past its end
 dies by degree.  Rows are built on first use and kept on the signature,
 which is the package's one product cache; :meth:`Signature.mul_monomials`
-and element products are lookups in them.
+and element products are lookups in them.  Operator arguments are put in
+canonical order on indices too, by :meth:`Signature.canonical_indices`.
 """
 
 from __future__ import annotations
@@ -222,6 +223,20 @@ class Signature:
             row.append(s * (index[m] + 1) if s else 0)
         return row
 
+    def canonical_indices(self, indices):
+        """(Koszul sign of the sort, sorted tuple) of basis indices, or
+        (0, None) when an odd index repeats."""
+        parities = self.basis_parities()
+        odd = [i for i in indices if parities[i]]
+        sign = 1
+        for a, i in enumerate(odd):
+            for j in odd[a + 1 :]:
+                if i > j:
+                    sign = -sign
+                elif i == j:
+                    return (0, None)
+        return (sign, tuple(sorted(indices)))
+
     def mul_indices(self, indices) -> int:
         """Ordered product of basis monomials given by index, encoded as a row entry."""
         acc = indices[0]
@@ -292,9 +307,12 @@ class Signature:
         return AlgebraElement(self, terms or {})
 
     def element_from_indices(self, terms) -> "AlgebraElement":
-        """Element from a map basis index -> coefficient."""
+        """Element from a map basis index -> coefficient; zeros are dropped."""
         basis = self.basis()
-        return AlgebraElement(self, {basis[k]: c for k, c in terms.items()})
+        element = AlgebraElement.__new__(AlgebraElement)  # __init__ would filter again
+        element.signature = self
+        element.terms = {basis[k]: c for k, c in terms.items() if c}
+        return element
 
     def monomial_element(self, m, coeff=1) -> "AlgebraElement":
         return AlgebraElement(self, {m: coeff})
@@ -370,14 +388,13 @@ class AlgebraElement:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def mul_monomial(self, m, side="right") -> "AlgebraElement":
-        """Product with a single monomial, cheaper than building an element."""
+    def mul_monomial(self, m) -> "AlgebraElement":
+        """Right product with a single monomial, cheaper than building an element."""
         sig = self.signature
         j = sig.index_of(m)
         out = {}
         for m1, c1 in self.terms.items():
-            i = sig.index_of(m1)
-            e = sig.mul_indices((i, j) if side == "right" else (j, i))
+            e = sig.mul_indices((sig.index_of(m1), j))
             if e > 0:
                 out[e - 1] = out.get(e - 1, 0) + c1
             elif e:
@@ -588,7 +605,7 @@ def multiplication_endo(signature: Signature, element: AlgebraElement) -> EndoOp
         raise ValueError("multiplier must be homogeneous")
     images = {}
     for m in signature.basis():
-        v = element.mul_monomial(m, side="right")
+        v = element.mul_monomial(m)
         if not v.is_zero():
             images[m] = v
     return EndoOp(signature, images, parity=parity)

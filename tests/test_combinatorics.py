@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from math import comb, factorial
 
 import pytest
@@ -75,6 +76,28 @@ def test_koszul_recursive_known_values():
 
 def test_koszul_chain_agrees_with_recursive():
     assert koszul_numbers_chain(14) == koszul_numbers_recursive(14)
+
+
+def _koszul_numbers_chain_enumerated(N):
+    """Reference: the chain sum with every chain enumerated, 2^(n-1) of them."""
+    values = [rat(0)] * (N + 1)
+    for n in range(1, N + 1):
+        total = rat(0)
+        interior = range(2, n + 1)
+        for size in range(0, n):
+            for chosen in itertools.combinations(interior, size):
+                chain = list(chosen) + [n + 1]
+                k = len(chain)
+                prod = 1
+                for lo, hi in zip(chain, chain[1:]):
+                    prod *= stirling2(hi, lo)
+                total += rat((-1) ** (k + 1) * prod, k)
+        values[n] = total
+    return values
+
+
+def test_koszul_chain_programme_matches_enumeration():
+    assert koszul_numbers_chain(12) == _koszul_numbers_chain_enumerated(12)
 
 
 def test_koszul_integer_normalization():

@@ -179,17 +179,18 @@ def test_nr_bracket_superantisymmetry(seed):
 def _general_odd_op(sig, degree, seed):
     """Odd operator with seeded integer values spread over every degree."""
     basis = sig.basis()
+    parities = sig.basis_parities()
 
     def eval_basis(tup):
-        rng = random.Random(f"{seed}:{tup}")
-        want = (sum(sig.parity(m) for m in tup) + 1) % 2
-        return sig.element(
-            {
-                m: rng.randint(-3, 3)
-                for m in basis
-                if sig.parity(m) == want and rng.random() < 0.3
-            }
-        )
+        monomials = tuple(basis[i] for i in tup)
+        rng = random.Random(f"{seed}:{monomials}")
+        want = (sum(parities[i] for i in tup) + 1) % 2
+        values = {
+            k: rng.randint(-3, 3)
+            for k, p in enumerate(parities)
+            if p == want and rng.random() < 0.3
+        }
+        return {k: c for k, c in values.items() if c}
 
     return MultiOp(sig, degree, 1, eval_basis)
 

@@ -192,6 +192,35 @@ def test_index_product_matches_sequential_products(sig):
             assert code == sign * (sig.index_of(prod) + 1)
 
 
+def test_canonical_indices_match_koszul_sign():
+    parities = SIG.basis_parities()
+    even = [i for i, p in enumerate(parities) if not p]
+    odd = [i for i, p in enumerate(parities) if p]
+    tuples = [
+        (even[1], odd[0], odd[2], even[3]),
+        (odd[0], odd[1], odd[3], even[2]),
+        (even[1], even[1], odd[1], odd[4]),
+        (odd[2], even[0], odd[2], odd[1]),  # a repeated odd index
+    ]
+    seen = set()
+    for tup in tuples:
+        repeated_odd = len({i for i in tup if parities[i]}) < sum(
+            parities[i] for i in tup
+        )
+        for perm in itertools.permutations(range(len(tup))):
+            args = tuple(tup[i] for i in perm)
+            sign, canon = SIG.canonical_indices(args)
+            if repeated_odd:
+                assert (sign, canon) == (0, None)
+                seen.add(0)
+                continue
+            order = sorted(range(len(args)), key=args.__getitem__)
+            assert canon == tuple(sorted(args))
+            assert sign == koszul_sign(order, [parities[i] for i in args])
+            seen.add(sign)
+    assert seen == {1, -1, 0}
+
+
 def test_inversion_formula_on_multi_term_elements():
     rng = random.Random(5)
     by_parity = {
