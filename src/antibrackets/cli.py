@@ -19,6 +19,7 @@ for the conjecture report, clamped to 1..os.cpu_count().
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -68,7 +69,9 @@ from .superalgebra import (
 __all__ = ["main", "build_parser"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="antibrackets",
         description="Exact computations with higher antibrackets on free superalgebras.",

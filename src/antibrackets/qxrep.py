@@ -6,15 +6,18 @@ x^(n-i)/(n-i)! span the spaces V^n, the Witt-type generators act on them by
 an explicit two-term rule, and expressing the alternating sum
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields the
 universal coefficients c_i^n together with the auxiliary coefficient b_n,
-which must vanish.  A matrix realization on truncated polynomials is kept as
-an independent oracle for the abstract computation, and the module also
-hosts the coderivation and duality checks on polynomials.
+which must vanish.  The coordinates, the linear solve and the conjectured
+closed formula all run on Python ints and divide once per output
+coefficient; the solve keeps its rows primitive (gcd of the entries 1).  A
+matrix realization on truncated polynomials is kept as an independent oracle
+for the abstract computation, and the module also hosts the coderivation
+and duality checks on polynomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .combinatorics import koszul_numbers_recursive
 from .rational import rat
@@ -218,9 +221,9 @@ class AbstractPhiCombination:
 
     @classmethod
     def from_dict(cls, degree: int, mapping) -> "AbstractPhiCombination":
-        items = tuple(
-            (i, c) for i, c in sorted(mapping.items()) if c
-        )
+        # From a list: tuple() of a generator resizes, and resized tuples
+        # pile up in the interpreter's per-length free lists.
+        items = tuple([(i, c) for i, c in sorted(mapping.items()) if c])
         for i, _ in items:
             if not 1 <= i <= degree:
                 raise ValueError("index outside 1..n")
@@ -238,35 +241,54 @@ class AbstractPhiCombination:
     def vector(self) -> list:
         """Coordinates against Phi(n, 1)..Phi(n, n)."""
         d = self.as_dict()
-        return [d.get(i, rat(0)) for i in range(1, self.degree + 1)]
+        return [d.get(i, 0) for i in range(1, self.degree + 1)]
+
+
+def _rho_phi_terms(k: int, n: int, i: int):
+    """rho_k Phi(n, i) = c1 Phi(n+k, i) + c2 Phi(n+k, i+k) as ((i, c1), (i+k, c2))."""
+    return (
+        (i, comb(n - i + k, k) - comb(n - i + k, k + 1)),
+        (i + k, -comb(k + i, k + 1)),
+    )
 
 
 def rho_on_phi_ni(k: int, n: int, i: int) -> AbstractPhiCombination:
     """Closed form of the Witt generator action on a single Phi(n, i)."""
     if k < 1 or not 1 <= i <= n:
         raise ValueError("need k >= 1 and 1 <= i <= n")
-    out = {}
-    c1 = comb(n - i + k, k) - comb(n - i + k, k + 1)
-    if c1:
-        out[i] = rat(c1)
-    c2 = -comb(k + i, k + 1)
-    if c2:
-        out[i + k] = out.get(i + k, rat(0)) + rat(c2)
-    return AbstractPhiCombination.from_dict(n + k, out)
+    return AbstractPhiCombination.from_dict(n + k, dict(_rho_phi_terms(k, n, i)))
 
 
 def rho_abstract(k: int, comb_: AbstractPhiCombination) -> AbstractPhiCombination:
     out = {}
     for i, c in comb_.coeffs:
-        for j, v in rho_on_phi_ni(k, comb_.degree, i).coeffs:
-            out[j] = out.get(j, rat(0)) + c * v
+        for j, v in _rho_phi_terms(k, comb_.degree, i):
+            out[j] = out.get(j, 0) + c * v
     return AbstractPhiCombination.from_dict(comb_.degree + k, out)
 
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def solve_linear(matrix, rhs):
-    """Exact Gaussian elimination; raises SingularMatrixError if degenerate."""
+    """Exact Gauss-Jordan elimination; raises SingularMatrixError if degenerate.
+
+    Entries may be ints or rationals.  Each augmented row is scaled to
+    integers by the lcm of its denominators and kept primitive (divided by
+    the gcd of its entries); eliminating with pivot p replaces a row with
+    entry f by (p/g) row - (f/g) pivot_row, g = gcd(p, f), and skips rows
+    whose entry is already 0.  The only divisions are one per unknown at the
+    end, x_r = aug[r][n] / aug[r][r].
+    """
     n = len(matrix)
-    aug = [list(row) + [rhs[r]] for r, row in enumerate(matrix)]
+    aug = []
+    for r, row in enumerate(matrix):
+        row = [*row, rhs[r]]
+        scale = lcm(*[v.denominator for v in row])
+        aug.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
     for col in range(n):
         pivot = next(
             (r for r in range(col, n) if aug[r][col]), None
@@ -274,13 +296,15 @@ def solve_linear(matrix, rhs):
         if pivot is None:
             raise SingularMatrixError(f"no pivot in column {col}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = rat(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        prow = aug[col]
+        p = prow[col]
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            f = aug[r][col]
+            if r != col and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                aug[r] = _primitive([a * v - b * w for v, w in zip(aug[r], prow)])
+    return [rat(aug[r][n], aug[r][r]) for r in range(n)]
 
 
 @dataclass(frozen=True)
@@ -298,11 +322,13 @@ def solve_coefficients(n: int) -> UniversalCoefficients:
     Solved exactly in V^(n+1) coordinates against the induction basis
     rho_1^(n-i) rho_i (Phi(1,1)) for i = 1..n together with
     rho_1^(n-1)(Phi(2,2)); the coefficient b_n of the latter must vanish.
+    The matrix and the target hold ints, so :func:`solve_linear` divides
+    once per coefficient.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi11 = AbstractPhiCombination.from_dict(1, {1: rat(1)})
-    phi22 = AbstractPhiCombination.from_dict(2, {2: rat(1)})
+    phi11 = AbstractPhiCombination.from_dict(1, {1: 1})
+    phi22 = AbstractPhiCombination.from_dict(2, {2: 1})
     columns = []
     for i in range(1, n + 1):
         vec = rho_abstract(i, phi11)
@@ -313,7 +339,7 @@ def solve_coefficients(n: int) -> UniversalCoefficients:
     for _ in range(n - 1):
         extra = rho_abstract(1, extra)
     columns.append(extra.vector())
-    target = [rat((-1) ** (n + 1 - i)) for i in range(1, n + 2)]
+    target = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
     matrix = [[columns[c][r] for c in range(n + 1)] for r in range(n + 1)]
     solution = solve_linear(matrix, target)
     b = solution[n]
@@ -323,26 +349,27 @@ def solve_coefficients(n: int) -> UniversalCoefficients:
 
 
 def conjecture_formula(n: int, i: int):
-    """The conjectured closed form for c_i^n (empty products are 1)."""
+    """The conjectured closed form for c_i^n (empty products are 1).
+
+    c_i^n = (-1)^n top(i) / sum_(h=2..n) h top(h) tail(h), with
+    top(h) = prod_(j=2..h) (n(n-1) - (j-1)(j-2))/2 and
+    tail(h) = prod_(j=h..n-1) (1-j)(j+2)/2.  Every factor is an integer (both
+    products are even), so the products and the i-independent denominator
+    are built in one pass over ints, and the result is one division.
+    """
     if n < 2 or not 1 <= i <= n:
         raise ValueError("need n >= 2 and 1 <= i <= n")
-
-    def top_product(upto):
-        prod = rat(1)
-        for j in range(2, upto + 1):
-            prod *= rat(n * (n - 1) - (j - 1) * (j - 2), 2)
-        return prod
-
-    numerator = rat((-1) ** n) * top_product(i)
-    denominator = rat(0)
-    for h in range(2, n + 1):
-        tail = rat(1)
-        for j in range(h, n):
-            tail *= rat((1 - j) * (j + 2), 2)
-        denominator += h * top_product(h) * tail
+    top = [1, 1]  # top[h] for h = 0..n
+    for j in range(2, n + 1):
+        top.append(top[-1] * ((n * (n - 1) - (j - 1) * (j - 2)) // 2))
+    denominator = 0
+    tail = 1
+    for h in range(n, 1, -1):
+        denominator += h * top[h] * tail
+        tail *= (2 - h) * (h + 1) // 2  # tail(h-1) = tail(h) (1-(h-1))(h+1)/2
     if not denominator:
         raise ZeroDivisionError(f"conjecture denominator vanishes at n = {n}")
-    return numerator / denominator
+    return rat((-1) ** n * top[i], denominator)
 
 
 def coefficient_table_entry(n: int, i: int, coefficients=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .combinatorics import stirling2
-from .rational import rat
+from .rational import Rational, rat
 
 __all__ = [
     "TruncatedSeries",
@@ -46,7 +46,11 @@ class TruncatedSeries:
             raise ValueError("too many coefficients for the stated order")
         coeffs += [rat(0)] * (order + 1 - len(coeffs))
         self.order = order
-        self.coeffs = tuple(rat(c) for c in coeffs)
+        # From a list: tuple() of a generator resizes, and resized tuples
+        # pile up in the interpreter's per-length free lists.
+        self.coeffs = tuple([
+            c if isinstance(c, Rational) else rat(c) for c in coeffs
+        ])
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -204,14 +208,15 @@ def itlog(g: TruncatedSeries) -> TruncatedSeries:
 
     Computed order by order: the coefficient of t^m in itexp(a) is the
     coefficient of t^m in a plus terms involving only lower coefficients,
-    so each new coefficient is fixed by matching against g.
+    so each new coefficient is fixed by matching against g.  Step m reads
+    only that coefficient, so it evaluates itexp truncated at order m.
     """
     if g.coeffs[0] or g.coeffs[1] != 1:
         raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
     N = g.order
     acoef = [rat(0)] * (N + 1)
     for m in range(2, N + 1):
-        e = itexp(TruncatedSeries(N, acoef))
+        e = itexp(TruncatedSeries(m, acoef[: m + 1]))
         acoef[m] = g.coeffs[m] - e.coeffs[m]
     return TruncatedSeries(N, acoef)
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from antibrackets.cli import main, worker_count
+import antibrackets
+from antibrackets.cli import build_parser, main, worker_count
 
 
 def run_cli(capsys, *argv):
@@ -164,3 +169,47 @@ def test_conjecture_bad_workers_is_usage_error(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "ANTIBRACKET_WORKERS" in err and "Traceback" not in err
+
+
+def _fresh_process(argv):
+    """(exit code, stdout) of ``main(argv)`` in a new interpreter."""
+    src = str(Path(antibrackets.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    script = "import sys; from antibrackets.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # The parser is built once per process; a usage error in between and
+    # flags given only to the first call must not leak into the third.
+    monkeypatch.delenv("ANTIBRACKET_WORKERS", raising=False)
+    calls = [
+        ["koszul-numbers", "--max-n", "4", "--format", "json"],
+        ["conjecture", "--max-n", "not-a-number"],
+        ["coefficients", "--max-n", "4"],
+    ]
+    in_process = []
+    for argv in calls:
+        code, out, _ = run_cli(capsys, *argv)
+        in_process.append((code, out))
+    assert build_parser() is build_parser()
+    assert [code for code, _ in in_process] == [0, 2, 0]
+    assert in_process == [_fresh_process(argv) for argv in calls]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["conjecture", "--max-n", "20", "--format", "json"],
+     "1769d8a6480a7ed47f479d5e17e00e6b2c65f960c1f56b0fb9eaefe7a9db838a"),
+    (["koszul-numbers", "--max-n", "25", "--format", "json"],
+     "29fb9e42ff0f0ed8ed64581ccb3079e8b75a1535cf2ec94461c7a243810dda32"),
+], ids=["conjecture", "koszul-numbers"])
+def test_report_stdout_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("ANTIBRACKET_WORKERS", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

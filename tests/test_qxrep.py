@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antibrackets import qxrep
 from antibrackets.qxrep import (
     AbstractPhiCombination,
     DegreeOverflowError,
@@ -113,6 +114,58 @@ def test_solve_linear_singular_raises():
         solve_linear([[rat(1), rat(2)], [rat(2), rat(4)]], [rat(1), rat(1)])
 
 
+def _solve_linear_rational(matrix, rhs):
+    """Reference: Gauss-Jordan on rationals, pivot row normalised to 1."""
+    n = len(matrix)
+    aug = [[rat(v) for v in row] + [rat(rhs[r])] for r, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = rat(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+# About a third of the entries are zero (so pivots need row swaps); the rest
+# are ints or rationals, so rows are scaled by the lcm of their denominators.
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(rat, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def _linear_systems(draw):
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 9)) == 0:
+            rows.append(list(draw(st.sampled_from(rows))))  # singular
+        else:
+            rows.append(draw(st.lists(_entries, min_size=n, max_size=n)))
+    return rows, draw(st.lists(_entries, min_size=n, max_size=n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_linear_systems())
+def test_solve_linear_matches_rational_reference(system):
+    matrix, rhs = system
+    try:
+        expected = _solve_linear_rational(matrix, rhs)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            solve_linear(matrix, rhs)
+        return
+    assert solve_linear(matrix, rhs) == expected
+
+
 # -- universal coefficients --------------------------------------------------
 
 
@@ -128,6 +181,22 @@ def test_low_degree_coefficients_match_bullet_formulas():
     ]
 
 
+def test_induction_basis_matrix_holds_ints(monkeypatch):
+    systems = []
+
+    def recording_solve(matrix, rhs):
+        systems.append((matrix, rhs))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(qxrep, "solve_linear", recording_solve)
+    for n in range(1, 8):
+        solve_coefficients(n)
+    assert len(systems) == 7
+    for matrix, rhs in systems:
+        assert all(type(v) is int for row in matrix for v in row)
+        assert all(type(v) is int for v in rhs)
+
+
 def test_auxiliary_coefficient_vanishes():
     for n in range(1, 9):
         assert solve_coefficients(n).b == 0
@@ -138,6 +207,30 @@ def test_conjectured_formula_matches_solver():
         solved = solve_coefficients(n)
         for i in range(1, n + 1):
             assert conjecture_formula(n, i) == solved.c[i - 1]
+
+
+def _conjecture_formula_fraction(n, i):
+    """Reference: the closed form with every product taken in rationals."""
+
+    def top_product(upto):
+        prod = rat(1)
+        for j in range(2, upto + 1):
+            prod *= rat(n * (n - 1) - (j - 1) * (j - 2), 2)
+        return prod
+
+    denominator = rat(0)
+    for h in range(2, n + 1):
+        tail = rat(1)
+        for j in range(h, n):
+            tail *= rat((1 - j) * (j + 2), 2)
+        denominator += h * top_product(h) * tail
+    return rat((-1) ** n) * top_product(i) / denominator
+
+
+def test_conjecture_formula_matches_rational_reference():
+    for n in range(2, 31):
+        for i in range(1, n + 1):
+            assert conjecture_formula(n, i) == _conjecture_formula_fraction(n, i)
 
 
 def test_table_normalization_spot_values():

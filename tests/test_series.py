@@ -80,6 +80,7 @@ def test_julia_equation_for_any_generator(a):
 
 def test_koszul_itlog_route_matches_recursion():
     assert koszul_numbers_itlog(14) == koszul_numbers_recursive(14)
+    assert koszul_numbers_itlog(30) == koszul_numbers_recursive(30)
 
 
 def test_julia_for_exp_minus_one_generator():
