@@ -10,9 +10,10 @@ Four independent constructions of the same operators are provided:
 * ``exponential`` -- the gauge-trivialization exp(-sum K_n rho_n) applied to
   the lifted operator, with the Koszul numbers K_n.
 
-On top of the constructions live the identity checks: the inversion formula,
-the generalized Jacobi identities, the L-infinity property of square-zero odd
-operators, and the order-of-differential-operator vanishing criterion.
+On top of the constructions live the inversion formula, the right-hand side
+of the generalized Jacobi identities, the L-infinity property of square-zero
+odd operators, and the order-of-differential-operator vanishing criterion.
+The checks that ``verify`` runs on them are stated in :mod:`.checks`.
 """
 
 from __future__ import annotations
@@ -31,34 +32,24 @@ from .multilinear import (
     nr_bracket,
     op_scale,
     op_sum,
-    ops_equal,
 )
 from .rational import format_rational, rat
 from .superalgebra import (
     AlgebraElement,
     EndoOp,
-    Signature,
-    identity_endo,
     koszul_sign,
     shuffles,
-    supercommutator,
 )
 
 __all__ = [
     "AntibracketHierarchy",
-    "phi_direct",
     "phi_direct_op",
-    "phi_recursion",
-    "phi_bracket_recursion",
     "phi_exponential",
     "phi_hierarchy",
     "exp_rho_family",
     "inversion_check",
     "jacobi_rhs",
-    "jacobi_operators",
-    "jacobi_check",
     "linfinity_check",
-    "identity_hierarchy",
     "differential_order_check",
     "hierarchy_to_json",
 ]
@@ -133,11 +124,6 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
 
-def phi_direct(f: EndoOp, args) -> AlgebraElement:
-    """Phi^n_f evaluated on a tuple of monomials or elements, n = len(args)."""
-    return phi_direct_op(f, len(args))(*args)
-
-
 def _recursion_ops(f: EndoOp, N: int) -> dict:
     """Phi^r(.., b, c) = Phi^(r-1)(.., bc) - Phi^(r-1)(.., b) c
     - (-1)^(|b||c|) Phi^(r-1)(.., c) b, on basis indices."""
@@ -174,11 +160,6 @@ def _recursion_ops(f: EndoOp, N: int) -> dict:
     return ops
 
 
-def phi_recursion(f: EndoOp, n: int) -> MultiOp:
-    """Phi^n_f by the last-slot recursion."""
-    return _recursion_ops(f, n)[n]
-
-
 def _bracket_ops(f: EndoOp, N: int) -> dict:
     """Phi^1..Phi^N by the bracket recursion, on integer-scaled operators.
 
@@ -203,11 +184,6 @@ def _bracket_ops(f: EndoOp, N: int) -> dict:
         psi[n + 1] = op_sum(terms)
         ops[n + 1] = op_scale(psi[n + 1], rat(1, factorial(n)))
     return ops
-
-
-def phi_bracket_recursion(f: EndoOp, n: int) -> MultiOp:
-    """Phi^n_f by the bracket recursion; the definition in the associative case."""
-    return _bracket_ops(f, n)[n]
 
 
 def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
@@ -273,15 +249,18 @@ _METHODS = {
 }
 
 
-def phi_hierarchy(f: EndoOp, N: int, method: str = "direct") -> AntibracketHierarchy:
-    """Hierarchy up to degree N by the chosen construction."""
+def phi_hierarchy(f: EndoOp, N: int, method=None) -> AntibracketHierarchy:
+    """Hierarchy up to degree N by the chosen construction.
+
+    The default is the signature's defining construction: the shuffle
+    formula (``direct``) when it is commutative, the bracket recursion
+    otherwise.
+    """
+    if method is None:
+        method = "direct" if f.signature.commutative else "bracket"
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
     return AntibracketHierarchy(f, N, _METHODS[method](f, N), method=method)
-
-
-def default_method(signature: Signature) -> str:
-    return "direct" if signature.commutative else "bracket"
 
 
 def inversion_check(f: EndoOp, n: int, args) -> bool:
@@ -344,41 +323,17 @@ def jacobi_rhs(phis_f, phis_g, n: int) -> MultiOp:
     )
 
 
-def jacobi_operators(f: EndoOp, g: EndoOp, n: int, method=None):
-    """Both sides of the generalized Jacobi identity, as operators."""
-    sig = f.signature
-    if method is None:
-        method = default_method(sig)
-    build = _METHODS[method]
-    h = supercommutator(f, g)
-    lhs = build(h, n)[n]
-    return lhs, jacobi_rhs(build(f, n), build(g, n), n)
-
-
-def jacobi_check(
-    f: EndoOp, g: EndoOp, n: int, method=None, max_total_degree=None
-) -> bool:
-    """Phi^n_[f,g] == sum_i [Phi^i_f, Phi^(n+1-i)_g] as operator tables."""
-    lhs, rhs = jacobi_operators(f, g, n, method)
-    return ops_equal(lhs, rhs, max_total_degree)
-
-
 def linfinity_check(delta: EndoOp, N: int, max_total_degree=None) -> bool:
     """Vanishing of every generalized Jacobi sum of a square-zero odd operator."""
     if delta.parity != 1:
         raise ValueError("operator must be odd")
     if not delta.compose(delta).is_zero():
         raise ValueError("operator must be square-zero")
-    phis = _METHODS[default_method(delta.signature)](delta, N)
+    phis = phi_hierarchy(delta, N).brackets
     for n in range(1, N + 1):
         if not is_zero_op(jacobi_rhs(phis, phis, n), max_total_degree):
             return False
     return True
-
-
-def identity_hierarchy(signature: Signature, N: int) -> AntibracketHierarchy:
-    """Hierarchy of the identity operator; components equal (-1)^n mu_n."""
-    return phi_hierarchy(identity_endo(signature), N, method="bracket")
 
 
 def differential_order_check(f: EndoOp, n: int, max_total_degree=None) -> bool:

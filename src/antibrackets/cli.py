@@ -26,45 +26,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
-from .brackets import (
-    identity_hierarchy,
-    inversion_check,
-    jacobi_rhs,
-    linfinity_check,
-    phi_hierarchy,
-)
+from .checks import SUITES, registry
 from .combinatorics import koszul_numbers_chain, koszul_numbers_recursive
-from .multilinear import (
-    first_mismatch,
-    lift_endo,
-    mu_for,
-    nr_bracket,
-    op_scale,
-    op_sum,
-    rho,
-)
+# unused here; perfbench/test_perfbench.py asserts this binding
+from .multilinear import nr_bracket  # noqa: F401
 from .qxrep import conjecture_formula, solve_coefficients
 from .rational import format_rational, rat
-from .series import (
-    TruncatedSeries,
-    graded_exponential_check,
-    exp_minus_one,
-    itlog,
-    julia_check,
-    koszul_numbers_itlog,
-    log_one_plus,
-    psi_of_series,
-    series_mul,
-    hurwitz_series,
-    stirling_derivative_check,
-)
-from .superalgebra import (
-    Signature,
-    multiplication_endo,
-    odd_partial_endo,
-    random_endo,
-    supercommutator,
-)
+from .series import koszul_numbers_itlog
+from .superalgebra import Signature
 
 __all__ = ["main", "build_parser"]
 
@@ -97,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the exact identity suites")
     v.add_argument("suite",
-                   choices=["jacobi", "universal", "inversion", "linf",
-                            "series", "all"])
+                   choices=[*SUITES, "all"])
     add_common(v)
     v.add_argument("--even", type=int, default=2, metavar="P",
                    help="number of even generators")
@@ -272,189 +240,34 @@ def _make_signature(args) -> Signature:
     )
 
 
-def _mismatch_text(sig, mismatch) -> str:
-    tup, a, b = mismatch
+def _detail(sig, outcome):
+    """The text shown under a check, from its thunk's outcome, or None."""
+    if not outcome or isinstance(outcome, str):
+        return outcome or None
+    if len(outcome) == 2:  # (degree, mismatch) of two hierarchies
+        degree, mismatch = outcome
+        return f"degree {degree}: " + _detail(sig, mismatch)
+    tup, a, b = outcome
     names = ",".join(sig.monomial_str(m) for m in tup)
     return f"first counterexample at ({names}): lhs = {a!r}, rhs = {b!r}"
 
 
-def _suite_jacobi(sig, N, seed):
-    top = min(N - 1, 4) if N > 1 else 1
-    method = "direct" if sig.commutative else "bracket"
-    for fp, gp in (("even", "odd"), ("odd", "even"), ("odd", "odd")):
-        f = random_endo(sig, seed, parity=fp)
-        g = random_endo(sig, seed + 1, parity=gp)
-        # shared hierarchy instances keep the memoized tables warm across n
-        phis_f = phi_hierarchy(f, top, method=method).brackets
-        phis_g = phi_hierarchy(g, top, method=method).brackets
-        phis_h = phi_hierarchy(supercommutator(f, g), top, method=method).brackets
-        for n in range(1, top + 1):
-            bad = first_mismatch(phis_h[n], jacobi_rhs(phis_f, phis_g, n))
-            yield (
-                f"jacobi n={n} parities=({fp},{gp})",
-                bad is None,
-                None if bad is None else _mismatch_text(sig, bad),
-            )
-
-
-def _suite_universal(sig, N, seed):
-    top = min(N, 5)
-    methods = (
-        ["direct", "recursion", "bracket", "exponential"]
-        if sig.commutative
-        else ["bracket", "exponential"]
-    )
-    for k, parity in enumerate(("even", "odd", "even")):
-        f = random_endo(sig, seed + k, parity=parity)
-        hierarchies = {m: phi_hierarchy(f, top, method=m) for m in methods}
-        base = hierarchies[methods[0]]
-        for m in methods[1:]:
-            ok = True
-            detail = None
-            for n in range(1, top + 1):
-                bad = first_mismatch(base[n], hierarchies[m][n])
-                if bad is not None:
-                    ok = False
-                    detail = f"degree {n}: " + _mismatch_text(sig, bad)
-                    break
-            yield (f"construction {methods[0]}=={m} seed={seed + k}", ok, detail)
-        # standard form Phi^(n+1) = (sum_i c_i rho_1^(n-i) rho_i) f
-        lifted = lift_endo(f)
-        for n in range(1, min(top, 4)):
-            coeffs = solve_coefficients(n)
-            terms = []
-            for i in range(1, n + 1):
-                term = rho(i, lifted)
-                for _ in range(n - i):
-                    term = rho(1, term)
-                terms.append(op_scale(term, coeffs.c[i - 1]))
-            bad = first_mismatch(base[n + 1], op_sum(terms))
-            yield (
-                f"standard form degree {n + 1} seed={seed + k}",
-                bad is None,
-                None if bad is None else _mismatch_text(sig, bad),
-            )
-    # identity operator: Phi^(n+1) = (-1)^n mu_n
-    ident = identity_hierarchy(sig, min(N, 4))
-    for n in range(min(N, 4)):
-        expected = op_scale(mu_for(sig, n), (-1) ** n)
-        bad = first_mismatch(ident[n + 1], expected)
-        yield (
-            f"identity-operator bracket degree {n + 1}",
-            bad is None,
-            None if bad is None else _mismatch_text(sig, bad),
-        )
-    # [mu_n, mu_m] = (n-m)(n+m+1)!/((n+1)!(m+1)!) mu_(n+m)
-    for n in range(3):
-        for m in range(n):
-            factor = rat(
-                (n - m) * factorial(n + m + 1),
-                factorial(n + 1) * factorial(m + 1),
-            )
-            lhs = nr_bracket(mu_for(sig, n), mu_for(sig, m))
-            rhs = op_scale(mu_for(sig, n + m), factor)
-            bad = first_mismatch(lhs, rhs)
-            yield (
-                f"mu-bracket ({n},{m})",
-                bad is None,
-                None if bad is None else _mismatch_text(sig, bad),
-            )
-
-
-def _suite_inversion(sig, N, seed):
-    if not sig.commutative:
-        yield ("inversion (skipped: associative signature)", True, None)
-        return
-    import random as _random
-
-    rng = _random.Random(seed)
-    basis = [m for m in sig.basis() if sig.degree(m) >= 1]
-    if not basis:
-        yield ("inversion (vacuous: empty algebra)", True, None)
-        return
-    f = random_endo(sig, seed, parity="even")
-    g = random_endo(sig, seed + 1, parity="odd")
-    for n in range(1, min(N, 5) + 1):
-        for trial in range(3):
-            args = []
-            budget = sig.degree_bound
-            for _ in range(n):
-                options = [m for m in basis if sig.degree(m) <= budget]
-                if not options:
-                    break
-                m = rng.choice(options)
-                budget -= sig.degree(m)
-                args.append(m)
-            if len(args) < n:
-                continue
-            for name, op in (("even", f), ("odd", g)):
-                ok = inversion_check(op, n, args)
-                label = ",".join(sig.monomial_str(m) for m in args)
-                yield (f"inversion n={n} {name} args=({label})", ok,
-                       None if ok else "identity failed on this tuple")
-
-
-def _suite_linf(sig, N, seed):
-    del seed
-    if not sig.commutative or sig.odd < 1:
-        yield ("linf (skipped: needs an odd generator, commutative)", True, None)
-        return
-    top = min(N, 4)
-    delta = odd_partial_endo(sig)
-    yield (f"linf odd-derivation d/dth1 up to n={top}",
-           linfinity_check(delta, top), None)
-    theta = sig.monomial_element(sig.odd_generator(0))
-    mult = multiplication_endo(sig, theta)
-    yield (f"linf multiplication-by-th1 up to n={top}",
-           linfinity_check(mult, top), None)
-
-
-def _suite_series(sig, N, seed):
-    del sig, seed
-    order = max(N, 20)
-    a = itlog(exp_minus_one(order))
-    yield (f"Julia equation at order {order}", julia_check(a, order), None)
-    for d in range(7):
-        lhs = psi_of_series(hurwitz_series(d, 14))
-        e = exp_minus_one(15)
-        power = TruncatedSeries(15, [1])
-        for _ in range(d + 1):
-            power = series_mul(power, e)
-        rhs = power.scale(rat(1, factorial(d + 1)))
-        yield (f"psi(a_{d}) == (e^t-1)^{d + 1}/{d + 1}!", lhs == rhs, None)
-    for d in range(5):
-        yield (f"graded-variable exponential check d={d}",
-               graded_exponential_check(d, 10), None)
-    f = log_one_plus(16)
-    for n in range(1, 5):
-        yield (f"Stirling derivative identity n={n}",
-               stirling_derivative_check(f, n, 16), None)
-
-
-_SUITES = {
-    "jacobi": _suite_jacobi,
-    "universal": _suite_universal,
-    "inversion": _suite_inversion,
-    "linf": _suite_linf,
-    "series": _suite_series,
-}
-
-
 def cmd_verify(args) -> int:
+    if args.max_n < 1:
+        print("error: --max-n must be >= 1", file=sys.stderr)
+        return 2
     try:
         sig = _make_signature(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    failures = 0
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = []
-    for name in names:
-        for label, ok, detail in _SUITES[name](sig, args.max_n, args.seed):
-            results.append({"suite": name, "check": label, "ok": ok,
-                            "detail": detail})
-            if not ok:
-                failures += 1
+    for suite, label, thunk in registry(sig, args.max_n, args.seed, suites):
+        outcome = thunk()
+        results.append({"suite": suite, "check": label, "ok": outcome is None,
+                        "detail": _detail(sig, outcome)})
+    failures = sum(not r["ok"] for r in results)
     if args.format == "json":
         print(json.dumps({"ok": failures == 0, "checks": results}))
     else:

@@ -20,6 +20,7 @@ __all__ = [
     "stirling2_closed_form",
     "koszul_numbers_recursive",
     "koszul_numbers_chain",
+    "mu_bracket_factor",
 ]
 
 
@@ -53,6 +54,12 @@ def stirling2_closed_form(n: int, i: int) -> int:
     quotient, remainder = divmod(total, factorial(i))
     assert remainder == 0
     return quotient
+
+
+def mu_bracket_factor(n: int, m: int):
+    """(n-m)(n+m+1)!/((n+1)!(m+1)!), the structure constant of
+    [mu_n, mu_m] = factor mu_(n+m) and of the coderivations d_n it mirrors."""
+    return rat((n - m) * factorial(n + m + 1), factorial(n + 1) * factorial(m + 1))
 
 
 def koszul_numbers_recursive(N: int) -> list:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial, gcd, lcm
 
-from .combinatorics import koszul_numbers_recursive
+from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
 from .rational import rat
 
 __all__ = [
@@ -461,20 +461,9 @@ def coderivation_check(n: int, m: int, max_power: int = 8) -> bool:
                 out[q] = out.get(q, 0) + c * cc
         return {p: c for p, c in out.items() if c}
 
-    expected_factor = rat(
-        (n - m) * factorial(n + m + 1), factorial(n + 1) * factorial(m + 1)
-    )
-    for s in range(max_power + 1):
-        start = {s: rat(1)}
-        lhs = _dict_sub(
-            apply_dn(n, apply_dn(m, start)), apply_dn(m, apply_dn(n, start))
-        )
-        rhs = {
-            p: expected_factor * c
-            for p, c in apply_dn(n + m, start).items()
-        }
-        if lhs != {p: c for p, c in rhs.items() if c}:
-            return False
+    if not _commutator_relation(apply_dn, n, m, mu_bracket_factor(n, m),
+                                max_power):
+        return False
     # coproduct compatibility of d_n alone on x^s, s <= max_power
     for s in range(max_power + 1):
         coproduct = {
@@ -501,11 +490,19 @@ def coderivation_check(n: int, m: int, max_power: int = 8) -> bool:
     return True
 
 
-def _dict_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
+def _commutator_relation(act, n, m, factor, max_power):
+    """[A_n, A_m] x^s == factor A_(n+m) x^s for every s <= max_power, where
+    act(k, terms) applies A_k to a polynomial {power: coefficient}."""
+    for s in range(max_power + 1):
+        start = {s: 1}
+        diff = dict(act(n, act(m, start)))
+        for p, c in act(m, act(n, start)).items():
+            diff[p] = diff.get(p, 0) - c
+        for p, c in act(n + m, start).items():
+            diff[p] = diff.get(p, 0) - factor * c
+        if any(diff.values()):
+            return False
+    return True
 
 
 def duality_check(h: int, N: int, koszul=None) -> bool:
@@ -559,13 +556,7 @@ def witt_phi_check(n: int, m: int, max_power: int = 10) -> bool:
                 out[p - k] = out.get(p - k, 0) + c * coeff
         return {p: c for p, c in out.items() if c}
 
-    for s in range(max_power + 1):
-        start = {s: 1}
-        lhs = _dict_sub(act(n, act(m, start)), act(m, act(n, start)))
-        rhs = {p: (n - m) * c for p, c in act(n + m, start).items() if c}
-        if lhs != {p: c for p, c in rhs.items() if c}:
-            return False
-    return True
+    return _commutator_relation(act, n, m, n - m, max_power)
 
 
 def witt_psi_check(n: int, m: int, max_power: int = 10) -> bool:
@@ -579,20 +570,11 @@ def witt_psi_check(n: int, m: int, max_power: int = 10) -> bool:
                 out[p + k] = out.get(p + k, 0) + v
         return out
 
-    for s in range(max_power + 1):
-        start = {s: 1}
-        lhs = _dict_sub(act(n, act(m, start)), act(m, act(n, start)))
-        rhs = {p: (n - m) * c for p, c in act(n + m, start).items() if c}
-        if lhs != {p: c for p, c in rhs.items() if c}:
-            return False
-    return True
+    return _commutator_relation(act, n, m, n - m, max_power)
 
 
 def rho_bracket_check(n: int, m: int, psi: QxOperator) -> bool:
-    """[rho(l_n), rho(l_m)] psi = (n-m)(n+m+1)!/((n+1)!(m+1)!) rho(l_(n+m)) psi."""
+    """[rho(l_n), rho(l_m)] psi = mu_bracket_factor(n, m) rho(l_(n+m)) psi."""
     lhs = rho_action(n, rho_action(m, psi)) - rho_action(m, rho_action(n, psi))
-    factor = rat(
-        (n - m) * factorial(n + m + 1), factorial(n + 1) * factorial(m + 1)
-    )
-    rhs = rho_action(n + m, psi).scale(factor)
+    rhs = rho_action(n + m, psi).scale(mu_bracket_factor(n, m))
     return lhs == rhs

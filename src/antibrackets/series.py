@@ -106,13 +106,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    def valuation(self) -> int:
-        """Index of the lowest nonzero coefficient; order+1 for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.order + 1
-
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative, accurate (and truncated) to order N-1."""
         return TruncatedSeries(

@@ -9,22 +9,17 @@ from antibrackets.brackets import (
     differential_order_check,
     exp_rho_family,
     hierarchy_to_json,
-    identity_hierarchy,
     inversion_check,
-    jacobi_check,
     linfinity_check,
-    phi_recursion,
-    phi_bracket_recursion,
-    phi_direct,
     phi_direct_op,
     phi_exponential,
     phi_hierarchy,
 )
+from antibrackets.checks import registry
 from antibrackets.multilinear import (
     first_mismatch,
     is_zero_op,
     lift_endo,
-    mu_for,
     op_scale,
     ops_equal,
 )
@@ -74,14 +69,22 @@ def test_all_constructions_agree():
 def test_single_bracket_helpers_match_hierarchy():
     f = random_endo(SIG, 9, parity="even")
     direct = phi_direct_op(f, 3)
-    assert ops_equal(phi_recursion(f, 3), direct)
-    assert ops_equal(phi_bracket_recursion(f, 3), direct)
+    for method in ("recursion", "bracket"):
+        assert ops_equal(phi_hierarchy(f, 3, method=method)[3], direct)
+    # without a method, the signature's defining construction is used
+    assert phi_hierarchy(f, 3).method == "direct"
+    assert phi_hierarchy(random_endo(NC, 9, parity="even"), 3).method == "bracket"
 
 
 def test_phi_direct_on_elements():
     f = random_endo(SIG, 5, parity="even")
+    op = phi_hierarchy(f, 2)[2]
     x = SIG.monomial_element(SIG.even_generator(0))
-    assert phi_direct(f, [x, x]) == phi_direct_op(f, 2)(x, x)
+    x2 = x * x
+    y = x + x2.scale(2)
+    expected = op(x, x) + op(x, x2).scale(2) + op(x2, x).scale(2) + op(x2, x2).scale(4)
+    assert op(y, y) == expected
+    assert op(x, x) == f(x * x) - f(x) * x - f(x) * x
 
 
 def test_unknown_method_raises():
@@ -96,12 +99,22 @@ def test_direct_requires_commutative():
         phi_direct_op(f, 2)
 
 
+def _run_registry(sig, N, seed, suites, prefixes=("",)):
+    """Run the registry entries of ``suites`` whose label starts with one of
+    ``prefixes``, assert that each holds, and return their labels."""
+    labels = []
+    for suite, label, thunk in registry(sig, N, seed, suites):
+        if label.startswith(prefixes):
+            assert thunk() is None, (suite, label)
+            labels.append(label)
+    return labels
+
+
 def test_identity_hierarchy_components():
+    # the identity operator's hierarchy: Phi^(n+1) == (-1)^n mu_n, n = 0..3
     for sig in (SIG, NC):
-        hierarchy = identity_hierarchy(sig, 4)
-        for n in range(4):
-            expected = op_scale(mu_for(sig, n), (-1) ** n)
-            assert ops_equal(hierarchy[n + 1], expected)
+        labels = _run_registry(sig, 4, 0, ["universal"], ("identity-operator",))
+        assert len(labels) == 4
 
 
 def test_exp_rho_family_with_zero_coefficients_is_identity():
@@ -138,11 +151,9 @@ def test_inversion_rejects_inhomogeneous_arguments():
 
 
 def test_generalized_jacobi_commutative_and_not():
+    # f = random_endo(seed 21), g = random_endo(seed 22), n = 1..3
     for sig in (SIG, NC):
-        f = random_endo(sig, 21, parity="even")
-        g = random_endo(sig, 22, parity="odd")
-        for n in range(1, 4):
-            assert jacobi_check(f, g, n)
+        assert len(_run_registry(sig, 4, 21, ["jacobi"])) == 9
 
 
 def test_linfinity_for_square_zero_operators():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import antibrackets
+from antibrackets import checks
 from antibrackets.cli import build_parser, main, worker_count
 
 
@@ -139,6 +140,53 @@ def test_verify_noncommutative(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("suite, max_n", [
+    ("all", "0"), ("universal", "-3"), ("jacobi", "-3"),
+])
+def test_verify_rejects_max_n_below_one(capsys, suite, max_n):
+    code, out, err = run_cli(capsys, "verify", suite, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--max-n" in err
+    assert "Traceback" not in err
+
+
+def test_verify_reports_each_failure_shape(capsys, monkeypatch):
+    sig_args = ["--even", "1", "--odd", "0", "--degree", "2"]
+
+    def suite(sig, N, seed):
+        x, x2 = sig.basis()[1:3]
+        e = sig.monomial_element(x)
+        mismatch = ((x, x2), e, e.scale(2))
+        yield "holds", lambda: None
+        yield "bare", lambda: False
+        yield "text", lambda: "why"
+        yield "mismatch", lambda: mismatch
+        yield "by degree", lambda: (3, mismatch)
+
+    monkeypatch.setitem(checks.SUITES, "jacobi", suite)
+    code, out, _ = run_cli(capsys, "verify", "jacobi", *sig_args,
+                           "--format", "json")
+    assert code == 1
+    counterexample = "first counterexample at (x1,x1^2): lhs = x1, rhs = 2*x1"
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [(c["check"], c["ok"], c["detail"]) for c in payload["checks"]] == [
+        ("holds", True, None),
+        ("bare", False, None),
+        ("text", False, "why"),
+        ("mismatch", False, counterexample),
+        ("by degree", False, "degree 3: " + counterexample),
+    ]
+    code, out, _ = run_cli(capsys, "verify", "jacobi", *sig_args)
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "[FAIL] jacobi: by degree",
+        "       degree 3: " + counterexample,
+        "1/5 checks passed",
+    ]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -207,7 +255,13 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
      "1769d8a6480a7ed47f479d5e17e00e6b2c65f960c1f56b0fb9eaefe7a9db838a"),
     (["koszul-numbers", "--max-n", "25", "--format", "json"],
      "29fb9e42ff0f0ed8ed64581ccb3079e8b75a1535cf2ec94461c7a243810dda32"),
-], ids=["conjecture", "koszul-numbers"])
+    (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
+      "--max-n", "3", "--format", "json"],
+     "08645b59517c4cc1abecd7f2f0fd6c67e51cdeeb8f2082825384b782a9bcb8db"),
+    (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
+      "--max-n", "3", "--format", "json", "--noncommutative"],
+     "d9cbdbd27d1c6ca38ddc240d41bf917b787f8462c9b8623d96987dbbbdde8768"),
+], ids=["conjecture", "koszul-numbers", "verify", "verify-noncommutative"])
 def test_report_stdout_is_pinned(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("ANTIBRACKET_WORKERS", raising=False)
     code, out, _ = run_cli(capsys, *argv)
