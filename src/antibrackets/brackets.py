@@ -28,10 +28,10 @@ from .multilinear import (
     canonical_index_tuples,
     is_zero_op,
     lift_endo,
-    mu_for,
     nr_bracket,
     op_scale,
     op_sum,
+    rho,
 )
 from .rational import format_rational, rat
 from .superalgebra import (
@@ -169,14 +169,12 @@ def _bracket_ops(f: EndoOp, N: int) -> dict:
     with integer weights, so integer data stays integer throughout.  Each
     returned Phi^(n+1) is Psi_(n+1) divided once by n!.
     """
-    sig = f.signature
-    mus = {h: mu_for(sig, h) for h in range(1, N)}
     psi = {1: lift_endo(f)}
     ops = {1: psi[1]}
     for n in range(1, N):
         terms = [
             op_scale(
-                nr_bracket(mus[h], psi[n - h + 1]),
+                rho(h, psi[n - h + 1]),
                 (-1) ** h * (factorial(n - 1) // factorial(n - h)),
             )
             for h in range(1, n + 1)
@@ -199,9 +197,7 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     A component collects the T_k of its degree over the common denominator
     K! L^K of the largest K contributing, and divides once by it.
     """
-    sig = base.signature
     coefficients = {n: c for n, c in coefficients.items() if c}
-    mus = {n: mu_for(sig, n) for n in coefficients}
     lcm_den = lcm(*(int(rat(c).denominator) for c in coefficients.values()))
     weights = {n: int(c * lcm_den) for n, c in coefficients.items()}
     levels = {base.degree: {0: base}}  # degree -> {k: part of T_k}
@@ -212,9 +208,7 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
         for d, op in term.items():
             for n, w in weights.items():
                 if d + n <= max_degree:
-                    pieces.setdefault(d + n, []).append(
-                        op_scale(nr_bracket(mus[n], op), w)
-                    )
+                    pieces.setdefault(d + n, []).append(op_scale(rho(n, op), w))
         term = {d: op_sum(ops) for d, ops in pieces.items()}
         for d, op in term.items():
             levels.setdefault(d, {})[k] = op
@@ -323,7 +317,7 @@ def jacobi_rhs(phis_f, phis_g, n: int) -> MultiOp:
     )
 
 
-def linfinity_check(delta: EndoOp, N: int, max_total_degree=None) -> bool:
+def linfinity_check(delta: EndoOp, N: int) -> bool:
     """Vanishing of every generalized Jacobi sum of a square-zero odd operator."""
     if delta.parity != 1:
         raise ValueError("operator must be odd")
@@ -331,19 +325,19 @@ def linfinity_check(delta: EndoOp, N: int, max_total_degree=None) -> bool:
         raise ValueError("operator must be square-zero")
     phis = phi_hierarchy(delta, N).brackets
     for n in range(1, N + 1):
-        if not is_zero_op(jacobi_rhs(phis, phis, n), max_total_degree):
+        if not is_zero_op(jacobi_rhs(phis, phis, n)):
             return False
     return True
 
 
-def differential_order_check(f: EndoOp, n: int, max_total_degree=None) -> bool:
+def differential_order_check(f: EndoOp, n: int) -> bool:
     """Whether Phi^(n+1)_f vanishes, i.e., f(1) = 0 and f has order <= n."""
     sig = f.signature
     if not sig.unital:
         raise ValueError("the order criterion needs a unital signature")
     if not sig.commutative:
         raise ValueError("the order criterion needs a commutative signature")
-    return is_zero_op(phi_direct_op(f, n + 1), max_total_degree)
+    return is_zero_op(phi_direct_op(f, n + 1))
 
 
 def hierarchy_to_json(h: AntibracketHierarchy, max_total_degree=None) -> list:

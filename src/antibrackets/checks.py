@@ -217,9 +217,10 @@ SUITES = {
 def registry(sig, N: int, seed: int, suites=tuple(SUITES)):
     """Every check of the named suites, in order, as (suite, label, thunk).
 
-    ``N`` is the largest degree checked (each suite caps it) and ``seed``
-    draws the random operators and argument tuples.
+    ``N`` (at least 1) is the largest degree checked (each suite caps it)
+    and ``seed`` draws the random operators and argument tuples.
     """
-    for suite in suites:
-        for label, thunk in SUITES[suite](sig, N, seed):
-            yield suite, label, thunk
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return ((suite, label, thunk)
+            for suite in suites for label, thunk in SUITES[suite](sig, N, seed))

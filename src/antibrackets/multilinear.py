@@ -13,14 +13,17 @@ operators, and are outside the comparison domain for everything else).
 Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
-never tabulated in advance.
+never tabulated in advance; its shuffles and signs are built once per shape
+(:func:`_shuffle_plan`), and :func:`rho` reads mu_n's side off product rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from functools import cache
 from math import factorial
+from operator import itemgetter
 
 from .rational import rat
 from .superalgebra import (
@@ -100,6 +103,12 @@ class MultiOp:
              (a.terms.items() if isinstance(a, AlgebraElement) else [(a, 1)])]
             for a in args
         ]
+        if all(len(s) == 1 and s[0][1] == 1 for s in slots):  # one memo read
+            sign, canon = sig.canonical_indices([s[0][0] for s in slots])
+            if not sign:
+                return sig.element()
+            value = sig.element_from_indices(self._canonical_value(canon))
+            return value if sign > 0 else -value
         acc = {}
         for combo in itertools.product(*slots):
             sign, canon = sig.canonical_indices([k for k, _ in combo])
@@ -161,39 +170,60 @@ def _combination(terms) -> MultiOp:
     return MultiOp(f.signature, f.degree, f.parity, eval_basis)
 
 
+def _picker(positions):
+    """Getter of the tuple of a tuple's entries at ``positions``, in one call."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
+@cache
+def _shuffle_plan(k: int, m: int, pattern: tuple) -> list:
+    """Rows (block getter, complement getter, Koszul sign, passes) of the
+    (k, m) shuffles in :func:`shuffles` order, for arguments of parities
+    ``pattern``; passes[a] is the parity of the first a complement arguments.
+    Shape data only, cached for the process: at most 2^(k+m) patterns."""
+    rows = []
+    for perm in shuffles(k, m):
+        block, rest = perm[:k], perm[k:]
+        inversions = sum(pattern[p] & pattern[q] for p in block for q in rest if q < p)
+        passes = tuple(sum(pattern[q] for q in rest[:a]) % 2 for a in range(m + 1))
+        rows.append((_picker(block), _picker(rest), (-1) ** inversions, passes))
+    return rows
+
+
 def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     """Insertion product f ⊼ g: sum over shuffles feeding g's output into f.
 
     On a canonical tuple, each shuffle block and its complement are canonical
     already, so g is read on the block as it stands.  Each basis index of g's
     value is inserted into the sorted complement by bisection, with the
-    Koszul sign of the odd arguments it passes, and f is read on the result.
-    That tuple can exceed the degree bound of the comparison domain, as a
-    general operator raises degrees; its value is evaluated lazily like any
-    other.
+    Koszul sign of the odd arguments it passes, and f is read on the result;
+    the shuffles and signs are :func:`_shuffle_plan`'s rows for the tuple's
+    parity pattern.  That tuple can exceed the degree bound of the
+    comparison domain, as a general operator raises degrees; its value is
+    evaluated lazily like any other.
     """
     if f.signature != g.signature:
         raise ValueError("signature mismatch")
     sig = f.signature
     parities = sig.basis_parities()
     n, m = f.degree, g.degree
-    perms = shuffles(m + 1, n)
 
     def eval_basis(tup):
-        tup_parities = [parities[i] for i in tup]
         acc = {}
-        for perm in perms:
-            inner = g._canonical_value(tuple(tup[i] for i in perm[: m + 1]))
+        pattern = tuple(map(parities.__getitem__, tup))
+        for block, rest_of, sign, passes in _shuffle_plan(m + 1, n, pattern):
+            inner = g._canonical_value(block(tup))
             if not inner:
                 continue
-            sign = koszul_sign(perm, tup_parities)
-            rest = tuple(tup[i] for i in perm[m + 1 :])
+            rest = rest_of(tup)
             for k, c in inner.items():
                 at = bisect_left(rest, k)
                 if parities[k]:
                     if at < n and rest[at] == k:
                         continue  # a repeated odd argument
-                    if sum(parities[i] for i in rest[:at]) % 2:
+                    if passes[at]:
                         c = -c
                 coeff = sign * c
                 for out, v in f._canonical_value(rest[:at] + (k,) + rest[at:]).items():
@@ -253,8 +283,39 @@ def mu_for(signature: Signature, n: int) -> MultiOp:
 
 
 def rho(n: int, omega: MultiOp) -> MultiOp:
-    """Adjoint action [mu_n, .] on an operator."""
-    return nr_bracket(mu_for(omega.signature, n), omega)
+    """Adjoint action [mu_n, .] on an operator.
+
+    For n >= 1 on a commutative signature, the half mu_n ⊼ omega is read off
+    the product rows: mu_n of a basis index k and a complement with product
+    P is x_k P, entry k of P's row (0 when an odd index repeats or the
+    degree bound is passed).  The half omega ⊼ mu_n is :func:`nr_product`.
+    """
+    sig = omega.signature
+    mu_n = mu_for(sig, n)
+    if n < 1 or not sig.commutative:
+        return nr_bracket(mu_n, omega)
+    parities = sig.basis_parities()
+
+    def eval_basis(tup):
+        acc = {}
+        pattern = tuple(map(parities.__getitem__, tup))
+        for block, rest_of, sign, _ in _shuffle_plan(omega.arity, n, pattern):
+            p = sig.mul_indices(rest_of(tup))
+            if not p:
+                continue
+            row = sig.mul_row(abs(p) - 1)
+            if p < 0:
+                sign = -sign
+            for k, c in omega._canonical_value(block(tup)).items():
+                e = row[k] if k < len(row) else 0
+                if e > 0:
+                    acc[e - 1] = acc.get(e - 1, 0) + sign * c
+                elif e:
+                    acc[-e - 1] = acc.get(-e - 1, 0) - sign * c
+        return _nonzero(acc)
+
+    mu_omega = MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
+    return _combination([(mu_omega, 1), (nr_product(omega, mu_n), -1)])
 
 
 def lift_endo(f: EndoOp) -> MultiOp:

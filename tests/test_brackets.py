@@ -150,6 +150,14 @@ def test_inversion_rejects_inhomogeneous_arguments():
         inversion_check(f, 1, [x + th])
 
 
+def test_registry_rejects_n_below_one():
+    # checked at the call, before any entry is generated
+    for N in (0, -3):
+        for suites in (["jacobi"], ["universal"], ["series"]):
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                registry(SIG, N, 42, suites)
+
+
 def test_generalized_jacobi_commutative_and_not():
     # f = random_endo(seed 21), g = random_endo(seed 22), n = 1..3
     for sig in (SIG, NC):

@@ -11,7 +11,9 @@ import pytest
 
 import antibrackets
 from antibrackets import checks
+from antibrackets.brackets import hierarchy_to_json, phi_hierarchy
 from antibrackets.cli import build_parser, main, worker_count
+from antibrackets.superalgebra import Signature, random_endo
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +269,16 @@ def test_report_stdout_is_pinned(capsys, monkeypatch, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method", ["bracket", "exponential"])
+@pytest.mark.parametrize("seed, parity, digest", [
+    (7, "even", "3722ef674b3f0a01035540ef8b8be8035cfc161af6d46c6cad52ff92bad18527"),
+    (8, "odd", "f3e27c77876c8fbddd9ff4b94a5b0dcc5984b9e6ef4be96a4ac5dfe16ba9b25d"),
+], ids=["even", "odd"])
+def test_hierarchy_json_is_pinned(method, seed, parity, digest):
+    # dense operators on (2,2,3), N = 5; the two routes give the same tables
+    sig = Signature(even=2, odd=2, degree_bound=3)
+    f = random_endo(sig, seed, parity=parity, density=1.0)
+    text = json.dumps(hierarchy_to_json(phi_hierarchy(f, 5, method=method)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from antibrackets.multilinear import (
     MultiOp,
+    _shuffle_plan,
+    canonical_index_tuples,
     canonical_tuples,
     dump_operator,
     first_mismatch,
@@ -176,15 +178,15 @@ def test_nr_bracket_superantisymmetry(seed):
     assert ops_equal(lhs, rhs, 3)
 
 
-def _general_odd_op(sig, degree, seed):
-    """Odd operator with seeded integer values spread over every degree."""
+def _general_op(sig, degree, seed, parity=1):
+    """Operator with seeded integer values spread over every degree."""
     basis = sig.basis()
     parities = sig.basis_parities()
 
     def eval_basis(tup):
         monomials = tuple(basis[i] for i in tup)
         rng = random.Random(f"{seed}:{monomials}")
-        want = (sum(parities[i] for i in tup) + 1) % 2
+        want = (sum(parities[i] for i in tup) + parity) % 2
         values = {
             k: rng.randint(-3, 3)
             for k, p in enumerate(parities)
@@ -192,7 +194,7 @@ def _general_odd_op(sig, degree, seed):
         }
         return {k: c for k, c in values.items() if c}
 
-    return MultiOp(sig, degree, 1, eval_basis)
+    return MultiOp(sig, degree, parity, eval_basis)
 
 
 def _reference_nr_product(f, g, tup, cases):
@@ -221,8 +223,8 @@ def _reference_nr_product(f, g, tup, cases):
 
 @pytest.mark.parametrize("f_degree, g_degree", [(1, 1), (2, 0)])
 def test_nr_product_insertion_matches_multilinear_call(f_degree, g_degree):
-    f = _general_odd_op(SIG, f_degree, 1)
-    g = _general_odd_op(SIG, g_degree, 2)
+    f = _general_op(SIG, f_degree, 1)
+    g = _general_op(SIG, g_degree, 2)
     product = nr_product(f, g)
     cases = set()
     for tup in canonical_tuples(SIG, 3):
@@ -232,3 +234,53 @@ def test_nr_product_insertion_matches_multilinear_call(f_degree, g_degree):
         "passes an odd argument",
         "beyond the degree bound",
     }
+
+
+def test_shuffle_plan_matches_koszul_sign():
+    # every (block, complement) split and parity pattern up to arity 6
+    for arity in range(1, 7):
+        args = tuple(range(arity))
+        for k in range(1, arity + 1):
+            perms = shuffles(k, arity - k)
+            for pattern in itertools.product((0, 1), repeat=arity):
+                rows = _shuffle_plan(k, arity - k, pattern)
+                assert len(rows) == len(perms)
+                for perm, (block, rest_of, sign, passes) in zip(perms, rows):
+                    rest = perm[k:]
+                    assert block(args) == perm[:k] and rest_of(args) == rest
+                    assert sign == koszul_sign(perm, pattern)
+                    # an odd argument moved from the front past rest[:a]
+                    moved = [1] + [pattern[q] for q in rest]
+                    for a in range(len(rest) + 1):
+                        order = (*range(1, a + 1), 0, *range(a + 1, len(moved)))
+                        assert (-1) ** passes[a] == koszul_sign(order, moved)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_rho_matches_generic_bracket(parity):
+    # includes tuples one degree past the bound, which compositions reach
+    nonzero = 0
+    for degree in range(3):
+        omega = _general_op(SIG, degree, 5 + degree, parity)
+        for h in range(4):
+            fast = rho(h, omega)
+            generic = nr_bracket(mu_for(SIG, h), omega)
+            for tup in canonical_index_tuples(SIG, fast.arity, SIG.degree_bound + 1):
+                value = fast._canonical_value(tup)
+                assert value == generic._canonical_value(tup), (degree, h, tup)
+                nonzero += bool(value)
+    assert nonzero > 1000
+
+
+def test_call_one_monomial_per_slot_matches_general_path():
+    op = _general_op(SIG, 2, 3)
+    parities = SIG.basis_parities()
+    for tup in canonical_tuples(SIG, 3):
+        # a coefficient other than 1 takes the general multilinear expansion
+        general = op(SIG.monomial_element(tup[0], 2), *tup[1:]).scale(rat(1, 2))
+        assert op(*tup) == general
+        assert op(*(SIG.monomial_element(m) for m in tup)) == general
+        odd = [parities[SIG.index_of(m)] for m in tup]
+        for perm in itertools.permutations(range(3)):
+            permuted = op(*(tup[i] for i in perm))
+            assert permuted == general.scale(koszul_sign(perm, odd))
