@@ -11,9 +11,7 @@ Subcommands:
 * ``verify``         -- run the exact identity suites on a configurable free
   superalgebra and exit nonzero on the first failed identity.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The
-``ANTIBRACKET_WORKERS`` environment variable sets the number of processes
-for the conjecture report, clamped to 1..os.cpu_count().
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,16 +19,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
 from .checks import SUITES, registry
 from .combinatorics import koszul_numbers_chain, koszul_numbers_recursive
 # unused here; perfbench/test_perfbench.py asserts this binding
 from .multilinear import nr_bracket  # noqa: F401
-from .qxrep import conjecture_formula, solve_coefficients
+from .qxrep import coefficient_series, conjecture_formula
 from .rational import format_rational, rat
 from .series import koszul_numbers_itlog
 from .superalgebra import Signature
@@ -132,12 +128,11 @@ def cmd_koszul_numbers(args) -> int:
     return 0
 
 
-# -- coefficients -----------------------------------------------------------
+# -- coefficients and conjecture -------------------------------------------
 
 
-def _coefficient_row(n: int) -> dict:
+def _coefficient_row(n: int, coeffs) -> dict:
     """Everything about degree n, with rationals rendered as strings."""
-    coeffs = solve_coefficients(n)
     sign = rat((-1) ** n * factorial(n))
     solved = list(coeffs.c)
     conjectured = [conjecture_formula(n, i) for i in range(1, n + 1)]
@@ -152,78 +147,52 @@ def _coefficient_row(n: int) -> dict:
     }
 
 
-def cmd_coefficients(args) -> int:
+def _coefficient_report(args, emit) -> int:
+    """Solve degrees 2..N in one pass and hand their rows to emit."""
     N = args.max_n
     if N < 2:
         print("error: --max-n must be >= 2", file=sys.stderr)
         return 2
     try:
-        reports = [_coefficient_row(n) for n in range(2, N + 1)]
+        series = coefficient_series(N)
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    emit([_coefficient_row(n, series[n]) for n in range(2, N + 1)], args.format)
+    return 0
+
+
+def _emit_coefficients(reports, fmt):
     rows = [
         [str(r["n"]), ", ".join(r["normalized"]),
          "match" if r["match"] else "MISMATCH"]
         for r in reports
     ]
-    _emit_rows(rows, ["n", "x_i^n", "conjecture"], args.format)
-    return 0
+    _emit_rows(rows, ["n", "x_i^n", "conjecture"], fmt)
 
 
-# -- conjecture -------------------------------------------------------------
+def _emit_conjecture(reports, fmt):
+    if fmt == "json":
+        print(json.dumps([{k: v for k, v in r.items() if k != "normalized"}
+                          for r in reports]))
+        return
+    rows = [
+        [str(r["n"]),
+         ", ".join(r["solved"]),
+         "match" if r["match"] else "MISMATCH",
+         "yes" if r["positive"] else "NO",
+         "yes" if r["bn_zero"] else "NO"]
+        for r in reports
+    ]
+    _emit_rows(rows, ["n", "c_i^n", "conjecture", "positive", "bn_zero"], fmt)
 
 
-def worker_count(environ) -> int:
-    """Processes for the conjecture report, from ``ANTIBRACKET_WORKERS``.
-
-    Defaults to 1 and is clamped to 1..os.cpu_count(); a value that is not
-    an integer raises ValueError.
-    """
-    text = environ.get("ANTIBRACKET_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ValueError(
-            f"ANTIBRACKET_WORKERS must be an integer, got {text!r}"
-        ) from None
-    return max(1, min(workers, os.cpu_count() or 1))
+def cmd_coefficients(args) -> int:
+    return _coefficient_report(args, _emit_coefficients)
 
 
 def cmd_conjecture(args) -> int:
-    N = args.max_n
-    if N < 2:
-        print("error: --max-n must be >= 2", file=sys.stderr)
-        return 2
-    degrees = list(range(2, N + 1))
-    try:
-        workers = worker_count(os.environ)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_coefficient_row, degrees))
-    else:
-        reports = [_coefficient_row(n) for n in degrees]
-    if args.format == "json":
-        print(json.dumps([
-            {k: r[k] for k in
-             ("n", "solved", "conjectured", "match", "positive", "bn_zero")}
-            for r in reports
-        ]))
-    else:
-        rows = [
-            [str(r["n"]),
-             ", ".join(r["solved"]),
-             "match" if r["match"] else "MISMATCH",
-             "yes" if r["positive"] else "NO",
-             "yes" if r["bn_zero"] else "NO"]
-            for r in reports
-        ]
-        _emit_rows(rows, ["n", "c_i^n", "conjecture", "positive", "bn_zero"],
-                   "csv" if args.format == "csv" else "plain")
-    return 0
+    return _coefficient_report(args, _emit_conjecture)
 
 
 # -- verify -----------------------------------------------------------------

@@ -6,8 +6,9 @@ x^(n-i)/(n-i)! span the spaces V^n, the Witt-type generators act on them by
 an explicit two-term rule, and expressing the alternating sum
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields the
 universal coefficients c_i^n together with the auxiliary coefficient b_n,
-which must vanish.  The coordinates, the linear solve and the conjectured
-closed formula all run on Python ints and divide once per output
+which must vanish.  One pass builds the induction-basis systems of every
+degree, each from the one before.  The coordinates, the linear solve and the
+conjectured closed formula all run on Python ints and divide once per output
 coefficient; the solve keeps its rows primitive (gcd of the entries 1).  A
 matrix realization on truncated polynomials is kept as an independent oracle
 for the abstract computation, and the module also hosts the coderivation
@@ -17,6 +18,7 @@ and duality checks on polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, factorial, gcd, lcm
 
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
@@ -34,6 +36,7 @@ __all__ = [
     "rho_on_phi_ni",
     "rho_abstract",
     "solve_coefficients",
+    "coefficient_series",
     "conjecture_formula",
     "coefficient_table_entry",
     "bn_zero_witness",
@@ -316,36 +319,63 @@ class UniversalCoefficients:
     b: object
 
 
+def _induction_systems():
+    """Yield the int system (matrix, target) of degree n for n = 1, 2, ....
+
+    The columns are rho_1^(n-i) rho_i (Phi(1,1)) for i = 1..n and
+    rho_1^(n-1)(Phi(2,2)) in V^(n+1) coordinates, the target Phi^(n+1).
+    Degree n applies rho_1 to each column of degree n-1 and adds
+    rho_n (Phi(1,1)): n+1 :func:`rho_abstract` calls.
+    """
+    phi11 = AbstractPhiCombination.from_dict(1, {1: 1})
+    columns = [rho_abstract(1, phi11)]
+    extra = AbstractPhiCombination.from_dict(2, {2: 1})
+    n = 1
+    while True:
+        vectors = [c.vector() for c in (*columns, extra)]
+        matrix = [[v[r] for v in vectors] for r in range(n + 1)]
+        yield matrix, [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
+        n += 1
+        columns = [rho_abstract(1, c) for c in columns]
+        columns.append(rho_abstract(n, phi11))
+        extra = rho_abstract(1, extra)
+
+
+def _solve_system(n: int, matrix, target) -> UniversalCoefficients:
+    """The coefficients of degree n from its induction-basis system.
+
+    The top n-2 rows are anti-triangular in columns 2..n-1 (observed up to
+    n = 120), so :func:`solve_linear` gets the rows in the order n-3..0,
+    n-2, n-1, n and the columns in the order 2..n-1, 0, 1, n, which keeps
+    that block from filling in.  The order changes only the work.
+    """
+    cols = [*range(2, n), *range(min(n, 2)), n]
+    rows = [*range(n - 3, -1, -1), *range(max(n - 2, 0), n + 1)]
+    solution = dict(zip(cols, solve_linear(
+        [[matrix[r][c] for c in cols] for r in rows], [target[r] for r in rows])))
+    b = solution.pop(n)
+    if b:
+        raise ArithmeticError(f"auxiliary coefficient b_{n} = {b} != 0")
+    return UniversalCoefficients(n, tuple(solution[i] for i in range(n)), b)
+
+
 def solve_coefficients(n: int) -> UniversalCoefficients:
     """Coefficients with Phi^(n+1) = (c_1 rho_1^n + sum_i c_i rho_1^(n-i) rho_i) Phi^1.
 
-    Solved exactly in V^(n+1) coordinates against the induction basis
-    rho_1^(n-i) rho_i (Phi(1,1)) for i = 1..n together with
-    rho_1^(n-1)(Phi(2,2)); the coefficient b_n of the latter must vanish.
-    The matrix and the target hold ints, so :func:`solve_linear` divides
-    once per coefficient.
+    Solved exactly in V^(n+1) coordinates against the induction basis of
+    :func:`_induction_systems`; b_n, the coefficient of rho_1^(n-1)(Phi(2,2)),
+    must vanish, else ArithmeticError.  For every degree up to N, use
+    :func:`coefficient_series`, which shares the columns across degrees.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi11 = AbstractPhiCombination.from_dict(1, {1: 1})
-    phi22 = AbstractPhiCombination.from_dict(2, {2: 1})
-    columns = []
-    for i in range(1, n + 1):
-        vec = rho_abstract(i, phi11)
-        for _ in range(n - i):
-            vec = rho_abstract(1, vec)
-        columns.append(vec.vector())
-    extra = phi22
-    for _ in range(n - 1):
-        extra = rho_abstract(1, extra)
-    columns.append(extra.vector())
-    target = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
-    matrix = [[columns[c][r] for c in range(n + 1)] for r in range(n + 1)]
-    solution = solve_linear(matrix, target)
-    b = solution[n]
-    if b:
-        raise ArithmeticError(f"auxiliary coefficient b_{n} = {b} != 0")
-    return UniversalCoefficients(n, tuple(solution[:n]), b)
+    return _solve_system(n, *next(islice(_induction_systems(), n - 1, None)))
+
+
+def coefficient_series(N: int) -> dict:
+    """{n: solve_coefficients(n)} for n = 1..N, from one pass over the systems."""
+    return {n: _solve_system(n, *system)
+            for n, system in zip(range(1, N + 1), _induction_systems())}
 
 
 def conjecture_formula(n: int, i: int):

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import antibrackets
-from antibrackets import checks
+from antibrackets import checks, cli
 from antibrackets.brackets import hierarchy_to_json, phi_hierarchy
-from antibrackets.cli import build_parser, main, worker_count
+from antibrackets.cli import build_parser, main
 from antibrackets.superalgebra import Signature, random_endo
 
 
@@ -197,28 +197,18 @@ def test_bad_flag_returns_usage_error(capsys):
     assert main(["koszul-numbers", "--max-n", "not-a-number"]) == 2
 
 
-def test_worker_count_defaults_and_clamps():
-    cores = os.cpu_count() or 1
-    assert worker_count({}) == 1
-    assert worker_count({"ANTIBRACKET_WORKERS": "1"}) == 1
-    assert worker_count({"ANTIBRACKET_WORKERS": "0"}) == 1
-    assert worker_count({"ANTIBRACKET_WORKERS": "-3"}) == 1
-    assert worker_count({"ANTIBRACKET_WORKERS": str(cores)}) == cores
-    assert worker_count({"ANTIBRACKET_WORKERS": "1000000"}) == cores
+@pytest.mark.parametrize("command", ["coefficients", "conjecture"])
+def test_coefficient_reports_turn_arithmetic_error_into_exit_one(
+        capsys, monkeypatch, command):
+    def failing_series(N):
+        raise ArithmeticError("auxiliary coefficient b_3 = 1 != 0")
 
-
-def test_worker_count_rejects_non_integer():
-    for text in ("abc", "", "2.5"):
-        with pytest.raises(ValueError, match="ANTIBRACKET_WORKERS"):
-            worker_count({"ANTIBRACKET_WORKERS": text})
-
-
-def test_conjecture_bad_workers_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("ANTIBRACKET_WORKERS", "abc")
-    code, out, err = run_cli(capsys, "conjecture", "--max-n", "3")
-    assert code == 2
+    monkeypatch.setattr(cli, "coefficient_series", failing_series)
+    code, out, err = run_cli(capsys, command, "--max-n", "4")
+    assert code == 1
     assert out == ""
-    assert "ANTIBRACKET_WORKERS" in err and "Traceback" not in err
+    assert err.splitlines() == ["error: auxiliary coefficient b_3 = 1 != 0"]
+    assert "Traceback" not in err
 
 
 def _fresh_process(argv):
@@ -234,10 +224,9 @@ def _fresh_process(argv):
     return done.returncode, done.stdout
 
 
-def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+def test_repeated_main_calls_match_fresh_processes(capsys):
     # The parser is built once per process; a usage error in between and
     # flags given only to the first call must not leak into the third.
-    monkeypatch.delenv("ANTIBRACKET_WORKERS", raising=False)
     calls = [
         ["koszul-numbers", "--max-n", "4", "--format", "json"],
         ["conjecture", "--max-n", "not-a-number"],
@@ -255,6 +244,10 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, digest", [
     (["conjecture", "--max-n", "20", "--format", "json"],
      "1769d8a6480a7ed47f479d5e17e00e6b2c65f960c1f56b0fb9eaefe7a9db838a"),
+    (["conjecture", "--max-n", "45", "--format", "json"],
+     "2ee5c9ac9921b3f6524541fa5e26a52f2225f23cbc7e3a8e3eb93a2573021d3d"),
+    (["coefficients", "--max-n", "20", "--format", "json"],
+     "8952dbd19b1eac93c6dfc18c350cb00454cb6609243a85663a396999b1c3be54"),
     (["koszul-numbers", "--max-n", "25", "--format", "json"],
      "29fb9e42ff0f0ed8ed64581ccb3079e8b75a1535cf2ec94461c7a243810dda32"),
     (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
@@ -263,9 +256,9 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
     (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
       "--max-n", "3", "--format", "json", "--noncommutative"],
      "d9cbdbd27d1c6ca38ddc240d41bf917b787f8462c9b8623d96987dbbbdde8768"),
-], ids=["conjecture", "koszul-numbers", "verify", "verify-noncommutative"])
-def test_report_stdout_is_pinned(capsys, monkeypatch, argv, digest):
-    monkeypatch.delenv("ANTIBRACKET_WORKERS", raising=False)
+], ids=["conjecture", "conjecture-45", "coefficients", "koszul-numbers",
+        "verify", "verify-noncommutative"])
+def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -14,6 +14,7 @@ from antibrackets.qxrep import (
     bn_zero_witness,
     coderivation_check,
     coderivation_dn,
+    coefficient_series,
     coefficient_table_entry,
     conjecture_formula,
     duality_check,
@@ -195,6 +196,37 @@ def test_induction_basis_matrix_holds_ints(monkeypatch):
     for matrix, rhs in systems:
         assert all(type(v) is int for row in matrix for v in row)
         assert all(type(v) is int for v in rhs)
+
+
+def _induction_system_from_scratch(n):
+    """Reference: every column of degree n built from Phi(1,1) or Phi(2,2)."""
+    phi11 = AbstractPhiCombination.from_dict(1, {1: 1})
+    columns = []
+    for i in range(1, n + 1):
+        vec = rho_abstract(i, phi11)
+        for _ in range(n - i):
+            vec = rho_abstract(1, vec)
+        columns.append(vec.vector())
+    extra = AbstractPhiCombination.from_dict(2, {2: 1})
+    for _ in range(n - 1):
+        extra = rho_abstract(1, extra)
+    columns.append(extra.vector())
+    target = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
+    matrix = [[columns[c][r] for c in range(n + 1)] for r in range(n + 1)]
+    return matrix, target
+
+
+def test_shared_columns_match_from_scratch_reference():
+    systems = qxrep._induction_systems()
+    series = coefficient_series(30)
+    assert list(series) == list(range(1, 31))
+    for n in range(1, 31):
+        matrix, target = _induction_system_from_scratch(n)
+        assert next(systems) == (matrix, target)
+        assert series[n] == solve_coefficients(n)
+        # the reordered solve agrees with the system solved in its own order
+        solution = solve_linear(matrix, target)
+        assert series[n].c == tuple(solution[:n]) and series[n].b == solution[n]
 
 
 def test_auxiliary_coefficient_vanishes():
