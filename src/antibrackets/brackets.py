@@ -29,8 +29,7 @@ from .multilinear import (
     is_zero_op,
     lift_endo,
     nr_bracket,
-    op_scale,
-    op_sum,
+    op_combination,
     rho,
 )
 from .rational import format_rational, rat
@@ -172,15 +171,12 @@ def _bracket_ops(f: EndoOp, N: int) -> dict:
     psi = {1: lift_endo(f)}
     ops = {1: psi[1]}
     for n in range(1, N):
-        terms = [
-            op_scale(
-                rho(h, psi[n - h + 1]),
-                (-1) ** h * (factorial(n - 1) // factorial(n - h)),
-            )
+        psi[n + 1] = op_combination(
+            (rho(h, psi[n - h + 1]),
+             (-1) ** h * (factorial(n - 1) // factorial(n - h)))
             for h in range(1, n + 1)
-        ]
-        psi[n + 1] = op_sum(terms)
-        ops[n + 1] = op_scale(psi[n + 1], rat(1, factorial(n)))
+        )
+        ops[n + 1] = op_combination([(psi[n + 1], rat(1, factorial(n)))])
     return ops
 
 
@@ -208,19 +204,19 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
         for d, op in term.items():
             for n, w in weights.items():
                 if d + n <= max_degree:
-                    pieces.setdefault(d + n, []).append(op_scale(rho(n, op), w))
-        term = {d: op_sum(ops) for d, ops in pieces.items()}
+                    pieces.setdefault(d + n, []).append((rho(n, op), w))
+        term = {d: op_combination(terms) for d, terms in pieces.items()}
         for d, op in term.items():
             levels.setdefault(d, {})[k] = op
         k += 1
     result = {}
     for d, parts in levels.items():
         top = max(parts)
-        total = op_sum(
-            op_scale(op, factorial(top) // factorial(j) * lcm_den ** (top - j))
+        total = op_combination(
+            (op, factorial(top) // factorial(j) * lcm_den ** (top - j))
             for j, op in parts.items()
         )
-        result[d] = op_scale(total, rat(1, factorial(top) * lcm_den**top))
+        result[d] = op_combination([(total, rat(1, factorial(top) * lcm_den**top))])
     return result
 
 
@@ -250,6 +246,8 @@ def phi_hierarchy(f: EndoOp, N: int, method=None) -> AntibracketHierarchy:
     formula (``direct``) when it is commutative, the bracket recursion
     otherwise.
     """
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if method is None:
         method = "direct" if f.signature.commutative else "bracket"
     if method not in _METHODS:
@@ -267,6 +265,8 @@ def inversion_check(f: EndoOp, n: int, args) -> bool:
     the two-sided ideal of elements of degree > D.  A complement whose
     product dies contributes nothing, so its Phi value is never computed.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     sig = f.signature
     args = [
         a if isinstance(a, AlgebraElement) else sig.monomial_element(a)
@@ -312,8 +312,8 @@ def inversion_check(f: EndoOp, n: int, args) -> bool:
 def jacobi_rhs(phis_f, phis_g, n: int) -> MultiOp:
     """sum_(i=1..n) [Phi^i_f, Phi^(n+1-i)_g], the right-hand side of the
     generalized Jacobi identity, from the brackets of two hierarchies."""
-    return op_sum(
-        nr_bracket(phis_f[i], phis_g[n + 1 - i]) for i in range(1, n + 1)
+    return op_combination(
+        (nr_bracket(phis_f[i], phis_g[n + 1 - i]), 1) for i in range(1, n + 1)
     )
 
 

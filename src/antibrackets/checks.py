@@ -28,8 +28,7 @@ from .multilinear import (
     lift_endo,
     mu_for,
     nr_bracket,
-    op_scale,
-    op_sum,
+    op_combination,
     rho,
 )
 from .qxrep import solve_coefficients
@@ -90,13 +89,14 @@ def _universal(sig, N, seed):
     for n in range(min(N, 4)):
         yield (f"identity-operator bracket degree {n + 1}",
                lambda n=n: first_mismatch(
-                   ident[n + 1], op_scale(mu_for(sig, n), (-1) ** n)))
+                   ident[n + 1], op_combination([(mu_for(sig, n), (-1) ** n)])))
     for n in range(3):
         for m in range(n):
             yield (f"mu-bracket ({n},{m})",
                    lambda n=n, m=m: first_mismatch(
                        nr_bracket(mu_for(sig, n), mu_for(sig, m)),
-                       op_scale(mu_for(sig, n + m), mu_bracket_factor(n, m))))
+                       op_combination(
+                           [(mu_for(sig, n + m), mu_bracket_factor(n, m))])))
 
 
 def _universal_operator(f, seed, methods, top):
@@ -117,11 +117,11 @@ def _universal_operator(f, seed, methods, top):
         coeffs = solve_coefficients(n)
         terms = []
         for i in range(1, n + 1):
-            term = rho(i, lifted)
+            chain = rho(i, lifted)
             for _ in range(n - i):
-                term = rho(1, term)
-            terms.append(op_scale(term, coeffs.c[i - 1]))
-        return first_mismatch(base[n + 1], op_sum(terms))
+                chain = rho(1, chain)
+            terms.append((chain, coeffs.c[i - 1]))
+        return first_mismatch(base[n + 1], op_combination(terms))
 
     for m in methods[1:]:
         yield (f"construction {methods[0]}=={m} seed={seed}",

@@ -15,22 +15,12 @@ from math import comb, factorial
 from .rational import rat
 
 __all__ = [
-    "binomial",
     "stirling2",
     "stirling2_closed_form",
     "koszul_numbers_recursive",
     "koszul_numbers_chain",
     "mu_bracket_factor",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 @lru_cache(maxsize=None)

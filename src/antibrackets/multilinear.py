@@ -14,7 +14,10 @@ Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
 never tabulated in advance; its shuffles and signs are built once per shape
-(:func:`_shuffle_plan`), and :func:`rho` reads mu_n's side off product rows.
+(:func:`_shuffle_plan`), and :func:`rho` is one node that reads mu_n's side
+off product rows.  A linear combination of operators is one node, built by
+:func:`op_combination`; its terms are not flattened, as their memos are
+shared.
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ __all__ = [
     "rho",
     "lift_endo",
     "zero_op",
-    "op_add",
-    "op_scale",
-    "op_sum",
+    "op_combination",
     "canonical_tuples",
     "canonical_index_tuples",
     "ops_equal",
@@ -130,27 +131,17 @@ def zero_op(signature: Signature, degree: int, parity: int = 0) -> MultiOp:
     return MultiOp(signature, degree, parity, lambda _t: {})
 
 
-def op_add(f: MultiOp, g: MultiOp) -> MultiOp:
-    return op_sum((f, g))
+def op_combination(terms) -> MultiOp:
+    """One node for sum_i c_i f_i over pairs (f_i, c_i); f itself for [(f, 1)].
 
-
-def op_scale(f: MultiOp, c) -> MultiOp:
-    return _combination([(f, c)])
-
-
-def op_sum(ops) -> MultiOp:
-    ops = list(ops)
-    if not ops:
-        raise ValueError("op_sum needs at least one operator")
-    return _combination([(op, 1) for op in ops])
-
-
-def _combination(terms) -> MultiOp:
-    """One node for sum_i c_i f_i over pairs (f_i, c_i), f itself for [(f, 1)].
-
-    Terms that are combinations are not flattened into theirs, as their
-    memos are shared, e.g. across degrees in :func:`exp_rho_family`.
+    This is the one way to build a linear combination of operators.  All
+    terms share signature, degree and parity.  Terms that are combinations
+    are not flattened into theirs, as their memos are shared, e.g. across
+    degrees in :func:`~antibrackets.brackets.exp_rho_family`.
     """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a combination needs at least one term")
     f = terms[0][0]
     for g, _ in terms[1:]:
         if g.signature != f.signature or g.degree != f.degree:
@@ -236,7 +227,7 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
 def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
     """[f, g] = f ⊼ g - (-1)^(|f||g|) g ⊼ f."""
     sign = -((-1) ** (f.parity * g.parity))
-    return _combination([(nr_product(f, g), 1), (nr_product(g, f), sign)])
+    return op_combination([(nr_product(f, g), 1), (nr_product(g, f), sign)])
 
 
 def mu(signature: Signature, n: int) -> MultiOp:
@@ -285,19 +276,21 @@ def mu_for(signature: Signature, n: int) -> MultiOp:
 def rho(n: int, omega: MultiOp) -> MultiOp:
     """Adjoint action [mu_n, .] on an operator.
 
-    For n >= 1 on a commutative signature, the half mu_n ⊼ omega is read off
-    the product rows: mu_n of a basis index k and a complement with product
-    P is x_k P, entry k of P's row (0 when an odd index repeats or the
-    degree bound is passed).  The half omega ⊼ mu_n is :func:`nr_product`.
+    For n >= 1 on a commutative signature this is one node: a value starts
+    from the negated value of omega ⊼ mu_n (:func:`nr_product`) and adds the
+    half mu_n ⊼ omega, read off the product rows: mu_n of a basis index k
+    and a complement with product P is x_k P, entry k of P's row (0 when an
+    odd index repeats or the degree bound is passed).
     """
     sig = omega.signature
     mu_n = mu_for(sig, n)
     if n < 1 or not sig.commutative:
         return nr_bracket(mu_n, omega)
     parities = sig.basis_parities()
+    omega_mu = nr_product(omega, mu_n)
 
     def eval_basis(tup):
-        acc = {}
+        acc = {k: -v for k, v in omega_mu._canonical_value(tup).items()}
         pattern = tuple(map(parities.__getitem__, tup))
         for block, rest_of, sign, _ in _shuffle_plan(omega.arity, n, pattern):
             p = sig.mul_indices(rest_of(tup))
@@ -314,8 +307,7 @@ def rho(n: int, omega: MultiOp) -> MultiOp:
                     acc[-e - 1] = acc.get(-e - 1, 0) - sign * c
         return _nonzero(acc)
 
-    mu_omega = MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
-    return _combination([(mu_omega, 1), (nr_product(omega, mu_n), -1)])
+    return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
 
 
 def lift_endo(f: EndoOp) -> MultiOp:

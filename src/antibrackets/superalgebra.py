@@ -548,7 +548,9 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     1 - s (odd).  Each allowed matrix entry is nonzero with the given
     density; the result is deterministic in the seed.
     """
-    par = {"even": 0, "odd": 1, 0: 0, 1: 1}[parity]
+    par = {"even": 0, "odd": 1, 0: 0, 1: 1}.get(parity)
+    if par is None:
+        raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
     rng = random.Random(seed)
     basis = signature.basis()
     by_parity = {

@@ -27,8 +27,7 @@ from antibrackets.multilinear import (
     lift_endo,
     mu_sym,
     nr_bracket,
-    op_scale,
-    op_sum,
+    op_combination,
     ops_equal,
     rho,
 )
@@ -195,7 +194,7 @@ def test_criterion_05_low_order_universal_formulas(default_signature):
             return words[word]
 
         for n, terms in RHO_POLYNOMIALS.items():
-            rhs = op_sum([op_scale(word_op(w), c) for c, w in terms])
+            rhs = op_combination([(word_op(w), c) for c, w in terms])
             lhs = phi_direct_op(f, n)
             assert first_mismatch(lhs, rhs) is None, (seed, n)
     _budget(started, 60.0, "criterion 5")
@@ -247,7 +246,7 @@ def test_criterion_08_noncommutative_extension():
                 factorial(n + 1) * factorial(m + 1),
             )
             lhs = nr_bracket(mu_sym(sig, n), mu_sym(sig, m))
-            rhs = op_scale(mu_sym(sig, n + m), factor)
+            rhs = op_combination([(mu_sym(sig, n + m), factor)])
             assert ops_equal(lhs, rhs), (n, m)
     labels = _run_registry(sig, 4, 42, ["jacobi"])
     assert labels == [

@@ -20,7 +20,7 @@ from antibrackets.multilinear import (
     first_mismatch,
     is_zero_op,
     lift_endo,
-    op_scale,
+    op_combination,
     ops_equal,
 )
 from antibrackets.rational import parse_rational, rat
@@ -150,6 +150,20 @@ def test_inversion_rejects_inhomogeneous_arguments():
         inversion_check(f, 1, [x + th])
 
 
+def test_inversion_rejects_n_below_one():
+    f = random_endo(SIG, 1, parity="even")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        inversion_check(f, 0, [])
+
+
+def test_phi_hierarchy_rejects_n_below_one():
+    f = random_endo(SIG, 1, parity="even")
+    for N in (0, -2):
+        for method in METHODS:
+            with pytest.raises(ValueError, match="N must be >= 1"):
+                phi_hierarchy(f, N, method=method)
+
+
 def test_registry_rejects_n_below_one():
     # checked at the call, before any entry is generated
     for N in (0, -3):
@@ -212,6 +226,6 @@ def test_hierarchy_json_round_trip():
 def test_first_mismatch_reports_jacobi_failure_shape():
     f = random_endo(SIG, 2, parity="even")
     lhs = phi_direct_op(f, 2)
-    rhs = op_scale(lhs, -1)
+    rhs = op_combination([(lhs, -1)])
     found = first_mismatch(lhs, rhs)
     assert found is not None and len(found) == 3

@@ -1,13 +1,12 @@
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from antibrackets.combinatorics import (
-    binomial,
     koszul_numbers_chain,
     koszul_numbers_recursive,
     stirling2,
@@ -29,18 +28,6 @@ KNOWN_K = {
     11: rat(-12406, 15),
     12: rat(2636317, 60),
 }
-
-
-def test_binomial_matches_math_comb():
-    for n in range(12):
-        for k in range(-2, n + 3):
-            expected = comb(n, k) if 0 <= k <= n else 0
-            assert binomial(n, k) == expected
-
-
-def test_binomial_negative_n_raises():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
 
 
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25))

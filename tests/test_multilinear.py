@@ -21,8 +21,7 @@ from antibrackets.multilinear import (
     mu_sym,
     nr_bracket,
     nr_product,
-    op_add,
-    op_scale,
+    op_combination,
     ops_equal,
     rho,
     zero_op,
@@ -81,7 +80,7 @@ def test_mu_product_composition_rule():
     for n in range(3):
         for m in range(3):
             lhs = nr_product(mu(SIG, n), mu(SIG, m))
-            rhs = op_scale(mu(SIG, n + m), comb(n + m + 1, m + 1))
+            rhs = op_combination([(mu(SIG, n + m), comb(n + m + 1, m + 1))])
             assert ops_equal(lhs, rhs, 3)
 
 
@@ -93,7 +92,7 @@ def test_mu_bracket_structure_constants():
                 factorial(n + 1) * factorial(m + 1),
             )
             lhs = nr_bracket(mu(SIG, n), mu(SIG, m))
-            rhs = op_scale(mu(SIG, n + m), factor)
+            rhs = op_combination([(mu(SIG, n + m), factor)])
             assert ops_equal(lhs, rhs, 3)
 
 
@@ -115,23 +114,25 @@ def test_mu_sym_bracket_noncommutative():
                 factorial(n + 1) * factorial(m + 1),
             )
             lhs = nr_bracket(mu_sym(NC, n), mu_sym(NC, m))
-            rhs = op_scale(mu_sym(NC, n + m), factor)
+            rhs = op_combination([(mu_sym(NC, n + m), factor)])
             assert ops_equal(lhs, rhs)
 
 
 def test_rho_zero_acts_by_minus_degree():
     f = random_endo(SIG, 5, parity="even")
     omega = nr_product(mu(SIG, 1), lift_endo(f))  # degree 1
-    assert ops_equal(rho(0, omega), op_scale(omega, -1), 3)
+    assert ops_equal(rho(0, omega), op_combination([(omega, -1)]), 3)
     omega2 = nr_product(mu(SIG, 2), lift_endo(f))  # degree 2
-    assert ops_equal(rho(0, omega2), op_scale(omega2, -2), 3)
+    assert ops_equal(rho(0, omega2), op_combination([(omega2, -2)]), 3)
 
 
 def test_rho_on_mu_zero_gives_scaled_mu():
     # [mu_n, mu_0] = n mu_n
     for n in range(1, 4):
         assert ops_equal(
-            nr_bracket(mu(SIG, n), mu(SIG, 0)), op_scale(mu(SIG, n), n), 3
+            nr_bracket(mu(SIG, n), mu(SIG, 0)),
+            op_combination([(mu(SIG, n), n)]),
+            3,
         )
 
 
@@ -143,21 +144,29 @@ def test_lift_endo_round_trip():
         assert lifted.value((m,)) == f.apply(m)
 
 
-def test_op_add_checks_compatibility():
+def test_op_combination_checks_compatibility():
     with pytest.raises(ValueError):
-        op_add(zero_op(SIG, 1), zero_op(SIG, 2))
+        op_combination([(zero_op(SIG, 1), 1), (zero_op(SIG, 2), 1)])
     with pytest.raises(ValueError):
-        op_add(zero_op(SIG, 1, parity=0), zero_op(SIG, 1, parity=1))
+        op_combination([(zero_op(SIG, 1, parity=0), 1),
+                        (zero_op(SIG, 1, parity=1), 1)])
+
+
+def test_op_combination_of_one_unit_term_is_the_operator():
+    f = mu(SIG, 1)
+    assert op_combination([(f, 1)]) is f
+    with pytest.raises(ValueError):
+        op_combination([])
 
 
 def test_first_mismatch_locates_difference():
     a = mu(SIG, 1)
-    b = op_scale(mu(SIG, 1), 2)
+    b = op_combination([(mu(SIG, 1), 2)])
     found = first_mismatch(a, b, 2)
     assert found is not None
     tup, va, vb = found
     assert vb == va.scale(2)
-    assert is_zero_op(op_add(a, op_scale(a, -1)), 2)
+    assert is_zero_op(op_combination([(a, 1), (a, -1)]), 2)
 
 
 def test_dump_operator_format():
@@ -174,7 +183,7 @@ def test_nr_bracket_superantisymmetry(seed):
     g = lift_endo(random_endo(SIG, seed + 1, parity=(seed + 1) % 2))
     sign = -((-1) ** (f.parity * g.parity))
     lhs = nr_bracket(f, g)
-    rhs = op_scale(nr_bracket(g, f), sign)
+    rhs = op_combination([(nr_bracket(g, f), sign)])
     assert ops_equal(lhs, rhs, 3)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -25,3 +27,10 @@ def test_package_exports_exactly_its_public_names():
     namespace = {}
     exec("from antibrackets import *", namespace)
     assert set(antibrackets.__all__) <= set(namespace)
+
+
+def test_every_module_all_name_resolves():
+    for info in pkgutil.iter_modules(antibrackets.__path__):
+        module = importlib.import_module(f"antibrackets.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)

@@ -287,6 +287,11 @@ def test_random_endo_is_deterministic_and_parity_structured():
         assert all(SIG.parity(t) == want for t in img.terms)
 
 
+def test_random_endo_rejects_unknown_parity():
+    with pytest.raises(ValueError, match="'even', 'odd', 0 or 1"):
+        random_endo(SIG, 1, parity="x")
+
+
 def test_endo_parity_validation():
     x = SIG.even_generator(0)
     th = SIG.odd_generator(0)
