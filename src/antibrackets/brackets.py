@@ -19,7 +19,6 @@ The checks that ``verify`` runs on them are stated in :mod:`.checks`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
@@ -41,9 +40,7 @@ from .superalgebra import (
 )
 
 __all__ = [
-    "AntibracketHierarchy",
     "phi_direct_op",
-    "phi_exponential",
     "phi_hierarchy",
     "exp_rho_family",
     "inversion_check",
@@ -52,19 +49,6 @@ __all__ = [
     "differential_order_check",
     "hierarchy_to_json",
 ]
-
-
-@dataclass
-class AntibracketHierarchy:
-    """Brackets n -> Phi^n of one source operator, up to a maximum degree."""
-
-    source: EndoOp
-    max_degree: int
-    brackets: dict = field(default_factory=dict)
-    method: str = "direct"
-
-    def __getitem__(self, n: int) -> MultiOp:
-        return self.brackets[n]
 
 
 def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
@@ -185,7 +169,8 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
 
     Returns a map from operator degree to component.  Each rho_n raises the
     degree by n, so only finitely many words contribute below the cutoff and
-    no convergence argument is needed.
+    no convergence argument is needed; a nonzero coefficient at n < 1 is
+    refused, as rho_0 keeps the degree and the series would never end.
 
     The k-th term of the series, term_k = (1/k) sum_n c_n rho_n(term_(k-1)),
     is built as T_k = k! L^k term_k, where L is the lcm of the coefficient
@@ -194,6 +179,8 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     K! L^K of the largest K contributing, and divides once by it.
     """
     coefficients = {n: c for n, c in coefficients.items() if c}
+    if any(n < 1 for n in coefficients):
+        raise ValueError("exp_rho_family needs coefficients at n >= 1 only")
     lcm_den = lcm(*(int(rat(c).denominator) for c in coefficients.values()))
     weights = {n: int(c * lcm_den) for n, c in coefficients.items()}
     levels = {base.degree: {0: base}}  # degree -> {k: part of T_k}
@@ -220,27 +207,24 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     return result
 
 
-def phi_exponential(f: EndoOp, N: int) -> AntibracketHierarchy:
-    """The whole hierarchy from the gauge trivialization exp(-sum K_n rho_n) f."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+def _exponential_ops(f: EndoOp, N: int) -> dict:
+    """Phi^1..Phi^N from the gauge trivialization exp(-sum K_n rho_n) f."""
     koszul = koszul_numbers_recursive(max(N - 1, 1))
     coeffs = {n: -koszul[n] for n in range(1, N)}
     components = exp_rho_family(lift_endo(f), coeffs, N - 1)
-    brackets = {n: components[n - 1] for n in range(1, N + 1)}
-    return AntibracketHierarchy(f, N, brackets, method="exponential")
+    return {n: components[n - 1] for n in range(1, N + 1)}
 
 
 _METHODS = {
     "direct": lambda f, N: {n: phi_direct_op(f, n) for n in range(1, N + 1)},
     "recursion": _recursion_ops,
     "bracket": _bracket_ops,
-    "exponential": lambda f, N: phi_exponential(f, N).brackets,
+    "exponential": _exponential_ops,
 }
 
 
-def phi_hierarchy(f: EndoOp, N: int, method=None) -> AntibracketHierarchy:
-    """Hierarchy up to degree N by the chosen construction.
+def phi_hierarchy(f: EndoOp, N: int, method=None) -> dict:
+    """{n: Phi^n_f} for n = 1..N by the chosen construction.
 
     The default is the signature's defining construction: the shuffle
     formula (``direct``) when it is commutative, the bracket recursion
@@ -252,7 +236,7 @@ def phi_hierarchy(f: EndoOp, N: int, method=None) -> AntibracketHierarchy:
         method = "direct" if f.signature.commutative else "bracket"
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return AntibracketHierarchy(f, N, _METHODS[method](f, N), method=method)
+    return _METHODS[method](f, N)
 
 
 def inversion_check(f: EndoOp, n: int, args) -> bool:
@@ -323,7 +307,7 @@ def linfinity_check(delta: EndoOp, N: int) -> bool:
         raise ValueError("operator must be odd")
     if not delta.compose(delta).is_zero():
         raise ValueError("operator must be square-zero")
-    phis = phi_hierarchy(delta, N).brackets
+    phis = phi_hierarchy(delta, N)
     for n in range(1, N + 1):
         if not is_zero_op(jacobi_rhs(phis, phis, n)):
             return False
@@ -340,13 +324,13 @@ def differential_order_check(f: EndoOp, n: int) -> bool:
     return is_zero_op(phi_direct_op(f, n + 1))
 
 
-def hierarchy_to_json(h: AntibracketHierarchy, max_total_degree=None) -> list:
-    """JSON-ready tables: [{"n": k, "table": [[tuple, element], ...]}, ...]."""
-    sig = h.source.signature
+def hierarchy_to_json(h: dict, max_total_degree=None) -> list:
+    """JSON-ready tables of a hierarchy {n: Phi^n}:
+    [{"n": k, "table": [[tuple, element], ...]}, ...]."""
+    sig = h[1].signature
     names = [sig.monomial_str(m) for m in sig.basis()]
     out = []
-    for n in sorted(h.brackets):
-        op = h.brackets[n]
+    for n, op in sorted(h.items()):
         table = []
         for tup in canonical_index_tuples(sig, op.arity, max_total_degree):
             val = op._canonical_value(tup)

@@ -66,8 +66,7 @@ def _jacobi(sig, N, seed):
     for fp, gp in (("even", "odd"), ("odd", "even"), ("odd", "odd")):
         f = random_endo(sig, seed, parity=fp)
         g = random_endo(sig, seed + 1, parity=gp)
-        phis = [phi_hierarchy(op, top).brackets
-                for op in (f, g, supercommutator(f, g))]
+        phis = [phi_hierarchy(op, top) for op in (f, g, supercommutator(f, g))]
         for n in range(1, top + 1):
             yield (f"jacobi n={n} parities=({fp},{gp})",
                    partial(_jacobi_identity, *phis, n))

@@ -14,9 +14,9 @@ Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
 never tabulated in advance; its shuffles and signs are built once per shape
-(:func:`_shuffle_plan`), and :func:`rho` is one node that reads mu_n's side
-off product rows.  A linear combination of operators is one node, built by
-:func:`op_combination`; its terms are not flattened, as their memos are
+(:func:`_shuffle_plan`), and :func:`rho` is one node with one memo: it
+reads mu_n's side off product rows.  A linear combination is one node, built
+by :func:`op_combination`; its terms are not flattened, as their memos are
 shared.
 """
 
@@ -183,8 +183,9 @@ def _shuffle_plan(k: int, m: int, pattern: tuple) -> list:
     return rows
 
 
-def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
-    """Insertion product f ⊼ g: sum over shuffles feeding g's output into f.
+def _insertion(f: MultiOp, read_g, m: int):
+    """Rule of f ⊼ g for g of degree m, read through ``read_g``: the filtered
+    sum over shuffles feeding g's output into f.
 
     On a canonical tuple, each shuffle block and its complement are canonical
     already, so g is read on the block as it stands.  Each basis index of g's
@@ -195,17 +196,14 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     comparison domain, as a general operator raises degrees; its value is
     evaluated lazily like any other.
     """
-    if f.signature != g.signature:
-        raise ValueError("signature mismatch")
-    sig = f.signature
-    parities = sig.basis_parities()
-    n, m = f.degree, g.degree
+    parities = f.signature.basis_parities()
+    n = f.degree
 
     def eval_basis(tup):
         acc = {}
         pattern = tuple(map(parities.__getitem__, tup))
         for block, rest_of, sign, passes in _shuffle_plan(m + 1, n, pattern):
-            inner = g._canonical_value(block(tup))
+            inner = read_g(block(tup))
             if not inner:
                 continue
             rest = rest_of(tup)
@@ -221,7 +219,15 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
                     acc[out] = acc.get(out, 0) + coeff * v
         return _nonzero(acc)
 
-    return MultiOp(sig, n + m, f.parity + g.parity, eval_basis)
+    return eval_basis
+
+
+def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
+    """Insertion product f ⊼ g, one node on :func:`_insertion`'s rule."""
+    if f.signature != g.signature:
+        raise ValueError("signature mismatch")
+    return MultiOp(f.signature, f.degree + g.degree, f.parity + g.parity,
+                   _insertion(f, g._canonical_value, g.degree))
 
 
 def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -276,21 +282,22 @@ def mu_for(signature: Signature, n: int) -> MultiOp:
 def rho(n: int, omega: MultiOp) -> MultiOp:
     """Adjoint action [mu_n, .] on an operator.
 
-    For n >= 1 on a commutative signature this is one node: a value starts
-    from the negated value of omega ⊼ mu_n (:func:`nr_product`) and adds the
-    half mu_n ⊼ omega, read off the product rows: mu_n of a basis index k
-    and a complement with product P is x_k P, entry k of P's row (0 when an
-    odd index repeats or the degree bound is passed).
+    For n >= 1 on a commutative signature this is one node with one memo: a
+    value starts from the negated omega ⊼ mu_n, run by :func:`_insertion`'s
+    rule on mu_n's rule (no product node, no mu_n memo), and adds the half
+    mu_n ⊼ omega, read off the product rows: mu_n of a basis index k and a
+    complement with product P is x_k P, entry k of P's row (0 when an odd
+    index repeats or the degree bound is passed).
     """
     sig = omega.signature
     mu_n = mu_for(sig, n)
     if n < 1 or not sig.commutative:
         return nr_bracket(mu_n, omega)
     parities = sig.basis_parities()
-    omega_mu = nr_product(omega, mu_n)
+    omega_mu = _insertion(omega, mu_n._eval, n)
 
     def eval_basis(tup):
-        acc = {k: -v for k, v in omega_mu._canonical_value(tup).items()}
+        acc = {k: -v for k, v in omega_mu(tup).items()}
         pattern = tuple(map(parities.__getitem__, tup))
         for block, rest_of, sign, _ in _shuffle_plan(omega.arity, n, pattern):
             p = sig.mul_indices(rest_of(tup))

@@ -21,8 +21,18 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial, gcd, lcm
 
+from .brackets import phi_direct_op
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
+from .multilinear import (
+    canonical_tuples,
+    is_zero_op,
+    lift_endo,
+    mu,
+    nr_product,
+    rho,
+)
 from .rational import rat
+from .superalgebra import Signature, derivation_endo
 
 __all__ = [
     "QxOperator",
@@ -404,12 +414,14 @@ def conjecture_formula(n: int, i: int):
 
 def coefficient_table_entry(n: int, i: int, coefficients=None):
     """x_i^n = (-1)^n n! c_i^n, the published normalization."""
+    if not 1 <= i <= n:
+        raise ValueError("need 1 <= i <= n")
     if coefficients is None:
         coefficients = solve_coefficients(n)
     return rat((-1) ** n * factorial(n)) * coefficients.c[i - 1]
 
 
-def bn_zero_witness(n: int, degree_bound=None) -> dict:
+def bn_zero_witness(n: int) -> dict:
     """Check the closed form of rho_1^(n-2)(Phi(2,2)_d/dx) on monomial tuples.
 
     Builds the one-even-generator commutative algebra, realizes
@@ -417,21 +429,9 @@ def bn_zero_witness(n: int, degree_bound=None) -> dict:
     rho_1 repeatedly, and compares against the product-of-binomials closed
     form; also confirms Phi^(n+1) of the derivation vanishes.
     """
-    from .brackets import phi_direct_op
-    from .multilinear import (
-        canonical_tuples,
-        is_zero_op,
-        lift_endo,
-        mu,
-        nr_product,
-        rho,
-    )
-    from .superalgebra import Signature, derivation_endo
-
     if n < 2:
         raise ValueError("n must be >= 2")
-    D = degree_bound if degree_bound is not None else n + 2
-    sig = Signature(even=1, odd=0, degree_bound=D)
+    sig = Signature(even=1, odd=0, degree_bound=n + 2)
     partial = derivation_endo(sig)
     op = nr_product(mu(sig, 0), nr_product(lift_endo(partial), mu(sig, 1)))
     for _ in range(n - 2):
@@ -441,7 +441,7 @@ def bn_zero_witness(n: int, degree_bound=None) -> dict:
         prefactor *= comb(i - 1, 2)
     checked = 0
     closed_form_ok = True
-    for tup in canonical_tuples(sig, n, D):
+    for tup in canonical_tuples(sig, n):
         exponents = [m[0][0] for m in tup]
         if any(a < 1 for a in exponents):
             continue
@@ -480,8 +480,9 @@ def coderivation_dn(n: int, bound: int) -> QxOperator:
     return QxOperator(bound, cols)
 
 
-def coderivation_check(n: int, m: int, max_power: int = 8) -> bool:
-    """Bracket relation and coproduct compatibility of d_n, d_m, symbolically."""
+def coderivation_check(n: int, m: int) -> bool:
+    """Bracket relation and coproduct compatibility of d_n, d_m, symbolically,
+    on x^s for s <= 8."""
 
     def apply_dn(k, terms):
         out = {}
@@ -491,11 +492,10 @@ def coderivation_check(n: int, m: int, max_power: int = 8) -> bool:
                 out[q] = out.get(q, 0) + c * cc
         return {p: c for p, c in out.items() if c}
 
-    if not _commutator_relation(apply_dn, n, m, mu_bracket_factor(n, m),
-                                max_power):
+    if not _commutator_relation(apply_dn, n, m, mu_bracket_factor(n, m), 8):
         return False
-    # coproduct compatibility of d_n alone on x^s, s <= max_power
-    for s in range(max_power + 1):
+    # coproduct compatibility of d_n alone on x^s, s <= 8
+    for s in range(9):
         coproduct = {
             (k, s - k): rat(comb(s, k)) for k in range(s + 1)
         }
@@ -535,7 +535,7 @@ def _commutator_relation(act, n, m, factor, max_power):
     return True
 
 
-def duality_check(h: int, N: int, koszul=None) -> bool:
+def duality_check(h: int, N: int) -> bool:
     """Coefficient of x in exp(sum K_n x d^(n+1)/dx^(n+1) /(n+1)!)(x^h) is 1.
 
     Each generator lowers the degree by n >= 1, so the exponential truncates
@@ -543,8 +543,7 @@ def duality_check(h: int, N: int, koszul=None) -> bool:
     """
     if not 1 <= h <= N:
         raise ValueError("need 1 <= h <= N")
-    if koszul is None:
-        koszul = koszul_numbers_recursive(max(N - 1, 1))
+    koszul = koszul_numbers_recursive(max(N - 1, 1))
 
     def generator_sum(poly):
         out = [rat(0)] * (N + 1)
@@ -572,8 +571,9 @@ def duality_check(h: int, N: int, koszul=None) -> bool:
     return result[1] == 1
 
 
-def witt_phi_check(n: int, m: int, max_power: int = 10) -> bool:
-    """[phi(L_n), phi(L_m)] = (n-m) phi(L_(n+m)) with phi(L_n) = x d^(n+1)."""
+def witt_phi_check(n: int, m: int) -> bool:
+    """[phi(L_n), phi(L_m)] = (n-m) phi(L_(n+m)) with phi(L_n) = x d^(n+1),
+    on x^s for s <= 10."""
 
     def act(k, terms):
         # x d^(k+1) on monomials, symbolically
@@ -586,10 +586,10 @@ def witt_phi_check(n: int, m: int, max_power: int = 10) -> bool:
                 out[p - k] = out.get(p - k, 0) + c * coeff
         return {p: c for p, c in out.items() if c}
 
-    return _commutator_relation(act, n, m, n - m, max_power)
+    return _commutator_relation(act, n, m, n - m, 10)
 
 
-def witt_psi_check(n: int, m: int, max_power: int = 10) -> bool:
+def witt_psi_check(n: int, m: int) -> bool:
     """Same relation for psi(L_n) x^s = (n + 1 - s) x^(n+s)."""
 
     def act(k, terms):
@@ -600,7 +600,7 @@ def witt_psi_check(n: int, m: int, max_power: int = 10) -> bool:
                 out[p + k] = out.get(p + k, 0) + v
         return out
 
-    return _commutator_relation(act, n, m, n - m, max_power)
+    return _commutator_relation(act, n, m, n - m, 10)
 
 
 def rho_bracket_check(n: int, m: int, psi: QxOperator) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .combinatorics import stirling2
+from .combinatorics import koszul_numbers_recursive, stirling2
 from .rational import Rational, rat
 
 __all__ = [
@@ -272,7 +272,7 @@ def psi_of_series(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.order + 1, out)
 
 
-def graded_exponential_check(d: int, D: int, koszul=None) -> bool:
+def graded_exponential_check(d: int, D: int) -> bool:
     """Compare exp(sum K_n r_n)(t_d) with the a_d coefficients on indices <= D.
 
     The graded variables t_0..t_D are modelled as a coefficient vector; the
@@ -281,10 +281,7 @@ def graded_exponential_check(d: int, D: int, koszul=None) -> bool:
     """
     if not 0 <= d <= D:
         raise ValueError("need 0 <= d <= D")
-    if koszul is None:
-        from .combinatorics import koszul_numbers_recursive
-
-        koszul = koszul_numbers_recursive(max(D, 1))
+    koszul = koszul_numbers_recursive(max(D, 1))
 
     def apply_generator(vec):
         out = [rat(0)] * (D + 1)

@@ -318,5 +318,5 @@ def test_criterion_11_operator_representation_consistency():
     for n in range(1, 5):
         for m in range(1, 5):
             if n != m:
-                assert coderivation_check(n, m, 8), (n, m)
+                assert coderivation_check(n, m), (n, m)
     _budget(started, 30.0, "criterion 11")

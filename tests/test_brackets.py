@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from antibrackets import brackets
 from antibrackets.brackets import (
     differential_order_check,
     exp_rho_family,
@@ -12,7 +13,6 @@ from antibrackets.brackets import (
     inversion_check,
     linfinity_check,
     phi_direct_op,
-    phi_exponential,
     phi_hierarchy,
 )
 from antibrackets.checks import registry
@@ -66,14 +66,16 @@ def test_all_constructions_agree():
                 assert ops_equal(base, hierarchies[m][n]), (seed, n, m)
 
 
-def test_single_bracket_helpers_match_hierarchy():
+def test_single_bracket_helpers_match_hierarchy(monkeypatch):
     f = random_endo(SIG, 9, parity="even")
     direct = phi_direct_op(f, 3)
     for method in ("recursion", "bracket"):
         assert ops_equal(phi_hierarchy(f, 3, method=method)[3], direct)
     # without a method, the signature's defining construction is used
-    assert phi_hierarchy(f, 3).method == "direct"
-    assert phi_hierarchy(random_endo(NC, 9, parity="even"), 3).method == "bracket"
+    monkeypatch.setattr(
+        brackets, "_METHODS", {m: lambda f, N, m=m: m for m in brackets._METHODS})
+    assert phi_hierarchy(f, 3) == "direct"
+    assert phi_hierarchy(random_endo(NC, 9, parity="even"), 3) == "bracket"
 
 
 def test_phi_direct_on_elements():
@@ -119,14 +121,23 @@ def test_identity_hierarchy_components():
 
 def test_exp_rho_family_with_zero_coefficients_is_identity():
     f = lift_endo(random_endo(SIG, 8, parity="even"))
-    family = exp_rho_family(f, {1: rat(0), 2: rat(0)}, 3)
+    # a zero coefficient is dropped before the n >= 1 check
+    family = exp_rho_family(f, {0: rat(0), 1: rat(0), 2: rat(0)}, 3)
     assert set(family) == {0}
     assert ops_equal(family[0], f)
 
 
+@pytest.mark.parametrize("coefficients", [{0: 1}, {-1: 2}, {0: 1, 1: 1}])
+def test_exp_rho_family_rejects_coefficients_below_one(coefficients):
+    # rho_0 keeps the degree, so the series would never reach the cutoff
+    f = lift_endo(random_endo(SIG, 8, parity="even"))
+    with pytest.raises(ValueError, match="n >= 1"):
+        exp_rho_family(f, coefficients, 2)
+
+
 def test_exponential_hierarchy_matches_direct():
     f = random_endo(SIG, 10, parity="odd")
-    exp_h = phi_exponential(f, 4)
+    exp_h = phi_hierarchy(f, 4, method="exponential")
     for n in range(1, 5):
         assert ops_equal(exp_h[n], phi_direct_op(f, n))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from math import comb, factorial
@@ -279,6 +280,20 @@ def test_rho_matches_generic_bracket(parity):
                 assert value == generic._canonical_value(tup), (degree, h, tup)
                 nonzero += bool(value)
     assert nonzero > 1000
+
+
+def test_rho_keeps_one_memo():
+    # a fresh signature, so that the only operators on it are this test's
+    sig = Signature(even=1, odd=2, degree_bound=4)
+    omega = _general_op(sig, 1, 7)
+    nodes = [rho(h, omega) for h in range(1, 4)]
+    for node in nodes:
+        for tup in canonical_index_tuples(sig, node.arity):
+            node._canonical_value(tup)
+    gc.collect()
+    held = [op for op in gc.get_objects()
+            if isinstance(op, MultiOp) and op.signature is sig and op._cache]
+    assert sorted(map(id, held)) == sorted(map(id, [omega, *nodes]))
 
 
 def test_call_one_monomial_per_slot_matches_general_path():

@@ -271,6 +271,13 @@ def test_table_normalization_spot_values():
     assert coefficient_table_entry(7, 5) == 7560
 
 
+@pytest.mark.parametrize("i", [0, -1, 6])
+def test_table_entry_rejects_index_outside_one_to_n(i):
+    # (5, 0) and (5, -1) used to read the entries for i = 5 and i = 4
+    with pytest.raises(ValueError, match="need 1 <= i <= n"):
+        coefficient_table_entry(5, i)
+
+
 def test_signed_sum_solves_standard_form():
     # reassemble Phi^(n+1) from the solved coordinates in the matrix model
     for n in (2, 3, 4):
@@ -306,7 +313,7 @@ def test_coderivation_relations():
     for n in range(1, 5):
         for m in range(1, 5):
             if n != m:
-                assert coderivation_check(n, m, 8)
+                assert coderivation_check(n, m)
 
 
 def test_coderivation_matrix_entries():
