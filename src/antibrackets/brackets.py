@@ -55,8 +55,8 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures).
 
     A value is computed on basis indices: block and complement products are
-    looked up in the signature's product rows and f is read through its
-    index view.
+    looked up in the signature's product rows and f is read off its stored
+    images, which are sorted by index.
     """
     sig = f.signature
     if not sig.commutative:
@@ -64,9 +64,9 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
     if n < 1:
         raise ValueError("n must be >= 1")
     positions = range(n)
+    images = f.images
 
     def eval_basis(tup):
-        images = f.index_view()
         basis_parities = sig.basis_parities()
         parities = [basis_parities[i] for i in tup]
         acc = {}

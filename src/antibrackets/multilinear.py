@@ -4,9 +4,11 @@ An operator of degree n takes n+1 arguments.  Values are determined by the
 canonical (sorted, no repeated odd index) tuples of basis indices; evaluation
 on any other tuple picks up the Koszul sign of the sorting permutation.
 Operators are memoized evaluation rules, keyed by canonical index tuple,
-whose values are dicts {basis index: nonzero coefficient}; monomials and
-elements appear only at the public boundary (``value``, ``__call__``,
-:func:`first_mismatch`'s counterexample, :func:`dump_operator`).  Tables are
+whose values are dicts {basis index: nonzero coefficient}, the format of
+:class:`~antibrackets.superalgebra.AlgebraElement`'s ``terms``; monomials
+appear only at the public boundary (the arguments of ``value`` and
+``__call__``, :func:`canonical_tuples`, :func:`first_mismatch`'s
+counterexample tuple, :func:`dump_operator`).  Tables are
 compared over the canonical tuples whose total input degree stays within a
 bound (tuples beyond it are zero in the quotient for the multiplication
 operators, and are outside the comparison domain for everything else).
@@ -46,7 +48,6 @@ __all__ = [
     "mu_for",
     "rho",
     "lift_endo",
-    "zero_op",
     "op_combination",
     "canonical_tuples",
     "canonical_index_tuples",
@@ -100,15 +101,15 @@ class MultiOp:
             )
         sig = self.signature
         slots = [
-            [(sig.index_of(m), c) for m, c in
-             (a.terms.items() if isinstance(a, AlgebraElement) else [(a, 1)])]
+            list(a.terms.items()) if isinstance(a, AlgebraElement)
+            else [(sig.index_of(a), 1)]
             for a in args
         ]
         if all(len(s) == 1 and s[0][1] == 1 for s in slots):  # one memo read
             sign, canon = sig.canonical_indices([s[0][0] for s in slots])
             if not sign:
                 return sig.element()
-            value = sig.element_from_indices(self._canonical_value(canon))
+            value = AlgebraElement(sig, self._canonical_value(canon))
             return value if sign > 0 else -value
         acc = {}
         for combo in itertools.product(*slots):
@@ -120,15 +121,11 @@ class MultiOp:
                 coeff = coeff * c
             for k, v in self._canonical_value(canon).items():
                 acc[k] = acc.get(k, 0) + coeff * v
-        return sig.element_from_indices(acc)
+        return AlgebraElement(sig, acc)
 
 
 def _nonzero(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if v}
-
-
-def zero_op(signature: Signature, degree: int, parity: int = 0) -> MultiOp:
-    return MultiOp(signature, degree, parity, lambda _t: {})
 
 
 def op_combination(terms) -> MultiOp:
@@ -321,7 +318,7 @@ def lift_endo(f: EndoOp) -> MultiOp:
     """Embed a linear operator as the corresponding degree-0 operator."""
     if f.parity is None:
         raise ValueError("lifted operators need a declared parity")
-    return MultiOp(f.signature, 0, f.parity, lambda t: dict(f.index_view()[t[0]]))
+    return MultiOp(f.signature, 0, f.parity, lambda t: dict(f.images[t[0]]))
 
 
 def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=None):
@@ -386,8 +383,8 @@ def first_mismatch(f: MultiOp, g: MultiOp, max_total_degree=None):
             basis = sig.basis()
             return (
                 tuple(basis[i] for i in tup),
-                sig.element_from_indices(a),
-                sig.element_from_indices(b),
+                AlgebraElement(sig, a),
+                AlgebraElement(sig, b),
             )
     return None
 
@@ -411,6 +408,6 @@ def dump_operator(f: MultiOp, max_total_degree=None) -> str:
     lines = []
     for tup in canonical_index_tuples(sig, f.arity, max_total_degree):
         names = ",".join(sig.monomial_str(basis[i]) for i in tup)
-        value = sig.element_from_indices(f._canonical_value(tup))
+        value = AlgebraElement(sig, f._canonical_value(tup))
         lines.append(f"({names}) -> {value!r}")
     return "\n".join(lines)

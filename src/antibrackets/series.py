@@ -2,8 +2,8 @@
 
 A series carries an explicit truncation order N and exactly N+1 coefficients;
 operations never silently mix orders.  On top of the ring structure this
-module implements derivation exponentials, the iterative exponential and
-logarithm, and the identity checks built from them (Julia's equation, the
+module implements the iterative exponential exp(a d/dt)(t) and logarithm,
+and the identity checks built from them (Julia's equation, the
 Hurwitz-number series a_d(z), the nilpotent-exponential check on the graded
 variable space, and the Stirling formula for derivatives of f(e^t - 1)).
 """
@@ -19,7 +19,6 @@ __all__ = [
     "TruncatedSeries",
     "series_mul",
     "series_compose",
-    "exp_derivation",
     "itexp",
     "itlog",
     "koszul_numbers_itlog",
@@ -172,16 +171,14 @@ def _derivation_apply(a: TruncatedSeries, f: TruncatedSeries) -> TruncatedSeries
     return TruncatedSeries(N, out)
 
 
-def exp_derivation(a: TruncatedSeries, target: TruncatedSeries) -> TruncatedSeries:
-    """exp(a(t) d/dt) applied to target, for a with a(0) = a'(0) = 0.
+def itexp(a: TruncatedSeries) -> TruncatedSeries:
+    """Iterative exponential exp(a d/dt)(t), for a with a(0) = a'(0) = 0.
 
     Each application of a d/dt raises the valuation, so the exponential sum
     is finite at any truncation order.
     """
     _check_itlog_domain(a)
-    a._check_order(target)
-    result = target
-    term = target
+    result = term = TruncatedSeries.variable(a.order)
     k = 1
     while True:
         term = _derivation_apply(a, term).scale(rat(1, k))
@@ -189,11 +186,6 @@ def exp_derivation(a: TruncatedSeries, target: TruncatedSeries) -> TruncatedSeri
             return result
         result = result + term
         k += 1
-
-
-def itexp(a: TruncatedSeries) -> TruncatedSeries:
-    """Iterative exponential exp(a d/dt)(t)."""
-    return exp_derivation(a, TruncatedSeries.variable(a.order))
 
 
 def itlog(g: TruncatedSeries) -> TruncatedSeries:

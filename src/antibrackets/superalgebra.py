@@ -11,16 +11,24 @@ a length-p tuple of exponents and ``odds`` a sorted tuple of odd-generator
 indices (odd generators square to zero).  Associative case: a word, i.e., a
 tuple of generator indices with 0..p-1 even and p..p+q-1 odd.
 
+Below the public boundary every key is a basis index.  An
+:class:`AlgebraElement` holds ``{basis index: nonzero coeff}``, and an
+:class:`EndoOp` holds the image of each basis monomial as (index, coeff)
+pairs sorted by index.  Monomials are converted once, where a caller passes
+them in (:meth:`Signature.element`, :meth:`Signature.monomial_element`,
+:meth:`Signature.index_of`) or reads them out (``repr``,
+:meth:`Signature.monomial_str`).
+
 Products run on basis indices.  :meth:`Signature.mul_row` gives right
 multiplication by the basis monomial j as a list over basis indices i: the
 entry is 0 when basis[i] * basis[j] dies (degree above the bound, or an odd
 letter repeated), and otherwise +(k + 1) or -(k + 1) for sign * basis[k].
 The basis is sorted by degree, so only a prefix of it can survive a product
 with basis[j]; a row covers just that prefix, and any index past its end
-dies by degree.  Rows are built on first use and kept on the signature,
-which is the package's one product cache; :meth:`Signature.mul_monomials`
-and element products are lookups in them.  Operator arguments are put in
-canonical order on indices too, by :meth:`Signature.canonical_indices`.
+dies by degree.  Rows are built on first use by the one monomial product
+rule, :meth:`Signature.mul_monomials`, and kept on the signature, which is
+the package's one product cache.  Operator arguments are put in canonical
+order on indices too, by :meth:`Signature.canonical_indices`.
 """
 
 from __future__ import annotations
@@ -42,7 +50,6 @@ __all__ = [
     "odd_partial_endo",
     "multiplication_endo",
     "identity_endo",
-    "zero_endo",
     "supercommutator",
 ]
 
@@ -183,7 +190,7 @@ class Signature:
             return sorted(itertools.product(letters, repeat=d))
         out = []
         max_odds = min(d, self.odd)
-        for exps in _exponent_tuples(self.even, d, d):
+        for exps in _exponent_tuples(self.even, d):
             rest = d - sum(exps)
             if rest <= max_odds:
                 for odds in itertools.combinations(range(self.odd), rest):
@@ -191,11 +198,15 @@ class Signature:
         return sorted(out)
 
     def index_of(self, m) -> int:
+        """Basis index of monomial m; ValueError if m is not a basis monomial."""
         index = self._index
         if index is None:
             self.basis()
             index = self._index
-        return index[m]
+        try:
+            return index[m]
+        except KeyError:
+            raise ValueError(f"{m!r} is not a basis monomial of {self!r}") from None
 
     def mul_row(self, j):
         """Right multiplication by basis monomial j, over basis indices.
@@ -219,7 +230,7 @@ class Signature:
         b = basis[j]
         row = []
         for i in range(self._prefix[self.degree_bound - self.degree(b)]):
-            s, m = self._mul_monomials(basis[i], b)
+            s, m = self.mul_monomials(basis[i], b)
             row.append(s * (index[m] + 1) if s else 0)
         return row
 
@@ -260,17 +271,8 @@ class Signature:
 
         The Koszul sign comes from odd letters of ``a`` moving past odd
         letters of ``b``; monomials of degree > D are zero in the quotient.
+        This is the rule the product rows are built from.
         """
-        try:
-            pair = (self.index_of(a), self.index_of(b))
-        except KeyError:  # not a basis monomial, e.g. the unit when non-unital
-            return self._mul_monomials(a, b)
-        e = self.mul_indices(pair)
-        if not e:
-            return (0, None)
-        return (1, self._basis[e - 1]) if e > 0 else (-1, self._basis[-e - 1])
-
-    def _mul_monomials(self, a, b):
         if not self.commutative:
             word = a + b
             if len(word) > self.degree_bound:
@@ -304,41 +306,36 @@ class Signature:
         return "*".join(parts) if parts else "1"
 
     def element(self, terms=None) -> "AlgebraElement":
-        return AlgebraElement(self, terms or {})
-
-    def element_from_indices(self, terms) -> "AlgebraElement":
-        """Element from a map basis index -> coefficient; zeros are dropped."""
-        basis = self.basis()
-        element = AlgebraElement.__new__(AlgebraElement)  # __init__ would filter again
-        element.signature = self
-        element.terms = {basis[k]: c for k, c in terms.items() if c}
-        return element
+        """Element from a map monomial -> coefficient."""
+        terms = terms or {}
+        return AlgebraElement(self, {self.index_of(m): c for m, c in terms.items()})
 
     def monomial_element(self, m, coeff=1) -> "AlgebraElement":
-        return AlgebraElement(self, {m: coeff})
+        return AlgebraElement(self, {self.index_of(m): coeff})
 
     def one(self) -> "AlgebraElement":
         return self.monomial_element(self.unit())
 
 
-def _exponent_tuples(slots, total_max, degree):
+def _exponent_tuples(slots, degree):
     """Even-exponent tuples with sum <= degree (the remainder goes to odds)."""
     if slots == 0:
         yield ()
         return
     for first in range(degree + 1):
-        for rest in _exponent_tuples(slots - 1, total_max, degree - first):
+        for rest in _exponent_tuples(slots - 1, degree - first):
             yield (first,) + rest
 
 
 class AlgebraElement:
-    """Finite rational-linear combination of basis monomials."""
+    """Finite rational-linear combination of basis monomials, as
+    ``terms = {basis index: nonzero coeff}``."""
 
     __slots__ = ("signature", "terms")
 
     def __init__(self, signature: Signature, terms):
         self.signature = signature
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def _check(self, other: "AlgebraElement"):
         if self.signature != other.signature:
@@ -347,42 +344,39 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
         return AlgebraElement(self.signature, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) - c
         return AlgebraElement(self.signature, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.signature, {m: -c for m, c in self.terms.items()})
+        return AlgebraElement(self.signature, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "AlgebraElement":
         if not c:
             return AlgebraElement(self.signature, {})
-        return AlgebraElement(self.signature, {m: c * v for m, v in self.terms.items()})
+        return AlgebraElement(self.signature, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
             sig = self.signature
-            sig.basis()
-            index = sig._index
-            right = [(sig.mul_row(index[m]), c) for m, c in other.terms.items()]
+            right = [(sig.mul_row(j), c) for j, c in other.terms.items()]
             out = {}
-            for m, c1 in self.terms.items():
-                i = index[m]
+            for i, c1 in self.terms.items():
                 for row, c2 in right:
                     e = row[i] if i < len(row) else 0
                     if e > 0:
                         out[e - 1] = out.get(e - 1, 0) + c1 * c2
                     elif e:
                         out[-e - 1] = out.get(-e - 1, 0) - c1 * c2
-            return sig.element_from_indices(out)
+            return AlgebraElement(sig, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -393,13 +387,13 @@ class AlgebraElement:
         sig = self.signature
         j = sig.index_of(m)
         out = {}
-        for m1, c1 in self.terms.items():
-            e = sig.mul_indices((sig.index_of(m1), j))
+        for i, c1 in self.terms.items():
+            e = sig.mul_indices((i, j))
             if e > 0:
                 out[e - 1] = out.get(e - 1, 0) + c1
             elif e:
                 out[-e - 1] = out.get(-e - 1, 0) - c1
-        return sig.element_from_indices(out)
+        return AlgebraElement(sig, out)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -414,7 +408,8 @@ class AlgebraElement:
 
     def parity(self):
         """0 or 1 for a homogeneous element, None for mixed, 0 for zero."""
-        parities = {self.signature.parity(m) for m in self.terms}
+        basis_parities = self.signature.basis_parities()
+        parities = {basis_parities[k] for k in self.terms}
         if not parities:
             return 0
         if len(parities) > 1:
@@ -425,10 +420,11 @@ class AlgebraElement:
         if not self.terms:
             return "0"
         sig = self.signature
+        basis = sig.basis()
         bits = []
-        for m in sorted(self.terms, key=sig.index_of):
-            c = format_rational(self.terms[m])
-            name = sig.monomial_str(m)
+        for k in sorted(self.terms):
+            c = format_rational(self.terms[k])
+            name = sig.monomial_str(basis[k])
             if name == "1":
                 bits.append(c)
             elif c == "1":
@@ -441,47 +437,43 @@ class AlgebraElement:
 
 
 class EndoOp:
-    """Linear operator on the algebra, stored by its images on the basis."""
+    """Linear operator on the algebra, stored by its images on the basis.
 
-    __slots__ = ("signature", "images", "parity", "_index_view")
+    ``images[i]`` is the image of basis[i] as a tuple of (index, coeff)
+    pairs, sorted by index, so in degree order, with no zero coefficient.
+    The constructor takes ``{basis index: {index: coeff}}``; a missing
+    basis index maps to zero.
+    """
+
+    __slots__ = ("signature", "images", "parity")
 
     def __init__(self, signature: Signature, images, parity=None):
         self.signature = signature
-        self.images = {m: v for m, v in images.items() if not v.is_zero()}
+        self.images = [()] * len(signature.basis())
+        for i, image in images.items():
+            self.images[i] = tuple(sorted((k, c) for k, c in image.items() if c))
         self.parity = parity
-        self._index_view = None
         if parity is not None:
-            for m, v in self.images.items():
-                want = (signature.parity(m) + parity) % 2
-                if any(signature.parity(t) != want for t in v.terms):
+            parities = signature.basis_parities()
+            for i, image in enumerate(self.images):
+                want = (parities[i] + parity) % 2
+                if any(parities[k] != want for k, _ in image):
                     raise ValueError("image violates the declared parity")
 
-    def index_view(self):
-        """Images by basis index: entry i lists (index, coeff) of the image of
-        basis[i], in index order, so in degree order; built on first use."""
-        view = self._index_view
-        if view is None:
-            sig = self.signature
-            view = [()] * len(sig.basis())
-            for m, v in self.images.items():
-                view[sig.index_of(m)] = sorted(
-                    (sig.index_of(t), c) for t, c in v.terms.items()
-                )
-            self._index_view = view
-        return view
+    def _image_of(self, pairs) -> dict:
+        """{index: coeff} of the image of sum c * basis[j] over (j, c) pairs."""
+        out = {}
+        for j, c in pairs:
+            for k, v in self.images[j]:
+                out[k] = out.get(k, 0) + c * v
+        return out
 
     def apply(self, x) -> AlgebraElement:
         """Image of a monomial or an element."""
         sig = self.signature
-        if isinstance(x, AlgebraElement):
-            out = {}
-            for m, c in x.terms.items():
-                img = self.images.get(m)
-                if img is not None:
-                    for t, v in img.terms.items():
-                        out[t] = out.get(t, 0) + c * v
-            return AlgebraElement(sig, out)
-        return self.images.get(x, sig.element())
+        if not isinstance(x, AlgebraElement):
+            x = sig.monomial_element(x)
+        return AlgebraElement(sig, self._image_of(x.terms.items()))
 
     def __call__(self, x) -> AlgebraElement:
         return self.apply(x)
@@ -492,27 +484,8 @@ class EndoOp:
         parity = None
         if self.parity is not None and other.parity is not None:
             parity = (self.parity + other.parity) % 2
-        images = {m: self.apply(v) for m, v in other.images.items()}
+        images = {i: self._image_of(image) for i, image in enumerate(other.images)}
         return EndoOp(self.signature, images, parity)
-
-    def __add__(self, other: "EndoOp") -> "EndoOp":
-        if self.signature != other.signature:
-            raise ValueError("signature mismatch")
-        parity = self.parity if self.parity == other.parity else None
-        images = dict(self.images)
-        for m, v in other.images.items():
-            images[m] = images.get(m, self.signature.element()) + v
-        return EndoOp(self.signature, images, parity)
-
-    def scale(self, c) -> "EndoOp":
-        return EndoOp(
-            self.signature,
-            {m: v.scale(c) for m, v in self.images.items()},
-            self.parity,
-        )
-
-    def __sub__(self, other: "EndoOp") -> "EndoOp":
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         if not isinstance(other, EndoOp):
@@ -520,7 +493,7 @@ class EndoOp:
         return self.signature == other.signature and self.images == other.images
 
     def is_zero(self) -> bool:
-        return not self.images
+        return not any(self.images)
 
 
 def supercommutator(f: EndoOp, g: EndoOp) -> EndoOp:
@@ -528,16 +501,18 @@ def supercommutator(f: EndoOp, g: EndoOp) -> EndoOp:
     if f.parity is None or g.parity is None:
         raise ValueError("supercommutator needs operators of declared parity")
     sign = (-1) ** (f.parity * g.parity)
-    return f.compose(g) - g.compose(f).scale(sign)
+    fg, gf = f.compose(g), g.compose(f)
+    images = {}
+    for i, (left, right) in enumerate(zip(fg.images, gf.images)):
+        image = images[i] = dict(left)
+        for k, c in right:
+            image[k] = image.get(k, 0) - sign * c
+    return EndoOp(f.signature, images, fg.parity)
 
 
 def identity_endo(signature: Signature) -> EndoOp:
-    images = {m: signature.monomial_element(m) for m in signature.basis()}
-    return EndoOp(signature, images, parity=0)
-
-
-def zero_endo(signature: Signature, parity=0) -> EndoOp:
-    return EndoOp(signature, {}, parity=parity)
+    return EndoOp(signature, {i: {i: 1} for i in range(len(signature.basis()))},
+                  parity=0)
 
 
 def random_endo(signature: Signature, seed: int, parity="even", density=0.25) -> EndoOp:
@@ -552,22 +527,15 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     if par is None:
         raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
     rng = random.Random(seed)
-    basis = signature.basis()
-    by_parity = {
-        0: [m for m in basis if signature.parity(m) == 0],
-        1: [m for m in basis if signature.parity(m) == 1],
-    }
+    parities = signature.basis_parities()
+    by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
     images = {}
-    for m in basis:
-        targets = by_parity[(signature.parity(m) + par) % 2]
-        terms = {}
-        for t in targets:
+    for i, p in enumerate(parities):
+        image = images[i] = {}
+        for k in by_parity[(p + par) % 2]:
             if rng.random() >= density:
                 continue
-            c = rng.randint(-9, 9)
-            if c:
-                terms[t] = c
-        images[m] = AlgebraElement(signature, terms)
+            image[k] = rng.randint(-9, 9)
     return EndoOp(signature, images, parity=par)
 
 
@@ -576,12 +544,10 @@ def derivation_endo(signature: Signature) -> EndoOp:
     if not signature.commutative or signature.even < 1:
         raise ValueError("needs a commutative signature with an even generator")
     images = {}
-    for m in signature.basis():
-        exps, odds = m
+    for i, (exps, odds) in enumerate(signature.basis()):
         e = exps[0]
         if e:
-            lower = ((e - 1,) + exps[1:], odds)
-            images[m] = signature.monomial_element(lower, e)
+            images[i] = {signature.index_of(((e - 1,) + exps[1:], odds)): e}
     return EndoOp(signature, images, parity=0)
 
 
@@ -590,13 +556,10 @@ def odd_partial_endo(signature: Signature) -> EndoOp:
     if not signature.commutative or signature.odd < 1:
         raise ValueError("needs a commutative signature with an odd generator")
     images = {}
-    for m in signature.basis():
-        exps, odds = m
+    for i, (exps, odds) in enumerate(signature.basis()):
         if 0 in odds:
             # th1 sorts first, so no odd letters are crossed removing it
-            images[m] = signature.monomial_element(
-                (exps, tuple(i for i in odds if i)), 1
-            )
+            images[i] = {signature.index_of((exps, odds[1:])): 1}
     return EndoOp(signature, images, parity=1)
 
 
@@ -605,9 +568,6 @@ def multiplication_endo(signature: Signature, element: AlgebraElement) -> EndoOp
     parity = element.parity()
     if parity is None:
         raise ValueError("multiplier must be homogeneous")
-    images = {}
-    for m in signature.basis():
-        v = element.mul_monomial(m)
-        if not v.is_zero():
-            images[m] = v
+    images = {i: element.mul_monomial(m).terms
+              for i, m in enumerate(signature.basis())}
     return EndoOp(signature, images, parity=parity)

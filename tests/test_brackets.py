@@ -25,12 +25,12 @@ from antibrackets.multilinear import (
 )
 from antibrackets.rational import parse_rational, rat
 from antibrackets.superalgebra import (
+    EndoOp,
     Signature,
     derivation_endo,
     multiplication_endo,
     odd_partial_endo,
     random_endo,
-    zero_endo,
 )
 
 SIG = Signature(even=1, odd=1, degree_bound=3)
@@ -212,7 +212,7 @@ def test_differential_order_of_derivations():
     d2 = d.compose(d)
     assert differential_order_check(d2, 2)
     assert not is_zero_op(phi_direct_op(d2, 2))
-    assert differential_order_check(zero_endo(SIG), 0)
+    assert differential_order_check(EndoOp(SIG, {}, parity=0), 0)
 
 
 def test_odd_derivation_brackets_vanish_above_one():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,18 @@ def test_non_unital_basis_excludes_unit():
         sig.unit()
 
 
+@pytest.mark.parametrize("sig, m", [
+    (Signature(even=2, odd=2, degree_bound=3), ((4, 0), ())),
+    (Signature(even=2, odd=2, degree_bound=3), ((1, 0), (0, 0))),
+    (Signature(even=1, odd=0, degree_bound=3, unital=False), ((0,), ())),
+], ids=["above the bound", "repeated odd index", "unit when non-unital"])
+def test_non_basis_monomials_are_rejected_where_they_come_in(sig, m):
+    for convert in (sig.index_of, sig.monomial_element,
+                    lambda m: sig.element({m: 1})):
+        with pytest.raises(ValueError, match=re.escape(repr(m))):
+            convert(m)
+
+
 # -- monomial products -------------------------------------------------------
 
 
@@ -150,9 +163,9 @@ def test_row_products_match_direct_products(sig):
     seen = set()
     for a in basis:
         for b in basis:
-            got = sig.mul_monomials(a, b)
-            assert got == sig._mul_monomials(a, b)
-            sign, prod = got
+            sign, prod = sig.mul_monomials(a, b)
+            code = sig.mul_indices((sig.index_of(a), sig.index_of(b)))
+            assert code == (sign * (sig.index_of(prod) + 1) if sign else 0)
             if sign:
                 seen.add(sign)
             elif sig.degree(a) + sig.degree(b) > sig.degree_bound:
@@ -181,7 +194,7 @@ def test_index_product_matches_sequential_products(sig):
         tup = [rng.choice(basis) for _ in range(rng.randint(1, 4))]
         sign, prod = 1, tup[0]
         for m in tup[1:]:
-            s, prod = sig._mul_monomials(prod, m)
+            s, prod = sig.mul_monomials(prod, m)
             sign *= s
             if not s:
                 break
@@ -282,9 +295,10 @@ def test_random_endo_is_deterministic_and_parity_structured():
     f1 = random_endo(SIG, 7, parity="odd")
     f2 = random_endo(SIG, 7, parity="odd")
     assert f1 == f2
-    for m, img in f1.images.items():
+    basis = SIG.basis()
+    for m, img in zip(basis, f1.images):
         want = (SIG.parity(m) + 1) % 2
-        assert all(SIG.parity(t) == want for t in img.terms)
+        assert all(SIG.parity(basis[t]) == want for t, _ in img)
 
 
 def test_random_endo_rejects_unknown_parity():
@@ -296,7 +310,7 @@ def test_endo_parity_validation():
     x = SIG.even_generator(0)
     th = SIG.odd_generator(0)
     with pytest.raises(ValueError):
-        EndoOp(SIG, {x: SIG.monomial_element(th)}, parity=0)
+        EndoOp(SIG, {SIG.index_of(x): {SIG.index_of(th): 1}}, parity=0)
 
 
 def test_derivation_satisfies_leibniz():
@@ -319,6 +333,42 @@ def test_odd_partial_is_square_zero_odd_derivation():
         ea, eb = SIG.monomial_element(a), SIG.monomial_element(b)
         sign = (-1) ** SIG.parity(a)
         assert d(ea * eb) == d(ea) * eb + (ea * d(eb)).scale(sign)
+
+
+def _assert_stored_images(f):
+    """Each image is (index, coeff) pairs sorted by index, none of them zero."""
+    assert len(f.images) == len(f.signature.basis())
+    for image in f.images:
+        indices = [k for k, _ in image]
+        assert indices == sorted(set(indices))
+        assert all(c for _, c in image)
+
+
+def test_stored_images_are_sorted_without_zeros():
+    x = SIG.monomial_element(SIG.even_generator(0))
+    th = SIG.monomial_element(SIG.odd_generator(0))
+    ident = identity_endo(SIG)
+    f = random_endo(SIG, 3, parity="odd")
+    g = random_endo(SIG, 4, parity="even")
+    d = derivation_endo(SIG)
+    by_hand = EndoOp(SIG, {2: {9: 4, 5: 0, 3: -1}, 7: {1: 0}})
+    assert by_hand.images[2] == ((3, -1), (9, 4))
+    assert by_hand.images[7] == ()
+    ops = [by_hand, EndoOp(SIG, {}, parity=0), ident, f, g, d,
+           odd_partial_endo(SIG), multiplication_endo(SIG, x),
+           multiplication_endo(SIG, th), f.compose(g), g.compose(d)]
+    cancelling = supercommutator(ident, f)  # every row cancels
+    assert cancelling.is_zero()
+    assert all(image == () for image in cancelling.images)
+    # x2 * and d/dx1 commute except where x2 * m dies by degree
+    x2 = multiplication_endo(SIG, SIG.monomial_element(SIG.even_generator(1)))
+    partly = supercommutator(x2, d)
+    both = x2.compose(d)
+    assert not partly.is_zero()
+    assert any(row and not image for row, image in zip(both.images, partly.images))
+    for op in ops + [cancelling, partly, supercommutator(f, g),
+                     supercommutator(f, f)]:
+        _assert_stored_images(op)
 
 
 def test_supercommutator_identity_central():
