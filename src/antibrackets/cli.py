@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, max_n_default=5):
+    def add_common(p, max_n_default):
         p.add_argument("--max-n", type=int, default=max_n_default, metavar="N",
                        help="largest index/degree computed")
         p.add_argument("--format", choices=["plain", "csv", "json"],
@@ -63,7 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the exact identity suites")
     v.add_argument("suite",
                    choices=[*SUITES, "all"])
-    add_common(v)
+    v.add_argument("--max-n", type=int, default=5, metavar="N",
+                   help="largest index/degree computed")
+    v.add_argument("--format", choices=["plain", "json"],
+                   default="plain", help="output format")
     v.add_argument("--even", type=int, default=2, metavar="P",
                    help="number of even generators")
     v.add_argument("--odd", type=int, default=2, metavar="Q",
@@ -85,9 +89,9 @@ def _emit_rows(rows, header, fmt):
     if fmt == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows]))
     elif fmt == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(r))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
         widths = [
             max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)

@@ -10,13 +10,12 @@ in :mod:`antibrackets.series`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .rational import rat
 
 __all__ = [
     "stirling2",
-    "stirling2_closed_form",
     "koszul_numbers_recursive",
     "koszul_numbers_chain",
     "mu_bracket_factor",
@@ -31,19 +30,6 @@ def stirling2(n: int, i: int) -> int:
     if i == 1 or i == n:
         return 1
     return stirling2(n - 1, i - 1) + i * stirling2(n - 1, i)
-
-
-def stirling2_closed_form(n: int, i: int) -> int:
-    """{n i} via the alternating sum (1/i!) sum_j (-1)^(i-j) C(i,j) j^n.
-
-    Retained as an independent cross-check of :func:`stirling2`.
-    """
-    if i < 1 or i > n:
-        raise ValueError(f"stirling2 requires 1 <= i <= n, got ({n}, {i})")
-    total = sum((-1) ** (i - j) * comb(i, j) * j**n for j in range(i + 1))
-    quotient, remainder = divmod(total, factorial(i))
-    assert remainder == 0
-    return quotient
 
 
 def mu_bracket_factor(n: int, m: int):

@@ -174,9 +174,8 @@ def _shuffle_plan(k: int, m: int, pattern: tuple) -> list:
     rows = []
     for perm in shuffles(k, m):
         block, rest = perm[:k], perm[k:]
-        inversions = sum(pattern[p] & pattern[q] for p in block for q in rest if q < p)
         passes = tuple(sum(pattern[q] for q in rest[:a]) % 2 for a in range(m + 1))
-        rows.append((_picker(block), _picker(rest), (-1) ** inversions, passes))
+        rows.append((_picker(block), _picker(rest), koszul_sign(perm, pattern), passes))
     return rows
 
 

@@ -1,25 +1,29 @@
 """Operators on polynomials and the universal standard-form coefficients.
 
-The ambient space is the algebra of linear operators on rational polynomials
-that kill constants.  The rank-one operators Phi(n, i) sending x^i to
-x^(n-i)/(n-i)! span the spaces V^n, the Witt-type generators act on them by
-an explicit two-term rule, and expressing the alternating sum
-Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields the
-universal coefficients c_i^n together with the auxiliary coefficient b_n,
-which must vanish.  One pass builds the induction-basis systems of every
-degree, each from the one before.  The coordinates, the linear solve and the
-conjectured closed formula all run on Python ints and divide once per output
-coefficient; the solve keeps its rows primitive (gcd of the entries 1).  A
-matrix realization on truncated polynomials is kept as an independent oracle
-for the abstract computation, and the module also hosts the coderivation
-and duality checks on polynomials.
+A polynomial is ``{power: nonzero coeff}``, and an operator on polynomials
+is a monomial rule s -> image of x^s, applied by :func:`_apply`; a
+:class:`QxOperator` stores the images of x^0..x^bound of one that kills
+constants.  Three rules give the coderivation, duality and Witt checks:
+``_d(n)`` = d_n = x d^(n+1)/dx^(n+1) / (n+1)! sends x^s to
+C(s, n+1) x^(s-n), ``_phi(n)`` = phi(L_n) = x d^(n+1)/dx^(n+1) sends it to
+s!/(s-n-1)! x^(s-n), and ``_psi(n)`` = psi(L_n) to (n+1-s) x^(s+n).
+:func:`rho_action` is rho_k(psi) = (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
+The rank-one operators Phi(n, i) sending x^i to x^(n-i)/(n-i)! span V^n,
+on which rho_k acts by an explicit two-term rule; expressing
+Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
+the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
+One pass builds the induction-basis systems of every degree, each from the
+one before.  The coordinates, the linear solve and the conjectured closed
+formula run on Python ints and divide once per output coefficient; the
+solve keeps its rows primitive (gcd of the entries 1).  :func:`rho_action`
+on truncated polynomials is the independent oracle for that computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 
 from .brackets import phi_direct_op
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
@@ -68,78 +72,86 @@ class SingularMatrixError(Exception):
     """The linear system for the induction-basis coordinates degenerated."""
 
 
-def _poly_trim(coeffs):
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+def _monomial(power: int, coeff) -> dict:
+    """coeff x^power as a polynomial: {} when coeff is 0."""
+    return {power: coeff} if coeff else {}
+
+
+def _lincomb(terms) -> dict:
+    """sum c * poly over the (c, poly) pairs, as {power: nonzero coeff}."""
+    out = {}
+    for c, poly in terms:
+        for p, v in poly.items():
+            out[p] = out.get(p, 0) + c * v
+    return {p: v for p, v in out.items() if v}
+
+
+def _apply(rule, poly: dict) -> dict:
+    """Image of poly under the operator with monomial rule s -> image of x^s."""
+    return _lincomb((c, rule(s)) for s, c in poly.items())
+
+
+def _d(n: int):
+    """d_n = x d^(n+1)/dx^(n+1) / (n+1)!: x^s -> C(s, n+1) x^(s-n)."""
+    return lambda s: _monomial(s - n, comb(s, n + 1))
+
+
+def _phi(n: int):
+    """phi(L_n) = x d^(n+1)/dx^(n+1): x^s -> s!/(s-n-1)! x^(s-n)."""
+    return lambda s: _monomial(s - n, perm(s, n + 1))
+
+
+def _psi(n: int):
+    """psi(L_n): x^s -> (n+1-s) x^(s+n)."""
+    return lambda s: _monomial(s + n, n + 1 - s)
 
 
 class QxOperator:
     """Linear operator on polynomials of degree <= bound, killing constants.
 
-    Stored column-wise: ``columns[s]`` is the coefficient list of the image
-    of x^s.  Membership in the constants-killing algebra means columns[0] = 0.
+    ``columns[s]`` is the image of x^s.  The constructor takes
+    ``{s: polynomial}``, a missing s mapping to zero, so ``QxOperator(bound)``
+    is the zero operator.  Killing constants means columns[0] = {}.
     """
 
     __slots__ = ("bound", "columns")
 
     def __init__(self, bound: int, columns=None):
         self.bound = bound
-        cols = [[] for _ in range(bound + 1)]
-        if columns:
-            for s, poly in columns.items() if isinstance(columns, dict) else enumerate(columns):
-                if s > bound:
-                    raise DegreeOverflowError(f"input power {s} exceeds bound {bound}")
-                poly = _poly_trim(list(poly))
-                if len(poly) > bound + 1:
-                    raise DegreeOverflowError(
-                        f"image of x^{s} has degree {len(poly) - 1} > {bound}"
-                    )
-                cols[s] = poly
-        if cols[0]:
+        self.columns = [{} for _ in range(bound + 1)]
+        for s, poly in (columns or {}).items():
+            poly = {p: c for p, c in poly.items() if c}
+            if min([s, *poly]) < 0:
+                raise ValueError(f"negative power in x^{s} -> {poly}")
+            if max([s, *poly]) > bound:
+                raise DegreeOverflowError(f"x^{s} -> {poly} exceeds bound {bound}")
+            self.columns[s] = poly
+        if self.columns[0]:
             raise ValueError("operator must vanish on constants")
-        self.columns = cols
 
-    @classmethod
-    def zero(cls, bound: int) -> "QxOperator":
-        return cls(bound)
-
-    def image(self, s: int):
-        """Image of x^s, padded to full length."""
-        col = self.columns[s]
-        return col + [rat(0)] * (self.bound + 1 - len(col))
-
-    def apply(self, poly):
-        out = [rat(0)] * (self.bound + 1)
-        for s, c in enumerate(poly):
-            if not c:
-                continue
-            for j, v in enumerate(self.columns[s]):
-                if v:
-                    out[j] += c * v
-        return out
+    def apply(self, poly: dict) -> dict:
+        return _apply(self.columns.__getitem__, poly)
 
     def __add__(self, other: "QxOperator") -> "QxOperator":
         self._check(other)
-        cols = []
-        for s in range(self.bound + 1):
-            a, b = self.image(s), other.image(s)
-            cols.append([x + y for x, y in zip(a, b)])
-        return QxOperator(self.bound, cols)
+        return QxOperator(self.bound, {
+            s: _lincomb(((1, a), (1, b)))
+            for s, (a, b) in enumerate(zip(self.columns, other.columns))
+        })
 
     def __sub__(self, other: "QxOperator") -> "QxOperator":
         return self + other.scale(-1)
 
     def scale(self, c) -> "QxOperator":
-        return QxOperator(
-            self.bound, [[c * v for v in col] for col in self.columns]
-        )
+        return QxOperator(self.bound, {
+            s: {p: c * v for p, v in col.items()} for s, col in enumerate(self.columns)
+        })
 
     def compose(self, other: "QxOperator") -> "QxOperator":
         """self after other."""
         self._check(other)
         return QxOperator(
-            self.bound, [self.apply(other.image(s)) for s in range(self.bound + 1)]
+            self.bound, {s: self.apply(col) for s, col in enumerate(other.columns)}
         )
 
     def _check(self, other):
@@ -149,13 +161,10 @@ class QxOperator:
     def __eq__(self, other):
         if not isinstance(other, QxOperator):
             return NotImplemented
-        return self.bound == other.bound and all(
-            _poly_trim(self.image(s)) == _poly_trim(other.image(s))
-            for s in range(self.bound + 1)
-        )
+        return self.bound == other.bound and self.columns == other.columns
 
     def is_zero(self) -> bool:
-        return all(not col for col in self.columns)
+        return not any(self.columns)
 
     def __repr__(self):
         return f"QxOperator(bound={self.bound})"
@@ -165,64 +174,36 @@ def phi_ni(n: int, i: int, bound: int) -> QxOperator:
     """The rank-one operator x^i -> x^(n-i)/(n-i)!, zero elsewhere."""
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    if i > bound or n - i > bound:
-        raise DegreeOverflowError("bound too small for this operator")
-    poly = [rat(0)] * (n - i) + [rat(1, factorial(n - i))]
-    return QxOperator(bound, {i: poly})
+    return QxOperator(bound, {i: {n - i: rat(1, factorial(n - i))}})
 
 
 def phi_n_signed_sum(n: int, bound: int) -> QxOperator:
     """Phi^n = sum_i (-1)^(n-i) Phi(n, i)."""
-    out = QxOperator.zero(bound)
+    out = QxOperator(bound)
     for i in range(1, n + 1):
         out = out + phi_ni(n, i, bound).scale((-1) ** (n - i))
     return out
 
 
-def _mul_by_x_power(poly, k: int, bound: int):
-    poly = _poly_trim(list(poly))
-    if poly and len(poly) - 1 + k > bound:
-        raise DegreeOverflowError(
-            f"degree {len(poly) - 1 + k} exceeds bound {bound}"
-        )
-    return [rat(0)] * k + poly
-
-
-def _derivative(poly):
-    return [j * poly[j] for j in range(1, len(poly))]
-
-
-def _x_dk(poly, k: int, bound: int):
-    """x * d^k/dx^k applied to a polynomial (degree drops by k - 1)."""
-    out = list(poly)
-    for _ in range(k):
-        out = _derivative(out)
-    return _mul_by_x_power(out, 1, bound)
-
-
 def rho_action(k: int, psi: QxOperator) -> QxOperator:
-    """(x^k/k! - x^(k+1) d/dx /(k+1)!) psi  -  psi (x d^(k+1)/dx^(k+1) /(k+1)!)."""
+    """(x^k/k! - x^(k+1) d/dx /(k+1)!) psi - psi d_k, which is
+    (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
+
+    Raises DegreeOverflowError when a column's top power p has p + k above
+    the bound, also where the factor k+1-p of psi(L_k) kills that term.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     bound = psi.bound
-    cols = {}
-    for s in range(bound + 1):
-        img = psi.columns[s]
-        left = [rat(0)] * (bound + 1)
-        if img:
-            a = _mul_by_x_power(img, k, bound)
-            b = _mul_by_x_power(_derivative(img), k + 1, bound)
-            for j, v in enumerate(a):
-                left[j] += rat(v, factorial(k))
-            for j, v in enumerate(b):
-                left[j] -= rat(v, factorial(k + 1))
-        mono = [rat(0)] * s + [rat(1)]
-        shifted = _x_dk(mono, k + 1, bound)
-        right = psi.apply(shifted)
-        cols[s] = [
-            left[j] - rat(right[j], factorial(k + 1)) for j in range(bound + 1)
-        ]
-    return QxOperator(bound, cols)
+    for col in psi.columns:
+        if col and max(col) + k > bound:
+            raise DegreeOverflowError(f"degree {max(col) + k} exceeds bound {bound}")
+    left, right = _psi(k), _phi(k)
+    scale = rat(1, factorial(k + 1))
+    return QxOperator(bound, {
+        s: _lincomb(((scale, _apply(left, col)), (-scale, psi.apply(right(s)))))
+        for s, col in enumerate(psi.columns)
+    })
 
 
 @dataclass(frozen=True)
@@ -242,18 +223,15 @@ class AbstractPhiCombination:
                 raise ValueError("index outside 1..n")
         return cls(degree, items)
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def to_operator(self, bound: int) -> QxOperator:
-        out = QxOperator.zero(bound)
+        out = QxOperator(bound)
         for i, c in self.coeffs:
             out = out + phi_ni(self.degree, i, bound).scale(c)
         return out
 
     def vector(self) -> list:
         """Coordinates against Phi(n, 1)..Phi(n, n)."""
-        d = self.as_dict()
+        d = dict(self.coeffs)
         return [d.get(i, 0) for i in range(1, self.degree + 1)]
 
 
@@ -460,79 +438,50 @@ def bn_zero_witness(n: int) -> dict:
     }
 
 
-def _dn_monomial(n: int, m: int):
-    """d_n(x^m) = C(m, n+1) x^(m-n) symbolically: (coefficient, power)."""
-    c = comb(m, n + 1) if m >= n + 1 else 0
-    return (c, m - n) if c else (0, None)
-
-
 def coderivation_dn(n: int, bound: int) -> QxOperator:
     """Matrix of d_n = x d^(n+1)/dx^(n+1) /(n+1)! on degrees <= bound."""
     if n < -1:
         raise ValueError("n must be >= -1")
-    cols = {}
-    for m in range(bound + 1):
-        c, p = _dn_monomial(n, m)
-        if c:
-            if p > bound:
-                raise DegreeOverflowError(f"d_{n}(x^{m}) leaves the bound")
-            cols[m] = [rat(0)] * p + [rat(c)]
-    return QxOperator(bound, cols)
+    d = _d(n)
+    return QxOperator(bound, {s: d(s) for s in range(bound + 1)})
 
 
 def coderivation_check(n: int, m: int) -> bool:
     """Bracket relation and coproduct compatibility of d_n, d_m, symbolically,
     on x^s for s <= 8."""
-
-    def apply_dn(k, terms):
-        out = {}
-        for p, c in terms.items():
-            cc, q = _dn_monomial(k, p)
-            if cc:
-                out[q] = out.get(q, 0) + c * cc
-        return {p: c for p, c in out.items() if c}
-
-    if not _commutator_relation(apply_dn, n, m, mu_bracket_factor(n, m), 8):
+    if not _commutator_relation(_d, n, m, mu_bracket_factor(n, m), 8):
         return False
-    # coproduct compatibility of d_n alone on x^s, s <= 8
-    for s in range(9):
-        coproduct = {
-            (k, s - k): rat(comb(s, k)) for k in range(s + 1)
-        }
-        c, p = _dn_monomial(n, s)
-        lhs_tensor = {}
-        if c:
-            for k in range(p + 1):
-                lhs_tensor[(k, p - k)] = rat(c * comb(p, k))
-        rhs_tensor = {}
-        for (a, b), v in coproduct.items():
-            ca, pa = _dn_monomial(n, a)
-            if ca:
-                key = (pa, b)
-                rhs_tensor[key] = rhs_tensor.get(key, rat(0)) + v * ca
-            cb, pb = _dn_monomial(n, b)
-            if cb:
-                key = (a, pb)
-                rhs_tensor[key] = rhs_tensor.get(key, rat(0)) + v * cb
-        rhs_tensor = {k: v for k, v in rhs_tensor.items() if v}
-        if lhs_tensor != rhs_tensor:
-            return False
-    return True
+    # d_n is a coderivation of Delta x^s = sum_k C(s, k) x^k (x) x^(s-k):
+    # Delta d_n = (d_n (x) 1 + 1 (x) d_n) Delta, on tensors {(a, b): coeff}
+    d = _d(n)
+
+    def coproduct(s):
+        return {(k, s - k): comb(s, k) for k in range(s + 1)}
+
+    def d_tensor(pair):
+        a, b = pair
+        return _lincomb((
+            (1, {(p, b): c for p, c in d(a).items()}),
+            (1, {(a, p): c for p, c in d(b).items()}),
+        ))
+
+    return all(
+        _apply(coproduct, d(s)) == _apply(d_tensor, coproduct(s)) for s in range(9)
+    )
 
 
-def _commutator_relation(act, n, m, factor, max_power):
+def _commutator_relation(rule, n, m, factor, max_power):
     """[A_n, A_m] x^s == factor A_(n+m) x^s for every s <= max_power, where
-    act(k, terms) applies A_k to a polynomial {power: coefficient}."""
-    for s in range(max_power + 1):
-        start = {s: 1}
-        diff = dict(act(n, act(m, start)))
-        for p, c in act(m, act(n, start)).items():
-            diff[p] = diff.get(p, 0) - c
-        for p, c in act(n + m, start).items():
-            diff[p] = diff.get(p, 0) - factor * c
-        if any(diff.values()):
-            return False
-    return True
+    rule(k) is the monomial rule of A_k."""
+    a_n, a_m, a_nm = rule(n), rule(m), rule(n + m)
+    return not any(
+        _lincomb((
+            (1, _apply(a_n, a_m(s))),
+            (-1, _apply(a_m, a_n(s))),
+            (-factor, a_nm(s)),
+        ))
+        for s in range(max_power + 1)
+    )
 
 
 def duality_check(h: int, N: int) -> bool:
@@ -545,62 +494,26 @@ def duality_check(h: int, N: int) -> bool:
         raise ValueError("need 1 <= h <= N")
     koszul = koszul_numbers_recursive(max(N - 1, 1))
 
-    def generator_sum(poly):
-        out = [rat(0)] * (N + 1)
-        for s, c in enumerate(poly):
-            if not c:
-                continue
-            for n in range(1, s):
-                cc, p = _dn_monomial(n, s)
-                if cc:
-                    out[p] += koszul[n] * cc * c
-        return out
+    def generator_sum(s):
+        return _lincomb((koszul[n], _d(n)(s)) for n in range(1, s))
 
-    poly = [rat(0)] * (N + 1)
-    poly[h] = rat(1)
-    result = list(poly)
-    term = poly
+    result = term = {h: rat(1)}
     k = 1
-    while True:
-        term = generator_sum(term)
-        if all(not c for c in term):
-            break
-        for j in range(N + 1):
-            result[j] += rat(term[j], factorial(k))
+    while term := _apply(generator_sum, term):
+        result = _lincomb(((1, result), (rat(1, factorial(k)), term)))
         k += 1
-    return result[1] == 1
+    return result.get(1, 0) == 1
 
 
 def witt_phi_check(n: int, m: int) -> bool:
     """[phi(L_n), phi(L_m)] = (n-m) phi(L_(n+m)) with phi(L_n) = x d^(n+1),
     on x^s for s <= 10."""
-
-    def act(k, terms):
-        # x d^(k+1) on monomials, symbolically
-        out = {}
-        for p, c in terms.items():
-            if p >= k + 1:
-                coeff = 1
-                for i in range(k + 1):
-                    coeff *= p - i
-                out[p - k] = out.get(p - k, 0) + c * coeff
-        return {p: c for p, c in out.items() if c}
-
-    return _commutator_relation(act, n, m, n - m, 10)
+    return _commutator_relation(_phi, n, m, n - m, 10)
 
 
 def witt_psi_check(n: int, m: int) -> bool:
     """Same relation for psi(L_n) x^s = (n + 1 - s) x^(n+s)."""
-
-    def act(k, terms):
-        out = {}
-        for p, c in terms.items():
-            v = (k + 1 - p) * c
-            if v:
-                out[p + k] = out.get(p + k, 0) + v
-        return out
-
-    return _commutator_relation(act, n, m, n - m, 10)
+    return _commutator_relation(_psi, n, m, n - m, 10)
 
 
 def rho_bracket_check(n: int, m: int, psi: QxOperator) -> bool:

@@ -329,7 +329,12 @@ def _exponent_tuples(slots, degree):
 
 class AlgebraElement:
     """Finite rational-linear combination of basis monomials, as
-    ``terms = {basis index: nonzero coeff}``."""
+    ``terms = {basis index: nonzero coeff}``.
+
+    The constructor runs on every product and every value read, so it does
+    not check its keys: they must be basis indices.  :meth:`Signature.element`
+    is the checked entry point for ``{monomial: coeff}``.
+    """
 
     __slots__ = ("signature", "terms")
 
@@ -442,16 +447,23 @@ class EndoOp:
     ``images[i]`` is the image of basis[i] as a tuple of (index, coeff)
     pairs, sorted by index, so in degree order, with no zero coefficient.
     The constructor takes ``{basis index: {index: coeff}}``; a missing
-    basis index maps to zero.
+    basis index maps to zero, and a key outside ``range(len(basis))``
+    raises ValueError.
     """
 
     __slots__ = ("signature", "images", "parity")
 
     def __init__(self, signature: Signature, images, parity=None):
         self.signature = signature
-        self.images = [()] * len(signature.basis())
+        size = len(signature.basis())
+        self.images = [()] * size
         for i, image in images.items():
-            self.images[i] = tuple(sorted((k, c) for k, c in image.items() if c))
+            row = tuple(sorted((k, c) for k, c in image.items() if c))
+            ends = (row[0][0], row[-1][0]) if row else ()
+            for key in (i, *ends):
+                if type(key) is not int or not 0 <= key < size:
+                    raise ValueError(f"{key!r} is not a basis index in range({size})")
+            self.images[i] = row
         self.parity = parity
         if parity is not None:
             parities = signature.basis_parities()

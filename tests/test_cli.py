@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -53,6 +55,24 @@ def test_koszul_numbers_csv(capsys):
                            "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["n,K_n,n!*K_n", "1,1,1", "2,-1/2,-1"]
+
+
+@pytest.mark.parametrize("command, column, expected_of", [
+    ("coefficients", "x_i^n", lambda report: report["x_i^n"]),
+    ("conjecture", "c_i^n", lambda report: ", ".join(report["solved"])),
+], ids=["coefficients", "conjecture"])
+def test_coefficient_reports_write_well_formed_csv(capsys, command, column,
+                                                  expected_of):
+    # the list field holds ", ", so csv quotes it
+    code, out, _ = run_cli(capsys, command, "--max-n", "5", "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    _, out, _ = run_cli(capsys, command, "--max-n", "5", "--format", "json")
+    reports = json.loads(out)
+    assert len(rows) == len(reports) == 4
+    for row, report in zip(rows, reports):
+        assert len(row) == len(header)
+        assert dict(zip(header, row))[column] == expected_of(report)
 
 
 def test_koszul_numbers_usage_error(capsys):
@@ -191,6 +211,13 @@ def test_verify_reports_each_failure_shape(capsys, monkeypatch):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_verify_refuses_csv(capsys):
+    code, out, err = run_cli(capsys, "verify", "series", "--format", "csv")
+    assert code == 2
+    assert not out
+    assert "invalid choice: 'csv'" in err
 
 
 def test_bad_flag_returns_usage_error(capsys):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,6 @@ from antibrackets.combinatorics import (
     koszul_numbers_chain,
     koszul_numbers_recursive,
     stirling2,
-    stirling2_closed_form,
 )
 from antibrackets.rational import rat
 
@@ -28,6 +27,14 @@ KNOWN_K = {
     11: rat(-12406, 15),
     12: rat(2636317, 60),
 }
+
+
+def stirling2_closed_form(n: int, i: int) -> int:
+    """Reference: {n i} = (1/i!) sum_j (-1)^(i-j) C(i,j) j^n."""
+    total = sum((-1) ** (i - j) * comb(i, j) * j**n for j in range(i + 1))
+    quotient, remainder = divmod(total, factorial(i))
+    assert remainder == 0
+    return quotient
 
 
 @given(st.integers(min_value=1, max_value=25), st.integers(min_value=1, max_value=25))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antibrackets import qxrep
+from antibrackets.combinatorics import mu_bracket_factor
 from antibrackets.qxrep import (
     AbstractPhiCombination,
     DegreeOverflowError,
@@ -37,9 +38,9 @@ from antibrackets.rational import rat
 
 def test_phi_ni_images():
     op = phi_ni(3, 2, 6)
-    assert op.image(2) == [rat(0), rat(1), rat(0), rat(0), rat(0), rat(0), rat(0)]
-    assert all(not c for c in op.image(1))
-    assert all(not c for c in op.image(3))
+    assert op.columns[2] == {1: rat(1)}
+    assert op.columns[1] == {}
+    assert op.columns[3] == {}
 
 
 def test_phi_ni_bounds():
@@ -51,15 +52,20 @@ def test_phi_ni_bounds():
 
 def test_operator_algebra_kills_constants():
     with pytest.raises(ValueError):
-        QxOperator(3, {0: [rat(1)]})
+        QxOperator(3, {0: {0: rat(1)}})
+
+
+@pytest.mark.parametrize("columns", [{-1: {1: rat(1)}}, {1: {-2: rat(1)}}])
+def test_operator_rejects_negative_powers(columns):
+    with pytest.raises(ValueError, match="negative power"):
+        QxOperator(3, columns)
 
 
 def test_apply_and_compose():
     d1 = coderivation_dn(1, 6)  # x d^2/2: x^m -> C(m,2) x^(m-1)
-    poly = [rat(0), rat(0), rat(0), rat(1)]  # x^3
-    assert d1.apply(poly)[:4] == [rat(0), rat(0), rat(3), rat(0)]
+    assert d1.apply({3: rat(1)}) == {2: rat(3)}  # x^3
     composed = d1.compose(d1)
-    assert composed.apply([rat(0)] * 5 + [rat(1)])[3] == rat(10 * 6)
+    assert composed.apply({5: rat(1)}) == {3: rat(10 * 6)}
 
 
 def test_rho_action_matches_closed_form_low_range():
@@ -70,6 +76,30 @@ def test_rho_action_matches_closed_form_low_range():
                 lhs = rho_action(k, phi_ni(n, i, bound))
                 rhs = rho_on_phi_ni(k, n, i).to_operator(bound)
                 assert lhs == rhs, (k, n, i)
+
+
+@pytest.mark.parametrize("k, p, bound", [
+    (2, 3, 4),  # p = k+1: psi(L_k) kills x^p, the overflow still raises
+    (3, 2, 4),
+    (1, 4, 4),
+])
+def test_rho_action_raises_when_a_column_leaves_the_bound(k, p, bound):
+    psi = QxOperator(bound, {1: {p: rat(1)}})
+    with pytest.raises(DegreeOverflowError):
+        rho_action(k, psi)
+    # one degree more room and the same column stays inside
+    rho_action(k, QxOperator(bound + 1, {1: {p: rat(1)}}))
+
+
+@pytest.mark.parametrize("rule, factor", [
+    (qxrep._d, mu_bracket_factor),
+    (qxrep._phi, lambda n, m: n - m),
+    (qxrep._psi, lambda n, m: n - m),
+], ids=["d", "phi", "psi"])
+def test_commutator_relation_fails_for_a_wrong_factor(rule, factor):
+    for n, m in ((1, 0), (2, 1), (3, 1)):
+        assert qxrep._commutator_relation(rule, n, m, factor(n, m), 8)
+        assert not qxrep._commutator_relation(rule, n, m, factor(n, m) + 1, 8)
 
 
 def test_rho_abstract_matches_matrix_on_combinations():
@@ -284,7 +314,7 @@ def test_signed_sum_solves_standard_form():
         bound = n + 4
         coeffs = solve_coefficients(n)
         phi11 = AbstractPhiCombination.from_dict(1, {1: rat(1)})
-        total = QxOperator.zero(bound)
+        total = QxOperator(bound)
         for i in range(1, n + 1):
             vec = rho_abstract(i, phi11)
             for _ in range(n - i):
@@ -319,8 +349,8 @@ def test_coderivation_relations():
 def test_coderivation_matrix_entries():
     d2 = coderivation_dn(2, 6)
     # x d^3/3!: x^m -> C(m,3) x^(m-2)
-    assert d2.image(5)[3] == rat(10)
-    assert all(not c for c in d2.image(2))
+    assert d2.columns[5] == {3: rat(10)}
+    assert d2.columns[2] == {}
 
 
 def test_witt_relations():

@@ -313,6 +313,25 @@ def test_endo_parity_validation():
         EndoOp(SIG, {SIG.index_of(x): {SIG.index_of(th): 1}}, parity=0)
 
 
+SMALL = Signature(even=1, odd=1, degree_bound=2)  # 5 basis monomials
+
+
+@pytest.mark.parametrize("images, parity, key", [
+    ({-1: {0: 1}}, None, "-1"),
+    ({5: {0: 1}}, None, "5"),
+    ({0: {5: 1}}, None, "5"),
+    ({0: {5: 1}}, 0, "5"),
+    ({0: {5: 1, 1: 1}}, None, "5"),  # last after sorting
+    ({0: {-1: 1}}, None, "-1"),
+    ({((1,), ()): {0: 1}}, None, "((1,), ())"),  # a monomial row key
+    ({0: {((1,), ()): 1}}, None, "((1,), ())"),
+])
+def test_endo_rejects_keys_outside_the_basis(images, parity, key):
+    assert len(SMALL.basis()) == 5
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} is not a basis index"):
+        EndoOp(SMALL, images, parity=parity)
+
+
 def test_derivation_satisfies_leibniz():
     d = derivation_endo(SIG)
     for a, b in itertools.product(monomials(SIG, 2), repeat=2):
