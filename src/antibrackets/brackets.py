@@ -54,9 +54,9 @@ __all__ = [
 def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures).
 
-    A value is computed on basis indices: block and complement products are
-    looked up in the signature's product rows and f is read off its stored
-    images, which are sorted by index.
+    A value is computed on basis indices: f is read off its stored image of
+    each block's product, and that image is multiplied by the product of
+    the complement.
     """
     sig = f.signature
     if not sig.commutative:
@@ -73,35 +73,18 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
         for k in range(1, n + 1):
             outer_sign = (-1) ** (n - k)
             for block in itertools.combinations(positions, k):
-                p = sig.mul_indices([tup[i] for i in block])
-                if not p:
-                    continue
-                image = images[abs(p) - 1]
-                if not image:
+                s, j = sig.mul_indices([tup[i] for i in block])
+                if not s or not images[j]:
                     continue
                 rest = tuple(i for i in positions if i not in block)
-                total = outer_sign * koszul_sign(block + rest, parities)
-                if p < 0:
-                    total = -total
+                total = s * outer_sign * koszul_sign(block + rest, parities)
                 if not rest:
-                    for t, c in image:
+                    for t, c in images[j]:
                         acc[t] = acc.get(t, 0) + total * c
                     continue
-                r = sig.mul_indices([tup[i] for i in rest])
-                if not r:
-                    continue
-                if r < 0:
-                    total = -total
-                row = sig.mul_row(abs(r) - 1)
-                limit = len(row)
-                for t, c in image:
-                    if t >= limit:
-                        break  # the image is in degree order; the rest dies
-                    e = row[t]
-                    if e > 0:
-                        acc[e - 1] = acc.get(e - 1, 0) + total * c
-                    elif e:
-                        acc[-e - 1] = acc.get(-e - 1, 0) - total * c
+                r, tail = sig.mul_indices([tup[i] for i in rest])
+                if r:
+                    sig.mul_into(acc, images[j], tail, r * total)
         return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
@@ -121,22 +104,16 @@ def _recursion_ops(f: EndoOp, N: int) -> dict:
         def eval_basis(tup, prev=prev):
             front, b, c = tup[:-2], tup[-2], tup[-1]
             acc = {}
-            p = sig.mul_indices((b, c))
+            p, bc = sig.mul_indices((b, c))
             if p:
-                s, canon = sig.canonical_indices(front + (abs(p) - 1,))
-                s = s if p > 0 else -s
+                s, canon = sig.canonical_indices(front + (bc,))
                 if s:
                     for k, v in prev._canonical_value(canon).items():
-                        acc[k] = s * v
+                        acc[k] = p * s * v
             swap = (-1) ** (parities[b] * parities[c])
             # front + (b,) and front + (c,) are canonical, as tup is
-            for arg, right, factor in ((b, c, -1), (c, b, -swap)):
-                for k, v in prev._canonical_value(front + (arg,)).items():
-                    e = sig.mul_indices((k, right))
-                    if e:
-                        if e < 0:
-                            e, v = -e, -v
-                        acc[e - 1] = acc.get(e - 1, 0) + factor * v
+            sig.mul_into(acc, prev._canonical_value(front + (b,)).items(), c, -1)
+            sig.mul_into(acc, prev._canonical_value(front + (c,)).items(), b, -swap)
             return {k: v for k, v in acc.items() if v}
 
         ops[r] = MultiOp(sig, r - 1, f.parity, eval_basis)

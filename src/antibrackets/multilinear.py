@@ -16,10 +16,9 @@ Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
 never tabulated in advance; its shuffles and signs are built once per shape
-(:func:`_shuffle_plan`), and :func:`rho` is one node with one memo: it
-reads mu_n's side off product rows.  A linear combination is one node, built
-by :func:`op_combination`; its terms are not flattened, as their memos are
-shared.
+(:func:`_shuffle_plan`), and :func:`rho` is one node with one memo.  A
+linear combination is one node, built by :func:`op_combination`; its terms
+are not flattened, as their memos are shared.
 """
 
 from __future__ import annotations
@@ -100,6 +99,8 @@ class MultiOp:
                 f"expected {self.arity} arguments, got {len(args)}"
             )
         sig = self.signature
+        if any(isinstance(a, AlgebraElement) and a.signature != sig for a in args):
+            raise ValueError("signature mismatch")
         slots = [
             list(a.terms.items()) if isinstance(a, AlgebraElement)
             else [(sig.index_of(a), 1)]
@@ -240,10 +241,8 @@ def mu(signature: Signature, n: int) -> MultiOp:
         raise ValueError("degree must be >= 0")
 
     def eval_basis(tup):
-        p = signature.mul_indices(tup)
-        if not p:
-            return {}
-        return {abs(p) - 1: 1 if p > 0 else -1}
+        sign, k = signature.mul_indices(tup)
+        return {k: sign} if sign else {}
 
     return MultiOp(signature, n, 0, eval_basis)
 
@@ -260,11 +259,9 @@ def mu_sym(signature: Signature, n: int) -> MultiOp:
         tup_parities = [parities[i] for i in tup]
         out = {}
         for perm in indices:
-            p = signature.mul_indices([tup[i] for i in perm])
-            if p:
-                sign = koszul_sign(perm, tup_parities)
-                k = abs(p) - 1
-                out[k] = out.get(k, 0) + (sign if p > 0 else -sign)
+            sign, k = signature.mul_indices([tup[i] for i in perm])
+            if sign:
+                out[k] = out.get(k, 0) + sign * koszul_sign(perm, tup_parities)
         return {k: inv * v for k, v in out.items() if v}
 
     return MultiOp(signature, n, 0, eval_basis)
@@ -281,9 +278,9 @@ def rho(n: int, omega: MultiOp) -> MultiOp:
     For n >= 1 on a commutative signature this is one node with one memo: a
     value starts from the negated omega ⊼ mu_n, run by :func:`_insertion`'s
     rule on mu_n's rule (no product node, no mu_n memo), and adds the half
-    mu_n ⊼ omega, read off the product rows: mu_n of a basis index k and a
-    complement with product P is x_k P, entry k of P's row (0 when an odd
-    index repeats or the degree bound is passed).
+    mu_n ⊼ omega: on each shuffle, omega's value on the block times the
+    product of the complement, which is zero when an odd index repeats or
+    the degree bound is passed.
     """
     sig = omega.signature
     mu_n = mu_for(sig, n)
@@ -296,18 +293,10 @@ def rho(n: int, omega: MultiOp) -> MultiOp:
         acc = {k: -v for k, v in omega_mu(tup).items()}
         pattern = tuple(map(parities.__getitem__, tup))
         for block, rest_of, sign, _ in _shuffle_plan(omega.arity, n, pattern):
-            p = sig.mul_indices(rest_of(tup))
-            if not p:
-                continue
-            row = sig.mul_row(abs(p) - 1)
-            if p < 0:
-                sign = -sign
-            for k, c in omega._canonical_value(block(tup)).items():
-                e = row[k] if k < len(row) else 0
-                if e > 0:
-                    acc[e - 1] = acc.get(e - 1, 0) + sign * c
-                elif e:
-                    acc[-e - 1] = acc.get(-e - 1, 0) - sign * c
+            s, j = sig.mul_indices(rest_of(tup))
+            if s:
+                value = omega._canonical_value(block(tup))
+                sig.mul_into(acc, value.items(), j, s * sign)
         return _nonzero(acc)
 
     return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)

@@ -19,15 +19,16 @@ them in (:meth:`Signature.element`, :meth:`Signature.monomial_element`,
 :meth:`Signature.index_of`) or reads them out (``repr``,
 :meth:`Signature.monomial_str`).
 
-Products run on basis indices.  :meth:`Signature.mul_row` gives right
-multiplication by the basis monomial j as a list over basis indices i: the
-entry is 0 when basis[i] * basis[j] dies (degree above the bound, or an odd
-letter repeated), and otherwise +(k + 1) or -(k + 1) for sign * basis[k].
-The basis is sorted by degree, so only a prefix of it can survive a product
-with basis[j]; a row covers just that prefix, and any index past its end
-dies by degree.  Rows are built on first use by the one monomial product
-rule, :meth:`Signature.mul_monomials`, and kept on the signature, which is
-the package's one product cache.  Operator arguments are put in canonical
+Products run on basis indices and leave :class:`Signature` in two forms:
+:meth:`Signature.mul_indices` gives an ordered product of basis monomials
+as (sign, index), or (0, None) when it dies (degree above the bound, or an
+odd letter repeated), and :meth:`Signature.mul_into` adds a combination
+times a basis monomial into an ``{index: coeff}`` dict.  Both read rows of
+right multiplication by one basis monomial, in an encoding internal to the
+class; a row covers the degree prefix of the basis that can survive the
+product.  Rows are built on first use by the one monomial product rule,
+:meth:`Signature.mul_monomials`, and kept on the signature, which is the
+package's one product cache.  Operator arguments are put in canonical
 order on indices too, by :meth:`Signature.canonical_indices`.
 """
 
@@ -248,23 +249,36 @@ class Signature:
                     return (0, None)
         return (sign, tuple(sorted(indices)))
 
-    def mul_indices(self, indices) -> int:
-        """Ordered product of basis monomials given by index, encoded as a row entry."""
+    def mul_indices(self, indices):
+        """Ordered product of basis monomials by index: (sign, index) or (0, None)."""
         acc = indices[0]
         sign = 1
         for j in indices[1:]:
             row = self.mul_row(j)
-            if acc >= len(row):
-                return 0
-            e = row[acc]
-            if e > 0:
-                acc = e - 1
-            elif e:
-                acc = -e - 1
-                sign = -sign
-            else:
-                return 0
-        return sign * (acc + 1)
+            e = row[acc] if acc < len(row) else 0
+            if not e:
+                return (0, None)
+            if e < 0:
+                e, sign = -e, -sign
+            acc = e - 1
+        return (sign, acc)
+
+    def mul_into(self, acc, pairs, j, coeff):
+        """Add coeff * (sum of v * basis[i] over the (i, v) pairs) * basis[j]
+        into the dict ``acc`` of {index: coeff}; the pairs need not be sorted.
+
+        Row j is read once; an i past its end is skipped, as that product
+        dies by degree.
+        """
+        row = self.mul_row(j)
+        limit = len(row)
+        for i, v in pairs:
+            if i < limit:
+                e = row[i]
+                if e > 0:
+                    acc[e - 1] = acc.get(e - 1, 0) + coeff * v
+                elif e:
+                    acc[-e - 1] = acc.get(-e - 1, 0) - coeff * v
 
     def mul_monomials(self, a, b):
         """Product of two monomials: (sign, monomial) or (0, None) if it dies.
@@ -372,15 +386,9 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             self._check(other)
             sig = self.signature
-            right = [(sig.mul_row(j), c) for j, c in other.terms.items()]
             out = {}
-            for i, c1 in self.terms.items():
-                for row, c2 in right:
-                    e = row[i] if i < len(row) else 0
-                    if e > 0:
-                        out[e - 1] = out.get(e - 1, 0) + c1 * c2
-                    elif e:
-                        out[-e - 1] = out.get(-e - 1, 0) - c1 * c2
+            for j, c in other.terms.items():
+                sig.mul_into(out, self.terms.items(), j, c)
             return AlgebraElement(sig, out)
         return self.scale(other)
 
@@ -390,14 +398,8 @@ class AlgebraElement:
     def mul_monomial(self, m) -> "AlgebraElement":
         """Right product with a single monomial, cheaper than building an element."""
         sig = self.signature
-        j = sig.index_of(m)
         out = {}
-        for i, c1 in self.terms.items():
-            e = sig.mul_indices((i, j))
-            if e > 0:
-                out[e - 1] = out.get(e - 1, 0) + c1
-            elif e:
-                out[-e - 1] = out.get(-e - 1, 0) - c1
+        sig.mul_into(out, self.terms.items(), sig.index_of(m), 1)
         return AlgebraElement(sig, out)
 
     def __eq__(self, other):
@@ -458,9 +460,13 @@ class EndoOp:
         size = len(signature.basis())
         self.images = [()] * size
         for i, image in images.items():
-            row = tuple(sorted((k, c) for k, c in image.items() if c))
-            ends = (row[0][0], row[-1][0]) if row else ()
-            for key in (i, *ends):
+            try:
+                row = tuple(sorted((k, c) for k, c in image.items() if c))
+            except TypeError:  # keys that do not compare, so not all ints
+                keys = (i, *image)
+            else:
+                keys = (i, row[0][0], row[-1][0]) if row else (i,)
+            for key in keys:
                 if type(key) is not int or not 0 <= key < size:
                     raise ValueError(f"{key!r} is not a basis index in range({size})")
             self.images[i] = row
@@ -485,6 +491,8 @@ class EndoOp:
         sig = self.signature
         if not isinstance(x, AlgebraElement):
             x = sig.monomial_element(x)
+        elif x.signature != sig:
+            raise ValueError("signature mismatch")
         return AlgebraElement(sig, self._image_of(x.terms.items()))
 
     def __call__(self, x) -> AlgebraElement:

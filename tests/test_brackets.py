@@ -89,6 +89,17 @@ def test_phi_direct_on_elements():
     assert op(x, x) == f(x * x) - f(x) * x - f(x) * x
 
 
+def test_operators_refuse_elements_of_another_signature():
+    a = Signature(even=2, odd=2, degree_bound=5)
+    b = Signature(even=1, odd=1, degree_bound=3)
+    op = phi_direct_op(random_endo(a, 1), 2)
+    x_b = b.monomial_element(b.odd_generator(0))
+    y_a = a.monomial_element(a.even_generator(1))
+    for call in (lambda: op(x_b, y_a), lambda: op.value((y_a, x_b))):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            call()
+
+
 def test_unknown_method_raises():
     f = random_endo(SIG, 1, parity="even")
     with pytest.raises(ValueError):

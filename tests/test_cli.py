@@ -221,7 +221,14 @@ def test_verify_refuses_csv(capsys):
 
 
 def test_bad_flag_returns_usage_error(capsys):
-    assert main(["koszul-numbers", "--max-n", "not-a-number"]) == 2
+    code, out, err = run_cli(capsys, "koszul-numbers", "--max-n", "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:")
+    assert err.endswith(": error: argument --max-n: invalid int value: 'x'\n")
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]
+    ]
 
 
 @pytest.mark.parametrize("command", ["coefficients", "conjecture"])
@@ -291,13 +298,13 @@ def test_report_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("method", ["bracket", "exponential"])
+@pytest.mark.parametrize("method", ["direct", "recursion", "bracket", "exponential"])
 @pytest.mark.parametrize("seed, parity, digest", [
     (7, "even", "3722ef674b3f0a01035540ef8b8be8035cfc161af6d46c6cad52ff92bad18527"),
     (8, "odd", "f3e27c77876c8fbddd9ff4b94a5b0dcc5984b9e6ef4be96a4ac5dfe16ba9b25d"),
 ], ids=["even", "odd"])
 def test_hierarchy_json_is_pinned(method, seed, parity, digest):
-    # dense operators on (2,2,3), N = 5; the two routes give the same tables
+    # dense operators on (2,2,3), N = 5; the four routes give the same tables
     sig = Signature(even=2, odd=2, degree_bound=3)
     f = random_endo(sig, seed, parity=parity, density=1.0)
     text = json.dumps(hierarchy_to_json(phi_hierarchy(f, 5, method=method)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antibrackets.brackets import inversion_check
+from antibrackets.rational import rat
 from antibrackets.superalgebra import (
     AlgebraElement,
     EndoOp,
@@ -164,8 +165,8 @@ def test_row_products_match_direct_products(sig):
     for a in basis:
         for b in basis:
             sign, prod = sig.mul_monomials(a, b)
-            code = sig.mul_indices((sig.index_of(a), sig.index_of(b)))
-            assert code == (sign * (sig.index_of(prod) + 1) if sign else 0)
+            product = sig.mul_indices((sig.index_of(a), sig.index_of(b)))
+            assert product == ((sign, sig.index_of(prod)) if sign else (0, None))
             if sign:
                 seen.add(sign)
             elif sig.degree(a) + sig.degree(b) > sig.degree_bound:
@@ -198,11 +199,33 @@ def test_index_product_matches_sequential_products(sig):
             sign *= s
             if not s:
                 break
-        code = sig.mul_indices([sig.index_of(m) for m in tup])
+        product = sig.mul_indices([sig.index_of(m) for m in tup])
         if not sign:
-            assert code == 0
+            assert product == (0, None)
         else:
-            assert code == sign * (sig.index_of(prod) + 1)
+            assert product == (sign, sig.index_of(prod))
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
+def test_mul_into_matches_monomial_products(sig):
+    basis = sig.basis()
+    rng = random.Random(5)
+    coeff = rat(-3, 2)
+    past_end = 0
+    for j, b in enumerate(basis):
+        pairs = [(i, rng.randint(1, 9)) for i in range(len(basis))]
+        rng.shuffle(pairs)
+        past_end += sum(i >= len(sig.mul_row(j)) for i, _ in pairs)
+        acc = {k: k + 1 for k in range(0, len(basis), 2)}
+        want = dict(acc)
+        for i, v in pairs:
+            s, m = sig.mul_monomials(basis[i], b)
+            if s:
+                k = sig.index_of(m)
+                want[k] = want.get(k, 0) + s * coeff * v
+        sig.mul_into(acc, pairs, j, coeff)
+        assert acc == want
+    assert past_end
 
 
 def test_canonical_indices_match_koszul_sign():
@@ -325,11 +348,21 @@ SMALL = Signature(even=1, odd=1, degree_bound=2)  # 5 basis monomials
     ({0: {-1: 1}}, None, "-1"),
     ({((1,), ()): {0: 1}}, None, "((1,), ())"),  # a monomial row key
     ({0: {((1,), ()): 1}}, None, "((1,), ())"),
+    ({0: {1: 1, ((1,), ()): 1}}, None, "((1,), ())"),  # keys that do not sort
 ])
 def test_endo_rejects_keys_outside_the_basis(images, parity, key):
     assert len(SMALL.basis()) == 5
     with pytest.raises(ValueError, match=f"^{re.escape(key)} is not a basis index"):
         EndoOp(SMALL, images, parity=parity)
+
+
+def test_endo_refuses_elements_of_another_signature():
+    f = random_endo(Signature(even=2, odd=2, degree_bound=5), 1)
+    other = Signature(even=1, odd=1, degree_bound=3)
+    th = other.monomial_element(other.odd_generator(0))
+    for apply in (f.apply, f):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            apply(th)
 
 
 def test_derivation_satisfies_leibniz():
