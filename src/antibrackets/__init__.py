@@ -13,8 +13,14 @@ benchmark reads; everything else is imported from its module.
 from __future__ import annotations
 
 from .brackets import inversion_check, phi_hierarchy
-from .multilinear import canonical_tuples, first_mismatch, nr_bracket, ops_equal
-from .superalgebra import Signature, random_endo
+from .multilinear import (
+    canonical_tuples,
+    first_mismatch,
+    nr_bracket,
+    ops_equal,
+    random_endo,
+)
+from .superalgebra import Signature
 
 # "cli" names the submodule.  It is not imported here, so that
 # `python -m antibrackets.cli` does not import it twice.

@@ -8,12 +8,15 @@ Four independent constructions of the same operators are provided:
 * ``bracket`` -- the bracket recursion (1/n) sum_h (-1)^h [mu_h, .], which
   also serves as the definition on associative noncommutative signatures;
 * ``exponential`` -- the gauge-trivialization exp(-sum K_n rho_n) applied to
-  the lifted operator, with the Koszul numbers K_n.
+  the operator, with the Koszul numbers K_n.
 
 On top of the constructions live the inversion formula, the right-hand side
 of the generalized Jacobi identities, the L-infinity property of square-zero
 odd operators, and the order-of-differential-operator vanishing criterion.
 The checks that ``verify`` runs on them are stated in :mod:`.checks`.
+
+The operator f is a degree-0 :class:`~antibrackets.multilinear.MultiOp`,
+which is Phi^1_f itself; the entry points refuse any other degree.
 """
 
 from __future__ import annotations
@@ -26,18 +29,13 @@ from .multilinear import (
     MultiOp,
     canonical_index_tuples,
     is_zero_op,
-    lift_endo,
     nr_bracket,
+    nr_product,
     op_combination,
     rho,
 )
 from .rational import format_rational, rat
-from .superalgebra import (
-    AlgebraElement,
-    EndoOp,
-    koszul_sign,
-    shuffles,
-)
+from .superalgebra import AlgebraElement, koszul_sign, shuffles
 
 __all__ = [
     "phi_direct_op",
@@ -51,20 +49,25 @@ __all__ = [
 ]
 
 
-def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
+def _require_linear(f: MultiOp):
+    if f.degree != 0:
+        raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
+
+
+def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures).
 
-    A value is computed on basis indices: f is read off its stored image of
-    each block's product, and that image is multiplied by the product of
-    the complement.
+    A value is computed on basis indices: f is read on each block's
+    product, and that image is multiplied by the product of the complement.
     """
+    _require_linear(f)
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
     positions = range(n)
-    images = f.images
+    read_f = f._canonical_value
 
     def eval_basis(tup):
         basis_parities = sig.basis_parities()
@@ -74,30 +77,31 @@ def phi_direct_op(f: EndoOp, n: int) -> MultiOp:
             outer_sign = (-1) ** (n - k)
             for block in itertools.combinations(positions, k):
                 s, j = sig.mul_indices([tup[i] for i in block])
-                if not s or not images[j]:
+                image = read_f((j,)) if s else None
+                if not image:
                     continue
                 rest = tuple(i for i in positions if i not in block)
                 total = s * outer_sign * koszul_sign(block + rest, parities)
                 if not rest:
-                    for t, c in images[j]:
+                    for t, c in image.items():
                         acc[t] = acc.get(t, 0) + total * c
                     continue
                 r, tail = sig.mul_indices([tup[i] for i in rest])
                 if r:
-                    sig.mul_into(acc, images[j], tail, r * total)
+                    sig.mul_into(acc, image.items(), tail, r * total)
         return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
 
-def _recursion_ops(f: EndoOp, N: int) -> dict:
+def _recursion_ops(f: MultiOp, N: int) -> dict:
     """Phi^r(.., b, c) = Phi^(r-1)(.., bc) - Phi^(r-1)(.., b) c
     - (-1)^(|b||c|) Phi^(r-1)(.., c) b, on basis indices."""
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the recursive formula needs a commutative signature")
     parities = sig.basis_parities()
-    ops = {1: lift_endo(f)}
+    ops = {1: f}
     for r in range(2, N + 1):
         prev = ops[r - 1]
 
@@ -120,7 +124,7 @@ def _recursion_ops(f: EndoOp, N: int) -> dict:
     return ops
 
 
-def _bracket_ops(f: EndoOp, N: int) -> dict:
+def _bracket_ops(f: MultiOp, N: int) -> dict:
     """Phi^1..Phi^N by the bracket recursion, on integer-scaled operators.
 
     Phi^(n+1) = (1/n) sum_h (-1)^h [mu_h, Phi^(n-h+1)] divides at every
@@ -129,7 +133,7 @@ def _bracket_ops(f: EndoOp, N: int) -> dict:
     with integer weights, so integer data stays integer throughout.  Each
     returned Phi^(n+1) is Psi_(n+1) divided once by n!.
     """
-    psi = {1: lift_endo(f)}
+    psi = {1: f}
     ops = {1: psi[1]}
     for n in range(1, N):
         psi[n + 1] = op_combination(
@@ -184,11 +188,11 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     return result
 
 
-def _exponential_ops(f: EndoOp, N: int) -> dict:
+def _exponential_ops(f: MultiOp, N: int) -> dict:
     """Phi^1..Phi^N from the gauge trivialization exp(-sum K_n rho_n) f."""
     koszul = koszul_numbers_recursive(max(N - 1, 1))
     coeffs = {n: -koszul[n] for n in range(1, N)}
-    components = exp_rho_family(lift_endo(f), coeffs, N - 1)
+    components = exp_rho_family(f, coeffs, N - 1)
     return {n: components[n - 1] for n in range(1, N + 1)}
 
 
@@ -200,13 +204,14 @@ _METHODS = {
 }
 
 
-def phi_hierarchy(f: EndoOp, N: int, method=None) -> dict:
+def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
     """{n: Phi^n_f} for n = 1..N by the chosen construction.
 
     The default is the signature's defining construction: the shuffle
     formula (``direct``) when it is commutative, the bracket recursion
     otherwise.
     """
+    _require_linear(f)
     if N < 1:
         raise ValueError("N must be >= 1")
     if method is None:
@@ -216,7 +221,7 @@ def phi_hierarchy(f: EndoOp, N: int, method=None) -> dict:
     return _METHODS[method](f, N)
 
 
-def inversion_check(f: EndoOp, n: int, args) -> bool:
+def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
     Each shuffle's Phi value is multiplied once by the product of its
@@ -226,6 +231,7 @@ def inversion_check(f: EndoOp, n: int, args) -> bool:
     the two-sided ideal of elements of degree > D.  A complement whose
     product dies contributes nothing, so its Phi value is never computed.
     """
+    _require_linear(f)
     if n < 1:
         raise ValueError("n must be >= 1")
     sig = f.signature
@@ -252,7 +258,7 @@ def inversion_check(f: EndoOp, n: int, args) -> bool:
             products[positions] = value
         return value
 
-    lhs = f.apply(product(tuple(range(n))))
+    lhs = f(product(tuple(range(n))))
     phis = {k: phi_direct_op(f, k) for k in range(1, n + 1)}
     rhs = {}
     for k in range(1, n + 1):
@@ -278,11 +284,12 @@ def jacobi_rhs(phis_f, phis_g, n: int) -> MultiOp:
     )
 
 
-def linfinity_check(delta: EndoOp, N: int) -> bool:
+def linfinity_check(delta: MultiOp, N: int) -> bool:
     """Vanishing of every generalized Jacobi sum of a square-zero odd operator."""
+    _require_linear(delta)
     if delta.parity != 1:
         raise ValueError("operator must be odd")
-    if not delta.compose(delta).is_zero():
+    if not is_zero_op(nr_product(delta, delta)):
         raise ValueError("operator must be square-zero")
     phis = phi_hierarchy(delta, N)
     for n in range(1, N + 1):
@@ -291,8 +298,9 @@ def linfinity_check(delta: EndoOp, N: int) -> bool:
     return True
 
 
-def differential_order_check(f: EndoOp, n: int) -> bool:
+def differential_order_check(f: MultiOp, n: int) -> bool:
     """Whether Phi^(n+1)_f vanishes, i.e., f(1) = 0 and f has order <= n."""
+    _require_linear(f)
     sig = f.signature
     if not sig.unital:
         raise ValueError("the order criterion needs a unital signature")

@@ -25,10 +25,13 @@ from .brackets import (
 from .combinatorics import mu_bracket_factor
 from .multilinear import (
     first_mismatch,
-    lift_endo,
+    identity_endo,
+    multiplication_endo,
     mu_for,
     nr_bracket,
+    odd_partial_endo,
     op_combination,
+    random_endo,
     rho,
 )
 from .qxrep import solve_coefficients
@@ -45,13 +48,6 @@ from .series import (
     series_mul,
     stirling_derivative_check,
 )
-from .superalgebra import (
-    identity_endo,
-    multiplication_endo,
-    odd_partial_endo,
-    random_endo,
-    supercommutator,
-)
 
 __all__ = ["SUITES", "registry"]
 
@@ -66,7 +62,7 @@ def _jacobi(sig, N, seed):
     for fp, gp in (("even", "odd"), ("odd", "even"), ("odd", "odd")):
         f = random_endo(sig, seed, parity=fp)
         g = random_endo(sig, seed + 1, parity=gp)
-        phis = [phi_hierarchy(op, top) for op in (f, g, supercommutator(f, g))]
+        phis = [phi_hierarchy(op, top) for op in (f, g, nr_bracket(f, g))]
         for n in range(1, top + 1):
             yield (f"jacobi n={n} parities=({fp},{gp})",
                    partial(_jacobi_identity, *phis, n))
@@ -103,7 +99,6 @@ def _universal_operator(f, seed, methods, top):
     Phi^(n+1) = (sum_i c_i rho_1^(n-i) rho_i) f."""
     hierarchies = {m: phi_hierarchy(f, top, method=m) for m in methods}
     base = hierarchies[methods[0]]
-    lifted = lift_endo(f)
 
     def agrees(other):
         for n in range(1, top + 1):
@@ -116,7 +111,7 @@ def _universal_operator(f, seed, methods, top):
         coeffs = solve_coefficients(n)
         terms = []
         for i in range(1, n + 1):
-            chain = rho(i, lifted)
+            chain = rho(i, f)
             for _ in range(n - i):
                 chain = rho(1, chain)
             terms.append((chain, coeffs.c[i - 1]))

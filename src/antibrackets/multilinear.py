@@ -19,24 +19,26 @@ never tabulated in advance; its shuffles and signs are built once per shape
 (:func:`_shuffle_plan`), and :func:`rho` is one node with one memo.  A
 linear combination is one node, built by :func:`op_combination`; its terms
 are not flattened, as their memos are shared.
+
+A linear operator is an operator of degree 0.  :func:`linear_op` builds one
+from its images on the basis, ``{basis index: {index: coeff}}``, and the
+operator constructors (:func:`random_endo`, :func:`identity_endo`,
+:func:`derivation_endo`, :func:`odd_partial_endo`,
+:func:`multiplication_endo`) build theirs with it.  Linear operators compose by
+:func:`nr_product` and their graded commutator is :func:`nr_bracket`.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_left
 from functools import cache
 from math import factorial
 from operator import itemgetter
 
 from .rational import rat
-from .superalgebra import (
-    AlgebraElement,
-    EndoOp,
-    Signature,
-    koszul_sign,
-    shuffles,
-)
+from .superalgebra import AlgebraElement, Signature, koszul_sign, shuffles
 
 __all__ = [
     "MultiOp",
@@ -46,7 +48,12 @@ __all__ = [
     "mu_sym",
     "mu_for",
     "rho",
-    "lift_endo",
+    "linear_op",
+    "identity_endo",
+    "random_endo",
+    "derivation_endo",
+    "odd_partial_endo",
+    "multiplication_endo",
     "op_combination",
     "canonical_tuples",
     "canonical_index_tuples",
@@ -302,11 +309,89 @@ def rho(n: int, omega: MultiOp) -> MultiOp:
     return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
 
 
-def lift_endo(f: EndoOp) -> MultiOp:
-    """Embed a linear operator as the corresponding degree-0 operator."""
-    if f.parity is None:
-        raise ValueError("lifted operators need a declared parity")
-    return MultiOp(f.signature, 0, f.parity, lambda t: dict(f.images[t[0]]))
+def linear_op(signature: Signature, images, parity: int) -> MultiOp:
+    """The linear operator of the given parity, as the degree-0 operator
+    whose value on (i,) is the stored image of basis[i].
+
+    ``images`` is ``{basis index: {index: coeff}}``; a missing basis index
+    maps to zero.  A key that is not an int in ``range(len(basis))``, or an
+    image of the wrong parity, raises ValueError.
+    """
+    parities = signature.basis_parities()
+    size = len(parities)
+    stored = [{}] * size
+    for i, image in images.items():
+        for key in (i, *image):
+            if type(key) is not int or not 0 <= key < size:
+                raise ValueError(f"{key!r} is not a basis index in range({size})")
+        image = stored[i] = {k: c for k, c in image.items() if c}
+        want = (parities[i] + parity) % 2
+        if any(parities[k] != want for k in image):
+            raise ValueError(f"image of basis index {i} violates parity {parity}")
+    return MultiOp(signature, 0, parity, lambda t: stored[t[0]])
+
+
+def identity_endo(signature: Signature) -> MultiOp:
+    return linear_op(signature, {i: {i: 1} for i in range(len(signature.basis()))},
+                     parity=0)
+
+
+def random_endo(signature: Signature, seed: int, parity="even", density=0.25) -> MultiOp:
+    """Seeded sparse operator with integer matrix entries in [-9, 9].
+
+    The requested parity is enforced structurally: a basis monomial of
+    parity s only maps into the span of monomials of parity s (even) or
+    1 - s (odd).  Each allowed matrix entry is nonzero with the given
+    density; the result is deterministic in the seed.
+    """
+    par = {"even": 0, "odd": 1, 0: 0, 1: 1}.get(parity)
+    if par is None:
+        raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
+    rng = random.Random(seed)
+    parities = signature.basis_parities()
+    by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
+    images = {}
+    for i, p in enumerate(parities):
+        image = images[i] = {}
+        for k in by_parity[(p + par) % 2]:
+            if rng.random() >= density:
+                continue
+            image[k] = rng.randint(-9, 9)
+    return linear_op(signature, images, parity=par)
+
+
+def derivation_endo(signature: Signature) -> MultiOp:
+    """The even derivation extending d/dx1 (commutative signatures only)."""
+    if not signature.commutative or signature.even < 1:
+        raise ValueError("needs a commutative signature with an even generator")
+    images = {}
+    for i, (exps, odds) in enumerate(signature.basis()):
+        e = exps[0]
+        if e:
+            images[i] = {signature.index_of(((e - 1,) + exps[1:], odds)): e}
+    return linear_op(signature, images, parity=0)
+
+
+def odd_partial_endo(signature: Signature) -> MultiOp:
+    """The odd derivation d/d(th1); square-zero by construction."""
+    if not signature.commutative or signature.odd < 1:
+        raise ValueError("needs a commutative signature with an odd generator")
+    images = {}
+    for i, (exps, odds) in enumerate(signature.basis()):
+        if 0 in odds:
+            # th1 sorts first, so no odd letters are crossed removing it
+            images[i] = {signature.index_of((exps, odds[1:])): 1}
+    return linear_op(signature, images, parity=1)
+
+
+def multiplication_endo(signature: Signature, element: AlgebraElement) -> MultiOp:
+    """Left multiplication by a fixed homogeneous element."""
+    parity = element.parity()
+    if parity is None:
+        raise ValueError("multiplier must be homogeneous")
+    images = {i: element.mul_monomial(m).terms
+              for i, m in enumerate(signature.basis())}
+    return linear_op(signature, images, parity=parity)
 
 
 def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=None):

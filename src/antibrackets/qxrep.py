@@ -29,14 +29,14 @@ from .brackets import phi_direct_op
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
 from .multilinear import (
     canonical_tuples,
+    derivation_endo,
     is_zero_op,
-    lift_endo,
     mu,
     nr_product,
     rho,
 )
 from .rational import rat
-from .superalgebra import Signature, derivation_endo
+from .superalgebra import Signature
 
 __all__ = [
     "QxOperator",
@@ -411,7 +411,7 @@ def bn_zero_witness(n: int) -> dict:
         raise ValueError("n must be >= 2")
     sig = Signature(even=1, odd=0, degree_bound=n + 2)
     partial = derivation_endo(sig)
-    op = nr_product(mu(sig, 0), nr_product(lift_endo(partial), mu(sig, 1)))
+    op = nr_product(mu(sig, 0), nr_product(partial, mu(sig, 1)))
     for _ in range(n - 2):
         op = rho(1, op)
     prefactor = (-1) ** (n - 2)

@@ -52,24 +52,14 @@ class TruncatedSeries:
         ])
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
-    @classmethod
     def variable(cls, order: int) -> "TruncatedSeries":
         """The series t."""
         return cls(order, [0, 1])
-
-    def __getitem__(self, k: int):
-        return self.coeffs[k]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -83,24 +73,8 @@ class TruncatedSeries:
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-a for a in self.coeffs])
-
     def scale(self, c) -> "TruncatedSeries":
         return TruncatedSeries(self.order, [c * a for a in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return series_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = scale
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
@@ -315,7 +289,7 @@ def stirling_derivative_check(f: TruncatedSeries, n: int, N: int) -> bool:
     lhs = g
     for _ in range(n):
         lhs = lhs.derivative()
-    rhs = TruncatedSeries.zero(N - n)
+    rhs = TruncatedSeries(N - n)
     fk = f
     for k in range(1, n + 1):
         fk = fk.derivative()  # f^(k), order N-k

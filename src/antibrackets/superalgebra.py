@@ -11,11 +11,11 @@ a length-p tuple of exponents and ``odds`` a sorted tuple of odd-generator
 indices (odd generators square to zero).  Associative case: a word, i.e., a
 tuple of generator indices with 0..p-1 even and p..p+q-1 odd.
 
-Below the public boundary every key is a basis index.  An
-:class:`AlgebraElement` holds ``{basis index: nonzero coeff}``, and an
-:class:`EndoOp` holds the image of each basis monomial as (index, coeff)
-pairs sorted by index.  Monomials are converted once, where a caller passes
-them in (:meth:`Signature.element`, :meth:`Signature.monomial_element`,
+Below the public boundary every key is a basis index: an
+:class:`AlgebraElement` holds ``{basis index: nonzero coeff}``.  Operators
+on the algebra, the linear ones included, live in :mod:`.multilinear`.
+Monomials are converted once, where a caller passes them in
+(:meth:`Signature.element`, :meth:`Signature.monomial_element`,
 :meth:`Signature.index_of`) or reads them out (``repr``,
 :meth:`Signature.monomial_str`).
 
@@ -35,24 +35,11 @@ order on indices too, by :meth:`Signature.canonical_indices`.
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_right
 
 from .rational import format_rational
 
-__all__ = [
-    "Signature",
-    "AlgebraElement",
-    "EndoOp",
-    "koszul_sign",
-    "shuffles",
-    "random_endo",
-    "derivation_endo",
-    "odd_partial_endo",
-    "multiplication_endo",
-    "identity_endo",
-    "supercommutator",
-]
+__all__ = ["Signature", "AlgebraElement", "koszul_sign", "shuffles"]
 
 
 def koszul_sign(sigma, parities) -> int:
@@ -441,153 +428,3 @@ class AlgebraElement:
             else:
                 bits.append(f"{c}*{name}")
         return " + ".join(bits)
-
-
-class EndoOp:
-    """Linear operator on the algebra, stored by its images on the basis.
-
-    ``images[i]`` is the image of basis[i] as a tuple of (index, coeff)
-    pairs, sorted by index, so in degree order, with no zero coefficient.
-    The constructor takes ``{basis index: {index: coeff}}``; a missing
-    basis index maps to zero, and a key outside ``range(len(basis))``
-    raises ValueError.
-    """
-
-    __slots__ = ("signature", "images", "parity")
-
-    def __init__(self, signature: Signature, images, parity=None):
-        self.signature = signature
-        size = len(signature.basis())
-        self.images = [()] * size
-        for i, image in images.items():
-            try:
-                row = tuple(sorted((k, c) for k, c in image.items() if c))
-            except TypeError:  # keys that do not compare, so not all ints
-                keys = (i, *image)
-            else:
-                keys = (i, row[0][0], row[-1][0]) if row else (i,)
-            for key in keys:
-                if type(key) is not int or not 0 <= key < size:
-                    raise ValueError(f"{key!r} is not a basis index in range({size})")
-            self.images[i] = row
-        self.parity = parity
-        if parity is not None:
-            parities = signature.basis_parities()
-            for i, image in enumerate(self.images):
-                want = (parities[i] + parity) % 2
-                if any(parities[k] != want for k, _ in image):
-                    raise ValueError("image violates the declared parity")
-
-    def _image_of(self, pairs) -> dict:
-        """{index: coeff} of the image of sum c * basis[j] over (j, c) pairs."""
-        out = {}
-        for j, c in pairs:
-            for k, v in self.images[j]:
-                out[k] = out.get(k, 0) + c * v
-        return out
-
-    def apply(self, x) -> AlgebraElement:
-        """Image of a monomial or an element."""
-        sig = self.signature
-        if not isinstance(x, AlgebraElement):
-            x = sig.monomial_element(x)
-        elif x.signature != sig:
-            raise ValueError("signature mismatch")
-        return AlgebraElement(sig, self._image_of(x.terms.items()))
-
-    def __call__(self, x) -> AlgebraElement:
-        return self.apply(x)
-
-    def compose(self, other: "EndoOp") -> "EndoOp":
-        if self.signature != other.signature:
-            raise ValueError("signature mismatch")
-        parity = None
-        if self.parity is not None and other.parity is not None:
-            parity = (self.parity + other.parity) % 2
-        images = {i: self._image_of(image) for i, image in enumerate(other.images)}
-        return EndoOp(self.signature, images, parity)
-
-    def __eq__(self, other):
-        if not isinstance(other, EndoOp):
-            return NotImplemented
-        return self.signature == other.signature and self.images == other.images
-
-    def is_zero(self) -> bool:
-        return not any(self.images)
-
-
-def supercommutator(f: EndoOp, g: EndoOp) -> EndoOp:
-    """[f, g] = f g - (-1)^(|f||g|) g f; parities must be declared."""
-    if f.parity is None or g.parity is None:
-        raise ValueError("supercommutator needs operators of declared parity")
-    sign = (-1) ** (f.parity * g.parity)
-    fg, gf = f.compose(g), g.compose(f)
-    images = {}
-    for i, (left, right) in enumerate(zip(fg.images, gf.images)):
-        image = images[i] = dict(left)
-        for k, c in right:
-            image[k] = image.get(k, 0) - sign * c
-    return EndoOp(f.signature, images, fg.parity)
-
-
-def identity_endo(signature: Signature) -> EndoOp:
-    return EndoOp(signature, {i: {i: 1} for i in range(len(signature.basis()))},
-                  parity=0)
-
-
-def random_endo(signature: Signature, seed: int, parity="even", density=0.25) -> EndoOp:
-    """Seeded sparse operator with integer matrix entries in [-9, 9].
-
-    The requested parity is enforced structurally: a basis monomial of
-    parity s only maps into the span of monomials of parity s (even) or
-    1 - s (odd).  Each allowed matrix entry is nonzero with the given
-    density; the result is deterministic in the seed.
-    """
-    par = {"even": 0, "odd": 1, 0: 0, 1: 1}.get(parity)
-    if par is None:
-        raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
-    rng = random.Random(seed)
-    parities = signature.basis_parities()
-    by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
-    images = {}
-    for i, p in enumerate(parities):
-        image = images[i] = {}
-        for k in by_parity[(p + par) % 2]:
-            if rng.random() >= density:
-                continue
-            image[k] = rng.randint(-9, 9)
-    return EndoOp(signature, images, parity=par)
-
-
-def derivation_endo(signature: Signature) -> EndoOp:
-    """The even derivation extending d/dx1 (commutative signatures only)."""
-    if not signature.commutative or signature.even < 1:
-        raise ValueError("needs a commutative signature with an even generator")
-    images = {}
-    for i, (exps, odds) in enumerate(signature.basis()):
-        e = exps[0]
-        if e:
-            images[i] = {signature.index_of(((e - 1,) + exps[1:], odds)): e}
-    return EndoOp(signature, images, parity=0)
-
-
-def odd_partial_endo(signature: Signature) -> EndoOp:
-    """The odd derivation d/d(th1); square-zero by construction."""
-    if not signature.commutative or signature.odd < 1:
-        raise ValueError("needs a commutative signature with an odd generator")
-    images = {}
-    for i, (exps, odds) in enumerate(signature.basis()):
-        if 0 in odds:
-            # th1 sorts first, so no odd letters are crossed removing it
-            images[i] = {signature.index_of((exps, odds[1:])): 1}
-    return EndoOp(signature, images, parity=1)
-
-
-def multiplication_endo(signature: Signature, element: AlgebraElement) -> EndoOp:
-    """Left multiplication by a fixed homogeneous element."""
-    parity = element.parity()
-    if parity is None:
-        raise ValueError("multiplier must be homogeneous")
-    images = {i: element.mul_monomial(m).terms
-              for i, m in enumerate(signature.basis())}
-    return EndoOp(signature, images, parity=parity)

@@ -17,21 +17,20 @@ from antibrackets.brackets import (
 )
 from antibrackets.checks import registry
 from antibrackets.multilinear import (
+    derivation_endo,
     first_mismatch,
     is_zero_op,
-    lift_endo,
+    linear_op,
+    mu,
+    multiplication_endo,
+    nr_product,
+    odd_partial_endo,
     op_combination,
     ops_equal,
-)
-from antibrackets.rational import parse_rational, rat
-from antibrackets.superalgebra import (
-    EndoOp,
-    Signature,
-    derivation_endo,
-    multiplication_endo,
-    odd_partial_endo,
     random_endo,
 )
+from antibrackets.rational import parse_rational, rat
+from antibrackets.superalgebra import Signature
 
 SIG = Signature(even=1, odd=1, degree_bound=3)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -42,7 +41,7 @@ def test_phi_one_is_the_operator_itself():
     f = random_endo(SIG, 1, parity="even")
     op = phi_direct_op(f, 1)
     for m in SIG.basis():
-        assert op.value((m,)) == f.apply(m)
+        assert op.value((m,)) == f(m)
 
 
 def test_phi_two_explicit_formula():
@@ -131,7 +130,7 @@ def test_identity_hierarchy_components():
 
 
 def test_exp_rho_family_with_zero_coefficients_is_identity():
-    f = lift_endo(random_endo(SIG, 8, parity="even"))
+    f = random_endo(SIG, 8, parity="even")
     # a zero coefficient is dropped before the n >= 1 check
     family = exp_rho_family(f, {0: rat(0), 1: rat(0), 2: rat(0)}, 3)
     assert set(family) == {0}
@@ -141,7 +140,7 @@ def test_exp_rho_family_with_zero_coefficients_is_identity():
 @pytest.mark.parametrize("coefficients", [{0: 1}, {-1: 2}, {0: 1, 1: 1}])
 def test_exp_rho_family_rejects_coefficients_below_one(coefficients):
     # rho_0 keeps the degree, so the series would never reach the cutoff
-    f = lift_endo(random_endo(SIG, 8, parity="even"))
+    f = random_endo(SIG, 8, parity="even")
     with pytest.raises(ValueError, match="n >= 1"):
         exp_rho_family(f, coefficients, 2)
 
@@ -209,7 +208,7 @@ def test_linfinity_for_square_zero_operators():
 
 def test_linfinity_rejects_non_square_zero():
     f = random_endo(SIG, 31, parity="odd")
-    if not f.compose(f).is_zero():
+    if not is_zero_op(nr_product(f, f)):
         with pytest.raises(ValueError):
             linfinity_check(f, 2)
     with pytest.raises(ValueError):
@@ -220,10 +219,23 @@ def test_differential_order_of_derivations():
     d = derivation_endo(SIG)
     assert differential_order_check(d, 1)
     assert not is_zero_op(phi_direct_op(d, 1))
-    d2 = d.compose(d)
+    d2 = nr_product(d, d)
     assert differential_order_check(d2, 2)
     assert not is_zero_op(phi_direct_op(d2, 2))
-    assert differential_order_check(EndoOp(SIG, {}, parity=0), 0)
+    assert differential_order_check(linear_op(SIG, {}, parity=0), 0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f: phi_hierarchy(f, 2),
+    lambda f: phi_direct_op(f, 2),
+    lambda f: inversion_check(f, 1, [SIG.even_generator(0)]),
+    lambda f: linfinity_check(f, 2),
+    lambda f: differential_order_check(f, 1),
+], ids=["phi_hierarchy", "phi_direct_op", "inversion_check", "linfinity_check",
+        "differential_order_check"])
+def test_entry_points_refuse_operators_of_nonzero_degree(entry):
+    with pytest.raises(ValueError, match=r"linear operator \(degree 0\), got degree 1"):
+        entry(mu(SIG, 1))
 
 
 def test_odd_derivation_brackets_vanish_above_one():

@@ -15,7 +15,8 @@ import antibrackets
 from antibrackets import checks, cli
 from antibrackets.brackets import hierarchy_to_json, phi_hierarchy
 from antibrackets.cli import build_parser, main
-from antibrackets.superalgebra import Signature, random_endo
+from antibrackets.multilinear import random_endo
+from antibrackets.superalgebra import Signature
 
 
 def run_cli(capsys, *argv):

@@ -16,7 +16,6 @@ from antibrackets.multilinear import (
     dump_operator,
     first_mismatch,
     is_zero_op,
-    lift_endo,
     mu,
     mu_for,
     mu_sym,
@@ -24,15 +23,11 @@ from antibrackets.multilinear import (
     nr_product,
     op_combination,
     ops_equal,
+    random_endo,
     rho,
 )
 from antibrackets.rational import rat
-from antibrackets.superalgebra import (
-    Signature,
-    koszul_sign,
-    random_endo,
-    shuffles,
-)
+from antibrackets.superalgebra import Signature, koszul_sign, shuffles
 
 SIG = Signature(even=1, odd=2, degree_bound=4)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -120,9 +115,9 @@ def test_mu_sym_bracket_noncommutative():
 
 def test_rho_zero_acts_by_minus_degree():
     f = random_endo(SIG, 5, parity="even")
-    omega = nr_product(mu(SIG, 1), lift_endo(f))  # degree 1
+    omega = nr_product(mu(SIG, 1), f)  # degree 1
     assert ops_equal(rho(0, omega), op_combination([(omega, -1)]), 3)
-    omega2 = nr_product(mu(SIG, 2), lift_endo(f))  # degree 2
+    omega2 = nr_product(mu(SIG, 2), f)  # degree 2
     assert ops_equal(rho(0, omega2), op_combination([(omega2, -2)]), 3)
 
 
@@ -134,14 +129,6 @@ def test_rho_on_mu_zero_gives_scaled_mu():
             op_combination([(mu(SIG, n), n)]),
             3,
         )
-
-
-def test_lift_endo_round_trip():
-    f = random_endo(SIG, 11, parity="odd")
-    lifted = lift_endo(f)
-    assert lifted.parity == 1
-    for m in SIG.basis():
-        assert lifted.value((m,)) == f.apply(m)
 
 
 def _zero_op(sig, degree, parity=0):
@@ -183,8 +170,8 @@ def test_dump_operator_format():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_nr_bracket_superantisymmetry(seed):
-    f = lift_endo(random_endo(SIG, seed, parity=seed % 2))
-    g = lift_endo(random_endo(SIG, seed + 1, parity=(seed + 1) % 2))
+    f = random_endo(SIG, seed, parity=seed % 2)
+    g = random_endo(SIG, seed + 1, parity=(seed + 1) % 2)
     sign = -((-1) ** (f.parity * g.parity))
     lhs = nr_bracket(f, g)
     rhs = op_combination([(nr_bracket(g, f), sign)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -34,3 +35,36 @@ def test_every_module_all_name_resolves():
         module = importlib.import_module(f"antibrackets.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (info.name, missing)
+
+
+def _unused_imports(path):
+    """Names ``path`` imports but never reads, lists in ``__all__`` or marks
+    ``# noqa: F401`` on the import line."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}  # bound name -> line of its import
+    exported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[name] = alias.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_src_modules_import_no_unused_name():
+    modules = sorted(Path(antibrackets.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    unused = {path.name: _unused_imports(path) for path in modules}
+    assert {name: found for name, found in unused.items() if found} == {}
