@@ -386,6 +386,8 @@ def odd_partial_endo(signature: Signature) -> MultiOp:
 
 def multiplication_endo(signature: Signature, element: AlgebraElement) -> MultiOp:
     """Left multiplication by a fixed homogeneous element."""
+    if element.signature != signature:
+        raise ValueError("signature mismatch")
     parity = element.parity()
     if parity is None:
         raise ValueError("multiplier must be homogeneous")

@@ -165,19 +165,28 @@ def itexp(a: TruncatedSeries) -> TruncatedSeries:
 def itlog(g: TruncatedSeries) -> TruncatedSeries:
     """Iterative logarithm: the unique a with a(0)=a'(0)=0 and itexp(a) = g.
 
-    Computed order by order: the coefficient of t^m in itexp(a) is the
-    coefficient of t^m in a plus terms involving only lower coefficients,
-    so each new coefficient is fixed by matching against g.  Step m reads
-    only that coefficient, so it evaluates itexp truncated at order m.
+    Computed order by order, filling in the terms of itexp as it goes.  With
+    T_1 = a and T_k = (a d/dt) T_(k-1) / k, itexp(a) = t + sum_k T_k, and
+    the coefficient T_k[m] = (1/k) sum_(j=k..m-1) a_(m+1-j) j T_(k-1)[j]
+    reads only a_2..a_(m-k+1).  So at order m each T_k[m], k = 2..m-1, is
+    computed once from stored lower terms, and a_m = g_m - sum_k T_k[m].
+    The cost is about N^3/6 rational multiply-adds.
     """
     if g.coeffs[0] or g.coeffs[1] != 1:
         raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
     N = g.order
-    acoef = [rat(0)] * (N + 1)
+    a = [rat(0)] * (N + 1)
+    terms = [None, a]  # terms[k][m] = T_k[m]
     for m in range(2, N + 1):
-        e = itexp(TruncatedSeries(m, acoef[: m + 1]))
-        acoef[m] = g.coeffs[m] - e.coeffs[m]
-    return TruncatedSeries(N, acoef)
+        terms.append([rat(0)] * (N + 1))
+        rest = rat(0)
+        for k in range(2, m):
+            lower = terms[k - 1]
+            tkm = sum(a[m + 1 - j] * j * lower[j] for j in range(k, m)) / k
+            terms[k][m] = tkm
+            rest += tkm
+        a[m] = g.coeffs[m] - rest
+    return TruncatedSeries(N, a)
 
 
 def exp_minus_one(order: int) -> TruncatedSeries:

@@ -285,6 +285,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
      "8952dbd19b1eac93c6dfc18c350cb00454cb6609243a85663a396999b1c3be54"),
     (["koszul-numbers", "--max-n", "25", "--format", "json"],
      "29fb9e42ff0f0ed8ed64581ccb3079e8b75a1535cf2ec94461c7a243810dda32"),
+    (["koszul-numbers", "--max-n", "40"],
+     "5af79e2296d84ac4c127831ac99b21a3540a3d767a71ca06623906573cff4ca9"),
     (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
       "--max-n", "3", "--format", "json"],
      "08645b59517c4cc1abecd7f2f0fd6c67e51cdeeb8f2082825384b782a9bcb8db"),
@@ -292,7 +294,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
       "--max-n", "3", "--format", "json", "--noncommutative"],
      "d9cbdbd27d1c6ca38ddc240d41bf917b787f8462c9b8623d96987dbbbdde8768"),
 ], ids=["conjecture", "conjecture-45", "coefficients", "koszul-numbers",
-        "verify", "verify-noncommutative"])
+        "koszul-numbers-40", "verify", "verify-noncommutative"])
 def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -63,8 +63,16 @@ def _unused_imports(path):
                   if name not in used and name not in exported)
 
 
-def test_src_modules_import_no_unused_name():
-    modules = sorted(Path(antibrackets.__file__).parent.glob("*.py"))
+def _modules_with_unused_imports(directory):
+    modules = sorted(directory.glob("*.py"))
     assert len(modules) > 5
     unused = {path.name: _unused_imports(path) for path in modules}
-    assert {name: found for name, found in unused.items() if found} == {}
+    return {name: found for name, found in unused.items() if found}
+
+
+def test_src_modules_import_no_unused_name():
+    assert _modules_with_unused_imports(Path(antibrackets.__file__).parent) == {}
+
+
+def test_test_modules_import_no_unused_name():
+    assert _modules_with_unused_imports(Path(__file__).parent) == {}

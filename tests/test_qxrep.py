@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from math import factorial
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -34,6 +34,16 @@ def series_with_valuation_two(order=10):
     )
 
 
+def itlog_rebuilding_itexp(g):
+    """Reference: match itexp(a), rebuilt at order m, against g at each m."""
+    N = g.order
+    acoef = [rat(0)] * (N + 1)
+    for m in range(2, N + 1):
+        e = itexp(TruncatedSeries(m, acoef[: m + 1]))
+        acoef[m] = g.coeffs[m] - e.coeffs[m]
+    return TruncatedSeries(N, acoef)
+
+
 def test_mul_matches_known_product():
     t = TruncatedSeries.variable(5)
     one_plus_t = TruncatedSeries(5, [1, 1])
@@ -74,13 +84,31 @@ def test_itlog_inverts_itexp(a):
 
 @settings(max_examples=40, deadline=None)
 @given(series_with_valuation_two())
+def test_itlog_matches_rebuilding_reference(a):
+    g = TruncatedSeries.variable(a.order) + a
+    assert itlog(g) == itlog_rebuilding_itexp(g)
+
+
+def test_itlog_of_exp_minus_one_matches_rebuilding_reference():
+    g = exp_minus_one(25)
+    assert itlog(g) == itlog_rebuilding_itexp(g)
+
+
+def test_itlog_refuses_series_outside_its_domain():
+    for coeffs in ([1, 1], [0, 2], [0, 0, 1]):
+        with pytest.raises(ValueError, match="g'\\(0\\) = 1"):
+            itlog(TruncatedSeries(4, coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(series_with_valuation_two())
 def test_julia_equation_for_any_generator(a):
     assert julia_check(a, a.order)
 
 
 def test_koszul_itlog_route_matches_recursion():
     assert koszul_numbers_itlog(14) == koszul_numbers_recursive(14)
-    assert koszul_numbers_itlog(30) == koszul_numbers_recursive(30)
+    assert koszul_numbers_itlog(60) == koszul_numbers_recursive(60)
 
 
 def test_julia_for_exp_minus_one_generator():

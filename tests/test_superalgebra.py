@@ -368,6 +368,19 @@ def test_endo_refuses_elements_of_another_signature():
         f(th)
 
 
+@pytest.mark.parametrize("host, other, generator", [
+    (Signature(1, 1, 2), Signature(1, 1, 3), "even"),
+    (Signature(1, 1, 3), Signature(1, 1, 2), "even"),
+    (Signature(1, 1, 3, unital=False), Signature(1, 1, 3), "odd"),
+], ids=["larger-bound", "smaller-bound", "unital-twin"])
+def test_multiplication_endo_refuses_elements_of_another_signature(
+        host, other, generator):
+    m = (other.even_generator(0) if generator == "even"
+         else other.odd_generator(0))
+    with pytest.raises(ValueError, match="signature mismatch"):
+        multiplication_endo(host, other.monomial_element(m))
+
+
 def test_derivation_satisfies_leibniz():
     d = derivation_endo(SIG)
     for a, b in itertools.product(monomials(SIG, 2), repeat=2):
