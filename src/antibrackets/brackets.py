@@ -21,11 +21,12 @@ which is Phi^1_f itself; the entry points refuse any other degree.
 
 from __future__ import annotations
 
-import itertools
+from functools import cache, lru_cache
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
+    SHAPE_CACHE_SIZE,
     MultiOp,
     canonical_index_tuples,
     is_zero_op,
@@ -54,11 +55,28 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
-    """Phi^n_f by the defining shuffle formula (commutative signatures).
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _direct_signs(pattern: tuple) -> list:
+    """Sign of each block of the shuffle formula, by bit mask of positions,
+    for arguments of parities ``pattern``: (-1)^(n-k) times the Koszul sign
+    of moving the k block arguments in front of the complement."""
+    n = len(pattern)
+    signs = [0]
+    for mask in range(1, 1 << n):
+        block = tuple(i for i in range(n) if mask >> i & 1)
+        rest = tuple(i for i in range(n) if not mask >> i & 1)
+        signs.append((-1) ** len(rest) * koszul_sign(block + rest, pattern))
+    return signs
 
-    A value is computed on basis indices: f is read on each block's
-    product, and that image is multiplied by the product of the complement.
+
+def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
+    """Phi^n_f by the defining shuffle formula (commutative signatures):
+    the sum over nonempty blocks B of k arguments of (-1)^(n-k) times the
+    Koszul sign times f(product of B) times the product of the complement.
+
+    A value is computed on basis indices.  Per tuple, one
+    :meth:`~.Signature.subset_products` table gives the product of each
+    block and of its complement, and :func:`_direct_signs` the signs.
     """
     _require_linear(f)
     sig = f.signature
@@ -66,29 +84,27 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-    positions = range(n)
+    parities = sig.basis_parities()
     read_f = f._canonical_value
+    full = (1 << n) - 1
 
     def eval_basis(tup):
-        basis_parities = sig.basis_parities()
-        parities = [basis_parities[i] for i in tup]
+        products = sig.subset_products(tup)
+        signs = _direct_signs(tuple(map(parities.__getitem__, tup)))
         acc = {}
-        for k in range(1, n + 1):
-            outer_sign = (-1) ** (n - k)
-            for block in itertools.combinations(positions, k):
-                s, j = sig.mul_indices([tup[i] for i in block])
-                image = read_f((j,)) if s else None
-                if not image:
-                    continue
-                rest = tuple(i for i in positions if i not in block)
-                total = s * outer_sign * koszul_sign(block + rest, parities)
-                if not rest:
-                    for t, c in image.items():
-                        acc[t] = acc.get(t, 0) + total * c
-                    continue
-                r, tail = sig.mul_indices([tup[i] for i in rest])
-                if r:
-                    sig.mul_into(acc, image.items(), tail, r * total)
+        for mask in range(1, full + 1):
+            s, j = products[mask]
+            image = read_f((j,)) if s else None
+            if not image:
+                continue
+            total = s * signs[mask]
+            if mask == full:
+                for t, c in image.items():
+                    acc[t] = acc.get(t, 0) + total * c
+                continue
+            r, tail = products[full ^ mask]
+            if r:
+                sig.mul_into(acc, image.items(), tail, r * total)
         return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
@@ -224,12 +240,13 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
 def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
-    Each shuffle's Phi value is multiplied once by the product of its
-    complement arguments, memoised per complement, instead of by one
-    argument after another.  The two agree exactly because the truncated
-    algebra is associative: it is the quotient of an associative algebra by
-    the two-sided ideal of elements of degree > D.  A complement whose
-    product dies contributes nothing, so its Phi value is never computed.
+    Each shuffle's signed Phi value times the product of its complement
+    arguments, memoised per complement, is added straight into the
+    right-hand side by :meth:`~.Signature.mul_into`.  One product instead of
+    one argument after another is exact as the truncated algebra is
+    associative (the quotient of an associative algebra by the two-sided
+    ideal of elements of degree > D).  A complement whose product dies
+    contributes nothing, so its Phi value is never computed.
     """
     _require_linear(f)
     if n < 1:
@@ -247,16 +264,12 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
         if p is None:
             raise ValueError("inversion check needs homogeneous arguments")
         parities.append(p)
-    products = {}  # tuple of argument positions -> their ordered product
 
+    @cache
     def product(positions):
-        value = products.get(positions)
-        if value is None:
-            value = args[positions[-1]]
-            if len(positions) > 1:
-                value = product(positions[:-1]) * value
-            products[positions] = value
-        return value
+        """Ordered product of the arguments at ``positions``."""
+        value = args[positions[-1]]
+        return product(positions[:-1]) * value if len(positions) > 1 else value
 
     lhs = f(product(tuple(range(n))))
     phis = {k: phi_direct_op(f, k) for k in range(1, n + 1)}
@@ -264,15 +277,17 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     for k in range(1, n + 1):
         for perm in shuffles(k, n - k):
             rest = perm[k:]
-            tail = product(rest) if rest else None
-            if tail is not None and tail.is_zero():
-                continue
-            val = phis[k](*(args[i] for i in perm[:k]))
-            if tail is not None:
-                val = val * tail
+            tail = product(rest).terms if rest else None
+            if tail is not None and not tail:
+                continue  # the complement's product dies
+            val = phis[k](*(args[i] for i in perm[:k])).terms.items()
             sign = koszul_sign(perm, parities)
-            for m, c in val.terms.items():
-                rhs[m] = rhs.get(m, 0) + sign * c
+            if tail is None:
+                for m, c in val:
+                    rhs[m] = rhs.get(m, 0) + sign * c
+            else:
+                for j, c in tail.items():
+                    sig.mul_into(rhs, val, j, sign * c)
     return lhs == AlgebraElement(sig, rhs)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
-from functools import cache
+from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 
@@ -173,12 +173,18 @@ def _picker(positions):
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-@cache
+# Entries kept by each cache of shape data (shuffle plans, sign tables): a
+# split of arity a has up to 2^a parity patterns, so an unbounded cache
+# would grow with every large arity a caller asks for.
+SHAPE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shuffle_plan(k: int, m: int, pattern: tuple) -> list:
     """Rows (block getter, complement getter, Koszul sign, passes) of the
     (k, m) shuffles in :func:`shuffles` order, for arguments of parities
     ``pattern``; passes[a] is the parity of the first a complement arguments.
-    Shape data only, cached for the process: at most 2^(k+m) patterns."""
+    Shape data only, kept for the process in a bounded cache."""
     rows = []
     for perm in shuffles(k, m):
         block, rest = perm[:k], perm[k:]

@@ -19,11 +19,13 @@ Monomials are converted once, where a caller passes them in
 :meth:`Signature.index_of`) or reads them out (``repr``,
 :meth:`Signature.monomial_str`).
 
-Products run on basis indices and leave :class:`Signature` in two forms:
+Products run on basis indices and leave :class:`Signature` in three forms:
 :meth:`Signature.mul_indices` gives an ordered product of basis monomials
 as (sign, index), or (0, None) when it dies (degree above the bound, or an
-odd letter repeated), and :meth:`Signature.mul_into` adds a combination
-times a basis monomial into an ``{index: coeff}`` dict.  Both read rows of
+odd letter repeated); :meth:`Signature.subset_products` gives that pair for
+every sub-block of a tuple at once, listed by bit mask of positions; and
+:meth:`Signature.mul_into` adds a combination times a basis monomial into
+an ``{index: coeff}`` dict.  All three read rows of
 right multiplication by one basis monomial, in an encoding internal to the
 class; a row covers the degree prefix of the basis that can survive the
 product.  Rows are built on first use by the one monomial product rule,
@@ -249,6 +251,25 @@ class Signature:
                 e, sign = -e, -sign
             acc = e - 1
         return (sign, acc)
+
+    def subset_products(self, indices):
+        """:meth:`mul_indices` of every sub-block of ``indices``, listed by
+        bit mask of positions (entry 0, the empty block, is (0, None)); an
+        entry is the one without its highest position times that argument."""
+        table = [(0, None)]
+        for j in indices:
+            row = self.mul_row(j)
+            limit = len(row)
+            table.append((1, j))
+            for s, acc in table[1 : len(table) - 1]:
+                e = row[acc] if s and acc < limit else 0
+                if e > 0:
+                    table.append((s, e - 1))
+                elif e:
+                    table.append((-s, -e - 1))
+                else:
+                    table.append((0, None))
+        return table
 
     def mul_into(self, acc, pairs, j, coeff):
         """Add coeff * (sum of v * basis[i] over the (i, v) pairs) * basis[j]

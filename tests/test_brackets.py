@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from antibrackets import brackets
+from antibrackets import brackets, multilinear
 from antibrackets.brackets import (
     differential_order_check,
     exp_rho_family,
@@ -17,6 +19,9 @@ from antibrackets.brackets import (
 )
 from antibrackets.checks import registry
 from antibrackets.multilinear import (
+    SHAPE_CACHE_SIZE,
+    MultiOp,
+    canonical_index_tuples,
     derivation_endo,
     first_mismatch,
     is_zero_op,
@@ -30,7 +35,7 @@ from antibrackets.multilinear import (
     random_endo,
 )
 from antibrackets.rational import parse_rational, rat
-from antibrackets.superalgebra import Signature
+from antibrackets.superalgebra import Signature, koszul_sign
 
 SIG = Signature(even=1, odd=1, degree_bound=3)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -42,6 +47,58 @@ def test_phi_one_is_the_operator_itself():
     op = phi_direct_op(f, 1)
     for m in SIG.basis():
         assert op.value((m,)) == f(m)
+
+
+def _reference_phi_direct_op(f, n):
+    """Phi^n_f by the shuffle formula, one block at a time: each block's
+    and each complement's product by mul_indices, each sign by koszul_sign."""
+    sig = f.signature
+    positions = range(n)
+
+    def eval_basis(tup):
+        basis_parities = sig.basis_parities()
+        parities = [basis_parities[i] for i in tup]
+        acc = {}
+        for k in range(1, n + 1):
+            outer_sign = (-1) ** (n - k)
+            for block in itertools.combinations(positions, k):
+                s, j = sig.mul_indices([tup[i] for i in block])
+                image = f._canonical_value((j,)) if s else None
+                if not image:
+                    continue
+                rest = tuple(i for i in positions if i not in block)
+                total = s * outer_sign * koszul_sign(block + rest, parities)
+                if not rest:
+                    for t, c in image.items():
+                        acc[t] = acc.get(t, 0) + total * c
+                    continue
+                r, tail = sig.mul_indices([tup[i] for i in rest])
+                if r:
+                    sig.mul_into(acc, image.items(), tail, r * total)
+        return {t: c for t, c in acc.items() if c}
+
+    return MultiOp(sig, n - 1, f.parity, eval_basis)
+
+
+@pytest.mark.parametrize("sig", [
+    SIG,
+    Signature(even=2, odd=1, degree_bound=3, unital=False),
+    Signature(even=1, odd=2, degree_bound=2),
+], ids=repr)
+def test_direct_route_matches_block_by_block_reference(sig):
+    # tuples up to two degrees past the comparison domain, which nr_product
+    # reads; on a unital signature unit arguments never make a product die
+    for seed, parity in ((11, "even"), (12, "odd")):
+        f = random_endo(sig, seed, parity=parity, density=0.5)
+        beyond = 0
+        for n in range(1, 7):
+            op, ref = phi_direct_op(f, n), _reference_phi_direct_op(f, n)
+            for tup in canonical_index_tuples(sig, n, sig.degree_bound + 2):
+                value = op._canonical_value(tup)
+                assert value == ref._canonical_value(tup), (n, tup)
+                beyond += bool(value) and sum(
+                    sig.degree(sig.basis()[i]) for i in tup) > sig.degree_bound
+        assert beyond
 
 
 def test_phi_two_explicit_formula():
@@ -263,3 +320,66 @@ def test_first_mismatch_reports_jacobi_failure_shape():
     rhs = op_combination([(lhs, -1)])
     found = first_mismatch(lhs, rhs)
     assert found is not None and len(found) == 3
+
+
+def test_shape_caches_are_bounded():
+    for cached in (multilinear._shuffle_plan, brackets._direct_signs):
+        assert cached.cache_info().maxsize == SHAPE_CACHE_SIZE
+
+
+# -- sweep over signature shapes ---------------------------------------------
+# (p, q, D, commutative, unital) with p, q in 0..2, p + q >= 1, D in 1..3.
+# The draws are fixed, so the cost and the covered shapes repeat: all 96
+# shapes take 8.4 s, most of it on the associative D = 3 unital ones.
+
+SHAPES = [
+    shape for shape in itertools.product(
+        range(3), range(3), range(1, 4), (True, False), (True, False))
+    if shape[0] + shape[1] >= 1
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(SHAPES), st.integers(0, 2**16))
+def test_constructions_agree_across_signature_shapes(shape, seed):
+    even, odd, degree, commutative, unital = shape
+    sig = Signature(even, odd, degree, commutative=commutative, unital=unital)
+    methods = METHODS if commutative else ("bracket", "exponential")
+    for parity in ("even", "odd"):
+        f = random_endo(sig, seed, parity=parity, density=0.5)
+        hierarchies = {m: phi_hierarchy(f, 4, method=m) for m in methods}
+        for n in range(1, 5):
+            base = hierarchies[methods[0]][n]
+            for m in methods[1:]:
+                assert ops_equal(base, hierarchies[m][n]), (shape, parity, n, m)
+
+
+def _arguments_within_bound(draw, sig, n):
+    """n basis monomials whose degrees sum to at most D, or None if the
+    signature has no such tuple (non-unital with D < n)."""
+    basis = sig.basis()
+    low = 0 if sig.unital else 1
+    budget = sig.degree_bound - low * n
+    if budget < 0:
+        return None
+    args = []
+    for _ in range(n):
+        options = [m for m in basis if sig.degree(m) - low <= budget]
+        m = draw(st.sampled_from(options))
+        budget -= sig.degree(m) - low
+        args.append(m)
+    return args
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([s for s in SHAPES if s[3]]), st.integers(0, 2**16),
+       st.data())
+def test_inversion_holds_across_signature_shapes(shape, seed, data):
+    even, odd, degree, _, unital = shape
+    sig = Signature(even, odd, degree, unital=unital)
+    for parity in ("even", "odd"):
+        f = random_endo(sig, seed, parity=parity, density=0.5)
+        for n in range(1, 5):
+            args = _arguments_within_bound(data.draw, sig, n)
+            if args is not None:
+                assert inversion_check(f, n, args), (shape, parity, args)

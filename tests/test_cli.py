@@ -293,8 +293,12 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
       "--max-n", "3", "--format", "json", "--noncommutative"],
      "d9cbdbd27d1c6ca38ddc240d41bf917b787f8462c9b8623d96987dbbbdde8768"),
+    (["verify", "inversion", "--even", "3", "--odd", "3", "--degree", "8",
+      "--format", "json"],
+     "0d4c8f4876a0bf6cd3656a06b4ececbee2b3161a8ede60b2b40b394f88f3e1d3"),
 ], ids=["conjecture", "conjecture-45", "coefficients", "koszul-numbers",
-        "koszul-numbers-40", "verify", "verify-noncommutative"])
+        "koszul-numbers-40", "verify", "verify-noncommutative",
+        "verify-inversion"])
 def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

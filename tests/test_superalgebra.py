@@ -207,6 +207,35 @@ def test_index_product_matches_sequential_products(sig):
 
 
 @pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
+def test_subset_products_match_block_products(sig):
+    basis = sig.basis()
+    parities = sig.basis_parities()
+    odd = [i for i, p in enumerate(parities) if p]
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(200):
+        tup = [rng.randrange(len(basis)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            tup.insert(rng.randrange(len(tup) + 1), rng.choice(tup + odd))
+        table = sig.subset_products(tup)
+        assert len(table) == 2 ** len(tup) and table[0] == (0, None)
+        for mask in range(1, len(table)):
+            block = [j for pos, j in enumerate(tup) if mask >> pos & 1]
+            product = sig.mul_indices(block)
+            assert table[mask] == product, (tup, mask)
+            if product[0]:
+                seen.add(product[0])
+            elif sum(sig.degree(basis[j]) for j in block) > sig.degree_bound:
+                seen.add("degree")
+            else:
+                seen.add("odd letter")
+    if sig.commutative:
+        assert seen == {1, -1, "degree", "odd letter"}
+    else:
+        assert seen == {1, "degree"}
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
 def test_mul_into_matches_monomial_products(sig):
     basis = sig.basis()
     rng = random.Random(5)
