@@ -27,12 +27,16 @@ from .checks import SUITES, registry
 from .combinatorics import koszul_numbers_chain, koszul_numbers_recursive
 # unused here; perfbench/test_perfbench.py asserts this binding
 from .multilinear import nr_bracket  # noqa: F401
-from .qxrep import coefficient_series, conjecture_formula
+from .qxrep import coefficient_series, conjecture_coefficients
 from .rational import format_rational, rat
 from .series import koszul_numbers_itlog
 from .superalgebra import Signature
 
 __all__ = ["main", "build_parser"]
+
+# The largest --max-n of the three reports, where each takes 5-8 s
+# (Python 3.11, 2 cores); the README gives their costs as functions of N.
+REPORT_MAX_N = 200
 
 
 @functools.cache
@@ -102,13 +106,21 @@ def _emit_rows(rows, header, fmt):
             print("  ".join(v.ljust(w) for v, w in zip(r, widths)))
 
 
+def _max_n_in_range(N: int, low: int) -> bool:
+    """False, after printing the usage error, when --max-n is out of range."""
+    if low <= N <= REPORT_MAX_N:
+        return True
+    bound = f">= {low}" if N < low else f"<= {REPORT_MAX_N}"
+    print(f"error: --max-n must be {bound}", file=sys.stderr)
+    return False
+
+
 # -- koszul-numbers ---------------------------------------------------------
 
 
 def cmd_koszul_numbers(args) -> int:
     N = args.max_n
-    if N < 1:
-        print("error: --max-n must be >= 1", file=sys.stderr)
+    if not _max_n_in_range(N, 1):
         return 2
     recursive = koszul_numbers_recursive(N)
     chain = koszul_numbers_chain(N)
@@ -139,7 +151,7 @@ def _coefficient_row(n: int, coeffs) -> dict:
     """Everything about degree n, with rationals rendered as strings."""
     sign = rat((-1) ** n * factorial(n))
     solved = list(coeffs.c)
-    conjectured = [conjecture_formula(n, i) for i in range(1, n + 1)]
+    conjectured = conjecture_coefficients(n)
     return {
         "n": n,
         "normalized": [format_rational(sign * c) for c in solved],
@@ -154,8 +166,7 @@ def _coefficient_row(n: int, coeffs) -> dict:
 def _coefficient_report(args, emit) -> int:
     """Solve degrees 2..N in one pass and hand their rows to emit."""
     N = args.max_n
-    if N < 2:
-        print("error: --max-n must be >= 2", file=sys.stderr)
+    if not _max_n_in_range(N, 2):
         return 2
     try:
         series = coefficient_series(N)

@@ -13,10 +13,13 @@ on which rho_k acts by an explicit two-term rule; expressing
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
 the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
 One pass builds the induction-basis systems of every degree, each from the
-one before.  The coordinates, the linear solve and the conjectured closed
-formula run on Python ints and divide once per output coefficient; the
-solve keeps its rows primitive (gcd of the entries 1).  :func:`rho_action`
-on truncated polynomials is the independent oracle for that computation.
+one before.  The top n-2 rows of the system of degree n are triangular; the
+shape is checked at every n, and they are solved by forward substitution,
+the last three rows by :func:`solve_linear`, the general solver, which also
+takes any system without the shape.  The coordinates, the solve and the
+conjectured closed formula run on Python ints and divide once per output
+coefficient.  :func:`rho_action` on truncated polynomials is the
+independent oracle for that computation.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial, gcd, lcm, perm
+from operator import mul
 
 from .brackets import phi_direct_op
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
@@ -52,6 +56,7 @@ __all__ = [
     "solve_coefficients",
     "coefficient_series",
     "conjecture_formula",
+    "conjecture_coefficients",
     "coefficient_table_entry",
     "bn_zero_witness",
     "coderivation_dn",
@@ -329,22 +334,58 @@ def _induction_systems():
         extra = rho_abstract(1, extra)
 
 
+def _triangular_shape(n: int, matrix) -> bool:
+    """Whether each row r = 0..n-3 is zero in columns 0, 1 and n and right of
+    column n-1-r, and nonzero at column n-1-r."""
+    return all(
+        row[n - 1 - r] and not (row[0] or row[1] or any(row[n - r:]))
+        for r, row in enumerate(matrix[:n - 2])
+    )
+
+
+def _induction_solution(n: int, matrix, target) -> list:
+    """x_0..x_n with matrix x = target, for the induction-basis system of degree n.
+
+    When :func:`_triangular_shape` holds, checked here at every n, the rows
+    r = n-3..0 give x_2..x_(n-1) in turn by forward substitution, each row's
+    pivot column n-1-r being its last nonzero one; the values are ints over
+    one running denominator, and a pivot's new factor rescales the stored
+    ones.  x_0, x_1 and x_n then come from rows n-2, n-1 and n, a 3x3
+    system for :func:`solve_linear`.  Degree 1, and any system without the
+    shape, goes whole to :func:`solve_linear`.
+    """
+    if n < 2 or not _triangular_shape(n, matrix):
+        return solve_linear(matrix, target)
+    x = [0] * n  # numerators of x_2..x_(n-1) over d (of either sign)
+    d = 1
+    for r in range(n - 3, -1, -1):
+        p = n - 1 - r
+        pivot = matrix[r][p]
+        s = target[r] * d - sum(map(mul, matrix[r][2:p], x[2:p]))
+        g = gcd(s, pivot)
+        if pivot != g:  # x_p = (s/g) / (d pivot/g)
+            e = pivot // g
+            x[2:p] = [v * e for v in x[2:p]]
+            d *= e
+        x[p] = s // g
+    rows = range(n - 2, n + 1)
+    c_1, c_2, b = solve_linear(
+        [[matrix[r][c] * d for c in (0, 1, n)] for r in rows],
+        [target[r] * d - sum(map(mul, matrix[r][2:n], x[2:])) for r in rows],
+    )
+    return [c_1, c_2, *(rat(v, d) for v in x[2:]), b]
+
+
 def _solve_system(n: int, matrix, target) -> UniversalCoefficients:
     """The coefficients of degree n from its induction-basis system.
 
-    The top n-2 rows are anti-triangular in columns 2..n-1 (observed up to
-    n = 120), so :func:`solve_linear` gets the rows in the order n-3..0,
-    n-2, n-1, n and the columns in the order 2..n-1, 0, 1, n, which keeps
-    that block from filling in.  The order changes only the work.
+    Solved by :func:`_induction_solution`, which checks the triangular shape
+    at every n; raises ArithmeticError when b_n != 0.
     """
-    cols = [*range(2, n), *range(min(n, 2)), n]
-    rows = [*range(n - 3, -1, -1), *range(max(n - 2, 0), n + 1)]
-    solution = dict(zip(cols, solve_linear(
-        [[matrix[r][c] for c in cols] for r in rows], [target[r] for r in rows])))
-    b = solution.pop(n)
+    *c, b = _induction_solution(n, matrix, target)
     if b:
         raise ArithmeticError(f"auxiliary coefficient b_{n} = {b} != 0")
-    return UniversalCoefficients(n, tuple(solution[i] for i in range(n)), b)
+    return UniversalCoefficients(n, tuple(c), b)
 
 
 def solve_coefficients(n: int) -> UniversalCoefficients:
@@ -367,16 +408,24 @@ def coefficient_series(N: int) -> dict:
 
 
 def conjecture_formula(n: int, i: int):
-    """The conjectured closed form for c_i^n (empty products are 1).
+    """The conjectured closed form for c_i^n; see :func:`conjecture_coefficients`."""
+    if n < 2 or not 1 <= i <= n:
+        raise ValueError("need n >= 2 and 1 <= i <= n")
+    return conjecture_coefficients(n)[i - 1]
+
+
+def conjecture_coefficients(n: int) -> list:
+    """The conjectured closed forms of c_1^n..c_n^n (empty products are 1).
 
     c_i^n = (-1)^n top(i) / sum_(h=2..n) h top(h) tail(h), with
     top(h) = prod_(j=2..h) (n(n-1) - (j-1)(j-2))/2 and
     tail(h) = prod_(j=h..n-1) (1-j)(j+2)/2.  Every factor is an integer (both
     products are even), so the products and the i-independent denominator
-    are built in one pass over ints, and the result is one division.
+    are built once per n in one pass over ints, and each c_i^n is one
+    division.
     """
-    if n < 2 or not 1 <= i <= n:
-        raise ValueError("need n >= 2 and 1 <= i <= n")
+    if n < 2:
+        raise ValueError("need n >= 2")
     top = [1, 1]  # top[h] for h = 0..n
     for j in range(2, n + 1):
         top.append(top[-1] * ((n * (n - 1) - (j - 1) * (j - 2)) // 2))
@@ -387,7 +436,7 @@ def conjecture_formula(n: int, i: int):
         tail *= (2 - h) * (h + 1) // 2  # tail(h-1) = tail(h) (1-(h-1))(h+1)/2
     if not denominator:
         raise ZeroDivisionError(f"conjecture denominator vanishes at n = {n}")
-    return rat((-1) ** n * top[i], denominator)
+    return [rat((-1) ** n * t, denominator) for t in top[1:]]
 
 
 def coefficient_table_entry(n: int, i: int, coefficients=None):

@@ -10,7 +10,8 @@ variable space, and the Stirling formula for derivatives of f(e^t - 1)).
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, gcd
+from operator import mul
 
 from .combinatorics import koszul_numbers_recursive, stirling2
 from .rational import Rational, rat
@@ -166,27 +167,41 @@ def itlog(g: TruncatedSeries) -> TruncatedSeries:
     """Iterative logarithm: the unique a with a(0)=a'(0)=0 and itexp(a) = g.
 
     Computed order by order, filling in the terms of itexp as it goes.  With
-    T_1 = a and T_k = (a d/dt) T_(k-1) / k, itexp(a) = t + sum_k T_k, and
-    the coefficient T_k[m] = (1/k) sum_(j=k..m-1) a_(m+1-j) j T_(k-1)[j]
-    reads only a_2..a_(m-k+1).  So at order m each T_k[m], k = 2..m-1, is
-    computed once from stored lower terms, and a_m = g_m - sum_k T_k[m].
-    The cost is about N^3/6 rational multiply-adds.
+    T_1 = a and T_k = (a d/dt) T_(k-1) / k, itexp(a) = t + sum_k T_k.  In the
+    exponential form A_m = m! a_m, V_k[m] = k! m! T_k[m], the recurrence
+    V_k[m] = sum_(j=k..m-1) C(m, j-1) A_(m+1-j) V_(k-1)[j] has no division
+    and reads only A_2..A_(m-k+1), and A_m = m! g_m - sum_(k=2..m-1) V_k[m]/k!.
+    The A_m are ints over one running denominator Q and the V_k ints over
+    Q^k; when a new A_m brings a factor that Q lacks, Q grows and the stored
+    values are rescaled once.  The cost is about N^3/6 integer
+    multiply-adds and one rational subtraction per order.
     """
     if g.coeffs[0] or g.coeffs[1] != 1:
         raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
     N = g.order
-    a = [rat(0)] * (N + 1)
-    terms = [None, a]  # terms[k][m] = T_k[m]
+    A = [0] * (N + 1)  # numerators of A_m over Q
+    V = [None, A]  # V[k][m]: numerator of V_k[m] over Q^k
+    Q = 1
     for m in range(2, N + 1):
-        terms.append([rat(0)] * (N + 1))
-        rest = rat(0)
+        V.append([0] * (N + 1))
+        w = [0, 0, *(comb(m, j - 1) * A[m + 1 - j] for j in range(2, m))]
+        rest = 0  # numerator of sum_k V_k[m]/k! over (m-1)! Q^(m-1), by Horner
         for k in range(2, m):
-            lower = terms[k - 1]
-            tkm = sum(a[m + 1 - j] * j * lower[j] for j in range(k, m)) / k
-            terms[k][m] = tkm
-            rest += tkm
-        a[m] = g.coeffs[m] - rest
-    return TruncatedSeries(N, a)
+            V[k][m] = vkm = sum(map(mul, w[k:m], V[k - 1][k:m]))
+            rest = rest * k * Q + vkm
+        A_m = factorial(m) * g.coeffs[m] - rat(rest, factorial(m - 1) * Q ** (m - 1))
+        num, den = int(A_m.numerator), int(A_m.denominator)
+        grow = den // gcd(den, Q)
+        if grow > 1:
+            factor = 1
+            for k in range(1, m):
+                factor *= grow
+                V[k][:m + 1] = [v * factor for v in V[k][:m + 1]]
+            Q *= grow
+        A[m] = num * (Q // den)
+    return TruncatedSeries(
+        N, [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
+    )
 
 
 def exp_minus_one(order: int) -> TruncatedSeries:

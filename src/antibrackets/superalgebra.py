@@ -102,7 +102,9 @@ class Signature:
         return (self.even, self.odd, self.degree_bound, self.commutative, self.unital)
 
     def __eq__(self, other):
-        return isinstance(other, Signature) and self._key() == other._key()
+        return other is self or (
+            isinstance(other, Signature) and self._key() == other._key()
+        )
 
     def __hash__(self):
         return hash(self._key())

@@ -82,6 +82,15 @@ def test_koszul_numbers_usage_error(capsys):
     assert "max-n" in err
 
 
+@pytest.mark.parametrize("command", ["koszul-numbers", "coefficients", "conjecture"])
+def test_reports_refuse_max_n_above_their_limit(capsys, command):
+    assert cli.REPORT_MAX_N == 200
+    code, out, err = run_cli(capsys, command, "--max-n", "201")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-n must be <= 200\n"
+
+
 def test_coefficients_table(capsys):
     code, out, _ = run_cli(capsys, "coefficients", "--max-n", "5")
     assert code == 0

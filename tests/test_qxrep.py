@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,11 +12,13 @@ from antibrackets.qxrep import (
     DegreeOverflowError,
     QxOperator,
     SingularMatrixError,
+    UniversalCoefficients,
     bn_zero_witness,
     coderivation_check,
     coderivation_dn,
     coefficient_series,
     coefficient_table_entry,
+    conjecture_coefficients,
     conjecture_formula,
     duality_check,
     phi_n_signed_sum,
@@ -252,9 +256,100 @@ def test_shared_columns_match_from_scratch_reference():
         matrix, target = _induction_system_from_scratch(n)
         assert next(systems) == (matrix, target)
         assert series[n] == solve_coefficients(n)
-        # the reordered solve agrees with the system solved in its own order
+        # the triangular solve agrees with the system solved in its own order
         solution = solve_linear(matrix, target)
         assert series[n].c == tuple(solution[:n]) and series[n].b == solution[n]
+
+
+def _reordered_solve(n, matrix, target):
+    """Reference: solve_linear on the whole system, rows n-3..0, n-2, n-1, n
+    and columns 2..n-1, 0, 1, n, so that the anti-triangular block leads."""
+    cols = [*range(2, n), *range(min(n, 2)), n]
+    rows = [*range(n - 3, -1, -1), *range(max(n - 2, 0), n + 1)]
+    solution = dict(zip(cols, solve_linear(
+        [[matrix[r][c] for c in cols] for r in rows], [target[r] for r in rows])))
+    b = solution.pop(n)
+    return UniversalCoefficients(n, tuple(solution[i] for i in range(n)), b)
+
+
+def _recording_solve_linear(monkeypatch):
+    """Route qxrep's solve_linear calls through a recorder of the row counts."""
+    sizes = []
+
+    def recording_solve(matrix, rhs):
+        sizes.append(len(matrix))
+        return solve_linear(matrix, rhs)
+
+    monkeypatch.setattr(qxrep, "solve_linear", recording_solve)
+    return sizes
+
+
+def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
+    systems = list(zip(range(1, 61), qxrep._induction_systems()))
+    sizes = _recording_solve_linear(monkeypatch)
+    series = coefficient_series(60)
+    # degree 1 is solved whole; every later system has the shape
+    assert sizes == [2] + [3] * 59
+    monkeypatch.undo()
+    for n, (matrix, target) in systems:
+        assert qxrep._triangular_shape(n, matrix) == (n > 1)
+        assert series[n] == _reordered_solve(n, matrix, target)
+
+
+@pytest.mark.parametrize("n, r, c, value", [
+    (6, 0, 0, 5),  # columns 0, 1 and n of the top rows must be zero
+    (6, 1, 1, 5),
+    (6, 2, 6, 5),
+    (6, 1, 5, 5),  # right of the pivot column n-1-r
+    (9, 3, 6, 5),
+    (7, 2, 4, 0),  # the pivot itself must be nonzero (the system is singular)
+])
+def test_system_without_the_shape_goes_whole_to_solve_linear(
+        monkeypatch, n, r, c, value):
+    matrix, target = next(islice(qxrep._induction_systems(), n - 1, None))
+    matrix = [list(row) for row in matrix]
+    assert matrix[r][c] != value
+    matrix[r][c] = value
+    assert not qxrep._triangular_shape(n, matrix)
+    sizes = _recording_solve_linear(monkeypatch)
+    try:
+        expected = solve_linear(matrix, target)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            qxrep._induction_solution(n, matrix, target)
+    else:
+        assert qxrep._induction_solution(n, matrix, target) == expected
+    assert sizes == [n + 1]
+
+
+@st.composite
+def _triangular_systems(draw):
+    """Int systems with the shape of the induction-basis systems, whose
+    pivots bring new denominators (so stored values are rescaled)."""
+    n = draw(st.integers(2, 8))
+    entries = st.integers(-9, 9)
+    matrix = [[0] * (n + 1) for _ in range(n + 1)]
+    for r in range(n + 1):
+        cols = range(2, n - r) if r <= n - 3 else range(n + 1)
+        for c in cols:
+            matrix[r][c] = draw(entries)
+        if r <= n - 3:
+            matrix[r][n - 1 - r] = draw(entries.filter(bool))
+    return n, matrix, draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_triangular_systems())
+def test_triangular_solve_matches_solve_linear_on_shaped_systems(system):
+    n, matrix, target = system
+    assert qxrep._triangular_shape(n, matrix)
+    try:
+        expected = solve_linear(matrix, target)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            qxrep._induction_solution(n, matrix, target)
+        return
+    assert qxrep._induction_solution(n, matrix, target) == expected
 
 
 def test_auxiliary_coefficient_vanishes():
@@ -289,8 +384,20 @@ def _conjecture_formula_fraction(n, i):
 
 def test_conjecture_formula_matches_rational_reference():
     for n in range(2, 31):
+        row = conjecture_coefficients(n)
+        assert len(row) == n
         for i in range(1, n + 1):
-            assert conjecture_formula(n, i) == _conjecture_formula_fraction(n, i)
+            expected = _conjecture_formula_fraction(n, i)
+            assert conjecture_formula(n, i) == row[i - 1] == expected
+
+
+@pytest.mark.parametrize("n, i", [(1, 1), (3, 0), (3, 4)])
+def test_conjecture_formula_rejects_indices_outside_its_range(n, i):
+    with pytest.raises(ValueError, match="need n >= 2"):
+        conjecture_formula(n, i)
+    if n < 2:
+        with pytest.raises(ValueError, match="need n >= 2"):
+            conjecture_coefficients(n)
 
 
 def test_table_normalization_spot_values():

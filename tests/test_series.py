@@ -44,6 +44,30 @@ def itlog_rebuilding_itexp(g):
     return TruncatedSeries(N, acoef)
 
 
+def itlog_fraction(g):
+    """Reference: the order-by-order recurrence on rationals, with
+    T_k[m] = (1/k) sum_(j=k..m-1) a_(m+1-j) j T_(k-1)[j] and
+    a_m = g_m - sum_(k=2..m-1) T_k[m]."""
+    N = g.order
+    a = [rat(0)] * (N + 1)
+    terms = [None, a]  # terms[k][m] = T_k[m]
+    for m in range(2, N + 1):
+        terms.append([rat(0)] * (N + 1))
+        rest = rat(0)
+        for k in range(2, m):
+            lower = terms[k - 1]
+            tkm = sum(a[m + 1 - j] * j * lower[j] for j in range(k, m)) / k
+            terms[k][m] = tkm
+            rest += tkm
+        a[m] = g.coeffs[m] - rest
+    return TruncatedSeries(N, a)
+
+
+# Denominators up to 12, none of them 1, so that itlog's running
+# denominator grows and its stored values are rescaled.
+non_unit_rationals = st.builds(rat, st.integers(-6, 6), st.integers(2, 12))
+
+
 def test_mul_matches_known_product():
     t = TruncatedSeries.variable(5)
     one_plus_t = TruncatedSeries(5, [1, 1])
@@ -92,6 +116,19 @@ def test_itlog_matches_rebuilding_reference(a):
 def test_itlog_of_exp_minus_one_matches_rebuilding_reference():
     g = exp_minus_one(25)
     assert itlog(g) == itlog_rebuilding_itexp(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14).flatmap(lambda order: st.lists(
+    non_unit_rationals, min_size=order - 1, max_size=order - 1).map(
+        lambda tail: TruncatedSeries(order, [0, 1, *tail]))))
+def test_itlog_matches_fraction_reference(g):
+    assert itlog(g) == itlog_fraction(g)
+
+
+def test_itlog_of_exp_minus_one_matches_fraction_reference():
+    g = exp_minus_one(41)
+    assert itlog(g) == itlog_fraction(g)
 
 
 def test_itlog_refuses_series_outside_its_domain():
