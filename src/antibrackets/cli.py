@@ -34,8 +34,9 @@ from .superalgebra import Signature
 
 __all__ = ["main", "build_parser"]
 
-# The largest --max-n of the three reports, where each takes 5-8 s
-# (Python 3.11, 2 cores); the README gives their costs as functions of N.
+# The largest --max-n of the three reports, where each takes 4-6 s, and of
+# verify, where the series suite takes about 160 s (Python 3.11, 2 cores);
+# the README gives their costs as functions of N.
 REPORT_MAX_N = 200
 
 
@@ -237,8 +238,7 @@ def _detail(sig, outcome):
 
 
 def cmd_verify(args) -> int:
-    if args.max_n < 1:
-        print("error: --max-n must be >= 1", file=sys.stderr)
+    if not _max_n_in_range(args.max_n, 1):
         return 2
     try:
         sig = _make_signature(args)

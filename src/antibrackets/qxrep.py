@@ -8,8 +8,11 @@ constants.  Three rules give the coderivation, duality and Witt checks:
 C(s, n+1) x^(s-n), ``_phi(n)`` = phi(L_n) = x d^(n+1)/dx^(n+1) sends it to
 s!/(s-n-1)! x^(s-n), and ``_psi(n)`` = psi(L_n) to (n+1-s) x^(s+n).
 :func:`rho_action` is rho_k(psi) = (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
-The rank-one operators Phi(n, i) sending x^i to x^(n-i)/(n-i)! span V^n,
-on which rho_k acts by an explicit two-term rule; expressing
+The rank-one operators Phi(n, i) sending x^i to x^(n-i)/(n-i)! span V^n.
+An element of V^n is the list of its n coordinates, ``coords[i-1]`` the
+coefficient of Phi(n, i); :func:`phi_operator` turns it into a
+:class:`QxOperator`, and :func:`rho_abstract` applies rho_k to it by an
+explicit two-term rule per coordinate.  Expressing
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
 the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
 One pass builds the induction-basis systems of every degree, each from the
@@ -44,14 +47,12 @@ from .superalgebra import Signature
 
 __all__ = [
     "QxOperator",
-    "AbstractPhiCombination",
     "UniversalCoefficients",
     "DegreeOverflowError",
     "SingularMatrixError",
     "phi_ni",
-    "phi_n_signed_sum",
+    "phi_operator",
     "rho_action",
-    "rho_on_phi_ni",
     "rho_abstract",
     "solve_coefficients",
     "coefficient_series",
@@ -59,7 +60,6 @@ __all__ = [
     "conjecture_coefficients",
     "coefficient_table_entry",
     "bn_zero_witness",
-    "coderivation_dn",
     "coderivation_check",
     "duality_check",
     "witt_phi_check",
@@ -152,13 +152,6 @@ class QxOperator:
             s: {p: c * v for p, v in col.items()} for s, col in enumerate(self.columns)
         })
 
-    def compose(self, other: "QxOperator") -> "QxOperator":
-        """self after other."""
-        self._check(other)
-        return QxOperator(
-            self.bound, {s: self.apply(col) for s, col in enumerate(other.columns)}
-        )
-
     def _check(self, other):
         if self.bound != other.bound:
             raise ValueError("bound mismatch")
@@ -175,19 +168,20 @@ class QxOperator:
         return f"QxOperator(bound={self.bound})"
 
 
+def phi_operator(coords, bound: int) -> QxOperator:
+    """sum_i coords[i-1] Phi(n, i), n = len(coords), on degrees <= bound."""
+    n = len(coords)
+    return QxOperator(bound, {
+        i: {n - i: c * rat(1, factorial(n - i))}
+        for i, c in enumerate(coords, 1) if c
+    })
+
+
 def phi_ni(n: int, i: int, bound: int) -> QxOperator:
     """The rank-one operator x^i -> x^(n-i)/(n-i)!, zero elsewhere."""
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    return QxOperator(bound, {i: {n - i: rat(1, factorial(n - i))}})
-
-
-def phi_n_signed_sum(n: int, bound: int) -> QxOperator:
-    """Phi^n = sum_i (-1)^(n-i) Phi(n, i)."""
-    out = QxOperator(bound)
-    for i in range(1, n + 1):
-        out = out + phi_ni(n, i, bound).scale((-1) ** (n - i))
-    return out
+    return phi_operator([int(j == i) for j in range(1, n + 1)], bound)
 
 
 def rho_action(k: int, psi: QxOperator) -> QxOperator:
@@ -211,56 +205,23 @@ def rho_action(k: int, psi: QxOperator) -> QxOperator:
     })
 
 
-@dataclass(frozen=True)
-class AbstractPhiCombination:
-    """Element of V^n in Phi(n, i) coordinates: a map i -> coefficient."""
+def rho_abstract(k: int, coords: list) -> list:
+    """rho_k on V^n in coordinates: the n+k coordinates of rho_k of the
+    element with coordinates ``coords``, n = len(coords).
 
-    degree: int
-    coeffs: tuple  # tuple of (i, coefficient) pairs, i strictly increasing
-
-    @classmethod
-    def from_dict(cls, degree: int, mapping) -> "AbstractPhiCombination":
-        # From a list: tuple() of a generator resizes, and resized tuples
-        # pile up in the interpreter's per-length free lists.
-        items = tuple([(i, c) for i, c in sorted(mapping.items()) if c])
-        for i, _ in items:
-            if not 1 <= i <= degree:
-                raise ValueError("index outside 1..n")
-        return cls(degree, items)
-
-    def to_operator(self, bound: int) -> QxOperator:
-        out = QxOperator(bound)
-        for i, c in self.coeffs:
-            out = out + phi_ni(self.degree, i, bound).scale(c)
-        return out
-
-    def vector(self) -> list:
-        """Coordinates against Phi(n, 1)..Phi(n, n)."""
-        d = dict(self.coeffs)
-        return [d.get(i, 0) for i in range(1, self.degree + 1)]
-
-
-def _rho_phi_terms(k: int, n: int, i: int):
-    """rho_k Phi(n, i) = c1 Phi(n+k, i) + c2 Phi(n+k, i+k) as ((i, c1), (i+k, c2))."""
-    return (
-        (i, comb(n - i + k, k) - comb(n - i + k, k + 1)),
-        (i + k, -comb(k + i, k + 1)),
-    )
-
-
-def rho_on_phi_ni(k: int, n: int, i: int) -> AbstractPhiCombination:
-    """Closed form of the Witt generator action on a single Phi(n, i)."""
-    if k < 1 or not 1 <= i <= n:
-        raise ValueError("need k >= 1 and 1 <= i <= n")
-    return AbstractPhiCombination.from_dict(n + k, dict(_rho_phi_terms(k, n, i)))
-
-
-def rho_abstract(k: int, comb_: AbstractPhiCombination) -> AbstractPhiCombination:
-    out = {}
-    for i, c in comb_.coeffs:
-        for j, v in _rho_phi_terms(k, comb_.degree, i):
-            out[j] = out.get(j, 0) + c * v
-    return AbstractPhiCombination.from_dict(comb_.degree + k, out)
+    Term by term, rho_k Phi(n, i) = (C(n-i+k, k) - C(n-i+k, k+1)) Phi(n+k, i)
+    - C(k+i, k+1) Phi(n+k, i+k).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = len(coords)
+    out = [0] * (n + k)
+    for i, c in enumerate(coords, 1):
+        if c:
+            m = n - i + k
+            out[i - 1] += c * (comb(m, k) - comb(m, k + 1))
+            out[i + k - 1] -= c * comb(k + i, k + 1)
+    return out
 
 
 def _primitive(row):
@@ -316,21 +277,20 @@ def _induction_systems():
     """Yield the int system (matrix, target) of degree n for n = 1, 2, ....
 
     The columns are rho_1^(n-i) rho_i (Phi(1,1)) for i = 1..n and
-    rho_1^(n-1)(Phi(2,2)) in V^(n+1) coordinates, the target Phi^(n+1).
-    Degree n applies rho_1 to each column of degree n-1 and adds
-    rho_n (Phi(1,1)): n+1 :func:`rho_abstract` calls.
+    rho_1^(n-1)(Phi(2,2)), each the list of its n+1 coordinates in V^(n+1),
+    and the target is Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i).  Degree n
+    applies rho_1 to each column of degree n-1 and adds rho_n (Phi(1,1)):
+    n+1 :func:`rho_abstract` calls.
     """
-    phi11 = AbstractPhiCombination.from_dict(1, {1: 1})
-    columns = [rho_abstract(1, phi11)]
-    extra = AbstractPhiCombination.from_dict(2, {2: 1})
+    columns = [rho_abstract(1, [1])]
+    extra = [0, 1]
     n = 1
     while True:
-        vectors = [c.vector() for c in (*columns, extra)]
-        matrix = [[v[r] for v in vectors] for r in range(n + 1)]
+        matrix = [list(row) for row in zip(*columns, extra)]
         yield matrix, [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
         n += 1
         columns = [rho_abstract(1, c) for c in columns]
-        columns.append(rho_abstract(n, phi11))
+        columns.append(rho_abstract(n, [1]))
         extra = rho_abstract(1, extra)
 
 
@@ -485,14 +445,6 @@ def bn_zero_witness(n: int) -> dict:
         "tuples_checked": checked,
         "derivation_bracket_vanishes": phi_vanishes,
     }
-
-
-def coderivation_dn(n: int, bound: int) -> QxOperator:
-    """Matrix of d_n = x d^(n+1)/dx^(n+1) /(n+1)! on degrees <= bound."""
-    if n < -1:
-        raise ValueError("n must be >= -1")
-    d = _d(n)
-    return QxOperator(bound, {s: d(s) for s in range(bound + 1)})
 
 
 def coderivation_check(n: int, m: int) -> bool:

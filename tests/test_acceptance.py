@@ -42,9 +42,10 @@ from antibrackets.qxrep import (
     conjecture_formula,
     duality_check,
     phi_ni,
+    phi_operator,
+    rho_abstract,
     rho_action,
     rho_bracket_check,
-    rho_on_phi_ni,
     solve_coefficients,
 )
 from antibrackets.rational import Rational, rat
@@ -298,8 +299,9 @@ def test_criterion_11_operator_representation_consistency():
         for n in range(1, 7 - k + 1):
             for i in range(1, n + 1):
                 bound = n + k + 3
+                unit = [int(j == i) for j in range(1, n + 1)]
                 assert rho_action(k, phi_ni(n, i, bound)) == (
-                    rho_on_phi_ni(k, n, i).to_operator(bound)
+                    phi_operator(rho_abstract(k, unit), bound)
                 ), (k, n, i)
     psi = phi_ni(2, 1, 12)
     for n in range(1, 5):

@@ -82,10 +82,12 @@ def test_koszul_numbers_usage_error(capsys):
     assert "max-n" in err
 
 
-@pytest.mark.parametrize("command", ["koszul-numbers", "coefficients", "conjecture"])
+@pytest.mark.parametrize("command", [
+    "koszul-numbers", "coefficients", "conjecture", "verify series",
+])
 def test_reports_refuse_max_n_above_their_limit(capsys, command):
     assert cli.REPORT_MAX_N == 200
-    code, out, err = run_cli(capsys, command, "--max-n", "201")
+    code, out, err = run_cli(capsys, *command.split(), "--max-n", "201")
     assert code == 2
     assert out == ""
     assert err == "error: --max-n must be <= 200\n"

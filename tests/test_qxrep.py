@@ -8,25 +8,22 @@ from hypothesis import given, settings, strategies as st
 from antibrackets import qxrep
 from antibrackets.combinatorics import mu_bracket_factor
 from antibrackets.qxrep import (
-    AbstractPhiCombination,
     DegreeOverflowError,
     QxOperator,
     SingularMatrixError,
     UniversalCoefficients,
     bn_zero_witness,
     coderivation_check,
-    coderivation_dn,
     coefficient_series,
     coefficient_table_entry,
     conjecture_coefficients,
     conjecture_formula,
     duality_check,
-    phi_n_signed_sum,
     phi_ni,
+    phi_operator,
     rho_abstract,
     rho_action,
     rho_bracket_check,
-    rho_on_phi_ni,
     solve_coefficients,
     solve_linear,
     witt_phi_check,
@@ -64,10 +61,10 @@ def test_operator_rejects_negative_powers(columns):
 
 
 def test_apply_and_compose():
-    d1 = coderivation_dn(1, 6)  # x d^2/2: x^m -> C(m,2) x^(m-1)
+    # x d^2/2: x^m -> C(m,2) x^(m-1)
+    d1 = QxOperator(6, {s: qxrep._d(1)(s) for s in range(7)})
     assert d1.apply({3: rat(1)}) == {2: rat(3)}  # x^3
-    composed = d1.compose(d1)
-    assert composed.apply({5: rat(1)}) == {3: rat(10 * 6)}
+    assert d1.apply(d1.apply({5: rat(1)})) == {3: rat(10 * 6)}
 
 
 def test_rho_action_matches_closed_form_low_range():
@@ -76,7 +73,8 @@ def test_rho_action_matches_closed_form_low_range():
             for i in range(1, n + 1):
                 bound = n + k + 3
                 lhs = rho_action(k, phi_ni(n, i, bound))
-                rhs = rho_on_phi_ni(k, n, i).to_operator(bound)
+                unit = [int(j == i) for j in range(1, n + 1)]
+                rhs = phi_operator(rho_abstract(k, unit), bound)
                 assert lhs == rhs, (k, n, i)
 
 
@@ -104,12 +102,26 @@ def test_commutator_relation_fails_for_a_wrong_factor(rule, factor):
         assert not qxrep._commutator_relation(rule, n, m, factor(n, m) + 1, 8)
 
 
-def test_rho_abstract_matches_matrix_on_combinations():
-    comb = AbstractPhiCombination.from_dict(2, {1: rat(3), 2: rat(-1, 2)})
-    for k in (1, 2):
-        lhs = rho_abstract(k, comb).to_operator(8)
-        rhs = rho_action(k, comb.to_operator(8))
-        assert lhs == rhs
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(-9, 9),
+                  st.builds(rat, st.integers(-9, 9), st.integers(2, 12))),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(1, 3),
+)
+def test_rho_abstract_matches_matrix_on_combinations(coords, k):
+    bound = len(coords) + k
+    assert phi_operator(rho_abstract(k, coords), bound) == (
+        rho_action(k, phi_operator(coords, bound))
+    )
+
+
+def test_rho_abstract_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rho_abstract(0, [1])
 
 
 def test_rho_representation_bracket_relations():
@@ -232,17 +244,16 @@ def test_induction_basis_matrix_holds_ints(monkeypatch):
 
 def _induction_system_from_scratch(n):
     """Reference: every column of degree n built from Phi(1,1) or Phi(2,2)."""
-    phi11 = AbstractPhiCombination.from_dict(1, {1: 1})
     columns = []
     for i in range(1, n + 1):
-        vec = rho_abstract(i, phi11)
+        vec = rho_abstract(i, [1])
         for _ in range(n - i):
             vec = rho_abstract(1, vec)
-        columns.append(vec.vector())
-    extra = AbstractPhiCombination.from_dict(2, {2: 1})
+        columns.append(vec)
+    extra = [0, 1]
     for _ in range(n - 1):
         extra = rho_abstract(1, extra)
-    columns.append(extra.vector())
+    columns.append(extra)
     target = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
     matrix = [[columns[c][r] for c in range(n + 1)] for r in range(n + 1)]
     return matrix, target
@@ -418,14 +429,14 @@ def test_signed_sum_solves_standard_form():
     for n in (2, 3, 4):
         bound = n + 4
         coeffs = solve_coefficients(n)
-        phi11 = AbstractPhiCombination.from_dict(1, {1: rat(1)})
         total = QxOperator(bound)
         for i in range(1, n + 1):
-            vec = rho_abstract(i, phi11)
+            vec = rho_abstract(i, [rat(1)])
             for _ in range(n - i):
                 vec = rho_abstract(1, vec)
-            total = total + vec.to_operator(bound).scale(coeffs.c[i - 1])
-        assert total == phi_n_signed_sum(n + 1, bound)
+            total = total + phi_operator(vec, bound).scale(coeffs.c[i - 1])
+        signed = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
+        assert total == phi_operator(signed, bound)
 
 
 def test_bn_witness_closed_form():
@@ -452,10 +463,10 @@ def test_coderivation_relations():
 
 
 def test_coderivation_matrix_entries():
-    d2 = coderivation_dn(2, 6)
+    d2 = qxrep._d(2)
     # x d^3/3!: x^m -> C(m,3) x^(m-2)
-    assert d2.columns[5] == {3: rat(10)}
-    assert d2.columns[2] == {}
+    assert d2(5) == {3: 10}
+    assert d2(2) == {}
 
 
 def test_witt_relations():
