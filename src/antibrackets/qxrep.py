@@ -1,18 +1,18 @@
 """Operators on polynomials and the universal standard-form coefficients.
 
 A polynomial is ``{power: nonzero coeff}``, and an operator on polynomials
-is a monomial rule s -> image of x^s, applied by :func:`_apply`; a
-:class:`QxOperator` stores the images of x^0..x^bound of one that kills
-constants.  Three rules give the coderivation, duality and Witt checks:
-``_d(n)`` = d_n = x d^(n+1)/dx^(n+1) / (n+1)! sends x^s to
-C(s, n+1) x^(s-n), ``_phi(n)`` = phi(L_n) = x d^(n+1)/dx^(n+1) sends it to
-s!/(s-n-1)! x^(s-n), and ``_psi(n)`` = psi(L_n) to (n+1-s) x^(s+n).
-:func:`rho_action` is rho_k(psi) = (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
+is its monomial rule s -> image of x^s, a function applied by
+:func:`_apply`; no degree is truncated.  Three rules give the coderivation,
+duality and Witt checks: ``_d(n)`` = d_n = x d^(n+1)/dx^(n+1) / (n+1)!
+sends x^s to C(s, n+1) x^(s-n), ``_phi(n)`` = phi(L_n) = x d^(n+1)/dx^(n+1)
+sends it to s!/(s-n-1)! x^(s-n), and ``_psi(n)`` = psi(L_n) to
+(n+1-s) x^(s+n).  :func:`rho_action` takes the rule of psi to the rule of
+rho_k(psi) = (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
 The rank-one operators Phi(n, i) sending x^i to x^(n-i)/(n-i)! span V^n.
 An element of V^n is the list of its n coordinates, ``coords[i-1]`` the
-coefficient of Phi(n, i); :func:`phi_operator` turns it into a
-:class:`QxOperator`, and :func:`rho_abstract` applies rho_k to it by an
-explicit two-term rule per coordinate.  Expressing
+coefficient of Phi(n, i); :func:`phi_operator` turns it into a monomial
+rule, and :func:`rho_abstract` applies rho_k to it by an explicit two-term
+rule per coordinate.  Expressing
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
 the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
 One pass builds the induction-basis systems of every degree, each from the
@@ -21,8 +21,8 @@ shape is checked at every n, and they are solved by forward substitution,
 the last three rows by :func:`solve_linear`, the general solver, which also
 takes any system without the shape.  The coordinates, the solve and the
 conjectured closed formula run on Python ints and divide once per output
-coefficient.  :func:`rho_action` on truncated polynomials is the
-independent oracle for that computation.
+coefficient.  :func:`rho_action` on monomial rules is the independent
+oracle for that computation.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ from .rational import rat
 from .superalgebra import Signature
 
 __all__ = [
-    "QxOperator",
     "UniversalCoefficients",
-    "DegreeOverflowError",
     "SingularMatrixError",
     "phi_ni",
     "phi_operator",
@@ -67,10 +65,6 @@ __all__ = [
     "rho_bracket_check",
     "solve_linear",
 ]
-
-
-class DegreeOverflowError(Exception):
-    """A polynomial operation left the degree truncation."""
 
 
 class SingularMatrixError(Exception):
@@ -111,98 +105,36 @@ def _psi(n: int):
     return lambda s: _monomial(s + n, n + 1 - s)
 
 
-class QxOperator:
-    """Linear operator on polynomials of degree <= bound, killing constants.
-
-    ``columns[s]`` is the image of x^s.  The constructor takes
-    ``{s: polynomial}``, a missing s mapping to zero, so ``QxOperator(bound)``
-    is the zero operator.  Killing constants means columns[0] = {}.
-    """
-
-    __slots__ = ("bound", "columns")
-
-    def __init__(self, bound: int, columns=None):
-        self.bound = bound
-        self.columns = [{} for _ in range(bound + 1)]
-        for s, poly in (columns or {}).items():
-            poly = {p: c for p, c in poly.items() if c}
-            if min([s, *poly]) < 0:
-                raise ValueError(f"negative power in x^{s} -> {poly}")
-            if max([s, *poly]) > bound:
-                raise DegreeOverflowError(f"x^{s} -> {poly} exceeds bound {bound}")
-            self.columns[s] = poly
-        if self.columns[0]:
-            raise ValueError("operator must vanish on constants")
-
-    def apply(self, poly: dict) -> dict:
-        return _apply(self.columns.__getitem__, poly)
-
-    def __add__(self, other: "QxOperator") -> "QxOperator":
-        self._check(other)
-        return QxOperator(self.bound, {
-            s: _lincomb(((1, a), (1, b)))
-            for s, (a, b) in enumerate(zip(self.columns, other.columns))
-        })
-
-    def __sub__(self, other: "QxOperator") -> "QxOperator":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "QxOperator":
-        return QxOperator(self.bound, {
-            s: {p: c * v for p, v in col.items()} for s, col in enumerate(self.columns)
-        })
-
-    def _check(self, other):
-        if self.bound != other.bound:
-            raise ValueError("bound mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, QxOperator):
-            return NotImplemented
-        return self.bound == other.bound and self.columns == other.columns
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def __repr__(self):
-        return f"QxOperator(bound={self.bound})"
-
-
-def phi_operator(coords, bound: int) -> QxOperator:
-    """sum_i coords[i-1] Phi(n, i), n = len(coords), on degrees <= bound."""
+def phi_operator(coords):
+    """The monomial rule of sum_i coords[i-1] Phi(n, i), n = len(coords):
+    x^i -> coords[i-1] x^(n-i)/(n-i)! for i in 1..n, x^s -> {} elsewhere."""
     n = len(coords)
-    return QxOperator(bound, {
+    columns = {
         i: {n - i: c * rat(1, factorial(n - i))}
         for i, c in enumerate(coords, 1) if c
-    })
+    }
+    return lambda s: columns.get(s, {})
 
 
-def phi_ni(n: int, i: int, bound: int) -> QxOperator:
-    """The rank-one operator x^i -> x^(n-i)/(n-i)!, zero elsewhere."""
+def phi_ni(n: int, i: int):
+    """The monomial rule of Phi(n, i): x^i -> x^(n-i)/(n-i)!, zero elsewhere."""
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
-    return phi_operator([int(j == i) for j in range(1, n + 1)], bound)
+    return phi_operator([int(j == i) for j in range(1, n + 1)])
 
 
-def rho_action(k: int, psi: QxOperator) -> QxOperator:
-    """(x^k/k! - x^(k+1) d/dx /(k+1)!) psi - psi d_k, which is
-    (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
-
-    Raises DegreeOverflowError when a column's top power p has p + k above
-    the bound, also where the factor k+1-p of psi(L_k) kills that term.
-    """
+def rho_action(k: int, psi):
+    """The monomial rule of rho_k(psi) for the monomial rule psi:
+    (x^k/k! - x^(k+1) d/dx /(k+1)!) psi - psi d_k, which is
+    (psi(L_k) psi - psi phi(L_k)) / (k+1)!.  Nothing is truncated."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    bound = psi.bound
-    for col in psi.columns:
-        if col and max(col) + k > bound:
-            raise DegreeOverflowError(f"degree {max(col) + k} exceeds bound {bound}")
     left, right = _psi(k), _phi(k)
     scale = rat(1, factorial(k + 1))
-    return QxOperator(bound, {
-        s: _lincomb(((scale, _apply(left, col)), (-scale, psi.apply(right(s)))))
-        for s, col in enumerate(psi.columns)
-    })
+    return lambda s: _lincomb((
+        (scale, _apply(left, psi(s))),
+        (-scale, _apply(psi, right(s))),
+    ))
 
 
 def rho_abstract(k: int, coords: list) -> list:
@@ -517,8 +449,14 @@ def witt_psi_check(n: int, m: int) -> bool:
     return _commutator_relation(_psi, n, m, n - m, 10)
 
 
-def rho_bracket_check(n: int, m: int, psi: QxOperator) -> bool:
-    """[rho(l_n), rho(l_m)] psi = mu_bracket_factor(n, m) rho(l_(n+m)) psi."""
-    lhs = rho_action(n, rho_action(m, psi)) - rho_action(m, rho_action(n, psi))
-    rhs = rho_action(n + m, psi).scale(mu_bracket_factor(n, m))
-    return lhs == rhs
+def rho_bracket_check(n: int, m: int, psi) -> bool:
+    """[rho(l_n), rho(l_m)] psi = mu_bracket_factor(n, m) rho(l_(n+m)) psi for
+    the monomial rule psi, on x^s for s <= 12."""
+    nm = rho_action(n, rho_action(m, psi))
+    mn = rho_action(m, rho_action(n, psi))
+    top = rho_action(n + m, psi)
+    factor = mu_bracket_factor(n, m)
+    return not any(
+        _lincomb(((1, nm(s)), (-1, mn(s)), (-factor, top(s))))
+        for s in range(13)
+    )

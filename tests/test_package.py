@@ -76,3 +76,35 @@ def test_src_modules_import_no_unused_name():
 
 def test_test_modules_import_no_unused_name():
     assert _modules_with_unused_imports(Path(__file__).parent) == {}
+
+
+def _private_definitions(path):
+    """Module-level functions and classes of ``path`` whose names start with _."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")}
+
+
+def _referenced_names(path):
+    """Every name ``path`` reads, reaches as an attribute or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreferenced_private_names(src, tests):
+    paths = sorted(src.glob("*.py")) + sorted(tests.glob("*.py"))
+    referenced = set().union(*map(_referenced_names, paths))
+    return sorted(f"{path.name}:{name}" for path in sorted(src.glob("*.py"))
+                  for name in _private_definitions(path) - referenced)
+
+
+def test_every_private_src_name_is_referenced():
+    src = Path(antibrackets.__file__).parent
+    assert _unreferenced_private_names(src, Path(__file__).parent) == []

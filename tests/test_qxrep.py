@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import islice
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from antibrackets import qxrep
 from antibrackets.combinatorics import mu_bracket_factor
 from antibrackets.qxrep import (
-    DegreeOverflowError,
-    QxOperator,
     SingularMatrixError,
     UniversalCoefficients,
     bn_zero_witness,
@@ -35,60 +34,56 @@ from antibrackets.rational import rat
 # -- polynomial-operator realization ----------------------------------------
 
 
+def _columns(rule, top):
+    """The images of x^0..x^top under the monomial rule."""
+    return [rule(s) for s in range(top + 1)]
+
+
 def test_phi_ni_images():
-    op = phi_ni(3, 2, 6)
-    assert op.columns[2] == {1: rat(1)}
-    assert op.columns[1] == {}
-    assert op.columns[3] == {}
+    op = phi_ni(3, 2)
+    assert op(2) == {1: rat(1)}
+    assert op(1) == {}
+    assert op(3) == {}
 
 
 def test_phi_ni_bounds():
     with pytest.raises(ValueError):
-        phi_ni(3, 4, 8)
-    with pytest.raises(DegreeOverflowError):
-        phi_ni(9, 8, 6)
-
-
-def test_operator_algebra_kills_constants():
+        phi_ni(3, 4)
     with pytest.raises(ValueError):
-        QxOperator(3, {0: {0: rat(1)}})
-
-
-@pytest.mark.parametrize("columns", [{-1: {1: rat(1)}}, {1: {-2: rat(1)}}])
-def test_operator_rejects_negative_powers(columns):
-    with pytest.raises(ValueError, match="negative power"):
-        QxOperator(3, columns)
+        phi_ni(3, 0)
 
 
 def test_apply_and_compose():
     # x d^2/2: x^m -> C(m,2) x^(m-1)
-    d1 = QxOperator(6, {s: qxrep._d(1)(s) for s in range(7)})
-    assert d1.apply({3: rat(1)}) == {2: rat(3)}  # x^3
-    assert d1.apply(d1.apply({5: rat(1)})) == {3: rat(10 * 6)}
+    d1 = qxrep._d(1)
+    assert qxrep._apply(d1, {3: rat(1)}) == {2: rat(3)}  # x^3
+    assert qxrep._apply(d1, qxrep._apply(d1, {5: rat(1)})) == {3: rat(10 * 6)}
 
 
 def test_rho_action_matches_closed_form_low_range():
     for k in range(1, 4):
         for n in range(1, 4):
             for i in range(1, n + 1):
-                bound = n + k + 3
-                lhs = rho_action(k, phi_ni(n, i, bound))
+                top = n + k + 3
+                lhs = rho_action(k, phi_ni(n, i))
                 unit = [int(j == i) for j in range(1, n + 1)]
-                rhs = phi_operator(rho_abstract(k, unit), bound)
-                assert lhs == rhs, (k, n, i)
+                rhs = phi_operator(rho_abstract(k, unit))
+                assert _columns(lhs, top) == _columns(rhs, top), (k, n, i)
 
 
-@pytest.mark.parametrize("k, p, bound", [
-    (2, 3, 4),  # p = k+1: psi(L_k) kills x^p, the overflow still raises
-    (3, 2, 4),
-    (1, 4, 4),
+@pytest.mark.parametrize("k, p", [
+    (2, 3),  # p = k+1: psi(L_k) kills x^p, so x^1 goes to zero
+    (3, 2),
+    (1, 4),
 ])
-def test_rho_action_raises_when_a_column_leaves_the_bound(k, p, bound):
-    psi = QxOperator(bound, {1: {p: rat(1)}})
-    with pytest.raises(DegreeOverflowError):
-        rho_action(k, psi)
-    # one degree more room and the same column stays inside
-    rho_action(k, QxOperator(bound + 1, {1: {p: rat(1)}}))
+def test_rho_action_is_exact_on_a_one_column_operator(k, p):
+    def psi(s):
+        return {p: 1} if s == 1 else {}
+
+    expected = [{} for _ in range(p + k + 3)]
+    expected[1] = qxrep._monomial(p + k, rat(k + 1 - p, factorial(k + 1)))
+    expected[k + 1] = {p: -1}
+    assert _columns(rho_action(k, psi), p + k + 2) == expected
 
 
 @pytest.mark.parametrize("rule, factor", [
@@ -113,22 +108,35 @@ def test_commutator_relation_fails_for_a_wrong_factor(rule, factor):
     st.integers(1, 3),
 )
 def test_rho_abstract_matches_matrix_on_combinations(coords, k):
-    bound = len(coords) + k
-    assert phi_operator(rho_abstract(k, coords), bound) == (
-        rho_action(k, phi_operator(coords, bound))
-    )
+    top = len(coords) + k
+    lhs = phi_operator(rho_abstract(k, coords))
+    rhs = rho_action(k, phi_operator(coords))
+    assert _columns(lhs, top) == _columns(rhs, top)
+    assert lhs(0) == rhs(0) == {}  # both kill constants
 
 
-def test_rho_abstract_rejects_k_below_one():
+@pytest.mark.parametrize("reject", [
+    lambda: rho_abstract(0, [1]),
+    lambda: rho_action(0, phi_ni(2, 1)),
+], ids=["rho_abstract", "rho_action"])
+def test_rho_abstract_rejects_k_below_one(reject):
     with pytest.raises(ValueError, match="k must be >= 1"):
-        rho_abstract(0, [1])
+        reject()
 
 
 def test_rho_representation_bracket_relations():
-    psi = phi_ni(2, 1, 10)
+    psi = phi_ni(2, 1)
     for n in range(1, 4):
         for m in range(1, n):
             assert rho_bracket_check(n, m, psi)
+
+
+def test_rho_bracket_check_fails_for_a_wrong_factor(monkeypatch):
+    monkeypatch.setattr(qxrep, "mu_bracket_factor",
+                        lambda n, m: mu_bracket_factor(n, m) + 1)
+    psi = phi_ni(2, 1)
+    for n, m in ((2, 1), (3, 1), (3, 2)):
+        assert not rho_bracket_check(n, m, psi), (n, m)
 
 
 # -- linear solver -----------------------------------------------------------
@@ -427,16 +435,17 @@ def test_table_entry_rejects_index_outside_one_to_n(i):
 def test_signed_sum_solves_standard_form():
     # reassemble Phi^(n+1) from the solved coordinates in the matrix model
     for n in (2, 3, 4):
-        bound = n + 4
         coeffs = solve_coefficients(n)
-        total = QxOperator(bound)
+        terms = []
         for i in range(1, n + 1):
             vec = rho_abstract(i, [rat(1)])
             for _ in range(n - i):
                 vec = rho_abstract(1, vec)
-            total = total + phi_operator(vec, bound).scale(coeffs.c[i - 1])
+            terms.append((coeffs.c[i - 1], phi_operator(vec)))
+        total = [qxrep._lincomb((c, rule(s)) for c, rule in terms)
+                 for s in range(n + 5)]
         signed = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
-        assert total == phi_operator(signed, bound)
+        assert total == _columns(phi_operator(signed), n + 4)
 
 
 def test_bn_witness_closed_form():
