@@ -37,7 +37,6 @@ from .multilinear import (
 from .qxrep import solve_coefficients
 from .rational import rat
 from .series import (
-    TruncatedSeries,
     exp_minus_one,
     graded_exponential_check,
     hurwitz_series,
@@ -177,10 +176,10 @@ def _hurwitz_identity(d):
     """psi(a_d) == (e^t - 1)^(d+1) / (d+1)! to order 15."""
     lhs = psi_of_series(hurwitz_series(d, 14))
     e = exp_minus_one(15)
-    power = TruncatedSeries(15, [1])
+    power = [1] + [0] * 15
     for _ in range(d + 1):
         power = series_mul(power, e)
-    return _holds(lhs == power.scale(rat(1, factorial(d + 1))))
+    return _holds(lhs == [c * rat(1, factorial(d + 1)) for c in power])
 
 
 def _series(sig, N, seed):

@@ -8,10 +8,10 @@ whose values are dicts {basis index: nonzero coefficient}, the format of
 :class:`~antibrackets.superalgebra.AlgebraElement`'s ``terms``; monomials
 appear only at the public boundary (the arguments of ``value`` and
 ``__call__``, :func:`canonical_tuples`, :func:`first_mismatch`'s
-counterexample tuple, :func:`dump_operator`).  Tables are
-compared over the canonical tuples whose total input degree stays within a
-bound (tuples beyond it are zero in the quotient for the multiplication
-operators, and are outside the comparison domain for everything else).
+counterexample tuple).  Tables are compared over the canonical tuples whose
+total input degree stays within a bound (tuples beyond it are zero in the
+quotient for the multiplication operators, and are outside the comparison
+domain for everything else).
 Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
@@ -60,7 +60,6 @@ __all__ = [
     "ops_equal",
     "is_zero_op",
     "first_mismatch",
-    "dump_operator",
 ]
 
 
@@ -480,15 +479,3 @@ def is_zero_op(f: MultiOp, max_total_degree=None) -> bool:
         f._canonical_value(t)
         for t in canonical_index_tuples(f.signature, f.arity, max_total_degree)
     )
-
-
-def dump_operator(f: MultiOp, max_total_degree=None) -> str:
-    """One line per canonical tuple: "(m1,...,mk) -> element"."""
-    sig = f.signature
-    basis = sig.basis()
-    lines = []
-    for tup in canonical_index_tuples(sig, f.arity, max_total_degree):
-        names = ",".join(sig.monomial_str(basis[i]) for i in tup)
-        value = AlgebraElement(sig, f._canonical_value(tup))
-        lines.append(f"({names}) -> {value!r}")
-    return "\n".join(lines)

@@ -1,11 +1,14 @@
 """Truncated formal power series over exact rationals.
 
-A series carries an explicit truncation order N and exactly N+1 coefficients;
-operations never silently mix orders.  On top of the ring structure this
-module implements the iterative exponential exp(a d/dt)(t) and logarithm,
-and the identity checks built from them (Julia's equation, the
-Hurwitz-number series a_d(z), the nilpotent-exponential check on the graded
-variable space, and the Stirling formula for derivatives of f(e^t - 1)).
+A series of order N is the plain list of its N+1 coefficients: ``a[k]`` is
+the coefficient of t^k, and N = ``len(a) - 1`` is at least 1.  Coefficients
+are ints or rationals, and no operation divides one with ``/``.  Operations
+never silently mix orders: two series combined must have the same length.
+On top of the ring structure this module implements the iterative
+exponential exp(a d/dt)(t) and logarithm, and the identity checks built from
+them (Julia's equation, the Hurwitz-number series a_d(z), the
+nilpotent-exponential check on the graded variable space, and the Stirling
+formula for derivatives of f(e^t - 1)).
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from math import comb, factorial, gcd
 from operator import mul
 
 from .combinatorics import koszul_numbers_recursive, stirling2
-from .rational import Rational, rat
+from .rational import rat
 
 __all__ = [
-    "TruncatedSeries",
     "series_mul",
     "series_compose",
     "itexp",
@@ -33,137 +35,94 @@ __all__ = [
 ]
 
 
-class TruncatedSeries:
-    """Coefficients of a formal power series up to a fixed order."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=()):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        coeffs = list(coeffs)
-        if len(coeffs) > order + 1:
-            raise ValueError("too many coefficients for the stated order")
-        coeffs += [rat(0)] * (order + 1 - len(coeffs))
-        self.order = order
-        # From a list: tuple() of a generator resizes, and resized tuples
-        # pile up in the interpreter's per-length free lists.
-        self.coeffs = tuple([
-            c if isinstance(c, Rational) else rat(c) for c in coeffs
-        ])
-
-    @classmethod
-    def variable(cls, order: int) -> "TruncatedSeries":
-        """The series t."""
-        return cls(order, [0, 1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} != {other.order}"
-            )
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [c * a for a in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def derivative(self) -> "TruncatedSeries":
-        """Termwise derivative, accurate (and truncated) to order N-1."""
-        return TruncatedSeries(
-            self.order - 1,
-            [k * self.coeffs[k] for k in range(1, self.order + 1)],
-        )
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot raise the truncation order")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.order}, {list(self.coeffs)})"
+def _check_order(N: int) -> None:
+    if N < 1:
+        raise ValueError("order must be >= 1")
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+def _order(a: list) -> int:
+    """The order N of ``a``, refusing a list of fewer than two coefficients."""
+    N = len(a) - 1
+    _check_order(N)
+    return N
+
+
+def _common_order(a: list, b: list) -> int:
+    if len(a) != len(b):
+        raise ValueError(f"order mismatch: {len(a) - 1} != {len(b) - 1}")
+    return _order(a)
+
+
+def _derivative(a: list) -> list:
+    """Termwise derivative, accurate (and truncated) to order N-1."""
+    return [k * a[k] for k in range(1, len(a))]
+
+
+def series_mul(a: list, b: list) -> list:
     """Cauchy product truncated at the common order."""
-    a._check_order(b)
-    N = a.order
+    N = _common_order(a, b)
     out = [rat(0)] * (N + 1)
-    for i, ai in enumerate(a.coeffs):
+    for i, ai in enumerate(a):
         if not ai:
             continue
         for j in range(N + 1 - i):
-            bj = b.coeffs[j]
+            bj = b[j]
             if bj:
                 out[i + j] += ai * bj
-    return TruncatedSeries(N, out)
+    return out
 
 
-def series_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+def series_compose(f: list, g: list) -> list:
     """f(g(t)) by Horner's scheme; g must have zero constant term."""
-    f._check_order(g)
-    if g.coeffs[0]:
+    N = _common_order(f, g)
+    if g[0]:
         raise ValueError("composition requires g(0) = 0")
-    N = f.order
-    result = TruncatedSeries(N, [f.coeffs[N]])
+    result = [f[N]] + [rat(0)] * N
     for k in range(N - 1, -1, -1):
         result = series_mul(result, g)
-        result = TruncatedSeries(
-            N, [result.coeffs[0] + f.coeffs[k], *result.coeffs[1:]]
-        )
+        result[0] += f[k]
     return result
 
 
-def _check_itlog_domain(a: TruncatedSeries) -> None:
-    if a.coeffs[0] or a.coeffs[1]:
+def _check_itlog_domain(a: list) -> None:
+    _order(a)
+    if a[0] or a[1]:
         raise ValueError("series must satisfy a(0) = a'(0) = 0")
 
 
-def _derivation_apply(a: TruncatedSeries, f: TruncatedSeries) -> TruncatedSeries:
+def _derivation_apply(a: list, f: list) -> list:
     """a * f' exactly to the common order (valid because a has valuation >= 2)."""
-    N = a.order
+    N = len(a) - 1
     out = [rat(0)] * (N + 1)
     for i in range(2, N + 1):
-        ai = a.coeffs[i]
+        ai = a[i]
         if not ai:
             continue
         for j in range(1, N + 2 - i):
-            fj = f.coeffs[j]
+            fj = f[j]
             if fj:
                 out[i + j - 1] += ai * j * fj
-    return TruncatedSeries(N, out)
+    return out
 
 
-def itexp(a: TruncatedSeries) -> TruncatedSeries:
+def itexp(a: list) -> list:
     """Iterative exponential exp(a d/dt)(t), for a with a(0) = a'(0) = 0.
 
     Each application of a d/dt raises the valuation, so the exponential sum
     is finite at any truncation order.
     """
     _check_itlog_domain(a)
-    result = term = TruncatedSeries.variable(a.order)
+    result = term = [0, 1] + [0] * (len(a) - 2)
     k = 1
     while True:
-        term = _derivation_apply(a, term).scale(rat(1, k))
-        if term.is_zero():
+        term = [c * rat(1, k) for c in _derivation_apply(a, term)]
+        if not any(term):
             return result
-        result = result + term
+        result = [r + c for r, c in zip(result, term)]
         k += 1
 
 
-def itlog(g: TruncatedSeries) -> TruncatedSeries:
+def itlog(g: list) -> list:
     """Iterative logarithm: the unique a with a(0)=a'(0)=0 and itexp(a) = g.
 
     Computed order by order, filling in the terms of itexp as it goes.  With
@@ -176,9 +135,9 @@ def itlog(g: TruncatedSeries) -> TruncatedSeries:
     values are rescaled once.  The cost is about N^3/6 integer
     multiply-adds and one rational subtraction per order.
     """
-    if g.coeffs[0] or g.coeffs[1] != 1:
+    N = _order(g)
+    if g[0] or g[1] != 1:
         raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
-    N = g.order
     A = [0] * (N + 1)  # numerators of A_m over Q
     V = [None, A]  # V[k][m]: numerator of V_k[m] over Q^k
     Q = 1
@@ -189,7 +148,7 @@ def itlog(g: TruncatedSeries) -> TruncatedSeries:
         for k in range(2, m):
             V[k][m] = vkm = sum(map(mul, w[k:m], V[k - 1][k:m]))
             rest = rest * k * Q + vkm
-        A_m = factorial(m) * g.coeffs[m] - rat(rest, factorial(m - 1) * Q ** (m - 1))
+        A_m = factorial(m) * g[m] - rat(rest, factorial(m - 1) * Q ** (m - 1))
         num, den = int(A_m.numerator), int(A_m.denominator)
         grow = den // gcd(den, Q)
         if grow > 1:
@@ -199,23 +158,19 @@ def itlog(g: TruncatedSeries) -> TruncatedSeries:
                 V[k][:m + 1] = [v * factor for v in V[k][:m + 1]]
             Q *= grow
         A[m] = num * (Q // den)
-    return TruncatedSeries(
-        N, [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
-    )
+    return [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
 
 
-def exp_minus_one(order: int) -> TruncatedSeries:
+def exp_minus_one(order: int) -> list:
     """e^t - 1, built from factorials."""
-    return TruncatedSeries(
-        order, [0] + [rat(1, factorial(k)) for k in range(1, order + 1)]
-    )
+    _check_order(order)
+    return [rat(0)] + [rat(1, factorial(k)) for k in range(1, order + 1)]
 
 
-def log_one_plus(order: int) -> TruncatedSeries:
+def log_one_plus(order: int) -> list:
     """log(1 + t)."""
-    return TruncatedSeries(
-        order, [0] + [rat((-1) ** (k + 1), k) for k in range(1, order + 1)]
-    )
+    _check_order(order)
+    return [rat(0)] + [rat((-1) ** (k + 1), k) for k in range(1, order + 1)]
 
 
 def koszul_numbers_itlog(N: int) -> list:
@@ -227,39 +182,39 @@ def koszul_numbers_itlog(N: int) -> list:
     if N < 1:
         raise ValueError("N must be >= 1")
     a = itlog(exp_minus_one(N + 1))
-    return [rat(0)] + [factorial(n + 1) * a.coeffs[n + 1] for n in range(1, N + 1)]
+    return [rat(0)] + [factorial(n + 1) * a[n + 1] for n in range(1, N + 1)]
 
 
-def julia_check(a: TruncatedSeries, N: int) -> bool:
+def julia_check(a: list, N: int) -> bool:
     """a(g(t)) == a(t) g'(t) with g = itexp(a), coefficient-wise to order N."""
     _check_itlog_domain(a)
-    a = a.truncate(N)
+    if not 1 <= N < len(a):
+        raise ValueError("need 1 <= N <= the order of a")
+    a = a[:N + 1]
     g = itexp(a)
     lhs = series_compose(a, g)
     rhs = _derivation_apply(a, g)  # a * g', exact to order N
     return lhs == rhs
 
 
-def hurwitz_series(d: int, N: int) -> TruncatedSeries:
+def hurwitz_series(d: int, N: int) -> list:
     """a_d(z) = sum_b (-1)^(d-b)/d! C(d,b) / (1 - (b+1)z), truncated at order N."""
     if d < 0:
         raise ValueError("d must be >= 0")
-    coeffs = [
+    _check_order(N)
+    return [
         sum(
             rat((-1) ** (d - b) * comb(d, b) * (b + 1) ** n, factorial(d))
             for b in range(d + 1)
         )
         for n in range(N + 1)
     ]
-    return TruncatedSeries(N, coeffs)
 
 
-def psi_of_series(a: TruncatedSeries) -> TruncatedSeries:
+def psi_of_series(a: list) -> list:
     """The map z^n -> t^(n+1)/(n+1)! applied coefficient-wise."""
-    out = [rat(0)] + [
-        c * rat(1, factorial(n + 1)) for n, c in enumerate(a.coeffs)
-    ]
-    return TruncatedSeries(a.order + 1, out)
+    _order(a)
+    return [rat(0)] + [c * rat(1, factorial(n + 1)) for n, c in enumerate(a)]
 
 
 def graded_exponential_check(d: int, D: int) -> bool:
@@ -295,34 +250,32 @@ def graded_exponential_check(d: int, D: int) -> bool:
         for k in range(D + 1):
             result[k] += term[k] * rat(1, factorial(j))
         j += 1
-    expected = hurwitz_series(d, D).coeffs
+    expected = hurwitz_series(d, D)
     return all(
         result[k] == (expected[k] if k >= d else rat(0)) for k in range(D + 1)
     )
 
 
-def stirling_derivative_check(f: TruncatedSeries, n: int, N: int) -> bool:
+def stirling_derivative_check(f: list, n: int, N: int) -> bool:
     """g^(n) == sum_k {n k} f^(k)(e^t - 1) e^(kt) for g = f(e^t - 1), to order N-n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if N < n or f.order < N:
+    if N <= n or len(f) - 1 < N:
         raise ValueError("truncation order too small")
-    f = f.truncate(N)
+    f = f[:N + 1]
     e = exp_minus_one(N)
-    g = series_compose(f, e)
-    lhs = g
+    lhs = series_compose(f, e)
     for _ in range(n):
-        lhs = lhs.derivative()
-    rhs = TruncatedSeries(N - n)
+        lhs = _derivative(lhs)
+    M = N - n  # the order of both sides
+    rhs = [rat(0)] * (M + 1)
     fk = f
     for k in range(1, n + 1):
-        fk = fk.derivative()  # f^(k), order N-k
+        fk = _derivative(fk)  # f^(k), order N-k
         s = stirling2(n, k)
         if not s:
             continue
-        comp = series_compose(fk.truncate(N - n), e.truncate(N - n))
-        ekt = TruncatedSeries(
-            N - n, [rat(k**j, factorial(j)) for j in range(N - n + 1)]
-        )
-        rhs = rhs + series_mul(comp, ekt).scale(s)
+        comp = series_compose(fk[:M + 1], e[:M + 1])
+        ekt = [rat(k**j, factorial(j)) for j in range(M + 1)]
+        rhs = [r + s * c for r, c in zip(rhs, series_mul(comp, ekt))]
     return lhs == rhs

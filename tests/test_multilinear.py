@@ -13,7 +13,6 @@ from antibrackets.multilinear import (
     _shuffle_plan,
     canonical_index_tuples,
     canonical_tuples,
-    dump_operator,
     first_mismatch,
     is_zero_op,
     mu,
@@ -158,13 +157,6 @@ def test_first_mismatch_locates_difference():
     tup, va, vb = found
     assert vb == va.scale(2)
     assert is_zero_op(op_combination([(a, 1), (a, -1)]), 2)
-
-
-def test_dump_operator_format():
-    text = dump_operator(mu(SIG, 1), 2)
-    lines = text.splitlines()
-    assert lines
-    assert all(" -> " in line and line.startswith("(") for line in lines)
 
 
 @settings(max_examples=25, deadline=None)

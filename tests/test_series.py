@@ -5,10 +5,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antibrackets.combinatorics import koszul_numbers_recursive
-from antibrackets.rational import rat
+from antibrackets.combinatorics import (
+    koszul_numbers_chain,
+    koszul_numbers_recursive,
+)
+from antibrackets.rational import Rational, rat
 from antibrackets.series import (
-    TruncatedSeries,
+    _derivative,
     graded_exponential_check,
     exp_minus_one,
     itexp,
@@ -30,25 +33,24 @@ small_rationals = st.builds(
 
 def series_with_valuation_two(order=10):
     return st.lists(small_rationals, min_size=0, max_size=order - 1).map(
-        lambda tail: TruncatedSeries(order, [rat(0), rat(0)] + tail)
+        lambda tail: [rat(0), rat(0), *tail] + [rat(0)] * (order - 1 - len(tail))
     )
 
 
 def itlog_rebuilding_itexp(g):
     """Reference: match itexp(a), rebuilt at order m, against g at each m."""
-    N = g.order
+    N = len(g) - 1
     acoef = [rat(0)] * (N + 1)
     for m in range(2, N + 1):
-        e = itexp(TruncatedSeries(m, acoef[: m + 1]))
-        acoef[m] = g.coeffs[m] - e.coeffs[m]
-    return TruncatedSeries(N, acoef)
+        acoef[m] = g[m] - itexp(acoef[: m + 1])[m]
+    return acoef
 
 
 def itlog_fraction(g):
     """Reference: the order-by-order recurrence on rationals, with
     T_k[m] = (1/k) sum_(j=k..m-1) a_(m+1-j) j T_(k-1)[j] and
     a_m = g_m - sum_(k=2..m-1) T_k[m]."""
-    N = g.order
+    N = len(g) - 1
     a = [rat(0)] * (N + 1)
     terms = [None, a]  # terms[k][m] = T_k[m]
     for m in range(2, N + 1):
@@ -59,8 +61,8 @@ def itlog_fraction(g):
             tkm = sum(a[m + 1 - j] * j * lower[j] for j in range(k, m)) / k
             terms[k][m] = tkm
             rest += tkm
-        a[m] = g.coeffs[m] - rest
-    return TruncatedSeries(N, a)
+        a[m] = g[m] - rest
+    return a
 
 
 # Denominators up to 12, none of them 1, so that itlog's running
@@ -69,34 +71,38 @@ non_unit_rationals = st.builds(rat, st.integers(-6, 6), st.integers(2, 12))
 
 
 def test_mul_matches_known_product():
-    t = TruncatedSeries.variable(5)
-    one_plus_t = TruncatedSeries(5, [1, 1])
-    sq = series_mul(one_plus_t, one_plus_t)
-    assert sq == TruncatedSeries(5, [1, 2, 1])
-    assert series_mul(t, t) == TruncatedSeries(5, [0, 0, 1])
+    t = [0, 1, 0, 0, 0, 0]
+    one_plus_t = [1, 1, 0, 0, 0, 0]
+    assert series_mul(one_plus_t, one_plus_t) == [1, 2, 1, 0, 0, 0]
+    assert series_mul(t, t) == [0, 0, 1, 0, 0, 0]
 
 
 def test_compose_log_exp_is_identity():
     order = 12
     assert series_compose(log_one_plus(order), exp_minus_one(order)) == (
-        TruncatedSeries.variable(order)
+        [0, 1] + [0] * (order - 1)
     )
 
 
 def test_compose_requires_zero_constant_term():
-    f = TruncatedSeries(4, [1, 1])
-    with pytest.raises(ValueError):
+    f = [1, 1, 0, 0, 0]
+    with pytest.raises(ValueError, match="g\\(0\\) = 0"):
         series_compose(f, f)
 
 
 def test_order_mismatch_raises():
-    with pytest.raises(ValueError):
-        TruncatedSeries.variable(4) + TruncatedSeries.variable(5)
+    t4, t5 = [0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]
+    for op in (series_mul, series_compose):
+        with pytest.raises(ValueError, match="order mismatch: 4 != 5"):
+            op(t4, t5)
+        # fewer than two coefficients: a series has order at least 1
+        for short in ([], [0]):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                op(short, short)
 
 
 def test_derivative_lowers_order():
-    f = TruncatedSeries(4, [1, 2, 3, 4, 5])
-    assert f.derivative() == TruncatedSeries(3, [2, 6, 12, 20])
+    assert _derivative([1, 2, 3, 4, 5]) == [2, 6, 12, 20]
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,7 +115,7 @@ def test_itlog_inverts_itexp(a):
 @settings(max_examples=40, deadline=None)
 @given(series_with_valuation_two())
 def test_itlog_matches_rebuilding_reference(a):
-    g = TruncatedSeries.variable(a.order) + a
+    g = [a[0], a[1] + 1, *a[2:]]
     assert itlog(g) == itlog_rebuilding_itexp(g)
 
 
@@ -121,7 +127,7 @@ def test_itlog_of_exp_minus_one_matches_rebuilding_reference():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 14).flatmap(lambda order: st.lists(
     non_unit_rationals, min_size=order - 1, max_size=order - 1).map(
-        lambda tail: TruncatedSeries(order, [0, 1, *tail]))))
+        lambda tail: [0, 1, *tail])))
 def test_itlog_matches_fraction_reference(g):
     assert itlog(g) == itlog_fraction(g)
 
@@ -134,41 +140,51 @@ def test_itlog_of_exp_minus_one_matches_fraction_reference():
 def test_itlog_refuses_series_outside_its_domain():
     for coeffs in ([1, 1], [0, 2], [0, 0, 1]):
         with pytest.raises(ValueError, match="g'\\(0\\) = 1"):
-            itlog(TruncatedSeries(4, coeffs))
+            itlog(coeffs + [0] * (5 - len(coeffs)))
+    for coeffs in ([1, 0], [0, 1]):
+        with pytest.raises(ValueError, match="a'\\(0\\) = 0"):
+            itexp(coeffs + [0] * 3)
+    for short in ([], [0], [1]):
+        for op in (itlog, itexp):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                op(short)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_with_valuation_two())
 def test_julia_equation_for_any_generator(a):
-    assert julia_check(a, a.order)
+    assert julia_check(a, len(a) - 1)
 
 
 def test_koszul_itlog_route_matches_recursion():
     assert koszul_numbers_itlog(14) == koszul_numbers_recursive(14)
-    assert koszul_numbers_itlog(60) == koszul_numbers_recursive(60)
+    recursive = koszul_numbers_recursive(60)
+    assert koszul_numbers_itlog(60) == recursive
+    assert koszul_numbers_chain(60) == recursive
 
 
 def test_julia_for_exp_minus_one_generator():
     a = itlog(exp_minus_one(20))
     assert julia_check(a, 20)
+    for N in (0, 21):
+        with pytest.raises(ValueError, match="order of a"):
+            julia_check(a, N)
 
 
 def test_hurwitz_series_low_orders():
     # a_0(z) = 1/(1-z); a_1(z) = 1/(1-2z) - 1/(1-z)
-    assert hurwitz_series(0, 6).coeffs == tuple(rat(1) for _ in range(7))
-    assert hurwitz_series(1, 6).coeffs == tuple(
-        rat(2**n - 1) for n in range(7)
-    )
+    assert hurwitz_series(0, 6) == [1] * 7
+    assert hurwitz_series(1, 6) == [2**n - 1 for n in range(7)]
 
 
 def test_psi_of_hurwitz_is_power_of_exp_minus_one():
     for d in range(5):
         lhs = psi_of_series(hurwitz_series(d, 11))
         e = exp_minus_one(12)
-        power = TruncatedSeries(12, [1])
+        power = [1] + [0] * 12
         for _ in range(d + 1):
             power = series_mul(power, e)
-        assert lhs == power.scale(rat(1, factorial(d + 1)))
+        assert lhs == [c * rat(1, factorial(d + 1)) for c in power]
 
 
 def test_graded_variable_exponential_check():
@@ -180,9 +196,28 @@ def test_stirling_derivative_identity():
     f = log_one_plus(14)
     for n in range(1, 5):
         assert stirling_derivative_check(f, n, 14)
+    # n < 1, N <= n (the n-th derivative would have order 0), N above f's order
+    for n, N in ((0, 14), (4, 4), (4, 3), (2, 15)):
+        with pytest.raises(ValueError):
+            stirling_derivative_check(f, n, N)
 
 
 def test_stirling_derivative_identity_other_series():
-    f = TruncatedSeries(14, [0, 1, 0, rat(1, 3), 0, rat(-2, 7)])
+    f = [0, 1, 0, rat(1, 3), 0, rat(-2, 7)] + [0] * 9
     for n in range(1, 4):
         assert stirling_derivative_check(f, n, 14)
+
+
+def test_int_coefficients_give_no_floats():
+    """Plain int lists stay exact: every coefficient out is an int or a Rational."""
+    exact = (int, Rational)
+    a = [0, 0, 3, -1, 0, 2, 0, 0]
+    g = itexp(a)
+    for out in (g, itlog(g), itlog([0, 1, 1, -2, 0, 5, 0, 0]),
+                series_compose([1, 2, 0, -1, 4, 0, 0, 7], [0, 1, 3, 0, -2, 0, 0, 1])):
+        assert all(isinstance(c, exact) for c in out), out
+    assert itlog(g) == a
+    assert julia_check(a, 7) is True
+    f = [0, 1, 2, 0, -3, 0, 0, 0, 1]
+    for n in range(1, 4):
+        assert stirling_derivative_check(f, n, 8) is True
