@@ -172,8 +172,10 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     The k-th term of the series, term_k = (1/k) sum_n c_n rho_n(term_(k-1)),
     is built as T_k = k! L^k term_k, where L is the lcm of the coefficient
     denominators; T_k = sum_n (L c_n) rho_n(T_(k-1)) has integer weights.
-    A component collects the T_k of its degree over the common denominator
-    K! L^K of the largest K contributing, and divides once by it.
+    A component is one combination of the T_k of its degree with weights
+    1/(k! L^k), which :func:`~.multilinear.op_combination` sums over their
+    common denominator K! L^K (K the largest k contributing) and divides
+    once per entry.
     """
     coefficients = {n: c for n, c in coefficients.items() if c}
     if any(n < 1 for n in coefficients):
@@ -193,15 +195,11 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
         for d, op in term.items():
             levels.setdefault(d, {})[k] = op
         k += 1
-    result = {}
-    for d, parts in levels.items():
-        top = max(parts)
-        total = op_combination(
-            (op, factorial(top) // factorial(j) * lcm_den ** (top - j))
-            for j, op in parts.items()
-        )
-        result[d] = op_combination([(total, rat(1, factorial(top) * lcm_den**top))])
-    return result
+    return {
+        d: op_combination((op, rat(1, factorial(k) * lcm_den**k))
+                          for k, op in parts.items())
+        for d, parts in levels.items()
+    }
 
 
 def _exponential_ops(f: MultiOp, N: int) -> dict:

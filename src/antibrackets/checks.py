@@ -163,6 +163,9 @@ def _linf(sig, N, seed):
     if not sig.commutative or sig.odd < 1:
         yield "linf (skipped: needs an odd generator, commutative)", lambda: None
         return
+    if not sig.unital:
+        yield "linf (skipped: d/dth1 needs a unital signature)", lambda: None
+        return
     top = min(N, 4)
     delta = odd_partial_endo(sig)
     yield (f"linf odd-derivation d/dth1 up to n={top}",

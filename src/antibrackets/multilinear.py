@@ -16,9 +16,10 @@ Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
 never tabulated in advance; its shuffles and signs are built once per shape
-(:func:`_shuffle_plan`), and :func:`rho` is one node with one memo.  A
-linear combination is one node, built by :func:`op_combination`; its terms
-are not flattened, as their memos are shared.
+(:func:`_shuffle_plan`).  :func:`rho` is one node that reads both halves of
+[mu_n, omega] off one product table per tuple.  A linear combination is one
+node, built by :func:`op_combination` over one denominator; its terms are
+not flattened, as their memos are shared.
 
 A linear operator is an operator of degree 0.  :func:`linear_op` builds one
 from its images on the basis, ``{basis index: {index: coeff}}``, and the
@@ -34,7 +35,7 @@ import itertools
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from operator import itemgetter
 
 from .rational import rat
@@ -141,7 +142,9 @@ def op_combination(terms) -> MultiOp:
     This is the one way to build a linear combination of operators.  All
     terms share signature, degree and parity.  Terms that are combinations
     are not flattened into theirs, as their memos are shared, e.g. across
-    degrees in :func:`~antibrackets.brackets.exp_rho_family`.
+    degrees in :func:`~antibrackets.brackets.exp_rho_family`.  A value sums
+    the integer numerators L c_i over the lcm L of the weights' denominators
+    and divides each output entry once by L; int weights keep ints int.
     """
     terms = list(terms)
     if not terms:
@@ -154,13 +157,17 @@ def op_combination(terms) -> MultiOp:
             raise ValueError("parity mismatch in operator sum")
     if len(terms) == 1 and terms[0][1] == 1:
         return f
+    den = lcm(*(int(c.denominator) for _, c in terms))
+    terms = [(g._canonical_value, int(c * den)) for g, c in terms]
 
     def eval_basis(tup):
         acc = {}
-        for g, c in terms:
-            for k, v in g._canonical_value(tup).items():
+        for read, c in terms:
+            for k, v in read(tup).items():
                 acc[k] = acc.get(k, 0) + c * v
-        return _nonzero(acc)
+        if den == 1:
+            return _nonzero(acc)
+        return {k: rat(v, den) for k, v in acc.items() if v}
 
     return MultiOp(f.signature, f.degree, f.parity, eval_basis)
 
@@ -180,21 +187,24 @@ SHAPE_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shuffle_plan(k: int, m: int, pattern: tuple) -> list:
-    """Rows (block getter, complement getter, Koszul sign, passes) of the
-    (k, m) shuffles in :func:`shuffles` order, for arguments of parities
-    ``pattern``; passes[a] is the parity of the first a complement arguments.
-    Shape data only, kept for the process in a bounded cache."""
+    """Rows (block getter, complement getter, Koszul sign, passes, mask) of
+    the (k, m) shuffles in :func:`shuffles` order, for arguments of parities
+    ``pattern``; passes[a] is the parity of the first a complement arguments,
+    and mask is the bit mask of the block's positions.  Shape data only,
+    kept for the process in a bounded cache."""
     rows = []
     for perm in shuffles(k, m):
         block, rest = perm[:k], perm[k:]
         passes = tuple(sum(pattern[q] for q in rest[:a]) % 2 for a in range(m + 1))
-        rows.append((_picker(block), _picker(rest), koszul_sign(perm, pattern), passes))
+        mask = sum(1 << q for q in block)
+        rows.append((_picker(block), _picker(rest), koszul_sign(perm, pattern),
+                     passes, mask))
     return rows
 
 
-def _insertion(f: MultiOp, read_g, m: int):
-    """Rule of f ⊼ g for g of degree m, read through ``read_g``: the filtered
-    sum over shuffles feeding g's output into f.
+def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
+    """Insertion product f ⊼ g: the filtered sum over shuffles feeding g's
+    output into f.
 
     On a canonical tuple, each shuffle block and its complement are canonical
     already, so g is read on the block as it stands.  Each basis index of g's
@@ -205,14 +215,16 @@ def _insertion(f: MultiOp, read_g, m: int):
     comparison domain, as a general operator raises degrees; its value is
     evaluated lazily like any other.
     """
+    if f.signature != g.signature:
+        raise ValueError("signature mismatch")
     parities = f.signature.basis_parities()
     n = f.degree
 
     def eval_basis(tup):
         acc = {}
         pattern = tuple(map(parities.__getitem__, tup))
-        for block, rest_of, sign, passes in _shuffle_plan(m + 1, n, pattern):
-            inner = read_g(block(tup))
+        for block, rest_of, sign, passes, _ in _shuffle_plan(g.arity, n, pattern):
+            inner = g._canonical_value(block(tup))
             if not inner:
                 continue
             rest = rest_of(tup)
@@ -228,15 +240,7 @@ def _insertion(f: MultiOp, read_g, m: int):
                     acc[out] = acc.get(out, 0) + coeff * v
         return _nonzero(acc)
 
-    return eval_basis
-
-
-def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
-    """Insertion product f ⊼ g, one node on :func:`_insertion`'s rule."""
-    if f.signature != g.signature:
-        raise ValueError("signature mismatch")
-    return MultiOp(f.signature, f.degree + g.degree, f.parity + g.parity,
-                   _insertion(f, g._canonical_value, g.degree))
+    return MultiOp(f.signature, f.degree + g.degree, f.parity + g.parity, eval_basis)
 
 
 def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -287,31 +291,47 @@ def mu_for(signature: Signature, n: int) -> MultiOp:
 def rho(n: int, omega: MultiOp) -> MultiOp:
     """Adjoint action [mu_n, .] on an operator.
 
-    For n >= 1 on a commutative signature this is one node with one memo: a
-    value starts from the negated omega ⊼ mu_n, run by :func:`_insertion`'s
-    rule on mu_n's rule (no product node, no mu_n memo), and adds the half
-    mu_n ⊼ omega: on each shuffle, omega's value on the block times the
-    product of the complement, which is zero when an odd index repeats or
-    the degree bound is passed.
+    For n >= 1 on a commutative signature this is one node with one memo,
+    and a value reads one :meth:`~.Signature.subset_products` table of its
+    tuple: in omega ⊼ mu_n, mu_n on an (n+1)-block is the block's entry,
+    inserted into the complement as in :func:`nr_product`; in mu_n ⊼ omega,
+    omega's value on a block is multiplied by the complementary entry.  The
+    blocks, masks and signs are :func:`_shuffle_plan`'s rows.  n = 0 and
+    associative signatures take :func:`nr_bracket` on :func:`mu_for`.
     """
     sig = omega.signature
-    mu_n = mu_for(sig, n)
     if n < 1 or not sig.commutative:
-        return nr_bracket(mu_n, omega)
+        return nr_bracket(mu_for(sig, n), omega)
     parities = sig.basis_parities()
-    omega_mu = _insertion(omega, mu_n._eval, n)
+    d = omega.degree
+    read = omega._canonical_value
+    full = (1 << (n + d + 1)) - 1
 
     def eval_basis(tup):
-        acc = {k: -v for k, v in omega_mu(tup).items()}
+        products = sig.subset_products(tup)
         pattern = tuple(map(parities.__getitem__, tup))
-        for block, rest_of, sign, _ in _shuffle_plan(omega.arity, n, pattern):
-            s, j = sig.mul_indices(rest_of(tup))
+        acc = {}
+        for _, rest_of, sign, passes, mask in _shuffle_plan(n + 1, d, pattern):
+            s, k = products[mask]
+            if not s:
+                continue
+            rest = rest_of(tup)
+            at = bisect_left(rest, k)
+            if parities[k]:
+                if at < d and rest[at] == k:
+                    continue  # a repeated odd argument
+                if passes[at]:
+                    s = -s
+            coeff = -sign * s
+            for out, v in read(rest[:at] + (k,) + rest[at:]).items():
+                acc[out] = acc.get(out, 0) + coeff * v
+        for block, _, sign, _, mask in _shuffle_plan(d + 1, n, pattern):
+            s, j = products[full ^ mask]
             if s:
-                value = omega._canonical_value(block(tup))
-                sig.mul_into(acc, value.items(), j, s * sign)
+                sig.mul_into(acc, read(block(tup)).items(), j, s * sign)
         return _nonzero(acc)
 
-    return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
+    return MultiOp(sig, n + d, omega.parity, eval_basis)
 
 
 def linear_op(signature: Signature, images, parity: int) -> MultiOp:
@@ -381,6 +401,9 @@ def odd_partial_endo(signature: Signature) -> MultiOp:
     """The odd derivation d/d(th1); square-zero by construction."""
     if not signature.commutative or signature.odd < 1:
         raise ValueError("needs a commutative signature with an odd generator")
+    if not signature.unital:
+        raise ValueError("d/dth1 sends th1 to the unit, and a non-unital "
+                         "signature has no unit monomial")
     images = {}
     for i, (exps, odds) in enumerate(signature.basis()):
         if 0 in odds:

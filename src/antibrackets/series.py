@@ -224,9 +224,9 @@ def graded_exponential_check(d: int, D: int) -> bool:
     derivation r_n sends t_k to C(k+n+1, n+1) t_(k+n), raising the index, so
     the exponential is nilpotent on the truncation.
     """
-    if not 0 <= d <= D:
-        raise ValueError("need 0 <= d <= D")
-    koszul = koszul_numbers_recursive(max(D, 1))
+    if not 0 <= d <= D or D < 1:
+        raise ValueError("need 0 <= d <= D and D >= 1")
+    koszul = koszul_numbers_recursive(D)
 
     def apply_generator(vec):
         out = [rat(0)] * (D + 1)

@@ -263,6 +263,15 @@ def test_linfinity_for_square_zero_operators():
     assert linfinity_check(multiplication_endo(SIG, theta), 3)
 
 
+def test_linf_skips_non_unital_signatures():
+    # d/dth1 sends th1 to the unit, which a non-unital basis lacks
+    sig = Signature(even=0, odd=1, degree_bound=2, unital=False)
+    with pytest.raises(ValueError, match="no unit monomial"):
+        odd_partial_endo(sig)
+    assert _run_registry(sig, 4, 1, ["linf"]) == [
+        "linf (skipped: d/dth1 needs a unital signature)"]
+
+
 def test_linfinity_rejects_non_square_zero():
     f = random_endo(SIG, 31, parity="odd")
     if not is_zero_op(nr_product(f, f)):

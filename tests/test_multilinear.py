@@ -149,6 +149,29 @@ def test_op_combination_of_one_unit_term_is_the_operator():
         op_combination([])
 
 
+def test_op_combination_with_rational_weights():
+    f, g = _general_op(SIG, 1, 1), _general_op(SIG, 1, 2)
+    half = MultiOp(SIG, 1, 1, lambda t: {k: rat(v, 2)
+                                         for k, v in f._canonical_value(t).items()})
+    weighted = [(f, rat(1, 6)), (g, rat(-3, 4)), (half, 2)]
+    combined = op_combination(weighted)
+    ints = op_combination([(f, 3), (g, -2)])
+    cancelled = op_combination([(f, rat(1, 3)), (g, 1), (f, rat(-1, 3))])
+    seen = 0
+    for tup in canonical_index_tuples(SIG, 2, SIG.degree_bound + 1):
+        expected = {}
+        for op, c in weighted:
+            for k, v in op._canonical_value(tup).items():
+                expected[k] = expected.get(k, 0) + c * v
+        assert combined._canonical_value(tup) == {
+            k: v for k, v in expected.items() if v}, tup
+        assert all(type(v) is int for v in ints._canonical_value(tup).values())
+        assert cancelled._canonical_value(tup) == g._canonical_value(tup), tup
+        seen += bool(expected)
+    assert seen > 50
+    assert op_combination([(f, 1)]) is f
+
+
 def test_first_mismatch_locates_difference():
     a = mu(SIG, 1)
     b = op_combination([(mu(SIG, 1), 2)])
@@ -237,9 +260,10 @@ def test_shuffle_plan_matches_koszul_sign():
             for pattern in itertools.product((0, 1), repeat=arity):
                 rows = _shuffle_plan(k, arity - k, pattern)
                 assert len(rows) == len(perms)
-                for perm, (block, rest_of, sign, passes) in zip(perms, rows):
+                for perm, (block, rest_of, sign, passes, mask) in zip(perms, rows):
                     rest = perm[k:]
                     assert block(args) == perm[:k] and rest_of(args) == rest
+                    assert [q for q in args if mask >> q & 1] == list(perm[:k])
                     assert sign == koszul_sign(perm, pattern)
                     # an odd argument moved from the front past rest[:a]
                     moved = [1] + [pattern[q] for q in rest]
@@ -250,18 +274,34 @@ def test_shuffle_plan_matches_koszul_sign():
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_rho_matches_generic_bracket(parity):
-    # includes tuples one degree past the bound, which compositions reach
-    nonzero = 0
-    for degree in range(3):
-        omega = _general_op(SIG, degree, 5 + degree, parity)
-        for h in range(4):
-            fast = rho(h, omega)
-            generic = nr_bracket(mu_for(SIG, h), omega)
-            for tup in canonical_index_tuples(SIG, fast.arity, SIG.degree_bound + 1):
-                value = fast._canonical_value(tup)
-                assert value == generic._canonical_value(tup), (degree, h, tup)
-                nonzero += bool(value)
-    assert nonzero > 1000
+    # includes tuples one degree past the bound, which compositions reach;
+    # odd operators vanish without an odd generator, so that one runs even
+    for sig in (SIG, Signature(even=1, odd=2, degree_bound=4, unital=False),
+                Signature(even=2, odd=0, degree_bound=5)):
+        nonzero = 0
+        for degree in range(3):
+            omega = _general_op(sig, degree, 5 + degree, parity if sig.odd else 0)
+            for h in range(5):
+                fast = rho(h, omega)
+                generic = nr_bracket(mu_for(sig, h), omega)
+                for tup in canonical_index_tuples(sig, fast.arity, sig.degree_bound + 1):
+                    value = fast._canonical_value(tup)
+                    assert value == generic._canonical_value(tup), (sig, degree, h, tup)
+                    nonzero += bool(value)
+        assert nonzero > 250, sig
+
+
+def test_rho_reads_subset_product_tables(monkeypatch):
+    omega = _general_op(SIG, 1, 3)
+    nodes = [rho(h, omega) for h in range(1, 4)]
+
+    def refuse(*_args):
+        raise AssertionError("rho multiplied block by block")
+
+    monkeypatch.setattr(Signature, "mul_indices", refuse)
+    for node in nodes:
+        for tup in canonical_index_tuples(SIG, node.arity, SIG.degree_bound + 1):
+            node._canonical_value(tup)
 
 
 def test_rho_keeps_one_memo():

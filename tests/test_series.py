@@ -192,6 +192,12 @@ def test_graded_variable_exponential_check():
         assert graded_exponential_check(d, 9)
 
 
+def test_graded_exponential_check_refuses_bad_indices():
+    for d, D in ((-1, 3), (4, 3), (0, 0)):
+        with pytest.raises(ValueError, match="need 0 <= d <= D and D >= 1"):
+            graded_exponential_check(d, D)
+
+
 def test_stirling_derivative_identity():
     f = log_one_plus(14)
     for n in range(1, 5):
