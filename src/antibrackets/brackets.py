@@ -28,25 +28,19 @@ from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
     SHAPE_CACHE_SIZE,
     MultiOp,
-    canonical_index_tuples,
     is_zero_op,
     nr_bracket,
     nr_product,
     op_combination,
     rho,
 )
-from .rational import format_rational, rat
+from .rational import rat
 from .superalgebra import AlgebraElement, koszul_sign, shuffles
 
 __all__ = [
     "phi_direct_op",
     "phi_hierarchy",
-    "exp_rho_family",
     "inversion_check",
-    "jacobi_rhs",
-    "linfinity_check",
-    "differential_order_check",
-    "hierarchy_to_json",
 ]
 
 
@@ -321,24 +315,3 @@ def differential_order_check(f: MultiOp, n: int) -> bool:
         raise ValueError("the order criterion needs a commutative signature")
     return is_zero_op(phi_direct_op(f, n + 1))
 
-
-def hierarchy_to_json(h: dict, max_total_degree=None) -> list:
-    """JSON-ready tables of a hierarchy {n: Phi^n}:
-    [{"n": k, "table": [[tuple, element], ...]}, ...]."""
-    sig = h[1].signature
-    names = [sig.monomial_str(m) for m in sig.basis()]
-    out = []
-    for n, op in sorted(h.items()):
-        table = []
-        for tup in canonical_index_tuples(sig, op.arity, max_total_degree):
-            val = op._canonical_value(tup)
-            if not val:
-                continue
-            table.append(
-                [
-                    [names[i] for i in tup],
-                    {names[k]: format_rational(c) for k, c in sorted(val.items())},
-                ]
-            )
-        out.append({"n": n, "table": table})
-    return out

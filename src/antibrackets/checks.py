@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from itertools import combinations, permutations
 from math import factorial
 
 from .brackets import (
+    differential_order_check,
     inversion_check,
     jacobi_rhs,
     linfinity_check,
@@ -24,17 +26,29 @@ from .brackets import (
 )
 from .combinatorics import mu_bracket_factor
 from .multilinear import (
+    derivation_endo,
     first_mismatch,
     identity_endo,
+    is_zero_op,
     multiplication_endo,
     mu_for,
     nr_bracket,
+    nr_product,
     odd_partial_endo,
     op_combination,
     random_endo,
     rho,
 )
-from .qxrep import solve_coefficients
+from .qxrep import (
+    bn_zero_witness,
+    coderivation_check,
+    duality_check,
+    phi_operator,
+    rho_bracket_check,
+    rho_coordinates_check,
+    solve_coefficients,
+    witt_check,
+)
 from .rational import rat
 from .series import (
     exp_minus_one,
@@ -48,11 +62,15 @@ from .series import (
     stirling_derivative_check,
 )
 
-__all__ = ["SUITES", "registry"]
+__all__ = ["SUITES", "VERIFY_ALL", "registry"]
 
 
 def _holds(ok: bool):
     return None if ok else False
+
+
+def _check(check, *args):
+    return _holds(check(*args))
 
 
 def _jacobi(sig, N, seed):
@@ -175,6 +193,61 @@ def _linf(sig, N, seed):
            lambda: _holds(linfinity_check(mult, top)))
 
 
+def _order_at_most(op, k, exact):
+    """Phi^(k+1) and Phi^(k+2) of op vanish, and Phi^k does not when exact."""
+    return _holds(differential_order_check(op, k)
+                  and differential_order_check(op, k + 1)
+                  and not (exact and differential_order_check(op, k - 1)))
+
+
+def _order(sig, N, seed):
+    """Phi^(k+1) = 0 at order k: d/dx1 has order 1 and (d/dx1)^2 order 2,
+    exactly where the degree bound reaches it; d/dth1 and multiplication by
+    th1 are odd and square-zero, the latter of order above 1."""
+    if not (sig.commutative and sig.unital):
+        yield "order (skipped: needs a unital commutative signature)", lambda: None
+        return
+    if sig.even < 1:
+        yield "order d/dx1 (skipped: needs an even generator)", lambda: None
+    else:
+        d = derivation_endo(sig)
+        for k, name, op in ((1, "d/dx1", d), (2, "(d/dx1)^2", nr_product(d, d))):
+            exact = sig.degree_bound >= k
+            yield (f"order {name} {'exactly' if exact else 'at most'} {k}",
+                   partial(_order_at_most, op, k, exact))
+    if sig.odd < 1:
+        yield "order d/dth1 (skipped: needs an odd generator)", lambda: None
+        return
+    mult = multiplication_endo(sig, sig.monomial_element(sig.odd_generator(0)))
+    for name, op in (("d/dth1", odd_partial_endo(sig)),
+                     ("multiplication-by-th1", mult)):
+        yield (f"order {name} odd and square-zero", lambda op=op: _holds(
+            op.parity == 1 and is_zero_op(nr_product(op, op))))
+    yield ("order multiplication-by-th1 above 1",
+           lambda: _holds(not differential_order_check(mult, 1)))
+
+
+def _polynomial(sig, N, seed):
+    """The model of rho_k on Q[x], which the universal coefficients are
+    solved in; independent of the signature."""
+    for k in range(1, 7):
+        for n in range(1, 8 - k):
+            yield (f"rho_{k} on V^{n}: monomial rules == coordinates",
+                   partial(_check, rho_coordinates_check, k, n))
+    psi = phi_operator([1, 0])  # Phi(2, 1)
+    for n, m in ((2, 1), (3, 1), (3, 2), (4, 1)):
+        yield (f"rho-bracket ({n},{m}) on Phi(2,1)",
+               partial(_check, rho_bracket_check, n, m, psi))
+    for n in range(2, 6):
+        yield f"b_{n} = 0 witness", partial(_check, bn_zero_witness, n)
+    for h in range(1, 7):
+        yield f"duality on x^{h} to degree 8", partial(_check, duality_check, h, 8)
+    for n, m in permutations(range(1, 5), 2):
+        yield f"coderivation ({n},{m})", partial(_check, coderivation_check, n, m)
+    for m, n in combinations(range(4), 2):
+        yield f"Witt ({n},{m})", partial(_check, witt_check, n, m)
+
+
 def _hurwitz_identity(d):
     """psi(a_d) == (e^t - 1)^(d+1) / (d+1)! to order 15."""
     lhs = psi_of_series(hurwitz_series(d, 14))
@@ -207,10 +280,16 @@ SUITES = {
     "inversion": _inversion,
     "linf": _linf,
     "series": _series,
+    "order": _order,
+    "polynomial": _polynomial,
 }
 
+# the suites `verify all` runs; order and polynomial run only by name, so
+# the pinned stdout of `verify all` stays as it is
+VERIFY_ALL = ("jacobi", "universal", "inversion", "linf", "series")
 
-def registry(sig, N: int, seed: int, suites=tuple(SUITES)):
+
+def registry(sig, N: int, seed: int, suites):
     """Every check of the named suites, in order, as (suite, label, thunk).
 
     ``N`` (at least 1) is the largest degree checked (each suite caps it)

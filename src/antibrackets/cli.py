@@ -8,8 +8,8 @@ Subcommands:
   coefficients (-1)^n n! c_i^n, with a closed-formula match column;
 * ``conjecture``     -- per-n report comparing the solved coefficients with
   the conjectured closed formula (mismatches are findings, not failures);
-* ``verify``         -- run the exact identity suites on a configurable free
-  superalgebra and exit nonzero on the first failed identity.
+* ``verify``         -- run one exact identity suite, or the five of ``all``,
+  on a configurable free superalgebra and exit nonzero on a failed identity.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -23,7 +23,6 @@ import json
 import sys
 from math import factorial
 
-from .checks import SUITES, registry
 from .combinatorics import koszul_numbers_chain, koszul_numbers_recursive
 # unused here; perfbench/test_perfbench.py asserts this binding
 from .multilinear import nr_bracket  # noqa: F401
@@ -32,7 +31,7 @@ from .rational import format_rational, rat
 from .series import koszul_numbers_itlog
 from .superalgebra import Signature
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 # The largest --max-n of the three reports, where each takes 4-6 s, and of
 # verify, where the series suite takes about 160 s (Python 3.11, 2 cores);
@@ -43,6 +42,9 @@ REPORT_MAX_N = 200
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call."""
+    # imported here and in cmd_verify, so that importing cli loads no check
+    # (perfbench/run.py imports the package five times a run, uncached)
+    from .checks import SUITES, VERIFY_ALL
     parser = argparse.ArgumentParser(
         prog="antibrackets",
         description="Exact computations with higher antibrackets on free superalgebras.",
@@ -67,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(j, max_n_default=12)
 
     v = sub.add_parser("verify", help="run the exact identity suites")
-    v.add_argument("suite",
-                   choices=[*SUITES, "all"])
+    v.add_argument("suite", choices=[*SUITES, "all"],
+                   help=f"the suite to run; all runs {', '.join(VERIFY_ALL)}")
     v.add_argument("--max-n", type=int, default=5, metavar="N",
                    help="largest index/degree computed")
     v.add_argument("--format", choices=["plain", "json"],
@@ -245,7 +247,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    from .checks import VERIFY_ALL, registry
+    suites = VERIFY_ALL if args.suite == "all" else [args.suite]
     results = []
     for suite, label, thunk in registry(sig, args.max_n, args.seed, suites):
         outcome = thunk()

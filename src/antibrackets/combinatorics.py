@@ -10,7 +10,7 @@ in :mod:`antibrackets.series`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .rational import rat
 
@@ -60,15 +60,18 @@ def koszul_numbers_chain(N: int) -> list:
     Stirling numbers {n_2 n_1} ... {n_k n_(k-1)}; the empty-interior chain
     (k = 1) contributes 1.  Independent of the triangle recursion route.
     The chains are summed in O(N^3): W[j, k], the sum over the chains of
-    length k ending at n_k = j, is sum_(i<j) W[i, k-1] {j i}.
+    length k ending at n_k = j, is sum_(i<j) W[i, k-1] {j i}.  The terms of
+    K_(j-1) are summed as ints over L = lcm(1..j-1), with one division.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     W = {}
     values = [rat(0)] * (N + 1)
     for j in range(2, N + 2):
+        L = lcm(*range(1, j))
         W[j, 1] = 1
         for k in range(2, j):
             W[j, k] = sum(W[i, k - 1] * stirling2(j, i) for i in range(k, j))
-        values[j - 1] = sum(rat((-1) ** (k + 1) * W[j, k], k) for k in range(1, j))
+        total = sum((-1) ** (k + 1) * W[j, k] * (L // k) for k in range(1, j))
+        values[j - 1] = rat(total, L)
     return values

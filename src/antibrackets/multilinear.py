@@ -46,18 +46,12 @@ __all__ = [
     "nr_product",
     "nr_bracket",
     "mu",
-    "mu_sym",
-    "mu_for",
     "rho",
     "linear_op",
-    "identity_endo",
     "random_endo",
     "derivation_endo",
-    "odd_partial_endo",
-    "multiplication_endo",
     "op_combination",
     "canonical_tuples",
-    "canonical_index_tuples",
     "ops_equal",
     "is_zero_op",
     "first_mismatch",

@@ -48,21 +48,10 @@ from .superalgebra import Signature
 __all__ = [
     "UniversalCoefficients",
     "SingularMatrixError",
-    "phi_ni",
-    "phi_operator",
-    "rho_action",
     "rho_abstract",
     "solve_coefficients",
     "coefficient_series",
-    "conjecture_formula",
     "conjecture_coefficients",
-    "coefficient_table_entry",
-    "bn_zero_witness",
-    "coderivation_check",
-    "duality_check",
-    "witt_phi_check",
-    "witt_psi_check",
-    "rho_bracket_check",
     "solve_linear",
 ]
 
@@ -114,13 +103,6 @@ def phi_operator(coords):
         for i, c in enumerate(coords, 1) if c
     }
     return lambda s: columns.get(s, {})
-
-
-def phi_ni(n: int, i: int):
-    """The monomial rule of Phi(n, i): x^i -> x^(n-i)/(n-i)!, zero elsewhere."""
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
-    return phi_operator([int(j == i) for j in range(1, n + 1)])
 
 
 def rho_action(k: int, psi):
@@ -299,13 +281,6 @@ def coefficient_series(N: int) -> dict:
             for n, system in zip(range(1, N + 1), _induction_systems())}
 
 
-def conjecture_formula(n: int, i: int):
-    """The conjectured closed form for c_i^n; see :func:`conjecture_coefficients`."""
-    if n < 2 or not 1 <= i <= n:
-        raise ValueError("need n >= 2 and 1 <= i <= n")
-    return conjecture_coefficients(n)[i - 1]
-
-
 def conjecture_coefficients(n: int) -> list:
     """The conjectured closed forms of c_1^n..c_n^n (empty products are 1).
 
@@ -331,22 +306,13 @@ def conjecture_coefficients(n: int) -> list:
     return [rat((-1) ** n * t, denominator) for t in top[1:]]
 
 
-def coefficient_table_entry(n: int, i: int, coefficients=None):
-    """x_i^n = (-1)^n n! c_i^n, the published normalization."""
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
-    if coefficients is None:
-        coefficients = solve_coefficients(n)
-    return rat((-1) ** n * factorial(n)) * coefficients.c[i - 1]
+def bn_zero_witness(n: int) -> bool:
+    """Whether rho_1^(n-2)(Phi(2,2)_d/dx) meets its product-of-binomials
+    closed form on the (at least one) monomial tuples of positive degrees,
+    and Phi^(n+1) of the derivation d/dx vanishes.
 
-
-def bn_zero_witness(n: int) -> dict:
-    """Check the closed form of rho_1^(n-2)(Phi(2,2)_d/dx) on monomial tuples.
-
-    Builds the one-even-generator commutative algebra, realizes
-    Phi(2,2)_f = mu_0 insertion (f insertion mu_1) for f = d/dx, applies
-    rho_1 repeatedly, and compares against the product-of-binomials closed
-    form; also confirms Phi^(n+1) of the derivation vanishes.
+    Builds the one-even-generator commutative algebra and realizes
+    Phi(2,2)_f = mu_0 insertion (f insertion mu_1) for f = d/dx.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -359,7 +325,6 @@ def bn_zero_witness(n: int) -> dict:
     for i in range(3, n + 1):
         prefactor *= comb(i - 1, 2)
     checked = 0
-    closed_form_ok = True
     for tup in canonical_tuples(sig, n):
         exponents = [m[0][0] for m in tup]
         if any(a < 1 for a in exponents):
@@ -367,16 +332,9 @@ def bn_zero_witness(n: int) -> dict:
         total = sum(exponents)
         expected = sig.monomial_element(((total - 1,), ()), prefactor * total)
         if op.value(tup) != expected:
-            closed_form_ok = False
-            break
+            return False
         checked += 1
-    phi_vanishes = is_zero_op(phi_direct_op(partial, n + 1))
-    return {
-        "n": n,
-        "closed_form_ok": closed_form_ok,
-        "tuples_checked": checked,
-        "derivation_bracket_vanishes": phi_vanishes,
-    }
+    return checked > 0 and is_zero_op(phi_direct_op(partial, n + 1))
 
 
 def coderivation_check(n: int, m: int) -> bool:
@@ -438,15 +396,23 @@ def duality_check(h: int, N: int) -> bool:
     return result.get(1, 0) == 1
 
 
-def witt_phi_check(n: int, m: int) -> bool:
-    """[phi(L_n), phi(L_m)] = (n-m) phi(L_(n+m)) with phi(L_n) = x d^(n+1),
-    on x^s for s <= 10."""
-    return _commutator_relation(_phi, n, m, n - m, 10)
+def witt_check(n: int, m: int) -> bool:
+    """[A_n, A_m] = (n-m) A_(n+m) on x^s for s <= 10, for both A_n = phi(L_n)
+    = x d^(n+1) and A_n = psi(L_n): x^s -> (n + 1 - s) x^(n+s)."""
+    return (_commutator_relation(_phi, n, m, n - m, 10)
+            and _commutator_relation(_psi, n, m, n - m, 10))
 
 
-def witt_psi_check(n: int, m: int) -> bool:
-    """Same relation for psi(L_n) x^s = (n + 1 - s) x^(n+s)."""
-    return _commutator_relation(_psi, n, m, n - m, 10)
+def rho_coordinates_check(k: int, n: int) -> bool:
+    """rho_k of each Phi(n, i) by :func:`rho_action` equals the monomial rule
+    of its :func:`rho_abstract` coordinates, on x^s for s <= n+k+3."""
+    for i in range(n):
+        unit = [int(j == i) for j in range(n)]
+        lhs = rho_action(k, phi_operator(unit))
+        rhs = phi_operator(rho_abstract(k, unit))
+        if any(lhs(s) != rhs(s) for s in range(n + k + 4)):
+            return False
+    return True
 
 
 def rho_bracket_check(n: int, m: int, psi) -> bool:

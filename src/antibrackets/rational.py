@@ -5,7 +5,8 @@ rationals (``gmpy2.mpq`` when available, ``fractions.Fraction`` otherwise).
 Both backends keep values reduced with a positive denominator, so equality
 is plain value comparison and no rounding can ever occur.
 
-Rationals serialize as ``"p/q"``, with ``/q`` omitted when q == 1.
+Rationals serialize as ``"p/q"``, with ``/q`` omitted when q == 1, the text
+``Rational(text)`` reads back.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ try:
 except ImportError:  # gmpy2 is optional; the runtime budgets hold without it
     from fractions import Fraction as Rational
 
-__all__ = ["Rational", "rat", "format_rational", "parse_rational"]
+__all__ = ["Rational", "rat", "format_rational"]
 
 
 def rat(numerator, denominator=1):
@@ -32,13 +33,3 @@ def format_rational(value) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{q}"
 
-
-def parse_rational(text: str):
-    """Inverse of :func:`format_rational`; ValueError on malformed text."""
-    parts = text.split("/")
-    if len(parts) > 2:
-        raise ValueError(f"not a rational: {text!r} has more than one '/'")
-    q = int(parts[1]) if len(parts) == 2 else 1
-    if q == 0:
-        raise ValueError(f"not a rational: {text!r} has a zero denominator")
-    return rat(int(parts[0]), q)

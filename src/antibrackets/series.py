@@ -19,20 +19,7 @@ from operator import mul
 from .combinatorics import koszul_numbers_recursive, stirling2
 from .rational import rat
 
-__all__ = [
-    "series_mul",
-    "series_compose",
-    "itexp",
-    "itlog",
-    "koszul_numbers_itlog",
-    "julia_check",
-    "hurwitz_series",
-    "psi_of_series",
-    "graded_exponential_check",
-    "stirling_derivative_check",
-    "exp_minus_one",
-    "log_one_plus",
-]
+__all__ = ["koszul_numbers_itlog"]
 
 
 def _check_order(N: int) -> None:

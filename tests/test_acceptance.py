@@ -10,6 +10,8 @@ which entries it ran.
 
 from __future__ import annotations
 
+import itertools
+import json
 import time
 from math import factorial
 
@@ -21,33 +23,17 @@ from antibrackets.combinatorics import (
     koszul_numbers_chain,
     koszul_numbers_recursive,
 )
+from antibrackets.cli import main
 from antibrackets.multilinear import (
-    derivation_endo,
     first_mismatch,
-    is_zero_op,
     mu_sym,
-    multiplication_endo,
     nr_bracket,
-    nr_product,
-    odd_partial_endo,
     op_combination,
     ops_equal,
     random_endo,
     rho,
 )
-from antibrackets.qxrep import (
-    bn_zero_witness,
-    coderivation_check,
-    coefficient_table_entry,
-    conjecture_formula,
-    duality_check,
-    phi_ni,
-    phi_operator,
-    rho_abstract,
-    rho_action,
-    rho_bracket_check,
-    solve_coefficients,
-)
+from antibrackets.qxrep import conjecture_coefficients, solve_coefficients
 from antibrackets.rational import Rational, rat
 from antibrackets.series import koszul_numbers_itlog
 from antibrackets.superalgebra import Signature
@@ -152,18 +138,15 @@ def test_criterion_02_three_koszul_routes_agree():
     _budget(started, 5.0, "criterion 2")
 
 
-def test_criterion_03_coefficient_table_reproduced_exactly():
+def test_criterion_03_coefficient_table_reproduced_exactly(capsys):
+    # the normalized column users see; the solve raising on b_n != 0 exits 1
     started = time.perf_counter()
-    for n in range(2, 11):
-        solved = solve_coefficients(n)
-        assert solved.b == 0
-        row = [
-            coefficient_table_entry(n, i, solved) for i in range(1, n + 1)
-        ]
-        assert row == COEFFICIENT_TABLE[n], n
-    assert coefficient_table_entry(10, 1) == rat(4, 3465)
-    assert coefficient_table_entry(7, 5) == 7560
-    assert coefficient_table_entry(10, 10) == 14435366400
+    assert main(["coefficients", "--max-n", "10", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [int(row["n"]) for row in rows] == list(COEFFICIENT_TABLE)
+    for row in rows:
+        entries = [Rational(text) for text in row["x_i^n"].split(", ")]
+        assert entries == COEFFICIENT_TABLE[int(row["n"])], row["n"]
     _budget(started, 10.0, "criterion 3")
 
 
@@ -171,11 +154,8 @@ def test_criterion_04_conjectured_closed_formula_holds_to_twelve():
     started = time.perf_counter()
     for n in range(2, 13):
         solved = solve_coefficients(n)
-        sign = rat((-1) ** n)
-        for i in range(1, n + 1):
-            c = solved.c[i - 1]
-            assert c == conjecture_formula(n, i), (n, i)
-            assert sign * c > 0, (n, i)
+        assert list(solved.c) == conjecture_coefficients(n), n
+        assert all((-1) ** n * c > 0 for c in solved.c), n
     _budget(started, 30.0, "criterion 4")
 
 
@@ -269,58 +249,30 @@ def test_criterion_09_series_identities():
 
 def test_criterion_10_differential_operator_vanishing(default_signature):
     started = time.perf_counter()
-    sig = default_signature
-    d = derivation_endo(sig)
-    # a derivation has order exactly 1: the first two brackets beyond it
-    # vanish and the operator itself does not
-    assert is_zero_op(phi_direct_op(d, 3))
-    assert is_zero_op(phi_direct_op(d, 2))
-    assert not is_zero_op(phi_direct_op(d, 1))
-    d2 = nr_product(d, d)
-    # the squared derivation has order exactly 2
-    assert is_zero_op(phi_direct_op(d2, 4))
-    assert is_zero_op(phi_direct_op(d2, 3))
-    assert not is_zero_op(phi_direct_op(d2, 2))
-    delta = odd_partial_endo(sig)
-    assert delta.parity == 1 and is_zero_op(nr_product(delta, delta))
-    theta = sig.monomial_element(sig.odd_generator(0))
-    mult = multiplication_endo(sig, theta)
-    assert is_zero_op(nr_product(mult, mult))
-    assert not is_zero_op(phi_direct_op(mult, 2))
-    labels = _run_registry(sig, 4, 42, ["linf"])
-    assert labels == ["linf odd-derivation d/dth1 up to n=4",
-                      "linf multiplication-by-th1 up to n=4"]
+    labels = _run_registry(default_signature, 4, 42, ["order", "linf"])
+    assert labels == [
+        "order d/dx1 exactly 1", "order (d/dx1)^2 exactly 2",
+        "order d/dth1 odd and square-zero",
+        "order multiplication-by-th1 odd and square-zero",
+        "order multiplication-by-th1 above 1",
+        "linf odd-derivation d/dth1 up to n=4",
+        "linf multiplication-by-th1 up to n=4",
+    ]
     _budget(started, 30.0, "criterion 10")
-
-
-def _columns(rule, top):
-    """The images of x^0..x^top under the monomial rule."""
-    return [rule(s) for s in range(top + 1)]
 
 
 def test_criterion_11_operator_representation_consistency():
     started = time.perf_counter()
-    for k in range(1, 7):
-        for n in range(1, 7 - k + 1):
-            for i in range(1, n + 1):
-                unit = [int(j == i) for j in range(1, n + 1)]
-                lhs = rho_action(k, phi_ni(n, i))
-                rhs = phi_operator(rho_abstract(k, unit))
-                assert _columns(lhs, n + k + 3) == _columns(rhs, n + k + 3), (
-                    k, n, i)
-    psi = phi_ni(2, 1)
-    for n in range(1, 5):
-        for m in range(1, n):
-            if n + m <= 5:
-                assert rho_bracket_check(n, m, psi), (n, m)
-    for n in range(2, 6):
-        report = bn_zero_witness(n)
-        assert report["closed_form_ok"], n
-        assert report["derivation_bracket_vanishes"], n
-    for h in range(1, 7):
-        assert duality_check(h, 8), h
-    for n in range(1, 5):
-        for m in range(1, 5):
-            if n != m:
-                assert coderivation_check(n, m), (n, m)
+    labels = _run_registry(None, 5, 42, ["polynomial"])
+    pairs = [(n, m) for n in range(1, 5) for m in range(1, 5) if n != m]
+    assert labels == [
+        *(f"rho_{k} on V^{n}: monomial rules == coordinates"
+          for k in range(1, 7) for n in range(1, 8 - k)),
+        *(f"rho-bracket ({n},{m}) on Phi(2,1)"
+          for n, m in ((2, 1), (3, 1), (3, 2), (4, 1))),
+        *(f"b_{n} = 0 witness" for n in range(2, 6)),
+        *(f"duality on x^{h} to degree 8" for h in range(1, 7)),
+        *(f"coderivation ({n},{m})" for n, m in pairs),
+        *(f"Witt ({n},{m})" for m, n in itertools.combinations(range(4), 2)),
+    ]
     _budget(started, 30.0, "criterion 11")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from antibrackets import brackets, multilinear
 from antibrackets.brackets import (
     differential_order_check,
     exp_rho_family,
-    hierarchy_to_json,
     inversion_check,
     linfinity_check,
     phi_direct_op,
@@ -22,7 +20,6 @@ from antibrackets.multilinear import (
     SHAPE_CACHE_SIZE,
     MultiOp,
     canonical_index_tuples,
-    derivation_endo,
     first_mismatch,
     is_zero_op,
     linear_op,
@@ -34,7 +31,7 @@ from antibrackets.multilinear import (
     ops_equal,
     random_endo,
 )
-from antibrackets.rational import parse_rational, rat
+from antibrackets.rational import rat
 from antibrackets.superalgebra import Signature, koszul_sign
 
 SIG = Signature(even=1, odd=1, degree_bound=3)
@@ -282,13 +279,12 @@ def test_linfinity_rejects_non_square_zero():
 
 
 def test_differential_order_of_derivations():
-    d = derivation_endo(SIG)
-    assert differential_order_check(d, 1)
-    assert not is_zero_op(phi_direct_op(d, 1))
-    d2 = nr_product(d, d)
-    assert differential_order_check(d2, 2)
-    assert not is_zero_op(phi_direct_op(d2, 2))
+    # the order suite holds d/dx1 and its square; here the criterion's edges
     assert differential_order_check(linear_op(SIG, {}, parity=0), 0)
+    for sig, needs in ((NC, "commutative"),
+                       (Signature(1, 1, 3, unital=False), "unital")):
+        with pytest.raises(ValueError, match=f"needs a {needs} signature"):
+            differential_order_check(random_endo(sig, 1), 1)
 
 
 @pytest.mark.parametrize("entry", [
@@ -305,22 +301,7 @@ def test_entry_points_refuse_operators_of_nonzero_degree(entry):
 
 
 def test_odd_derivation_brackets_vanish_above_one():
-    delta = odd_partial_endo(SIG)
-    assert is_zero_op(phi_direct_op(delta, 2))
-    theta = SIG.monomial_element(SIG.odd_generator(0))
-    assert not is_zero_op(phi_direct_op(multiplication_endo(SIG, theta), 2))
-
-
-def test_hierarchy_json_round_trip():
-    f = random_endo(SIG, 2, parity="even")
-    h = phi_hierarchy(f, 2)
-    payload = json.loads(json.dumps(hierarchy_to_json(h, 2)))
-    assert [entry["n"] for entry in payload] == [1, 2]
-    for entry in payload:
-        for tup, element in entry["table"]:
-            assert len(tup) == entry["n"]
-            for coeff in element.values():
-                parse_rational(coeff)
+    assert is_zero_op(phi_direct_op(odd_partial_endo(SIG), 2))
 
 
 def test_first_mismatch_reports_jacobi_failure_shape():
@@ -361,6 +342,15 @@ def test_constructions_agree_across_signature_shapes(shape, seed):
             base = hierarchies[methods[0]][n]
             for m in methods[1:]:
                 assert ops_equal(base, hierarchies[m][n]), (shape, parity, n, m)
+
+
+def test_registry_holds_on_every_commutative_shape():
+    # every entry of the signature suites at N = 4, seed 1
+    suites = ["jacobi", "universal", "inversion", "linf", "order"]
+    for even, odd, degree, commutative, unital in SHAPES:
+        if commutative:
+            sig = Signature(even, odd, degree, unital=unital)
+            assert _run_registry(sig, 4, 1, suites), sig
 
 
 def _arguments_within_bound(draw, sig, n):

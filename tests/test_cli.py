@@ -7,15 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import antibrackets
 from antibrackets import checks, cli
-from antibrackets.brackets import hierarchy_to_json, phi_hierarchy
+from antibrackets.brackets import phi_hierarchy
 from antibrackets.cli import build_parser, main
-from antibrackets.multilinear import random_endo
+from antibrackets.multilinear import canonical_index_tuples, random_endo
+from antibrackets.rational import Rational, format_rational, rat
 from antibrackets.superalgebra import Signature
 
 
@@ -39,14 +41,10 @@ def test_koszul_numbers_json(capsys):
                            "--format", "json")
     assert code == 0
     rows = json.loads(out)
-    from math import factorial
-
-    from antibrackets.rational import parse_rational, rat
-
     last = rows[-1]
     assert last["n"] == "16"
     assert last["n!*K_n"] == "41404329870413936025600"
-    assert parse_rational(last["K_n"]) == rat(
+    assert Rational(last["K_n"]) == rat(
         41404329870413936025600, factorial(16)
     )
 
@@ -151,6 +149,28 @@ def test_verify_empty_algebra_is_vacuous(capsys):
     )
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_order_and_polynomial_list_their_labels(capsys):
+    # neither suite is part of `all`; each runs by name
+    for suite, count in (("order", 5), ("polynomial", 53)):
+        assert suite not in checks.VERIFY_ALL
+        code, out, _ = run_cli(capsys, "verify", suite)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == count + 1
+        assert all(line.startswith(f"[pass] {suite}: ") for line in lines[:-1])
+        assert lines[-1] == f"{count}/{count} checks passed"
+
+
+@pytest.mark.parametrize("flags, skipped", [
+    (["--noncommutative"], "order (skipped: needs a unital commutative signature)"),
+    (["--even", "0"], "order d/dx1 (skipped: needs an even generator)"),
+])
+def test_verify_order_skips_missing_operators(capsys, flags, skipped):
+    code, out, _ = run_cli(capsys, "verify", "order", *flags)
+    assert code == 0
+    assert f"[pass] order: {skipped}" in out.splitlines()
 
 
 def test_verify_json_output(capsys):
@@ -314,6 +334,41 @@ def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def hierarchy_to_json(h: dict, max_total_degree=None) -> list:
+    """JSON-ready tables of a hierarchy {n: Phi^n}:
+    [{"n": k, "table": [[tuple, element], ...]}, ...]."""
+    sig = h[1].signature
+    names = [sig.monomial_str(m) for m in sig.basis()]
+    out = []
+    for n, op in sorted(h.items()):
+        table = []
+        for tup in canonical_index_tuples(sig, op.arity, max_total_degree):
+            val = op._canonical_value(tup)
+            if not val:
+                continue
+            table.append(
+                [
+                    [names[i] for i in tup],
+                    {names[k]: format_rational(c) for k, c in sorted(val.items())},
+                ]
+            )
+        out.append({"n": n, "table": table})
+    return out
+
+
+def test_hierarchy_json_round_trip():
+    sig = Signature(even=1, odd=1, degree_bound=3)
+    f = random_endo(sig, 2, parity="even")
+    h = phi_hierarchy(f, 2)
+    payload = json.loads(json.dumps(hierarchy_to_json(h, 2)))
+    assert [entry["n"] for entry in payload] == [1, 2]
+    for entry in payload:
+        for tup, element in entry["table"]:
+            assert len(tup) == entry["n"]
+            for coeff in element.values():
+                Rational(coeff)
 
 
 @pytest.mark.parametrize("method", ["direct", "recursion", "bracket", "exponential"])
