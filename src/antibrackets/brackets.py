@@ -32,7 +32,7 @@ from .multilinear import (
     nr_bracket,
     nr_product,
     op_combination,
-    rho,
+    rho_combination,
 )
 from .rational import rat
 from .superalgebra import AlgebraElement, koszul_sign, shuffles
@@ -140,15 +140,15 @@ def _bracket_ops(f: MultiOp, N: int) -> dict:
     Phi^(n+1) = (1/n) sum_h (-1)^h [mu_h, Phi^(n-h+1)] divides at every
     level.  The recursion runs instead on Psi_(n+1) = n! Phi^(n+1), which
     satisfies Psi_(n+1) = sum_h (-1)^h ((n-1)!/(n-h)!) [mu_h, Psi_(n-h+1)]
-    with integer weights, so integer data stays integer throughout.  Each
+    with integer weights, so integer data stays integer throughout; each
+    Psi_(n+1) is one :func:`~.multilinear.rho_combination` node.  Each
     returned Phi^(n+1) is Psi_(n+1) divided once by n!.
     """
     psi = {1: f}
     ops = {1: psi[1]}
     for n in range(1, N):
-        psi[n + 1] = op_combination(
-            (rho(h, psi[n - h + 1]),
-             (-1) ** h * (factorial(n - 1) // factorial(n - h)))
+        psi[n + 1] = rho_combination(
+            (h, psi[n - h + 1], (-1) ** h * (factorial(n - 1) // factorial(n - h)))
             for h in range(1, n + 1)
         )
         ops[n + 1] = op_combination([(psi[n + 1], rat(1, factorial(n)))])
@@ -165,11 +165,12 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
 
     The k-th term of the series, term_k = (1/k) sum_n c_n rho_n(term_(k-1)),
     is built as T_k = k! L^k term_k, where L is the lcm of the coefficient
-    denominators; T_k = sum_n (L c_n) rho_n(T_(k-1)) has integer weights.
-    A component is one combination of the T_k of its degree with weights
-    1/(k! L^k), which :func:`~.multilinear.op_combination` sums over their
-    common denominator K! L^K (K the largest k contributing) and divides
-    once per entry.
+    denominators; T_k = sum_n (L c_n) rho_n(T_(k-1)) has integer weights,
+    and its part of each degree is one :func:`~.multilinear.rho_combination`
+    node.  A component is one combination of the T_k of its degree with
+    weights 1/(k! L^k), which :func:`~.multilinear.op_combination` sums over
+    their common denominator K! L^K (K the largest k contributing) and
+    divides once per entry.
     """
     coefficients = {n: c for n, c in coefficients.items() if c}
     if any(n < 1 for n in coefficients):
@@ -184,8 +185,8 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
         for d, op in term.items():
             for n, w in weights.items():
                 if d + n <= max_degree:
-                    pieces.setdefault(d + n, []).append((rho(n, op), w))
-        term = {d: op_combination(terms) for d, terms in pieces.items()}
+                    pieces.setdefault(d + n, []).append((n, op, w))
+        term = {d: rho_combination(terms) for d, terms in pieces.items()}
         for d, op in term.items():
             levels.setdefault(d, {})[k] = op
         k += 1

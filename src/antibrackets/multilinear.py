@@ -16,10 +16,11 @@ Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
 never tabulated in advance; its shuffles and signs are built once per shape
-(:func:`_shuffle_plan`).  :func:`rho` is one node that reads both halves of
-[mu_n, omega] off one product table per tuple.  A linear combination is one
-node, built by :func:`op_combination` over one denominator; its terms are
-not flattened, as their memos are shared.
+(:func:`_shuffle_plan`).  :func:`rho_combination` is one node for a
+weighted sum of [mu_n, omega] terms, reading both halves of every term off
+one product table per tuple; :func:`rho` is its one-term case.  Any other
+linear combination is one node, built by :func:`op_combination` over one
+denominator; its terms are not flattened, as their memos are shared.
 
 A linear operator is an operator of degree 0.  :func:`linear_op` builds one
 from its images on the basis, ``{basis index: {index: coeff}}``, and the
@@ -47,6 +48,7 @@ __all__ = [
     "nr_bracket",
     "mu",
     "rho",
+    "rho_combination",
     "linear_op",
     "random_endo",
     "derivation_endo",
@@ -100,19 +102,30 @@ class MultiOp:
                 f"expected {self.arity} arguments, got {len(args)}"
             )
         sig = self.signature
-        if any(isinstance(a, AlgebraElement) and a.signature != sig for a in args):
-            raise ValueError("signature mismatch")
-        slots = [
-            list(a.terms.items()) if isinstance(a, AlgebraElement)
-            else [(sig.index_of(a), 1)]
-            for a in args
-        ]
-        if all(len(s) == 1 and s[0][1] == 1 for s in slots):  # one memo read
-            sign, canon = sig.canonical_indices([s[0][0] for s in slots])
+        index_of = sig.index_of
+        indices = []
+        for a in args:  # one memo read when every argument is one basis index
+            if not isinstance(a, AlgebraElement):
+                indices.append(index_of(a))
+            elif a.signature is not sig and a.signature != sig:
+                raise ValueError("signature mismatch")
+            elif len(a.terms) == 1 and 1 in a.terms.values():
+                indices.extend(a.terms)
+            else:
+                break
+        else:
+            sign, canon = sig.canonical_indices(indices)
             if not sign:
                 return sig.element()
             value = AlgebraElement(sig, self._canonical_value(canon))
             return value if sign > 0 else -value
+        if any(isinstance(a, AlgebraElement) and a.signature != sig for a in args):
+            raise ValueError("signature mismatch")
+        slots = [
+            a.terms.items() if isinstance(a, AlgebraElement)
+            else [(sig.index_of(a), 1)]
+            for a in args
+        ]
         acc = {}
         for combo in itertools.product(*slots):
             sign, canon = sig.canonical_indices([k for k, _ in combo])
@@ -130,6 +143,18 @@ def _nonzero(acc: dict) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
+def _refuse_unequal(shapes):
+    """ValueError unless there is a first (signature, degree, parity) and
+    every other equals it: the terms of a sum."""
+    if not shapes:
+        raise ValueError("a combination needs at least one term")
+    for shape in shapes[1:]:
+        if shape[:2] != shapes[0][:2]:
+            raise ValueError("can only add operators of equal signature and degree")
+        if shape[2] != shapes[0][2]:
+            raise ValueError("parity mismatch in operator sum")
+
+
 def op_combination(terms) -> MultiOp:
     """One node for sum_i c_i f_i over pairs (f_i, c_i); f itself for [(f, 1)].
 
@@ -141,14 +166,8 @@ def op_combination(terms) -> MultiOp:
     and divides each output entry once by L; int weights keep ints int.
     """
     terms = list(terms)
-    if not terms:
-        raise ValueError("a combination needs at least one term")
+    _refuse_unequal([(g.signature, g.degree, g.parity) for g, _ in terms])
     f = terms[0][0]
-    for g, _ in terms[1:]:
-        if g.signature != f.signature or g.degree != f.degree:
-            raise ValueError("can only add operators of equal signature and degree")
-        if g.parity != f.parity:
-            raise ValueError("parity mismatch in operator sum")
     if len(terms) == 1 and terms[0][1] == 1:
         return f
     den = lcm(*(int(c.denominator) for _, c in terms))
@@ -283,49 +302,62 @@ def mu_for(signature: Signature, n: int) -> MultiOp:
 
 
 def rho(n: int, omega: MultiOp) -> MultiOp:
-    """Adjoint action [mu_n, .] on an operator.
+    """Adjoint action [mu_n, .] on an operator: the one-term
+    :func:`rho_combination`."""
+    return rho_combination([(n, omega, 1)])
 
-    For n >= 1 on a commutative signature this is one node with one memo,
-    and a value reads one :meth:`~.Signature.subset_products` table of its
-    tuple: in omega ⊼ mu_n, mu_n on an (n+1)-block is the block's entry,
-    inserted into the complement as in :func:`nr_product`; in mu_n ⊼ omega,
-    omega's value on a block is multiplied by the complementary entry.  The
-    blocks, masks and signs are :func:`_shuffle_plan`'s rows.  n = 0 and
-    associative signatures take :func:`nr_bracket` on :func:`mu_for`.
+
+def rho_combination(terms) -> MultiOp:
+    """One node for sum_i w_i [mu_(n_i), omega_i] over (n_i, omega_i, w_i),
+    with int weights w_i.
+
+    All terms share signature, parity and degree n_i + omega_i.degree.  For
+    every n_i >= 1 on a commutative signature, a value reads one
+    :meth:`~.Signature.subset_products` table of its tuple for all terms: in
+    omega ⊼ mu_n, mu_n on an (n+1)-block is the block's entry, inserted into
+    the complement as in :func:`nr_product`; in mu_n ⊼ omega, omega's value
+    on a block is multiplied by the complementary entry.  Blocks, masks and
+    signs are :func:`_shuffle_plan`'s rows; the weight is folded into the
+    coefficient.  Otherwise (some n_i = 0, or an associative signature) it is
+    the :func:`op_combination` of :func:`nr_bracket` on :func:`mu_for`.
     """
+    terms = list(terms)
+    _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
+    n, omega, _ = terms[0]
     sig = omega.signature
-    if n < 1 or not sig.commutative:
-        return nr_bracket(mu_for(sig, n), omega)
+    if not sig.commutative or any(m < 1 for m, _, _ in terms):
+        return op_combination([(nr_bracket(mu_for(sig, m), g), w)
+                               for m, g, w in terms])
     parities = sig.basis_parities()
-    d = omega.degree
-    read = omega._canonical_value
-    full = (1 << (n + d + 1)) - 1
+    full = (1 << (n + omega.degree + 1)) - 1
+    terms = [(m, g.degree, g._canonical_value, w) for m, g, w in terms]
 
     def eval_basis(tup):
         products = sig.subset_products(tup)
         pattern = tuple(map(parities.__getitem__, tup))
         acc = {}
-        for _, rest_of, sign, passes, mask in _shuffle_plan(n + 1, d, pattern):
-            s, k = products[mask]
-            if not s:
-                continue
-            rest = rest_of(tup)
-            at = bisect_left(rest, k)
-            if parities[k]:
-                if at < d and rest[at] == k:
-                    continue  # a repeated odd argument
-                if passes[at]:
-                    s = -s
-            coeff = -sign * s
-            for out, v in read(rest[:at] + (k,) + rest[at:]).items():
-                acc[out] = acc.get(out, 0) + coeff * v
-        for block, _, sign, _, mask in _shuffle_plan(d + 1, n, pattern):
-            s, j = products[full ^ mask]
-            if s:
-                sig.mul_into(acc, read(block(tup)).items(), j, s * sign)
+        for m, d, read, w in terms:
+            for _, rest_of, sign, passes, mask in _shuffle_plan(m + 1, d, pattern):
+                s, k = products[mask]
+                if not s:
+                    continue
+                rest = rest_of(tup)
+                at = bisect_left(rest, k)
+                if parities[k]:
+                    if at < d and rest[at] == k:
+                        continue  # a repeated odd argument
+                    if passes[at]:
+                        s = -s
+                coeff = -sign * s * w
+                for out, v in read(rest[:at] + (k,) + rest[at:]).items():
+                    acc[out] = acc.get(out, 0) + coeff * v
+            for block, _, sign, _, mask in _shuffle_plan(d + 1, m, pattern):
+                s, j = products[full ^ mask]
+                if s:
+                    sig.mul_into(acc, read(block(tup)).items(), j, s * sign * w)
         return _nonzero(acc)
 
-    return MultiOp(sig, n + d, omega.parity, eval_basis)
+    return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
 
 
 def linear_op(signature: Signature, images, parity: int) -> MultiOp:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -204,6 +205,28 @@ def test_exponential_hierarchy_matches_direct():
     exp_h = phi_hierarchy(f, 4, method="exponential")
     for n in range(1, 5):
         assert ops_equal(exp_h[n], phi_direct_op(f, n))
+
+
+@pytest.mark.parametrize("method, nodes", [
+    # f, psi_n for n = 2..5, and Phi^n = psi_n / (n-1)! for n = 3..5 (Phi^2
+    # is psi_2)
+    ("bracket", 1 + 4 + 3),
+    # f, one T_k per 1 <= k <= degree <= 4, and the components of degree >= 1
+    ("exponential", 1 + 10 + 4),
+])
+def test_rho_routes_keep_one_memo_per_level(method, nodes):
+    # a fresh signature, so that the only operators on it are this test's
+    sig = Signature(even=1, odd=1, degree_bound=3)
+    f = random_endo(sig, 12, parity="odd")
+    hierarchy = phi_hierarchy(f, 5, method=method)
+    for n, op in hierarchy.items():
+        for tup in canonical_index_tuples(sig, n):
+            op._canonical_value(tup)
+    gc.collect()
+    held = [op for op in gc.get_objects()
+            if isinstance(op, MultiOp) and op.signature is sig and op._cache]
+    assert len(held) == nodes
+    assert {id(op) for op in hierarchy.values()} <= set(map(id, held))
 
 
 def test_inversion_formula_random_tuples():

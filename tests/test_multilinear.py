@@ -24,6 +24,7 @@ from antibrackets.multilinear import (
     ops_equal,
     random_endo,
     rho,
+    rho_combination,
 )
 from antibrackets.rational import rat
 from antibrackets.superalgebra import Signature, koszul_sign, shuffles
@@ -316,6 +317,81 @@ def test_rho_keeps_one_memo():
     held = [op for op in gc.get_objects()
             if isinstance(op, MultiOp) and op.signature is sig and op._cache]
     assert sorted(map(id, held)) == sorted(map(id, [omega, *nodes]))
+
+
+def _rho_reference(terms):
+    return op_combination([(rho(n, omega), w) for n, omega, w in terms])
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_rho_combination_matches_single_rho_nodes(parity):
+    # each level mixes (n, omega.degree) pairs and nonzero, negative and
+    # zero weights, on tuples one degree past the bound
+    weights = (3, -2, 0, -1, 5)
+    for sig in (SIG, Signature(even=1, odd=2, degree_bound=4, unital=False),
+                Signature(even=2, odd=0, degree_bound=5)):
+        p = parity if sig.odd else 0
+        omegas = [_general_op(sig, d, 11 + d, p) for d in range(3)]
+        nonzero = 0
+        for top in range(2, 5):
+            terms = [(top - d, omega, weights[(top + d) % len(weights)])
+                     for d, omega in enumerate(omegas)]
+            terms.append((top, omegas[0], -4))  # a repeated pair adds up
+            fast, reference = rho_combination(terms), _rho_reference(terms)
+            for tup in canonical_index_tuples(sig, top + 1, sig.degree_bound + 1):
+                value = fast._canonical_value(tup)
+                assert value == reference._canonical_value(tup), (sig, top, tup)
+                nonzero += bool(value)
+        assert nonzero > 50, sig
+
+
+def test_rho_combination_falls_back_to_brackets():
+    # an associative signature, and a term with n = 0 on a commutative one
+    nc = Signature(even=2, odd=1, degree_bound=3, commutative=False)
+    for sig, terms in (
+        (nc, lambda om: [(2, om[0], -3), (1, om[1], 2), (1, om[1], 0)]),
+        (SIG, lambda om: [(0, om[2], 4), (1, om[1], -1), (2, om[0], 2)]),
+    ):
+        omegas = [_general_op(sig, d, 21 + d) for d in range(3)]
+        terms = terms(omegas)
+        fast, reference = rho_combination(terms), _rho_reference(terms)
+        seen = 0
+        for tup in canonical_index_tuples(sig, 3, sig.degree_bound + 1):
+            value = fast._canonical_value(tup)
+            assert value == reference._canonical_value(tup), (sig, tup)
+            seen += bool(value)
+        assert seen > 20, sig
+
+
+def test_rho_combination_refuses_mismatched_terms():
+    omega0, omega1 = _general_op(SIG, 0, 1), _general_op(SIG, 1, 2)
+    other = _general_op(Signature(even=1, odd=2, degree_bound=3), 1, 3)
+    even = _general_op(SIG, 0, 4, parity=0)
+    for terms in ([],
+                  [(1, omega1, 1), (1, omega0, 1)],  # degree
+                  [(1, omega1, 1), (2, even, 1)],  # parity
+                  [(1, omega1, 1), (1, other, 1)]):  # signature
+        with pytest.raises(ValueError):
+            rho_combination(terms)
+
+
+def test_call_checks_the_signature_in_every_slot():
+    other = Signature(even=1, odd=2, degree_bound=3)
+    stranger = other.monomial_element(other.even_generator(0))
+    op = _general_op(SIG, 2, 3)
+    x = SIG.even_generator(0)
+    one = SIG.monomial_element(x)  # one basis index: the one-read path
+    multi = one.scale(2) + SIG.monomial_element(SIG.odd_generator(0))
+    for fill in (x, one, multi):
+        for slot in range(3):
+            args = [fill] * 3
+            args[slot] = stranger
+            with pytest.raises(ValueError, match="signature mismatch"):
+                op(*args)
+    # after a multi-term element, the one-read path has been left
+    for args in ((x, multi, stranger), (multi, one, stranger)):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            op(*args)
 
 
 def test_call_one_monomial_per_slot_matches_general_path():
