@@ -63,45 +63,45 @@ def _direct_signs(pattern: tuple) -> list:
     return signs
 
 
-def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
-    """Phi^n_f by the defining shuffle formula (commutative signatures):
+def _shuffle_sum(f: MultiOp, tup, top: int) -> dict:
+    """Phi^n_f on the basis indices ``tup``, in any order, to degree <= top:
     the sum over nonempty blocks B of k arguments of (-1)^(n-k) times the
-    Koszul sign times f(product of B) times the product of the complement.
+    Koszul sign (:func:`_direct_signs`) times f(product of B) times the
+    product of the complement, both from one ``subset_products`` table."""
+    sig = f.signature
+    products = sig.subset_products(tup)
+    signs = _direct_signs(tuple(map(sig.basis_parities().__getitem__, tup)))
+    degrees = sig.basis_degrees()
+    full = len(products) - 1
+    acc = {}
+    for mask in range(1, full + 1):
+        s, j = products[mask]
+        image = f._canonical_value((j,)) if s else None
+        if not image:
+            continue
+        total = s * signs[mask]
+        if mask == full:
+            for t, c in image.items():
+                if degrees[t] <= top:
+                    acc[t] = acc.get(t, 0) + total * c
+            continue
+        r, tail = products[full ^ mask]
+        if r:
+            sig.mul_into(acc, image.items(), tail, r * total, top)
+    return {t: c for t, c in acc.items() if c}
 
-    A value is computed on basis indices.  Per tuple, one
-    :meth:`~.Signature.subset_products` table gives the product of each
-    block and of its complement, and :func:`_direct_signs` the signs.
-    """
+
+def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
+    """Phi^n_f by the defining shuffle formula (commutative signatures),
+    computed on basis indices by :func:`_shuffle_sum` at the degree bound."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-    parities = sig.basis_parities()
-    read_f = f._canonical_value
-    full = (1 << n) - 1
-
-    def eval_basis(tup):
-        products = sig.subset_products(tup)
-        signs = _direct_signs(tuple(map(parities.__getitem__, tup)))
-        acc = {}
-        for mask in range(1, full + 1):
-            s, j = products[mask]
-            image = read_f((j,)) if s else None
-            if not image:
-                continue
-            total = s * signs[mask]
-            if mask == full:
-                for t, c in image.items():
-                    acc[t] = acc.get(t, 0) + total * c
-                continue
-            r, tail = products[full ^ mask]
-            if r:
-                sig.mul_into(acc, image.items(), tail, r * total)
-        return {t: c for t, c in acc.items() if c}
-
-    return MultiOp(sig, n - 1, f.parity, eval_basis)
+    return MultiOp(sig, n - 1, f.parity,
+                   lambda tup: _shuffle_sum(f, tup, sig.degree_bound))
 
 
 def _recursion_ops(f: MultiOp, N: int) -> dict:
@@ -233,55 +233,53 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
 def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
-    Each shuffle's signed Phi value times the product of its complement
-    arguments, memoised per complement, is added straight into the
-    right-hand side by :meth:`~.Signature.mul_into`.  One product instead of
-    one argument after another is exact as the truncated algebra is
-    associative (the quotient of an associative algebra by the two-sided
-    ideal of elements of degree > D).  A complement whose product dies
-    contributes nothing, so its Phi value is never computed.
+    Both sides are multilinear, so lhs - rhs is summed into one dict over
+    the combinations of the arguments' basis indices.  A shuffle whose
+    complement's product (from one ``subset_products`` table, exact as the
+    truncated algebra is associative) dies is skipped; otherwise its block
+    is evaluated by :func:`_shuffle_sum`, memoised, to the degree left.
     """
     _require_linear(f)
     if n < 1:
         raise ValueError("n must be >= 1")
     sig = f.signature
-    args = [
-        a if isinstance(a, AlgebraElement) else sig.monomial_element(a)
-        for a in args
-    ]
-    if len(args) != n:
-        raise ValueError("argument count must equal n")
-    parities = []
+    if not sig.commutative:
+        raise ValueError("the shuffle formula needs a commutative signature")
+    combos, parities = [((), 1)], []
     for a in args:
+        a = a if isinstance(a, AlgebraElement) else sig.monomial_element(a)
+        if a.signature != sig:
+            raise ValueError("signature mismatch")
         p = a.parity()
         if p is None:
             raise ValueError("inversion check needs homogeneous arguments")
+        if len(parities) == n:  # before any more products are expanded
+            raise ValueError("argument count must equal n")
         parities.append(p)
-
-    @cache
-    def product(positions):
-        """Ordered product of the arguments at ``positions``."""
-        value = args[positions[-1]]
-        return product(positions[:-1]) * value if len(positions) > 1 else value
-
-    lhs = f(product(tuple(range(n))))
-    phis = {k: phi_direct_op(f, k) for k in range(1, n + 1)}
-    rhs = {}
-    for k in range(1, n + 1):
-        for perm in shuffles(k, n - k):
-            rest = perm[k:]
-            tail = product(rest).terms if rest else None
-            if tail is not None and not tail:
-                continue  # the complement's product dies
-            val = phis[k](*(args[i] for i in perm[:k])).terms.items()
-            sign = koszul_sign(perm, parities)
-            if tail is None:
-                for m, c in val:
-                    rhs[m] = rhs.get(m, 0) + sign * c
-            else:
-                for j, c in tail.items():
-                    sig.mul_into(rhs, val, j, sign * c)
-    return lhs == AlgebraElement(sig, rhs)
+        combos = [(tup + (i,), coeff * c)
+                  for tup, coeff in combos for i, c in a.terms.items()]
+    if len(parities) != n:
+        raise ValueError("argument count must equal n")
+    plan = [(perm[:k], sum(1 << q for q in perm[k:]), koszul_sign(perm, parities))
+            for k in range(1, n) for perm in shuffles(k, n - k)]
+    degrees, top = sig.basis_degrees(), sig.degree_bound
+    phi = cache(lambda block, cap: _shuffle_sum(f, block, cap).items())
+    diff = {}
+    for tup, coeff in combos:
+        products = sig.subset_products(tup)
+        s, j = products[-1]
+        # lhs, and the one shuffle with k = n, which has no complement
+        for value, c in ((f._canonical_value((j,)) if s else {}, s * coeff),
+                         (_shuffle_sum(f, tup, top), -coeff)):
+            for t, v in value.items():
+                diff[t] = diff.get(t, 0) + c * v
+        for block, rest, sign in plan:
+            r, tail = products[rest]
+            if r:  # else the complement's product dies
+                sig.mul_into(diff, phi(tuple(tup[q] for q in block),
+                                       top - degrees[tail]),
+                             tail, -sign * r * coeff)
+    return not any(diff.values())
 
 
 def jacobi_rhs(phis_f, phis_g, n: int) -> MultiOp:

@@ -353,8 +353,8 @@ def rho_combination(terms) -> MultiOp:
                     acc[out] = acc.get(out, 0) + coeff * v
             for block, _, sign, _, mask in _shuffle_plan(d + 1, m, pattern):
                 s, j = products[full ^ mask]
-                if s:
-                    sig.mul_into(acc, read(block(tup)).items(), j, s * sign * w)
+                if s and (value := read(block(tup))):
+                    sig.mul_into(acc, value.items(), j, s * sign * w)
         return _nonzero(acc)
 
     return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
@@ -399,15 +399,11 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     if par is None:
         raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
     rng = random.Random(seed)
+    draw, entry = rng.random, rng.randint
     parities = signature.basis_parities()
     by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
-    images = {}
-    for i, p in enumerate(parities):
-        image = images[i] = {}
-        for k in by_parity[(p + par) % 2]:
-            if rng.random() >= density:
-                continue
-            image[k] = rng.randint(-9, 9)
+    images = {i: {k: entry(-9, 9) for k in by_parity[(p + par) % 2] if draw() < density}
+              for i, p in enumerate(parities)}
     return linear_op(signature, images, parity=par)
 
 
@@ -463,7 +459,7 @@ def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=No
         signature.degree_bound if max_total_degree is None else max_total_degree
     )
     basis = signature.basis()
-    degrees = [signature.degree(m) for m in basis]
+    degrees = signature.basis_degrees()
     odd = signature.basis_parities()
     out = []
     stack = [0] * arity

@@ -25,13 +25,13 @@ as (sign, index), or (0, None) when it dies (degree above the bound, or an
 odd letter repeated); :meth:`Signature.subset_products` gives that pair for
 every sub-block of a tuple at once, listed by bit mask of positions; and
 :meth:`Signature.mul_into` adds a combination times a basis monomial into
-an ``{index: coeff}`` dict.  All three read rows of
-right multiplication by one basis monomial, in an encoding internal to the
-class; a row covers the degree prefix of the basis that can survive the
-product.  Rows are built on first use by the one monomial product rule,
-:meth:`Signature.mul_monomials`, and kept on the signature, which is the
-package's one product cache.  Operator arguments are put in canonical
-order on indices too, by :meth:`Signature.canonical_indices`.
+an ``{index: coeff}`` dict, dropping products of degree above ``top``.  All
+three read rows of right multiplication by one basis monomial, in an encoding
+internal to the class; a row covers the degree prefix of the basis that can
+survive the product.  Rows are built on first use by the one monomial product
+rule, :meth:`Signature.mul_monomials`, and kept on the signature, which is the
+package's one product cache.  Operator arguments are put in canonical order on
+indices too, by :meth:`Signature.canonical_indices`.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Signature:
         self.unital = unital
         self._basis = None
         self._index = None
-        self._parities = None  # parity of each basis monomial, by index
+        self._parities = self._degrees = None  # of each basis monomial, by index
         self._prefix = None  # r -> number of basis monomials of degree <= r
         self._rows = None  # j -> mul_row(j) once built, else None
 
@@ -161,10 +161,10 @@ class Signature:
             lowest = 0 if self.unital else 1
             for d in range(lowest, self.degree_bound + 1):
                 monomials.extend(self._monomials_of_degree(d))
-            degrees = [self.degree(m) for m in monomials]
             self._basis = monomials
             self._index = {m: i for i, m in enumerate(monomials)}
             self._parities = [self.parity(m) for m in monomials]
+            self._degrees = degrees = [self.degree(m) for m in monomials]
             self._prefix = [
                 bisect_right(degrees, r) for r in range(self.degree_bound + 1)
             ]
@@ -175,6 +175,11 @@ class Signature:
         """Parity of each basis monomial, indexed like :meth:`basis`."""
         self.basis()
         return self._parities
+
+    def basis_degrees(self):
+        """Degree of each basis monomial, indexed like :meth:`basis`."""
+        self.basis()
+        return self._degrees
 
     def _monomials_of_degree(self, d):
         if not self.commutative:
@@ -273,15 +278,16 @@ class Signature:
                     table.append((0, None))
         return table
 
-    def mul_into(self, acc, pairs, j, coeff):
+    def mul_into(self, acc, pairs, j, coeff, top=None):
         """Add coeff * (sum of v * basis[i] over the (i, v) pairs) * basis[j]
         into the dict ``acc`` of {index: coeff}; the pairs need not be sorted.
 
-        Row j is read once; an i past its end is skipped, as that product
-        dies by degree.
+        Row j is read once, up to the basis monomials of degree <= top -
+        deg(basis[j]) (top defaults to, and is at most, the degree bound).
         """
         row = self.mul_row(j)
-        limit = len(row)
+        room = (self.degree_bound if top is None else top) - self._degrees[j]
+        limit = self._prefix[room] if room >= 0 else 0
         for i, v in pairs:
             if i < limit:
                 e = row[i]

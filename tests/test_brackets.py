@@ -21,11 +21,13 @@ from antibrackets.multilinear import (
     SHAPE_CACHE_SIZE,
     MultiOp,
     canonical_index_tuples,
+    derivation_endo,
     first_mismatch,
     is_zero_op,
     linear_op,
     mu,
     multiplication_endo,
+    nr_bracket,
     nr_product,
     odd_partial_endo,
     op_combination,
@@ -97,6 +99,35 @@ def test_direct_route_matches_block_by_block_reference(sig):
                 beyond += bool(value) and sum(
                     sig.degree(sig.basis()[i]) for i in tup) > sig.degree_bound
         assert beyond
+
+
+@pytest.mark.parametrize("sig", [
+    SIG,
+    Signature(even=2, odd=1, degree_bound=3, unital=False),
+    Signature(even=0, odd=3, degree_bound=3),
+], ids=repr)
+def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
+    # f a random operator, and a bracket of two, whose values are not in
+    # basis order; the rule also holds on a tuple out of canonical order
+    degrees = sig.basis_degrees()
+    f1 = random_endo(sig, 21, parity="even", density=0.5)
+    f2 = random_endo(sig, 22, parity="odd", density=0.5)
+    capped = 0
+    for f in (f1, nr_bracket(f1, f2)):
+        for n in range(1, 5):
+            op = phi_direct_op(f, n)
+            for tup in canonical_index_tuples(sig, n):
+                value = op._canonical_value(tup)
+                sign, _ = sig.canonical_indices(tup[::-1])
+                for top in range(sig.degree_bound + 1):
+                    want = {t: c for t, c in value.items() if degrees[t] <= top}
+                    got = brackets._shuffle_sum(f, tup, top)
+                    assert got == want, (n, tup, top)
+                    capped += got != value
+                    if sign:
+                        flipped = brackets._shuffle_sum(f, tup[::-1], top)
+                        assert flipped == {t: sign * c for t, c in want.items()}
+    assert capped
 
 
 def test_phi_two_explicit_formula():
@@ -240,12 +271,82 @@ def test_inversion_formula_random_tuples():
                 assert inversion_check(f, n, args)
 
 
+def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
+    # Phi^2(x, x) = f(x^2) - 2 f(x) x for f = d/dx; flipping the sign of
+    # the block {first argument} leaves f(x^2) != rhs
+    f = derivation_endo(SIG)
+    x = SIG.even_generator(0)
+    assert inversion_check(f, 2, [x, x])
+    original = brackets._direct_signs
+
+    def flipped(pattern):
+        signs = list(original(pattern))
+        if len(pattern) == 2:
+            signs[1] = -signs[1]
+        return signs
+
+    monkeypatch.setattr(brackets, "_direct_signs", flipped)
+    assert not inversion_check(f, 2, [x, x])
+    assert inversion_check(f, 1, [x])
+
+
+def test_inversion_check_builds_no_direct_operator(monkeypatch):
+    def refuse(f, n):
+        raise AssertionError("phi_direct_op called")
+
+    monkeypatch.setattr(brackets, "phi_direct_op", refuse)
+    basis = [m for m in SIG.basis() if SIG.degree(m) >= 1]
+    f = random_endo(SIG, 3, parity="odd")
+    for n in range(1, 4):
+        for args in itertools.product(basis, repeat=n):
+            assert inversion_check(f, n, list(args)), args
+
+
 def test_inversion_rejects_inhomogeneous_arguments():
     f = random_endo(SIG, 1, parity="even")
     x = SIG.monomial_element(SIG.even_generator(0))
     th = SIG.monomial_element(SIG.odd_generator(0))
     with pytest.raises(ValueError):
         inversion_check(f, 1, [x + th])
+
+
+def test_inversion_rejects_a_wrong_argument_count():
+    f = random_endo(SIG, 1, parity="even")
+    x = SIG.even_generator(0)
+    for args in ([x], [x, x, x]):
+        with pytest.raises(ValueError, match="argument count must equal n"):
+            inversion_check(f, 2, args)
+    # a third argument is refused before its terms are expanded, and no
+    # later one is read
+    x = SIG.monomial_element(x)
+    read = []
+
+    def arguments():
+        for i in range(20):
+            read.append(i)
+            yield x + x * x
+
+    with pytest.raises(ValueError, match="argument count must equal n"):
+        inversion_check(f, 2, arguments())
+    assert read == [0, 1, 2]
+
+
+def test_inversion_requires_commutative():
+    f = random_endo(NC, 1, parity="even")
+    x = NC.even_generator(0)
+    with pytest.raises(ValueError, match="commutative"):
+        inversion_check(f, 2, [x, x])
+
+
+def test_inversion_refuses_elements_of_another_signature():
+    a = Signature(even=2, odd=2, degree_bound=5)
+    b = Signature(even=1, odd=1, degree_bound=3)
+    f = random_endo(a, 1)
+    x_b = b.monomial_element(b.odd_generator(0))
+    y_a = a.monomial_element(a.even_generator(1))
+    for args in ([x_b, y_a], [y_a, x_b]):
+        with pytest.raises(ValueError, match="signature mismatch"):
+            inversion_check(f, 2, args)
 
 
 def test_inversion_rejects_n_below_one():

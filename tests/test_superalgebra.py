@@ -240,21 +240,24 @@ def test_mul_into_matches_monomial_products(sig):
     basis = sig.basis()
     rng = random.Random(5)
     coeff = rat(-3, 2)
-    past_end = 0
+    past_end = capped = 0
     for j, b in enumerate(basis):
         pairs = [(i, rng.randint(1, 9)) for i in range(len(basis))]
         rng.shuffle(pairs)
         past_end += sum(i >= len(sig.mul_row(j)) for i, _ in pairs)
-        acc = {k: k + 1 for k in range(0, len(basis), 2)}
-        want = dict(acc)
-        for i, v in pairs:
-            s, m = sig.mul_monomials(basis[i], b)
-            if s:
-                k = sig.index_of(m)
-                want[k] = want.get(k, 0) + s * coeff * v
-        sig.mul_into(acc, pairs, j, coeff)
-        assert acc == want
-    assert past_end
+        # top None is the degree bound; a top below deg(b) keeps nothing
+        for top in (None, *range(sig.degree_bound + 1)):
+            acc = {k: k + 1 for k in range(0, len(basis), 2)}
+            want = dict(acc)
+            for i, v in pairs:
+                s, m = sig.mul_monomials(basis[i], b)
+                if s and (top is None or sig.degree(m) <= top):
+                    k = sig.index_of(m)
+                    want[k] = want.get(k, 0) + s * coeff * v
+                capped += bool(s) and top is not None and sig.degree(m) > top
+            sig.mul_into(acc, pairs, j, coeff, top)
+            assert acc == want, (j, top)
+    assert past_end and capped
 
 
 def test_canonical_indices_match_koszul_sign():
@@ -352,6 +355,39 @@ def test_random_endo_is_deterministic_and_parity_structured():
     for m in basis:
         want = (SIG.parity(m) + 1) % 2
         assert all(SIG.parity(basis[t]) == want for t in f1(m).terms)
+
+
+def random_endo_reference(signature, seed, parity="even", density=0.25):
+    """Reference: random_endo's images as first written, one draw at a time."""
+    par = {"even": 0, "odd": 1, 0: 0, 1: 1}[parity]
+    rng = random.Random(seed)
+    parities = signature.basis_parities()
+    by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
+    images = {}
+    for i, p in enumerate(parities):
+        image = images[i] = {}
+        for k in by_parity[(p + par) % 2]:
+            if rng.random() >= density:
+                continue
+            image[k] = rng.randint(-9, 9)
+    return images
+
+
+@pytest.mark.parametrize("sig", [
+    SIG,
+    Signature(even=2, odd=1, degree_bound=3, unital=False),
+    Signature(even=0, odd=3, degree_bound=3),
+    NC,
+], ids=repr)
+def test_random_endo_keeps_the_reference_stream(sig):
+    for seed in (0, 7, 2**31 - 1):
+        for parity in ("even", "odd", 0, 1):
+            for density in (0.0, 0.25, 0.5, 1.0):
+                f = random_endo(sig, seed, parity=parity, density=density)
+                want = random_endo_reference(sig, seed, parity, density)
+                for i, image in want.items():
+                    assert f._canonical_value((i,)) == {
+                        k: c for k, c in image.items() if c}, (seed, parity, i)
 
 
 def test_random_endo_rejects_unknown_parity():
