@@ -21,13 +21,16 @@ which is Phi^1_f itself; the entry points refuse any other degree.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from bisect import bisect_left
+from functools import lru_cache
+from itertools import islice
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
     SHAPE_CACHE_SIZE,
     MultiOp,
+    _picker,
     is_zero_op,
     nr_bracket,
     nr_product,
@@ -35,7 +38,7 @@ from .multilinear import (
     rho_combination,
 )
 from .rational import rat
-from .superalgebra import AlgebraElement, koszul_sign, shuffles
+from .superalgebra import AlgebraElement, koszul_sign
 
 __all__ = [
     "phi_direct_op",
@@ -50,58 +53,91 @@ def _require_linear(f: MultiOp):
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _direct_signs(pattern: tuple) -> list:
-    """Sign of each block of the shuffle formula, by bit mask of positions,
-    for arguments of parities ``pattern``: (-1)^(n-k) times the Koszul sign
-    of moving the k block arguments in front of the complement."""
+def _block_signs(pattern: tuple) -> list:
+    """Koszul sign of moving each block of arguments of parities ``pattern``
+    in front of its complement, by bit mask of the block's positions (entry
+    0, the empty block, is 0)."""
     n = len(pattern)
     signs = [0]
     for mask in range(1, 1 << n):
         block = tuple(i for i in range(n) if mask >> i & 1)
         rest = tuple(i for i in range(n) if not mask >> i & 1)
-        signs.append((-1) ** len(rest) * koszul_sign(block + rest, pattern))
+        signs.append(koszul_sign(block + rest, pattern))
     return signs
 
 
-def _shuffle_sum(f: MultiOp, tup, top: int) -> dict:
-    """Phi^n_f on the basis indices ``tup``, in any order, to degree <= top:
-    the sum over nonempty blocks B of k arguments of (-1)^(n-k) times the
-    Koszul sign (:func:`_direct_signs`) times f(product of B) times the
-    product of the complement, both from one ``subset_products`` table."""
-    sig = f.signature
-    products = sig.subset_products(tup)
-    signs = _direct_signs(tuple(map(sig.basis_parities().__getitem__, tup)))
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _direct_signs(pattern: tuple) -> list:
+    """Sign of each block of the shuffle formula, by bit mask of positions,
+    for arguments of parities ``pattern``: (-1)^(n-k) times the Koszul sign
+    of moving the k block arguments in front of the complement."""
+    n = len(pattern)
+    return [(-1) ** (n - mask.bit_count()) * s
+            for mask, s in enumerate(_block_signs(pattern))]
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _block_shapes(n: int) -> list:
+    """For each bit mask B of n positions: the getter of a tuple's entries
+    at B's positions, and B's nonempty sub-masks S by rank, S's mask within
+    B (entry r - 1 has rank r).  Shape data keyed by the arity only."""
+    shapes = []
+    for block in range(1 << n):
+        positions = [q for q in range(n) if block >> q & 1]
+        subs = [sum(1 << q for b, q in enumerate(positions) if rank >> b & 1)
+                for rank in range(1, 1 << len(positions))]
+        shapes.append((_picker(positions), subs))
+    return shapes
+
+
+def _shuffle_sum(sig, image, products, block, signs, top: int) -> dict:
+    """Phi^k_f on the k arguments at the positions in the bit mask ``block``
+    of a ``subset_products`` table, to degree <= top: the sum over nonempty
+    sub-blocks S of B of signs[rank of S in B] (:func:`_direct_signs` of B's
+    parities) times f(product of S) times the product of B \\ S, both read
+    from the table.  ``image(j, room)`` gives f's image of basis[j] as
+    (index, coeff) pairs: those of degree <= room, or all of them when top
+    is the degree bound (the products above it die)."""
     degrees = sig.basis_degrees()
-    full = len(products) - 1
     acc = {}
-    for mask in range(1, full + 1):
-        s, j = products[mask]
-        image = f._canonical_value((j,)) if s else None
-        if not image:
+    _, subs = _block_shapes(len(products).bit_length() - 1)[block]
+    for rank, sub in enumerate(subs, 1):
+        s, j = products[sub]
+        if not s:
             continue
-        total = s * signs[mask]
-        if mask == full:
-            for t, c in image.items():
-                if degrees[t] <= top:
-                    acc[t] = acc.get(t, 0) + total * c
+        total = s * signs[rank]
+        if sub == block:
+            for t, c in image(j, top):
+                acc[t] = acc.get(t, 0) + total * c
             continue
-        r, tail = products[full ^ mask]
-        if r:
-            sig.mul_into(acc, image.items(), tail, r * total, top)
+        r, tail = products[block ^ sub]
+        if r and degrees[tail] <= top and (pairs := image(j, top - degrees[tail])):
+            sig.mul_into(acc, pairs, tail, r * total)
     return {t: c for t, c in acc.items() if c}
 
 
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures),
-    computed on basis indices by :func:`_shuffle_sum` at the degree bound."""
+    computed on basis indices by :func:`_shuffle_sum` at the degree bound,
+    on the tuple's ``subset_products`` table and f's whole images."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return MultiOp(sig, n - 1, f.parity,
-                   lambda tup: _shuffle_sum(f, tup, sig.degree_bound))
+    parities = sig.basis_parities()
+
+    def image(j, room):
+        return f._canonical_value((j,)).items()
+
+    def eval_basis(tup):
+        products = sig.subset_products(tup)
+        signs = _direct_signs(tuple(map(parities.__getitem__, tup)))
+        return _shuffle_sum(sig, image, products, len(products) - 1, signs,
+                            sig.degree_bound)
+
+    return MultiOp(sig, n - 1, f.parity, eval_basis)
 
 
 def _recursion_ops(f: MultiOp, N: int) -> dict:
@@ -230,14 +266,47 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
     return _METHODS[method](f, N)
 
 
+def _image_prefixes(f: MultiOp):
+    """A reader ``image(j, room)`` of f's image of basis[j] to degree <= room,
+    as a prefix of the image's (index, coeff) pairs in index order.  On its
+    first read an image is sorted, copied only if its keys are out of index
+    order, and the reader keeps the prefix length for every room.
+
+    In :func:`inversion_check` every read of f(S) has the room D minus the
+    degree of S's complement, so its verdict holds whatever the cut; a wrong
+    cut shows in the values of :func:`_shuffle_sum` only."""
+    sig = f.signature
+    sig.basis()
+    prefix = sig._prefix  # r -> number of basis monomials of degree <= r
+    images = {}
+
+    def image(j, room):
+        read = images.get(j)
+        if read is None:
+            value = f._canonical_value((j,))
+            keys = sorted(value)
+            if keys != list(value):
+                value = {k: value[k] for k in keys}
+            read = images[j] = (value.items(), [bisect_left(keys, p) for p in prefix])
+        items, cuts = read
+        return islice(items, cuts[room]) if cuts[room] else ()
+
+    return image
+
+
 def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
     Both sides are multilinear, so lhs - rhs is summed into one dict over
-    the combinations of the arguments' basis indices.  A shuffle whose
-    complement's product (from one ``subset_products`` table, exact as the
-    truncated algebra is associative) dies is skipped; otherwise its block
-    is evaluated by :func:`_shuffle_sum`, memoised, to the degree left.
+    the combinations of the arguments' basis indices.  Each combination has
+    one ``subset_products`` table (exact, as the truncated algebra is
+    associative), which gives the product of every block, of every
+    sub-block and of every complement.  A shuffle whose complement's product
+    dies is skipped; otherwise its block's Phi is :func:`_shuffle_sum` on
+    that table, kept to the degree the complement leaves and memoised per
+    (block indices, cap), and its sign is the block's :func:`_block_signs`
+    entry.  f's images are sorted once per check (:func:`_image_prefixes`),
+    so each is read only up to the degree that can survive its product.
     """
     _require_linear(f)
     if n < 1:
@@ -260,25 +329,38 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
                   for tup, coeff in combos for i, c in a.terms.items()]
     if len(parities) != n:
         raise ValueError("argument count must equal n")
-    plan = [(perm[:k], sum(1 << q for q in perm[k:]), koszul_sign(perm, parities))
-            for k in range(1, n) for perm in shuffles(k, n - k)]
+    full = (1 << n) - 1
+    patterns = [()]  # by bit mask: the parities of the block's arguments
+    for p in parities:
+        patterns += [pattern + (p,) for pattern in patterns]
+    outer = _block_signs(patterns[full])
+    inner = list(map(_direct_signs, patterns))  # read per check, kept in no plan
+    shapes = _block_shapes(n)
     degrees, top = sig.basis_degrees(), sig.degree_bound
-    phi = cache(lambda block, cap: _shuffle_sum(f, block, cap).items())
+    image = _image_prefixes(f)
+    phi = {}
     diff = {}
     for tup, coeff in combos:
         products = sig.subset_products(tup)
-        s, j = products[-1]
+        s, j = products[full]
         # lhs, and the one shuffle with k = n, which has no complement
-        for value, c in ((f._canonical_value((j,)) if s else {}, s * coeff),
-                         (_shuffle_sum(f, tup, top), -coeff)):
-            for t, v in value.items():
+        phi_n = _shuffle_sum(sig, image, products, full, inner[full], top)
+        for value, c in ((image(j, top) if s else (), s * coeff),
+                         (phi_n.items(), -coeff)):
+            for t, v in value:
                 diff[t] = diff.get(t, 0) + c * v
-        for block, rest, sign in plan:
-            r, tail = products[rest]
-            if r:  # else the complement's product dies
-                sig.mul_into(diff, phi(tuple(tup[q] for q in block),
-                                       top - degrees[tail]),
-                             tail, -sign * r * coeff)
+        for block in range(1, full):
+            r, tail = products[full ^ block]
+            if not r:  # the complement's product dies
+                continue
+            cap = top - degrees[tail]
+            key = (shapes[block][0](tup), cap)
+            value = phi.get(key)
+            if value is None:
+                value = phi[key] = _shuffle_sum(sig, image, products, block,
+                                                inner[block], cap).items()
+            if value:
+                sig.mul_into(diff, value, tail, -outer[block] * r * coeff)
     return not any(diff.values())
 
 

@@ -370,14 +370,19 @@ def linear_op(signature: Signature, images, parity: int) -> MultiOp:
     """
     parities = signature.basis_parities()
     size = len(parities)
+    indices = set(range(size))
+    by_parity = [{k for k in indices if parities[k] == p} for p in (0, 1)]
     stored = [{}] * size
     for i, image in images.items():
-        for key in (i, *image):
-            if type(key) is not int or not 0 <= key < size:
-                raise ValueError(f"{key!r} is not a basis index in range({size})")
+        # a bool or float key equals an int one, so the types are checked too
+        if not ({type(i), *map(type, image)} <= {int}
+                and i in indices and image.keys() <= indices):
+            for key in (i, *image):
+                if type(key) is not int or not 0 <= key < size:
+                    raise ValueError(
+                        f"{key!r} is not a basis index in range({size})")
         image = stored[i] = {k: c for k, c in image.items() if c}
-        want = (parities[i] + parity) % 2
-        if any(parities[k] != want for k in image):
+        if not image.keys() <= by_parity[(parities[i] + parity) % 2]:
             raise ValueError(f"image of basis index {i} violates parity {parity}")
     return MultiOp(signature, 0, parity, lambda t: stored[t[0]])
 
@@ -399,11 +404,19 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     if par is None:
         raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
     rng = random.Random(seed)
-    draw, entry = rng.random, rng.randint
+    draw, bits = rng.random, rng.getrandbits
     parities = signature.basis_parities()
     by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
-    images = {i: {k: entry(-9, 9) for k in by_parity[(p + par) % 2] if draw() < density}
-              for i, p in enumerate(parities)}
+    images = {}
+    for i, p in enumerate(parities):
+        image = images[i] = {}
+        for k in by_parity[(p + par) % 2]:
+            if draw() < density:
+                # the draws of randint(-9, 9): 5 bits, redrawn until below 19
+                r = bits(5)
+                while r >= 19:
+                    r = bits(5)
+                image[k] = r - 9
     return linear_op(signature, images, parity=par)
 
 

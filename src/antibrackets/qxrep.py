@@ -28,6 +28,7 @@ oracle for that computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from math import comb, factorial, gcd, lcm, perm
 from operator import mul
@@ -35,6 +36,7 @@ from operator import mul
 from .brackets import phi_direct_op
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
 from .multilinear import (
+    SHAPE_CACHE_SIZE,
     canonical_tuples,
     derivation_endo,
     is_zero_op,
@@ -119,22 +121,29 @@ def rho_action(k: int, psi):
     ))
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _rho_factors(k: int, n: int) -> list:
+    """The two binomial factors of rho_k Phi(n, i) for i = 1..n, as pairs
+    (C(n-i+k, k) - C(n-i+k, k+1), C(k+i, k+1)); see :func:`rho_abstract`."""
+    return [(comb(n - i + k, k) - comb(n - i + k, k + 1), comb(k + i, k + 1))
+            for i in range(1, n + 1)]
+
+
 def rho_abstract(k: int, coords: list) -> list:
     """rho_k on V^n in coordinates: the n+k coordinates of rho_k of the
     element with coordinates ``coords``, n = len(coords).
 
     Term by term, rho_k Phi(n, i) = (C(n-i+k, k) - C(n-i+k, k+1)) Phi(n+k, i)
-    - C(k+i, k+1) Phi(n+k, i+k).
+    - C(k+i, k+1) Phi(n+k, i+k); the factors are one cached table per (k, n).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n = len(coords)
     out = [0] * (n + k)
-    for i, c in enumerate(coords, 1):
+    for i, (c, (stay, shift)) in enumerate(zip(coords, _rho_factors(k, n))):
         if c:
-            m = n - i + k
-            out[i - 1] += c * (comb(m, k) - comb(m, k + 1))
-            out[i + k - 1] -= c * comb(k + i, k + 1)
+            out[i] += c * stay
+            out[i + k] -= c * shift
     return out
 
 

@@ -25,7 +25,7 @@ as (sign, index), or (0, None) when it dies (degree above the bound, or an
 odd letter repeated); :meth:`Signature.subset_products` gives that pair for
 every sub-block of a tuple at once, listed by bit mask of positions; and
 :meth:`Signature.mul_into` adds a combination times a basis monomial into
-an ``{index: coeff}`` dict, dropping products of degree above ``top``.  All
+an ``{index: coeff}`` dict.  All
 three read rows of right multiplication by one basis monomial, in an encoding
 internal to the class; a row covers the degree prefix of the basis that can
 survive the product.  Rows are built on first use by the one monomial product
@@ -278,16 +278,15 @@ class Signature:
                     table.append((0, None))
         return table
 
-    def mul_into(self, acc, pairs, j, coeff, top=None):
+    def mul_into(self, acc, pairs, j, coeff):
         """Add coeff * (sum of v * basis[i] over the (i, v) pairs) * basis[j]
         into the dict ``acc`` of {index: coeff}; the pairs need not be sorted.
 
-        Row j is read once, up to the basis monomials of degree <= top -
-        deg(basis[j]) (top defaults to, and is at most, the degree bound).
+        Row j is read once; an i past its end is skipped, as that product
+        dies by degree.
         """
         row = self.mul_row(j)
-        room = (self.degree_bound if top is None else top) - self._degrees[j]
-        limit = self._prefix[room] if room >= 0 else 0
+        limit = len(row)
         for i, v in pairs:
             if i < limit:
                 e = row[i]

@@ -101,6 +101,20 @@ def test_direct_route_matches_block_by_block_reference(sig):
         assert beyond
 
 
+def _shuffle_sum_on(f, tup, block, top, image=None):
+    """brackets._shuffle_sum on the positions in ``block`` of tup's
+    subset-product table; by default f's images are read whole, which is
+    right at top = D."""
+    sig = f.signature
+    parities = sig.basis_parities()
+    pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
+    if image is None:
+        def image(j, room):
+            return f._canonical_value((j,)).items()
+    return brackets._shuffle_sum(sig, image, sig.subset_products(tup), block,
+                                 brackets._direct_signs(pattern), top)
+
+
 @pytest.mark.parametrize("sig", [
     SIG,
     Signature(even=2, odd=1, degree_bound=3, unital=False),
@@ -108,25 +122,34 @@ def test_direct_route_matches_block_by_block_reference(sig):
 ], ids=repr)
 def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
     # f a random operator, and a bracket of two, whose values are not in
-    # basis order; the rule also holds on a tuple out of canonical order
+    # basis order; the rule also holds on a tuple out of canonical order,
+    # on every block of a longer tuple's table, and on the index-sorted
+    # prefixes of f's images that inversion_check reads
     degrees = sig.basis_degrees()
     f1 = random_endo(sig, 21, parity="even", density=0.5)
     f2 = random_endo(sig, 22, parity="odd", density=0.5)
     capped = 0
     for f in (f1, nr_bracket(f1, f2)):
+        ops = {n: phi_direct_op(f, n) for n in range(1, 5)}
+        prefixes = brackets._image_prefixes(f)
         for n in range(1, 5):
-            op = phi_direct_op(f, n)
+            full = (1 << n) - 1
             for tup in canonical_index_tuples(sig, n):
-                value = op._canonical_value(tup)
+                value = ops[n]._canonical_value(tup)
+                assert _shuffle_sum_on(f, tup, full, sig.degree_bound) == value
                 sign, _ = sig.canonical_indices(tup[::-1])
                 for top in range(sig.degree_bound + 1):
                     want = {t: c for t, c in value.items() if degrees[t] <= top}
-                    got = brackets._shuffle_sum(f, tup, top)
+                    got = _shuffle_sum_on(f, tup, full, top, prefixes)
                     assert got == want, (n, tup, top)
                     capped += got != value
                     if sign:
-                        flipped = brackets._shuffle_sum(f, tup[::-1], top)
+                        flipped = _shuffle_sum_on(f, tup[::-1], full, top, prefixes)
                         assert flipped == {t: sign * c for t, c in want.items()}
+                for block in range(1, full):
+                    sub = tuple(i for q, i in enumerate(tup) if block >> q & 1)
+                    assert (_shuffle_sum_on(f, tup, block, sig.degree_bound)
+                            == ops[len(sub)]._canonical_value(sub)), (tup, block)
     assert capped
 
 
@@ -269,6 +292,45 @@ def test_inversion_formula_random_tuples():
             for _ in range(3):
                 args = [rng.choice(basis) for _ in range(n)]
                 assert inversion_check(f, n, args)
+
+
+def test_inversion_formula_at_arities_five_and_six():
+    # as the pointwise benchmark draws them: non-unit monomials whose
+    # degrees sum to at most D, and repeated degree-1 arguments
+    sig = Signature(even=2, odd=2, degree_bound=6)
+    rng = random.Random(3)
+    basis = [m for m in sig.basis() if sig.degree(m) >= 1]
+    for seed, parity in ((1, "even"), (2, "odd")):
+        f = random_endo(sig, seed, parity=parity)
+        for n in (5, 6):
+            for _ in range(3):
+                budget, args = sig.degree_bound, []
+                for slot in range(n):
+                    fits = [m for m in basis
+                            if sig.degree(m) <= budget - (n - slot - 1)]
+                    args.append(rng.choice(fits))
+                    budget -= sig.degree(args[-1])
+                assert inversion_check(f, n, args), args
+            generators = [sig.even_generator(0), sig.even_generator(1),
+                          sig.odd_generator(0), sig.odd_generator(1)]
+            assert inversion_check(f, n, (generators * 2)[:n])
+
+
+def test_inversion_formula_on_values_out_of_index_order():
+    # a bracket's images are accumulated in no index order, so the check
+    # sorts each one before it cuts it (the verdict does not depend on the
+    # cut; test_capped_shuffle_sum_is_the_direct_value_to_that_degree
+    # checks the cut values)
+    f = nr_bracket(random_endo(SIG, 41, parity="even", density=0.5),
+                   random_endo(SIG, 42, parity="odd", density=0.5))
+    images = [list(f._canonical_value((i,))) for i in range(len(SIG.basis()))]
+    assert any(image != sorted(image) for image in images)
+    rng = random.Random(1)
+    basis = SIG.basis()
+    for n in range(1, 6):
+        for _ in range(4):
+            args = [rng.choice(basis) for _ in range(n)]
+            assert inversion_check(f, n, args), args
 
 
 def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
@@ -437,7 +499,8 @@ def test_first_mismatch_reports_jacobi_failure_shape():
 
 
 def test_shape_caches_are_bounded():
-    for cached in (multilinear._shuffle_plan, brackets._direct_signs):
+    for cached in (multilinear._shuffle_plan, brackets._block_signs,
+                   brackets._direct_signs, brackets._block_shapes):
         assert cached.cache_info().maxsize == SHAPE_CACHE_SIZE
 
 

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from itertools import islice
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +87,23 @@ def test_rho_abstract_matches_matrix_on_combinations(coords, k):
     rhs = rho_action(k, phi_operator(coords))
     assert _columns(lhs, top) == _columns(rhs, top)
     assert lhs(0) == rhs(0) == {}  # both kill constants
+
+
+def test_rho_abstract_reads_one_bounded_factor_table_per_shape():
+    # the term-by-term rule with its binomials computed per coordinate
+    def reference(k, coords):
+        n = len(coords)
+        out = [0] * (n + k)
+        for i, c in enumerate(coords, 1):
+            out[i - 1] += c * (comb(n - i + k, k) - comb(n - i + k, k + 1))
+            out[i + k - 1] -= c * comb(k + i, k + 1)
+        return out
+
+    for k in range(1, 6):
+        for n in range(1, 9):
+            coords = [(-1) ** i * (i + 1) if i % 3 else 0 for i in range(n)]
+            assert rho_abstract(k, coords) == reference(k, coords), (k, n)
+    assert qxrep._rho_factors.cache_info().maxsize == qxrep.SHAPE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("reject", [

@@ -240,24 +240,21 @@ def test_mul_into_matches_monomial_products(sig):
     basis = sig.basis()
     rng = random.Random(5)
     coeff = rat(-3, 2)
-    past_end = capped = 0
+    past_end = 0
     for j, b in enumerate(basis):
         pairs = [(i, rng.randint(1, 9)) for i in range(len(basis))]
         rng.shuffle(pairs)
         past_end += sum(i >= len(sig.mul_row(j)) for i, _ in pairs)
-        # top None is the degree bound; a top below deg(b) keeps nothing
-        for top in (None, *range(sig.degree_bound + 1)):
-            acc = {k: k + 1 for k in range(0, len(basis), 2)}
-            want = dict(acc)
-            for i, v in pairs:
-                s, m = sig.mul_monomials(basis[i], b)
-                if s and (top is None or sig.degree(m) <= top):
-                    k = sig.index_of(m)
-                    want[k] = want.get(k, 0) + s * coeff * v
-                capped += bool(s) and top is not None and sig.degree(m) > top
-            sig.mul_into(acc, pairs, j, coeff, top)
-            assert acc == want, (j, top)
-    assert past_end and capped
+        acc = {k: k + 1 for k in range(0, len(basis), 2)}
+        want = dict(acc)
+        for i, v in pairs:
+            s, m = sig.mul_monomials(basis[i], b)
+            if s:
+                k = sig.index_of(m)
+                want[k] = want.get(k, 0) + s * coeff * v
+        sig.mul_into(acc, pairs, j, coeff)
+        assert acc == want
+    assert past_end
 
 
 def test_canonical_indices_match_koszul_sign():
@@ -378,6 +375,7 @@ def random_endo_reference(signature, seed, parity="even", density=0.25):
     Signature(even=2, odd=1, degree_bound=3, unital=False),
     Signature(even=0, odd=3, degree_bound=3),
     NC,
+    Signature(even=2, odd=2, degree_bound=5),  # 70 monomials
 ], ids=repr)
 def test_random_endo_keeps_the_reference_stream(sig):
     for seed in (0, 7, 2**31 - 1):
@@ -416,6 +414,9 @@ SMALL = Signature(even=1, odd=1, degree_bound=2)  # 5 basis monomials
     ({0: {((1,), ()): 1}}, None, "((1,), ())"),
     ({0: {1: 1, ((1,), ()): 1}}, None, "((1,), ())"),  # keys that do not sort
     ({0: {0: 1, 1.5: 1, 3: 1}}, None, "1.5"),  # sorts between two ints
+    ({True: {0: 1}}, None, "True"),  # equal to the basis index 1
+    ({0: {True: 1}}, None, "True"),
+    ({0: {0: 1, 2.0: 1}}, None, "2.0"),
 ])
 def test_endo_rejects_keys_outside_the_basis(images, parity, key):
     """A bad key is named whatever the declared parity (None: both)."""
