@@ -22,15 +22,14 @@ which is Phi^1_f itself; the entry points refuse any other degree.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import islice
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
-    SHAPE_CACHE_SIZE,
     MultiOp,
-    _picker,
+    _shuffle_shapes,
+    _shuffle_signs,
     is_zero_op,
     nr_bracket,
     nr_product,
@@ -38,7 +37,7 @@ from .multilinear import (
     rho_combination,
 )
 from .rational import rat
-from .superalgebra import AlgebraElement, koszul_sign
+from .superalgebra import AlgebraElement
 
 __all__ = [
     "phi_direct_op",
@@ -52,60 +51,23 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _block_signs(pattern: tuple) -> list:
-    """Koszul sign of moving each block of arguments of parities ``pattern``
-    in front of its complement, by bit mask of the block's positions (entry
-    0, the empty block, is 0)."""
-    n = len(pattern)
-    signs = [0]
-    for mask in range(1, 1 << n):
-        block = tuple(i for i in range(n) if mask >> i & 1)
-        rest = tuple(i for i in range(n) if not mask >> i & 1)
-        signs.append(koszul_sign(block + rest, pattern))
-    return signs
-
-
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _direct_signs(pattern: tuple) -> list:
-    """Sign of each block of the shuffle formula, by bit mask of positions,
-    for arguments of parities ``pattern``: (-1)^(n-k) times the Koszul sign
-    of moving the k block arguments in front of the complement."""
-    n = len(pattern)
-    return [(-1) ** (n - mask.bit_count()) * s
-            for mask, s in enumerate(_block_signs(pattern))]
-
-
-@lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _block_shapes(n: int) -> list:
-    """For each bit mask B of n positions: the getter of a tuple's entries
-    at B's positions, and B's nonempty sub-masks S by rank, S's mask within
-    B (entry r - 1 has rank r).  Shape data keyed by the arity only."""
-    shapes = []
-    for block in range(1 << n):
-        positions = [q for q in range(n) if block >> q & 1]
-        subs = [sum(1 << q for b, q in enumerate(positions) if rank >> b & 1)
-                for rank in range(1, 1 << len(positions))]
-        shapes.append((_picker(positions), subs))
-    return shapes
-
-
 def _shuffle_sum(sig, image, products, block, signs, top: int) -> dict:
     """Phi^k_f on the k arguments at the positions in the bit mask ``block``
     of a ``subset_products`` table, to degree <= top: the sum over nonempty
-    sub-blocks S of B of signs[rank of S in B] (:func:`_direct_signs` of B's
-    parities) times f(product of S) times the product of B \\ S, both read
-    from the table.  ``image(j, room)`` gives f's image of basis[j] as
-    (index, coeff) pairs: those of degree <= room, or all of them when top
-    is the degree bound (the products above it die)."""
+    sub-blocks S of B of (-1)^(|B|-|S|) signs[rank of S in B] (``signs`` is
+    the :func:`~.multilinear._shuffle_signs` table of B's parities) times
+    f(product of S) times the product of B \\ S, both read from the table.
+    ``image(j, room)`` gives f's image of basis[j] as (index, coeff) pairs:
+    those of degree <= room, or all of them when top is the degree bound
+    (the products above it die)."""
     degrees = sig.basis_degrees()
     acc = {}
-    _, subs = _block_shapes(len(products).bit_length() - 1)[block]
-    for rank, sub in enumerate(subs, 1):
+    _, _, _, _, subs = _shuffle_shapes(len(products).bit_length() - 1)[0][block]
+    for rank, (sub, sign) in enumerate(subs, 1):
         s, j = products[sub]
         if not s:
             continue
-        total = s * signs[rank]
+        total = sign * s * signs[rank]
         if sub == block:
             for t, c in image(j, top):
                 acc[t] = acc.get(t, 0) + total * c
@@ -133,7 +95,7 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
 
     def eval_basis(tup):
         products = sig.subset_products(tup)
-        signs = _direct_signs(tuple(map(parities.__getitem__, tup)))
+        signs, _ = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
         return _shuffle_sum(sig, image, products, len(products) - 1, signs,
                             sig.degree_bound)
 
@@ -304,9 +266,10 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     sub-block and of every complement.  A shuffle whose complement's product
     dies is skipped; otherwise its block's Phi is :func:`_shuffle_sum` on
     that table, kept to the degree the complement leaves and memoised per
-    (block indices, cap), and its sign is the block's :func:`_block_signs`
-    entry.  f's images are sorted once per check (:func:`_image_prefixes`),
-    so each is read only up to the degree that can survive its product.
+    (block indices, cap); its sign is the block's entry in the
+    :func:`~.multilinear._shuffle_signs` table of the n parities.  f's images
+    are sorted once per check (:func:`_image_prefixes`), so each is read only
+    up to the degree that can survive its product.
     """
     _require_linear(f)
     if n < 1:
@@ -333,9 +296,8 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     patterns = [()]  # by bit mask: the parities of the block's arguments
     for p in parities:
         patterns += [pattern + (p,) for pattern in patterns]
-    outer = _block_signs(patterns[full])
-    inner = list(map(_direct_signs, patterns))  # read per check, kept in no plan
-    shapes = _block_shapes(n)
+    signs = [_shuffle_signs(pattern)[0] for pattern in patterns]
+    rows, _ = _shuffle_shapes(n)
     degrees, top = sig.basis_degrees(), sig.degree_bound
     image = _image_prefixes(f)
     phi = {}
@@ -344,7 +306,7 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
         products = sig.subset_products(tup)
         s, j = products[full]
         # lhs, and the one shuffle with k = n, which has no complement
-        phi_n = _shuffle_sum(sig, image, products, full, inner[full], top)
+        phi_n = _shuffle_sum(sig, image, products, full, signs[full], top)
         for value, c in ((image(j, top) if s else (), s * coeff),
                          (phi_n.items(), -coeff)):
             for t, v in value:
@@ -354,13 +316,13 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
             if not r:  # the complement's product dies
                 continue
             cap = top - degrees[tail]
-            key = (shapes[block][0](tup), cap)
+            key = (rows[block][1](tup), cap)
             value = phi.get(key)
             if value is None:
                 value = phi[key] = _shuffle_sum(sig, image, products, block,
-                                                inner[block], cap).items()
+                                                signs[block], cap).items()
             if value:
-                sig.mul_into(diff, value, tail, -outer[block] * r * coeff)
+                sig.mul_into(diff, value, tail, -signs[full][block] * r * coeff)
     return not any(diff.values())
 
 

@@ -13,7 +13,7 @@ memoized tables stay warm across the degrees of one operator.
 from __future__ import annotations
 
 import random
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import factorial
 
@@ -76,13 +76,18 @@ def _check(check, *args):
 def _jacobi(sig, N, seed):
     """Phi^n_[f,g] == sum_i [Phi^i_f, Phi^(n+1-i)_g] for n = 1..top."""
     top = min(N - 1, 4) if N > 1 else 1
+
+    @cache
+    def hierarchy(s, parity):  # shared by the pairs that draw the same operator
+        op = random_endo(sig, s, parity=parity)
+        return op, phi_hierarchy(op, top)
+
     for fp, gp in (("even", "odd"), ("odd", "even"), ("odd", "odd")):
-        f = random_endo(sig, seed, parity=fp)
-        g = random_endo(sig, seed + 1, parity=gp)
-        phis = [phi_hierarchy(op, top) for op in (f, g, nr_bracket(f, g))]
+        (f, phis_f), (g, phis_g) = hierarchy(seed, fp), hierarchy(seed + 1, gp)
+        phis_h = phi_hierarchy(nr_bracket(f, g), top)
         for n in range(1, top + 1):
             yield (f"jacobi n={n} parities=({fp},{gp})",
-                   partial(_jacobi_identity, *phis, n))
+                   partial(_jacobi_identity, phis_f, phis_g, phis_h, n))
 
 
 def _jacobi_identity(phis_f, phis_g, phis_h, n):

@@ -15,12 +15,14 @@ domain for everything else).
 Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
-never tabulated in advance; its shuffles and signs are built once per shape
-(:func:`_shuffle_plan`).  :func:`rho_combination` is one node for a
-weighted sum of [mu_n, omega] terms, reading both halves of every term off
-one product table per tuple; :func:`rho` is its one-term case.  Any other
-linear combination is one node, built by :func:`op_combination` over one
-denominator; its terms are not flattened, as their memos are shared.
+never tabulated in advance.  Every shuffle sum of the package reads two
+bounded tables: the block shapes of an arity (:func:`_shuffle_shapes`) and
+the Koszul signs of the blocks of a parity pattern (:func:`_shuffle_signs`).
+:func:`rho_combination` is one node for a weighted sum of [mu_n, omega]
+terms, reading both halves of every term off one product table per tuple;
+:func:`rho` is its one-term case.  Any other linear combination is one node,
+built by :func:`op_combination` over one denominator; its terms are not
+flattened, as their memos are shared.
 
 A linear operator is an operator of degree 0.  :func:`linear_op` builds one
 from its images on the basis, ``{basis index: {index: coeff}}``, and the
@@ -40,7 +42,7 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from .rational import rat
-from .superalgebra import AlgebraElement, Signature, koszul_sign, shuffles
+from .superalgebra import AlgebraElement, Signature, koszul_sign
 
 __all__ = [
     "MultiOp",
@@ -192,27 +194,49 @@ def _picker(positions):
     return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
-# Entries kept by each cache of shape data (shuffle plans, sign tables): a
-# split of arity a has up to 2^a parity patterns, so an unbounded cache
+# Entries kept by each cache of shape data (shuffle shapes, sign tables):
+# arguments of arity a have 2^a parity patterns, so an unbounded cache
 # would grow with every large arity a caller asks for.
 SHAPE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shuffle_plan(k: int, m: int, pattern: tuple) -> list:
-    """Rows (block getter, complement getter, Koszul sign, passes, mask) of
-    the (k, m) shuffles in :func:`shuffles` order, for arguments of parities
-    ``pattern``; passes[a] is the parity of the first a complement arguments,
-    and mask is the bit mask of the block's positions.  Shape data only,
-    kept for the process in a bounded cache."""
+def _shuffle_shapes(n: int) -> tuple:
+    """(rows, by_size) for n argument positions.  rows[B], for each bit mask
+    B of positions, is (B, getter of a tuple's entries at B, getter of those
+    at the complement, prefixes, subs): prefixes[a] is the mask of the
+    complement's first a positions, and subs[r - 1] is (S, (-1)^(|B|-|S|))
+    for the sub-mask S of B of rank r (bit b of r picks B's b-th position).
+    by_size[k] lists the rows of the k-blocks in :func:`~.superalgebra.shuffles`
+    order."""
     rows = []
-    for perm in shuffles(k, m):
-        block, rest = perm[:k], perm[k:]
-        passes = tuple(sum(pattern[q] for q in rest[:a]) % 2 for a in range(m + 1))
-        mask = sum(1 << q for q in block)
-        rows.append((_picker(block), _picker(rest), koszul_sign(perm, pattern),
-                     passes, mask))
-    return rows
+    for block in range(1 << n):
+        positions = [q for q in range(n) if block >> q & 1]
+        rest = [q for q in range(n) if not block >> q & 1]
+        prefixes = [sum(1 << q for q in rest[:a]) for a in range(len(rest) + 1)]
+        subs = [(sum(1 << q for b, q in enumerate(positions) if rank >> b & 1),
+                 (-1) ** (len(positions) - rank.bit_count()))
+                for rank in range(1, 1 << len(positions))]
+        rows.append((block, _picker(positions), _picker(rest), prefixes, subs))
+    by_size = [[rows[sum(1 << q for q in block)]
+                for block in itertools.combinations(range(n), k)]
+               for k in range(n + 1)]
+    return rows, by_size
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shuffle_signs(pattern: tuple) -> tuple:
+    """(signs, odd) for arguments of parities ``pattern``: signs[B] is the
+    Koszul sign of moving the arguments at the positions in the bit mask B
+    in front of the others, and odd is the mask of the odd positions, so an
+    odd argument put after the first a of B's complement passes
+    ``(odd & prefixes[a]).bit_count()`` odd ones (:func:`_shuffle_shapes`)."""
+    odd = sum(p << q for q, p in enumerate(pattern))
+    # each odd block argument passes the odd complement arguments before it
+    signs = [(-1) ** sum((odd & ~block & ((1 << q) - 1)).bit_count()
+                         for q in range(len(pattern)) if (odd & block) >> q & 1)
+             for block in range(1 << len(pattern))]
+    return signs, odd
 
 
 def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -223,8 +247,8 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     already, so g is read on the block as it stands.  Each basis index of g's
     value is inserted into the sorted complement by bisection, with the
     Koszul sign of the odd arguments it passes, and f is read on the result;
-    the shuffles and signs are :func:`_shuffle_plan`'s rows for the tuple's
-    parity pattern.  That tuple can exceed the degree bound of the
+    shuffles and signs come from :func:`_shuffle_shapes` and
+    :func:`_shuffle_signs`.  That tuple can exceed the degree bound of the
     comparison domain, as a general operator raises degrees; its value is
     evaluated lazily like any other.
     """
@@ -232,21 +256,23 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
         raise ValueError("signature mismatch")
     parities = f.signature.basis_parities()
     n = f.degree
+    shapes = _shuffle_shapes(n + g.arity)[1][g.arity]
 
     def eval_basis(tup):
         acc = {}
-        pattern = tuple(map(parities.__getitem__, tup))
-        for block, rest_of, sign, passes, _ in _shuffle_plan(g.arity, n, pattern):
+        signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
+        for mask, block, rest_of, prefixes, _ in shapes:
             inner = g._canonical_value(block(tup))
             if not inner:
                 continue
             rest = rest_of(tup)
+            sign = signs[mask]
             for k, c in inner.items():
                 at = bisect_left(rest, k)
                 if parities[k]:
                     if at < n and rest[at] == k:
                         continue  # a repeated odd argument
-                    if passes[at]:
+                    if (odd & prefixes[at]).bit_count() & 1:
                         c = -c
                 coeff = sign * c
                 for out, v in f._canonical_value(rest[:at] + (k,) + rest[at:]).items():
@@ -317,9 +343,10 @@ def rho_combination(terms) -> MultiOp:
     omega ⊼ mu_n, mu_n on an (n+1)-block is the block's entry, inserted into
     the complement as in :func:`nr_product`; in mu_n ⊼ omega, omega's value
     on a block is multiplied by the complementary entry.  Blocks, masks and
-    signs are :func:`_shuffle_plan`'s rows; the weight is folded into the
-    coefficient.  Otherwise (some n_i = 0, or an associative signature) it is
-    the :func:`op_combination` of :func:`nr_bracket` on :func:`mu_for`.
+    signs come from :func:`_shuffle_shapes` and :func:`_shuffle_signs`; the
+    weight is folded into the coefficient.  Otherwise (some n_i = 0, or an
+    associative signature) it is the :func:`op_combination` of
+    :func:`nr_bracket` on :func:`mu_for`.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
@@ -330,14 +357,16 @@ def rho_combination(terms) -> MultiOp:
                                for m, g, w in terms])
     parities = sig.basis_parities()
     full = (1 << (n + omega.degree + 1)) - 1
-    terms = [(m, g.degree, g._canonical_value, w) for m, g, w in terms]
+    by_size = _shuffle_shapes(n + omega.degree + 1)[1]
+    terms = [(g.degree, g._canonical_value, w, by_size[m + 1], by_size[g.arity])
+             for m, g, w in terms]
 
     def eval_basis(tup):
         products = sig.subset_products(tup)
-        pattern = tuple(map(parities.__getitem__, tup))
+        signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
         acc = {}
-        for m, d, read, w in terms:
-            for _, rest_of, sign, passes, mask in _shuffle_plan(m + 1, d, pattern):
+        for d, read, w, inserted, kept in terms:
+            for mask, _, rest_of, prefixes, _ in inserted:
                 s, k = products[mask]
                 if not s:
                     continue
@@ -346,15 +375,15 @@ def rho_combination(terms) -> MultiOp:
                 if parities[k]:
                     if at < d and rest[at] == k:
                         continue  # a repeated odd argument
-                    if passes[at]:
+                    if (odd & prefixes[at]).bit_count() & 1:
                         s = -s
-                coeff = -sign * s * w
+                coeff = -signs[mask] * s * w
                 for out, v in read(rest[:at] + (k,) + rest[at:]).items():
                     acc[out] = acc.get(out, 0) + coeff * v
-            for block, _, sign, _, mask in _shuffle_plan(d + 1, m, pattern):
+            for mask, block, _, _, _ in kept:
                 s, j = products[full ^ mask]
                 if s and (value := read(block(tup))):
-                    sig.mul_into(acc, value.items(), j, s * sign * w)
+                    sig.mul_into(acc, value.items(), j, s * signs[mask] * w)
         return _nonzero(acc)
 
     return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antibrackets import brackets, multilinear
+from antibrackets import brackets, checks, multilinear
 from antibrackets.brackets import (
     differential_order_check,
     exp_rho_family,
@@ -111,8 +111,9 @@ def _shuffle_sum_on(f, tup, block, top, image=None):
     if image is None:
         def image(j, room):
             return f._canonical_value((j,)).items()
+    signs, _ = multilinear._shuffle_signs(pattern)
     return brackets._shuffle_sum(sig, image, sig.subset_products(tup), block,
-                                 brackets._direct_signs(pattern), top)
+                                 signs, top)
 
 
 @pytest.mark.parametrize("sig", [
@@ -334,22 +335,25 @@ def test_inversion_formula_on_values_out_of_index_order():
 
 
 def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
-    # Phi^2(x, x) = f(x^2) - 2 f(x) x for f = d/dx; flipping the sign of
-    # the block {first argument} leaves f(x^2) != rhs
+    # Phi^3(x, x, x) = f(x^3) - 3 f(x^2) x + 3 f(x) x^2 = 0 for f = d/dx.
+    # One sign table serves a shuffle's block and the sub-blocks of Phi^3,
+    # so flipping the sign of the block {first argument} changes both
+    # Phi^3 and the term Phi^1(x) x^2 by -2 x^2: they do not cancel.  (At
+    # n = 2 the two flips of that entry do cancel.)
     f = derivation_endo(SIG)
     x = SIG.even_generator(0)
-    assert inversion_check(f, 2, [x, x])
-    original = brackets._direct_signs
+    assert inversion_check(f, 3, [x, x, x])
+    original = multilinear._shuffle_signs
 
     def flipped(pattern):
-        signs = list(original(pattern))
-        if len(pattern) == 2:
-            signs[1] = -signs[1]
-        return signs
+        signs, odd = original(pattern)
+        if len(pattern) == 3:
+            signs = [-s if mask == 1 else s for mask, s in enumerate(signs)]
+        return signs, odd
 
-    monkeypatch.setattr(brackets, "_direct_signs", flipped)
-    assert not inversion_check(f, 2, [x, x])
-    assert inversion_check(f, 1, [x])
+    monkeypatch.setattr(brackets, "_shuffle_signs", flipped)
+    assert not inversion_check(f, 3, [x, x, x])
+    assert inversion_check(f, 2, [x, x])
 
 
 def test_inversion_check_builds_no_direct_operator(monkeypatch):
@@ -439,6 +443,26 @@ def test_generalized_jacobi_commutative_and_not():
         assert len(_run_registry(sig, 4, 21, ["jacobi"])) == 9
 
 
+def test_jacobi_builds_each_hierarchy_once(monkeypatch):
+    # three parity pairs of f (seed) and g (seed + 1) share the odd f and
+    # the odd g: four operator hierarchies and three bracket ones
+    drawn, built = [], []
+
+    def draw(sig, seed, parity):
+        drawn.append((seed, parity))
+        return random_endo(sig, seed, parity=parity)
+
+    def hierarchy(op, N):
+        built.append(op)
+        return phi_hierarchy(op, N)
+
+    monkeypatch.setattr(checks, "random_endo", draw)
+    monkeypatch.setattr(checks, "phi_hierarchy", hierarchy)
+    assert len(_run_registry(SIG, 4, 21, ["jacobi"])) == 9
+    assert sorted(drawn) == [(21, "even"), (21, "odd"), (22, "even"), (22, "odd")]
+    assert len(built) == 7 and len(set(map(id, built))) == 7
+
+
 def test_linfinity_for_square_zero_operators():
     delta = odd_partial_endo(SIG)
     assert linfinity_check(delta, 3)
@@ -499,8 +523,7 @@ def test_first_mismatch_reports_jacobi_failure_shape():
 
 
 def test_shape_caches_are_bounded():
-    for cached in (multilinear._shuffle_plan, brackets._block_signs,
-                   brackets._direct_signs, brackets._block_shapes):
+    for cached in (multilinear._shuffle_shapes, multilinear._shuffle_signs):
         assert cached.cache_info().maxsize == SHAPE_CACHE_SIZE
 
 

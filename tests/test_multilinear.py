@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from antibrackets.multilinear import (
     MultiOp,
-    _shuffle_plan,
+    _shuffle_shapes,
+    _shuffle_signs,
     canonical_index_tuples,
     canonical_tuples,
     first_mismatch,
@@ -252,25 +253,44 @@ def test_nr_product_insertion_matches_multilinear_call(f_degree, g_degree):
     }
 
 
-def test_shuffle_plan_matches_koszul_sign():
+def test_shuffle_tables_match_shuffles_and_koszul_sign():
     # every (block, complement) split and parity pattern up to arity 6
     for arity in range(1, 7):
         args = tuple(range(arity))
-        for k in range(1, arity + 1):
+        rows, by_size = _shuffle_shapes(arity)
+        assert [row[0] for row in rows] == list(range(1 << arity))
+        splits = []
+        for k in range(arity + 1):
             perms = shuffles(k, arity - k)
-            for pattern in itertools.product((0, 1), repeat=arity):
-                rows = _shuffle_plan(k, arity - k, pattern)
-                assert len(rows) == len(perms)
-                for perm, (block, rest_of, sign, passes, mask) in zip(perms, rows):
-                    rest = perm[k:]
-                    assert block(args) == perm[:k] and rest_of(args) == rest
-                    assert [q for q in args if mask >> q & 1] == list(perm[:k])
-                    assert sign == koszul_sign(perm, pattern)
-                    # an odd argument moved from the front past rest[:a]
-                    moved = [1] + [pattern[q] for q in rest]
-                    for a in range(len(rest) + 1):
-                        order = (*range(1, a + 1), 0, *range(a + 1, len(moved)))
-                        assert (-1) ** passes[a] == koszul_sign(order, moved)
+            masks = [sum(1 << q for q in perm[:k]) for perm in perms]
+            assert {row[0] for row in by_size[k]} == set(masks)
+            assert len(by_size[k]) == len(perms)
+            splits += zip(perms, masks)
+        for perm, mask in splits:
+            _, block, rest_of, _, subs = rows[mask]
+            positions = block(args)
+            assert (positions, rest_of(args)) == (perm[:len(positions)],
+                                                  perm[len(positions):])
+            # the sub-block of rank r holds the block's positions picked by
+            # r's bits, and carries (-1)^(|B|-|S|)
+            assert len(subs) == (1 << len(positions)) - 1
+            for rank, (sub, sign) in enumerate(subs, 1):
+                picked = [q for b, q in enumerate(positions) if rank >> b & 1]
+                assert [q for q in args if sub >> q & 1] == picked
+                assert sign == (-1) ** (len(positions) - len(picked))
+        for pattern in itertools.product((0, 1), repeat=arity):
+            signs, odd = _shuffle_signs(pattern)
+            assert odd == sum(1 << q for q in args if pattern[q])
+            for perm, mask in splits:
+                rest = perm[mask.bit_count():]
+                assert signs[mask] == koszul_sign(perm, pattern)
+                # an odd argument moved from the front past rest[:a]
+                moved = [1] + [pattern[q] for q in rest]
+                for a, prefix in enumerate(rows[mask][3]):
+                    order = (*range(1, a + 1), 0, *range(a + 1, len(moved)))
+                    assert prefix == sum(1 << q for q in rest[:a])
+                    assert ((-1) ** (odd & prefix).bit_count()
+                            == koszul_sign(order, moved))
 
 
 @pytest.mark.parametrize("parity", [0, 1])
