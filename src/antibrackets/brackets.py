@@ -28,6 +28,7 @@ from math import factorial, lcm
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
     MultiOp,
+    _runs,
     _shuffle_shapes,
     _shuffle_signs,
     is_zero_op,
@@ -51,37 +52,50 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def _shuffle_sum(sig, image, products, block, signs, top: int) -> dict:
-    """Phi^k_f on the k arguments at the positions in the bit mask ``block``
-    of a ``subset_products`` table, to degree <= top: the sum over nonempty
-    sub-blocks S of B of (-1)^(|B|-|S|) signs[rank of S in B] (``signs`` is
-    the :func:`~.multilinear._shuffle_signs` table of B's parities) times
+def _shuffle_sum(sig, image, products, subs, signs, top: int) -> dict:
+    """Phi^k_f on the k arguments at the positions of a block B of a
+    ``subset_products`` table, to degree <= top: the sum over B's sub-block
+    rows (S, B ^ S, rank, factor) of a :func:`~.multilinear._shuffle_shapes`
+    table of factor times signs[rank] (``signs`` is the
+    :func:`~.multilinear._shuffle_signs` table of B's parities) times
     f(product of S) times the product of B \\ S, both read from the table.
-    ``image(j, room)`` gives f's image of basis[j] as (index, coeff) pairs:
-    those of degree <= room, or all of them when top is the degree bound
-    (the products above it die)."""
+    Like terms, by (product of S, product of B \\ S), are summed before f is
+    read.  ``image(j, room)`` gives f's image of basis[j] as (index, coeff)
+    pairs: those of degree <= room, or all of them when top is the degree
+    bound (the products above it die)."""
     degrees = sig.basis_degrees()
-    acc = {}
-    _, _, _, _, subs = _shuffle_shapes(len(products).bit_length() - 1)[0][block]
-    for rank, (sub, sign) in enumerate(subs, 1):
+    terms = {}
+    for sub, rest, rank, factor in subs:
         s, j = products[sub]
         if not s:
             continue
-        total = sign * s * signs[rank]
-        if sub == block:
-            for t, c in image(j, top):
-                acc[t] = acc.get(t, 0) + total * c
+        tail = None
+        if rest:
+            r, tail = products[rest]
+            if not r or degrees[tail] > top:
+                continue
+            s *= r
+        key = (j, tail)
+        terms[key] = terms.get(key, 0) + factor * s * signs[rank]
+    acc = {}
+    for (j, tail), c in terms.items():
+        if not c:
             continue
-        r, tail = products[block ^ sub]
-        if r and degrees[tail] <= top and (pairs := image(j, top - degrees[tail])):
-            sig.mul_into(acc, pairs, tail, r * total)
+        if tail is None:
+            for t, v in image(j, top):
+                acc[t] = acc.get(t, 0) + c * v
+        elif pairs := image(j, top - degrees[tail]):
+            sig.mul_into(acc, pairs, tail, c)
     return {t: c for t, c in acc.items() if c}
 
 
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures),
     computed on basis indices by :func:`_shuffle_sum` at the degree bound,
-    on the tuple's ``subset_products`` table and f's whole images."""
+    on the tuple's ``subset_products`` table and f's whole images.  The
+    sub-blocks are the full block's rows in the
+    :func:`~.multilinear._shuffle_shapes` table of the tuple's runs: one per
+    sub-multiset, weighted by the number of sub-blocks that pick it."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
@@ -96,8 +110,8 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     def eval_basis(tup):
         products = sig.subset_products(tup)
         signs, _ = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
-        return _shuffle_sum(sig, image, products, len(products) - 1, signs,
-                            sig.degree_bound)
+        subs = _shuffle_shapes(_runs(tup))[0][-1][5]
+        return _shuffle_sum(sig, image, products, subs, signs, sig.degree_bound)
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
@@ -266,7 +280,10 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     sub-block and of every complement.  A shuffle whose complement's product
     dies is skipped; otherwise its block's Phi is :func:`_shuffle_sum` on
     that table, kept to the degree the complement leaves and memoised per
-    (block indices, cap); its sign is the block's entry in the
+    (block indices, cap).  The arguments come in the caller's order, so
+    blocks and sub-blocks are read one per bit mask, from the
+    :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n``; a block's
+    sign is its entry in the
     :func:`~.multilinear._shuffle_signs` table of the n parities.  f's images
     are sorted once per check (:func:`_image_prefixes`), so each is read only
     up to the degree that can survive its product.
@@ -297,7 +314,7 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     for p in parities:
         patterns += [pattern + (p,) for pattern in patterns]
     signs = [_shuffle_signs(pattern)[0] for pattern in patterns]
-    rows, _ = _shuffle_shapes(n)
+    rows, _ = _shuffle_shapes((1,) * n)
     degrees, top = sig.basis_degrees(), sig.degree_bound
     image = _image_prefixes(f)
     phi = {}
@@ -306,7 +323,7 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
         products = sig.subset_products(tup)
         s, j = products[full]
         # lhs, and the one shuffle with k = n, which has no complement
-        phi_n = _shuffle_sum(sig, image, products, full, signs[full], top)
+        phi_n = _shuffle_sum(sig, image, products, rows[full][5], signs[full], top)
         for value, c in ((image(j, top) if s else (), s * coeff),
                          (phi_n.items(), -coeff)):
             for t, v in value:
@@ -316,11 +333,12 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
             if not r:  # the complement's product dies
                 continue
             cap = top - degrees[tail]
-            key = (rows[block][1](tup), cap)
+            key = (rows[block][2](tup), cap)
             value = phi.get(key)
             if value is None:
-                value = phi[key] = _shuffle_sum(sig, image, products, block,
-                                                signs[block], cap).items()
+                value = phi[key] = _shuffle_sum(sig, image, products,
+                                                rows[block][5], signs[block],
+                                                cap).items()
             if value:
                 sig.mul_into(diff, value, tail, -signs[full][block] * r * coeff)
     return not any(diff.values())

@@ -16,8 +16,10 @@ Composition (:func:`nr_product`) evaluates the outer operator on tuples
 beyond that domain whenever the inner one raises degrees, as a general
 linear operator does; those values are computed lazily in the same way and
 never tabulated in advance.  Every shuffle sum of the package reads two
-bounded tables: the block shapes of an arity (:func:`_shuffle_shapes`) and
-the Koszul signs of the blocks of a parity pattern (:func:`_shuffle_signs`).
+bounded tables: the block shapes of a pattern of repeated arguments
+(:func:`_shuffle_shapes`), one block per sub-multiset with the number of
+blocks that pick it as its weight, and the Koszul signs of the blocks of a
+parity pattern (:func:`_shuffle_signs`).
 :func:`rho_combination` is one node for a weighted sum of [mu_n, omega]
 terms, reading both halves of every term off one product table per tuple;
 :func:`rho` is its one-term case.  Any other linear combination is one node,
@@ -38,7 +40,7 @@ import itertools
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import itemgetter
 
 from .rational import rat
@@ -200,26 +202,56 @@ def _picker(positions):
 SHAPE_CACHE_SIZE = 1024
 
 
+def _runs(tup) -> tuple:
+    """Lengths of the runs of equal entries of a sorted tuple, the key of
+    its :func:`_shuffle_shapes` table."""
+    runs = [1]
+    for a, b in zip(tup, tup[1:]):
+        if a == b:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return tuple(runs)
+
+
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
-def _shuffle_shapes(n: int) -> tuple:
-    """(rows, by_size) for n argument positions.  rows[B], for each bit mask
-    B of positions, is (B, getter of a tuple's entries at B, getter of those
-    at the complement, prefixes, subs): prefixes[a] is the mask of the
-    complement's first a positions, and subs[r - 1] is (S, (-1)^(|B|-|S|))
-    for the sub-mask S of B of rank r (bit b of r picks B's b-th position).
-    by_size[k] lists the rows of the k-blocks in :func:`~.superalgebra.shuffles`
-    order."""
+def _shuffle_shapes(runs: tuple) -> tuple:
+    """(rows, by_size) for the positions of a sorted tuple whose equal
+    entries come in runs of the given lengths; ``(1,) * n`` is every bit
+    mask of n positions, for arguments in any order.
+
+    Blocks that take the same number of copies of each run pick the same
+    sub-multiset, so one block stands for each class: the first c_r copies
+    of run r, of weight prod C(m_r, c_r).  As a canonical tuple repeats
+    only even entries, every block of a class has the same entries, the
+    same complement, the same Koszul sign and the same odd-passing parities.
+    rows, by increasing mask B, are (B, weight, getter of a tuple's entries
+    at B, getter of those at the complement, prefixes, subs): prefixes[a]
+    is the mask of the complement's first a positions, and subs lists
+    (S, B ^ S, rank of S in B, (-1)^(|B|-|S|) times S's weight) for the
+    classes of nonempty sub-blocks S of B, found the same way within B
+    (bit b of the rank picks B's b-th position).  by_size[k] lists the rows
+    of the k-blocks."""
+    n = sum(runs)
+    starts = list(itertools.accumulate(runs[:-1], initial=0))
+
+    def classes(counts):  # (mask, weight, copies of each run) per sub-multiset
+        for picks in itertools.product(*(range(c + 1) for c in counts)):
+            yield (sum(((1 << c) - 1) << at for c, at in zip(picks, starts)),
+                   prod(map(comb, counts, picks)), picks)
+
     rows = []
-    for block in range(1 << n):
+    for block, weight, counts in sorted(classes(runs)):
         positions = [q for q in range(n) if block >> q & 1]
         rest = [q for q in range(n) if not block >> q & 1]
         prefixes = [sum(1 << q for q in rest[:a]) for a in range(len(rest) + 1)]
-        subs = [(sum(1 << q for b, q in enumerate(positions) if rank >> b & 1),
-                 (-1) ** (len(positions) - rank.bit_count()))
-                for rank in range(1, 1 << len(positions))]
-        rows.append((block, _picker(positions), _picker(rest), prefixes, subs))
-    by_size = [[rows[sum(1 << q for q in block)]
-                for block in itertools.combinations(range(n), k)]
+        subs = [(sub, block ^ sub,
+                 sum(1 << b for b, q in enumerate(positions) if sub >> q & 1),
+                 (-1) ** (len(positions) - sum(picks)) * w)
+                for sub, w, picks in classes(counts) if sub]
+        rows.append((block, weight, _picker(positions), _picker(rest), prefixes,
+                     subs))
+    by_size = [[row for row in rows if row[0].bit_count() == k]
                for k in range(n + 1)]
     return rows, by_size
 
@@ -246,27 +278,28 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     On a canonical tuple, each shuffle block and its complement are canonical
     already, so g is read on the block as it stands.  Each basis index of g's
     value is inserted into the sorted complement by bisection, with the
-    Koszul sign of the odd arguments it passes, and f is read on the result;
-    shuffles and signs come from :func:`_shuffle_shapes` and
-    :func:`_shuffle_signs`.  That tuple can exceed the degree bound of the
-    comparison domain, as a general operator raises degrees; its value is
-    evaluated lazily like any other.
+    Koszul sign of the odd arguments it passes, and f is read on the result.
+    That tuple can exceed the degree bound of the comparison domain, as a
+    general operator raises degrees; its value is evaluated lazily like any
+    other.  Blocks come from the :func:`_shuffle_shapes` table of the
+    tuple's runs, one per sub-multiset, weighted by the number of blocks
+    that pick it; signs come from :func:`_shuffle_signs`.
     """
     if f.signature != g.signature:
         raise ValueError("signature mismatch")
     parities = f.signature.basis_parities()
-    n = f.degree
-    shapes = _shuffle_shapes(n + g.arity)[1][g.arity]
+    n, arity = f.degree, g.arity
 
     def eval_basis(tup):
         acc = {}
         signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
-        for mask, block, rest_of, prefixes, _ in shapes:
+        shapes = _shuffle_shapes(_runs(tup))[1][arity]
+        for mask, weight, block, rest_of, prefixes, _ in shapes:
             inner = g._canonical_value(block(tup))
             if not inner:
                 continue
             rest = rest_of(tup)
-            sign = signs[mask]
+            sign = signs[mask] * weight
             for k, c in inner.items():
                 at = bisect_left(rest, k)
                 if parities[k]:
@@ -333,6 +366,14 @@ def rho(n: int, omega: MultiOp) -> MultiOp:
     return rho_combination([(n, omega, 1)])
 
 
+# (signature, tuple, products, signs, odd mask, rows by size) of the tuple
+# a rho_combination value was last computed on, as the k-parts of one degree
+# of exp_rho_family are read on the same tuple one after another.  All but
+# the first two are a function of those two, so sharing the entry between
+# nodes changes no value.
+_last_tuple = [(None, None)]
+
+
 def rho_combination(terms) -> MultiOp:
     """One node for sum_i w_i [mu_(n_i), omega_i] over (n_i, omega_i, w_i),
     with int weights w_i.
@@ -343,10 +384,13 @@ def rho_combination(terms) -> MultiOp:
     omega ⊼ mu_n, mu_n on an (n+1)-block is the block's entry, inserted into
     the complement as in :func:`nr_product`; in mu_n ⊼ omega, omega's value
     on a block is multiplied by the complementary entry.  Blocks, masks and
-    signs come from :func:`_shuffle_shapes` and :func:`_shuffle_signs`; the
-    weight is folded into the coefficient.  Otherwise (some n_i = 0, or an
-    associative signature) it is the :func:`op_combination` of
-    :func:`nr_bracket` on :func:`mu_for`.
+    signs come from the :func:`_shuffle_shapes` table of the tuple's runs
+    and from :func:`_shuffle_signs`, so a block stands for every block of
+    the same sub-multiset; its weight and w_i are folded into the
+    coefficient.  Nodes read on the tuple of the node read before share its
+    table, signs and rows.  Otherwise (some n_i = 0, or an associative
+    signature) it is the :func:`op_combination` of :func:`nr_bracket` on
+    :func:`mu_for`.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
@@ -357,16 +401,20 @@ def rho_combination(terms) -> MultiOp:
                                for m, g, w in terms])
     parities = sig.basis_parities()
     full = (1 << (n + omega.degree + 1)) - 1
-    by_size = _shuffle_shapes(n + omega.degree + 1)[1]
-    terms = [(g.degree, g._canonical_value, w, by_size[m + 1], by_size[g.arity])
-             for m, g, w in terms]
+    terms = [(g.degree, g._canonical_value, w, m + 1, g.arity) for m, g, w in terms]
 
     def eval_basis(tup):
-        products = sig.subset_products(tup)
-        signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
+        last = _last_tuple[0]
+        if last[0] is sig and last[1] == tup:
+            _, _, products, signs, odd, by_size = last
+        else:
+            products = sig.subset_products(tup)
+            signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
+            by_size = _shuffle_shapes(_runs(tup))[1]
+            _last_tuple[0] = (sig, tup, products, signs, odd, by_size)
         acc = {}
         for d, read, w, inserted, kept in terms:
-            for mask, _, rest_of, prefixes, _ in inserted:
+            for mask, weight, _, rest_of, prefixes, _ in by_size[inserted]:
                 s, k = products[mask]
                 if not s:
                     continue
@@ -377,13 +425,13 @@ def rho_combination(terms) -> MultiOp:
                         continue  # a repeated odd argument
                     if (odd & prefixes[at]).bit_count() & 1:
                         s = -s
-                coeff = -signs[mask] * s * w
+                coeff = -signs[mask] * s * w * weight
                 for out, v in read(rest[:at] + (k,) + rest[at:]).items():
                     acc[out] = acc.get(out, 0) + coeff * v
-            for mask, block, _, _, _ in kept:
+            for mask, weight, block, _, _, _ in by_size[kept]:
                 s, j = products[full ^ mask]
                 if s and (value := read(block(tup))):
-                    sig.mul_into(acc, value.items(), j, s * signs[mask] * w)
+                    sig.mul_into(acc, value.items(), j, s * signs[mask] * w * weight)
         return _nonzero(acc)
 
     return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)

@@ -101,10 +101,38 @@ def test_direct_route_matches_block_by_block_reference(sig):
         assert beyond
 
 
+@pytest.mark.parametrize("sig, N", [
+    # every tuple of arity >= 4 repeats the unit
+    (Signature(even=1, odd=1, degree_bound=2), 5),
+    # even generators repeat too
+    (Signature(even=2, odd=2, degree_bound=4), 5),
+], ids=repr)
+def test_routes_on_repeated_arguments_match_the_block_by_block_reference(sig, N):
+    # the direct, bracket and exponential routes read one weighted block
+    # per sub-multiset; the reference reads every block
+    repeated = set()
+    for seed, parity in ((31, "even"), (32, "odd")):
+        f = random_endo(sig, seed, parity=parity, density=0.5)
+        routes = {m: phi_hierarchy(f, N, method=m)
+                  for m in ("direct", "bracket", "exponential")}
+        for n in range(1, N + 1):
+            ref = _reference_phi_direct_op(f, n)
+            for tup in canonical_index_tuples(sig, n):
+                want = ref._canonical_value(tup)
+                for method, ops in routes.items():
+                    assert ops[n]._canonical_value(tup) == want, (method, tup)
+                if want and len(set(tup)) < n:
+                    repeated.add(any(a == b != 0 for a, b in zip(tup, tup[1:])))
+    # tuples that repeat only the unit (basis index 0), and tuples that
+    # repeat another entry
+    assert repeated == {False, True}
+
+
 def _shuffle_sum_on(f, tup, block, top, image=None):
     """brackets._shuffle_sum on the positions in ``block`` of tup's
-    subset-product table; by default f's images are read whole, which is
-    right at top = D."""
+    subset-product table, with that block's sub-blocks one per bit mask
+    (the table of ``(1,) * len(tup)``); by default f's images are read
+    whole, which is right at top = D."""
     sig = f.signature
     parities = sig.basis_parities()
     pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
@@ -112,8 +140,9 @@ def _shuffle_sum_on(f, tup, block, top, image=None):
         def image(j, room):
             return f._canonical_value((j,)).items()
     signs, _ = multilinear._shuffle_signs(pattern)
-    return brackets._shuffle_sum(sig, image, sig.subset_products(tup), block,
-                                 signs, top)
+    rows, _ = multilinear._shuffle_shapes((1,) * len(tup))
+    return brackets._shuffle_sum(sig, image, sig.subset_products(tup),
+                                 rows[block][5], signs, top)
 
 
 @pytest.mark.parametrize("sig", [
@@ -523,6 +552,8 @@ def test_first_mismatch_reports_jacobi_failure_shape():
 
 
 def test_shape_caches_are_bounded():
+    # shapes are keyed by run lengths, signs by parity pattern
+    assert len(multilinear._shuffle_shapes((2, 1))[0]) == 6
     for cached in (multilinear._shuffle_shapes, multilinear._shuffle_signs):
         assert cached.cache_info().maxsize == SHAPE_CACHE_SIZE
 

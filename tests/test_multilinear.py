@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from antibrackets.multilinear import (
     MultiOp,
+    _runs,
     _shuffle_shapes,
     _shuffle_signs,
     canonical_index_tuples,
@@ -253,12 +254,33 @@ def test_nr_product_insertion_matches_multilinear_call(f_degree, g_degree):
     }
 
 
+@pytest.mark.parametrize("sig, degrees", [
+    # every tuple of arity >= 4 repeats the unit
+    (Signature(even=1, odd=1, degree_bound=2), [(3, 1), (1, 3), (2, 2), (0, 4)]),
+    (Signature(even=2, odd=2, degree_bound=4), [(2, 1), (1, 2)]),
+], ids=repr)
+def test_nr_product_on_repeated_arguments_matches_every_shuffle(sig, degrees):
+    # one weighted block per sub-multiset against every shuffle one by one
+    repeated = 0
+    for f_degree, g_degree in degrees:
+        f = _general_op(sig, f_degree, 8)
+        g = _general_op(sig, g_degree, 9, parity=0)
+        product = nr_product(f, g)
+        for tup in canonical_tuples(sig, f_degree + g_degree + 1):
+            value = product.value(tup)
+            assert value == _reference_nr_product(f, g, tup, set()), tup
+            repeated += bool(value.terms) and len(set(tup)) < len(tup)
+    assert repeated >= 10
+
+
 def test_shuffle_tables_match_shuffles_and_koszul_sign():
-    # every (block, complement) split and parity pattern up to arity 6
+    # every (block, complement) split and parity pattern up to arity 6, on
+    # the table of n distinct arguments
     for arity in range(1, 7):
         args = tuple(range(arity))
-        rows, by_size = _shuffle_shapes(arity)
+        rows, by_size = _shuffle_shapes((1,) * arity)
         assert [row[0] for row in rows] == list(range(1 << arity))
+        assert {row[1] for row in rows} == {1}
         splits = []
         for k in range(arity + 1):
             perms = shuffles(k, arity - k)
@@ -267,17 +289,19 @@ def test_shuffle_tables_match_shuffles_and_koszul_sign():
             assert len(by_size[k]) == len(perms)
             splits += zip(perms, masks)
         for perm, mask in splits:
-            _, block, rest_of, _, subs = rows[mask]
+            _, _, block, rest_of, _, subs = rows[mask]
             positions = block(args)
             assert (positions, rest_of(args)) == (perm[:len(positions)],
                                                   perm[len(positions):])
             # the sub-block of rank r holds the block's positions picked by
             # r's bits, and carries (-1)^(|B|-|S|)
-            assert len(subs) == (1 << len(positions)) - 1
-            for rank, (sub, sign) in enumerate(subs, 1):
+            assert sorted(rank for _, _, rank, _ in subs) == list(
+                range(1, 1 << len(positions)))
+            for sub, rest, rank, factor in subs:
                 picked = [q for b, q in enumerate(positions) if rank >> b & 1]
                 assert [q for q in args if sub >> q & 1] == picked
-                assert sign == (-1) ** (len(positions) - len(picked))
+                assert rest == mask ^ sub
+                assert factor == (-1) ** (len(positions) - len(picked))
         for pattern in itertools.product((0, 1), repeat=arity):
             signs, odd = _shuffle_signs(pattern)
             assert odd == sum(1 << q for q in args if pattern[q])
@@ -286,11 +310,82 @@ def test_shuffle_tables_match_shuffles_and_koszul_sign():
                 assert signs[mask] == koszul_sign(perm, pattern)
                 # an odd argument moved from the front past rest[:a]
                 moved = [1] + [pattern[q] for q in rest]
-                for a, prefix in enumerate(rows[mask][3]):
+                for a, prefix in enumerate(rows[mask][4]):
                     order = (*range(1, a + 1), 0, *range(a + 1, len(moved)))
                     assert prefix == sum(1 << q for q in rest[:a])
                     assert ((-1) ** (odd & prefix).bit_count()
                             == koszul_sign(order, moved))
+
+
+def _compositions(n):
+    """Every tuple of positive run lengths summing to n."""
+    if n == 0:
+        return [()]
+    return [(m, *rest) for m in range(1, n + 1) for rest in _compositions(n - m)]
+
+
+def _tuples_with_runs(sig, runs):
+    """Sorted index tuples of ``sig`` whose equal entries come in ``runs``:
+    each longer run an even index, the single entries all odd or all even."""
+    parities = sig.basis_parities()
+    for single in (1, 0):
+        tup = []
+        for m in runs:
+            want = single if m == 1 else 0
+            start = tup[-1] + 1 if tup else 0
+            tup += [next(i for i in range(start, len(parities))
+                         if parities[i] == want)] * m
+        yield tuple(tup)
+
+
+def test_run_tables_keep_one_block_per_class_of_the_all_ones_table():
+    # a class is the masks of the all-ones table that pick the same
+    # sub-multiset; the degree bound keeps most products of six alive
+    sig = Signature(even=2, odd=3, degree_bound=8)
+    parities = sig.basis_parities()
+    for arity in range(1, 7):
+        ones, _ = _shuffle_shapes((1,) * arity)
+        for runs in _compositions(arity):
+            rows, by_size = _shuffle_shapes(runs)
+            assert [row for k in by_size for row in k] == sorted(
+                rows, key=lambda row: row[0].bit_count())
+            for tup in _tuples_with_runs(sig, runs):
+                assert _runs(tup) == runs
+                products = sig.subset_products(tup)
+                signs, odd = _shuffle_signs(tuple(parities[i] for i in tup))
+                classes = {}
+                for row in ones:
+                    classes.setdefault(row[2](tup), []).append(row)
+                assert len(rows) == len(classes)
+                for mask, weight, block, rest_of, prefixes, subs in rows:
+                    members = classes[block(tup)]
+                    assert weight == len(members) and mask in {m[0] for m in members}
+                    passed = [(odd & p).bit_count() & 1 for p in prefixes]
+                    for other, _, _, other_rest, other_prefixes, _ in members:
+                        assert other_rest(tup) == rest_of(tup)
+                        assert products[other] == products[mask]
+                        assert signs[other] == signs[mask]
+                        assert [(odd & p).bit_count() & 1
+                                for p in other_prefixes] == passed
+                    # sub-blocks: the same, within the block's own signs
+                    inner, _ = _shuffle_signs(
+                        tuple(parities[i] for i in block(tup)))
+                    sub_classes = {}
+                    for sub, rest, rank, factor in ones[mask][5]:
+                        picked = tuple(tup[q] for q in range(arity) if sub >> q & 1)
+                        sub_classes.setdefault(picked, []).append(
+                            (sub, rest, rank, factor))
+                    assert len(subs) == len(sub_classes)
+                    for sub, rest, rank, factor in subs:
+                        picked = tuple(tup[q] for q in range(arity) if sub >> q & 1)
+                        same = sub_classes[picked]
+                        assert (sub, rest, rank) in {m[:3] for m in same}
+                        assert factor == sum(m[3] for m in same)
+                        assert abs(factor) == len(same)
+                        for other, other_rest, other_rank, _ in same:
+                            assert products[other] == products[sub]
+                            assert products[other_rest] == products[rest]
+                            assert inner[other_rank] == inner[rank]
 
 
 @pytest.mark.parametrize("parity", [0, 1])
