@@ -28,7 +28,7 @@ from math import factorial, lcm
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
     MultiOp,
-    _runs,
+    _plan,
     _shuffle_shapes,
     _shuffle_signs,
     is_zero_op,
@@ -92,26 +92,25 @@ def _shuffle_sum(sig, image, products, subs, signs, top: int) -> dict:
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures),
     computed on basis indices by :func:`_shuffle_sum` at the degree bound,
-    on the tuple's ``subset_products`` table and f's whole images.  The
-    sub-blocks are the full block's rows in the
-    :func:`~.multilinear._shuffle_shapes` table of the tuple's runs: one per
-    sub-multiset, weighted by the number of sub-blocks that pick it."""
+    on the ``subset_products`` table of the tuple's
+    :func:`~.multilinear._plan` and f's whole images.  The sub-blocks are the
+    full block's rows in the plan's :func:`~.multilinear._shuffle_shapes`
+    table: one per sub-multiset, weighted by the number of sub-blocks that
+    pick it."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-    parities = sig.basis_parities()
 
     def image(j, room):
         return f._canonical_value((j,)).items()
 
     def eval_basis(tup):
-        products = sig.subset_products(tup)
-        signs, _ = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
-        subs = _shuffle_shapes(_runs(tup))[0][-1][5]
-        return _shuffle_sum(sig, image, products, subs, signs, sig.degree_bound)
+        products, signs, _, rows, _ = _plan(sig, tup)
+        return _shuffle_sum(sig, image, products, rows[-1][5], signs,
+                            sig.degree_bound)
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
@@ -183,6 +182,12 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     weights 1/(k! L^k), which :func:`~.multilinear.op_combination` sums over
     their common denominator K! L^K (K the largest k contributing) and
     divides once per entry.
+
+    No part of degree ``max_degree`` is read again, so that component takes
+    one rho term per n instead of one per (k, n): by the linearity of rho_n
+    it is (1/(K! L^K)) sum_n (L c_n) rho_n(G_n), with G_n the integer
+    combination sum_j (K!/(j+1)!) L^(K-j-1) T_j of the parts of degree
+    max_degree - n.
     """
     coefficients = {n: c for n, c in coefficients.items() if c}
     if any(n < 1 for n in coefficients):
@@ -190,23 +195,36 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     lcm_den = lcm(*(int(rat(c).denominator) for c in coefficients.values()))
     weights = {n: int(c * lcm_den) for n, c in coefficients.items()}
     levels = {base.degree: {0: base}}  # degree -> {k: part of T_k}
+    top = {}  # n -> [(j, part of T_j of degree max_degree - n)]
     term = {base.degree: base}
     k = 1
     while term and min(term) < max_degree:
         pieces = {}
         for d, op in term.items():
             for n, w in weights.items():
-                if d + n <= max_degree:
+                if d + n < max_degree:
                     pieces.setdefault(d + n, []).append((n, op, w))
+                elif d + n == max_degree:
+                    top.setdefault(n, []).append((k - 1, op))
         term = {d: rho_combination(terms) for d, terms in pieces.items()}
         for d, op in term.items():
             levels.setdefault(d, {})[k] = op
         k += 1
-    return {
+    components = {
         d: op_combination((op, rat(1, factorial(k) * lcm_den**k))
                           for k, op in parts.items())
         for d, parts in levels.items()
     }
+    if top:
+        K = 1 + max(j for parts in top.values() for j, _ in parts)
+        rhos = rho_combination(
+            (n, op_combination((op, factorial(K) // factorial(j + 1)
+                                * lcm_den ** (K - j - 1)) for j, op in parts),
+             weights[n])
+            for n, parts in top.items())
+        components[max_degree] = op_combination(
+            [(rhos, rat(1, factorial(K) * lcm_den**K))])
+    return components
 
 
 def _exponential_ops(f: MultiOp, N: int) -> dict:

@@ -26,6 +26,14 @@ terms, reading both halves of every term off one product table per tuple;
 built by :func:`op_combination` over one denominator; its terms are not
 flattened, as their memos are shared.
 
+Per-tuple work that does not depend on the operator is done once per
+:class:`~antibrackets.superalgebra.Signature` and kept on it, in two stores:
+``sig._plans`` maps a canonical index tuple to its :func:`_plan` (product
+table, signs and shapes), which the direct and rho routes read, and holds
+only tuples of total degree within the degree bound; ``sig._canonical``
+maps a tuple of monomial arguments of :meth:`MultiOp.__call__` to its sign
+and canonical index tuple, up to :data:`ARGUMENT_MEMO_SIZE` entries.
+
 A linear operator is an operator of degree 0.  :func:`linear_op` builds one
 from its images on the basis, ``{basis index: {index: coeff}}``, and the
 operator constructors (:func:`random_endo`, :func:`identity_endo`,
@@ -106,23 +114,15 @@ class MultiOp:
                 f"expected {self.arity} arguments, got {len(args)}"
             )
         sig = self.signature
-        index_of = sig.index_of
-        indices = []
-        for a in args:  # one memo read when every argument is one basis index
-            if not isinstance(a, AlgebraElement):
-                indices.append(index_of(a))
-            elif a.signature is not sig and a.signature != sig:
-                raise ValueError("signature mismatch")
-            elif len(a.terms) == 1 and 1 in a.terms.values():
-                indices.extend(a.terms)
-            else:
-                break
-        else:
-            sign, canon = sig.canonical_indices(indices)
+        # one memo read when every argument is one basis index
+        hit = sig._canonical.get(args) or _canonical_arguments(sig, args)
+        if hit is not None:
+            sign, canon = hit
             if not sign:
-                return sig.element()
-            value = AlgebraElement(sig, self._canonical_value(canon))
-            return value if sign > 0 else -value
+                return AlgebraElement._of(sig, {})
+            value = self._canonical_value(canon)
+            return AlgebraElement._of(
+                sig, dict(value) if sign > 0 else {k: -c for k, c in value.items()})
         if any(isinstance(a, AlgebraElement) and a.signature != sig for a in args):
             raise ValueError("signature mismatch")
         slots = [
@@ -141,6 +141,38 @@ class MultiOp:
             for k, v in self._canonical_value(canon).items():
                 acc[k] = acc.get(k, 0) + coeff * v
         return AlgebraElement(sig, acc)
+
+
+# Entries kept by each signature's memo of monomial argument tuples: the
+# tuples a caller passes in any order are not bounded by the signature.
+ARGUMENT_MEMO_SIZE = 1 << 14
+
+
+def _canonical_arguments(sig: Signature, args):
+    """(sign, canonical index tuple) of operator arguments that are each one
+    basis index: a monomial, or an element with one term of coefficient 1;
+    (0, None) when an odd index repeats, and None when some argument is any
+    other element.  A tuple of monomials enters the signature's memo
+    ``sig._canonical``, up to :data:`ARGUMENT_MEMO_SIZE` entries."""
+    sig.basis()
+    index = sig._index
+    indices = []
+    monomials = True
+    for a in args:
+        if not isinstance(a, AlgebraElement):
+            i = index.get(a)
+            indices.append(sig.index_of(a) if i is None else i)
+        elif a.signature is not sig and a.signature != sig:
+            raise ValueError("signature mismatch")
+        elif len(a.terms) == 1 and 1 in a.terms.values():
+            indices.extend(a.terms)
+            monomials = False
+        else:
+            return None
+    hit = sig.canonical_indices(indices)
+    if monomials and len(sig._canonical) < ARGUMENT_MEMO_SIZE:
+        sig._canonical[args] = hit
+    return hit
 
 
 def _nonzero(acc: dict) -> dict:
@@ -167,7 +199,8 @@ def op_combination(terms) -> MultiOp:
     are not flattened into theirs, as their memos are shared, e.g. across
     degrees in :func:`~antibrackets.brackets.exp_rho_family`.  A value sums
     the integer numerators L c_i over the lcm L of the weights' denominators
-    and divides each output entry once by L; int weights keep ints int.
+    and divides each output entry once by L, to an int when L divides it;
+    int weights keep ints int.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, g.degree, g.parity) for g, _ in terms])
@@ -184,7 +217,8 @@ def op_combination(terms) -> MultiOp:
                 acc[k] = acc.get(k, 0) + c * v
         if den == 1:
             return _nonzero(acc)
-        return {k: rat(v, den) for k, v in acc.items() if v}
+        return {k: v // den if not v % den else rat(v, den)
+                for k, v in acc.items() if v}
 
     return MultiOp(f.signature, f.degree, f.parity, eval_basis)
 
@@ -269,6 +303,27 @@ def _shuffle_signs(pattern: tuple) -> tuple:
                          for q in range(len(pattern)) if (odd & block) >> q & 1)
              for block in range(1 << len(pattern))]
     return signs, odd
+
+
+def _plan(sig: Signature, tup: tuple) -> tuple:
+    """(products, signs, odd, rows, by_size) of a canonical index tuple: its
+    :meth:`~.Signature.subset_products` table, its :func:`_shuffle_signs`
+    and the :func:`_shuffle_shapes` table of its runs.
+
+    None of it depends on an operator, so every node on the signature reads
+    one plan per tuple.  Plans are kept in ``sig._plans`` for the tuples of
+    total degree within the degree bound, which bounds them by the
+    comparison domain; a tuple beyond it (an operator composed with one that
+    raises degrees reads such tuples) gets a fresh plan each time."""
+    plan = sig._plans.get(tup)
+    if plan is None:
+        parities = sig.basis_parities()
+        plan = (sig.subset_products(tup),
+                *_shuffle_signs(tuple(map(parities.__getitem__, tup))),
+                *_shuffle_shapes(_runs(tup)))
+        if sum(map(sig.basis_degrees().__getitem__, tup)) <= sig.degree_bound:
+            sig._plans[tup] = plan
+    return plan
 
 
 def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -366,31 +421,22 @@ def rho(n: int, omega: MultiOp) -> MultiOp:
     return rho_combination([(n, omega, 1)])
 
 
-# (signature, tuple, products, signs, odd mask, rows by size) of the tuple
-# a rho_combination value was last computed on, as the k-parts of one degree
-# of exp_rho_family are read on the same tuple one after another.  All but
-# the first two are a function of those two, so sharing the entry between
-# nodes changes no value.
-_last_tuple = [(None, None)]
-
-
 def rho_combination(terms) -> MultiOp:
     """One node for sum_i w_i [mu_(n_i), omega_i] over (n_i, omega_i, w_i),
     with int weights w_i.
 
     All terms share signature, parity and degree n_i + omega_i.degree.  For
-    every n_i >= 1 on a commutative signature, a value reads one
-    :meth:`~.Signature.subset_products` table of its tuple for all terms: in
-    omega ⊼ mu_n, mu_n on an (n+1)-block is the block's entry, inserted into
-    the complement as in :func:`nr_product`; in mu_n ⊼ omega, omega's value
-    on a block is multiplied by the complementary entry.  Blocks, masks and
-    signs come from the :func:`_shuffle_shapes` table of the tuple's runs
-    and from :func:`_shuffle_signs`, so a block stands for every block of
-    the same sub-multiset; its weight and w_i are folded into the
-    coefficient.  Nodes read on the tuple of the node read before share its
-    table, signs and rows.  Otherwise (some n_i = 0, or an associative
-    signature) it is the :func:`op_combination` of :func:`nr_bracket` on
-    :func:`mu_for`.
+    every n_i >= 1 on a commutative signature, a value reads the
+    :func:`_plan` of its tuple for all terms: in omega ⊼ mu_n, mu_n on an
+    (n+1)-block is the block's entry of the
+    :meth:`~.Signature.subset_products` table, inserted into the complement
+    as in :func:`nr_product`; in mu_n ⊼ omega, omega's value on a block is
+    multiplied by the complementary entry.  Blocks, masks and signs come
+    from the plan's :func:`_shuffle_shapes` rows and :func:`_shuffle_signs`,
+    so a block stands for every block of the same sub-multiset; its weight
+    and w_i are folded into the coefficient.  Otherwise (some n_i = 0, or an
+    associative signature) it is the :func:`op_combination` of
+    :func:`nr_bracket` on :func:`mu_for`.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
@@ -404,14 +450,7 @@ def rho_combination(terms) -> MultiOp:
     terms = [(g.degree, g._canonical_value, w, m + 1, g.arity) for m, g, w in terms]
 
     def eval_basis(tup):
-        last = _last_tuple[0]
-        if last[0] is sig and last[1] == tup:
-            _, _, products, signs, odd, by_size = last
-        else:
-            products = sig.subset_products(tup)
-            signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
-            by_size = _shuffle_shapes(_runs(tup))[1]
-            _last_tuple[0] = (sig, tup, products, signs, odd, by_size)
+        products, signs, odd, _, by_size = _plan(sig, tup)
         acc = {}
         for d, read, w, inserted, kept in terms:
             for mask, weight, _, rest_of, prefixes, _ in by_size[inserted]:

@@ -80,7 +80,15 @@ def shuffles(k: int, m: int):
 
 
 class Signature:
-    """Shape of a truncated free superalgebra; owns basis and product caches."""
+    """Shape of a truncated free superalgebra; owns basis and product caches.
+
+    Besides the product rows (one per basis monomial, bounded by the basis),
+    a signature keeps the per-tuple data every operator on it shares:
+    ``_plans``, the shuffle plan of each canonical index tuple of total
+    degree within the bound, and ``_canonical``, the sign and canonical
+    index tuple of each tuple of monomial operator arguments, capped in
+    size.  :mod:`.multilinear` fills and bounds both.
+    """
 
     def __init__(self, even=2, odd=2, degree_bound=5, commutative=True, unital=True):
         if even < 0 or odd < 0:
@@ -97,6 +105,10 @@ class Signature:
         self._parities = self._degrees = None  # of each basis monomial, by index
         self._prefix = None  # r -> number of basis monomials of degree <= r
         self._rows = None  # j -> mul_row(j) once built, else None
+        # e -> the (sign, index) pair a row entry e encodes, one object each
+        self._signed = None
+        self._plans = {}  # canonical index tuple -> its shuffle plan
+        self._canonical = {}  # monomial argument tuple -> (sign, canonical)
 
     def _key(self):
         return (self.even, self.odd, self.degree_bound, self.commutative, self.unital)
@@ -169,6 +181,9 @@ class Signature:
                 bisect_right(degrees, r) for r in range(self.degree_bound + 1)
             ]
             self._rows = [None] * len(monomials)
+            # entry e is (1, e - 1) for e > 0 and (-1, -e - 1) for e < 0
+            self._signed = ([(0, None)] + [(1, k) for k in range(len(monomials))]
+                            + [(-1, k) for k in reversed(range(len(monomials)))])
         return self._basis
 
     def basis_parities(self):
@@ -236,6 +251,8 @@ class Signature:
         (0, None) when an odd index repeats."""
         parities = self.basis_parities()
         odd = [i for i in indices if parities[i]]
+        if len(odd) < 2:
+            return (1, tuple(sorted(indices)))
         sign = 1
         for a, i in enumerate(odd):
             for j in odd[a + 1 :]:
@@ -262,20 +279,17 @@ class Signature:
     def subset_products(self, indices):
         """:meth:`mul_indices` of every sub-block of ``indices``, listed by
         bit mask of positions (entry 0, the empty block, is (0, None)); an
-        entry is the one without its highest position times that argument."""
-        table = [(0, None)]
+        entry is the one without its highest position times that argument.
+        Equal entries are one object, one per basis index and sign."""
+        self.basis()
+        signed = self._signed
+        table = [signed[0]]
         for j in indices:
             row = self.mul_row(j)
             limit = len(row)
-            table.append((1, j))
-            for s, acc in table[1 : len(table) - 1]:
-                e = row[acc] if s and acc < limit else 0
-                if e > 0:
-                    table.append((s, e - 1))
-                elif e:
-                    table.append((-s, -e - 1))
-                else:
-                    table.append((0, None))
+            table.append(signed[j + 1])
+            table += [signed[s * row[acc]] if s and acc < limit else signed[0]
+                      for s, acc in table[1 : len(table) - 1]]
         return table
 
     def mul_into(self, acc, pairs, j, coeff):
@@ -370,6 +384,15 @@ class AlgebraElement:
     def __init__(self, signature: Signature, terms):
         self.signature = signature
         self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def _of(cls, signature: Signature, terms: dict) -> "AlgebraElement":
+        """The element holding the dict ``terms`` itself, unfiltered: every
+        coefficient in it must be nonzero, and the caller must not keep it."""
+        element = cls.__new__(cls)
+        element.signature = signature
+        element.terms = terms
+        return element
 
     def _check(self, other: "AlgebraElement"):
         if self.signature != other.signature:

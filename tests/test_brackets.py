@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from antibrackets.multilinear import (
     op_combination,
     ops_equal,
     random_endo,
+    rho_combination,
 )
 from antibrackets.rational import rat
 from antibrackets.superalgebra import Signature, koszul_sign
@@ -276,6 +278,61 @@ def test_exp_rho_family_with_zero_coefficients_is_identity():
     assert ops_equal(family[0], f)
 
 
+def _exp_rho_family_per_k(base, coefficients, max_degree):
+    """exp_rho_family as a sum over the parts T_k of every degree, the top
+    one too: one rho term per (k, n)."""
+    coefficients = {n: c for n, c in coefficients.items() if c}
+    lcm_den = lcm(*(int(rat(c).denominator) for c in coefficients.values()))
+    weights = {n: int(c * lcm_den) for n, c in coefficients.items()}
+    levels = {base.degree: {0: base}}
+    term = {base.degree: base}
+    k = 1
+    while term and min(term) < max_degree:
+        pieces = {}
+        for d, op in term.items():
+            for n, w in weights.items():
+                if d + n <= max_degree:
+                    pieces.setdefault(d + n, []).append((n, op, w))
+        term = {d: rho_combination(terms) for d, terms in pieces.items()}
+        for d, op in term.items():
+            levels.setdefault(d, {})[k] = op
+        k += 1
+    return {
+        d: op_combination((op, rat(1, factorial(k) * lcm_den**k))
+                          for k, op in parts.items())
+        for d, parts in levels.items()
+    }
+
+
+@pytest.mark.parametrize("coefficients, base_degree, max_degree, top", [
+    ({2: rat(3, 2)}, 0, 4, 4),  # a gap at n = 1
+    ({1: rat(-1, 2), 3: rat(2, 3)}, 0, 4, 4),
+    ({1: rat(1, 3), 2: rat(-5, 4)}, 1, 3, 3),  # a base of degree 1
+    ({1: rat(1, 2), 2: 2}, 1, 1, 1),  # max_degree == base.degree
+    ({2: rat(1, 2)}, 0, 3, 2),  # no n reaches degree 3
+])
+def test_exp_rho_family_top_degree_matches_the_sum_over_k(
+        coefficients, base_degree, max_degree, top):
+    f = random_endo(SIG, 14, parity="odd")
+    base = f if base_degree == 0 else phi_direct_op(f, base_degree + 1)
+    family = exp_rho_family(base, coefficients, max_degree)
+    reference = _exp_rho_family_per_k(base, coefficients, max_degree)
+    assert set(family) == set(reference) and max(family) == top
+    for d, op in family.items():
+        assert first_mismatch(op, reference[d]) is None, d
+    assert not is_zero_op(family[top])
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_every_route_gives_ints_on_an_integer_operator(parity):
+    f = random_endo(SIG, 31, parity=parity, density=1.0)
+    for method in METHODS:
+        for n, op in phi_hierarchy(f, 5, method=method).items():
+            for tup in canonical_index_tuples(SIG, n):
+                values = op._canonical_value(tup).values()
+                assert all(type(v) is int for v in values), (method, n, tup)
+
+
 @pytest.mark.parametrize("coefficients", [{0: 1}, {-1: 2}, {0: 1, 1: 1}])
 def test_exp_rho_family_rejects_coefficients_below_one(coefficients):
     # rho_0 keeps the degree, so the series would never reach the cutoff
@@ -295,8 +352,10 @@ def test_exponential_hierarchy_matches_direct():
     # f, psi_n for n = 2..5, and Phi^n = psi_n / (n-1)! for n = 3..5 (Phi^2
     # is psi_2)
     ("bracket", 1 + 4 + 3),
-    # f, one T_k per 1 <= k <= degree <= 4, and the components of degree >= 1
-    ("exponential", 1 + 10 + 4),
+    # f, one T_k per 1 <= k <= degree <= 3, and the components of degree
+    # >= 1; degree 4 has no T_k parts but one G_n per n = 1..4 (each an
+    # integer combination of the T_j of degree 4 - n) and one rho node
+    ("exponential", 1 + 6 + 4 + 1 + 4),
 ])
 def test_rho_routes_keep_one_memo_per_level(method, nodes):
     # a fresh signature, so that the only operators on it are this test's

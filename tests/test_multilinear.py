@@ -8,8 +8,10 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antibrackets import multilinear
 from antibrackets.multilinear import (
     MultiOp,
+    _plan,
     _runs,
     _shuffle_shapes,
     _shuffle_signs,
@@ -28,8 +30,8 @@ from antibrackets.multilinear import (
     rho,
     rho_combination,
 )
-from antibrackets.rational import rat
-from antibrackets.superalgebra import Signature, koszul_sign, shuffles
+from antibrackets.rational import Rational, rat
+from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign, shuffles
 
 SIG = Signature(even=1, odd=2, degree_bound=4)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -173,6 +175,19 @@ def test_op_combination_with_rational_weights():
         seen += bool(expected)
     assert seen > 50
     assert op_combination([(f, 1)]) is f
+
+
+def test_op_combination_quotients_are_ints_when_exact():
+    f = _general_op(SIG, 1, 1)
+    halves = op_combination([(f, rat(1, 2))])
+    kinds = set()
+    for tup in canonical_index_tuples(SIG, 2):
+        for k, v in halves._canonical_value(tup).items():
+            c = f._canonical_value(tup)[k]
+            assert v == rat(c, 2)
+            assert type(v) is (int if c % 2 == 0 else Rational), (tup, c, v)
+            kinds.add(type(v))
+    assert kinds == {int, Rational}
 
 
 def test_first_mismatch_locates_difference():
@@ -521,3 +536,68 @@ def test_call_one_monomial_per_slot_matches_general_path():
         for perm in itertools.permutations(range(3)):
             permuted = op(*(tup[i] for i in perm))
             assert permuted == general.scale(koszul_sign(perm, odd))
+
+
+def test_plans_are_the_shape_tables_of_their_tuple():
+    # a fresh signature, so that its plans are this test's
+    sig = Signature(even=1, odd=2, degree_bound=3)
+    parities = sig.basis_parities()
+    node = rho(2, _general_op(sig, 1, 5))
+    within = canonical_index_tuples(sig, node.arity)
+    beyond = canonical_index_tuples(sig, node.arity, sig.degree_bound + 2)[len(within):]
+    assert beyond and sig._plans == {}
+    for tup in within + beyond:
+        node._canonical_value(tup)
+    # a tuple beyond the degree bound leaves no entry
+    assert list(sig._plans) == within
+    for tup in within:
+        plan = sig._plans[tup]
+        assert _plan(sig, tup) is plan
+        assert plan == (sig.subset_products(tup),
+                        *_shuffle_signs(tuple(parities[i] for i in tup)),
+                        *_shuffle_shapes(_runs(tup)))
+    for tup in beyond:
+        assert _plan(sig, tup)[0] == sig.subset_products(tup)
+    assert list(sig._plans) == within
+
+
+def test_value_memo_cold_and_warm(monkeypatch):
+    # a fresh signature, so that its memo starts empty
+    sig = Signature(even=1, odd=2, degree_bound=4)
+    op = _general_op(sig, 2, 9)
+    seen = set()
+    for _ in ("cold", "warm"):
+        for tup in canonical_tuples(sig, 3)[::3]:
+            value = op._canonical_value(tuple(map(sig.index_of, tup)))
+            parities = [sig.parity(m) for m in tup]
+            for perm in itertools.permutations(range(3)):
+                args = tuple(tup[i] for i in perm)
+                assert (args in sig._canonical) == (args in seen)
+                seen.add(args)
+                assert op.value(args) == AlgebraElement(sig, value).scale(
+                    koszul_sign(perm, parities))
+        th, x = sig.odd_generator(0), sig.even_generator(0)
+        for args in ((th, x, th), (x, th, th)):  # a repeated odd monomial
+            assert (args in sig._canonical) == (args in seen)
+            seen.add(args)
+            assert op(*args).is_zero()
+    assert len(sig._canonical) == len(seen) > 100
+    # a returned value is a copy, not the operator's memo entry
+    tup = canonical_tuples(sig, 3)[-1]
+    op(*tup).terms.clear()
+    assert op(*tup).terms
+    # element arguments never enter the memo
+    fresh = Signature(even=1, odd=2, degree_bound=4)
+    op = _general_op(fresh, 2, 9)
+    x, th = fresh.even_generator(0), fresh.odd_generator(0)
+    one = fresh.monomial_element(x)
+    multi = one.scale(2) + fresh.monomial_element(th)
+    for args in ((one, x, th), (x, multi, th), (one, one, one)):
+        op(*args)
+    assert fresh._canonical == {}
+    assert op(x, th, x) == op(one, fresh.monomial_element(th), one)
+    assert len(fresh._canonical) == 1
+    # past its size the memo takes no entry, and values stay right
+    monkeypatch.setattr(multilinear, "ARGUMENT_MEMO_SIZE", 1)
+    assert op(th, x, x) == op(x, th, x) and op(x, x, th) == op(x, th, x)
+    assert len(fresh._canonical) == 1

@@ -235,6 +235,32 @@ def test_subset_products_match_block_products(sig):
         assert seen == {1, "degree"}
 
 
+def _subset_products_one_pair_per_entry(sig, indices):
+    """subset_products as built with a new (sign, index) pair per entry."""
+    table = [(0, None)]
+    for j in indices:
+        row = sig.mul_row(j)
+        table.append((1, j))
+        for s, acc in table[1 : len(table) - 1]:
+            e = row[acc] if s and acc < len(row) else 0
+            table.append((s, e - 1) if e > 0 else (-s, -e - 1) if e else (0, None))
+    return table
+
+
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
+def test_subset_products_share_one_pair_per_index_and_sign(sig):
+    rng = random.Random(9)
+    size = len(sig.basis())
+    pairs = {}
+    for _ in range(200):
+        tup = [rng.randrange(size) for _ in range(rng.randint(1, 5))]
+        table = sig.subset_products(tup)
+        assert table == _subset_products_one_pair_per_entry(sig, tup), tup
+        for entry in table:  # across tables as well
+            assert pairs.setdefault(entry, entry) is entry
+    assert {s for s, _ in pairs} == ({0, 1, -1} if sig.commutative else {0, 1})
+
+
 @pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
 def test_mul_into_matches_monomial_products(sig):
     basis = sig.basis()
@@ -284,6 +310,32 @@ def test_canonical_indices_match_koszul_sign():
             assert sign == koszul_sign(order, [parities[i] for i in args])
             seen.add(sign)
     assert seen == {1, -1, 0}
+
+
+def test_canonical_indices_match_the_general_path_on_random_lists():
+    # lists with no odd index and with one take the early return
+    parities = SIG.basis_parities()
+    even = [i for i, p in enumerate(parities) if not p]
+    odd = [i for i, p in enumerate(parities) if p]
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        args = rng.sample(odd, min(rng.randint(0, 3), n))
+        args += [rng.choice(even) for _ in range(n - len(args))]
+        if rng.random() < 0.2 and args[0] in odd:
+            args.append(args[0])  # a repeated odd index
+        rng.shuffle(args)
+        odd_count = sum(parities[i] for i in args)
+        if len(set(i for i in args if parities[i])) < odd_count:
+            general = (0, None)
+        else:
+            order = sorted(range(len(args)), key=args.__getitem__)
+            general = (koszul_sign(order, [parities[i] for i in args]),
+                       tuple(sorted(args)))
+        assert SIG.canonical_indices(args) == general, args
+        seen.add((min(odd_count, 2), general[0]))
+    assert seen == {(0, 1), (1, 1), (2, 1), (2, -1), (2, 0)}
 
 
 def test_inversion_formula_on_multi_term_elements():
