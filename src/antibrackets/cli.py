@@ -11,6 +11,9 @@ Subcommands:
 * ``verify``         -- run one exact identity suite, or the five of ``all``,
   on a configurable free superalgebra and exit nonzero on a failed identity.
 
+Each report builds only the fields it prints, and compares the solved
+coefficients with the conjectured ones on ints.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -26,7 +29,7 @@ from math import factorial
 from .combinatorics import koszul_numbers_chain, koszul_numbers_recursive
 # unused here; perfbench/test_perfbench.py asserts this binding
 from .multilinear import nr_bracket  # noqa: F401
-from .qxrep import coefficient_series, conjecture_coefficients
+from .qxrep import coefficient_series, conjecture_numerators
 from .rational import format_rational, rat
 from .series import koszul_numbers_itlog
 from .superalgebra import Signature
@@ -150,24 +153,8 @@ def cmd_koszul_numbers(args) -> int:
 # -- coefficients and conjecture -------------------------------------------
 
 
-def _coefficient_row(n: int, coeffs) -> dict:
-    """Everything about degree n, with rationals rendered as strings."""
-    sign = rat((-1) ** n * factorial(n))
-    solved = list(coeffs.c)
-    conjectured = conjecture_coefficients(n)
-    return {
-        "n": n,
-        "normalized": [format_rational(sign * c) for c in solved],
-        "solved": [format_rational(c) for c in solved],
-        "conjectured": [format_rational(c) for c in conjectured],
-        "match": solved == conjectured,
-        "positive": all(rat((-1) ** n) * c > 0 for c in solved),
-        "bn_zero": not coeffs.b,
-    }
-
-
 def _coefficient_report(args, emit) -> int:
-    """Solve degrees 2..N in one pass and hand their rows to emit."""
+    """Solve degrees 2..N in one pass and hand (n, coefficients) to emit."""
     N = args.max_n
     if not _max_n_in_range(N, 2):
         return 2
@@ -176,23 +163,54 @@ def _coefficient_report(args, emit) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    emit([_coefficient_row(n, series[n]) for n in range(2, N + 1)], args.format)
+    emit([(n, series[n]) for n in range(2, N + 1)], args.format)
     return 0
 
 
-def _emit_coefficients(reports, fmt):
-    rows = [
-        [str(r["n"]), ", ".join(r["normalized"]),
-         "match" if r["match"] else "MISMATCH"]
-        for r in reports
-    ]
+def _matches(solved, numerators, denominator) -> bool:
+    """Whether each solved rational is its numerator over denominator,
+    compared on ints."""
+    return all(c.numerator * denominator == t * c.denominator
+               for c, t in zip(solved, numerators, strict=True))
+
+
+def _emit_coefficients(degrees, fmt):
+    """One row per degree: n, the (-1)^n n! c_i^n, and the conjecture match."""
+    rows = []
+    for n, coeffs in degrees:
+        sign = (-1) ** n * factorial(n)
+        match = _matches(coeffs.c, *conjecture_numerators(n))
+        rows.append([str(n),
+                     ", ".join([format_rational(c * sign) for c in coeffs.c]),
+                     "match" if match else "MISMATCH"])
     _emit_rows(rows, ["n", "x_i^n", "conjecture"], fmt)
 
 
-def _emit_conjecture(reports, fmt):
+def _conjecture_row(n: int, coeffs) -> dict:
+    """The conjecture report of degree n, with rationals rendered as strings.
+
+    The conjectured text is the solved text whenever the two match, and
+    positive tests the sign of each solved numerator against (-1)^n.
+    """
+    numerators, denominator = conjecture_numerators(n)
+    match = _matches(coeffs.c, numerators, denominator)
+    text = [format_rational(c) for c in coeffs.c]
+    sign = -1 if n % 2 else 1
+    return {
+        "n": n,
+        "solved": text,
+        "conjectured": text if match else [
+            format_rational(rat(t, denominator)) for t in numerators],
+        "match": match,
+        "positive": all(sign * c.numerator > 0 for c in coeffs.c),
+        "bn_zero": not coeffs.b,
+    }
+
+
+def _emit_conjecture(degrees, fmt):
+    reports = [_conjecture_row(n, coeffs) for n, coeffs in degrees]
     if fmt == "json":
-        print(json.dumps([{k: v for k, v in r.items() if k != "normalized"}
-                          for r in reports]))
+        print(json.dumps(reports))
         return
     rows = [
         [str(r["n"]),

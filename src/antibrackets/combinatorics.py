@@ -10,7 +10,8 @@ in :mod:`antibrackets.series`.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .rational import rat
 
@@ -42,15 +43,29 @@ def koszul_numbers_recursive(N: int) -> list:
     """K_1..K_N by the recursion K_n = -2/((n+2)(n-1)) sum_i {n+1 i} K_i.
 
     Returns a list of length N+1 with entry 0 unused (values[n] = K_n).
+    The K_i are ints P_i over one running denominator Q, the lcm of their
+    reduced denominators: K_n = s / ((n+2)(n-1) Q) with s = -2 sum_i
+    {n+1 i} P_i, and when its reduced denominator brings a factor that Q
+    lacks, Q grows and the stored numerators are rescaled once.  The Stirling
+    rows come from the triangle recursion, one row from the one before.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    values = [rat(0)] * (N + 1)
-    values[1] = rat(1)
+    P = [0, 1]  # numerators of K_0 (unused), K_1, ... over Q
+    Q = 1
+    row = [0, 1, 1]  # {n+1 i} for i = 0..n+1, here n = 1
     for n in range(2, N + 1):
-        acc = sum(stirling2(n + 1, i) * values[i] for i in range(1, n))
-        values[n] = rat(-2, (n + 2) * (n - 1)) * acc
-    return values
+        row = [0, *(i * row[i] + row[i - 1] for i in range(1, n + 1)), 1]
+        s = -2 * sum(map(mul, row[1:n], P[1:]))
+        den = (n + 2) * (n - 1) * Q
+        g = gcd(s, den)
+        den //= g
+        grow = den // gcd(den, Q)
+        if grow > 1:
+            P = [v * grow for v in P]
+            Q *= grow
+        P.append(s // g * (Q // den))
+    return [rat(0), *(rat(v, Q) for v in P[1:])]
 
 
 def koszul_numbers_chain(N: int) -> list:

@@ -27,12 +27,14 @@ built by :func:`op_combination` over one denominator; its terms are not
 flattened, as their memos are shared.
 
 Per-tuple work that does not depend on the operator is done once per
-:class:`~antibrackets.superalgebra.Signature` and kept on it, in two stores:
-``sig._plans`` maps a canonical index tuple to its :func:`_plan` (product
-table, signs and shapes), which the direct and rho routes read, and holds
-only tuples of total degree within the degree bound; ``sig._canonical``
-maps a tuple of monomial arguments of :meth:`MultiOp.__call__` to its sign
-and canonical index tuple, up to :data:`ARGUMENT_MEMO_SIZE` entries.
+:class:`~antibrackets.superalgebra.Signature` and kept on it, in three stores:
+``sig._tuples`` holds the canonical index tuples of each (arity, bound),
+which :func:`first_mismatch` and :func:`is_zero_op` walk; ``sig._plans``
+maps a canonical index tuple to its :func:`_plan` (product table, signs
+and shapes), which the direct and rho routes read, and holds only tuples
+of total degree within the degree bound; ``sig._canonical`` maps a tuple
+of monomial arguments of :meth:`MultiOp.__call__` to its sign and
+canonical index tuple, up to :data:`ARGUMENT_MEMO_SIZE` entries.
 
 A linear operator is an operator of degree 0.  :func:`linear_op` builds one
 from its images on the basis, ``{basis index: {index: coeff}}``, and the
@@ -575,18 +577,17 @@ def multiplication_endo(signature: Signature, element: AlgebraElement) -> MultiO
     return linear_op(signature, images, parity=parity)
 
 
-def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=None):
-    """Canonical tuples of basis indices of the given arity, total degree <= bound.
-
-    The bound defaults to the signature's degree bound: tuples beyond it are
-    omitted from tables per the truncation convention.  The tuples come in
-    lexicographic order.
-    """
+def _index_tuples(signature: Signature, arity: int, max_total_degree=None):
+    """The list :func:`canonical_index_tuples` copies, built once per
+    (arity, bound) and kept in ``signature._tuples``; not to be mutated."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     bound = (
         signature.degree_bound if max_total_degree is None else max_total_degree
     )
+    out = signature._tuples.get((arity, bound))
+    if out is not None:
+        return out
     basis = signature.basis()
     degrees = signature.basis_degrees()
     odd = signature.basis_parities()
@@ -607,7 +608,18 @@ def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=No
             extend(i, remaining - d, depth + 1)
 
     extend(0, bound, 0)
+    signature._tuples[arity, bound] = out
     return out
+
+
+def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=None):
+    """Canonical tuples of basis indices of the given arity, total degree <= bound.
+
+    The bound defaults to the signature's degree bound: tuples beyond it are
+    omitted from tables per the truncation convention.  The tuples come in
+    lexicographic order, in a fresh list.
+    """
+    return list(_index_tuples(signature, arity, max_total_degree))
 
 
 def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
@@ -618,7 +630,7 @@ def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
     basis = signature.basis()
     return [
         tuple(basis[i] for i in tup)
-        for tup in canonical_index_tuples(signature, arity, max_total_degree)
+        for tup in _index_tuples(signature, arity, max_total_degree)
     ]
 
 
@@ -630,7 +642,7 @@ def first_mismatch(f: MultiOp, g: MultiOp, max_total_degree=None):
     if f.signature != g.signature or f.degree != g.degree:
         raise ValueError("operators are not comparable")
     sig = f.signature
-    for tup in canonical_index_tuples(sig, f.arity, max_total_degree):
+    for tup in _index_tuples(sig, f.arity, max_total_degree):
         a = f._canonical_value(tup)
         b = g._canonical_value(tup)
         if a != b:
@@ -651,5 +663,5 @@ def ops_equal(f: MultiOp, g: MultiOp, max_total_degree=None) -> bool:
 def is_zero_op(f: MultiOp, max_total_degree=None) -> bool:
     return not any(
         f._canonical_value(t)
-        for t in canonical_index_tuples(f.signature, f.arity, max_total_degree)
+        for t in _index_tuples(f.signature, f.arity, max_total_degree)
     )

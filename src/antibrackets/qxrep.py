@@ -18,10 +18,10 @@ the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
 One pass builds the induction-basis systems of every degree, each from the
 one before.  The top n-2 rows of the system of degree n are triangular; the
 shape is checked at every n, and they are solved by forward substitution,
-the last three rows by :func:`solve_linear`, the general solver, which also
-takes any system without the shape.  The coordinates, the solve and the
-conjectured closed formula run on Python ints and divide once per output
-coefficient.  :func:`rho_action` on monomial rules is the independent
+the last three rows by Cramer's rule.  :func:`solve_linear`, the general
+solver, takes degree 1 and any system without the shape.  The
+coordinates, the solve and the conjectured closed formula run on Python
+ints and divide once per output coefficient.  :func:`rho_action` on monomial rules is the independent
 oracle for that computation.
 """
 
@@ -54,6 +54,7 @@ __all__ = [
     "solve_coefficients",
     "coefficient_series",
     "conjecture_coefficients",
+    "conjecture_numerators",
     "solve_linear",
 ]
 
@@ -226,16 +227,35 @@ def _triangular_shape(n: int, matrix) -> bool:
     )
 
 
+def _det3(u, v, w) -> int:
+    """The determinant of the 3x3 matrix with columns u, v and w."""
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            - v[0] * (u[1] * w[2] - u[2] * w[1])
+            + w[0] * (u[1] * v[2] - u[2] * v[1]))
+
+
+def _cramer3(columns, rhs):
+    """Numerators of the solution of the 3x3 int system with these columns
+    and right-hand side, by Cramer's rule, and their common denominator, the
+    determinant; raises SingularMatrixError when it is 0."""
+    det = _det3(*columns)
+    if not det:
+        raise SingularMatrixError("3x3 tail has determinant 0")
+    u, v, w = columns
+    return [_det3(rhs, v, w), _det3(u, rhs, w), _det3(u, v, rhs)], det
+
+
 def _induction_solution(n: int, matrix, target) -> list:
     """x_0..x_n with matrix x = target, for the induction-basis system of degree n.
 
     When :func:`_triangular_shape` holds, checked here at every n, the rows
     r = n-3..0 give x_2..x_(n-1) in turn by forward substitution, each row's
     pivot column n-1-r being its last nonzero one; the values are ints over
-    one running denominator, and a pivot's new factor rescales the stored
-    ones.  x_0, x_1 and x_n then come from rows n-2, n-1 and n, a 3x3
-    system for :func:`solve_linear`.  Degree 1, and any system without the
-    shape, goes whole to :func:`solve_linear`.
+    one running denominator d, and a pivot's new factor rescales the stored
+    ones.  x_0, x_1 and x_n then come from rows n-2, n-1 and n, a 3x3 int
+    system in columns 0, 1 and n whose right-hand side is over d, solved in
+    closed form by :func:`_cramer3`: one division per unknown.  Degree 1,
+    and any system without the shape, goes whole to :func:`solve_linear`.
     """
     if n < 2 or not _triangular_shape(n, matrix):
         return solve_linear(matrix, target)
@@ -251,12 +271,15 @@ def _induction_solution(n: int, matrix, target) -> list:
             x[2:p] = [v * e for v in x[2:p]]
             d *= e
         x[p] = s // g
-    rows = range(n - 2, n + 1)
-    c_1, c_2, b = solve_linear(
-        [[matrix[r][c] * d for c in (0, 1, n)] for r in rows],
-        [target[r] * d - sum(map(mul, matrix[r][2:n], x[2:])) for r in rows],
+    tail = matrix[n - 2:]
+    (c_1, c_2, b), det = _cramer3(
+        [[row[c] for row in tail] for c in (0, 1, n)],
+        [t * d - sum(map(mul, row[2:n], x[2:]))
+         for row, t in zip(tail, target[n - 2:])],
     )
-    return [c_1, c_2, *(rat(v, d) for v in x[2:]), b]
+    det *= d
+    return [rat(c_1, det), rat(c_2, det), *(rat(v, d) for v in x[2:]),
+            rat(b, det)]
 
 
 def _solve_system(n: int, matrix, target) -> UniversalCoefficients:
@@ -290,15 +313,15 @@ def coefficient_series(N: int) -> dict:
             for n, system in zip(range(1, N + 1), _induction_systems())}
 
 
-def conjecture_coefficients(n: int) -> list:
-    """The conjectured closed forms of c_1^n..c_n^n (empty products are 1).
+def conjecture_numerators(n: int) -> tuple:
+    """The conjectured c_1^n..c_n^n as ints over one denominator: the pair
+    (numerators, denominator) of :func:`conjecture_coefficients`, unreduced.
 
     c_i^n = (-1)^n top(i) / sum_(h=2..n) h top(h) tail(h), with
     top(h) = prod_(j=2..h) (n(n-1) - (j-1)(j-2))/2 and
-    tail(h) = prod_(j=h..n-1) (1-j)(j+2)/2.  Every factor is an integer (both
-    products are even), so the products and the i-independent denominator
-    are built once per n in one pass over ints, and each c_i^n is one
-    division.
+    tail(h) = prod_(j=h..n-1) (1-j)(j+2)/2 (empty products are 1).  Every
+    factor is an integer (both products are even), so the products and the
+    i-independent denominator are built once per n in one pass over ints.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -312,7 +335,14 @@ def conjecture_coefficients(n: int) -> list:
         tail *= (2 - h) * (h + 1) // 2  # tail(h-1) = tail(h) (1-(h-1))(h+1)/2
     if not denominator:
         raise ZeroDivisionError(f"conjecture denominator vanishes at n = {n}")
-    return [rat((-1) ** n * t, denominator) for t in top[1:]]
+    return [(-1) ** n * t for t in top[1:]], denominator
+
+
+def conjecture_coefficients(n: int) -> list:
+    """The conjectured closed forms of c_1^n..c_n^n, each one division of
+    :func:`conjecture_numerators`."""
+    numerators, denominator = conjecture_numerators(n)
+    return [rat(t, denominator) for t in numerators]
 
 
 def bn_zero_witness(n: int) -> bool:

@@ -84,10 +84,11 @@ class Signature:
 
     Besides the product rows (one per basis monomial, bounded by the basis),
     a signature keeps the per-tuple data every operator on it shares:
+    ``_tuples``, the canonical index tuples of each (arity, bound);
     ``_plans``, the shuffle plan of each canonical index tuple of total
     degree within the bound, and ``_canonical``, the sign and canonical
     index tuple of each tuple of monomial operator arguments, capped in
-    size.  :mod:`.multilinear` fills and bounds both.
+    size.  :mod:`.multilinear` fills all three and bounds the last two.
     """
 
     def __init__(self, even=2, odd=2, degree_bound=5, commutative=True, unital=True):
@@ -107,6 +108,7 @@ class Signature:
         self._rows = None  # j -> mul_row(j) once built, else None
         # e -> the (sign, index) pair a row entry e encodes, one object each
         self._signed = None
+        self._tuples = {}  # (arity, bound) -> canonical index tuples
         self._plans = {}  # canonical index tuple -> its shuffle plan
         self._canonical = {}  # monomial argument tuple -> (sign, canonical)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -277,6 +278,68 @@ def test_coefficient_reports_turn_arithmetic_error_into_exit_one(
     assert "Traceback" not in err
 
 
+def _perturb_conjecture(monkeypatch, degree, index):
+    """Make the conjectured c_(index+1)^degree one more than the solved one."""
+    numerators_of = cli.conjecture_numerators
+
+    def perturbed(n):
+        numerators, denominator = numerators_of(n)
+        if n == degree:
+            numerators = list(numerators)
+            numerators[index] += denominator
+        return numerators, denominator
+
+    monkeypatch.setattr(cli, "conjecture_numerators", perturbed)
+
+
+def test_reports_show_one_perturbed_conjectured_coefficient(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, "conjecture", "--max-n", "7", "--format", "json")
+    clean = json.loads(out)
+    _perturb_conjecture(monkeypatch, 5, 2)
+    code, out, _ = run_cli(capsys, "conjecture", "--max-n", "7",
+                           "--format", "json")
+    assert code == 0
+    for before, after in zip(clean, json.loads(out), strict=True):
+        assert after["solved"] == before["solved"]
+        if after["n"] != 5:
+            assert after == before
+            continue
+        assert before["match"] is True and after["match"] is False
+        differ = [i for i, (a, b) in enumerate(zip(after["solved"],
+                                                   after["conjectured"]))
+                  if a != b]
+        assert differ == [2]
+        assert Rational(after["conjectured"][2]) == Rational(after["solved"][2]) + 1
+    code, out, _ = run_cli(capsys, "coefficients", "--max-n", "7")
+    assert code == 0
+    assert [line.split()[0] + " " + line.split()[-1]
+            for line in out.splitlines()[1:]] == [
+        f"{n} {'MISMATCH' if n == 5 else 'match'}" for n in range(2, 8)]
+
+
+def test_positive_follows_the_sign_of_each_solved_coefficient(capsys, monkeypatch):
+    series_of = cli.coefficient_series
+
+    def flipped(N):
+        series = series_of(N)
+        c = list(series[4].c)
+        c[1] = -c[1]
+        series[4] = dataclasses.replace(series[4], c=tuple(c))
+        return series
+
+    monkeypatch.setattr(cli, "coefficient_series", flipped)
+    code, out, _ = run_cli(capsys, "conjecture", "--max-n", "6",
+                           "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["positive"] for r in reports] == [True, True, False, True, True]
+    assert reports[2]["solved"][1].startswith("-")
+    code, out, _ = run_cli(capsys, "conjecture", "--max-n", "6")
+    assert code == 0
+    positive_column = [line.split()[-2] for line in out.splitlines()[1:]]
+    assert positive_column == ["yes", "yes", "NO", "yes", "yes"]
+
+
 def _fresh_process(argv):
     """(exit code, stdout) of ``main(argv)`` in a new interpreter."""
     src = str(Path(antibrackets.__file__).resolve().parents[1])
@@ -318,6 +381,16 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
      "29fb9e42ff0f0ed8ed64581ccb3079e8b75a1535cf2ec94461c7a243810dda32"),
     (["koszul-numbers", "--max-n", "40"],
      "5af79e2296d84ac4c127831ac99b21a3540a3d767a71ca06623906573cff4ca9"),
+    (["koszul-numbers", "--max-n", "80"],
+     "7aa6913be3a25a668680d69b84b15ffa0c02564a9dc60e7324d554c45b166392"),
+    (["conjecture", "--max-n", "12"],
+     "6a5ca6fd08aeb35cd0ce963845fed4213f38346ab6294b9e3505d002ef6cec92"),
+    (["conjecture", "--max-n", "12", "--format", "csv"],
+     "7721df963899865f238e212a8a7aff136b60c5bdea92cf2e8c459b8210187b06"),
+    (["coefficients", "--max-n", "12"],
+     "61eae260c0e3ebef9ec7f507d5cf42671a090f4595ec972cb190d48a5a75e35a"),
+    (["coefficients", "--max-n", "12", "--format", "csv"],
+     "dcb7b9f4949e64c23dcbcbc629c450c1a1cdb37d605e67f7d52ae4aba2f69cb6"),
     (["verify", "all", "--even", "1", "--odd", "1", "--degree", "3",
       "--max-n", "3", "--format", "json"],
      "08645b59517c4cc1abecd7f2f0fd6c67e51cdeeb8f2082825384b782a9bcb8db"),
@@ -328,8 +401,9 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
       "--format", "json"],
      "0d4c8f4876a0bf6cd3656a06b4ececbee2b3161a8ede60b2b40b394f88f3e1d3"),
 ], ids=["conjecture", "conjecture-45", "coefficients", "koszul-numbers",
-        "koszul-numbers-40", "verify", "verify-noncommutative",
-        "verify-inversion"])
+        "koszul-numbers-40", "koszul-numbers-80", "conjecture-plain",
+        "conjecture-csv", "coefficients-plain", "coefficients-csv", "verify",
+        "verify-noncommutative", "verify-inversion"])
 def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

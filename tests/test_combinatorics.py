@@ -68,6 +68,24 @@ def test_koszul_recursive_known_values():
         assert ks[n] == value
 
 
+def _koszul_numbers_recursive_fraction(N):
+    """Reference: the triangle recursion with every K_n a rational product."""
+    values = [rat(0)] * (N + 1)
+    values[1] = rat(1)
+    for n in range(2, N + 1):
+        acc = sum(stirling2(n + 1, i) * values[i] for i in range(1, n))
+        values[n] = rat(-2, (n + 2) * (n - 1)) * acc
+    return values
+
+
+def test_koszul_recursive_matches_rational_reference():
+    expected = _koszul_numbers_recursive_fraction(80)
+    for N in (1, 2, 3, 12, 80):
+        values = koszul_numbers_recursive(N)
+        assert values == expected[:N + 1]
+        assert {type(v) for v in values} == {type(rat(1))}
+
+
 def test_koszul_chain_agrees_with_recursive():
     assert koszul_numbers_chain(14) == koszul_numbers_recursive(14)
 

@@ -200,6 +200,31 @@ def test_first_mismatch_locates_difference():
     assert is_zero_op(op_combination([(a, 1), (a, -1)]), 2)
 
 
+def test_canonical_index_tuples_are_built_once_per_signature():
+    sig = Signature(even=1, odd=2, degree_bound=4)
+    a, b = mu(sig, 1), op_combination([(mu(sig, 1), 2)])
+    assert first_mismatch(a, b, 3) is not None
+    assert is_zero_op(op_combination([(a, 1), (a, -1)]))
+    assert set(sig._tuples) == {(2, 3), (2, 4)}
+    kept = dict(sig._tuples)
+    # later comparisons and the public lists read the kept lists
+    assert first_mismatch(a, b, 3) is not None and first_mismatch(a, a) is None
+    assert not is_zero_op(b, 3)
+    assert canonical_index_tuples(sig, 2, 3) == kept[2, 3]
+    assert canonical_tuples(sig, 2) == [tuple(sig.basis()[i] for i in tup)
+                                         for tup in kept[2, 4]]
+    assert sig._tuples.keys() == kept.keys()
+    assert all(sig._tuples[key] is kept[key] for key in kept)
+    # every caller gets a fresh list
+    for listing in (canonical_index_tuples, canonical_tuples):
+        first = listing(sig, 2, 3)
+        assert first is not listing(sig, 2, 3)
+        expected = list(first)
+        first.clear()
+        assert listing(sig, 2, 3) == expected
+    assert canonical_index_tuples(sig, 2, 3) is not kept[2, 3]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_nr_bracket_superantisymmetry(seed):

@@ -218,6 +218,19 @@ def test_low_degree_coefficients_match_bullet_formulas():
     ]
 
 
+def _recording_cramer3(monkeypatch):
+    """Route qxrep's _cramer3 calls through a recorder of their inputs."""
+    systems = []
+    cramer3 = qxrep._cramer3
+
+    def recording(columns, rhs):
+        systems.append((columns, rhs))
+        return cramer3(columns, rhs)
+
+    monkeypatch.setattr(qxrep, "_cramer3", recording)
+    return systems
+
+
 def test_induction_basis_matrix_holds_ints(monkeypatch):
     systems = []
 
@@ -226,12 +239,39 @@ def test_induction_basis_matrix_holds_ints(monkeypatch):
         return solve_linear(matrix, rhs)
 
     monkeypatch.setattr(qxrep, "solve_linear", recording_solve)
+    tails = _recording_cramer3(monkeypatch)
     for n in range(1, 8):
         solve_coefficients(n)
-    assert len(systems) == 7
-    for matrix, rhs in systems:
+    # degree 1 goes whole to solve_linear, every later tail to _cramer3
+    assert len(systems) == 1 and len(tails) == 6
+    for matrix, rhs in systems + tails:
         assert all(type(v) is int for row in matrix for v in row)
         assert all(type(v) is int for v in rhs)
+
+
+def test_closed_form_tail_matches_solve_linear(monkeypatch):
+    tails = _recording_cramer3(monkeypatch)
+    coefficient_series(60)
+    monkeypatch.undo()
+    assert len(tails) == 59  # degrees 2..60
+    for columns, rhs in tails:
+        numerators, det = qxrep._cramer3(columns, rhs)
+        rows = [list(row) for row in zip(*columns)]
+        assert [rat(v, det) for v in numerators] == solve_linear(rows, rhs)
+
+
+def test_singular_tail_raises():
+    with pytest.raises(SingularMatrixError):
+        qxrep._cramer3([[1, 2, 3], [2, 4, 6], [0, 1, 5]], [1, 0, 2])
+    # column 0 zero in the tail rows too: the shape holds, the system is singular
+    n = 6
+    matrix, target = next(islice(qxrep._induction_systems(), n - 1, None))
+    matrix = [[0, *row[1:]] for row in matrix]
+    assert qxrep._triangular_shape(n, matrix)
+    with pytest.raises(SingularMatrixError):
+        solve_linear(matrix, target)
+    with pytest.raises(SingularMatrixError):
+        qxrep._induction_solution(n, matrix, target)
 
 
 def _induction_system_from_scratch(n):
@@ -291,8 +331,9 @@ def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
     systems = list(zip(range(1, 61), qxrep._induction_systems()))
     sizes = _recording_solve_linear(monkeypatch)
     series = coefficient_series(60)
-    # degree 1 is solved whole; every later system has the shape
-    assert sizes == [2] + [3] * 59
+    # degree 1 is solved whole; every later system has the shape, and its
+    # 3x3 tail is solved in closed form
+    assert sizes == [2]
     monkeypatch.undo()
     for n, (matrix, target) in systems:
         assert qxrep._triangular_shape(n, matrix) == (n > 1)
