@@ -261,14 +261,18 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
 
 
 def _image_prefixes(f: MultiOp):
-    """A reader ``image(j, room)`` of f's image of basis[j] to degree <= room,
-    as a prefix of the image's (index, coeff) pairs in index order.  On its
-    first read an image is sorted, copied only if its keys are out of index
-    order, and the reader keeps the prefix length for every room.
+    """f's reader ``image(j, room)`` of its image of basis[j] to degree <=
+    room, as a prefix of the image's (index, coeff) pairs in index order.
+    On its first read an image is sorted, copied only if its keys are out
+    of index order, and the reader keeps the prefix length for every room.
+    The reader is made on the first call and kept on f, as f's memo is, so
+    it holds at most one sorted view per basis index for all of f's checks.
 
     In :func:`inversion_check` every read of f(S) has the room D minus the
     degree of S's complement, so its verdict holds whatever the cut; a wrong
     cut shows in the values of :func:`_shuffle_sum` only."""
+    if f._image_reader is not None:
+        return f._image_reader
     sig = f.signature
     sig.basis()
     prefix = sig._prefix  # r -> number of basis monomials of degree <= r
@@ -285,6 +289,7 @@ def _image_prefixes(f: MultiOp):
         items, cuts = read
         return islice(items, cuts[room]) if cuts[room] else ()
 
+    f._image_reader = image
     return image
 
 
@@ -302,9 +307,12 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     blocks and sub-blocks are read one per bit mask, from the
     :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n``; a block's
     sign is its entry in the
-    :func:`~.multilinear._shuffle_signs` table of the n parities.  f's images
-    are sorted once per check (:func:`_image_prefixes`), so each is read only
-    up to the degree that can survive its product.
+    :func:`~.multilinear._shuffle_signs` table of the n parities.  Shuffles
+    with the same block indices and the same complement product are one
+    term up to their scalars, so those are summed first, and a block's Phi
+    is read and multiplied once per group whose sum is nonzero.  f's images
+    are read through the reader kept on f (:func:`_image_prefixes`), each
+    only up to the degree that can survive its product.
     """
     _require_linear(f)
     if n < 1:
@@ -346,19 +354,24 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
                          (phi_n.items(), -coeff)):
             for t, v in value:
                 diff[t] = diff.get(t, 0) + c * v
+        groups = {}  # (block indices, complement product) -> [block, scalar]
         for block in range(1, full):
             r, tail = products[full ^ block]
             if not r:  # the complement's product dies
                 continue
+            group = groups.setdefault((rows[block][2](tup), tail), [block, 0])
+            group[1] -= signs[full][block] * r
+        for (indices, tail), (block, c) in groups.items():
+            if not c:
+                continue
             cap = top - degrees[tail]
-            key = (rows[block][2](tup), cap)
-            value = phi.get(key)
+            value = phi.get((indices, cap))
             if value is None:
-                value = phi[key] = _shuffle_sum(sig, image, products,
-                                                rows[block][5], signs[block],
-                                                cap).items()
+                value = phi[indices, cap] = _shuffle_sum(
+                    sig, image, products, rows[block][5], signs[block],
+                    cap).items()
             if value:
-                sig.mul_into(diff, value, tail, -signs[full][block] * r * coeff)
+                sig.mul_into(diff, value, tail, c * coeff)
     return not any(diff.values())
 
 

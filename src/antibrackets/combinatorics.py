@@ -74,19 +74,22 @@ def koszul_numbers_chain(N: int) -> list:
     Each chain contributes (-1)^(k+1)/k times the product of consecutive
     Stirling numbers {n_2 n_1} ... {n_k n_(k-1)}; the empty-interior chain
     (k = 1) contributes 1.  Independent of the triangle recursion route.
-    The chains are summed in O(N^3): W[j, k], the sum over the chains of
-    length k ending at n_k = j, is sum_(i<j) W[i, k-1] {j i}.  The terms of
-    K_(j-1) are summed as ints over L = lcm(1..j-1), with one division.
+    The chains are summed in O(N^3): W[k][j], the sum over the chains of
+    length k ending at n_k = j, is sum_(k<=i<j) W[k-1][i] {j i}, one int
+    list per k read against the row {j .} of :func:`stirling2`.  The terms
+    of K_(j-1) are summed as ints over L = lcm(1..j-1), with one division.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    W = {}
+    W = [None, [0, 0]]  # W[k][j], 0 for j <= k as chains start at n_1 >= 2
     values = [rat(0)] * (N + 1)
     for j in range(2, N + 2):
         L = lcm(*range(1, j))
-        W[j, 1] = 1
+        row = [0, *(stirling2(j, i) for i in range(1, j))]  # {j i}, i < j
+        W[1].append(1)
+        W.append([0] * (j + 1))  # W[j]: its first chain ends at j + 1
         for k in range(2, j):
-            W[j, k] = sum(W[i, k - 1] * stirling2(j, i) for i in range(k, j))
-        total = sum((-1) ** (k + 1) * W[j, k] * (L // k) for k in range(1, j))
+            W[k].append(sum(map(mul, W[k - 1][k:j], row[k:j])))
+        total = sum((-1) ** (k + 1) * W[k][j] * (L // k) for k in range(1, j))
         values[j - 1] = rat(total, L)
     return values

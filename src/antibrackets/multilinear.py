@@ -76,9 +76,12 @@ __all__ = [
 
 class MultiOp:
     """Supersymmetric (degree+1)-linear operator with memoized basis values;
-    ``eval_basis`` maps a canonical index tuple to {index: nonzero coeff}."""
+    ``eval_basis`` maps a canonical index tuple to {index: nonzero coeff}.
+    A linear operator also keeps the reader of its images that
+    :func:`~antibrackets.brackets.inversion_check` makes on first use."""
 
-    __slots__ = ("signature", "degree", "parity", "_eval", "_cache")
+    __slots__ = ("signature", "degree", "parity", "_eval", "_cache",
+                 "_image_reader")
 
     def __init__(self, signature: Signature, degree: int, parity: int, eval_basis):
         if degree < 0:
@@ -88,6 +91,7 @@ class MultiOp:
         self.parity = parity % 2
         self._eval = eval_basis
         self._cache = {}
+        self._image_reader = None
 
     @property
     def arity(self) -> int:

@@ -28,10 +28,13 @@ every sub-block of a tuple at once, listed by bit mask of positions; and
 an ``{index: coeff}`` dict.  All
 three read rows of right multiplication by one basis monomial, in an encoding
 internal to the class; a row covers the degree prefix of the basis that can
-survive the product.  Rows are built on first use by the one monomial product
-rule, :meth:`Signature.mul_monomials`, and kept on the signature, which is the
-package's one product cache.  Operator arguments are put in canonical order on
-indices too, by :meth:`Signature.canonical_indices`.
+survive the product.  Rows are built on first use and kept on the signature,
+which is the package's one product cache.  The rows of the unit and of the
+generators come from the one monomial product rule,
+:meth:`Signature.mul_monomials`; a row of degree >= 2 is composed from a
+generator's row and a row one degree lower, as the truncated algebra is
+associative, with no monomial built.  Operator arguments are put in
+canonical order on indices too, by :meth:`Signature.canonical_indices`.
 """
 
 from __future__ import annotations
@@ -228,7 +231,8 @@ class Signature:
         Entry i encodes basis[i] * basis[j]: 0 if it dies, else +(k + 1) or
         -(k + 1) for +basis[k] or -basis[k].  The row stops after the last
         basis monomial whose degree leaves room for basis[j]; indices past
-        its end die by degree.
+        its end die by degree.  Rows of degree >= 2 are composed from two
+        other rows (:meth:`_build_row`).
         """
         rows = self._rows
         if rows is None:
@@ -240,13 +244,41 @@ class Signature:
         return row
 
     def _build_row(self, j):
+        """Row j by :meth:`mul_monomials` at degree <= 1.  Above, basis[j]
+        is g b' up to sign (:meth:`_split_letter`), and as a (g b') = (a g) b'
+        in the associative quotient, entry i is entry |row(g)[i]| - 1 of
+        row(b'), signed by both entries and by the product g b' (+1 for
+        this g)."""
         basis, index = self._basis, self._index
         b = basis[j]
-        row = []
-        for i in range(self._prefix[self.degree_bound - self.degree(b)]):
-            s, m = self.mul_monomials(basis[i], b)
-            row.append(s * (index[m] + 1) if s else 0)
-        return row
+        size = self._prefix[self.degree_bound - self._degrees[j]]
+        if self._degrees[j] < 2:
+            row = []
+            for i in range(size):
+                s, m = self.mul_monomials(basis[i], b)
+                row.append(s * (index[m] + 1) if s else 0)
+            return row
+        g, rest = self._split_letter(b)
+        s, _ = self.mul_monomials(g, rest)
+        left = self.mul_row(index[g])
+        right = self.mul_row(index[rest])
+        if s < 0:
+            right = [-e for e in right]
+        return [right[e - 1] if e > 0 else -right[-e - 1] if e else 0
+                for e in itertools.islice(left, size)]
+
+    def _split_letter(self, m):
+        """(g, m') with m = g m' up to sign, g the smallest letter of a
+        monomial of degree >= 1: its first even letter, else its first odd
+        one (the first letter of a word), which moves past no odd letter."""
+        if not self.commutative:
+            return m[:1], m[1:]
+        exps, odds = m
+        for p, e in enumerate(exps):
+            if e:
+                return (self.even_generator(p),
+                        (exps[:p] + (e - 1,) + exps[p + 1:], odds))
+        return ((0,) * self.even, odds[:1]), (exps, odds[1:])
 
     def canonical_indices(self, indices):
         """(Koszul sign of the sort, sorted tuple) of basis indices, or

@@ -444,6 +444,54 @@ def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
     assert inversion_check(f, 2, [x, x])
 
 
+def test_inversion_check_reads_phi_once_per_nonzero_group(monkeypatch):
+    # shuffles with the same block indices and the same complement product
+    # are one term up to their scalars: Phi is computed once for each such
+    # group whose summed scalar is nonzero, and once for the whole block
+    sig = Signature(even=1, odd=1, degree_bound=5)
+    x, th = sig.even_generator(0), sig.odd_generator(0)
+    args = [x, x, th, x, th]
+    n = len(args)
+    indices = [sig.index_of(m) for m in args]
+    parities = [sig.parity(m) for m in args]
+    groups, masks = {}, 0
+    for size in range(1, n):
+        for block in itertools.combinations(range(n), size):
+            rest = tuple(q for q in range(n) if q not in block)
+            r, tail = sig.mul_indices([indices[q] for q in rest])
+            if r:
+                masks += 1
+                key = (tuple(indices[q] for q in block), tail)
+                sign = koszul_sign(block + rest, parities)
+                groups[key] = groups.get(key, 0) - sign * r
+    nonzero = [key for key, c in groups.items() if c]
+    assert 0 < len(nonzero) < len(groups) < masks
+    calls = []
+    original = brackets._shuffle_sum
+
+    def counted(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(brackets, "_shuffle_sum", counted)
+    for seed, parity in ((1, "even"), (2, "odd")):
+        calls.clear()
+        assert inversion_check(random_endo(sig, seed, parity=parity), n, args)
+        assert len(calls) == 1 + len(nonzero)
+
+
+def test_inversion_checks_share_one_image_reader_per_operator():
+    f = random_endo(SIG, 5, parity="odd")
+    x, th = SIG.even_generator(0), SIG.odd_generator(0)
+    assert f._image_reader is None
+    assert inversion_check(f, 2, [x, th])
+    reader = f._image_reader
+    assert reader is not None
+    assert inversion_check(f, 3, [x, th, x])
+    assert f._image_reader is reader
+    assert random_endo(SIG, 5, parity="odd")._image_reader is None
+
+
 def test_inversion_check_builds_no_direct_operator(monkeypatch):
     def refuse(f, n):
         raise AssertionError("phi_direct_op called")

@@ -187,6 +187,29 @@ def test_rows_cover_the_surviving_degree_prefix(sig):
         assert len(sig.mul_row(j)) == sum(sig.degree(m) <= room for m in basis)
 
 
+@pytest.mark.parametrize("sig", KERNEL_SIGNATURES + [
+    Signature(even=0, odd=3, degree_bound=4),
+    Signature(even=3, odd=0, degree_bound=5),
+    Signature(even=1, odd=2, degree_bound=3, commutative=False, unital=False),
+], ids=repr)
+def test_composed_rows_match_product_rule_rows(sig):
+    # rows of degree >= 2 are composed from two other rows; each must be
+    # the row the monomial product rule gives entry by entry
+    basis = sig.basis()
+    composed = 0
+    for j, b in enumerate(basis):
+        room = sig.degree_bound - sig.degree(b)
+        expected = []
+        for a in basis:
+            if sig.degree(a) > room:
+                break
+            s, m = sig.mul_monomials(a, b)
+            expected.append(s * (sig.index_of(m) + 1) if s else 0)
+        assert sig.mul_row(j) == expected, b
+        composed += sig.degree(b) >= 2 and any(expected)
+    assert composed
+
+
 @pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
 def test_index_product_matches_sequential_products(sig):
     basis = sig.basis()
