@@ -582,8 +582,10 @@ def multiplication_endo(signature: Signature, element: AlgebraElement) -> MultiO
 
 
 def _index_tuples(signature: Signature, arity: int, max_total_degree=None):
-    """The list :func:`canonical_index_tuples` copies, built once per
-    (arity, bound) and kept in ``signature._tuples``; not to be mutated."""
+    """Canonical tuples of basis indices of the given arity and total degree
+    <= bound (by default the signature's degree bound, past which tables are
+    truncated), in lexicographic order: one list per (arity, bound), kept in
+    ``signature._tuples``; not to be mutated."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     bound = (
@@ -616,20 +618,11 @@ def _index_tuples(signature: Signature, arity: int, max_total_degree=None):
     return out
 
 
-def canonical_index_tuples(signature: Signature, arity: int, max_total_degree=None):
-    """Canonical tuples of basis indices of the given arity, total degree <= bound.
-
-    The bound defaults to the signature's degree bound: tuples beyond it are
-    omitted from tables per the truncation convention.  The tuples come in
-    lexicographic order, in a fresh list.
-    """
-    return list(_index_tuples(signature, arity, max_total_degree))
-
-
 def canonical_tuples(signature: Signature, arity: int, max_total_degree=None):
     """Canonical basis tuples of the given arity with total degree <= bound.
 
-    The monomial form of :func:`canonical_index_tuples`, in the same order.
+    The monomial form of :func:`_index_tuples`, in the same order, in a
+    fresh list.
     """
     basis = signature.basis()
     return [

@@ -16,13 +16,14 @@ rule per coordinate.  Expressing
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
 the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
 One pass builds the induction-basis systems of every degree, each from the
-one before.  The top n-2 rows of the system of degree n are triangular; the
-shape is checked at every n, and they are solved by forward substitution,
-the last three rows by Cramer's rule.  :func:`solve_linear`, the general
-solver, takes degree 1 and any system without the shape.  The
-coordinates, the solve and the conjectured closed formula run on Python
-ints and divide once per output coefficient.  :func:`rho_action` on monomial rules is the independent
-oracle for that computation.
+one before, and each is solved on one path.  Degree 1 is a 2x2 system,
+solved by Cramer's rule.  From degree 2 on, the top n-2 rows of the system
+of degree n are triangular: the shape is checked at every n, those rows are
+solved by forward substitution and the last three by Cramer's rule; a
+system without the shape raises SingularMatrixError.  The coordinates, the
+solve and the conjectured closed formula run on Python ints and divide once
+per output coefficient.  :func:`rho_action` on monomial rules is the
+independent oracle for that computation.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, perm
 from operator import mul
 
 from .brackets import phi_direct_op
@@ -55,12 +56,12 @@ __all__ = [
     "coefficient_series",
     "conjecture_coefficients",
     "conjecture_numerators",
-    "solve_linear",
 ]
 
 
 class SingularMatrixError(Exception):
-    """The linear system for the induction-basis coordinates degenerated."""
+    """The linear system for the induction-basis coordinates degenerated: a
+    zero determinant, or a system without the triangular shape."""
 
 
 def _monomial(power: int, coeff) -> dict:
@@ -148,46 +149,6 @@ def rho_abstract(k: int, coords: list) -> list:
     return out
 
 
-def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
-def solve_linear(matrix, rhs):
-    """Exact Gauss-Jordan elimination; raises SingularMatrixError if degenerate.
-
-    Entries may be ints or rationals.  Each augmented row is scaled to
-    integers by the lcm of its denominators and kept primitive (divided by
-    the gcd of its entries); eliminating with pivot p replaces a row with
-    entry f by (p/g) row - (f/g) pivot_row, g = gcd(p, f), and skips rows
-    whose entry is already 0.  The only divisions are one per unknown at the
-    end, x_r = aug[r][n] / aug[r][r].
-    """
-    n = len(matrix)
-    aug = []
-    for r, row in enumerate(matrix):
-        row = [*row, rhs[r]]
-        scale = lcm(*[v.denominator for v in row])
-        aug.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if aug[r][col]), None
-        )
-        if pivot is None:
-            raise SingularMatrixError(f"no pivot in column {col}")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                aug[r] = _primitive([a * v - b * w for v, w in zip(aug[r], prow)])
-    return [rat(aug[r][n], aug[r][r]) for r in range(n)]
-
-
 @dataclass(frozen=True)
 class UniversalCoefficients:
     """The c_1^n..c_n^n of the standard form, plus the auxiliary b_n."""
@@ -234,6 +195,15 @@ def _det3(u, v, w) -> int:
             + w[0] * (u[1] * v[2] - u[2] * v[1]))
 
 
+def _cramer2(columns, rhs):
+    """The 2x2 form of :func:`_cramer3`: numerators and determinant."""
+    (a, c), (b, d) = columns
+    det = a * d - b * c
+    if not det:
+        raise SingularMatrixError("2x2 system of degree 1 has determinant 0")
+    return [rhs[0] * d - b * rhs[1], a * rhs[1] - c * rhs[0]], det
+
+
 def _cramer3(columns, rhs):
     """Numerators of the solution of the 3x3 int system with these columns
     and right-hand side, by Cramer's rule, and their common denominator, the
@@ -248,17 +218,22 @@ def _cramer3(columns, rhs):
 def _induction_solution(n: int, matrix, target) -> list:
     """x_0..x_n with matrix x = target, for the induction-basis system of degree n.
 
-    When :func:`_triangular_shape` holds, checked here at every n, the rows
-    r = n-3..0 give x_2..x_(n-1) in turn by forward substitution, each row's
-    pivot column n-1-r being its last nonzero one; the values are ints over
-    one running denominator d, and a pivot's new factor rescales the stored
-    ones.  x_0, x_1 and x_n then come from rows n-2, n-1 and n, a 3x3 int
-    system in columns 0, 1 and n whose right-hand side is over d, solved in
-    closed form by :func:`_cramer3`: one division per unknown.  Degree 1,
-    and any system without the shape, goes whole to :func:`solve_linear`.
+    Degree 1 is a 2x2 system, solved in closed form by :func:`_cramer2`.
+    From degree 2 on, :func:`_triangular_shape` is checked at every n, and a
+    system without it raises SingularMatrixError.  The rows r = n-3..0 give
+    x_2..x_(n-1) in turn by forward substitution, each row's pivot column
+    n-1-r being its last nonzero one; the values are ints over one running
+    denominator d, and a pivot's new factor rescales the stored ones.  x_0,
+    x_1 and x_n then come from rows n-2, n-1 and n, a 3x3 int system in
+    columns 0, 1 and n whose right-hand side is over d, solved in closed
+    form by :func:`_cramer3`.  Either way there is one division per unknown.
     """
-    if n < 2 or not _triangular_shape(n, matrix):
-        return solve_linear(matrix, target)
+    if n == 1:
+        numerators, det = _cramer2(list(zip(*matrix)), target)
+        return [rat(v, det) for v in numerators]
+    if not _triangular_shape(n, matrix):
+        raise SingularMatrixError(
+            f"the system of degree {n} lacks the triangular shape")
     x = [0] * n  # numerators of x_2..x_(n-1) over d (of either sign)
     d = 1
     for r in range(n - 3, -1, -1):
@@ -340,7 +315,8 @@ def conjecture_numerators(n: int) -> tuple:
 
 def conjecture_coefficients(n: int) -> list:
     """The conjectured closed forms of c_1^n..c_n^n, each one division of
-    :func:`conjecture_numerators`."""
+    :func:`conjecture_numerators`: the public rational form of the
+    conjecture, which its acceptance test compares with the solved values."""
     numerators, denominator = conjecture_numerators(n)
     return [rat(t, denominator) for t in numerators]
 

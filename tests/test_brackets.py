@@ -21,7 +21,7 @@ from antibrackets.checks import registry
 from antibrackets.multilinear import (
     SHAPE_CACHE_SIZE,
     MultiOp,
-    canonical_index_tuples,
+    _index_tuples,
     derivation_endo,
     first_mismatch,
     is_zero_op,
@@ -95,7 +95,7 @@ def test_direct_route_matches_block_by_block_reference(sig):
         beyond = 0
         for n in range(1, 7):
             op, ref = phi_direct_op(f, n), _reference_phi_direct_op(f, n)
-            for tup in canonical_index_tuples(sig, n, sig.degree_bound + 2):
+            for tup in _index_tuples(sig, n, sig.degree_bound + 2):
                 value = op._canonical_value(tup)
                 assert value == ref._canonical_value(tup), (n, tup)
                 beyond += bool(value) and sum(
@@ -119,7 +119,7 @@ def test_routes_on_repeated_arguments_match_the_block_by_block_reference(sig, N)
                   for m in ("direct", "bracket", "exponential")}
         for n in range(1, N + 1):
             ref = _reference_phi_direct_op(f, n)
-            for tup in canonical_index_tuples(sig, n):
+            for tup in _index_tuples(sig, n):
                 want = ref._canonical_value(tup)
                 for method, ops in routes.items():
                     assert ops[n]._canonical_value(tup) == want, (method, tup)
@@ -166,7 +166,7 @@ def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
         prefixes = brackets._image_prefixes(f)
         for n in range(1, 5):
             full = (1 << n) - 1
-            for tup in canonical_index_tuples(sig, n):
+            for tup in _index_tuples(sig, n):
                 value = ops[n]._canonical_value(tup)
                 assert _shuffle_sum_on(f, tup, full, sig.degree_bound) == value
                 sign, _ = sig.canonical_indices(tup[::-1])
@@ -328,7 +328,7 @@ def test_every_route_gives_ints_on_an_integer_operator(parity):
     f = random_endo(SIG, 31, parity=parity, density=1.0)
     for method in METHODS:
         for n, op in phi_hierarchy(f, 5, method=method).items():
-            for tup in canonical_index_tuples(SIG, n):
+            for tup in _index_tuples(SIG, n):
                 values = op._canonical_value(tup).values()
                 assert all(type(v) is int for v in values), (method, n, tup)
 
@@ -363,7 +363,7 @@ def test_rho_routes_keep_one_memo_per_level(method, nodes):
     f = random_endo(sig, 12, parity="odd")
     hierarchy = phi_hierarchy(f, 5, method=method)
     for n, op in hierarchy.items():
-        for tup in canonical_index_tuples(sig, n):
+        for tup in _index_tuples(sig, n):
             op._canonical_value(tup)
     gc.collect()
     held = [op for op in gc.get_objects()

@@ -17,7 +17,7 @@ import antibrackets
 from antibrackets import checks, cli
 from antibrackets.brackets import phi_hierarchy
 from antibrackets.cli import build_parser, main
-from antibrackets.multilinear import canonical_index_tuples, random_endo
+from antibrackets.multilinear import _index_tuples, random_endo
 from antibrackets.rational import Rational, format_rational, rat
 from antibrackets.superalgebra import Signature
 
@@ -420,7 +420,7 @@ def hierarchy_to_json(h: dict, max_total_degree=None) -> list:
     out = []
     for n, op in sorted(h.items()):
         table = []
-        for tup in canonical_index_tuples(sig, op.arity, max_total_degree):
+        for tup in _index_tuples(sig, op.arity, max_total_degree):
             val = op._canonical_value(tup)
             if not val:
                 continue

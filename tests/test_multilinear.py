@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from antibrackets import multilinear
 from antibrackets.multilinear import (
     MultiOp,
+    _index_tuples,
     _plan,
     _runs,
     _shuffle_shapes,
     _shuffle_signs,
-    canonical_index_tuples,
     canonical_tuples,
     first_mismatch,
     is_zero_op,
@@ -163,7 +163,7 @@ def test_op_combination_with_rational_weights():
     ints = op_combination([(f, 3), (g, -2)])
     cancelled = op_combination([(f, rat(1, 3)), (g, 1), (f, rat(-1, 3))])
     seen = 0
-    for tup in canonical_index_tuples(SIG, 2, SIG.degree_bound + 1):
+    for tup in _index_tuples(SIG, 2, SIG.degree_bound + 1):
         expected = {}
         for op, c in weighted:
             for k, v in op._canonical_value(tup).items():
@@ -181,7 +181,7 @@ def test_op_combination_quotients_are_ints_when_exact():
     f = _general_op(SIG, 1, 1)
     halves = op_combination([(f, rat(1, 2))])
     kinds = set()
-    for tup in canonical_index_tuples(SIG, 2):
+    for tup in _index_tuples(SIG, 2):
         for k, v in halves._canonical_value(tup).items():
             c = f._canonical_value(tup)[k]
             assert v == rat(c, 2)
@@ -210,19 +210,18 @@ def test_canonical_index_tuples_are_built_once_per_signature():
     # later comparisons and the public lists read the kept lists
     assert first_mismatch(a, b, 3) is not None and first_mismatch(a, a) is None
     assert not is_zero_op(b, 3)
-    assert canonical_index_tuples(sig, 2, 3) == kept[2, 3]
+    assert _index_tuples(sig, 2, 3) is kept[2, 3]
     assert canonical_tuples(sig, 2) == [tuple(sig.basis()[i] for i in tup)
                                          for tup in kept[2, 4]]
     assert sig._tuples.keys() == kept.keys()
     assert all(sig._tuples[key] is kept[key] for key in kept)
-    # every caller gets a fresh list
-    for listing in (canonical_index_tuples, canonical_tuples):
-        first = listing(sig, 2, 3)
-        assert first is not listing(sig, 2, 3)
-        expected = list(first)
-        first.clear()
-        assert listing(sig, 2, 3) == expected
-    assert canonical_index_tuples(sig, 2, 3) is not kept[2, 3]
+    # every caller of the public list gets a fresh one
+    first = canonical_tuples(sig, 2, 3)
+    assert first is not canonical_tuples(sig, 2, 3)
+    expected = list(first)
+    first.clear()
+    assert canonical_tuples(sig, 2, 3) == expected
+    assert len(kept[2, 3]) == len(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -440,7 +439,7 @@ def test_rho_matches_generic_bracket(parity):
             for h in range(5):
                 fast = rho(h, omega)
                 generic = nr_bracket(mu_for(sig, h), omega)
-                for tup in canonical_index_tuples(sig, fast.arity, sig.degree_bound + 1):
+                for tup in _index_tuples(sig, fast.arity, sig.degree_bound + 1):
                     value = fast._canonical_value(tup)
                     assert value == generic._canonical_value(tup), (sig, degree, h, tup)
                     nonzero += bool(value)
@@ -456,7 +455,7 @@ def test_rho_reads_subset_product_tables(monkeypatch):
 
     monkeypatch.setattr(Signature, "mul_indices", refuse)
     for node in nodes:
-        for tup in canonical_index_tuples(SIG, node.arity, SIG.degree_bound + 1):
+        for tup in _index_tuples(SIG, node.arity, SIG.degree_bound + 1):
             node._canonical_value(tup)
 
 
@@ -466,7 +465,7 @@ def test_rho_keeps_one_memo():
     omega = _general_op(sig, 1, 7)
     nodes = [rho(h, omega) for h in range(1, 4)]
     for node in nodes:
-        for tup in canonical_index_tuples(sig, node.arity):
+        for tup in _index_tuples(sig, node.arity):
             node._canonical_value(tup)
     gc.collect()
     held = [op for op in gc.get_objects()
@@ -493,7 +492,7 @@ def test_rho_combination_matches_single_rho_nodes(parity):
                      for d, omega in enumerate(omegas)]
             terms.append((top, omegas[0], -4))  # a repeated pair adds up
             fast, reference = rho_combination(terms), _rho_reference(terms)
-            for tup in canonical_index_tuples(sig, top + 1, sig.degree_bound + 1):
+            for tup in _index_tuples(sig, top + 1, sig.degree_bound + 1):
                 value = fast._canonical_value(tup)
                 assert value == reference._canonical_value(tup), (sig, top, tup)
                 nonzero += bool(value)
@@ -511,7 +510,7 @@ def test_rho_combination_falls_back_to_brackets():
         terms = terms(omegas)
         fast, reference = rho_combination(terms), _rho_reference(terms)
         seen = 0
-        for tup in canonical_index_tuples(sig, 3, sig.degree_bound + 1):
+        for tup in _index_tuples(sig, 3, sig.degree_bound + 1):
             value = fast._canonical_value(tup)
             assert value == reference._canonical_value(tup), (sig, tup)
             seen += bool(value)
@@ -568,8 +567,8 @@ def test_plans_are_the_shape_tables_of_their_tuple():
     sig = Signature(even=1, odd=2, degree_bound=3)
     parities = sig.basis_parities()
     node = rho(2, _general_op(sig, 1, 5))
-    within = canonical_index_tuples(sig, node.arity)
-    beyond = canonical_index_tuples(sig, node.arity, sig.degree_bound + 2)[len(within):]
+    within = _index_tuples(sig, node.arity)
+    beyond = _index_tuples(sig, node.arity, sig.degree_bound + 2)[len(within):]
     assert beyond and sig._plans == {}
     for tup in within + beyond:
         node._canonical_value(tup)

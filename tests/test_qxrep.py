@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-from itertools import islice
-from math import comb, factorial
+from itertools import islice, permutations
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +18,6 @@ from antibrackets.qxrep import (
     rho_action,
     rho_bracket_check,
     solve_coefficients,
-    solve_linear,
 )
 from antibrackets.rational import rat
 
@@ -126,33 +125,9 @@ def test_rho_bracket_check_fails_for_a_wrong_factor(monkeypatch):
 # -- linear solver -----------------------------------------------------------
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-        min_size=3,
-        max_size=3,
-    ),
-    st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-)
-def test_solve_linear_solves_or_raises(matrix, rhs):
-    matrix = [[rat(v) for v in row] for row in matrix]
-    rhs = [rat(v) for v in rhs]
-    try:
-        solution = solve_linear(matrix, rhs)
-    except SingularMatrixError:
-        return
-    for row, b in zip(matrix, rhs):
-        assert sum(a * x for a, x in zip(row, solution)) == b
-
-
-def test_solve_linear_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        solve_linear([[rat(1), rat(2)], [rat(2), rat(4)]], [rat(1), rat(1)])
-
-
 def _solve_linear_rational(matrix, rhs):
-    """Reference: Gauss-Jordan on rationals, pivot row normalised to 1."""
+    """Reference: Gauss-Jordan on rationals, pivot row normalised to 1; a
+    zero entry of the pivot row leaves the entry it would update as it is."""
     n = len(matrix)
     aug = [[rat(v) for v in row] + [rat(rhs[r])] for r, row in enumerate(matrix)]
     for col in range(n):
@@ -165,12 +140,13 @@ def _solve_linear_rational(matrix, rhs):
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+                aug[r] = [v - factor * w if w else v
+                          for v, w in zip(aug[r], aug[col])]
     return [aug[r][n] for r in range(n)]
 
 
 # About a third of the entries are zero (so pivots need row swaps); the rest
-# are ints or rationals, so rows are scaled by the lcm of their denominators.
+# are ints or rationals.
 _entries = st.one_of(
     st.just(0),
     st.integers(-9, 9),
@@ -180,7 +156,7 @@ _entries = st.one_of(
 
 @st.composite
 def _linear_systems(draw):
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 6))  # 720 terms in the reference determinant
     rows = []
     for _ in range(n):
         if rows and draw(st.integers(0, 9)) == 0:
@@ -190,17 +166,58 @@ def _linear_systems(draw):
     return rows, draw(st.lists(_entries, min_size=n, max_size=n))
 
 
-@settings(max_examples=400, deadline=None)
+def _leibniz_det(matrix):
+    """Reference determinant: the sum over permutations, signed by inversions."""
+    n = len(matrix)
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        * prod(matrix[r][c] for r, c in enumerate(p))
+        for p in permutations(range(n))
+    )
+
+
+@settings(max_examples=100, deadline=None)
 @given(_linear_systems())
-def test_solve_linear_matches_rational_reference(system):
+def test_reference_solver_solves_or_raises(system):
+    # the reference every solve below is compared with: it solves each
+    # system whose determinant is nonzero, and refuses the others
     matrix, rhs = system
     try:
-        expected = _solve_linear_rational(matrix, rhs)
+        solution = _solve_linear_rational(matrix, rhs)
     except SingularMatrixError:
-        with pytest.raises(SingularMatrixError):
-            solve_linear(matrix, rhs)
+        assert _leibniz_det(matrix) == 0
         return
-    assert solve_linear(matrix, rhs) == expected
+    assert _leibniz_det(matrix) != 0
+    for row, b in zip(matrix, rhs):
+        assert sum(a * x for a, x in zip(row, solution)) == b
+
+
+@st.composite
+def _degree_one_systems(draw):
+    """2x2 int systems; about a third are singular, the second row a
+    multiple of the first."""
+    entries = st.integers(-9, 9)
+    pair = st.lists(entries, min_size=2, max_size=2)
+    first = draw(pair)
+    if draw(st.integers(0, 2)):
+        second = draw(pair)
+    else:
+        k = draw(entries)
+        second = [k * v for v in first]
+    return [first, second], draw(pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degree_one_systems())
+def test_degree_one_step_matches_reference(system):
+    matrix, target = system
+    try:
+        expected = _solve_linear_rational(matrix, target)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError, match="degree 1"):
+            qxrep._induction_solution(1, matrix, target)
+        return
+    assert qxrep._induction_solution(1, matrix, target) == expected
 
 
 # -- universal coefficients --------------------------------------------------
@@ -218,46 +235,41 @@ def test_low_degree_coefficients_match_bullet_formulas():
     ]
 
 
-def _recording_cramer3(monkeypatch):
-    """Route qxrep's _cramer3 calls through a recorder of their inputs."""
+def _recording_cramer(monkeypatch, name):
+    """Route qxrep's calls of the named Cramer step (``_cramer2`` or
+    ``_cramer3``) through a recorder of their inputs."""
     systems = []
-    cramer3 = qxrep._cramer3
+    step = getattr(qxrep, name)
 
     def recording(columns, rhs):
         systems.append((columns, rhs))
-        return cramer3(columns, rhs)
+        return step(columns, rhs)
 
-    monkeypatch.setattr(qxrep, "_cramer3", recording)
+    monkeypatch.setattr(qxrep, name, recording)
     return systems
 
 
 def test_induction_basis_matrix_holds_ints(monkeypatch):
-    systems = []
-
-    def recording_solve(matrix, rhs):
-        systems.append((matrix, rhs))
-        return solve_linear(matrix, rhs)
-
-    monkeypatch.setattr(qxrep, "solve_linear", recording_solve)
-    tails = _recording_cramer3(monkeypatch)
+    steps = _recording_cramer(monkeypatch, "_cramer2")
+    tails = _recording_cramer(monkeypatch, "_cramer3")
     for n in range(1, 8):
         solve_coefficients(n)
-    # degree 1 goes whole to solve_linear, every later tail to _cramer3
-    assert len(systems) == 1 and len(tails) == 6
-    for matrix, rhs in systems + tails:
-        assert all(type(v) is int for row in matrix for v in row)
+    # degree 1 is the whole 2x2 system, every later tail goes to _cramer3
+    assert len(steps) == 1 and len(tails) == 6
+    for columns, rhs in steps + tails:
+        assert all(type(v) is int for column in columns for v in column)
         assert all(type(v) is int for v in rhs)
 
 
 def test_closed_form_tail_matches_solve_linear(monkeypatch):
-    tails = _recording_cramer3(monkeypatch)
+    tails = _recording_cramer(monkeypatch, "_cramer3")
     coefficient_series(60)
     monkeypatch.undo()
     assert len(tails) == 59  # degrees 2..60
     for columns, rhs in tails:
         numerators, det = qxrep._cramer3(columns, rhs)
         rows = [list(row) for row in zip(*columns)]
-        assert [rat(v, det) for v in numerators] == solve_linear(rows, rhs)
+        assert [rat(v, det) for v in numerators] == _solve_linear_rational(rows, rhs)
 
 
 def test_singular_tail_raises():
@@ -269,7 +281,7 @@ def test_singular_tail_raises():
     matrix = [[0, *row[1:]] for row in matrix]
     assert qxrep._triangular_shape(n, matrix)
     with pytest.raises(SingularMatrixError):
-        solve_linear(matrix, target)
+        _solve_linear_rational(matrix, target)
     with pytest.raises(SingularMatrixError):
         qxrep._induction_solution(n, matrix, target)
 
@@ -300,40 +312,30 @@ def test_shared_columns_match_from_scratch_reference():
         assert next(systems) == (matrix, target)
         assert series[n] == solve_coefficients(n)
         # the triangular solve agrees with the system solved in its own order
-        solution = solve_linear(matrix, target)
+        solution = _solve_linear_rational(matrix, target)
         assert series[n].c == tuple(solution[:n]) and series[n].b == solution[n]
 
 
 def _reordered_solve(n, matrix, target):
-    """Reference: solve_linear on the whole system, rows n-3..0, n-2, n-1, n
-    and columns 2..n-1, 0, 1, n, so that the anti-triangular block leads."""
+    """Reference: the rational solver on the whole system, rows n-3..0, n-2,
+    n-1, n and columns 2..n-1, 0, 1, n, so that the anti-triangular block
+    leads."""
     cols = [*range(2, n), *range(min(n, 2)), n]
     rows = [*range(n - 3, -1, -1), *range(max(n - 2, 0), n + 1)]
-    solution = dict(zip(cols, solve_linear(
+    solution = dict(zip(cols, _solve_linear_rational(
         [[matrix[r][c] for c in cols] for r in rows], [target[r] for r in rows])))
     b = solution.pop(n)
     return UniversalCoefficients(n, tuple(solution[i] for i in range(n)), b)
 
 
-def _recording_solve_linear(monkeypatch):
-    """Route qxrep's solve_linear calls through a recorder of the row counts."""
-    sizes = []
-
-    def recording_solve(matrix, rhs):
-        sizes.append(len(matrix))
-        return solve_linear(matrix, rhs)
-
-    monkeypatch.setattr(qxrep, "solve_linear", recording_solve)
-    return sizes
-
-
 def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
     systems = list(zip(range(1, 61), qxrep._induction_systems()))
-    sizes = _recording_solve_linear(monkeypatch)
+    steps = _recording_cramer(monkeypatch, "_cramer2")
+    tails = _recording_cramer(monkeypatch, "_cramer3")
     series = coefficient_series(60)
-    # degree 1 is solved whole; every later system has the shape, and its
+    # degree 1 is the 2x2 step; every later system has the shape, and its
     # 3x3 tail is solved in closed form
-    assert sizes == [2]
+    assert len(steps) == 1 and len(tails) == 59
     monkeypatch.undo()
     for n, (matrix, target) in systems:
         assert qxrep._triangular_shape(n, matrix) == (n > 1)
@@ -347,23 +349,17 @@ def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
     (6, 1, 5, 5),  # right of the pivot column n-1-r
     (9, 3, 6, 5),
     (7, 2, 4, 0),  # the pivot itself must be nonzero (the system is singular)
+    (3, 0, 2, 0),  # degree 3 has one triangular row
 ])
-def test_system_without_the_shape_goes_whole_to_solve_linear(
-        monkeypatch, n, r, c, value):
+def test_system_without_the_shape_is_refused(n, r, c, value):
     matrix, target = next(islice(qxrep._induction_systems(), n - 1, None))
     matrix = [list(row) for row in matrix]
     assert matrix[r][c] != value
     matrix[r][c] = value
     assert not qxrep._triangular_shape(n, matrix)
-    sizes = _recording_solve_linear(monkeypatch)
-    try:
-        expected = solve_linear(matrix, target)
-    except SingularMatrixError:
-        with pytest.raises(SingularMatrixError):
-            qxrep._induction_solution(n, matrix, target)
-    else:
-        assert qxrep._induction_solution(n, matrix, target) == expected
-    assert sizes == [n + 1]
+    with pytest.raises(SingularMatrixError,
+                       match=f"degree {n} lacks the triangular shape"):
+        qxrep._induction_solution(n, matrix, target)
 
 
 @st.composite
@@ -388,7 +384,7 @@ def test_triangular_solve_matches_solve_linear_on_shaped_systems(system):
     n, matrix, target = system
     assert qxrep._triangular_shape(n, matrix)
     try:
-        expected = solve_linear(matrix, target)
+        expected = _solve_linear_rational(matrix, target)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
             qxrep._induction_solution(n, matrix, target)
