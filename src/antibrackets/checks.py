@@ -28,10 +28,9 @@ from .combinatorics import mu_bracket_factor
 from .multilinear import (
     derivation_endo,
     first_mismatch,
-    identity_endo,
     is_zero_op,
     multiplication_endo,
-    mu_for,
+    mu,
     nr_bracket,
     nr_product,
     odd_partial_endo,
@@ -102,18 +101,18 @@ def _universal(sig, N, seed):
         f = random_endo(sig, seed + k, parity=parity)
         yield from _universal_operator(f, seed + k, methods, top)
     # identity operator: Phi^(n+1) = (-1)^n mu_n
-    ident = phi_hierarchy(identity_endo(sig), min(N, 4), method="bracket")
+    ident = phi_hierarchy(mu(sig, 0), min(N, 4), method="bracket")
     for n in range(min(N, 4)):
         yield (f"identity-operator bracket degree {n + 1}",
                lambda n=n: first_mismatch(
-                   ident[n + 1], op_combination([(mu_for(sig, n), (-1) ** n)])))
+                   ident[n + 1], op_combination([(mu(sig, n), (-1) ** n)])))
     for n in range(3):
         for m in range(n):
             yield (f"mu-bracket ({n},{m})",
                    lambda n=n, m=m: first_mismatch(
-                       nr_bracket(mu_for(sig, n), mu_for(sig, m)),
+                       nr_bracket(mu(sig, n), mu(sig, m)),
                        op_combination(
-                           [(mu_for(sig, n + m), mu_bracket_factor(n, m))])))
+                           [(mu(sig, n + m), mu_bracket_factor(n, m))])))
 
 
 def _universal_operator(f, seed, methods, top):

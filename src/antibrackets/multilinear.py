@@ -31,16 +31,17 @@ Per-tuple work that does not depend on the operator is done once per
 ``sig._tuples`` holds the canonical index tuples of each (arity, bound),
 which :func:`first_mismatch` and :func:`is_zero_op` walk; ``sig._plans``
 maps a canonical index tuple to its :func:`_plan` (product table, signs
-and shapes), which the direct and rho routes read, and holds only tuples
-of total degree within the degree bound; ``sig._canonical`` maps a tuple
-of monomial arguments of :meth:`MultiOp.__call__` to its sign and
-canonical index tuple, up to :data:`ARGUMENT_MEMO_SIZE` entries.
+and shapes), which the direct and rho routes and :func:`nr_product` read
+on either kind of signature, and holds only tuples of total degree within
+the degree bound; ``sig._canonical`` maps a tuple of monomial arguments of
+:meth:`MultiOp.__call__` to its sign and canonical index tuple, up to
+:data:`ARGUMENT_MEMO_SIZE` entries.
 
 A linear operator is an operator of degree 0.  :func:`linear_op` builds one
 from its images on the basis, ``{basis index: {index: coeff}}``, and the
-operator constructors (:func:`random_endo`, :func:`identity_endo`,
-:func:`derivation_endo`, :func:`odd_partial_endo`,
-:func:`multiplication_endo`) build theirs with it.  Linear operators compose by
+operator constructors (:func:`random_endo`, :func:`derivation_endo`,
+:func:`odd_partial_endo`, :func:`multiplication_endo`) build theirs with
+it; the identity is ``mu(sig, 0)``.  Linear operators compose by
 :func:`nr_product` and their graded commutator is :func:`nr_bracket`.
 """
 
@@ -342,20 +343,20 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
     Koszul sign of the odd arguments it passes, and f is read on the result.
     That tuple can exceed the degree bound of the comparison domain, as a
     general operator raises degrees; its value is evaluated lazily like any
-    other.  Blocks come from the :func:`_shuffle_shapes` table of the
-    tuple's runs, one per sub-multiset, weighted by the number of blocks
-    that pick it; signs come from :func:`_shuffle_signs`.
+    other.  Blocks and signs come from the tuple's :func:`_plan`: its
+    :func:`_shuffle_shapes` rows, one per sub-multiset, weighted by the
+    number of blocks that pick it, and its :func:`_shuffle_signs`.
     """
     if f.signature != g.signature:
         raise ValueError("signature mismatch")
-    parities = f.signature.basis_parities()
+    sig = f.signature
+    parities = sig.basis_parities()
     n, arity = f.degree, g.arity
 
     def eval_basis(tup):
         acc = {}
-        signs, odd = _shuffle_signs(tuple(map(parities.__getitem__, tup)))
-        shapes = _shuffle_shapes(_runs(tup))[1][arity]
-        for mask, weight, block, rest_of, prefixes, _ in shapes:
+        _, signs, odd, _, by_size = _plan(sig, tup)
+        for mask, weight, block, rest_of, prefixes, _ in by_size[arity]:
             inner = g._canonical_value(block(tup))
             if not inner:
                 continue
@@ -373,7 +374,7 @@ def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
                     acc[out] = acc.get(out, 0) + coeff * v
         return _nonzero(acc)
 
-    return MultiOp(f.signature, f.degree + g.degree, f.parity + g.parity, eval_basis)
+    return MultiOp(sig, f.degree + g.degree, f.parity + g.parity, eval_basis)
 
 
 def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
@@ -383,42 +384,37 @@ def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
 
 
 def mu(signature: Signature, n: int) -> MultiOp:
-    """Multiplication operator a_0...a_n on a commutative signature."""
-    if not signature.commutative:
-        raise ValueError("mu requires a commutative signature; use mu_sym")
+    """The multiplication operator mu_n: the product a_0...a_n, symmetrized
+    over argument orders; mu_0 is the identity.
+
+    On a commutative signature every order gives the same product, so a
+    value is one :meth:`~.Signature.mul_indices`.  On an associative one it
+    is the Koszul-signed sum over the (n+1)! orders, divided once by (n+1)!,
+    to an int wherever the division is exact.
+    """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    if signature.commutative:
+        def eval_basis(tup):
+            sign, k = signature.mul_indices(tup)
+            return {k: sign} if sign else {}
 
-    def eval_basis(tup):
-        sign, k = signature.mul_indices(tup)
-        return {k: sign} if sign else {}
-
-    return MultiOp(signature, n, 0, eval_basis)
-
-
-def mu_sym(signature: Signature, n: int) -> MultiOp:
-    """Symmetrized multiplication (1/(n+1)!) sum over all argument orders."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    inv = rat(1, factorial(n + 1))
-    indices = list(itertools.permutations(range(n + 1)))
+        return MultiOp(signature, n, 0, eval_basis)
+    den = factorial(n + 1)
+    orders = list(itertools.permutations(range(n + 1)))
 
     def eval_basis(tup):
         parities = signature.basis_parities()
         tup_parities = [parities[i] for i in tup]
-        out = {}
-        for perm in indices:
-            sign, k = signature.mul_indices([tup[i] for i in perm])
+        acc = {}
+        for order in orders:
+            sign, k = signature.mul_indices([tup[i] for i in order])
             if sign:
-                out[k] = out.get(k, 0) + sign * koszul_sign(perm, tup_parities)
-        return {k: inv * v for k, v in out.items() if v}
+                acc[k] = acc.get(k, 0) + sign * koszul_sign(order, tup_parities)
+        return {k: v // den if not v % den else rat(v, den)
+                for k, v in acc.items() if v}
 
     return MultiOp(signature, n, 0, eval_basis)
-
-
-def mu_for(signature: Signature, n: int) -> MultiOp:
-    """The multiplication operator matching the signature's variant."""
-    return mu(signature, n) if signature.commutative else mu_sym(signature, n)
 
 
 def rho(n: int, omega: MultiOp) -> MultiOp:
@@ -442,14 +438,14 @@ def rho_combination(terms) -> MultiOp:
     so a block stands for every block of the same sub-multiset; its weight
     and w_i are folded into the coefficient.  Otherwise (some n_i = 0, or an
     associative signature) it is the :func:`op_combination` of
-    :func:`nr_bracket` on :func:`mu_for`.
+    :func:`nr_bracket` on :func:`mu`.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
     n, omega, _ = terms[0]
     sig = omega.signature
     if not sig.commutative or any(m < 1 for m, _, _ in terms):
-        return op_combination([(nr_bracket(mu_for(sig, m), g), w)
+        return op_combination([(nr_bracket(mu(sig, m), g), w)
                                for m, g, w in terms])
     parities = sig.basis_parities()
     full = (1 << (n + omega.degree + 1)) - 1
@@ -507,11 +503,6 @@ def linear_op(signature: Signature, images, parity: int) -> MultiOp:
         if not image.keys() <= by_parity[(parities[i] + parity) % 2]:
             raise ValueError(f"image of basis index {i} violates parity {parity}")
     return MultiOp(signature, 0, parity, lambda t: stored[t[0]])
-
-
-def identity_endo(signature: Signature) -> MultiOp:
-    return linear_op(signature, {i: {i: 1} for i in range(len(signature.basis()))},
-                     parity=0)
 
 
 def random_endo(signature: Signature, seed: int, parity="even", density=0.25) -> MultiOp:

@@ -34,13 +34,12 @@ from itertools import islice
 from math import comb, factorial, gcd, perm
 from operator import mul
 
-from .brackets import phi_direct_op
+from .brackets import differential_order_check
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
 from .multilinear import (
     SHAPE_CACHE_SIZE,
     canonical_tuples,
     derivation_endo,
-    is_zero_op,
     mu,
     nr_product,
     rho,
@@ -349,7 +348,7 @@ def bn_zero_witness(n: int) -> bool:
         if op.value(tup) != expected:
             return False
         checked += 1
-    return checked > 0 and is_zero_op(phi_direct_op(partial, n + 1))
+    return checked > 0 and differential_order_check(partial, n)
 
 
 def coderivation_check(n: int, m: int) -> bool:

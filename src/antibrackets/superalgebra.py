@@ -44,7 +44,7 @@ from bisect import bisect_right
 
 from .rational import format_rational
 
-__all__ = ["Signature", "AlgebraElement", "koszul_sign", "shuffles"]
+__all__ = ["Signature", "AlgebraElement", "koszul_sign"]
 
 
 def koszul_sign(sigma, parities) -> int:
@@ -65,21 +65,6 @@ def koszul_sign(sigma, parities) -> int:
             if sigma[i] > sigma[j] and parities[sigma[j]]:
                 sign = -sign
     return sign
-
-
-def shuffles(k: int, m: int):
-    """All C(k+m, k) permutations increasing on the first k and last m slots.
-
-    Returned as tuples of 0-based indices: position i holds sigma(i).
-    """
-    if k < 0 or m < 0:
-        raise ValueError("shuffle block sizes must be non-negative")
-    everything = range(k + m)
-    result = []
-    for first in itertools.combinations(everything, k):
-        rest = tuple(v for v in everything if v not in first)
-        result.append(first + rest)
-    return result
 
 
 class Signature:

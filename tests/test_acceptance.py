@@ -26,7 +26,7 @@ from antibrackets.combinatorics import (
 from antibrackets.cli import main
 from antibrackets.multilinear import (
     first_mismatch,
-    mu_sym,
+    mu,
     nr_bracket,
     op_combination,
     ops_equal,
@@ -223,8 +223,8 @@ def test_criterion_08_noncommutative_extension():
                 (n - m) * factorial(n + m + 1),
                 factorial(n + 1) * factorial(m + 1),
             )
-            lhs = nr_bracket(mu_sym(sig, n), mu_sym(sig, m))
-            rhs = op_combination([(mu_sym(sig, n + m), factor)])
+            lhs = nr_bracket(mu(sig, n), mu(sig, m))
+            rhs = op_combination([(mu(sig, n + m), factor)])
             assert ops_equal(lhs, rhs), (n, m)
     labels = _run_registry(sig, 4, 42, ["jacobi"])
     assert labels == [

@@ -458,3 +458,17 @@ def test_hierarchy_json_is_pinned(method, seed, parity, digest):
     f = random_endo(sig, seed, parity=parity, density=1.0)
     text = json.dumps(hierarchy_to_json(phi_hierarchy(f, 5, method=method)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method", ["bracket", "exponential"])
+@pytest.mark.parametrize("seed, parity, digest", [
+    (7, "even", "292ac420dd9c25a74332a693cfe3750ecfbbb6e611dcc52bab8ec55cb406508b"),
+    (8, "odd", "aff2103950aea58389bc8d4803d4b8537b476ae809f2f990fadc9695b987b1c6"),
+], ids=["even", "odd"])
+def test_associative_hierarchy_json_is_pinned(method, seed, parity, digest):
+    # dense operators on the associative (2,1,3), N = 4; both routes give
+    # the same tables
+    sig = Signature(even=2, odd=1, degree_bound=3, commutative=False)
+    f = random_endo(sig, seed, parity=parity, density=1.0)
+    text = json.dumps(hierarchy_to_json(phi_hierarchy(f, 4, method=method)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -19,9 +19,8 @@ from antibrackets.multilinear import (
     canonical_tuples,
     first_mismatch,
     is_zero_op,
+    linear_op,
     mu,
-    mu_for,
-    mu_sym,
     nr_bracket,
     nr_product,
     op_combination,
@@ -31,7 +30,7 @@ from antibrackets.multilinear import (
     rho_combination,
 )
 from antibrackets.rational import Rational, rat
-from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign, shuffles
+from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign
 
 SIG = Signature(even=1, odd=2, degree_bound=4)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -95,14 +94,45 @@ def test_mu_bracket_structure_constants():
             assert ops_equal(lhs, rhs, 3)
 
 
-def test_mu_sym_equals_mu_on_commutative_signature():
-    for n in range(3):
-        assert ops_equal(mu_sym(SIG, n), mu(SIG, n), 3)
+def _symmetrized_product(sig, n):
+    """Reference mu_n: the Koszul-signed ordered products over all argument
+    orders, divided by (n+1)!, as rationals."""
+    parities = sig.basis_parities()
+
+    def eval_basis(tup):
+        odd = [parities[i] for i in tup]
+        acc = {}
+        for order in itertools.permutations(range(n + 1)):
+            sign, k = sig.mul_indices([tup[i] for i in order])
+            if sign:
+                acc[k] = acc.get(k, 0) + sign * koszul_sign(order, odd)
+        return {k: rat(v, factorial(n + 1)) for k, v in acc.items() if v}
+
+    return MultiOp(sig, n, 0, eval_basis)
 
 
-def test_mu_requires_commutative_signature():
-    with pytest.raises(ValueError):
-        mu(NC, 1)
+@pytest.mark.parametrize("sig", [SIG, NC], ids=["commutative", "associative"])
+def test_mu_is_the_symmetrized_product(sig):
+    for n in range(4):
+        op, reference = mu(sig, n), _symmetrized_product(sig, n)
+        assert ops_equal(op, reference)
+        # one division per value: an int wherever it is exact
+        for tup in _index_tuples(sig, n + 1):
+            for k, c in op._canonical_value(tup).items():
+                exact = reference._canonical_value(tup)[k].denominator == 1
+                assert (type(c) is int) == exact, (n, tup)
+
+
+@pytest.mark.parametrize("sig", [
+    SIG, NC, Signature(even=1, odd=2, degree_bound=3, unital=False),
+], ids=["commutative", "associative", "non-unital"])
+def test_mu_zero_is_the_identity(sig):
+    size = len(sig.basis())
+    identity = linear_op(sig, {i: {i: 1} for i in range(size)}, 0)
+    zero = mu(sig, 0)
+    assert ops_equal(zero, identity)
+    assert all(type(c) is int
+               for i in range(size) for c in zero._canonical_value((i,)).values())
 
 
 def test_mu_sym_bracket_noncommutative():
@@ -112,8 +142,8 @@ def test_mu_sym_bracket_noncommutative():
                 (n - m) * factorial(n + m + 1),
                 factorial(n + 1) * factorial(m + 1),
             )
-            lhs = nr_bracket(mu_sym(NC, n), mu_sym(NC, m))
-            rhs = op_combination([(mu_sym(NC, n + m), factor)])
+            lhs = nr_bracket(mu(NC, n), mu(NC, m))
+            rhs = op_combination([(mu(NC, n + m), factor)])
             assert ops_equal(lhs, rhs)
 
 
@@ -252,6 +282,24 @@ def _general_op(sig, degree, seed, parity=1):
         return {k: c for k, c in values.items() if c}
 
     return MultiOp(sig, degree, parity, eval_basis)
+
+
+def shuffles(k: int, m: int):
+    """All C(k+m, k) permutations increasing on the first k and last m slots,
+    as tuples of 0-based indices: position i holds sigma(i)."""
+    everything = range(k + m)
+    return [first + tuple(v for v in everything if v not in first)
+            for first in itertools.combinations(everything, k)]
+
+
+@given(st.integers(0, 4), st.integers(0, 4))
+def test_shuffle_count(k, m):
+    perms = shuffles(k, m)
+    assert len(perms) == comb(k + m, k)
+    for perm in perms:
+        assert sorted(perm) == list(range(k + m))
+        assert list(perm[:k]) == sorted(perm[:k])
+        assert list(perm[k:]) == sorted(perm[k:])
 
 
 def _reference_nr_product(f, g, tup, cases):
@@ -438,7 +486,7 @@ def test_rho_matches_generic_bracket(parity):
             omega = _general_op(sig, degree, 5 + degree, parity if sig.odd else 0)
             for h in range(5):
                 fast = rho(h, omega)
-                generic = nr_bracket(mu_for(sig, h), omega)
+                generic = nr_bracket(mu(sig, h), omega)
                 for tup in _index_tuples(sig, fast.arity, sig.degree_bound + 1):
                     value = fast._canonical_value(tup)
                     assert value == generic._canonical_value(tup), (sig, degree, h, tup)
@@ -583,6 +631,23 @@ def test_plans_are_the_shape_tables_of_their_tuple():
     for tup in beyond:
         assert _plan(sig, tup)[0] == sig.subset_products(tup)
     assert list(sig._plans) == within
+
+
+@pytest.mark.parametrize("commutative", [True, False],
+                         ids=["commutative", "associative"])
+def test_nr_product_reads_one_plan_per_value(monkeypatch, commutative):
+    # a fresh signature, so that its plans are this test's
+    sig = Signature(even=1, odd=1, degree_bound=3, commutative=commutative)
+    product = nr_product(_general_op(sig, 1, 5), _general_op(sig, 1, 6, 0))
+    # tuples one degree past the bound too, which get a plan but leave none
+    tuples = _index_tuples(sig, product.arity, sig.degree_bound + 1)
+    read, calls = multilinear._plan, []
+    monkeypatch.setattr(multilinear, "_plan",
+                        lambda s, t: calls.append(t) or read(s, t))
+    for tup in tuples:
+        product._canonical_value(tup)
+    assert calls == tuples
+    assert list(sig._plans) == _index_tuples(sig, product.arity)
 
 
 def test_value_memo_cold_and_warm(monkeypatch):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from antibrackets.brackets import inversion_check
 from antibrackets.multilinear import (
     derivation_endo,
-    identity_endo,
     is_zero_op,
     linear_op,
+    mu,
     multiplication_endo,
     nr_bracket,
     nr_product,
@@ -21,13 +21,13 @@ from antibrackets.multilinear import (
     random_endo,
 )
 from antibrackets.rational import rat
-from antibrackets.superalgebra import Signature, koszul_sign, shuffles
+from antibrackets.superalgebra import Signature, koszul_sign
 
 SIG = Signature(even=2, odd=2, degree_bound=4)
 NC = Signature(even=2, odd=1, degree_bound=3, commutative=False)
 
 
-# -- koszul sign and shuffles ------------------------------------------------
+# -- koszul sign -------------------------------------------------------------
 
 
 def test_koszul_sign_even_swap_is_plus():
@@ -44,18 +44,6 @@ def test_koszul_sign_composes_over_transpositions():
     assert koszul_sign((1, 2, 0), [1, 1, 1]) == 1
     assert koszul_sign((2, 0, 1), [1, 1, 1]) == 1
     assert koszul_sign((2, 1, 0), [1, 1, 1]) == -1
-
-
-@given(st.integers(0, 4), st.integers(0, 4))
-def test_shuffle_count(k, m):
-    from math import comb
-
-    perms = shuffles(k, m)
-    assert len(perms) == comb(k + m, k)
-    for perm in perms:
-        assert sorted(perm) == list(range(k + m))
-        assert list(perm[:k]) == sorted(perm[:k])
-        assert list(perm[k:]) == sorted(perm[k:])
 
 
 # -- signature / basis -------------------------------------------------------
@@ -558,7 +546,7 @@ def _assert_no_zero_coefficients(f):
 def test_operator_values_have_no_zero_coefficients():
     x = SIG.monomial_element(SIG.even_generator(0))
     th = SIG.monomial_element(SIG.odd_generator(0))
-    ident = identity_endo(SIG)
+    ident = mu(SIG, 0)
     f = random_endo(SIG, 3, parity="odd")
     g = random_endo(SIG, 4, parity="even")
     d = derivation_endo(SIG)
@@ -584,7 +572,7 @@ def test_operator_values_have_no_zero_coefficients():
 
 
 def test_supercommutator_identity_central():
-    ident = identity_endo(SIG)
+    ident = mu(SIG, 0)
     f = random_endo(SIG, 3, parity="odd")
     assert is_zero_op(nr_bracket(ident, f))
 
