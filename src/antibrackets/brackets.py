@@ -52,17 +52,22 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def _shuffle_sum(sig, image, products, subs, signs, top: int) -> dict:
-    """Phi^k_f on the k arguments at the positions of a block B of a
-    ``subset_products`` table, to degree <= top: the sum over B's sub-block
-    rows (S, B ^ S, rank, factor) of a :func:`~.multilinear._shuffle_shapes`
-    table of factor times signs[rank] (``signs`` is the
-    :func:`~.multilinear._shuffle_signs` table of B's parities) times
-    f(product of S) times the product of B \\ S, both read from the table.
-    Like terms, by (product of S, product of B \\ S), are summed before f is
-    read.  ``image(j, room)`` gives f's image of basis[j] as (index, coeff)
-    pairs: those of degree <= room, or all of them when top is the degree
-    bound (the products above it die)."""
+def _shuffle_sum(acc, sig, image, products, subs, signs, top, weight, outer):
+    """Add weight * Phi^k_f(B) * basis[outer] into the dict ``acc`` of
+    {index: coeff}, with Phi^k_f(B) cut to degree <= top and ``outer`` a
+    basis index whose degree leaves room for top, or None for no factor.
+
+    Phi^k_f(B) is f on the k arguments at the positions of a block B of a
+    ``subset_products`` table: the sum over B's sub-block rows (S, B ^ S,
+    rank, factor) of a :func:`~.multilinear._shuffle_shapes` table of factor
+    times signs[rank] (``signs`` is the :func:`~.multilinear._shuffle_signs`
+    table of B's parities) times f(product of S) times the product of
+    B \\ S, both read from the table.  Like terms, by (product of S, product
+    of B \\ S), are summed before f is read.  ``image(j, room)`` is
+    :func:`_image_prefixes`' reader: each group reads f's image of its S
+    once, to the degree that leaves room for B \\ S, and maps every pair
+    through the row of B \\ S and then through the row of ``outer``, so no
+    value of Phi is built."""
     degrees = sig.basis_degrees()
     terms = {}
     for sub, rest, rank, factor in subs:
@@ -77,40 +82,60 @@ def _shuffle_sum(sig, image, products, subs, signs, top: int) -> dict:
             s *= r
         key = (j, tail)
         terms[key] = terms.get(key, 0) + factor * s * signs[rank]
-    acc = {}
+    last = None if outer is None else sig.mul_row(outer)
     for (j, tail), c in terms.items():
         if not c:
             continue
+        c *= weight
         if tail is None:
-            for t, v in image(j, top):
+            pairs, first, second = image(j, top), last, None
+        else:
+            pairs = image(j, top - degrees[tail])
+            first, second = sig.mul_row(tail), last
+        if first is None:
+            for t, v in pairs:
                 acc[t] = acc.get(t, 0) + c * v
-        elif pairs := image(j, top - degrees[tail]):
-            sig.mul_into(acc, pairs, tail, c)
-    return {t: c for t, c in acc.items() if c}
+        elif second is None:
+            for t, v in pairs:
+                e = first[t]
+                if e > 0:
+                    acc[e - 1] = acc.get(e - 1, 0) + c * v
+                elif e:
+                    acc[-e - 1] = acc.get(-e - 1, 0) - c * v
+        else:
+            for t, v in pairs:
+                e = first[t]
+                if e:
+                    e = second[e - 1] if e > 0 else -second[-e - 1]
+                    if e > 0:
+                        acc[e - 1] = acc.get(e - 1, 0) + c * v
+                    elif e:
+                        acc[-e - 1] = acc.get(-e - 1, 0) - c * v
 
 
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     """Phi^n_f by the defining shuffle formula (commutative signatures),
     computed on basis indices by :func:`_shuffle_sum` at the degree bound,
-    on the ``subset_products`` table of the tuple's
-    :func:`~.multilinear._plan` and f's whole images.  The sub-blocks are the
-    full block's rows in the plan's :func:`~.multilinear._shuffle_shapes`
-    table: one per sub-multiset, weighted by the number of sub-blocks that
-    pick it."""
+    with weight 1 and no outer factor, on the ``subset_products`` table of
+    the tuple's :func:`~.multilinear._plan`; f's images are read through
+    :func:`_image_prefixes`, as :func:`inversion_check` reads them.  The
+    sub-blocks are the full block's rows in the plan's
+    :func:`~.multilinear._shuffle_shapes` table: one per sub-multiset,
+    weighted by the number of sub-blocks that pick it."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def image(j, room):
-        return f._canonical_value((j,)).items()
+    image = _image_prefixes(f)
+    top = sig.degree_bound
 
     def eval_basis(tup):
         products, signs, _, rows, _ = _plan(sig, tup)
-        return _shuffle_sum(sig, image, products, rows[-1][5], signs,
-                            sig.degree_bound)
+        acc = {}
+        _shuffle_sum(acc, sig, image, products, rows[-1][5], signs, top, 1, None)
+        return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
@@ -266,11 +291,12 @@ def _image_prefixes(f: MultiOp):
     On its first read an image is sorted, copied only if its keys are out
     of index order, and the reader keeps the prefix length for every room.
     The reader is made on the first call and kept on f, as f's memo is, so
-    it holds at most one sorted view per basis index for all of f's checks.
+    it holds at most one sorted view per basis index for all of f's checks
+    and direct values.
 
-    In :func:`inversion_check` every read of f(S) has the room D minus the
-    degree of S's complement, so its verdict holds whatever the cut; a wrong
-    cut shows in the values of :func:`_shuffle_sum` only."""
+    :func:`_shuffle_sum` reads f(S) with the room its products leave, and
+    maps the pairs through product rows without a limit check, so the cut
+    is what keeps every index inside those rows."""
     if f._image_reader is not None:
         return f._image_reader
     sig = f.signature
@@ -300,19 +326,19 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     the combinations of the arguments' basis indices.  Each combination has
     one ``subset_products`` table (exact, as the truncated algebra is
     associative), which gives the product of every block, of every
-    sub-block and of every complement.  A shuffle whose complement's product
-    dies is skipped; otherwise its block's Phi is :func:`_shuffle_sum` on
-    that table, kept to the degree the complement leaves and memoised per
-    (block indices, cap).  The arguments come in the caller's order, so
-    blocks and sub-blocks are read one per bit mask, from the
+    sub-block and of every complement.  The arguments come in the caller's
+    order, so blocks and sub-blocks are read one per bit mask, from the
     :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n``; a block's
-    sign is its entry in the
-    :func:`~.multilinear._shuffle_signs` table of the n parities.  Shuffles
-    with the same block indices and the same complement product are one
-    term up to their scalars, so those are summed first, and a block's Phi
-    is read and multiplied once per group whose sum is nonzero.  f's images
-    are read through the reader kept on f (:func:`_image_prefixes`), each
-    only up to the degree that can survive its product.
+    sign is its entry in the :func:`~.multilinear._shuffle_signs` table of
+    the n parities.  A shuffle whose complement's product dies is skipped.
+    Shuffles with the same block indices and the same complement product
+    are one term up to their scalars, so those are summed first, and each
+    group whose sum is nonzero is one :func:`_shuffle_sum` into lhs - rhs:
+    weighted by that sum, with the complement product as its outer factor
+    and cut to the degree the complement leaves.  No value of Phi is built;
+    f's images are read through the reader kept on f
+    (:func:`_image_prefixes`), each only up to the degree that can survive
+    its products.
     """
     _require_linear(f)
     if n < 1:
@@ -343,17 +369,17 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     rows, _ = _shuffle_shapes((1,) * n)
     degrees, top = sig.basis_degrees(), sig.degree_bound
     image = _image_prefixes(f)
-    phi = {}
     diff = {}
     for tup, coeff in combos:
         products = sig.subset_products(tup)
         s, j = products[full]
-        # lhs, and the one shuffle with k = n, which has no complement
-        phi_n = _shuffle_sum(sig, image, products, rows[full][5], signs[full], top)
-        for value, c in ((image(j, top) if s else (), s * coeff),
-                         (phi_n.items(), -coeff)):
-            for t, v in value:
+        if s:  # lhs
+            c = s * coeff
+            for t, v in image(j, top):
                 diff[t] = diff.get(t, 0) + c * v
+        # the one shuffle with k = n, which has no complement
+        _shuffle_sum(diff, sig, image, products, rows[full][5], signs[full],
+                     top, -coeff, None)
         groups = {}  # (block indices, complement product) -> [block, scalar]
         for block in range(1, full):
             r, tail = products[full ^ block]
@@ -361,17 +387,10 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
                 continue
             group = groups.setdefault((rows[block][2](tup), tail), [block, 0])
             group[1] -= signs[full][block] * r
-        for (indices, tail), (block, c) in groups.items():
-            if not c:
-                continue
-            cap = top - degrees[tail]
-            value = phi.get((indices, cap))
-            if value is None:
-                value = phi[indices, cap] = _shuffle_sum(
-                    sig, image, products, rows[block][5], signs[block],
-                    cap).items()
-            if value:
-                sig.mul_into(diff, value, tail, c * coeff)
+        for (_, tail), (block, c) in groups.items():
+            if c:
+                _shuffle_sum(diff, sig, image, products, rows[block][5],
+                             signs[block], top - degrees[tail], c * coeff, tail)
     return not any(diff.values())
 
 

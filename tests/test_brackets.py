@@ -37,7 +37,7 @@ from antibrackets.multilinear import (
     rho_combination,
 )
 from antibrackets.rational import rat
-from antibrackets.superalgebra import Signature, koszul_sign
+from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign
 
 SIG = Signature(even=1, odd=1, degree_bound=3)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -130,21 +130,21 @@ def test_routes_on_repeated_arguments_match_the_block_by_block_reference(sig, N)
     assert repeated == {False, True}
 
 
-def _shuffle_sum_on(f, tup, block, top, image=None):
-    """brackets._shuffle_sum on the positions in ``block`` of tup's
-    subset-product table, with that block's sub-blocks one per bit mask
-    (the table of ``(1,) * len(tup)``); by default f's images are read
-    whole, which is right at top = D."""
+def _shuffle_sum_on(f, tup, block, top, outer=None):
+    """brackets._shuffle_sum, with weight 1, into a fresh dict, on the
+    positions in ``block`` of tup's subset-product table, with that block's
+    sub-blocks one per bit mask (the table of ``(1,) * len(tup)``) and f's
+    images read through brackets._image_prefixes; zeros dropped."""
     sig = f.signature
     parities = sig.basis_parities()
     pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
-    if image is None:
-        def image(j, room):
-            return f._canonical_value((j,)).items()
     signs, _ = multilinear._shuffle_signs(pattern)
     rows, _ = multilinear._shuffle_shapes((1,) * len(tup))
-    return brackets._shuffle_sum(sig, image, sig.subset_products(tup),
-                                 rows[block][5], signs, top)
+    acc = {}
+    brackets._shuffle_sum(acc, sig, brackets._image_prefixes(f),
+                          sig.subset_products(tup), rows[block][5], signs,
+                          top, 1, outer)
+    return {t: c for t, c in acc.items() if c}
 
 
 @pytest.mark.parametrize("sig", [
@@ -163,7 +163,6 @@ def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
     capped = 0
     for f in (f1, nr_bracket(f1, f2)):
         ops = {n: phi_direct_op(f, n) for n in range(1, 5)}
-        prefixes = brackets._image_prefixes(f)
         for n in range(1, 5):
             full = (1 << n) - 1
             for tup in _index_tuples(sig, n):
@@ -172,17 +171,47 @@ def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
                 sign, _ = sig.canonical_indices(tup[::-1])
                 for top in range(sig.degree_bound + 1):
                     want = {t: c for t, c in value.items() if degrees[t] <= top}
-                    got = _shuffle_sum_on(f, tup, full, top, prefixes)
+                    got = _shuffle_sum_on(f, tup, full, top)
                     assert got == want, (n, tup, top)
                     capped += got != value
                     if sign:
-                        flipped = _shuffle_sum_on(f, tup[::-1], full, top, prefixes)
+                        flipped = _shuffle_sum_on(f, tup[::-1], full, top)
                         assert flipped == {t: sign * c for t, c in want.items()}
                 for block in range(1, full):
                     sub = tuple(i for q, i in enumerate(tup) if block >> q & 1)
                     assert (_shuffle_sum_on(f, tup, block, sig.degree_bound)
                             == ops[len(sub)]._canonical_value(sub)), (tup, block)
     assert capped
+
+
+@pytest.mark.parametrize("sig", [
+    SIG,
+    Signature(even=2, odd=1, degree_bound=3, unital=False),
+    Signature(even=0, odd=3, degree_bound=3),
+], ids=repr)
+def test_shuffle_sum_with_an_outer_index_is_the_capped_value_times_it(sig):
+    # every pair goes through the row of its sub-block's complement and then
+    # through the row of the outer index j; the product is checked against
+    # AlgebraElement multiplication, for every j that leaves room for top
+    degrees = sig.basis_degrees()
+    f = nr_bracket(random_endo(sig, 23, parity="even", density=0.5),
+                   random_endo(sig, 24, parity="odd", density=0.5))
+    live = 0
+    for n in range(1, 4):
+        op, full = phi_direct_op(f, n), (1 << n) - 1
+        for tup in _index_tuples(sig, n):
+            value = op._canonical_value(tup)
+            for top in range(sig.degree_bound + 1):
+                capped = AlgebraElement(
+                    sig, {t: c for t, c in value.items() if degrees[t] <= top})
+                for j, d in enumerate(degrees):
+                    if d > sig.degree_bound - top:
+                        continue
+                    want = (capped * AlgebraElement(sig, {j: 1})).terms
+                    got = _shuffle_sum_on(f, tup, full, top, outer=j)
+                    assert got == want, (tup, top, j)
+                    live += n > 1 and d > 0 and bool(want)
+    assert live
 
 
 def test_phi_two_explicit_formula():
@@ -444,10 +473,33 @@ def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
     assert inversion_check(f, 2, [x, x])
 
 
-def test_inversion_check_reads_phi_once_per_nonzero_group(monkeypatch):
+def test_inversion_check_fails_on_a_flipped_complement_product(monkeypatch):
+    # The product th x of the last two arguments is the outer factor of the
+    # block {first argument} and the complement of that sub-block in
+    # Phi^3(x, th, x); flipping its sign in the subset-product table makes
+    # the check false.  (On (x, x, x) the two changes of that entry cancel.)
+    sig = Signature(even=1, odd=1, degree_bound=3)
+    f = derivation_endo(sig)
+    args = [sig.even_generator(0), sig.odd_generator(0), sig.even_generator(0)]
+    assert inversion_check(f, 3, args)
+    original = Signature.subset_products
+    complement = 0b110
+    assert original(sig, [sig.index_of(m) for m in args])[complement][0]
+
+    def flipped(self, indices):
+        table = original(self, indices)
+        s, k = table[complement]
+        return table[:complement] + [(-s, k)] + table[complement + 1:]
+
+    monkeypatch.setattr(Signature, "subset_products", flipped)
+    assert not inversion_check(f, 3, args)
+
+
+def test_inversion_check_sums_once_per_nonzero_group(monkeypatch):
     # shuffles with the same block indices and the same complement product
-    # are one term up to their scalars: Phi is computed once for each such
-    # group whose summed scalar is nonzero, and once for the whole block
+    # are one term up to their scalars: one shuffle sum goes into lhs - rhs
+    # for each such group whose summed scalar is nonzero, and one for the
+    # whole block
     sig = Signature(even=1, odd=1, degree_bound=5)
     x, th = sig.even_generator(0), sig.odd_generator(0)
     args = [x, x, th, x, th]

@@ -615,12 +615,16 @@ def test_plans_are_the_shape_tables_of_their_tuple():
     sig = Signature(even=1, odd=2, degree_bound=3)
     parities = sig.basis_parities()
     node = rho(2, _general_op(sig, 1, 5))
+    degrees = sig.basis_degrees()
     within = _index_tuples(sig, node.arity)
-    beyond = _index_tuples(sig, node.arity, sig.degree_bound + 2)[len(within):]
-    assert beyond and sig._plans == {}
+    # the lists are lexicographic, so the tuples past the bound are picked
+    # by their total degree
+    beyond = [tup for tup in _index_tuples(sig, node.arity, sig.degree_bound + 2)
+              if sum(degrees[i] for i in tup) > sig.degree_bound]
+    assert len(beyond) == 112 and sig._plans == {}
     for tup in within + beyond:
         node._canonical_value(tup)
-    # a tuple beyond the degree bound leaves no entry
+    # no tuple beyond the degree bound leaves an entry
     assert list(sig._plans) == within
     for tup in within:
         plan = sig._plans[tup]
