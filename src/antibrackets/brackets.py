@@ -52,65 +52,51 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def _shuffle_sum(acc, sig, image, products, subs, signs, top, weight, outer):
+def _shuffle_sum(acc, f, products, subs, signs, top, weight, outer):
     """Add weight * Phi^k_f(B) * basis[outer] into the dict ``acc`` of
-    {index: coeff}, with Phi^k_f(B) cut to degree <= top and ``outer`` a
-    basis index whose degree leaves room for top, or None for no factor.
+    {index: coeff}, cut to degree <= top, with ``outer`` a basis index or
+    None for no factor.
 
     Phi^k_f(B) is f on the k arguments at the positions of a block B of a
     ``subset_products`` table: the sum over B's sub-block rows (S, B ^ S,
     rank, factor) of a :func:`~.multilinear._shuffle_shapes` table of factor
     times signs[rank] (``signs`` is the :func:`~.multilinear._shuffle_signs`
     table of B's parities) times f(product of S) times the product of
-    B \\ S, both read from the table.  Like terms, by (product of S, product
-    of B \\ S), are summed before f is read.  ``image(j, room)`` is
-    :func:`_image_prefixes`' reader: each group reads f's image of its S
-    once, to the degree that leaves room for B \\ S, and maps every pair
-    through the row of B \\ S and then through the row of ``outer``, so no
-    value of Phi is built."""
-    degrees = sig.basis_degrees()
+    B \\ S.  As the truncated algebra is associative, each sub-term is
+    f(product of S) times one signed basis index u, the product of B \\ S
+    and ``outer``: the table's entry, read once more in the row of
+    ``outer``.  Like terms, by (product of S, u), are summed before f is
+    read; each group reads f's image of its S once through :func:`_image`,
+    to the degree that leaves room for u, and maps every pair through the
+    row of u, so no value of Phi is built."""
+    sig = f.signature
+    degrees, signed = sig.basis_degrees(), sig._signed
+    last = None if outer is None else sig.mul_row(outer)
     terms = {}
     for sub, rest, rank, factor in subs:
         s, j = products[sub]
-        if not s:
-            continue
-        tail = None
-        if rest:
-            r, tail = products[rest]
-            if not r or degrees[tail] > top:
-                continue
-            s *= r
-        key = (j, tail)
-        terms[key] = terms.get(key, 0) + factor * s * signs[rank]
-    last = None if outer is None else sig.mul_row(outer)
-    for (j, tail), c in terms.items():
+        r, u = products[rest] if rest else (1, outer)
+        if rest and r and last is not None:
+            q, u = signed[last[u]] if u < len(last) else signed[0]
+            r *= q
+        if s and r and (u is None or degrees[u] <= top):
+            key = (j, u)
+            terms[key] = terms.get(key, 0) + factor * s * r * signs[rank]
+    for (j, u), c in terms.items():
         if not c:
             continue
         c *= weight
-        if tail is None:
-            pairs, first, second = image(j, top), last, None
-        else:
-            pairs = image(j, top - degrees[tail])
-            first, second = sig.mul_row(tail), last
-        if first is None:
-            for t, v in pairs:
+        if u is None:
+            for t, v in _image(f, j, top):
                 acc[t] = acc.get(t, 0) + c * v
-        elif second is None:
-            for t, v in pairs:
-                e = first[t]
+        else:
+            row = sig.mul_row(u)
+            for t, v in _image(f, j, top - degrees[u]):
+                e = row[t]
                 if e > 0:
                     acc[e - 1] = acc.get(e - 1, 0) + c * v
                 elif e:
                     acc[-e - 1] = acc.get(-e - 1, 0) - c * v
-        else:
-            for t, v in pairs:
-                e = first[t]
-                if e:
-                    e = second[e - 1] if e > 0 else -second[-e - 1]
-                    if e > 0:
-                        acc[e - 1] = acc.get(e - 1, 0) + c * v
-                    elif e:
-                        acc[-e - 1] = acc.get(-e - 1, 0) - c * v
 
 
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
@@ -118,7 +104,7 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     computed on basis indices by :func:`_shuffle_sum` at the degree bound,
     with weight 1 and no outer factor, on the ``subset_products`` table of
     the tuple's :func:`~.multilinear._plan`; f's images are read through
-    :func:`_image_prefixes`, as :func:`inversion_check` reads them.  The
+    :func:`_image`, as :func:`inversion_check` reads them.  The
     sub-blocks are the full block's rows in the plan's
     :func:`~.multilinear._shuffle_shapes` table: one per sub-multiset,
     weighted by the number of sub-blocks that pick it."""
@@ -128,13 +114,12 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-    image = _image_prefixes(f)
     top = sig.degree_bound
 
     def eval_basis(tup):
         products, signs, _, rows, _ = _plan(sig, tup)
         acc = {}
-        _shuffle_sum(acc, sig, image, products, rows[-1][5], signs, top, 1, None)
+        _shuffle_sum(acc, f, products, rows[-1][5], signs, top, 1, None)
         return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
@@ -285,38 +270,29 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
     return _METHODS[method](f, N)
 
 
-def _image_prefixes(f: MultiOp):
-    """f's reader ``image(j, room)`` of its image of basis[j] to degree <=
-    room, as a prefix of the image's (index, coeff) pairs in index order.
-    On its first read an image is sorted, copied only if its keys are out
-    of index order, and the reader keeps the prefix length for every room.
-    The reader is made on the first call and kept on f, as f's memo is, so
-    it holds at most one sorted view per basis index for all of f's checks
-    and direct values.
+def _image(f: MultiOp, j: int, room: int):
+    """f's image of basis[j] to degree <= room, as a prefix of the image's
+    (index, coeff) pairs in index order.
 
-    :func:`_shuffle_sum` reads f(S) with the room its products leave, and
-    maps the pairs through product rows without a limit check, so the cut
-    is what keeps every index inside those rows."""
-    if f._image_reader is not None:
-        return f._image_reader
-    sig = f.signature
-    sig.basis()
-    prefix = sig._prefix  # r -> number of basis monomials of degree <= r
-    images = {}
-
-    def image(j, room):
-        read = images.get(j)
-        if read is None:
-            value = f._canonical_value((j,))
-            keys = sorted(value)
-            if keys != list(value):
-                value = {k: value[k] for k in keys}
-            read = images[j] = (value.items(), [bisect_left(keys, p) for p in prefix])
-        items, cuts = read
-        return islice(items, cuts[room]) if cuts[room] else ()
-
-    f._image_reader = image
-    return image
+    On its first read an image is sorted, copied only if its keys are out of
+    index order, and kept in ``f._images`` with the prefix length for every
+    room, as f's memo is: one sorted view per basis index for all of f's
+    checks and direct values.  The views are plain data, so f is in no
+    reference cycle.  :func:`_shuffle_sum` reads f(S) with the room its
+    products leave, and maps the pairs through product rows without a
+    limit check, so the cut is what keeps every index inside those rows."""
+    read = f._images.get(j)
+    if read is None:
+        value = f._canonical_value((j,))
+        keys = sorted(value)
+        if keys != list(value):
+            value = {k: value[k] for k in keys}
+        sig = f.signature
+        sig.basis()  # for its prefix counts by degree
+        read = f._images[j] = (value.items(),
+                               [bisect_left(keys, p) for p in sig._prefix])
+    items, cuts = read
+    return islice(items, cuts[room]) if cuts[room] else ()
 
 
 def inversion_check(f: MultiOp, n: int, args) -> bool:
@@ -335,10 +311,10 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     are one term up to their scalars, so those are summed first, and each
     group whose sum is nonzero is one :func:`_shuffle_sum` into lhs - rhs:
     weighted by that sum, with the complement product as its outer factor
-    and cut to the degree the complement leaves.  No value of Phi is built;
-    f's images are read through the reader kept on f
-    (:func:`_image_prefixes`), each only up to the degree that can survive
-    its products.
+    and cut to the degree bound, which caps the whole term.  No value of
+    Phi is built; f's images are read through the sorted views kept on f
+    (:func:`_image`), each only up to the degree that can survive its
+    products.
     """
     _require_linear(f)
     if n < 1:
@@ -367,19 +343,18 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
         patterns += [pattern + (p,) for pattern in patterns]
     signs = [_shuffle_signs(pattern)[0] for pattern in patterns]
     rows, _ = _shuffle_shapes((1,) * n)
-    degrees, top = sig.basis_degrees(), sig.degree_bound
-    image = _image_prefixes(f)
+    top = sig.degree_bound
     diff = {}
     for tup, coeff in combos:
         products = sig.subset_products(tup)
         s, j = products[full]
         if s:  # lhs
             c = s * coeff
-            for t, v in image(j, top):
+            for t, v in _image(f, j, top):
                 diff[t] = diff.get(t, 0) + c * v
         # the one shuffle with k = n, which has no complement
-        _shuffle_sum(diff, sig, image, products, rows[full][5], signs[full],
-                     top, -coeff, None)
+        _shuffle_sum(diff, f, products, rows[full][5], signs[full], top,
+                     -coeff, None)
         groups = {}  # (block indices, complement product) -> [block, scalar]
         for block in range(1, full):
             r, tail = products[full ^ block]
@@ -389,8 +364,8 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
             group[1] -= signs[full][block] * r
         for (_, tail), (block, c) in groups.items():
             if c:
-                _shuffle_sum(diff, sig, image, products, rows[block][5],
-                             signs[block], top - degrees[tail], c * coeff, tail)
+                _shuffle_sum(diff, f, products, rows[block][5], signs[block],
+                             top, c * coeff, tail)
     return not any(diff.values())
 
 

@@ -31,8 +31,9 @@ Per-tuple work that does not depend on the operator is done once per
 ``sig._tuples`` holds the canonical index tuples of each (arity, bound),
 which :func:`first_mismatch` and :func:`is_zero_op` walk; ``sig._plans``
 maps a canonical index tuple to its :func:`_plan` (product table, signs
-and shapes), which the direct and rho routes and :func:`nr_product` read
-on either kind of signature, and holds only tuples of total degree within
+and shapes), which the direct and rho routes read on commutative
+signatures and :func:`nr_product` reads on either kind (an associative
+plan has no product table), and holds only tuples of total degree within
 the degree bound; ``sig._canonical`` maps a tuple of monomial arguments of
 :meth:`MultiOp.__call__` to its sign and canonical index tuple, up to
 :data:`ARGUMENT_MEMO_SIZE` entries.
@@ -42,7 +43,10 @@ from its images on the basis, ``{basis index: {index: coeff}}``, and the
 operator constructors (:func:`random_endo`, :func:`derivation_endo`,
 :func:`odd_partial_endo`, :func:`multiplication_endo`) build theirs with
 it; the identity is ``mu(sig, 0)``.  Linear operators compose by
-:func:`nr_product` and their graded commutator is :func:`nr_bracket`.
+:func:`nr_product` and their graded commutator is :func:`nr_bracket`.  The
+shuffle sums of :mod:`.brackets` read a linear operator's images as
+index-sorted views, kept as plain data in its ``_images`` next to its memo,
+so no operator is part of a reference cycle.
 """
 
 from __future__ import annotations
@@ -78,11 +82,11 @@ __all__ = [
 class MultiOp:
     """Supersymmetric (degree+1)-linear operator with memoized basis values;
     ``eval_basis`` maps a canonical index tuple to {index: nonzero coeff}.
-    A linear operator also keeps the reader of its images that
-    :func:`~antibrackets.brackets.inversion_check` makes on first use."""
+    A linear operator also keeps, in ``_images``, the index-sorted views of
+    its images that :func:`~antibrackets.brackets._image` fills on first
+    read."""
 
-    __slots__ = ("signature", "degree", "parity", "_eval", "_cache",
-                 "_image_reader")
+    __slots__ = ("signature", "degree", "parity", "_eval", "_cache", "_images")
 
     def __init__(self, signature: Signature, degree: int, parity: int, eval_basis):
         if degree < 0:
@@ -92,7 +96,7 @@ class MultiOp:
         self.parity = parity % 2
         self._eval = eval_basis
         self._cache = {}
-        self._image_reader = None
+        self._images = {}
 
     @property
     def arity(self) -> int:
@@ -315,7 +319,10 @@ def _shuffle_signs(pattern: tuple) -> tuple:
 def _plan(sig: Signature, tup: tuple) -> tuple:
     """(products, signs, odd, rows, by_size) of a canonical index tuple: its
     :meth:`~.Signature.subset_products` table, its :func:`_shuffle_signs`
-    and the :func:`_shuffle_shapes` table of its runs.
+    and the :func:`_shuffle_shapes` table of its runs.  On an associative
+    signature products is None, as no route reads it there: the rho routes
+    fall back to :func:`nr_bracket`, and :func:`nr_product` reads only
+    signs and shapes.
 
     None of it depends on an operator, so every node on the signature reads
     one plan per tuple.  Plans are kept in ``sig._plans`` for the tuples of
@@ -325,7 +332,7 @@ def _plan(sig: Signature, tup: tuple) -> tuple:
     plan = sig._plans.get(tup)
     if plan is None:
         parities = sig.basis_parities()
-        plan = (sig.subset_products(tup),
+        plan = (sig.subset_products(tup) if sig.commutative else None,
                 *_shuffle_signs(tuple(map(parities.__getitem__, tup))),
                 *_shuffle_shapes(_runs(tup)))
         if sum(map(sig.basis_degrees().__getitem__, tup)) <= sig.degree_bound:

@@ -187,48 +187,50 @@ def _triangular_shape(n: int, matrix) -> bool:
     )
 
 
-def _det3(u, v, w) -> int:
-    """The determinant of the 3x3 matrix with columns u, v and w."""
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - v[0] * (u[1] * w[2] - u[2] * w[1])
-            + w[0] * (u[1] * v[2] - u[2] * v[1]))
+def _det(columns) -> int:
+    """The determinant of the square int matrix (2x2 or larger) with these
+    columns, by cofactor expansion along the first column down to 2x2
+    minors, which are closed-form."""
+    if len(columns) == 2:
+        (a, c), (b, d) = columns
+        return a * d - b * c
+    rest = columns[1:]
+    det = 0
+    for i, a in enumerate(columns[0]):
+        minor = a * _det([c[:i] + c[i + 1:] for c in rest])
+        det = det - minor if i & 1 else det + minor
+    return det
 
 
-def _cramer2(columns, rhs):
-    """The 2x2 form of :func:`_cramer3`: numerators and determinant."""
-    (a, c), (b, d) = columns
-    det = a * d - b * c
+def _cramer(columns, rhs):
+    """Numerators of the solution of the square int system with these
+    columns and right-hand side, by Cramer's rule, and their common
+    denominator, the determinant; raises SingularMatrixError when it is 0."""
+    det = _det(columns)
     if not det:
-        raise SingularMatrixError("2x2 system of degree 1 has determinant 0")
-    return [rhs[0] * d - b * rhs[1], a * rhs[1] - c * rhs[0]], det
-
-
-def _cramer3(columns, rhs):
-    """Numerators of the solution of the 3x3 int system with these columns
-    and right-hand side, by Cramer's rule, and their common denominator, the
-    determinant; raises SingularMatrixError when it is 0."""
-    det = _det3(*columns)
-    if not det:
-        raise SingularMatrixError("3x3 tail has determinant 0")
-    u, v, w = columns
-    return [_det3(rhs, v, w), _det3(u, rhs, w), _det3(u, v, rhs)], det
+        raise SingularMatrixError(f"{len(rhs)}x{len(rhs)} system has determinant 0")
+    return [_det(columns[:i] + [rhs] + columns[i + 1:])
+            for i in range(len(columns))], det
 
 
 def _induction_solution(n: int, matrix, target) -> list:
     """x_0..x_n with matrix x = target, for the induction-basis system of degree n.
 
-    Degree 1 is a 2x2 system, solved in closed form by :func:`_cramer2`.
+    Degree 1 is a 2x2 system, solved by Cramer's rule (:func:`_cramer`).
     From degree 2 on, :func:`_triangular_shape` is checked at every n, and a
     system without it raises SingularMatrixError.  The rows r = n-3..0 give
     x_2..x_(n-1) in turn by forward substitution, each row's pivot column
     n-1-r being its last nonzero one; the values are ints over one running
     denominator d, and a pivot's new factor rescales the stored ones.  x_0,
     x_1 and x_n then come from rows n-2, n-1 and n, a 3x3 int system in
-    columns 0, 1 and n whose right-hand side is over d, solved in closed
-    form by :func:`_cramer3`.  Either way there is one division per unknown.
+    columns 0, 1 and n whose right-hand side is over d, solved by
+    :func:`_cramer` too.  Either way there is one division per unknown.
     """
     if n == 1:
-        numerators, det = _cramer2(list(zip(*matrix)), target)
+        try:
+            numerators, det = _cramer(list(zip(*matrix)), target)
+        except SingularMatrixError as e:
+            raise SingularMatrixError(f"degree 1: {e}") from None
         return [rat(v, det) for v in numerators]
     if not _triangular_shape(n, matrix):
         raise SingularMatrixError(
@@ -246,7 +248,7 @@ def _induction_solution(n: int, matrix, target) -> list:
             d *= e
         x[p] = s // g
     tail = matrix[n - 2:]
-    (c_1, c_2, b), det = _cramer3(
+    (c_1, c_2, b), det = _cramer(
         [[row[c] for row in tail] for c in (0, 1, n)],
         [t * d - sum(map(mul, row[2:n], x[2:]))
          for row, t in zip(tail, target[n - 2:])],

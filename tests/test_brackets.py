@@ -131,19 +131,21 @@ def test_routes_on_repeated_arguments_match_the_block_by_block_reference(sig, N)
 
 
 def _shuffle_sum_on(f, tup, block, top, outer=None):
-    """brackets._shuffle_sum, with weight 1, into a fresh dict, on the
+    """brackets._shuffle_sum of f, with weight 1, into a fresh dict, on the
     positions in ``block`` of tup's subset-product table, with that block's
-    sub-blocks one per bit mask (the table of ``(1,) * len(tup)``) and f's
-    images read through brackets._image_prefixes; zeros dropped."""
+    sub-blocks one per bit mask (the table of ``(1,) * len(tup)``) and cut
+    to degree top; with an ``outer`` index, the cap passed is that of the
+    whole term, top plus the outer degree.  Zeros dropped."""
     sig = f.signature
     parities = sig.basis_parities()
     pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
     signs, _ = multilinear._shuffle_signs(pattern)
     rows, _ = multilinear._shuffle_shapes((1,) * len(tup))
+    if outer is not None:
+        top += sig.basis_degrees()[outer]
     acc = {}
-    brackets._shuffle_sum(acc, sig, brackets._image_prefixes(f),
-                          sig.subset_products(tup), rows[block][5], signs,
-                          top, 1, outer)
+    brackets._shuffle_sum(acc, f, sig.subset_products(tup), rows[block][5],
+                          signs, top, 1, outer)
     return {t: c for t, c in acc.items() if c}
 
 
@@ -190,13 +192,14 @@ def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
     Signature(even=0, odd=3, degree_bound=3),
 ], ids=repr)
 def test_shuffle_sum_with_an_outer_index_is_the_capped_value_times_it(sig):
-    # every pair goes through the row of its sub-block's complement and then
-    # through the row of the outer index j; the product is checked against
-    # AlgebraElement multiplication, for every j that leaves room for top
+    # every pair goes through the row of one index, the product of its
+    # sub-block's complement and the outer index j; the product is checked
+    # against AlgebraElement multiplication, for every j that leaves room
+    # for top, also where that product dies
     degrees = sig.basis_degrees()
     f = nr_bracket(random_endo(sig, 23, parity="even", density=0.5),
                    random_endo(sig, 24, parity="odd", density=0.5))
-    live = 0
+    live = dead = 0
     for n in range(1, 4):
         op, full = phi_direct_op(f, n), (1 << n) - 1
         for tup in _index_tuples(sig, n):
@@ -211,7 +214,8 @@ def test_shuffle_sum_with_an_outer_index_is_the_capped_value_times_it(sig):
                     got = _shuffle_sum_on(f, tup, full, top, outer=j)
                     assert got == want, (tup, top, j)
                     live += n > 1 and d > 0 and bool(want)
-    assert live
+                    dead += n > 1 and d > 0 and bool(capped.terms) and not want
+    assert live and dead
 
 
 def test_phi_two_explicit_formula():
@@ -532,16 +536,61 @@ def test_inversion_check_sums_once_per_nonzero_group(monkeypatch):
         assert len(calls) == 1 + len(nonzero)
 
 
-def test_inversion_checks_share_one_image_reader_per_operator():
+def test_associative_bracket_hierarchy_builds_no_product_table(monkeypatch):
+    # on an associative signature the rho routes fall back to nr_bracket,
+    # and nr_product reads only the signs and shapes of a tuple's plan
+    sig = Signature(even=2, odd=1, degree_bound=3, commutative=False)
+    original, calls = Signature.subset_products, []
+    monkeypatch.setattr(Signature, "subset_products",
+                        lambda self, indices: calls.append(indices)
+                        or original(self, indices))
+    hierarchy = phi_hierarchy(random_endo(sig, 7, parity="odd", density=0.5), 4)
+    values = [op._canonical_value(tup) for n, op in hierarchy.items()
+              for tup in _index_tuples(sig, n)]
+    assert any(values)
+    assert sig._plans and all(plan[0] is None for plan in sig._plans.values())
+    assert calls == []
+
+
+def test_inversion_checks_share_one_sorted_view_per_image():
     f = random_endo(SIG, 5, parity="odd")
     x, th = SIG.even_generator(0), SIG.odd_generator(0)
-    assert f._image_reader is None
+    assert f._images == {}
     assert inversion_check(f, 2, [x, th])
-    reader = f._image_reader
-    assert reader is not None
+    views = dict(f._images)
+    assert views
     assert inversion_check(f, 3, [x, th, x])
-    assert f._image_reader is reader
-    assert random_endo(SIG, 5, parity="odd")._image_reader is None
+    assert all(f._images[j] is view for j, view in views.items())
+    assert random_endo(SIG, 5, parity="odd")._images == {}
+
+
+def test_read_operators_are_in_no_reference_cycle():
+    # with the cyclic collector off, an operator whose hierarchy was built
+    # and read, or whose images an inversion check read, is freed as soon
+    # as its last reference goes
+    sig = Signature(even=1, odd=1, degree_bound=3)
+    x, th = sig.even_generator(0), sig.odd_generator(0)
+
+    def live():
+        return sum(isinstance(o, MultiOp) for o in gc.get_objects())
+
+    def read_hierarchy(seed):
+        for op in phi_hierarchy(random_endo(sig, seed), 4).values():
+            is_zero_op(op)  # reads every value on the comparison domain
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        for seed in range(20):
+            read_hierarchy(seed)
+        assert live() == before
+        for seed in range(20, 40):
+            assert inversion_check(random_endo(sig, seed, parity="odd"), 3,
+                                   [x, th, x])
+        assert live() == before
+    finally:
+        gc.enable()
 
 
 def test_inversion_check_builds_no_direct_operator(monkeypatch):

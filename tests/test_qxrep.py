@@ -235,46 +235,46 @@ def test_low_degree_coefficients_match_bullet_formulas():
     ]
 
 
-def _recording_cramer(monkeypatch, name):
-    """Route qxrep's calls of the named Cramer step (``_cramer2`` or
-    ``_cramer3``) through a recorder of their inputs."""
+def _recording_cramer(monkeypatch):
+    """Route qxrep's calls of its Cramer step ``_cramer`` through a recorder
+    of their inputs."""
     systems = []
-    step = getattr(qxrep, name)
+    step = qxrep._cramer
 
     def recording(columns, rhs):
         systems.append((columns, rhs))
         return step(columns, rhs)
 
-    monkeypatch.setattr(qxrep, name, recording)
+    monkeypatch.setattr(qxrep, "_cramer", recording)
     return systems
 
 
 def test_induction_basis_matrix_holds_ints(monkeypatch):
-    steps = _recording_cramer(monkeypatch, "_cramer2")
-    tails = _recording_cramer(monkeypatch, "_cramer3")
+    systems = _recording_cramer(monkeypatch)
     for n in range(1, 8):
         solve_coefficients(n)
-    # degree 1 is the whole 2x2 system, every later tail goes to _cramer3
-    assert len(steps) == 1 and len(tails) == 6
-    for columns, rhs in steps + tails:
+    # degree 1 is the whole 2x2 system, every later one a 3x3 tail
+    assert [len(rhs) for _, rhs in systems] == [2] + [3] * 6
+    for columns, rhs in systems:
         assert all(type(v) is int for column in columns for v in column)
         assert all(type(v) is int for v in rhs)
 
 
 def test_closed_form_tail_matches_solve_linear(monkeypatch):
-    tails = _recording_cramer(monkeypatch, "_cramer3")
+    systems = _recording_cramer(monkeypatch)
     coefficient_series(60)
     monkeypatch.undo()
-    assert len(tails) == 59  # degrees 2..60
-    for columns, rhs in tails:
-        numerators, det = qxrep._cramer3(columns, rhs)
+    # degree 1 is the 2x2 system, degrees 2..60 the 3x3 tails
+    assert [len(rhs) for _, rhs in systems] == [2] + [3] * 59
+    for columns, rhs in systems[1:]:
+        numerators, det = qxrep._cramer(columns, rhs)
         rows = [list(row) for row in zip(*columns)]
         assert [rat(v, det) for v in numerators] == _solve_linear_rational(rows, rhs)
 
 
 def test_singular_tail_raises():
     with pytest.raises(SingularMatrixError):
-        qxrep._cramer3([[1, 2, 3], [2, 4, 6], [0, 1, 5]], [1, 0, 2])
+        qxrep._cramer([[1, 2, 3], [2, 4, 6], [0, 1, 5]], [1, 0, 2])
     # column 0 zero in the tail rows too: the shape holds, the system is singular
     n = 6
     matrix, target = next(islice(qxrep._induction_systems(), n - 1, None))
@@ -330,12 +330,11 @@ def _reordered_solve(n, matrix, target):
 
 def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
     systems = list(zip(range(1, 61), qxrep._induction_systems()))
-    steps = _recording_cramer(monkeypatch, "_cramer2")
-    tails = _recording_cramer(monkeypatch, "_cramer3")
+    steps = _recording_cramer(monkeypatch)
     series = coefficient_series(60)
     # degree 1 is the 2x2 step; every later system has the shape, and its
     # 3x3 tail is solved in closed form
-    assert len(steps) == 1 and len(tails) == 59
+    assert [len(rhs) for _, rhs in steps] == [2] + [3] * 59
     monkeypatch.undo()
     for n, (matrix, target) in systems:
         assert qxrep._triangular_shape(n, matrix) == (n > 1)
