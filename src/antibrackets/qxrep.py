@@ -188,22 +188,17 @@ def _triangular_shape(n: int, matrix) -> bool:
 
 
 def _det(columns) -> int:
-    """The determinant of the square int matrix (2x2 or larger) with these
-    columns, by cofactor expansion along the first column down to 2x2
-    minors, which are closed-form."""
+    """The determinant of the 2x2 or 3x3 int matrix with these columns, by
+    cofactor expansion along the first column, written out in closed form."""
     if len(columns) == 2:
         (a, c), (b, d) = columns
         return a * d - b * c
-    rest = columns[1:]
-    det = 0
-    for i, a in enumerate(columns[0]):
-        minor = a * _det([c[:i] + c[i + 1:] for c in rest])
-        det = det - minor if i & 1 else det + minor
-    return det
+    (a, b, c), (d, e, f), (g, h, i) = columns
+    return a * (e * i - h * f) - b * (d * i - g * f) + c * (d * h - g * e)
 
 
 def _cramer(columns, rhs):
-    """Numerators of the solution of the square int system with these
+    """Numerators of the solution of the 2x2 or 3x3 int system with these
     columns and right-hand side, by Cramer's rule, and their common
     denominator, the determinant; raises SingularMatrixError when it is 0."""
     det = _det(columns)
