@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from functools import cache, partial
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm
 
 from .brackets import (
     differential_order_check,
@@ -36,16 +36,16 @@ from .multilinear import (
     odd_partial_endo,
     op_combination,
     random_endo,
-    rho,
+    rho_combination,
 )
 from .qxrep import (
     bn_zero_witness,
     coderivation_check,
+    coefficient_series,
     duality_check,
     phi_operator,
     rho_bracket_check,
     rho_coordinates_check,
-    solve_coefficients,
     witt_check,
 )
 from .rational import rat
@@ -97,9 +97,10 @@ def _universal(sig, N, seed):
     top = min(N, 5)
     methods = (["direct", "recursion", "bracket", "exponential"]
                if sig.commutative else ["bracket", "exponential"])
+    coefficients = coefficient_series(min(top, 4) - 1)
     for k, parity in enumerate(("even", "odd", "even")):
         f = random_endo(sig, seed + k, parity=parity)
-        yield from _universal_operator(f, seed + k, methods, top)
+        yield from _universal_operator(f, seed + k, methods, top, coefficients)
     # identity operator: Phi^(n+1) = (-1)^n mu_n
     ident = phi_hierarchy(mu(sig, 0), min(N, 4), method="bracket")
     for n in range(min(N, 4)):
@@ -115,9 +116,9 @@ def _universal(sig, N, seed):
                            [(mu(sig, n + m), mu_bracket_factor(n, m))])))
 
 
-def _universal_operator(f, seed, methods, top):
+def _universal_operator(f, seed, methods, top, coefficients):
     """Every construction of f's hierarchy equals the first; and
-    Phi^(n+1) = (sum_i c_i rho_1^(n-i) rho_i) f."""
+    Phi^(n+1) = (sum_i c_i rho_1^(n-i) rho_i) f, c = coefficients[n]."""
     hierarchies = {m: phi_hierarchy(f, top, method=m) for m in methods}
     base = hierarchies[methods[0]]
 
@@ -129,19 +130,20 @@ def _universal_operator(f, seed, methods, top):
         return None
 
     def standard_form(n):
-        coeffs = solve_coefficients(n)
-        terms = []
-        for i in range(1, n + 1):
-            chain = rho(i, f)
-            for _ in range(n - i):
-                chain = rho(1, chain)
-            terms.append((chain, coeffs.c[i - 1]))
-        return first_mismatch(base[n + 1], op_combination(terms))
+        # Horner on int weights w_j = L c_j: H_1 = w_1 rho_1 f and H_j =
+        # rho_1 H_(j-1) + w_j rho_j f, so H_n / L is the sum, as rho_1 is linear
+        c = coefficients[n]
+        L = lcm(*(x.denominator for x in c))
+        w = [int(x.numerator * (L // x.denominator)) for x in c]
+        horner = rho_combination([(1, f, w[0])])
+        for j in range(2, n + 1):
+            horner = rho_combination([(1, horner, 1), (j, f, w[j - 1])])
+        return first_mismatch(base[n + 1], op_combination([(horner, rat(1, L))]))
 
     for m in methods[1:]:
         yield (f"construction {methods[0]}=={m} seed={seed}",
                partial(agrees, hierarchies[m]))
-    for n in range(1, min(top, 4)):
+    for n in coefficients:
         yield (f"standard form degree {n + 1} seed={seed}",
                partial(standard_form, n))
 

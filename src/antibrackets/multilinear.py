@@ -22,9 +22,10 @@ blocks that pick it as its weight, and the Koszul signs of the blocks of a
 parity pattern (:func:`_shuffle_signs`).
 :func:`rho_combination` is one node for a weighted sum of [mu_n, omega]
 terms, reading both halves of every term off one product table per tuple;
-:func:`rho` is its one-term case.  Any other linear combination is one node,
-built by :func:`op_combination` over one denominator; its terms are not
-flattened, as their memos are shared.
+the adjoint action rho_n omega = [mu_n, omega] is its one-term case
+``[(n, omega, 1)]``.  Any other linear combination is one node, built by
+:func:`op_combination` over one denominator; its terms are not flattened,
+as their memos are shared.
 
 Per-tuple work that does not depend on the operator is done once per
 :class:`~antibrackets.superalgebra.Signature` and kept on it, in three stores:
@@ -66,7 +67,6 @@ __all__ = [
     "nr_product",
     "nr_bracket",
     "mu",
-    "rho",
     "rho_combination",
     "linear_op",
     "random_endo",
@@ -422,12 +422,6 @@ def mu(signature: Signature, n: int) -> MultiOp:
                 for k, v in acc.items() if v}
 
     return MultiOp(signature, n, 0, eval_basis)
-
-
-def rho(n: int, omega: MultiOp) -> MultiOp:
-    """Adjoint action [mu_n, .] on an operator: the one-term
-    :func:`rho_combination`."""
-    return rho_combination([(n, omega, 1)])
 
 
 def rho_combination(terms) -> MultiOp:

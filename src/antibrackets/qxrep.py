@@ -14,13 +14,15 @@ coefficient of Phi(n, i); :func:`phi_operator` turns it into a monomial
 rule, and :func:`rho_abstract` applies rho_k to it by an explicit two-term
 rule per coordinate.  Expressing
 Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
-the universal coefficients c_i^n and the auxiliary b_n, which must vanish.
-One pass builds the induction-basis systems of every degree, each from the
-one before, and each is solved on one path.  Degree 1 is a 2x2 system,
-solved by Cramer's rule.  From degree 2 on, the top n-2 rows of the system
-of degree n are triangular: the shape is checked at every n, those rows are
-solved by forward substitution and the last three by Cramer's rule; a
-system without the shape raises SingularMatrixError.  The coordinates, the
+the universal coefficients c_i^n and the auxiliary b_n, which must vanish;
+:func:`coefficient_series` gives each degree's c_i^n as a plain tuple and
+raises ArithmeticError on a nonzero b_n.  One pass builds the
+induction-basis systems of every degree, each from the one before, and
+each is solved on one path.  Degree 1 is a 2x2 system, solved by Cramer's
+rule.  From degree 2 on, the top n-2 rows of the system of degree n are
+triangular: the shape is checked at every n, those rows are solved by
+forward substitution and the last three by Cramer's rule; a system without
+the shape raises SingularMatrixError.  The coordinates, the
 solve and the conjectured closed formula run on Python ints and divide once
 per output coefficient.  :func:`rho_action` on monomial rules is the
 independent oracle for that computation.
@@ -28,9 +30,7 @@ independent oracle for that computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from math import comb, factorial, gcd, perm
 from operator import mul
 
@@ -42,16 +42,14 @@ from .multilinear import (
     derivation_endo,
     mu,
     nr_product,
-    rho,
+    rho_combination,
 )
 from .rational import rat
 from .superalgebra import Signature
 
 __all__ = [
-    "UniversalCoefficients",
     "SingularMatrixError",
     "rho_abstract",
-    "solve_coefficients",
     "coefficient_series",
     "conjecture_coefficients",
     "conjecture_numerators",
@@ -146,15 +144,6 @@ def rho_abstract(k: int, coords: list) -> list:
             out[i] += c * stay
             out[i + k] -= c * shift
     return out
-
-
-@dataclass(frozen=True)
-class UniversalCoefficients:
-    """The c_1^n..c_n^n of the standard form, plus the auxiliary b_n."""
-
-    degree: int
-    c: tuple
-    b: object
 
 
 def _induction_systems():
@@ -253,35 +242,18 @@ def _induction_solution(n: int, matrix, target) -> list:
             rat(b, det)]
 
 
-def _solve_system(n: int, matrix, target) -> UniversalCoefficients:
-    """The coefficients of degree n from its induction-basis system.
-
-    Solved by :func:`_induction_solution`, which checks the triangular shape
-    at every n; raises ArithmeticError when b_n != 0.
-    """
-    *c, b = _induction_solution(n, matrix, target)
-    if b:
-        raise ArithmeticError(f"auxiliary coefficient b_{n} = {b} != 0")
-    return UniversalCoefficients(n, tuple(c), b)
-
-
-def solve_coefficients(n: int) -> UniversalCoefficients:
-    """Coefficients with Phi^(n+1) = (c_1 rho_1^n + sum_i c_i rho_1^(n-i) rho_i) Phi^1.
-
-    Solved exactly in V^(n+1) coordinates against the induction basis of
-    :func:`_induction_systems`; b_n, the coefficient of rho_1^(n-1)(Phi(2,2)),
-    must vanish, else ArithmeticError.  For every degree up to N, use
-    :func:`coefficient_series`, which shares the columns across degrees.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _solve_system(n, *next(islice(_induction_systems(), n - 1, None)))
-
-
 def coefficient_series(N: int) -> dict:
-    """{n: solve_coefficients(n)} for n = 1..N, from one pass over the systems."""
-    return {n: _solve_system(n, *system)
-            for n, system in zip(range(1, N + 1), _induction_systems())}
+    """{n: (c_1^n, ..., c_n^n)} for n = 1..N, each system of one pass over
+    :func:`_induction_systems` solved by :func:`_induction_solution`; b_n,
+    the coefficient of rho_1^(n-1)(Phi(2,2)), must vanish, else
+    ArithmeticError."""
+    series = {}
+    for n, system in zip(range(1, N + 1), _induction_systems()):
+        *c, b = _induction_solution(n, *system)
+        if b:
+            raise ArithmeticError(f"auxiliary coefficient b_{n} = {b} != 0")
+        series[n] = tuple(c)
+    return series
 
 
 def conjecture_numerators(n: int) -> tuple:
@@ -331,7 +303,7 @@ def bn_zero_witness(n: int) -> bool:
     partial = derivation_endo(sig)
     op = nr_product(mu(sig, 0), nr_product(partial, mu(sig, 1)))
     for _ in range(n - 2):
-        op = rho(1, op)
+        op = rho_combination([(1, op, 1)])
     prefactor = (-1) ** (n - 2)
     for i in range(3, n + 1):
         prefactor *= comb(i - 1, 2)

@@ -31,9 +31,9 @@ from antibrackets.multilinear import (
     op_combination,
     ops_equal,
     random_endo,
-    rho,
+    rho_combination,
 )
-from antibrackets.qxrep import conjecture_coefficients, solve_coefficients
+from antibrackets.qxrep import coefficient_series, conjecture_coefficients
 from antibrackets.rational import Rational, rat
 from antibrackets.series import koszul_numbers_itlog
 from antibrackets.superalgebra import Signature
@@ -152,10 +152,10 @@ def test_criterion_03_coefficient_table_reproduced_exactly(capsys):
 
 def test_criterion_04_conjectured_closed_formula_holds_to_twelve():
     started = time.perf_counter()
+    series = coefficient_series(12)
     for n in range(2, 13):
-        solved = solve_coefficients(n)
-        assert list(solved.c) == conjecture_coefficients(n), n
-        assert all((-1) ** n * c > 0 for c in solved.c), n
+        assert list(series[n]) == conjecture_coefficients(n), n
+        assert all((-1) ** n * c > 0 for c in series[n]), n
     _budget(started, 30.0, "criterion 4")
 
 
@@ -168,7 +168,8 @@ def test_criterion_05_low_order_universal_formulas(default_signature):
 
         def word_op(word):
             if word not in words:
-                words[word] = rho(word[0], word_op(word[1:]))
+                words[word] = rho_combination(
+                    [(word[0], word_op(word[1:]), 1)])
             return words[word]
 
         for n, terms in RHO_POLYNOMIALS.items():

@@ -700,6 +700,29 @@ def test_jacobi_builds_each_hierarchy_once(monkeypatch):
     assert len(built) == 7 and len(set(map(id, built))) == 7
 
 
+def test_a_wrong_universal_coefficient_fails_its_standard_forms(monkeypatch):
+    # c_2^3 one too large: the three standard forms of degree 4 return a
+    # mismatch triple, and every other universal entry holds
+    series_of = checks.coefficient_series
+
+    def perturbed(N):
+        series = series_of(N)
+        series[3] = (series[3][0], series[3][1] + 1, *series[3][2:])
+        return series
+
+    monkeypatch.setattr(checks, "coefficient_series", perturbed)
+    sig = Signature(even=2, odd=2, degree_bound=4)
+    failed = {}
+    for _, label, thunk in registry(sig, 4, 1, ["universal"]):
+        if (bad := thunk()) is not None:
+            failed[label] = bad
+    assert list(failed) == [f"standard form degree 4 seed={seed}"
+                            for seed in (1, 2, 3)]
+    for bad in failed.values():
+        args, lhs, rhs = bad
+        assert len(args) == 4 and lhs != rhs
+
+
 def test_linfinity_for_square_zero_operators():
     delta = odd_partial_endo(SIG)
     assert linfinity_check(delta, 3)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -322,9 +321,9 @@ def test_positive_follows_the_sign_of_each_solved_coefficient(capsys, monkeypatc
 
     def flipped(N):
         series = series_of(N)
-        c = list(series[4].c)
+        c = list(series[4])
         c[1] = -c[1]
-        series[4] = dataclasses.replace(series[4], c=tuple(c))
+        series[4] = tuple(c)
         return series
 
     monkeypatch.setattr(cli, "coefficient_series", flipped)

@@ -26,7 +26,6 @@ from antibrackets.multilinear import (
     op_combination,
     ops_equal,
     random_endo,
-    rho,
     rho_combination,
 )
 from antibrackets.rational import Rational, rat
@@ -150,9 +149,11 @@ def test_mu_sym_bracket_noncommutative():
 def test_rho_zero_acts_by_minus_degree():
     f = random_endo(SIG, 5, parity="even")
     omega = nr_product(mu(SIG, 1), f)  # degree 1
-    assert ops_equal(rho(0, omega), op_combination([(omega, -1)]), 3)
+    assert ops_equal(rho_combination([(0, omega, 1)]),
+                     op_combination([(omega, -1)]), 3)
     omega2 = nr_product(mu(SIG, 2), f)  # degree 2
-    assert ops_equal(rho(0, omega2), op_combination([(omega2, -2)]), 3)
+    assert ops_equal(rho_combination([(0, omega2, 1)]),
+                     op_combination([(omega2, -2)]), 3)
 
 
 def test_rho_on_mu_zero_gives_scaled_mu():
@@ -485,7 +486,7 @@ def test_rho_matches_generic_bracket(parity):
         for degree in range(3):
             omega = _general_op(sig, degree, 5 + degree, parity if sig.odd else 0)
             for h in range(5):
-                fast = rho(h, omega)
+                fast = rho_combination([(h, omega, 1)])
                 generic = nr_bracket(mu(sig, h), omega)
                 for tup in _index_tuples(sig, fast.arity, sig.degree_bound + 1):
                     value = fast._canonical_value(tup)
@@ -496,7 +497,7 @@ def test_rho_matches_generic_bracket(parity):
 
 def test_rho_reads_subset_product_tables(monkeypatch):
     omega = _general_op(SIG, 1, 3)
-    nodes = [rho(h, omega) for h in range(1, 4)]
+    nodes = [rho_combination([(h, omega, 1)]) for h in range(1, 4)]
 
     def refuse(*_args):
         raise AssertionError("rho multiplied block by block")
@@ -511,7 +512,7 @@ def test_rho_keeps_one_memo():
     # a fresh signature, so that the only operators on it are this test's
     sig = Signature(even=1, odd=2, degree_bound=4)
     omega = _general_op(sig, 1, 7)
-    nodes = [rho(h, omega) for h in range(1, 4)]
+    nodes = [rho_combination([(h, omega, 1)]) for h in range(1, 4)]
     for node in nodes:
         for tup in _index_tuples(sig, node.arity):
             node._canonical_value(tup)
@@ -522,7 +523,8 @@ def test_rho_keeps_one_memo():
 
 
 def _rho_reference(terms):
-    return op_combination([(rho(n, omega), w) for n, omega, w in terms])
+    return op_combination([(rho_combination([(n, omega, 1)]), w)
+                           for n, omega, w in terms])
 
 
 @pytest.mark.parametrize("parity", [0, 1])
@@ -614,7 +616,7 @@ def test_plans_are_the_shape_tables_of_their_tuple():
     # a fresh signature, so that its plans are this test's
     sig = Signature(even=1, odd=2, degree_bound=3)
     parities = sig.basis_parities()
-    node = rho(2, _general_op(sig, 1, 5))
+    node = rho_combination([(2, _general_op(sig, 1, 5), 1)])
     degrees = sig.basis_degrees()
     within = _index_tuples(sig, node.arity)
     # the lists are lexicographic, so the tuples past the bound are picked

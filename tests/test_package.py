@@ -10,7 +10,8 @@ from pathlib import Path
 
 import antibrackets
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs_verbatim():
@@ -108,3 +109,35 @@ def _unreferenced_private_names(src, tests):
 def test_every_private_src_name_is_referenced():
     src = Path(antibrackets.__file__).parent
     assert _unreferenced_private_names(src, Path(__file__).parent) == []
+
+
+# __all__ names that no other module, the README or perfbench reads, each
+# kept for its reason
+UNREAD_EXPORTS = [
+    "qxrep.py:SingularMatrixError",  # raised to callers of the solve
+    "qxrep.py:conjecture_coefficients",  # the conjecture's rational form
+]
+
+
+def _dead_exports(src, texts):
+    """``module:name`` for each __all__ name of a src module that no other
+    src module reads and that appears in none of ``texts`` as a word."""
+    paths = sorted(src.glob("*.py"))
+    referenced = {path: _referenced_names(path) for path in paths}
+    dead = []
+    for path in paths:
+        others = set().union(*(names for other, names in referenced.items()
+                               if other != path))
+        module = importlib.import_module(f"antibrackets.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if name not in others and not any(
+                    re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
+                dead.append(f"{path.name}:{name}")
+    return sorted(dead)
+
+
+def test_every_export_is_read_outside_its_module():
+    texts = [README.read_text(),
+             *(path.read_text() for path in sorted(ROOT.glob("perfbench/*.py")))]
+    dead = _dead_exports(Path(antibrackets.__file__).parent, texts)
+    assert dead == UNREAD_EXPORTS

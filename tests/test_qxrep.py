@@ -10,14 +10,12 @@ from antibrackets import qxrep
 from antibrackets.combinatorics import mu_bracket_factor
 from antibrackets.qxrep import (
     SingularMatrixError,
-    UniversalCoefficients,
     coefficient_series,
     conjecture_coefficients,
     phi_operator,
     rho_abstract,
     rho_action,
     rho_bracket_check,
-    solve_coefficients,
 )
 from antibrackets.rational import rat
 
@@ -224,15 +222,13 @@ def test_degree_one_step_matches_reference(system):
 
 
 def test_low_degree_coefficients_match_bullet_formulas():
-    assert list(solve_coefficients(1).c) == [rat(-1)]
-    assert list(solve_coefficients(2).c) == [rat(1, 2), rat(1, 2)]
-    assert list(solve_coefficients(3).c) == [rat(-1, 6), rat(-1, 2), rat(-1)]
-    assert list(solve_coefficients(4).c) == [
-        rat(1, 30), rat(1, 5), rat(1), rat(3),
-    ]
-    assert list(solve_coefficients(5).c) == [
-        rat(-1, 270), rat(-1, 27), rat(-1, 3), rat(-7, 3), rat(-28, 3),
-    ]
+    assert coefficient_series(5) == {
+        1: (rat(-1),),
+        2: (rat(1, 2), rat(1, 2)),
+        3: (rat(-1, 6), rat(-1, 2), rat(-1)),
+        4: (rat(1, 30), rat(1, 5), rat(1), rat(3)),
+        5: (rat(-1, 270), rat(-1, 27), rat(-1, 3), rat(-7, 3), rat(-28, 3)),
+    }
 
 
 def _recording_cramer(monkeypatch):
@@ -251,8 +247,7 @@ def _recording_cramer(monkeypatch):
 
 def test_induction_basis_matrix_holds_ints(monkeypatch):
     systems = _recording_cramer(monkeypatch)
-    for n in range(1, 8):
-        solve_coefficients(n)
+    coefficient_series(7)
     # degree 1 is the whole 2x2 system, every later one a 3x3 tail
     assert [len(rhs) for _, rhs in systems] == [2] + [3] * 6
     for columns, rhs in systems:
@@ -310,10 +305,9 @@ def test_shared_columns_match_from_scratch_reference():
     for n in range(1, 31):
         matrix, target = _induction_system_from_scratch(n)
         assert next(systems) == (matrix, target)
-        assert series[n] == solve_coefficients(n)
         # the triangular solve agrees with the system solved in its own order
         solution = _solve_linear_rational(matrix, target)
-        assert series[n].c == tuple(solution[:n]) and series[n].b == solution[n]
+        assert series[n] == tuple(solution[:n]) and solution[n] == 0
 
 
 def _reordered_solve(n, matrix, target):
@@ -324,8 +318,7 @@ def _reordered_solve(n, matrix, target):
     rows = [*range(n - 3, -1, -1), *range(max(n - 2, 0), n + 1)]
     solution = dict(zip(cols, _solve_linear_rational(
         [[matrix[r][c] for c in cols] for r in rows], [target[r] for r in rows])))
-    b = solution.pop(n)
-    return UniversalCoefficients(n, tuple(solution[i] for i in range(n)), b)
+    return tuple(solution[i] for i in range(n)), solution[n]
 
 
 def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
@@ -338,7 +331,7 @@ def test_triangular_solve_matches_reordered_solve_linear(monkeypatch):
     monkeypatch.undo()
     for n, (matrix, target) in systems:
         assert qxrep._triangular_shape(n, matrix) == (n > 1)
-        assert series[n] == _reordered_solve(n, matrix, target)
+        assert _reordered_solve(n, matrix, target) == (series[n], 0)
 
 
 @pytest.mark.parametrize("n, r, c, value", [
@@ -392,13 +385,27 @@ def test_triangular_solve_matches_solve_linear_on_shaped_systems(system):
 
 
 def test_auxiliary_coefficient_vanishes():
-    for n in range(1, 9):
-        assert solve_coefficients(n).b == 0
+    for n, system in zip(range(1, 9), qxrep._induction_systems()):
+        assert qxrep._induction_solution(n, *system)[n] == 0
+
+
+def test_nonzero_auxiliary_coefficient_raises(monkeypatch):
+    solve = qxrep._induction_solution
+
+    def perturbed(n, matrix, target):
+        *c, b = solve(n, matrix, target)
+        return [*c, b + (n == 3)]
+
+    monkeypatch.setattr(qxrep, "_induction_solution", perturbed)
+    assert len(coefficient_series(2)) == 2
+    with pytest.raises(ArithmeticError, match="b_3 = 1 != 0"):
+        coefficient_series(3)
 
 
 def test_conjectured_formula_matches_solver():
+    series = coefficient_series(8)
     for n in range(2, 9):
-        assert conjecture_coefficients(n) == list(solve_coefficients(n).c)
+        assert conjecture_coefficients(n) == list(series[n])
 
 
 def _conjecture_formula_fraction(n, i):
@@ -433,14 +440,14 @@ def test_conjecture_coefficients_rejects_n_below_two():
 
 def test_signed_sum_solves_standard_form():
     # reassemble Phi^(n+1) from the solved coordinates in the matrix model
+    series = coefficient_series(4)
     for n in (2, 3, 4):
-        coeffs = solve_coefficients(n)
         terms = []
         for i in range(1, n + 1):
             vec = rho_abstract(i, [rat(1)])
             for _ in range(n - i):
                 vec = rho_abstract(1, vec)
-            terms.append((coeffs.c[i - 1], phi_operator(vec)))
+            terms.append((series[n][i - 1], phi_operator(vec)))
         total = [qxrep._lincomb((c, rule(s)) for c, rule in terms)
                  for s in range(n + 5)]
         signed = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]

@@ -37,7 +37,7 @@ def test_exact_arithmetic():
 # Rationals that the universal suite makes at (2,2,4), N = 4, seed 1, in a
 # fresh process (its coefficients are rational); every other commutative
 # suite below runs on ints only
-UNIVERSAL_RATIONALS = 136
+UNIVERSAL_RATIONALS = 115
 
 
 @pytest.mark.skipif(Rational is not Fraction,
