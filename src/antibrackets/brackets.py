@@ -52,10 +52,10 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def _shuffle_sum(acc, f, products, subs, signs, top, weight, outer):
-    """Add weight * Phi^k_f(B) * basis[outer] into the dict ``acc`` of
-    {index: coeff}, cut to degree <= top, with ``outer`` a basis index or
-    None for no factor.
+def _shuffle_terms(terms, sig, products, subs, signs, top, weight, outer):
+    """Add weight * Phi^k_f(B) * basis[outer], cut to degree <= top, into
+    ``terms`` without reading f: key (j, u), with u None for no factor,
+    holds the coefficient of (f(basis[j]) * basis[u]) cut to degree <= top.
 
     Phi^k_f(B) is f on the k arguments at the positions of a block B of a
     ``subset_products`` table: the sum over B's sub-block rows (S, B ^ S,
@@ -65,14 +65,9 @@ def _shuffle_sum(acc, f, products, subs, signs, top, weight, outer):
     B \\ S.  As the truncated algebra is associative, each sub-term is
     f(product of S) times one signed basis index u, the product of B \\ S
     and ``outer``: the table's entry, read once more in the row of
-    ``outer``.  Like terms, by (product of S, u), are summed before f is
-    read; each group reads f's image of its S once through :func:`_image`,
-    to the degree that leaves room for u, and maps every pair through the
-    row of u, so no value of Phi is built."""
-    sig = f.signature
+    ``outer``.  This is the one statement of the shuffle formula."""
     degrees, signed = sig.basis_degrees(), sig._signed
     last = None if outer is None else sig.mul_row(outer)
-    terms = {}
     for sub, rest, rank, factor in subs:
         s, j = products[sub]
         r, u = products[rest] if rest else (1, outer)
@@ -81,11 +76,17 @@ def _shuffle_sum(acc, f, products, subs, signs, top, weight, outer):
             r *= q
         if s and r and (u is None or degrees[u] <= top):
             key = (j, u)
-            terms[key] = terms.get(key, 0) + factor * s * r * signs[rank]
+            terms[key] = terms.get(key, 0) + weight * factor * s * r * signs[rank]
+
+
+def _read_terms(acc, f, terms, top):
+    """Add the formal terms of :func:`_shuffle_terms` into ``acc``, {index:
+    coeff}: f's image of basis[j] (:func:`_image`), cut to leave room for
+    u, through the row of u; a key whose coefficient is 0 reads no image."""
+    sig, degrees = f.signature, f.signature.basis_degrees()
     for (j, u), c in terms.items():
         if not c:
             continue
-        c *= weight
         if u is None:
             for t, v in _image(f, j, top):
                 acc[t] = acc.get(t, 0) + c * v
@@ -100,14 +101,13 @@ def _shuffle_sum(acc, f, products, subs, signs, top, weight, outer):
 
 
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
-    """Phi^n_f by the defining shuffle formula (commutative signatures),
-    computed on basis indices by :func:`_shuffle_sum` at the degree bound,
-    with weight 1 and no outer factor, on the ``subset_products`` table of
-    the tuple's :func:`~.multilinear._plan`; f's images are read through
-    :func:`_image`, as :func:`inversion_check` reads them.  The
-    sub-blocks are the full block's rows in the plan's
-    :func:`~.multilinear._shuffle_shapes` table: one per sub-multiset,
-    weighted by the number of sub-blocks that pick it."""
+    """Phi^n_f by the shuffle formula (commutative signatures) on basis
+    indices: :func:`_shuffle_terms` at the degree bound, with weight 1 and
+    no outer factor, on the tuple's :func:`~.multilinear._plan` (its
+    ``subset_products`` table and its :func:`~.multilinear._shuffle_shapes`
+    rows, one per sub-multiset, weighted by the number of sub-blocks that
+    pick it), then :func:`_read_terms`, which reads f's images only for the
+    keys whose coefficient survives."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
@@ -118,8 +118,9 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
 
     def eval_basis(tup):
         products, signs, _, rows, _ = _plan(sig, tup)
-        acc = {}
-        _shuffle_sum(acc, f, products, rows[-1][5], signs, top, 1, None)
+        terms, acc = {}, {}
+        _shuffle_terms(terms, sig, products, rows[-1][5], signs, top, 1, None)
+        _read_terms(acc, f, terms, top)
         return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
@@ -278,9 +279,10 @@ def _image(f: MultiOp, j: int, room: int):
     index order, and kept in ``f._images`` with the prefix length for every
     room, as f's memo is: one sorted view per basis index for all of f's
     checks and direct values.  The views are plain data, so f is in no
-    reference cycle.  :func:`_shuffle_sum` reads f(S) with the room its
-    products leave, and maps the pairs through product rows without a
-    limit check, so the cut is what keeps every index inside those rows."""
+    reference cycle.  :func:`_read_terms` calls it only for a formal term
+    whose coefficient survives, with the room that term's outer index
+    leaves, and maps the pairs through that index's row without a limit
+    check, so the cut is what keeps every index inside the row."""
     read = f._images.get(j)
     if read is None:
         value = f._canonical_value((j,))
@@ -309,12 +311,11 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     the n parities.  A shuffle whose complement's product dies is skipped.
     Shuffles with the same block indices and the same complement product
     are one term up to their scalars, so those are summed first, and each
-    group whose sum is nonzero is one :func:`_shuffle_sum` into lhs - rhs:
-    weighted by that sum, with the complement product as its outer factor
-    and cut to the degree bound, which caps the whole term.  No value of
-    Phi is built; f's images are read through the sorted views kept on f
-    (:func:`_image`), each only up to the degree that can survive its
-    products.
+    group whose sum is nonzero is one :func:`_shuffle_terms`, weighted by
+    that sum, with the complement product as its outer factor.  The whole
+    check sums its formal terms, the lhs among them, before f is read, and
+    :func:`_read_terms` reads f's images only for the keys whose
+    coefficient survives: a check that holds term by term reads none.
     """
     _require_linear(f)
     if n < 1:
@@ -344,17 +345,15 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     signs = [_shuffle_signs(pattern)[0] for pattern in patterns]
     rows, _ = _shuffle_shapes((1,) * n)
     top = sig.degree_bound
-    diff = {}
+    terms = {}  # (j, u) -> coeff of (f(basis[j]) * basis[u]) cut to top
     for tup, coeff in combos:
         products = sig.subset_products(tup)
         s, j = products[full]
         if s:  # lhs
-            c = s * coeff
-            for t, v in _image(f, j, top):
-                diff[t] = diff.get(t, 0) + c * v
+            terms[j, None] = terms.get((j, None), 0) + s * coeff
         # the one shuffle with k = n, which has no complement
-        _shuffle_sum(diff, f, products, rows[full][5], signs[full], top,
-                     -coeff, None)
+        _shuffle_terms(terms, sig, products, rows[full][5], signs[full], top,
+                       -coeff, None)
         groups = {}  # (block indices, complement product) -> [block, scalar]
         for block in range(1, full):
             r, tail = products[full ^ block]
@@ -364,8 +363,10 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
             group[1] -= signs[full][block] * r
         for (_, tail), (block, c) in groups.items():
             if c:
-                _shuffle_sum(diff, f, products, rows[block][5], signs[block],
-                             top, c * coeff, tail)
+                _shuffle_terms(terms, sig, products, rows[block][5],
+                               signs[block], top, c * coeff, tail)
+    diff = {}
+    _read_terms(diff, f, terms, top)
     return not any(diff.values())
 
 

@@ -271,20 +271,19 @@ def cmd_verify(args) -> int:
     results = []
     for suite, label, thunk in registry(sig, args.max_n, args.seed, suites):
         outcome = thunk()
-        results.append({"suite": suite, "check": label, "ok": outcome is None,
-                        "detail": _detail(sig, outcome)})
+        r = {"suite": suite, "check": label, "ok": outcome is None,
+             "detail": _detail(sig, outcome)}
+        results.append(r)
+        if args.format != "json":  # each line as its check finishes
+            status = "pass" if r["ok"] else "FAIL"
+            print(f"[{status}] {suite}: {label}", flush=True)
+            if r["detail"] and not r["ok"]:
+                print(f"       {r['detail']}", flush=True)
     failures = sum(not r["ok"] for r in results)
     if args.format == "json":
         print(json.dumps({"ok": failures == 0, "checks": results}))
     else:
-        for r in results:
-            status = "pass" if r["ok"] else "FAIL"
-            line = f"[{status}] {r['suite']}: {r['check']}"
-            print(line)
-            if r["detail"] and not r["ok"]:
-                print(f"       {r['detail']}")
-        total = len(results)
-        print(f"{total - failures}/{total} checks passed")
+        print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
 

@@ -82,9 +82,9 @@ __all__ = [
 class MultiOp:
     """Supersymmetric (degree+1)-linear operator with memoized basis values;
     ``eval_basis`` maps a canonical index tuple to {index: nonzero coeff}.
-    A linear operator also keeps, in ``_images``, the index-sorted views of
-    its images that :func:`~antibrackets.brackets._image` fills on first
-    read."""
+    A linear operator also keeps, in ``_images``, index-sorted views of its
+    images, filled by :func:`~antibrackets.brackets._image` only for the
+    shuffle formula's formal terms whose coefficient survives."""
 
     __slots__ = ("signature", "degree", "parity", "_eval", "_cache", "_images")
 

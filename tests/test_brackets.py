@@ -131,11 +131,12 @@ def test_routes_on_repeated_arguments_match_the_block_by_block_reference(sig, N)
 
 
 def _shuffle_sum_on(f, tup, block, top, outer=None):
-    """brackets._shuffle_sum of f, with weight 1, into a fresh dict, on the
-    positions in ``block`` of tup's subset-product table, with that block's
-    sub-blocks one per bit mask (the table of ``(1,) * len(tup)``) and cut
-    to degree top; with an ``outer`` index, the cap passed is that of the
-    whole term, top plus the outer degree.  Zeros dropped."""
+    """brackets._shuffle_terms of f, with weight 1, read by
+    brackets._read_terms into a fresh dict, on the positions in ``block`` of
+    tup's subset-product table, with that block's sub-blocks one per bit
+    mask (the table of ``(1,) * len(tup)``) and cut to degree top; with an
+    ``outer`` index, the cap passed is that of the whole term, top plus the
+    outer degree.  Zeros dropped."""
     sig = f.signature
     parities = sig.basis_parities()
     pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
@@ -143,9 +144,10 @@ def _shuffle_sum_on(f, tup, block, top, outer=None):
     rows, _ = multilinear._shuffle_shapes((1,) * len(tup))
     if outer is not None:
         top += sig.basis_degrees()[outer]
-    acc = {}
-    brackets._shuffle_sum(acc, f, sig.subset_products(tup), rows[block][5],
-                          signs, top, 1, outer)
+    terms, acc = {}, {}
+    brackets._shuffle_terms(terms, sig, sig.subset_products(tup),
+                            rows[block][5], signs, top, 1, outer)
+    brackets._read_terms(acc, f, terms, top)
     return {t: c for t, c in acc.items() if c}
 
 
@@ -477,6 +479,102 @@ def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
     assert inversion_check(f, 2, [x, x])
 
 
+def _flip_first_block_sign(monkeypatch):
+    """The fault of test_inversion_check_fails_on_a_flipped_block_sign: the
+    sign of the block {first argument} flipped in every table of three
+    parities."""
+    original = multilinear._shuffle_signs
+
+    def flipped(pattern):
+        signs, odd = original(pattern)
+        if len(pattern) == 3:
+            signs = [-s if mask == 1 else s for mask, s in enumerate(signs)]
+        return signs, odd
+
+    monkeypatch.setattr(brackets, "_shuffle_signs", flipped)
+
+
+def _reference_inversion_check(f, n, args):
+    """inversion_check in the order of a check that reads f group by group:
+    the lhs and each nonzero group's shuffle sum read f's images at once,
+    straight into lhs - rhs."""
+    sig = f.signature
+    top, full = sig.degree_bound, (1 << n) - 1
+    args = [a if isinstance(a, AlgebraElement) else sig.monomial_element(a)
+            for a in args]
+    combos, patterns = [((), 1)], [()]
+    for a in args:
+        combos = [(tup + (i,), coeff * c)
+                  for tup, coeff in combos for i, c in a.terms.items()]
+        patterns += [pattern + (a.parity(),) for pattern in patterns]
+    signs = [brackets._shuffle_signs(pattern)[0] for pattern in patterns]
+    rows, _ = multilinear._shuffle_shapes((1,) * n)
+    diff = {}
+
+    def read(products, block, weight, outer):
+        terms = {}
+        brackets._shuffle_terms(terms, sig, products, rows[block][5],
+                                signs[block], top, weight, outer)
+        brackets._read_terms(diff, f, terms, top)
+
+    for tup, coeff in combos:
+        products = sig.subset_products(tup)
+        s, j = products[full]
+        if s:
+            brackets._read_terms(diff, f, {(j, None): s * coeff}, top)
+        read(products, full, -coeff, None)
+        groups = {}
+        for block in range(1, full):
+            r, tail = products[full ^ block]
+            if r:
+                group = groups.setdefault((rows[block][2](tup), tail),
+                                          [block, 0])
+                group[1] -= signs[full][block] * r
+        for (_, tail), (block, c) in groups.items():
+            if c:
+                read(products, block, c * coeff, tail)
+    return not any(diff.values())
+
+
+def test_inversion_verdict_does_not_depend_on_the_summation_order(monkeypatch):
+    # summing the whole check's formal terms before f is read gives the
+    # verdict of reading f group by group, on correct checks and, under a
+    # flipped block sign, on failing ones; arguments include the unit and
+    # homogeneous elements of several terms
+    shapes = [Signature(1, 1, 3), Signature(2, 1, 4),
+              Signature(0, 3, 3), Signature(2, 0, 4, unital=False)]
+    rng = random.Random(11)
+    cases = []
+    for sig in shapes:
+        by_parity = {p: [m for m in sig.basis() if sig.parity(m) == p]
+                     for p in (0, 1)}
+        by_parity = {p: ms for p, ms in by_parity.items() if ms}
+        for seed, parity in ((1, "even"), (2, "odd")):
+            f = random_endo(sig, seed, parity=parity, density=0.5)
+            for n in range(1, 5):
+                for _ in range(3):
+                    args = []
+                    for _ in range(n):
+                        ms = by_parity[rng.choice(sorted(by_parity))]
+                        picked = rng.sample(ms, min(len(ms), rng.randint(1, 3)))
+                        args.append(sig.element(
+                            {m: rng.choice([-2, -1, 1, 3]) for m in picked}))
+                    cases.append((f, n, args))
+    assert any(len(a.terms) > 1 for _, _, args in cases for a in args)
+    assert any(a.signature.unital and 0 in a.terms  # the unit
+               for _, _, args in cases for a in args)
+
+    def verdicts(check):
+        return [check(f, n, args) for f, n, args in cases]
+
+    assert verdicts(inversion_check) == verdicts(_reference_inversion_check)
+    assert all(verdicts(inversion_check))
+    _flip_first_block_sign(monkeypatch)
+    faulted = verdicts(inversion_check)
+    assert faulted == verdicts(_reference_inversion_check)
+    assert not all(faulted) and any(faulted)
+
+
 def test_inversion_check_fails_on_a_flipped_complement_product(monkeypatch):
     # The product th x of the last two arguments is the outer factor of the
     # block {first argument} and the complement of that sub-block in
@@ -501,9 +599,9 @@ def test_inversion_check_fails_on_a_flipped_complement_product(monkeypatch):
 
 def test_inversion_check_sums_once_per_nonzero_group(monkeypatch):
     # shuffles with the same block indices and the same complement product
-    # are one term up to their scalars: one shuffle sum goes into lhs - rhs
-    # for each such group whose summed scalar is nonzero, and one for the
-    # whole block
+    # are one term up to their scalars: one shuffle sum goes into the
+    # check's formal terms for each such group whose summed scalar is
+    # nonzero, and one for the whole block
     sig = Signature(even=1, odd=1, degree_bound=5)
     x, th = sig.even_generator(0), sig.odd_generator(0)
     args = [x, x, th, x, th]
@@ -523,13 +621,13 @@ def test_inversion_check_sums_once_per_nonzero_group(monkeypatch):
     nonzero = [key for key, c in groups.items() if c]
     assert 0 < len(nonzero) < len(groups) < masks
     calls = []
-    original = brackets._shuffle_sum
+    original = brackets._shuffle_terms
 
     def counted(*a):
         calls.append(a)
         return original(*a)
 
-    monkeypatch.setattr(brackets, "_shuffle_sum", counted)
+    monkeypatch.setattr(brackets, "_shuffle_terms", counted)
     for seed, parity in ((1, "even"), (2, "odd")):
         calls.clear()
         assert inversion_check(random_endo(sig, seed, parity=parity), n, args)
@@ -552,15 +650,21 @@ def test_associative_bracket_hierarchy_builds_no_product_table(monkeypatch):
     assert calls == []
 
 
-def test_inversion_checks_share_one_sorted_view_per_image():
-    f = random_endo(SIG, 5, parity="odd")
+def test_inversion_checks_share_one_sorted_view_per_image(monkeypatch):
+    # a correct check's formal terms all cancel, so it reads no image of f;
+    # a failing check reads images, and the next one reuses their views
+    f, d = random_endo(SIG, 5, parity="odd"), derivation_endo(SIG)
     x, th = SIG.even_generator(0), SIG.odd_generator(0)
-    assert f._images == {}
     assert inversion_check(f, 2, [x, th])
-    views = dict(f._images)
-    assert views
     assert inversion_check(f, 3, [x, th, x])
-    assert all(f._images[j] is view for j, view in views.items())
+    assert inversion_check(d, 3, [x, x, x])
+    assert f._images == d._images == {}
+    _flip_first_block_sign(monkeypatch)
+    assert not inversion_check(d, 3, [x, x, x])
+    views = dict(d._images)
+    assert views
+    assert not inversion_check(d, 3, [x, x, x])
+    assert all(d._images[j] is view for j, view in views.items())
     assert random_endo(SIG, 5, parity="odd")._images == {}
 
 

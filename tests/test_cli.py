@@ -241,6 +241,28 @@ def test_verify_reports_each_failure_shape(capsys, monkeypatch):
     ]
 
 
+def test_plain_verify_prints_each_line_as_its_check_finishes(capsys,
+                                                             monkeypatch):
+    # a failing check's lines are on stdout before the next check runs and
+    # the summary line comes last; JSON output stays one document
+    seen = []
+
+    def registry(sig, N, seed, suites):
+        yield "jacobi", "first", lambda: "why"
+        yield "jacobi", "second", lambda: seen.append(capsys.readouterr().out)
+
+    monkeypatch.setattr(checks, "registry", registry)
+    code, out, _ = run_cli(capsys, "verify", "jacobi")
+    assert code == 1
+    assert seen == ["[FAIL] jacobi: first\n       why\n"]
+    assert out == "[pass] jacobi: second\n1/2 checks passed\n"
+    code, out, _ = run_cli(capsys, "verify", "jacobi", "--format", "json")
+    assert code == 1
+    assert seen[1] == ""
+    assert [c["check"] for c in json.loads(out)["checks"]] == ["first",
+                                                                "second"]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
