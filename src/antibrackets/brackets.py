@@ -21,8 +21,6 @@ which is Phi^1_f itself; the entry points refuse any other degree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import islice
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
@@ -52,10 +50,10 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def _shuffle_terms(terms, sig, products, subs, signs, top, weight, outer):
-    """Add weight * Phi^k_f(B) * basis[outer], cut to degree <= top, into
-    ``terms`` without reading f: key (j, u), with u None for no factor,
-    holds the coefficient of (f(basis[j]) * basis[u]) cut to degree <= top.
+def _shuffle_terms(terms, sig, products, subs, signs, weight, outer):
+    """Add weight * Phi^k_f(B) * basis[outer] into ``terms`` without
+    reading f: key (j, u), with u None for no factor, holds the coefficient
+    of f(basis[j]) * basis[u].
 
     Phi^k_f(B) is f on the k arguments at the positions of a block B of a
     ``subset_products`` table: the sum over B's sub-block rows (S, B ^ S,
@@ -66,7 +64,7 @@ def _shuffle_terms(terms, sig, products, subs, signs, top, weight, outer):
     f(product of S) times one signed basis index u, the product of B \\ S
     and ``outer``: the table's entry, read once more in the row of
     ``outer``.  This is the one statement of the shuffle formula."""
-    degrees, signed = sig.basis_degrees(), sig._signed
+    signed = sig._signed
     last = None if outer is None else sig.mul_row(outer)
     for sub, rest, rank, factor in subs:
         s, j = products[sub]
@@ -74,39 +72,35 @@ def _shuffle_terms(terms, sig, products, subs, signs, top, weight, outer):
         if rest and r and last is not None:
             q, u = signed[last[u]] if u < len(last) else signed[0]
             r *= q
-        if s and r and (u is None or degrees[u] <= top):
+        if s and r:
             key = (j, u)
             terms[key] = terms.get(key, 0) + weight * factor * s * r * signs[rank]
 
 
-def _read_terms(acc, f, terms, top):
+def _read_terms(acc, f, terms):
     """Add the formal terms of :func:`_shuffle_terms` into ``acc``, {index:
-    coeff}: f's image of basis[j] (:func:`_image`), cut to leave room for
-    u, through the row of u; a key whose coefficient is 0 reads no image."""
-    sig, degrees = f.signature, f.signature.basis_degrees()
+    coeff}: f's image of basis[j], read from f's memo, times basis[u] by
+    :meth:`~.superalgebra.Signature.mul_into`, whose row length is the one
+    degree cut; a key whose coefficient is 0 reads no image."""
+    sig = f.signature
     for (j, u), c in terms.items():
         if not c:
             continue
+        image = f._canonical_value((j,)).items()
         if u is None:
-            for t, v in _image(f, j, top):
+            for t, v in image:
                 acc[t] = acc.get(t, 0) + c * v
         else:
-            row = sig.mul_row(u)
-            for t, v in _image(f, j, top - degrees[u]):
-                e = row[t]
-                if e > 0:
-                    acc[e - 1] = acc.get(e - 1, 0) + c * v
-                elif e:
-                    acc[-e - 1] = acc.get(-e - 1, 0) - c * v
+            sig.mul_into(acc, image, u, c)
 
 
 def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     """Phi^n_f by the shuffle formula (commutative signatures) on basis
-    indices: :func:`_shuffle_terms` at the degree bound, with weight 1 and
-    no outer factor, on the tuple's :func:`~.multilinear._plan` (its
-    ``subset_products`` table and its :func:`~.multilinear._shuffle_shapes`
-    rows, one per sub-multiset, weighted by the number of sub-blocks that
-    pick it), then :func:`_read_terms`, which reads f's images only for the
+    indices: :func:`_shuffle_terms` with weight 1 and no outer factor, on
+    the tuple's :func:`~.multilinear._plan` (its ``subset_products`` table
+    and its :func:`~.multilinear._shuffle_shapes` rows, one per
+    sub-multiset, weighted by the number of sub-blocks that pick it), then
+    :func:`_read_terms`, which reads f's images from its memo only for the
     keys whose coefficient survives."""
     _require_linear(f)
     sig = f.signature
@@ -114,13 +108,12 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
         raise ValueError("the shuffle formula needs a commutative signature")
     if n < 1:
         raise ValueError("n must be >= 1")
-    top = sig.degree_bound
 
     def eval_basis(tup):
         products, signs, _, rows, _ = _plan(sig, tup)
         terms, acc = {}, {}
-        _shuffle_terms(terms, sig, products, rows[-1][5], signs, top, 1, None)
-        _read_terms(acc, f, terms, top)
+        _shuffle_terms(terms, sig, products, rows[-1][5], signs, 1, None)
+        _read_terms(acc, f, terms)
         return {t: c for t, c in acc.items() if c}
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
@@ -271,32 +264,6 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
     return _METHODS[method](f, N)
 
 
-def _image(f: MultiOp, j: int, room: int):
-    """f's image of basis[j] to degree <= room, as a prefix of the image's
-    (index, coeff) pairs in index order.
-
-    On its first read an image is sorted, copied only if its keys are out of
-    index order, and kept in ``f._images`` with the prefix length for every
-    room, as f's memo is: one sorted view per basis index for all of f's
-    checks and direct values.  The views are plain data, so f is in no
-    reference cycle.  :func:`_read_terms` calls it only for a formal term
-    whose coefficient survives, with the room that term's outer index
-    leaves, and maps the pairs through that index's row without a limit
-    check, so the cut is what keeps every index inside the row."""
-    read = f._images.get(j)
-    if read is None:
-        value = f._canonical_value((j,))
-        keys = sorted(value)
-        if keys != list(value):
-            value = {k: value[k] for k in keys}
-        sig = f.signature
-        sig.basis()  # for its prefix counts by degree
-        read = f._images[j] = (value.items(),
-                               [bisect_left(keys, p) for p in sig._prefix])
-    items, cuts = read
-    return islice(items, cuts[room]) if cuts[room] else ()
-
-
 def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
@@ -314,8 +281,9 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     group whose sum is nonzero is one :func:`_shuffle_terms`, weighted by
     that sum, with the complement product as its outer factor.  The whole
     check sums its formal terms, the lhs among them, before f is read, and
-    :func:`_read_terms` reads f's images only for the keys whose
-    coefficient survives: a check that holds term by term reads none.
+    :func:`_read_terms` reads f's images from its memo only for the keys
+    whose coefficient survives, each through one product row, whose length
+    is the one degree cut: a check that holds term by term reads none.
     """
     _require_linear(f)
     if n < 1:
@@ -344,15 +312,14 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
         patterns += [pattern + (p,) for pattern in patterns]
     signs = [_shuffle_signs(pattern)[0] for pattern in patterns]
     rows, _ = _shuffle_shapes((1,) * n)
-    top = sig.degree_bound
-    terms = {}  # (j, u) -> coeff of (f(basis[j]) * basis[u]) cut to top
+    terms = {}  # (j, u) -> coeff of f(basis[j]) * basis[u]
     for tup, coeff in combos:
         products = sig.subset_products(tup)
         s, j = products[full]
         if s:  # lhs
             terms[j, None] = terms.get((j, None), 0) + s * coeff
         # the one shuffle with k = n, which has no complement
-        _shuffle_terms(terms, sig, products, rows[full][5], signs[full], top,
+        _shuffle_terms(terms, sig, products, rows[full][5], signs[full],
                        -coeff, None)
         groups = {}  # (block indices, complement product) -> [block, scalar]
         for block in range(1, full):
@@ -364,9 +331,9 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
         for (_, tail), (block, c) in groups.items():
             if c:
                 _shuffle_terms(terms, sig, products, rows[block][5],
-                               signs[block], top, c * coeff, tail)
+                               signs[block], c * coeff, tail)
     diff = {}
-    _read_terms(diff, f, terms, top)
+    _read_terms(diff, f, terms)
     return not any(diff.values())
 
 

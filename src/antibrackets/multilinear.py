@@ -45,9 +45,8 @@ operator constructors (:func:`random_endo`, :func:`derivation_endo`,
 :func:`odd_partial_endo`, :func:`multiplication_endo`) build theirs with
 it; the identity is ``mu(sig, 0)``.  Linear operators compose by
 :func:`nr_product` and their graded commutator is :func:`nr_bracket`.  The
-shuffle sums of :mod:`.brackets` read a linear operator's images as
-index-sorted views, kept as plain data in its ``_images`` next to its memo,
-so no operator is part of a reference cycle.
+shuffle sums of :mod:`.brackets` read a linear operator's images from its
+memo, each through one product row, whose length is the one degree cut.
 """
 
 from __future__ import annotations
@@ -82,11 +81,10 @@ __all__ = [
 class MultiOp:
     """Supersymmetric (degree+1)-linear operator with memoized basis values;
     ``eval_basis`` maps a canonical index tuple to {index: nonzero coeff}.
-    A linear operator also keeps, in ``_images``, index-sorted views of its
-    images, filled by :func:`~antibrackets.brackets._image` only for the
-    shuffle formula's formal terms whose coefficient survives."""
+    The shuffle formula reads a linear operator's images from this memo,
+    only for its formal terms whose coefficient survives."""
 
-    __slots__ = ("signature", "degree", "parity", "_eval", "_cache", "_images")
+    __slots__ = ("signature", "degree", "parity", "_eval", "_cache")
 
     def __init__(self, signature: Signature, degree: int, parity: int, eval_basis):
         if degree < 0:
@@ -96,7 +94,6 @@ class MultiOp:
         self.parity = parity % 2
         self._eval = eval_basis
         self._cache = {}
-        self._images = {}
 
     @property
     def arity(self) -> int:

@@ -92,7 +92,6 @@ class Signature:
         self._basis = None
         self._index = None
         self._parities = self._degrees = None  # of each basis monomial, by index
-        self._prefix = None  # r -> number of basis monomials of degree <= r
         self._rows = None  # j -> mul_row(j) once built, else None
         # e -> the (sign, index) pair a row entry e encodes, one object each
         self._signed = None
@@ -166,10 +165,7 @@ class Signature:
             self._basis = monomials
             self._index = {m: i for i, m in enumerate(monomials)}
             self._parities = [self.parity(m) for m in monomials]
-            self._degrees = degrees = [self.degree(m) for m in monomials]
-            self._prefix = [
-                bisect_right(degrees, r) for r in range(self.degree_bound + 1)
-            ]
+            self._degrees = [self.degree(m) for m in monomials]
             self._rows = [None] * len(monomials)
             # entry e is (1, e - 1) for e > 0 and (-1, -e - 1) for e < 0
             self._signed = ([(0, None)] + [(1, k) for k in range(len(monomials))]
@@ -236,7 +232,7 @@ class Signature:
         this g)."""
         basis, index = self._basis, self._index
         b = basis[j]
-        size = self._prefix[self.degree_bound - self._degrees[j]]
+        size = bisect_right(self._degrees, self.degree_bound - self._degrees[j])
         if self._degrees[j] < 2:
             row = []
             for i in range(size):

@@ -130,24 +130,21 @@ def test_routes_on_repeated_arguments_match_the_block_by_block_reference(sig, N)
     assert repeated == {False, True}
 
 
-def _shuffle_sum_on(f, tup, block, top, outer=None):
+def _shuffle_sum_on(f, tup, block, outer=None):
     """brackets._shuffle_terms of f, with weight 1, read by
     brackets._read_terms into a fresh dict, on the positions in ``block`` of
     tup's subset-product table, with that block's sub-blocks one per bit
-    mask (the table of ``(1,) * len(tup)``) and cut to degree top; with an
-    ``outer`` index, the cap passed is that of the whole term, top plus the
-    outer degree.  Zeros dropped."""
+    mask (the table of ``(1,) * len(tup)``), times basis[outer] if given.
+    Zeros dropped."""
     sig = f.signature
     parities = sig.basis_parities()
     pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
     signs, _ = multilinear._shuffle_signs(pattern)
     rows, _ = multilinear._shuffle_shapes((1,) * len(tup))
-    if outer is not None:
-        top += sig.basis_degrees()[outer]
     terms, acc = {}, {}
     brackets._shuffle_terms(terms, sig, sig.subset_products(tup),
-                            rows[block][5], signs, top, 1, outer)
-    brackets._read_terms(acc, f, terms, top)
+                            rows[block][5], signs, 1, outer)
+    brackets._read_terms(acc, f, terms)
     return {t: c for t, c in acc.items() if c}
 
 
@@ -156,36 +153,27 @@ def _shuffle_sum_on(f, tup, block, top, outer=None):
     Signature(even=2, odd=1, degree_bound=3, unital=False),
     Signature(even=0, odd=3, degree_bound=3),
 ], ids=repr)
-def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
+def test_shuffle_sum_is_the_direct_value(sig):
     # f a random operator, and a bracket of two, whose values are not in
-    # basis order; the rule also holds on a tuple out of canonical order,
-    # on every block of a longer tuple's table, and on the index-sorted
-    # prefixes of f's images that inversion_check reads
-    degrees = sig.basis_degrees()
+    # basis order; the rule also holds on a tuple out of canonical order
+    # and on every block of a longer tuple's table
     f1 = random_endo(sig, 21, parity="even", density=0.5)
     f2 = random_endo(sig, 22, parity="odd", density=0.5)
-    capped = 0
     for f in (f1, nr_bracket(f1, f2)):
         ops = {n: phi_direct_op(f, n) for n in range(1, 5)}
         for n in range(1, 5):
             full = (1 << n) - 1
             for tup in _index_tuples(sig, n):
                 value = ops[n]._canonical_value(tup)
-                assert _shuffle_sum_on(f, tup, full, sig.degree_bound) == value
+                assert _shuffle_sum_on(f, tup, full) == value, (n, tup)
                 sign, _ = sig.canonical_indices(tup[::-1])
-                for top in range(sig.degree_bound + 1):
-                    want = {t: c for t, c in value.items() if degrees[t] <= top}
-                    got = _shuffle_sum_on(f, tup, full, top)
-                    assert got == want, (n, tup, top)
-                    capped += got != value
-                    if sign:
-                        flipped = _shuffle_sum_on(f, tup[::-1], full, top)
-                        assert flipped == {t: sign * c for t, c in want.items()}
+                if sign:
+                    flipped = _shuffle_sum_on(f, tup[::-1], full)
+                    assert flipped == {t: sign * c for t, c in value.items()}
                 for block in range(1, full):
                     sub = tuple(i for q, i in enumerate(tup) if block >> q & 1)
-                    assert (_shuffle_sum_on(f, tup, block, sig.degree_bound)
+                    assert (_shuffle_sum_on(f, tup, block)
                             == ops[len(sub)]._canonical_value(sub)), (tup, block)
-    assert capped
 
 
 @pytest.mark.parametrize("sig", [
@@ -193,11 +181,11 @@ def test_capped_shuffle_sum_is_the_direct_value_to_that_degree(sig):
     Signature(even=2, odd=1, degree_bound=3, unital=False),
     Signature(even=0, odd=3, degree_bound=3),
 ], ids=repr)
-def test_shuffle_sum_with_an_outer_index_is_the_capped_value_times_it(sig):
+def test_shuffle_sum_with_an_outer_index_is_the_value_times_it(sig):
     # every pair goes through the row of one index, the product of its
     # sub-block's complement and the outer index j; the product is checked
-    # against AlgebraElement multiplication, for every j that leaves room
-    # for top, also where that product dies
+    # against AlgebraElement multiplication for every j, also where that
+    # product dies
     degrees = sig.basis_degrees()
     f = nr_bracket(random_endo(sig, 23, parity="even", density=0.5),
                    random_endo(sig, 24, parity="odd", density=0.5))
@@ -205,18 +193,13 @@ def test_shuffle_sum_with_an_outer_index_is_the_capped_value_times_it(sig):
     for n in range(1, 4):
         op, full = phi_direct_op(f, n), (1 << n) - 1
         for tup in _index_tuples(sig, n):
-            value = op._canonical_value(tup)
-            for top in range(sig.degree_bound + 1):
-                capped = AlgebraElement(
-                    sig, {t: c for t, c in value.items() if degrees[t] <= top})
-                for j, d in enumerate(degrees):
-                    if d > sig.degree_bound - top:
-                        continue
-                    want = (capped * AlgebraElement(sig, {j: 1})).terms
-                    got = _shuffle_sum_on(f, tup, full, top, outer=j)
-                    assert got == want, (tup, top, j)
-                    live += n > 1 and d > 0 and bool(want)
-                    dead += n > 1 and d > 0 and bool(capped.terms) and not want
+            value = AlgebraElement(sig, op._canonical_value(tup))
+            for j, d in enumerate(degrees):
+                want = (value * AlgebraElement(sig, {j: 1})).terms
+                got = _shuffle_sum_on(f, tup, full, outer=j)
+                assert got == want, (tup, j)
+                live += n > 1 and d > 0 and bool(want)
+                dead += n > 1 and d > 0 and bool(value.terms) and not want
     assert live and dead
 
 
@@ -441,10 +424,8 @@ def test_inversion_formula_at_arities_five_and_six():
 
 
 def test_inversion_formula_on_values_out_of_index_order():
-    # a bracket's images are accumulated in no index order, so the check
-    # sorts each one before it cuts it (the verdict does not depend on the
-    # cut; test_capped_shuffle_sum_is_the_direct_value_to_that_degree
-    # checks the cut values)
+    # a bracket's images are accumulated in no index order, and the check
+    # maps each one through a product row as it is
     f = nr_bracket(random_endo(SIG, 41, parity="even", density=0.5),
                    random_endo(SIG, 42, parity="odd", density=0.5))
     images = [list(f._canonical_value((i,))) for i in range(len(SIG.basis()))]
@@ -499,7 +480,7 @@ def _reference_inversion_check(f, n, args):
     the lhs and each nonzero group's shuffle sum read f's images at once,
     straight into lhs - rhs."""
     sig = f.signature
-    top, full = sig.degree_bound, (1 << n) - 1
+    full = (1 << n) - 1
     args = [a if isinstance(a, AlgebraElement) else sig.monomial_element(a)
             for a in args]
     combos, patterns = [((), 1)], [()]
@@ -514,14 +495,14 @@ def _reference_inversion_check(f, n, args):
     def read(products, block, weight, outer):
         terms = {}
         brackets._shuffle_terms(terms, sig, products, rows[block][5],
-                                signs[block], top, weight, outer)
-        brackets._read_terms(diff, f, terms, top)
+                                signs[block], weight, outer)
+        brackets._read_terms(diff, f, terms)
 
     for tup, coeff in combos:
         products = sig.subset_products(tup)
         s, j = products[full]
         if s:
-            brackets._read_terms(diff, f, {(j, None): s * coeff}, top)
+            brackets._read_terms(diff, f, {(j, None): s * coeff})
         read(products, full, -coeff, None)
         groups = {}
         for block in range(1, full):
@@ -650,22 +631,18 @@ def test_associative_bracket_hierarchy_builds_no_product_table(monkeypatch):
     assert calls == []
 
 
-def test_inversion_checks_share_one_sorted_view_per_image(monkeypatch):
-    # a correct check's formal terms all cancel, so it reads no image of f;
-    # a failing check reads images, and the next one reuses their views
+def test_only_failing_inversion_checks_read_images(monkeypatch):
+    # a correct check's formal terms all cancel, so it reads no image of f
+    # and leaves f's memo empty; a failing check reads images from it
     f, d = random_endo(SIG, 5, parity="odd"), derivation_endo(SIG)
     x, th = SIG.even_generator(0), SIG.odd_generator(0)
     assert inversion_check(f, 2, [x, th])
     assert inversion_check(f, 3, [x, th, x])
     assert inversion_check(d, 3, [x, x, x])
-    assert f._images == d._images == {}
+    assert f._cache == d._cache == {}
     _flip_first_block_sign(monkeypatch)
     assert not inversion_check(d, 3, [x, x, x])
-    views = dict(d._images)
-    assert views
-    assert not inversion_check(d, 3, [x, x, x])
-    assert all(d._images[j] is view for j, view in views.items())
-    assert random_endo(SIG, 5, parity="odd")._images == {}
+    assert d._cache
 
 
 def test_read_operators_are_in_no_reference_cycle():
