@@ -37,16 +37,19 @@ signatures and :func:`nr_product` reads on either kind (an associative
 plan has no product table), and holds only tuples of total degree within
 the degree bound; ``sig._canonical`` maps a tuple of monomial arguments of
 :meth:`MultiOp.__call__` to its sign and canonical index tuple, up to
-:data:`ARGUMENT_MEMO_SIZE` entries.
+:data:`ARGUMENT_MEMO_SIZE` entries.  ``sig._mu`` holds the one :func:`mu`
+node of each n, so every caller reads one memo.
 
-A linear operator is an operator of degree 0.  :func:`linear_op` builds one
-from its images on the basis, ``{basis index: {index: coeff}}``, and the
-operator constructors (:func:`random_endo`, :func:`derivation_endo`,
-:func:`odd_partial_endo`, :func:`multiplication_endo`) build theirs with
-it; the identity is ``mu(sig, 0)``.  Linear operators compose by
-:func:`nr_product` and their graded commutator is :func:`nr_bracket`.  The
-shuffle sums of :mod:`.brackets` read a linear operator's images from its
-memo, each through one product row, whose length is the one degree cut.
+A linear operator is an operator of degree 0, reading its image of each
+basis index from a stored row.  :func:`linear_op` validates the images a
+caller supplies, ``{basis index: {index: coeff}}``, and the operator
+constructors :func:`derivation_endo`, :func:`odd_partial_endo` and
+:func:`multiplication_endo` build theirs with it; :func:`random_endo`
+writes the rows it drew itself, with no second pass.  The identity is
+``mu(sig, 0)``.  Linear operators compose by :func:`nr_product` and their
+graded commutator is :func:`nr_bracket`.  The shuffle sums of
+:mod:`.brackets` read a linear operator's images from its memo, each
+through one product row, whose length is the one degree cut.
 """
 
 from __future__ import annotations
@@ -395,15 +398,26 @@ def mu(signature: Signature, n: int) -> MultiOp:
     value is one :meth:`~.Signature.mul_indices`.  On an associative one it
     is the Koszul-signed sum over the (n+1)! orders, divided once by (n+1)!,
     to an int wherever the division is exact.
+
+    There is one node per (signature, n), kept in ``signature._mu``, so
+    every caller reads one memo.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    node = signature._mu.get(n)
+    if node is None:
+        node = signature._mu[n] = MultiOp(signature, n, 0, _mu_rule(signature, n))
+    return node
+
+
+def _mu_rule(signature: Signature, n: int):
+    """The evaluation rule of mu_n on canonical index tuples."""
     if signature.commutative:
         def eval_basis(tup):
             sign, k = signature.mul_indices(tup)
             return {k: sign} if sign else {}
 
-        return MultiOp(signature, n, 0, eval_basis)
+        return eval_basis
     den = factorial(n + 1)
     orders = list(itertools.permutations(range(n + 1)))
 
@@ -418,7 +432,7 @@ def mu(signature: Signature, n: int) -> MultiOp:
         return {k: v // den if not v % den else rat(v, den)
                 for k, v in acc.items() if v}
 
-    return MultiOp(signature, n, 0, eval_basis)
+    return eval_basis
 
 
 def rho_combination(terms) -> MultiOp:
@@ -500,6 +514,12 @@ def linear_op(signature: Signature, images, parity: int) -> MultiOp:
         image = stored[i] = {k: c for k, c in image.items() if c}
         if not image.keys() <= by_parity[(parities[i] + parity) % 2]:
             raise ValueError(f"image of basis index {i} violates parity {parity}")
+    return _stored_op(signature, stored, parity)
+
+
+def _stored_op(signature: Signature, stored, parity: int) -> MultiOp:
+    """The linear operator whose image of basis[i] is ``stored[i]``, a dict
+    {index: nonzero coeff} of the right parity, taken as it is."""
     return MultiOp(signature, 0, parity, lambda t: stored[t[0]])
 
 
@@ -510,6 +530,12 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     parity s only maps into the span of monomials of parity s (even) or
     1 - s (odd).  Each allowed matrix entry is nonzero with the given
     density; the result is deterministic in the seed.
+
+    The draw order is a contract that every seeded pin depends on: for
+    each basis index i, then each allowed target k, both in basis order,
+    one ``random()``, and where it falls below the density the 5-bit
+    draws of ``randint(-9, 9)``.  A zero draw stores no entry; the others
+    go into row i in the order k was drawn.
     """
     par = {"even": 0, "odd": 1, 0: 0, 1: 1}.get(parity)
     if par is None:
@@ -518,17 +544,19 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     draw, bits = rng.random, rng.getrandbits
     parities = signature.basis_parities()
     by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
-    images = {}
-    for i, p in enumerate(parities):
-        image = images[i] = {}
+    stored = []
+    for p in parities:
+        image = {}
         for k in by_parity[(p + par) % 2]:
             if draw() < density:
                 # the draws of randint(-9, 9): 5 bits, redrawn until below 19
                 r = bits(5)
                 while r >= 19:
                     r = bits(5)
-                image[k] = r - 9
-    return linear_op(signature, images, parity=par)
+                if r != 9:
+                    image[k] = r - 9
+        stored.append(image)
+    return _stored_op(signature, stored, par)
 
 
 def derivation_endo(signature: Signature) -> MultiOp:

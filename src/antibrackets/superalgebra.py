@@ -74,9 +74,11 @@ class Signature:
     a signature keeps the per-tuple data every operator on it shares:
     ``_tuples``, the canonical index tuples of each (arity, bound);
     ``_plans``, the shuffle plan of each canonical index tuple of total
-    degree within the bound, and ``_canonical``, the sign and canonical
-    index tuple of each tuple of monomial operator arguments, capped in
-    size.  :mod:`.multilinear` fills all three and bounds the last two.
+    degree within the bound; ``_mu``, the one multiplication operator mu_n
+    of each n asked for; and ``_canonical``, the sign and canonical index
+    tuple of each tuple of monomial operator arguments, capped in size.
+    :mod:`.multilinear` fills all four and bounds ``_plans`` and
+    ``_canonical``.
     """
 
     def __init__(self, even=2, odd=2, degree_bound=5, commutative=True, unital=True):
@@ -97,6 +99,7 @@ class Signature:
         self._signed = None
         self._tuples = {}  # (arity, bound) -> canonical index tuples
         self._plans = {}  # canonical index tuple -> its shuffle plan
+        self._mu = {}  # n -> the operator mu_n
         self._canonical = {}  # monomial argument tuple -> (sign, canonical)
 
     def _key(self):

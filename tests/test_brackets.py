@@ -447,23 +447,14 @@ def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
     f = derivation_endo(SIG)
     x = SIG.even_generator(0)
     assert inversion_check(f, 3, [x, x, x])
-    original = multilinear._shuffle_signs
-
-    def flipped(pattern):
-        signs, odd = original(pattern)
-        if len(pattern) == 3:
-            signs = [-s if mask == 1 else s for mask, s in enumerate(signs)]
-        return signs, odd
-
-    monkeypatch.setattr(brackets, "_shuffle_signs", flipped)
+    _flip_first_block_sign(monkeypatch)
     assert not inversion_check(f, 3, [x, x, x])
     assert inversion_check(f, 2, [x, x])
 
 
 def _flip_first_block_sign(monkeypatch):
-    """The fault of test_inversion_check_fails_on_a_flipped_block_sign: the
-    sign of the block {first argument} flipped in every table of three
-    parities."""
+    """The sign of the block {first argument} flipped in every table of
+    three parities."""
     original = multilinear._shuffle_signs
 
     def flipped(pattern):

@@ -433,22 +433,32 @@ def random_endo_reference(signature, seed, parity="even", density=0.25):
     return images
 
 
-@pytest.mark.parametrize("sig", [
+STREAM_GRID = [(seed, parity, density) for seed in (0, 7, 2**31 - 1)
+               for parity in ("even", "odd", 0, 1)
+               for density in (0.0, 0.25, 0.5, 1.0)]
+STREAM_CASES = [(sig, STREAM_GRID) for sig in (
     SIG,
     Signature(even=2, odd=1, degree_bound=3, unital=False),
     Signature(even=0, odd=3, degree_bound=3),
     NC,
     Signature(even=2, odd=2, degree_bound=5),  # 70 monomials
-], ids=repr)
-def test_random_endo_keeps_the_reference_stream(sig):
-    for seed in (0, 7, 2**31 - 1):
-        for parity in ("even", "odd", 0, 1):
-            for density in (0.0, 0.25, 0.5, 1.0):
-                f = random_endo(sig, seed, parity=parity, density=density)
-                want = random_endo_reference(sig, seed, parity, density)
-                for i, image in want.items():
-                    assert f._canonical_value((i,)) == {
-                        k: c for k, c in image.items() if c}, (seed, parity, i)
+)] + [
+    # the pointwise benchmark's operators: 833 monomials, at its density
+    (Signature(even=3, odd=3, degree_bound=8), [(7, "even", 0.25), (7, "odd", 0.25)]),
+]
+
+
+@pytest.mark.parametrize("sig, draws", STREAM_CASES,
+                         ids=[repr(sig) for sig, _ in STREAM_CASES])
+def test_random_endo_keeps_the_reference_stream(sig, draws):
+    # each image in the reference's order: a memo's order sets the order of
+    # every later accumulation that reads it
+    for seed, parity, density in draws:
+        f = random_endo(sig, seed, parity=parity, density=density)
+        want = random_endo_reference(sig, seed, parity, density)
+        for i, image in want.items():
+            assert list(f._canonical_value((i,)).items()) == [
+                (k, c) for k, c in image.items() if c], (seed, parity, density, i)
 
 
 def test_random_endo_rejects_unknown_parity():
