@@ -45,11 +45,11 @@ basis index from a stored row.  :func:`linear_op` validates the images a
 caller supplies, ``{basis index: {index: coeff}}``, and the operator
 constructors :func:`derivation_endo`, :func:`odd_partial_endo` and
 :func:`multiplication_endo` build theirs with it; :func:`random_endo`
-writes the rows it drew itself, with no second pass.  The identity is
-``mu(sig, 0)``.  Linear operators compose by :func:`nr_product` and their
-graded commutator is :func:`nr_bracket`.  The shuffle sums of
-:mod:`.brackets` read a linear operator's images from its memo, each
-through one product row, whose length is the one degree cut.
+draws every row at the first read.  The identity is ``mu(sig, 0)``.
+Linear operators compose by :func:`nr_product` and their graded
+commutator is :func:`nr_bracket`.  The shuffle sums of :mod:`.brackets`
+read a linear operator's images from its memo, each through one product
+row, whose length is the one degree cut.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import random
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from numbers import Real
 from operator import itemgetter
 
 from .rational import rat
@@ -514,12 +515,6 @@ def linear_op(signature: Signature, images, parity: int) -> MultiOp:
         image = stored[i] = {k: c for k, c in image.items() if c}
         if not image.keys() <= by_parity[(parities[i] + parity) % 2]:
             raise ValueError(f"image of basis index {i} violates parity {parity}")
-    return _stored_op(signature, stored, parity)
-
-
-def _stored_op(signature: Signature, stored, parity: int) -> MultiOp:
-    """The linear operator whose image of basis[i] is ``stored[i]``, a dict
-    {index: nonzero coeff} of the right parity, taken as it is."""
     return MultiOp(signature, 0, parity, lambda t: stored[t[0]])
 
 
@@ -529,34 +524,50 @@ def random_endo(signature: Signature, seed: int, parity="even", density=0.25) ->
     The requested parity is enforced structurally: a basis monomial of
     parity s only maps into the span of monomials of parity s (even) or
     1 - s (odd).  Each allowed matrix entry is nonzero with the given
-    density; the result is deterministic in the seed.
+    density; the result is deterministic in the seed.  A seed that is not
+    an int, or a density that is not a real number in [0, 1], raises
+    ValueError here, when the operator is built.
 
-    The draw order is a contract that every seeded pin depends on: for
-    each basis index i, then each allowed target k, both in basis order,
-    one ``random()``, and where it falls below the density the 5-bit
-    draws of ``randint(-9, 9)``.  A zero draw stores no entry; the others
-    go into row i in the order k was drawn.
+    Nothing is drawn when the operator is built: the first read of any
+    image draws every row, from one ``random.Random(seed)`` that is then
+    dropped, and later reads look the rows up.  The draw order is a
+    contract that every seeded pin depends on: for each basis index i,
+    then each allowed target k, both in basis order, one ``random()``, and
+    where it falls below the density the 5-bit draws of
+    ``randint(-9, 9)``.  A zero draw stores no entry; the others go into
+    row i in the order k was drawn.
     """
     par = {"even": 0, "odd": 1, 0: 0, 1: 1}.get(parity)
     if par is None:
         raise ValueError(f"parity must be 'even', 'odd', 0 or 1, got {parity!r}")
-    rng = random.Random(seed)
-    draw, bits = rng.random, rng.getrandbits
-    parities = signature.basis_parities()
-    by_parity = {p: [k for k, q in enumerate(parities) if q == p] for p in (0, 1)}
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if not (isinstance(density, Real) and 0 <= density <= 1):
+        raise ValueError(
+            f"density must be a real number in [0, 1], got {density!r}")
     stored = []
-    for p in parities:
-        image = {}
-        for k in by_parity[(p + par) % 2]:
-            if draw() < density:
-                # the draws of randint(-9, 9): 5 bits, redrawn until below 19
-                r = bits(5)
-                while r >= 19:
-                    r = bits(5)
-                if r != 9:
-                    image[k] = r - 9
-        stored.append(image)
-    return _stored_op(signature, stored, par)
+
+    def eval_basis(t):
+        if not stored:  # the first read draws every row
+            rng = random.Random(seed)
+            draw, bits = rng.random, rng.getrandbits
+            parities = signature.basis_parities()
+            by_parity = {p: [k for k, q in enumerate(parities) if q == p]
+                         for p in (0, 1)}
+            for p in parities:
+                image = {}
+                for k in by_parity[(p + par) % 2]:
+                    if draw() < density:
+                        # randint(-9, 9): 5 bits, redrawn until below 19
+                        r = bits(5)
+                        while r >= 19:
+                            r = bits(5)
+                        if r != 9:
+                            image[k] = r - 9
+                stored.append(image)
+        return stored[t[0]]
+
+    return MultiOp(signature, 0, par, eval_basis)
 
 
 def derivation_endo(signature: Signature) -> MultiOp:

@@ -423,10 +423,14 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
      "0d4c8f4876a0bf6cd3656a06b4ececbee2b3161a8ede60b2b40b394f88f3e1d3"),
     (["verify", "all", "--even", "3", "--odd", "3", "--degree", "4"],
      "aa12a1f769ea886d717c9885ee0512afcc82084844567ab6a2487118c11a8a05"),
+    # two 3,649-monomial operators whose passing checks read no image
+    (["verify", "inversion", "--even", "4", "--odd", "4", "--degree", "8"],
+     "92f63ab8b33ad229acc7f192a9ed7e96048899fed575a850873631c10e79e2f0"),
 ], ids=["conjecture", "conjecture-45", "coefficients", "koszul-numbers",
         "koszul-numbers-40", "koszul-numbers-80", "conjecture-plain",
         "conjecture-csv", "coefficients-plain", "coefficients-csv", "verify",
-        "verify-noncommutative", "verify-inversion", "verify-334"])
+        "verify-noncommutative", "verify-inversion", "verify-334",
+        "verify-inversion-448"])
 def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antibrackets import multilinear
 from antibrackets.brackets import inversion_check
 from antibrackets.multilinear import (
     derivation_endo,
@@ -435,7 +436,7 @@ def random_endo_reference(signature, seed, parity="even", density=0.25):
 
 STREAM_GRID = [(seed, parity, density) for seed in (0, 7, 2**31 - 1)
                for parity in ("even", "odd", 0, 1)
-               for density in (0.0, 0.25, 0.5, 1.0)]
+               for density in (0, 0.25, rat(1, 2), 1.0)]  # any real in [0, 1]
 STREAM_CASES = [(sig, STREAM_GRID) for sig in (
     SIG,
     Signature(even=2, odd=1, degree_bound=3, unital=False),
@@ -452,13 +453,56 @@ STREAM_CASES = [(sig, STREAM_GRID) for sig in (
                          ids=[repr(sig) for sig, _ in STREAM_CASES])
 def test_random_endo_keeps_the_reference_stream(sig, draws):
     # each image in the reference's order: a memo's order sets the order of
-    # every later accumulation that reads it
+    # every later accumulation that reads it; the rows are the same whichever
+    # row is read first
+    size = len(sig.basis())
+    orders = [range(size), [size - 1, *range(size - 1)], range(size - 1, -1, -1)]
     for seed, parity, density in draws:
-        f = random_endo(sig, seed, parity=parity, density=density)
         want = random_endo_reference(sig, seed, parity, density)
-        for i, image in want.items():
-            assert list(f._canonical_value((i,)).items()) == [
-                (k, c) for k, c in image.items() if c], (seed, parity, density, i)
+        for order in orders:
+            f = random_endo(sig, seed, parity=parity, density=density)
+            for i in order:
+                assert list(f._canonical_value((i,)).items()) == [
+                    (k, c) for k, c in want[i].items() if c], (
+                        seed, parity, density, i)
+
+
+def test_random_endo_draws_at_the_first_read(monkeypatch):
+    """Building operators and passing inversion checks draw nothing; the
+    first image read draws every row, and a second read draws none."""
+    calls = []
+
+    class Counting(random.Random):
+        def random(self):
+            calls.append(1)
+            return super().random()
+
+    monkeypatch.setattr(multilinear.random, "Random", Counting)
+    sig = Signature(even=3, odd=3, degree_bound=8)
+    ops = [random_endo(sig, 7, parity="even"), random_endo(sig, 8, parity="odd")]
+    x, y, th = sig.even_generator(0), sig.even_generator(1), sig.odd_generator(0)
+    for f in ops:
+        for n, args in ((1, [x]), (2, [x, th]), (3, [x, y, th])):
+            assert inversion_check(f, n, args)
+    assert not calls
+    parities = sig.basis_parities()
+    allowed = sum(parities.count(p) for p in parities)  # even: same parity
+    ops[0]._canonical_value((5,))
+    assert len(calls) == allowed
+    ops[0]._canonical_value((9,))
+    assert len(calls) == allowed
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.0), ("seed", "1"), ("seed", None), ("seed", True),
+    ("density", 2), ("density", -0.5), ("density", float("nan")),
+    ("density", "0.5"), ("density", 1j),
+])
+def test_random_endo_checks_seed_and_density_when_built(name, value):
+    want = {"seed": "an int", "density": "a real number in [0, 1]"}[name]
+    message = f"{name} must be {want}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        random_endo(SIG, **{"seed": 1, name: value})
 
 
 def test_random_endo_rejects_unknown_parity():
