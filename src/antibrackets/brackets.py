@@ -21,10 +21,12 @@ which is Phi^1_f itself; the entry points refuse any other degree.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
+    SHAPE_CACHE_SIZE,
     MultiOp,
     _plan,
     _shuffle_shapes,
@@ -50,35 +52,55 @@ def _require_linear(f: MultiOp):
         raise ValueError(f"needs a linear operator (degree 0), got degree {f.degree}")
 
 
-def _shuffle_terms(terms, sig, products, subs, signs, weight, outer):
-    """Add weight * Phi^k_f(B) * basis[outer] into ``terms`` without
-    reading f: key (j, u), with u None for no factor, holds the coefficient
-    of f(basis[j]) * basis[u].
+def _shuffle_terms(acc, sig, products, subs, signs, weight, outer):
+    """Add weight * Phi^k_f(B) * basis[outer] into ``acc`` without reading
+    f, where ``outer`` is the product of the positions outside the block B
+    of a ``subset_products`` table (None for the whole tuple): acc[S], by
+    bit mask of a sub-block S, holds the coefficient of f(product of S)
+    times the product of S's complement in the whole tuple, up to the sign
+    of the product of S, which :func:`_formal_terms` applies.
 
-    Phi^k_f(B) is f on the k arguments at the positions of a block B of a
-    ``subset_products`` table: the sum over B's sub-block rows (S, B ^ S,
-    rank, factor) of a :func:`~.multilinear._shuffle_shapes` table of factor
-    times signs[rank] (``signs`` is the :func:`~.multilinear._shuffle_signs`
-    table of B's parities) times f(product of S) times the product of
-    B \\ S.  As the truncated algebra is associative, each sub-term is
-    f(product of S) times one signed basis index u, the product of B \\ S
-    and ``outer``: the table's entry, read once more in the row of
-    ``outer``.  This is the one statement of the shuffle formula."""
+    Phi^k_f(B) is f on the k arguments at the positions of B: the sum over
+    B's sub-block rows (S, B ^ S, rank, factor) of a
+    :func:`~.multilinear._shuffle_shapes` table of factor times signs[rank]
+    (``signs`` is the :func:`~.multilinear._shuffle_signs` table of B's
+    parities) times f(product of S) times the product of B \\ S.  As the
+    truncated algebra is associative, each sub-term is f(product of S)
+    times one signed basis index, the product of B \\ S and ``outer``: the
+    table's entry, read once more in the row of ``outer``.  That index is
+    the product of S's complement whatever B is, so every block of a check
+    adds into one entry per sub-block.  This is the one statement of the
+    shuffle formula."""
     signed = sig._signed
     last = None if outer is None else sig.mul_row(outer)
     for sub, rest, rank, factor in subs:
-        s, j = products[sub]
-        r, u = products[rest] if rest else (1, outer)
-        if rest and r and last is not None:
-            q, u = signed[last[u]] if u < len(last) else signed[0]
-            r *= q
-        if s and r:
-            key = (j, u)
-            terms[key] = terms.get(key, 0) + weight * factor * s * r * signs[rank]
+        if not rest:
+            acc[sub] += weight * factor * signs[rank]
+            continue
+        r, u = products[rest]
+        if r and last is not None:
+            r *= signed[last[u]][0] if u < len(last) else 0
+        if r:
+            acc[sub] += weight * factor * r * signs[rank]
+
+
+def _formal_terms(terms, products, subs, acc):
+    """Add the entries of ``acc`` (:func:`_shuffle_terms`) for the sub-blocks
+    S in ``subs`` into ``terms``: key (j, u), with u None when S is the
+    whole tuple, holds the coefficient of f(basis[j]) * basis[u], where j
+    and u are the products of S and of its complement."""
+    full = len(products) - 1
+    for sub, _, _, _ in subs:
+        c = acc[sub]
+        if c:
+            s, j = products[sub]
+            if s:
+                key = (j, products[full ^ sub][1] if sub != full else None)
+                terms[key] = terms.get(key, 0) + s * c
 
 
 def _read_terms(acc, f, terms):
-    """Add the formal terms of :func:`_shuffle_terms` into ``acc``, {index:
+    """Add the formal terms of :func:`_formal_terms` into ``acc``, {index:
     coeff}: f's image of basis[j], read from f's memo, times basis[u] by
     :meth:`~.superalgebra.Signature.mul_into`, whose row length is the one
     degree cut; a key whose coefficient is 0 reads no image."""
@@ -99,9 +121,9 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
     indices: :func:`_shuffle_terms` with weight 1 and no outer factor, on
     the tuple's :func:`~.multilinear._plan` (its ``subset_products`` table
     and its :func:`~.multilinear._shuffle_shapes` rows, one per
-    sub-multiset, weighted by the number of sub-blocks that pick it), then
-    :func:`_read_terms`, which reads f's images from its memo only for the
-    keys whose coefficient survives."""
+    sub-multiset, weighted by the number of sub-blocks that pick it), keyed
+    by :func:`_formal_terms`, then :func:`_read_terms`, which reads f's
+    images from its memo only for the keys whose coefficient survives."""
     _require_linear(f)
     sig = f.signature
     if not sig.commutative:
@@ -111,8 +133,10 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
 
     def eval_basis(tup):
         products, signs, _, rows, _ = _plan(sig, tup)
-        terms, acc = {}, {}
-        _shuffle_terms(terms, sig, products, rows[-1][5], signs, 1, None)
+        subs = rows[-1][5]
+        coeffs, terms, acc = [0] * len(products), {}, {}
+        _shuffle_terms(coeffs, sig, products, subs, signs, 1, None)
+        _formal_terms(terms, products, subs, coeffs)
         _read_terms(acc, f, terms)
         return {t: c for t, c in acc.items() if c}
 
@@ -264,26 +288,32 @@ def phi_hierarchy(f: MultiOp, N: int, method=None) -> dict:
     return _METHODS[method](f, N)
 
 
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _block_signs(parities: tuple) -> list:
+    """Every block's :func:`~.multilinear._shuffle_signs` table, by bit
+    mask, for arguments of parities ``parities``."""
+    rows, _ = _shuffle_shapes((1,) * len(parities))
+    return [_shuffle_signs(row[2](parities))[0] for row in rows]
+
+
 def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
-    Both sides are multilinear, so lhs - rhs is summed into one dict over
-    the combinations of the arguments' basis indices.  Each combination has
-    one ``subset_products`` table (exact, as the truncated algebra is
-    associative), which gives the product of every block, of every
-    sub-block and of every complement.  The arguments come in the caller's
-    order, so blocks and sub-blocks are read one per bit mask, from the
-    :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n``; a block's
-    sign is its entry in the :func:`~.multilinear._shuffle_signs` table of
-    the n parities.  A shuffle whose complement's product dies is skipped.
-    Shuffles with the same block indices and the same complement product
-    are one term up to their scalars, so those are summed first, and each
-    group whose sum is nonzero is one :func:`_shuffle_terms`, weighted by
-    that sum, with the complement product as its outer factor.  The whole
-    check sums its formal terms, the lhs among them, before f is read, and
-    :func:`_read_terms` reads f's images from its memo only for the keys
-    whose coefficient survives, each through one product row, whose length
-    is the one degree cut: a check that holds term by term reads none.
+    An argument is a basis monomial, read as its basis index with
+    coefficient 1 (no element is built), or a homogeneous
+    :class:`~.superalgebra.AlgebraElement` of f's signature, expanded over
+    its terms.  lhs - rhs is summed over the combinations of the arguments'
+    basis indices, each with one ``subset_products`` table: the product of
+    every block, sub-block and complement.  Blocks and sub-blocks are read
+    per bit mask of the caller's order, from the
+    :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n`` and the
+    :func:`_block_signs` of the n parities.  Shuffles whose complement's
+    product dies are skipped; those with the same block indices and
+    complement product are summed first, and each nonzero group is one
+    :func:`_shuffle_terms` with the complement product as its outer factor,
+    all summed by sub-block and keyed by :func:`_formal_terms`.  Only then
+    does :func:`_read_terms` read f, for the keys whose coefficient
+    survives: a check that holds term by term reads no image.
     """
     _require_linear(f)
     if n < 1:
@@ -292,46 +322,49 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
     combos, parities = [((), 1)], []
+    basis_parities = sig.basis_parities()
     for a in args:
-        a = a if isinstance(a, AlgebraElement) else sig.monomial_element(a)
-        if a.signature != sig:
-            raise ValueError("signature mismatch")
-        p = a.parity()
-        if p is None:
-            raise ValueError("inversion check needs homogeneous arguments")
+        if isinstance(a, AlgebraElement):
+            if a.signature != sig:
+                raise ValueError("signature mismatch")
+            p = a.parity()
+            if p is None:
+                raise ValueError("inversion check needs homogeneous arguments")
+            terms = a.terms.items()
+        else:  # a monomial is one basis index of coefficient 1
+            i = sig.index_of(a)
+            p = basis_parities[i]
+            terms = ((i, 1),)
         if len(parities) == n:  # before any more products are expanded
             raise ValueError("argument count must equal n")
         parities.append(p)
         combos = [(tup + (i,), coeff * c)
-                  for tup, coeff in combos for i, c in a.terms.items()]
+                  for tup, coeff in combos for i, c in terms]
     if len(parities) != n:
         raise ValueError("argument count must equal n")
     full = (1 << n) - 1
-    patterns = [()]  # by bit mask: the parities of the block's arguments
-    for p in parities:
-        patterns += [pattern + (p,) for pattern in patterns]
-    signs = [_shuffle_signs(pattern)[0] for pattern in patterns]
+    tables = _block_signs(tuple(parities))
+    signs = tables[full]
     rows, _ = _shuffle_shapes((1,) * n)
     terms = {}  # (j, u) -> coeff of f(basis[j]) * basis[u]
     for tup, coeff in combos:
         products = sig.subset_products(tup)
-        s, j = products[full]
-        if s:  # lhs
-            terms[j, None] = terms.get((j, None), 0) + s * coeff
+        acc = [0] * (full + 1)  # by sub-block, as _shuffle_terms sums
+        acc[full] = coeff  # lhs
         # the one shuffle with k = n, which has no complement
-        _shuffle_terms(terms, sig, products, rows[full][5], signs[full],
-                       -coeff, None)
+        _shuffle_terms(acc, sig, products, rows[full][5], signs, -coeff, None)
         groups = {}  # (block indices, complement product) -> [block, scalar]
         for block in range(1, full):
             r, tail = products[full ^ block]
             if not r:  # the complement's product dies
                 continue
             group = groups.setdefault((rows[block][2](tup), tail), [block, 0])
-            group[1] -= signs[full][block] * r
+            group[1] -= signs[block] * r
         for (_, tail), (block, c) in groups.items():
             if c:
-                _shuffle_terms(terms, sig, products, rows[block][5],
-                               signs[block], c * coeff, tail)
+                _shuffle_terms(acc, sig, products, rows[block][5],
+                               tables[block], c * coeff, tail)
+        _formal_terms(terms, products, rows[full][5], acc)
     diff = {}
     _read_terms(diff, f, terms)
     return not any(diff.values())

@@ -8,6 +8,8 @@ what went wrong: False when there is nothing more to say, a text, a
 (degree, triple) when two hierarchies are compared degree by degree.
 Entries are generated lazily and share the operators of their group, so
 memoized tables stay warm across the degrees of one operator.
+:func:`describe` names, in one line, the signature the checks run on and
+its size, counted without building its basis.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from functools import cache, partial
 from itertools import combinations, permutations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .brackets import (
     differential_order_check,
@@ -61,7 +63,7 @@ from .series import (
     stirling_derivative_check,
 )
 
-__all__ = ["SUITES", "VERIFY_ALL", "registry"]
+__all__ = ["SUITES", "VERIFY_ALL", "describe", "registry"]
 
 
 def _holds(ok: bool):
@@ -293,6 +295,56 @@ SUITES = {
 # the suites `verify all` runs; order and polynomial run only by name, so
 # the pinned stdout of `verify all` stays as it is
 VERIFY_ALL = ("jacobi", "universal", "inversion", "linf", "series")
+
+
+def _basis_counts(sig) -> dict:
+    """{(degree, parity): number of basis monomials of ``sig``}, counted
+    without building the basis: j odd letters of e are a set of the odd
+    generators and the rest a multiset of the even ones, or j places in a
+    word."""
+    p, q = sig.even, sig.odd
+    counts = {}
+    for e in range(0 if sig.unital else 1, sig.degree_bound + 1):
+        for j in range(min(e, q) + 1 if sig.commutative else e + 1):
+            if sig.commutative:
+                evens = comb(p + e - j - 1, e - j) if p else int(e == j)
+                n = comb(q, j) * evens
+            else:
+                n = comb(e, j) * p ** (e - j) * q ** j
+            if n:
+                counts[e, j % 2] = counts.get((e, j % 2), 0) + n
+    return counts
+
+
+def _tuple_counts(sig, max_arity: int) -> list:
+    """The number of canonical index tuples of each arity 1..max_arity
+    within the degree bound, counted from :func:`_basis_counts`: s even
+    basis indices of degree e give C(s + m - 1, m) ways to take m entries
+    of degree e, s odd ones C(s, m)."""
+    bound = sig.degree_bound
+    # counts[k][d]: the canonical tuples of arity k and total degree d
+    counts = [[int(k == d == 0) for d in range(bound + 1)]
+              for k in range(max_arity + 1)]
+    for (e, p), s in _basis_counts(sig).items():
+        ways = [comb(s, m) if p else comb(s + m - 1, m)
+                for m in range(max_arity + 1)]
+        counts = [[sum(ways[m] * counts[k - m][d - m * e]
+                       for m in range(min(k, d // e if e else k) + 1))
+                   for d in range(bound + 1)]
+                  for k in range(max_arity + 1)]
+    return [sum(row) for row in counts[1:]]
+
+
+def describe(sig, N: int) -> str:
+    """One line on what the registry checks: the signature, its basis size
+    and its canonical tuple count at each arity 1..N, all counted without
+    building the basis."""
+    kind = "commutative" if sig.commutative else "associative"
+    unit = "unital" if sig.unital else "non-unital"
+    counts = _tuple_counts(sig, N)  # the tuples of arity 1 are the basis
+    return (f"signature: {sig.even} even, {sig.odd} odd, degree <= "
+            f"{sig.degree_bound}, {kind}, {unit}; basis {counts[0]}; "
+            f"canonical tuples by arity 1..{N}: {' / '.join(map(str, counts))}")
 
 
 def registry(sig, N: int, seed: int, suites):

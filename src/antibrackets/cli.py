@@ -9,7 +9,8 @@ Subcommands:
 * ``conjecture``     -- per-n report comparing the solved coefficients with
   the conjectured closed formula (mismatches are findings, not failures);
 * ``verify``         -- run one exact identity suite, or the five of ``all``,
-  on a configurable free superalgebra and exit nonzero on a failed identity.
+  on a configurable free superalgebra and exit nonzero on a failed identity;
+  it first names the signature and its size on stderr.
 
 Each report builds only the fields it prints, and compares the solved
 coefficients with the conjectured ones on ints.
@@ -266,7 +267,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .checks import VERIFY_ALL, registry
+    from .checks import VERIFY_ALL, describe, registry
+    print(describe(sig, args.max_n), file=sys.stderr, flush=True)
     suites = VERIFY_ALL if args.suite == "all" else [args.suite]
     results = []
     for suite, label, thunk in registry(sig, args.max_n, args.seed, suites):

@@ -58,7 +58,7 @@ import itertools
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 from numbers import Real
 from operator import itemgetter
 
@@ -281,20 +281,27 @@ def _shuffle_shapes(runs: tuple) -> tuple:
     n = sum(runs)
     starts = list(itertools.accumulate(runs[:-1], initial=0))
 
-    def classes(counts):  # (mask, weight, copies of each run) per sub-multiset
-        for picks in itertools.product(*(range(c + 1) for c in counts)):
-            yield (sum(((1 << c) - 1) << at for c, at in zip(picks, starts)),
-                   prod(map(comb, counts, picks)), picks)
+    # (mask, weight, rank, copies of each run) per sub-multiset of the block
+    # of counts[r] copies of run r, in product order; bit b of the rank
+    # picks the block's b-th position
+    def classes(counts):
+        out, offset = [(0, 1, 0, ())], 0
+        for m, at in zip(counts, starts):
+            out = [(mask | ((1 << c) - 1) << at, weight * comb(m, c),
+                    rank | ((1 << c) - 1) << offset, picks + (c,))
+                   for mask, weight, rank, picks in out for c in range(m + 1)]
+            offset += m
+        return out
 
     rows = []
-    for block, weight, counts in sorted(classes(runs)):
+    for block, weight, _, counts in sorted(classes(runs)):
         positions = [q for q in range(n) if block >> q & 1]
         rest = [q for q in range(n) if not block >> q & 1]
-        prefixes = [sum(1 << q for q in rest[:a]) for a in range(len(rest) + 1)]
-        subs = [(sub, block ^ sub,
-                 sum(1 << b for b, q in enumerate(positions) if sub >> q & 1),
-                 (-1) ** (len(positions) - sum(picks)) * w)
-                for sub, w, picks in classes(counts) if sub]
+        prefixes = list(itertools.accumulate((1 << q for q in rest), initial=0))
+        size = len(positions)
+        subs = [(sub, block ^ sub, rank,
+                 -w if (size - sub.bit_count()) & 1 else w)
+                for sub, w, rank, _ in classes(counts) if sub]
         rows.append((block, weight, _picker(positions), _picker(rest), prefixes,
                      subs))
     by_size = [[row for row in rows if row[0].bit_count() == k]
@@ -306,14 +313,21 @@ def _shuffle_shapes(runs: tuple) -> tuple:
 def _shuffle_signs(pattern: tuple) -> tuple:
     """(signs, odd) for arguments of parities ``pattern``: signs[B] is the
     Koszul sign of moving the arguments at the positions in the bit mask B
-    in front of the others, and odd is the mask of the odd positions, so an
-    odd argument put after the first a of B's complement passes
-    ``(odd & prefixes[a]).bit_count()`` odd ones (:func:`_shuffle_shapes`)."""
+    in front of the others, each odd one passing the odd ones before it,
+    and odd is the mask of the odd positions, so an odd argument put after
+    the first a of B's complement passes ``(odd & prefixes[a]).bit_count()``
+    odd ones (:func:`_shuffle_shapes`).  Built by the highest position q in
+    O(2^n): B plus q keeps B's sign, flipped when q is odd and an odd
+    number of the odd positions below q are outside B."""
     odd = sum(p << q for q, p in enumerate(pattern))
-    # each odd block argument passes the odd complement arguments before it
-    signs = [(-1) ** sum((odd & ~block & ((1 << q) - 1)).bit_count()
-                         for q in range(len(pattern)) if (odd & block) >> q & 1)
-             for block in range(1 << len(pattern))]
+    signs = [1]
+    for q, p in enumerate(pattern):
+        if not p:
+            signs += signs
+            continue
+        below = odd & ((1 << q) - 1)
+        signs += [-s if (below & ~block).bit_count() & 1 else s
+                  for block, s in enumerate(signs)]
     return signs, odd
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from operator import add
 
 from .rational import format_rational
 
@@ -237,11 +238,8 @@ class Signature:
         b = basis[j]
         size = bisect_right(self._degrees, self.degree_bound - self._degrees[j])
         if self._degrees[j] < 2:
-            row = []
-            for i in range(size):
-                s, m = self.mul_monomials(basis[i], b)
-                row.append(s * (index[m] + 1) if s else 0)
-            return row
+            return [s * (index[m] + 1) if s else 0 for s, m in
+                    map(self.mul_monomials, basis[:size], itertools.repeat(b))]
         g, rest = self._split_letter(b)
         s, _ = self.mul_monomials(g, rest)
         left = self.mul_row(index[g])
@@ -332,7 +330,9 @@ class Signature:
 
         The Koszul sign comes from odd letters of ``a`` moving past odd
         letters of ``b``; monomials of degree > D are zero in the quotient.
-        This is the rule the product rows are built from.
+        The rows of degree <= 1 are built from this rule, one call per
+        entry, so the degree is tested first and a side with no odd letter
+        takes no sign.
         """
         if not self.commutative:
             word = a + b
@@ -340,13 +340,15 @@ class Signature:
                 return (0, None)
             return (1, word)
         (ea, oa), (eb, ob) = a, b
-        if set(oa) & set(ob):
-            return (0, None)
-        exps = tuple(x + y for x, y in zip(ea, eb))
+        exps = tuple(map(add, ea, eb))
         if sum(exps) + len(oa) + len(ob) > self.degree_bound:
             return (0, None)
-        inversions = sum(1 for s in oa for t in ob if s > t)
-        return ((-1) ** inversions, (exps, tuple(sorted(oa + ob))))
+        if not (oa and ob):
+            return (1, (exps, oa or ob))
+        if not set(oa).isdisjoint(ob):
+            return (0, None)
+        inversions = sum(s > t for s in oa for t in ob)
+        return (-1 if inversions & 1 else 1, (exps, tuple(sorted(oa + ob))))
 
     def monomial_str(self, m) -> str:
         """Text form with generators x1..xp (even) and th1..thq (odd)."""

@@ -39,6 +39,8 @@ from antibrackets.multilinear import (
 from antibrackets.rational import rat
 from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign
 
+from test_faults import _flip_first_block_sign
+
 SIG = Signature(even=1, odd=1, degree_bound=3)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
 METHODS = ("direct", "recursion", "bracket", "exponential")
@@ -135,15 +137,24 @@ def _shuffle_sum_on(f, tup, block, outer=None):
     brackets._read_terms into a fresh dict, on the positions in ``block`` of
     tup's subset-product table, with that block's sub-blocks one per bit
     mask (the table of ``(1,) * len(tup)``), times basis[outer] if given.
-    Zeros dropped."""
+    Each sub-block S is keyed here by its product and the product of
+    block \\ S times basis[outer]; zeros dropped."""
     sig = f.signature
     parities = sig.basis_parities()
     pattern = tuple(parities[tup[q]] for q in range(len(tup)) if block >> q & 1)
     signs, _ = multilinear._shuffle_signs(pattern)
     rows, _ = multilinear._shuffle_shapes((1,) * len(tup))
-    terms, acc = {}, {}
-    brackets._shuffle_terms(terms, sig, sig.subset_products(tup),
-                            rows[block][5], signs, 1, outer)
+    products = sig.subset_products(tup)
+    coeffs, terms, acc = [0] * len(products), {}, {}
+    brackets._shuffle_terms(coeffs, sig, products, rows[block][5], signs, 1,
+                            outer)
+    for sub, rest, _, _ in rows[block][5]:
+        s, j = products[sub]
+        others = [tup[q] for q in range(len(tup)) if rest >> q & 1]
+        others += [] if outer is None else [outer]
+        _, u = sig.mul_indices(others) if others else (1, None)
+        if s and coeffs[sub]:
+            terms[j, u] = terms.get((j, u), 0) + s * coeffs[sub]
     brackets._read_terms(acc, f, terms)
     return {t: c for t, c in acc.items() if c}
 
@@ -442,28 +453,14 @@ def test_inversion_check_fails_on_a_flipped_block_sign(monkeypatch):
     # Phi^3(x, x, x) = f(x^3) - 3 f(x^2) x + 3 f(x) x^2 = 0 for f = d/dx.
     # One sign table serves a shuffle's block and the sub-blocks of Phi^3,
     # so flipping the sign of the block {first argument} changes both
-    # Phi^3 and the term Phi^1(x) x^2 by -2 x^2: they do not cancel.  (At
-    # n = 2 the two flips of that entry do cancel.)
+    # Phi^3 and the term Phi^1(x) x^2 by -2 x^2: they do not cancel.  (The
+    # fault leaves tables of two parities alone, so n = 2 still holds.)
     f = derivation_endo(SIG)
     x = SIG.even_generator(0)
     assert inversion_check(f, 3, [x, x, x])
     _flip_first_block_sign(monkeypatch)
     assert not inversion_check(f, 3, [x, x, x])
     assert inversion_check(f, 2, [x, x])
-
-
-def _flip_first_block_sign(monkeypatch):
-    """The sign of the block {first argument} flipped in every table of
-    three parities."""
-    original = multilinear._shuffle_signs
-
-    def flipped(pattern):
-        signs, odd = original(pattern)
-        if len(pattern) == 3:
-            signs = [-s if mask == 1 else s for mask, s in enumerate(signs)]
-        return signs, odd
-
-    monkeypatch.setattr(brackets, "_shuffle_signs", flipped)
 
 
 def _reference_inversion_check(f, n, args):
@@ -484,9 +481,10 @@ def _reference_inversion_check(f, n, args):
     diff = {}
 
     def read(products, block, weight, outer):
-        terms = {}
-        brackets._shuffle_terms(terms, sig, products, rows[block][5],
+        acc, terms = [0] * (full + 1), {}
+        brackets._shuffle_terms(acc, sig, products, rows[block][5],
                                 signs[block], weight, outer)
+        brackets._formal_terms(terms, products, rows[full][5], acc)
         brackets._read_terms(diff, f, terms)
 
     for tup, coeff in combos:
@@ -730,6 +728,74 @@ def test_inversion_rejects_n_below_one():
         inversion_check(f, 0, [])
 
 
+def test_inversion_check_reads_monomial_arguments_by_index(monkeypatch):
+    # a monomial argument is its basis index with coefficient 1: the
+    # verdicts of its monomial_element, on correct checks and under a
+    # flipped block sign, with no AlgebraElement built
+    sig = Signature(even=2, odd=2, degree_bound=5)
+    rng = random.Random(5)
+    basis = sig.basis()
+    cases = [(random_endo(sig, seed, parity=parity), n,
+              [rng.choice(basis) for _ in range(n)])
+             for seed, parity in ((1, "even"), (2, "odd"))
+             for n in range(1, 5) for _ in range(4)]
+    cases.append((cases[0][0], 3, [sig.unit(), *basis[1:3]]))
+    built = []
+    init = AlgebraElement.__init__
+
+    def counting(self, signature, terms):
+        built.append(terms)
+        init(self, signature, terms)
+
+    def verdicts(wrap):
+        return [inversion_check(f, n, [wrap(a) for a in args])
+                for f, n, args in cases]
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting)
+    seen = []
+    for fault in (None, _flip_first_block_sign):
+        if fault:
+            fault(monkeypatch)
+        built.clear()
+        as_monomials = verdicts(lambda a: a)
+        assert built == []
+        assert as_monomials == verdicts(sig.monomial_element)
+        seen.append(as_monomials)
+    assert all(seen[0]) and any(seen[1]) and not all(seen[1])
+
+
+def test_inversion_check_refuses_monomial_arguments_as_their_elements():
+    # the same ValueError, in the same order, whether the basis monomials
+    # among the arguments come as monomials or as their elements
+    f = random_endo(SIG, 1, parity="even")
+    x, th = SIG.even_generator(0), SIG.odd_generator(0)
+    other = Signature(even=2, odd=2, degree_bound=5)
+    mixed = SIG.monomial_element(x) + SIG.monomial_element(th)
+    alien = other.monomial_element(other.odd_generator(0))
+    not_basis = ((5,), ())
+    with pytest.raises(ValueError) as missing:
+        SIG.index_of(not_basis)
+    cases = [
+        (2, [x, x, x], "argument count must equal n"),
+        (2, [th], "argument count must equal n"),
+        (1, [x, not_basis], str(missing.value)),
+        (2, [x, not_basis, x], str(missing.value)),
+        (3, [th, mixed, x], "inversion check needs homogeneous arguments"),
+        (2, [x, alien], "signature mismatch"),
+        (1, [alien, x], "signature mismatch"),
+    ]
+    basis = SIG.basis()
+
+    def error(n, args):
+        with pytest.raises(ValueError) as raised:
+            inversion_check(f, n, args)
+        return str(raised.value)
+
+    for n, args, message in cases:
+        elements = [SIG.monomial_element(a) if a in basis else a for a in args]
+        assert error(n, args) == error(n, elements) == message
+
+
 def test_phi_hierarchy_rejects_n_below_one():
     f = random_endo(SIG, 1, parity="even")
     for N in (0, -2):
@@ -857,7 +923,8 @@ def test_first_mismatch_reports_jacobi_failure_shape():
 def test_shape_caches_are_bounded():
     # shapes are keyed by run lengths, signs by parity pattern
     assert len(multilinear._shuffle_shapes((2, 1))[0]) == 6
-    for cached in (multilinear._shuffle_shapes, multilinear._shuffle_signs):
+    for cached in (multilinear._shuffle_shapes, multilinear._shuffle_signs,
+                   brackets._block_signs):
         assert cached.cache_info().maxsize == SHAPE_CACHE_SIZE
 
 

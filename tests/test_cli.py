@@ -263,6 +263,69 @@ def test_plain_verify_prints_each_line_as_its_check_finishes(capsys,
                                                                 "second"]
 
 
+@pytest.mark.parametrize("flags, line, digest", [
+    ([], "signature: 1 even, 1 odd, degree <= 3, commutative, unital; "
+         "basis 7; canonical tuples by arity 1..3: 7 / 13 / 15",
+     "08645b59517c4cc1abecd7f2f0fd6c67e51cdeeb8f2082825384b782a9bcb8db"),
+    (["--noncommutative"],
+     "signature: 1 even, 1 odd, degree <= 3, associative, unital; "
+     "basis 15; canonical tuples by arity 1..3: 15 / 25 / 27",
+     "d9cbdbd27d1c6ca38ddc240d41bf917b787f8462c9b8623d96987dbbbdde8768"),
+], ids=["commutative", "associative"])
+def test_verify_names_its_signature_on_stderr_first(capsys, monkeypatch, flags,
+                                                    line, digest):
+    # one stderr line, written before the registry is asked for a check;
+    # stdout is the pinned report, byte for byte
+    seen = []
+    registry = checks.registry
+
+    def first_seen(*args):
+        seen.append(tuple(capsys.readouterr()))
+        return registry(*args)
+
+    monkeypatch.setattr(checks, "registry", first_seen)
+    code, out, err = run_cli(capsys, "verify", "all", "--even", "1", "--odd",
+                             "1", "--degree", "3", "--max-n", "3", "--format",
+                             "json", *flags)
+    assert code == 0
+    assert seen == [("", line + "\n")] and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(even=2, odd=2, degree_bound=5),
+    Signature(even=0, odd=3, degree_bound=4),
+    Signature(even=3, odd=0, degree_bound=4, unital=False),
+    Signature(even=2, odd=1, degree_bound=3, commutative=False),
+    Signature(even=0, odd=2, degree_bound=3, commutative=False, unital=False),
+], ids=repr)
+def test_basis_counts_match_the_basis(sig):
+    # counted without building the basis
+    by_formula = checks._basis_counts(sig)
+    assert sig._basis is None
+    counts = {}
+    for key in zip(sig.basis_degrees(), sig.basis_parities()):
+        counts[key] = counts.get(key, 0) + 1
+    assert by_formula == counts
+
+
+def test_signature_line_counts_every_canonical_tuple():
+    # counted by degree and parity, as _index_tuples lists them; on
+    # (2,2,D) the counts of arities 1..6 are those the roadmap lists
+    for sig in (Signature(even=1, odd=2, degree_bound=3, unital=False),
+                Signature(even=2, odd=1, degree_bound=3, commutative=False),
+                Signature(even=0, odd=3, degree_bound=4),
+                Signature(even=3, odd=0, degree_bound=5)):
+        assert checks._tuple_counts(sig, 7) == [
+            len(_index_tuples(sig, k)) for k in range(1, 8)]
+    assert [checks._tuple_counts(Signature(even=2, odd=2, degree_bound=d), 6)
+            for d in (5, 6, 7)] == [
+        [61, 341, 641, 753, 773, 773],
+        [85, 645, 1545, 2057, 2205, 2229],
+        [113, 1121, 3365, 5189, 5913, 6097],
+    ]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

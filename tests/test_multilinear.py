@@ -405,6 +405,24 @@ def test_shuffle_tables_match_shuffles_and_koszul_sign():
                             == koszul_sign(order, moved))
 
 
+def _reference_shuffle_signs(pattern):
+    """The definition of a sign table, one block at a time: each odd block
+    argument passes the odd complement arguments before it."""
+    odd = sum(p << q for q, p in enumerate(pattern))
+    signs = [(-1) ** sum((odd & ~block & ((1 << q) - 1)).bit_count()
+                         for q in range(len(pattern)) if (odd & block) >> q & 1)
+             for block in range(1 << len(pattern))]
+    return signs, odd
+
+
+def test_shuffle_signs_match_their_definition():
+    # every parity pattern of length 0-8, beyond the arities of the
+    # shuffle test above
+    for arity in range(9):
+        for pattern in itertools.product((0, 1), repeat=arity):
+            assert _shuffle_signs(pattern) == _reference_shuffle_signs(pattern)
+
+
 def _compositions(n):
     """Every tuple of positive run lengths summing to n."""
     if n == 0:

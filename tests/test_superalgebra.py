@@ -140,6 +140,38 @@ def test_degree_bound_truncates_products():
     assert (power * high).is_zero()
 
 
+def _reference_mul_monomials(sig, a, b):
+    """a b letter by letter: the exponents add, and the odd letters of a
+    then b, sorted, sign the product by the Koszul sign of their sort; zero
+    on a repeated odd letter or a degree above D."""
+    (ea, oa), (eb, ob) = a, b
+    letters = oa + ob
+    if (len(set(letters)) < len(letters)
+            or sig.degree(a) + sig.degree(b) > sig.degree_bound):
+        return (0, None)
+    order = sorted(range(len(letters)), key=letters.__getitem__)
+    return (koszul_sign(order, [1] * len(letters)),
+            (tuple(x + y for x, y in zip(ea, eb)),
+             tuple(letters[i] for i in order)))
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(even=2, odd=2, degree_bound=4),
+    Signature(even=0, odd=3, degree_bound=4),
+    Signature(even=1, odd=2, degree_bound=3, unital=False),
+], ids=repr)
+def test_mul_monomials_matches_letter_by_letter_products(sig):
+    # the rule every row of degree <= 1 is built from, on every basis pair
+    basis = sig.basis()
+    signs = set()
+    for a in basis:
+        for b in basis:
+            expected = _reference_mul_monomials(sig, a, b)
+            assert sig.mul_monomials(a, b) == expected, (a, b)
+            signs.add(expected[0])
+    assert signs == {0, 1, -1}
+
+
 KERNEL_SIGNATURES = [
     Signature(even=2, odd=3, degree_bound=4),
     Signature(even=1, odd=2, degree_bound=3, unital=False),
