@@ -12,33 +12,33 @@ counterexample tuple).  Tables are compared over the canonical tuples whose
 total input degree stays within a bound (tuples beyond it are zero in the
 quotient for the multiplication operators, and are outside the comparison
 domain for everything else).
-Composition (:func:`nr_product`) evaluates the outer operator on tuples
-beyond that domain whenever the inner one raises degrees, as a general
-linear operator does; those values are computed lazily in the same way and
-never tabulated in advance.  Every shuffle sum of the package reads two
-bounded tables: the block shapes of a pattern of repeated arguments
-(:func:`_shuffle_shapes`), one block per sub-multiset with the number of
-blocks that pick it as its weight, and the Koszul signs of the blocks of a
-parity pattern (:func:`_shuffle_signs`).
-:func:`rho_combination` is one node for a weighted sum of [mu_n, omega]
-terms, reading both halves of every term off one product table per tuple;
-the adjoint action rho_n omega = [mu_n, omega] is its one-term case
-``[(n, omega, 1)]``.  Any other linear combination is one node, built by
-:func:`op_combination` over one denominator; its terms are not flattened,
-as their memos are shared.
+Every insertion product is one :func:`_insertions` node for a weighted sum
+of terms f ⊼ g, which holds the insertion loop: :func:`nr_product` is its
+one-term case, :func:`nr_bracket` its two-term case, and
+:func:`rho_combination`, a weighted sum of [mu_n, omega] terms (rho_n omega
+is ``[(n, omega, 1)]``), gives it two terms per term.  It evaluates the
+outer operator on tuples beyond that domain whenever the inner one raises
+degrees, as a general linear operator does; those values are computed
+lazily in the same way and never tabulated in advance.  Every shuffle sum
+of the package reads two bounded tables: the block shapes of a pattern of
+repeated arguments (:func:`_shuffle_shapes`), one block per sub-multiset
+with the number of blocks that pick it as its weight, and the Koszul signs
+of the blocks of a parity pattern (:func:`_shuffle_signs`).  Any other
+linear combination is one node, built by :func:`op_combination` over one
+denominator; its terms are not flattened, as their memos are shared.
 
 Per-tuple work that does not depend on the operator is done once per
 :class:`~antibrackets.superalgebra.Signature` and kept on it, in three stores:
 ``sig._tuples`` holds the canonical index tuples of each (arity, bound),
 which :func:`first_mismatch` and :func:`is_zero_op` walk; ``sig._plans``
 maps a canonical index tuple to its :func:`_plan` (product table, signs
-and shapes), which the direct and rho routes read on commutative
-signatures and :func:`nr_product` reads on either kind (an associative
-plan has no product table), and holds only tuples of total degree within
-the degree bound; ``sig._canonical`` maps a tuple of monomial arguments of
-:meth:`MultiOp.__call__` to its sign and canonical index tuple, up to
-:data:`ARGUMENT_MEMO_SIZE` entries.  ``sig._mu`` holds the one :func:`mu`
-node of each n, so every caller reads one memo.
+and shapes), which the direct route and every :func:`_insertions` node
+read (an associative plan has no product table), and holds only tuples of
+total degree within the degree bound; ``sig._canonical`` maps a tuple of
+monomial arguments of :meth:`MultiOp.__call__` to its sign and canonical
+index tuple, up to :data:`ARGUMENT_MEMO_SIZE` entries.  ``sig._mu`` holds
+the one :func:`mu` node of each n, so every caller reads one memo, or, on a
+commutative signature and for n >= 1, the product table in its place.
 
 A linear operator is an operator of degree 0, reading its image of each
 basis index from a stored row.  :func:`linear_op` validates the images a
@@ -335,9 +335,8 @@ def _plan(sig: Signature, tup: tuple) -> tuple:
     """(products, signs, odd, rows, by_size) of a canonical index tuple: its
     :meth:`~.Signature.subset_products` table, its :func:`_shuffle_signs`
     and the :func:`_shuffle_shapes` table of its runs.  On an associative
-    signature products is None, as no route reads it there: the rho routes
-    fall back to :func:`nr_bracket`, and :func:`nr_product` reads only
-    signs and shapes.
+    signature products is None, as no route reads it there: :func:`mu` is
+    read from its memo, and :func:`_insertions` reads only signs and shapes.
 
     None of it depends on an operator, so every node on the signature reads
     one plan per tuple.  Plans are kept in ``sig._plans`` for the tuples of
@@ -355,54 +354,87 @@ def _plan(sig: Signature, tup: tuple) -> tuple:
     return plan
 
 
-def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
-    """Insertion product f ⊼ g: the filtered sum over shuffles feeding g's
-    output into f.
+def _insertions(terms) -> MultiOp:
+    """One node for sum_i w_i (f_i ⊼ g_i) over (f_i, g_i, w_i), with int
+    weights w_i: every insertion product of the package, in one loop.
 
-    On a canonical tuple, each shuffle block and its complement are canonical
-    already, so g is read on the block as it stands.  Each basis index of g's
-    value is inserted into the sorted complement by bisection, with the
-    Koszul sign of the odd arguments it passes, and f is read on the result.
-    That tuple can exceed the degree bound of the comparison domain, as a
-    general operator raises degrees; its value is evaluated lazily like any
-    other.  Blocks and signs come from the tuple's :func:`_plan`: its
-    :func:`_shuffle_shapes` rows, one per sub-multiset, weighted by the
-    number of blocks that pick it, and its :func:`_shuffle_signs`.
+    All terms share signature, degree and parity.  On a canonical tuple,
+    each shuffle block and its complement are canonical already, so g is
+    read on the block as it stands.  Each basis index of g's value is
+    inserted into the sorted complement by bisection, with the Koszul sign
+    of the odd arguments it passes, and f is read on the result.  That tuple
+    can exceed the degree bound of the comparison domain, as a general
+    operator raises degrees; its value is evaluated lazily like any other.
+    Blocks and signs come from the tuple's :func:`_plan`, read once for all
+    terms: its :func:`_shuffle_shapes` rows, one per sub-multiset, weighted
+    by the number of blocks that pick it, and its :func:`_shuffle_signs`.
+
+    On a commutative signature the :func:`mu` node of each n >= 1 is read
+    off the plan's :meth:`~.Signature.subset_products` table: as g, its
+    value on a block is the block's entry; as f, g's value on a block is
+    multiplied by the complement's entry.  Every other operator, mu_0 and
+    mu on an associative signature among them, is read from its memo.
     """
-    if f.signature != g.signature:
+    terms = list(terms)
+    if any(f.signature != g.signature for f, g, _ in terms):
         raise ValueError("signature mismatch")
+    f, g, _ = terms[0]
     sig = f.signature
     parities = sig.basis_parities()
-    n, arity = f.degree, g.arity
+    full = (1 << (f.degree + g.arity)) - 1
+
+    def tabled(op):
+        return sig.commutative and op.degree > 0 and sig._mu.get(op.degree) is op
+
+    terms = [(f._canonical_value, f.degree, tabled(f),
+              g._canonical_value, g.arity, tabled(g), w) for f, g, w in terms]
 
     def eval_basis(tup):
+        products, signs, odd, _, by_size = _plan(sig, tup)
         acc = {}
-        _, signs, odd, _, by_size = _plan(sig, tup)
-        for mask, weight, block, rest_of, prefixes, _ in by_size[arity]:
-            inner = g._canonical_value(block(tup))
-            if not inner:
-                continue
-            rest = rest_of(tup)
-            sign = signs[mask] * weight
-            for k, c in inner.items():
-                at = bisect_left(rest, k)
-                if parities[k]:
-                    if at < n and rest[at] == k:
-                        continue  # a repeated odd argument
-                    if (odd & prefixes[at]).bit_count() & 1:
-                        c = -c
-                coeff = sign * c
-                for out, v in f._canonical_value(rest[:at] + (k,) + rest[at:]).items():
-                    acc[out] = acc.get(out, 0) + coeff * v
+        for read_f, n, outer_mu, read_g, arity, inner_mu, w in terms:
+            for mask, weight, block, rest_of, prefixes, _ in by_size[arity]:
+                if outer_mu:
+                    s, j = products[full ^ mask]
+                    if not s:
+                        continue
+                if inner_mu:
+                    c, k = products[mask]
+                    if not c:
+                        continue
+                    inner = ((k, c),)
+                elif not (inner := read_g(block(tup)).items()):
+                    continue
+                coeff = signs[mask] * weight * w
+                if outer_mu:
+                    sig.mul_into(acc, inner, j, s * coeff)
+                    continue
+                rest = rest_of(tup)
+                for k, c in inner:
+                    at = bisect_left(rest, k)
+                    if parities[k]:
+                        if at < n and rest[at] == k:
+                            continue  # a repeated odd argument
+                        if (odd & prefixes[at]).bit_count() & 1:
+                            c = -c
+                    c *= coeff
+                    for out, v in read_f(rest[:at] + (k,) + rest[at:]).items():
+                        acc[out] = acc.get(out, 0) + c * v
         return _nonzero(acc)
 
     return MultiOp(sig, f.degree + g.degree, f.parity + g.parity, eval_basis)
 
 
+def nr_product(f: MultiOp, g: MultiOp) -> MultiOp:
+    """Insertion product f ⊼ g: the filtered sum over shuffles feeding g's
+    output into f, the one-term :func:`_insertions` node."""
+    return _insertions([(f, g, 1)])
+
+
 def nr_bracket(f: MultiOp, g: MultiOp) -> MultiOp:
-    """[f, g] = f ⊼ g - (-1)^(|f||g|) g ⊼ f."""
-    sign = -((-1) ** (f.parity * g.parity))
-    return op_combination([(nr_product(f, g), 1), (nr_product(g, f), sign)])
+    """[f, g] = f ⊼ g - (-1)^(|f||g|) g ⊼ f, one :func:`_insertions` node
+    of two terms."""
+    return _insertions([(f, g, 1), (g, f, -((-1) ** (f.parity * g.parity)))])
 
 
 def mu(signature: Signature, n: int) -> MultiOp:
@@ -454,55 +486,16 @@ def rho_combination(terms) -> MultiOp:
     """One node for sum_i w_i [mu_(n_i), omega_i] over (n_i, omega_i, w_i),
     with int weights w_i.
 
-    All terms share signature, parity and degree n_i + omega_i.degree.  For
-    every n_i >= 1 on a commutative signature, a value reads the
-    :func:`_plan` of its tuple for all terms: in omega ⊼ mu_n, mu_n on an
-    (n+1)-block is the block's entry of the
-    :meth:`~.Signature.subset_products` table, inserted into the complement
-    as in :func:`nr_product`; in mu_n ⊼ omega, omega's value on a block is
-    multiplied by the complementary entry.  Blocks, masks and signs come
-    from the plan's :func:`_shuffle_shapes` rows and :func:`_shuffle_signs`,
-    so a block stands for every block of the same sub-multiset; its weight
-    and w_i are folded into the coefficient.  Otherwise (some n_i = 0, or an
-    associative signature) it is the :func:`op_combination` of
-    :func:`nr_bracket` on :func:`mu`.
+    All terms share signature, parity and degree n_i + omega_i.degree.  It
+    is the :func:`_insertions` node of the terms (omega, mu_n, -w) and
+    (mu_n, omega, w), so on a commutative signature both halves of every
+    term with n >= 1 read one product table per tuple.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
-    n, omega, _ = terms[0]
-    sig = omega.signature
-    if not sig.commutative or any(m < 1 for m, _, _ in terms):
-        return op_combination([(nr_bracket(mu(sig, m), g), w)
-                               for m, g, w in terms])
-    parities = sig.basis_parities()
-    full = (1 << (n + omega.degree + 1)) - 1
-    terms = [(g.degree, g._canonical_value, w, m + 1, g.arity) for m, g, w in terms]
-
-    def eval_basis(tup):
-        products, signs, odd, _, by_size = _plan(sig, tup)
-        acc = {}
-        for d, read, w, inserted, kept in terms:
-            for mask, weight, _, rest_of, prefixes, _ in by_size[inserted]:
-                s, k = products[mask]
-                if not s:
-                    continue
-                rest = rest_of(tup)
-                at = bisect_left(rest, k)
-                if parities[k]:
-                    if at < d and rest[at] == k:
-                        continue  # a repeated odd argument
-                    if (odd & prefixes[at]).bit_count() & 1:
-                        s = -s
-                coeff = -signs[mask] * s * w * weight
-                for out, v in read(rest[:at] + (k,) + rest[at:]).items():
-                    acc[out] = acc.get(out, 0) + coeff * v
-            for mask, weight, block, _, _, _ in by_size[kept]:
-                s, j = products[full ^ mask]
-                if s and (value := read(block(tup))):
-                    sig.mul_into(acc, value.items(), j, s * signs[mask] * w * weight)
-        return _nonzero(acc)
-
-    return MultiOp(sig, n + omega.degree, omega.parity, eval_basis)
+    sig = terms[0][1].signature
+    return _insertions(term for m, omega, w in terms
+                       for term in ((omega, mu(sig, m), -w), (mu(sig, m), omega, w)))
 
 
 def linear_op(signature: Signature, images, parity: int) -> MultiOp:

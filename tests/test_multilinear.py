@@ -494,23 +494,36 @@ def test_run_tables_keep_one_block_per_class_of_the_all_ones_table():
                             assert inner[other_rank] == inner[rank]
 
 
+def _generic_mu(sig, n):
+    """mu_n as a node outside ``sig._mu``, read from its memo, never off a
+    product table."""
+    return MultiOp(sig, n, 0, multilinear._mu_rule(sig, n))
+
+
 @pytest.mark.parametrize("parity", [0, 1])
 def test_rho_matches_generic_bracket(parity):
-    # includes tuples one degree past the bound, which compositions reach;
-    # odd operators vanish without an odd generator, so that one runs even
+    # against mu_h read from its memo: the bracket, and its outer half
+    # mu_h ⊼ omega alone, on tuples one degree past the bound, which
+    # compositions reach; odd operators vanish without an odd generator, so
+    # that one runs even
     for sig in (SIG, Signature(even=1, odd=2, degree_bound=4, unital=False),
                 Signature(even=2, odd=0, degree_bound=5)):
         nonzero = 0
         for degree in range(3):
             omega = _general_op(sig, degree, 5 + degree, parity if sig.odd else 0)
             for h in range(5):
-                fast = rho_combination([(h, omega, 1)])
-                generic = nr_bracket(mu(sig, h), omega)
-                for tup in _index_tuples(sig, fast.arity, sig.degree_bound + 1):
-                    value = fast._canonical_value(tup)
-                    assert value == generic._canonical_value(tup), (sig, degree, h, tup)
-                    nonzero += bool(value)
-        assert nonzero > 250, sig
+                generic_mu = _generic_mu(sig, h)
+                pairs = [(rho_combination([(h, omega, 1)]),
+                          nr_bracket(generic_mu, omega)),
+                         (nr_product(mu(sig, h), omega),
+                          nr_product(generic_mu, omega))]
+                for fast, generic in pairs:
+                    for tup in _index_tuples(sig, fast.arity, sig.degree_bound + 1):
+                        value = fast._canonical_value(tup)
+                        assert value == generic._canonical_value(tup), (
+                            sig, degree, h, tup)
+                        nonzero += bool(value)
+        assert nonzero > 500, sig
 
 
 def test_rho_reads_subset_product_tables(monkeypatch):
@@ -567,8 +580,9 @@ def test_rho_combination_matches_single_rho_nodes(parity):
         assert nonzero > 50, sig
 
 
-def test_rho_combination_falls_back_to_brackets():
-    # an associative signature, and a term with n = 0 on a commutative one
+def test_rho_combination_matches_brackets_without_a_product_table():
+    # an associative signature, and a term with n = 0 on a commutative one:
+    # mu is read from its memo there, on both sides
     nc = Signature(even=2, odd=1, degree_bound=3, commutative=False)
     for sig, terms in (
         (nc, lambda om: [(2, om[0], -3), (1, om[1], 2), (1, om[1], 0)]),
@@ -576,7 +590,9 @@ def test_rho_combination_falls_back_to_brackets():
     ):
         omegas = [_general_op(sig, d, 21 + d) for d in range(3)]
         terms = terms(omegas)
-        fast, reference = rho_combination(terms), _rho_reference(terms)
+        fast = rho_combination(terms)
+        reference = op_combination([(nr_bracket(_generic_mu(sig, n), omega), w)
+                                    for n, omega, w in terms])
         seen = 0
         for tup in _index_tuples(sig, 3, sig.degree_bound + 1):
             value = fast._canonical_value(tup)

@@ -79,6 +79,33 @@ def test_test_modules_import_no_unused_name():
     assert _modules_with_unused_imports(Path(__file__).parent) == {}
 
 
+def _functions_calling(path, name):
+    """``module:qualified name`` of each function of ``path`` whose own body,
+    outside the functions nested in it, calls ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(f"{path.name}:{scope}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_the_insertion_loop_is_written_once():
+    # every insertion product bisects into a complement in one kernel
+    src = Path(antibrackets.__file__).parent
+    callers = set().union(*(_functions_calling(path, "bisect_left")
+                            for path in sorted(src.glob("*.py"))))
+    assert len(callers) == 1, callers
+
+
 def _private_definitions(path):
     """Module-level functions and classes of ``path`` whose names start with _."""
     return {node.name for node in ast.parse(path.read_text()).body
