@@ -38,7 +38,7 @@ from .superalgebra import Signature
 __all__ = ["main"]
 
 # The largest --max-n of the three reports, where each takes 4-6 s, and of
-# verify, where the series suite takes about 160 s (Python 3.11, 2 cores);
+# verify, where the series suite takes about 4 s (Python 3.11, 2 cores);
 # the README gives their costs as functions of N.
 REPORT_MAX_N = 200
 

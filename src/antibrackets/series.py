@@ -13,7 +13,7 @@ formula for derivatives of f(e^t - 1)).
 
 from __future__ import annotations
 
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from operator import mul
 
 from .combinatorics import koszul_numbers_recursive, stirling2
@@ -45,30 +45,45 @@ def _derivative(a: list) -> list:
     return [k * a[k] for k in range(1, len(a))]
 
 
+def _exp_form(a: list) -> tuple:
+    """(E, d), the exponential form of a: ints with a_k = E[k] / (k! d), d least."""
+    pairs = [(int(c.numerator) * factorial(k), int(c.denominator))
+             for k, c in enumerate(a)]
+    d = lcm(*(q // gcd(p, q) for p, q in pairs))
+    return [p * d // q for p, q in pairs], d
+
+
+def _kernel(w: tuple, x: list, y: list, shift: int = 0) -> list:
+    """w(L) y = sum_k w_k L^k(y), for x and y of one order N, L(v) = x v
+    (shift 0) or x v' (shift 1, exact to order N when x(0) = 0), and w given
+    by its exponential form (C, c).  On exponential forms, entry m of L(v) is
+    sum_i C(m, i) X[i] V[m - i + shift] over m - i + shift <= N; the terms
+    C[k] L^k(y) / k! are summed by Horner over one denominator."""
+    (C, c), (X, dx), (V, D) = w, _exp_form(x), _exp_form(y)
+    rows = [[comb(m, i) * X[i] for i in range(m + 1)] for m in range(len(X))]
+    S = [C[0] * v for v in V]
+    for k in range(1, len(C)):
+        lead = max(shift, next((j for j, v in enumerate(V) if v), len(V)))
+        V.append(0)  # V[N + 1] = 0: v' is truncated at order N
+        V = [sum(map(mul, row, V[lead:m + shift + 1][::-1]))
+             for m, row in enumerate(rows)]
+        S = [s * k * dx + C[k] * v for s, v in zip(S, V)]
+        D *= k * dx
+    return [rat(s, factorial(m) * D * c) for m, s in enumerate(S)]
+
+
 def series_mul(a: list, b: list) -> list:
     """Cauchy product truncated at the common order."""
-    N = _common_order(a, b)
-    out = [rat(0)] * (N + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(N + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    _common_order(a, b)
+    return _kernel(([0, 1], 1), a, b)  # w = t, so w(L) b = a b
 
 
 def series_compose(f: list, g: list) -> list:
-    """f(g(t)) by Horner's scheme; g must have zero constant term."""
+    """f(g(t)) = sum_k f_k g^k; g must have zero constant term."""
     N = _common_order(f, g)
     if g[0]:
         raise ValueError("composition requires g(0) = 0")
-    result = [f[N]] + [rat(0)] * N
-    for k in range(N - 1, -1, -1):
-        result = series_mul(result, g)
-        result[0] += f[k]
-    return result
+    return _kernel(_exp_form(f), g, [1] + [0] * N)
 
 
 def _check_itlog_domain(a: list) -> None:
@@ -79,17 +94,7 @@ def _check_itlog_domain(a: list) -> None:
 
 def _derivation_apply(a: list, f: list) -> list:
     """a * f' exactly to the common order (valid because a has valuation >= 2)."""
-    N = len(a) - 1
-    out = [rat(0)] * (N + 1)
-    for i in range(2, N + 1):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(1, N + 2 - i):
-            fj = f[j]
-            if fj:
-                out[i + j - 1] += ai * j * fj
-    return out
+    return _kernel(([0, 1], 1), a, f, 1)
 
 
 def itexp(a: list) -> list:
@@ -99,14 +104,7 @@ def itexp(a: list) -> list:
     is finite at any truncation order.
     """
     _check_itlog_domain(a)
-    result = term = [0, 1] + [0] * (len(a) - 2)
-    k = 1
-    while True:
-        term = [c * rat(1, k) for c in _derivation_apply(a, term)]
-        if not any(term):
-            return result
-        result = [r + c for r, c in zip(result, term)]
-        k += 1
+    return _kernel(([1] * len(a), 1), a, [0, 1] + [0] * (len(a) - 2), 1)
 
 
 def itlog(g: list) -> list:
@@ -120,11 +118,12 @@ def itlog(g: list) -> list:
     The A_m are ints over one running denominator Q and the V_k ints over
     Q^k; when a new A_m brings a factor that Q lacks, Q grows and the stored
     values are rescaled once.  The cost is about N^3/6 integer
-    multiply-adds and one rational subtraction per order.
+    multiply-adds and one gcd per order.
     """
     N = _order(g)
     if g[0] or g[1] != 1:
         raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
+    G, dg = _exp_form(g)  # m! g_m = G[m] / dg
     A = [0] * (N + 1)  # numerators of A_m over Q
     V = [None, A]  # V[k][m]: numerator of V_k[m] over Q^k
     Q = 1
@@ -135,16 +134,16 @@ def itlog(g: list) -> list:
         for k in range(2, m):
             V[k][m] = vkm = sum(map(mul, w[k:m], V[k - 1][k:m]))
             rest = rest * k * Q + vkm
-        A_m = factorial(m) * g[m] - rat(rest, factorial(m - 1) * Q ** (m - 1))
-        num, den = int(A_m.numerator), int(A_m.denominator)
-        grow = den // gcd(den, Q)
+        den = factorial(m - 1) * Q ** (m - 1) * dg
+        num = G[m] * (den // dg) - rest * dg  # A_m = num / den
+        grow = den // gcd(den, num * Q)
         if grow > 1:
             factor = 1
             for k in range(1, m):
                 factor *= grow
                 V[k][:m + 1] = [v * factor for v in V[k][:m + 1]]
             Q *= grow
-        A[m] = num * (Q // den)
+        A[m] = num * Q // den
     return [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
 
 

@@ -489,11 +489,14 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
     # two 3,649-monomial operators whose passing checks read no image
     (["verify", "inversion", "--even", "4", "--odd", "4", "--degree", "8"],
      "92f63ab8b33ad229acc7f192a9ed7e96048899fed575a850873631c10e79e2f0"),
+    # the Julia equation at order 100
+    (["verify", "series", "--max-n", "100"],
+     "d0035baf597f8aca0d58f18cc07733868360b928baccdfc9fb46a5f3f2acd37b"),
 ], ids=["conjecture", "conjecture-45", "coefficients", "koszul-numbers",
         "koszul-numbers-40", "koszul-numbers-80", "conjecture-plain",
         "conjecture-csv", "coefficients-plain", "coefficients-csv", "verify",
         "verify-noncommutative", "verify-inversion", "verify-334",
-        "verify-inversion-448"])
+        "verify-inversion-448", "verify-series-100"])
 def test_report_stdout_is_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -2,16 +2,19 @@
 
 Each fault is applied with ``monkeypatch`` before a fresh signature builds
 any table, and the test asserts the set of suites with a failing entry in
-the registry at (2,2,4), N = 4, seed 42.  A suite that stops catching a
-fault, or starts failing on the clean kernels, fails the test.  A failing
-check stops at its first mismatch, so a faulted registry costs less than a
-clean one.
+the registry at (2,2,4), N = 4, seed 42.  A fault wraps or replaces a
+kernel, or recompiles it from its source with one edit (``_mutate``).  A
+suite that stops catching a fault, or starts failing on the clean kernels,
+fails the test.  A failing check stops at its first mismatch, so a faulted
+registry costs less than a clean one.
 """
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
+import textwrap
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
@@ -23,7 +26,7 @@ from antibrackets import brackets, multilinear
 from antibrackets.checks import registry
 from antibrackets.superalgebra import Signature
 
-SUITES = ("jacobi", "universal", "inversion", "linf", "order")
+SUITES = ("jacobi", "universal", "inversion", "linf", "order", "series")
 
 
 def _flip_first_block_sign(monkeypatch):
@@ -58,15 +61,39 @@ def _flip_odd_inversion_sign(monkeypatch):
     monkeypatch.setattr(Signature, "mul_monomials", flipped)
 
 
-def _wrap_everywhere(monkeypatch, name, wrap):
-    """Every module of the package that binds ``name`` calls
-    ``wrap(original, *args)`` in its place."""
+def _replace_everywhere(monkeypatch, name, make):
+    """Every module of the package that binds ``name`` binds
+    ``make(original)`` in its place, which is returned."""
     modules = [importlib.import_module(f"antibrackets.{info.name}")
                for info in pkgutil.iter_modules(antibrackets.__path__)]
     original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    replacement = make(original)
     for module in modules:
         if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, lambda *args: wrap(original, *args))
+            monkeypatch.setattr(module, name, replacement)
+    return replacement
+
+
+def _wrap_everywhere(monkeypatch, name, wrap):
+    """Every module of the package that binds ``name`` calls
+    ``wrap(original, *args)`` in its place."""
+    _replace_everywhere(monkeypatch, name,
+                        lambda original: lambda *args: wrap(original, *args))
+
+
+def _mutate(monkeypatch, name, old, new):
+    """The function ``name`` recompiled from its source with the text
+    ``old``, which occurs once, replaced by ``new``; every module that binds
+    it binds the mutant, which is returned."""
+    def mutant(original):
+        source = textwrap.dedent(inspect.getsource(original))
+        assert source.count(old) == 1, (name, old)
+        namespace = dict(original.__globals__)
+        exec(compile(source.replace(old, new), inspect.getsourcefile(original),
+                     "exec"), namespace)
+        return namespace[name]
+
+    return _replace_everywhere(monkeypatch, name, mutant)
 
 
 def _bisect_right_for_left(monkeypatch):
@@ -121,6 +148,37 @@ def _negate_mu_bracket_factor(monkeypatch):
     _wrap_everywhere(monkeypatch, "mu_bracket_factor", negated)
 
 
+def _kernel_ignores_shift(monkeypatch):
+    """The series kernel reads v where it should read v', so x v' is x v."""
+    _mutate(monkeypatch, "_kernel", "V[lead:m + shift + 1]", "V[lead:m + 1]")
+
+
+def _kernel_binomial_off_by_one(monkeypatch):
+    """The series kernel weighs X[i] by C(m + 1, i) for C(m, i)."""
+    _mutate(monkeypatch, "_kernel", "comb(m, i)", "comb(m + 1, i)")
+
+
+def _combination_rounds_down(monkeypatch):
+    """``op_combination`` divides each entry by the weights' common
+    denominator with ``//``, so a rational entry is rounded down."""
+    _mutate(monkeypatch, "op_combination",
+            "v // den if not v % den else rat(v, den)", "v // den")
+
+
+def _combination_skips_division(monkeypatch):
+    """``op_combination`` returns the summed numerators undivided, so every
+    combination with a rational weight is scaled by its weights' common
+    denominator."""
+    _mutate(monkeypatch, "op_combination", "if den == 1:", "if den:")
+
+
+def _recursion_sign_flipped(monkeypatch):
+    """The recursive construction adds (-1)^(|b||c|) Phi^(r-1)(.., c) b
+    where it should subtract it."""
+    mutant = _mutate(monkeypatch, "_recursion_ops", "-swap)", "swap)")
+    monkeypatch.setitem(brackets._METHODS, "recursion", mutant)
+
+
 def _failing_entries(sig):
     """{suite: number of failing registry entries} at N = 4, seed 42."""
     return dict(Counter(suite for suite, _, thunk in registry(sig, 4, 42, SUITES)
@@ -129,22 +187,37 @@ def _failing_entries(sig):
 
 @pytest.mark.parametrize("fault, caught_by", [
     (None, set()),
-    # 3 / 18 / 0 / 0 / 1 failing entries (jacobi / universal / inversion /
-    # linf / order)
+    # 3 / 18 / 0 / 0 / 1 / 0 failing entries (jacobi / universal / inversion
+    # / linf / order / series)
     (_flip_first_block_sign, {"jacobi", "universal", "order"}),
-    # 6 / 20 / 0 / 1 / 2
+    # 6 / 20 / 0 / 1 / 2 / 0
     (_flip_odd_inversion_sign, {"jacobi", "universal", "linf", "order"}),
-    # 6 / 12 / 0 / 0 / 0
+    # 6 / 12 / 0 / 0 / 0 / 0
     (_bisect_right_for_left, {"jacobi", "universal"}),
-    # 3 / 17 / 0 / 0 / 2
+    # 3 / 17 / 0 / 0 / 2 / 0
     (_negate_full_block_product, {"jacobi", "universal", "order"}),
-    # 0 / 3 / 0 / 0 / 0 each: the exponential route and the standard forms
-    (_double_k3, {"universal"}),
+    # 0 / 3 / 0 / 0 / 0 / 5: the exponential route and the standard forms,
+    # and the graded-variable exponential checks
+    (_double_k3, {"universal", "series"}),
+    # 0 / 3 / 0 / 0 / 0 / 0
     (_shift_c13, {"universal"}),
-    # 0 / 1 / 0 / 0 / 0
+    # 0 / 1 / 0 / 0 / 0 / 0
     (_negate_mu_bracket_factor, {"universal"}),
+    # 0 / 0 / 0 / 0 / 0 / 1: only the Julia equation reads x v'
+    (_kernel_ignores_shift, {"series"}),
+    # 0 / 0 / 0 / 0 / 0 / 11
+    (_kernel_binomial_off_by_one, {"series"}),
+    # 0 / 0 / 0 / 0 / 0 / 0: every division the registry makes here is
+    # exact, so rounding it down changes nothing
+    (_combination_rounds_down, set()),
+    # 0 / 14 / 0 / 0 / 0 / 0
+    (_combination_skips_division, {"universal"}),
+    # 0 / 3 / 0 / 0 / 0 / 0
+    (_recursion_sign_flipped, {"universal"}),
 ], ids=["clean", "shuffle-sign", "odd-inversion-sign", "insertion-bisect",
-        "full-block-product", "koszul-k3", "series-c13", "mu-bracket-factor"])
+        "full-block-product", "koszul-k3", "series-c13", "mu-bracket-factor",
+        "kernel-shift", "kernel-binomial", "combination-rounds-down",
+        "combination-undivided", "recursion-sign"])
 def test_fault_is_caught_by_the_named_suites(monkeypatch, fault, caught_by):
     if fault is not None:
         fault(monkeypatch)

@@ -8,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 from antibrackets.combinatorics import (
     koszul_numbers_chain,
     koszul_numbers_recursive,
+    stirling2,
 )
 from antibrackets.rational import Rational, rat
 from antibrackets.series import (
+    _derivation_apply,
     _derivative,
+    _kernel,
     graded_exponential_check,
     exp_minus_one,
     itexp,
@@ -63,6 +66,127 @@ def itlog_fraction(g):
             rest += tkm
         a[m] = g[m] - rest
     return a
+
+
+def series_mul_fraction(a, b):
+    """Reference: the Cauchy product summed term by term on rationals."""
+    N = len(a) - 1
+    out = [rat(0)] * (N + 1)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j in range(N + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def series_compose_fraction(f, g):
+    """Reference: f(g(t)) by Horner's scheme on rationals."""
+    N = len(f) - 1
+    result = [f[N]] + [rat(0)] * N
+    for k in range(N - 1, -1, -1):
+        result = series_mul_fraction(result, g)
+        result[0] += f[k]
+    return result
+
+
+def derivation_apply_fraction(a, f):
+    """Reference: a * f' on rationals, for a of valuation >= 2."""
+    N = len(a) - 1
+    out = [rat(0)] * (N + 1)
+    for i in range(2, N + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(1, N + 2 - i):
+            fj = f[j]
+            if fj:
+                out[i + j - 1] += ai * j * fj
+    return out
+
+
+def itexp_fraction(a):
+    """Reference: t + sum_k (a d/dt)^k t / k!, each term on rationals."""
+    result = term = [0, 1] + [0] * (len(a) - 2)
+    k = 1
+    while True:
+        term = [c * rat(1, k) for c in derivation_apply_fraction(a, term)]
+        if not any(term):
+            return result
+        result = [r + c for r, c in zip(result, term)]
+        k += 1
+
+
+# Ints and rationals mixed, and series of every order from 1, for the
+# references above
+mixed_coefficients = st.one_of(st.integers(-6, 6), small_rationals,
+                               st.builds(rat, st.integers(-50, 50),
+                                         st.integers(1, 40)))
+
+
+def series_tuples(*valuations, max_order=9):
+    """Series of one order 1..max_order, one per entry of ``valuations``,
+    series i with its first ``valuations[i]`` coefficients zero."""
+    def of_order(order):
+        return st.tuples(*(
+            st.lists(mixed_coefficients, min_size=order + 1 - v,
+                     max_size=order + 1 - v).map(lambda tail, v=v: [0] * v + tail)
+            for v in valuations))
+
+    return st.integers(1, max_order).flatmap(of_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_tuples(0, 0))
+def test_mul_matches_fraction_reference(pair):
+    a, b = pair
+    assert series_mul(a, b) == series_mul_fraction(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_tuples(0, 1))
+def test_compose_matches_fraction_reference(pair):
+    f, g = pair
+    assert series_compose(f, g) == series_compose_fraction(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_tuples(2, 0))
+def test_derivation_apply_matches_fraction_reference(pair):
+    a, f = pair
+    assert _derivation_apply(a, f) == derivation_apply_fraction(a, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_tuples(2))
+def test_itexp_matches_fraction_reference(single):
+    (a,) = single
+    assert itexp(a) == itexp_fraction(a)
+
+
+def test_references_cover_orders_one_and_two():
+    for a in ([0, 0], [0, 0, rat(-3, 4)], [0, 0, 5]):
+        assert itexp(a) == itexp_fraction(a)
+        f = [rat(2, 3), -1, *a[2:]]
+        assert series_mul(f, a) == series_mul_fraction(f, a)
+        assert _derivation_apply(a, f) == derivation_apply_fraction(a, f)
+        g = [0, rat(1, 2), *a[2:]]
+        assert series_compose(f, g) == series_compose_fraction(f, g)
+
+
+def test_kernel_powers_of_exp_minus_one_are_stirling_numbers():
+    # w = t^k, whose exponential form is k! at entry k, so the kernel
+    # returns (e^t - 1)^k; its exponential-form entries are k! S(m, k)
+    N = 20
+    e, one = exp_minus_one(N), [1] + [0] * N
+    for k in range(1, N + 1):
+        w = [0] * (N + 1)
+        w[k] = factorial(k)
+        power = _kernel((w, 1), e, one)
+        assert [factorial(m) * c for m, c in enumerate(power)] == [0] * k + [
+            factorial(k) * stirling2(m, k) for m in range(k, N + 1)]
 
 
 # Denominators up to 12, none of them 1, so that itlog's running
