@@ -268,7 +268,8 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     from .checks import VERIFY_ALL, describe, registry
-    print(describe(sig, args.max_n), file=sys.stderr, flush=True)
+    # no registry suite compares tuples of arity above 5
+    print(describe(sig, min(args.max_n, 5)), file=sys.stderr, flush=True)
     suites = VERIFY_ALL if args.suite == "all" else [args.suite]
     results = []
     for suite, label, thunk in registry(sig, args.max_n, args.seed, suites):

@@ -184,17 +184,14 @@ def julia_check(a: list, N: int) -> bool:
 
 
 def hurwitz_series(d: int, N: int) -> list:
-    """a_d(z) = sum_b (-1)^(d-b)/d! C(d,b) / (1 - (b+1)z), truncated at order N."""
+    """a_d(z) = sum_b (-1)^(d-b)/d! C(d,b) / (1 - (b+1)z), truncated at order N;
+    each coefficient is an int sum divided once by d!."""
     if d < 0:
         raise ValueError("d must be >= 0")
     _check_order(N)
-    return [
-        sum(
-            rat((-1) ** (d - b) * comb(d, b) * (b + 1) ** n, factorial(d))
-            for b in range(d + 1)
-        )
-        for n in range(N + 1)
-    ]
+    signed = [(-1) ** (d - b) * comb(d, b) for b in range(d + 1)]
+    return [rat(sum(c * (b + 1) ** n for b, c in enumerate(signed)), factorial(d))
+            for n in range(N + 1)]
 
 
 def psi_of_series(a: list) -> list:
@@ -206,40 +203,21 @@ def psi_of_series(a: list) -> list:
 def graded_exponential_check(d: int, D: int) -> bool:
     """Compare exp(sum K_n r_n)(t_d) with the a_d coefficients on indices <= D.
 
-    The graded variables t_0..t_D are modelled as a coefficient vector; the
-    derivation r_n sends t_k to C(k+n+1, n+1) t_(k+n), raising the index, so
-    the exponential is nilpotent on the truncation.
+    The derivation r_n sends the graded variable t_k to C(k+n+1, n+1)
+    t_(k+n).  Read t_k as z^(k+1)/(k+1)!; then r_n is (z^(n+1)/(n+1)!) d/dz,
+    and the exponential is one kernel call on series of order D + 1, finite
+    as each r_n raises the index.
     """
     if not 0 <= d <= D or D < 1:
         raise ValueError("need 0 <= d <= D and D >= 1")
     koszul = koszul_numbers_recursive(D)
-
-    def apply_generator(vec):
-        out = [rat(0)] * (D + 1)
-        for k, c in enumerate(vec):
-            if not c:
-                continue
-            for n in range(1, D - k + 1):
-                out[k + n] += koszul[n] * comb(k + n + 1, n + 1) * c
-        return out
-
-    vec = [rat(0)] * (D + 1)
-    vec[d] = rat(1)
-    result = list(vec)
-    term = vec
-    j = 1
-    while True:
-        term = apply_generator(term)
-        if all(not c for c in term):
-            break
-        # term holds the unscaled power R^j(vec); only the sum is weighted
-        for k in range(D + 1):
-            result[k] += term[k] * rat(1, factorial(j))
-        j += 1
-    expected = hurwitz_series(d, D)
-    return all(
-        result[k] == (expected[k] if k >= d else rat(0)) for k in range(D + 1)
-    )
+    x = [0, 0, *(rat(K.numerator, K.denominator * factorial(n + 1))
+                 for n, K in enumerate(koszul[1:], 1))]
+    y = [0] * (D + 2)
+    y[d + 1] = rat(1, factorial(d + 1))
+    image = _kernel(([1] * (D + 2), 1), x, y, 1)
+    t = [factorial(k + 1) * image[k + 1] for k in range(D + 1)]
+    return t == [0] * d + hurwitz_series(d, D)[d:]
 
 
 def stirling_derivative_check(f: list, n: int, N: int) -> bool:

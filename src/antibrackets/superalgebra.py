@@ -83,6 +83,10 @@ class Signature:
     """
 
     def __init__(self, even=2, odd=2, degree_bound=5, commutative=True, unital=True):
+        for name, size in (("even", even), ("odd", odd),
+                           ("degree_bound", degree_bound)):
+            if type(size) is not int:
+                raise ValueError(f"{name} must be an int, got {size!r}")
         if even < 0 or odd < 0:
             raise ValueError("generator counts must be non-negative")
         if degree_bound < 1:

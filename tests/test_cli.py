@@ -292,6 +292,21 @@ def test_verify_names_its_signature_on_stderr_first(capsys, monkeypatch, flags,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_counts_tuples_only_to_the_largest_compared_arity(capsys,
+                                                                 monkeypatch):
+    # no suite compares tuples of arity above 5, so N = 200 reaches the
+    # registry but not the stderr line
+    asked = []
+    monkeypatch.setattr(checks, "registry",
+                        lambda *args: asked.append(args[1:]) or iter(()))
+    code, out, err = run_cli(capsys, "verify", "series", "--max-n", "200")
+    assert code == 0 and out == "0/0 checks passed\n"
+    assert asked == [(200, 42, ["series"])]
+    assert err == ("signature: 2 even, 2 odd, degree <= 5, commutative, "
+                   "unital; basis 61; canonical tuples by arity 1..5: "
+                   "61 / 341 / 641 / 753 / 773\n")
+
+
 @pytest.mark.parametrize("sig", [
     Signature(even=2, odd=2, degree_bound=5),
     Signature(even=0, odd=3, degree_bound=4),

@@ -221,6 +221,24 @@ def test_op_combination_quotients_are_ints_when_exact():
     assert kinds == {int, Rational}
 
 
+def test_op_combination_divides_inexact_sums_of_integral_operators():
+    # weights 1/2 and 1/3 on operators with int entries sum to (3a + 2b)/6,
+    # which is a rational wherever 6 does not divide it; no registry suite
+    # reaches such a division, as its combinations divide exactly
+    f, g = random_endo(SIG, 1), random_endo(SIG, 2)
+    combined = op_combination([(f, rat(1, 2)), (g, rat(1, 3))])
+    rational = 0
+    for (i,) in _index_tuples(SIG, 1):
+        a, b = f._canonical_value((i,)), g._canonical_value((i,))
+        assert all(type(v) is int for v in [*a.values(), *b.values()])
+        expected = {k: rat(a.get(k, 0), 2) + rat(b.get(k, 0), 3)
+                    for k in a.keys() | b.keys()}
+        assert combined._canonical_value((i,)) == {
+            k: v for k, v in expected.items() if v}, i
+        rational += sum(v.denominator > 1 for v in expected.values())
+    assert rational > 20
+
+
 def test_first_mismatch_locates_difference():
     a = mu(SIG, 1)
     b = op_combination([(mu(SIG, 1), 2)])

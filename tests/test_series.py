@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from antibrackets import series
 from antibrackets.combinatorics import (
     koszul_numbers_chain,
     koszul_numbers_recursive,
@@ -314,6 +315,22 @@ def test_psi_of_hurwitz_is_power_of_exp_minus_one():
 def test_graded_variable_exponential_check():
     for d in range(4):
         assert graded_exponential_check(d, 9)
+
+
+def test_graded_exponential_check_reads_each_koszul_number_it_reaches(
+        monkeypatch):
+    # r_n raises the index by n, so from t_d the check reaches K_1..K_(D-d),
+    # each first at index d + n, and no further
+    D = 7
+    for n in range(1, D + 1):
+        def nudged(N, n=n):
+            values = koszul_numbers_recursive(N)
+            values[n] += rat(1, 7)
+            return values
+
+        monkeypatch.setattr(series, "koszul_numbers_recursive", nudged)
+        for d in range(D + 1):
+            assert graded_exponential_check(d, D) == (d + n > D), (d, n)
 
 
 def test_graded_exponential_check_refuses_bad_indices():

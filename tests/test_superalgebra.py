@@ -82,6 +82,18 @@ def test_non_unital_basis_excludes_unit():
         sig.unit()
 
 
+@pytest.mark.parametrize("name, value", [
+    ("even", 1.5), ("odd", 2.0), ("degree_bound", 3.0), ("even", True),
+    ("degree_bound", "3"),
+])
+def test_signature_refuses_sizes_that_are_not_ints_when_built(name, value):
+    # refused when built: the basis enumeration recurses without end on a
+    # float count and raises TypeError on a float bound
+    message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Signature(**{name: value})
+
+
 @pytest.mark.parametrize("sig, m", [
     (Signature(even=2, odd=2, degree_bound=3), ((4, 0), ())),
     (Signature(even=2, odd=2, degree_bound=3), ((1, 0), (0, 0))),
