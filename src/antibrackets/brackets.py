@@ -12,7 +12,8 @@ Four independent constructions of the same operators are provided:
 
 On top of the constructions live the inversion formula, the right-hand side
 of the generalized Jacobi identities, the L-infinity property of square-zero
-odd operators, and the order-of-differential-operator vanishing criterion.
+odd operators, and the order-of-differential-operator vanishing criterion;
+the inversion formula is checked on basis monomials.
 The checks that ``verify`` runs on them are stated in :mod:`.checks`.
 
 The operator f is a degree-0 :class:`~antibrackets.multilinear.MultiOp`,
@@ -22,12 +23,14 @@ which is Phi^1_f itself; the entry points refuse any other degree.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import factorial, lcm
 
 from .combinatorics import koszul_numbers_recursive
 from .multilinear import (
     SHAPE_CACHE_SIZE,
     MultiOp,
+    _nonzero,
     _plan,
     _shuffle_shapes,
     _shuffle_signs,
@@ -38,7 +41,6 @@ from .multilinear import (
     rho_combination,
 )
 from .rational import rat
-from .superalgebra import AlgebraElement
 
 __all__ = [
     "phi_direct_op",
@@ -138,7 +140,7 @@ def phi_direct_op(f: MultiOp, n: int) -> MultiOp:
         _shuffle_terms(coeffs, sig, products, subs, signs, 1, None)
         _formal_terms(terms, products, subs, coeffs)
         _read_terms(acc, f, terms)
-        return {t: c for t, c in acc.items() if c}
+        return _nonzero(acc)
 
     return MultiOp(sig, n - 1, f.parity, eval_basis)
 
@@ -167,7 +169,7 @@ def _recursion_ops(f: MultiOp, N: int) -> dict:
             # front + (b,) and front + (c,) are canonical, as tup is
             sig.mul_into(acc, prev._canonical_value(front + (b,)).items(), c, -1)
             sig.mul_into(acc, prev._canonical_value(front + (c,)).items(), b, -swap)
-            return {k: v for k, v in acc.items() if v}
+            return _nonzero(acc)
 
         ops[r] = MultiOp(sig, r - 1, f.parity, eval_basis)
     return ops
@@ -299,13 +301,13 @@ def _block_signs(parities: tuple) -> list:
 def inversion_check(f: MultiOp, n: int, args) -> bool:
     """f(a_1...a_n) == sum over shuffles of Phi^k_f(block) * rest, exactly.
 
-    An argument is a basis monomial, read as its basis index with
-    coefficient 1 (no element is built), or a homogeneous
-    :class:`~.superalgebra.AlgebraElement` of f's signature, expanded over
-    its terms.  lhs - rhs is summed over the combinations of the arguments'
-    basis indices, each with one ``subset_products`` table: the product of
-    every block, sub-block and complement.  Blocks and sub-blocks are read
-    per bit mask of the caller's order, from the
+    The n arguments are basis monomials, read (at most n + 1 of them) as
+    one tuple of basis indices; an element raises the ValueError of
+    :meth:`~.superalgebra.Signature.index_of`.  The formula is multilinear
+    and Koszul-symmetric, so its verdicts on basis monomials settle it for
+    every element.  The tuple has one ``subset_products`` table: the
+    product of every block, sub-block and complement.  Blocks and
+    sub-blocks are read per bit mask of the caller's order, from the
     :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n`` and the
     :func:`_block_signs` of the n parities.  Shuffles whose complement's
     product dies are skipped; those with the same block indices and
@@ -321,50 +323,32 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     sig = f.signature
     if not sig.commutative:
         raise ValueError("the shuffle formula needs a commutative signature")
-    combos, parities = [((), 1)], []
-    basis_parities = sig.basis_parities()
-    for a in args:
-        if isinstance(a, AlgebraElement):
-            if a.signature != sig:
-                raise ValueError("signature mismatch")
-            p = a.parity()
-            if p is None:
-                raise ValueError("inversion check needs homogeneous arguments")
-            terms = a.terms.items()
-        else:  # a monomial is one basis index of coefficient 1
-            i = sig.index_of(a)
-            p = basis_parities[i]
-            terms = ((i, 1),)
-        if len(parities) == n:  # before any more products are expanded
-            raise ValueError("argument count must equal n")
-        parities.append(p)
-        combos = [(tup + (i,), coeff * c)
-                  for tup, coeff in combos for i, c in terms]
-    if len(parities) != n:
+    tup = tuple(map(sig.index_of, islice(args, n + 1)))
+    if len(tup) != n:
         raise ValueError("argument count must equal n")
     full = (1 << n) - 1
-    tables = _block_signs(tuple(parities))
+    basis_parities = sig.basis_parities()
+    tables = _block_signs(tuple(basis_parities[i] for i in tup))
     signs = tables[full]
     rows, _ = _shuffle_shapes((1,) * n)
+    products = sig.subset_products(tup)
+    acc = [0] * (full + 1)  # by sub-block, as _shuffle_terms sums
+    acc[full] = 1  # lhs
+    # the one shuffle with k = n, which has no complement
+    _shuffle_terms(acc, sig, products, rows[full][5], signs, -1, None)
+    groups = {}  # (block indices, complement product) -> [block, scalar]
+    for block in range(1, full):
+        r, tail = products[full ^ block]
+        if not r:  # the complement's product dies
+            continue
+        group = groups.setdefault((rows[block][2](tup), tail), [block, 0])
+        group[1] -= signs[block] * r
+    for (_, tail), (block, c) in groups.items():
+        if c:
+            _shuffle_terms(acc, sig, products, rows[block][5],
+                           tables[block], c, tail)
     terms = {}  # (j, u) -> coeff of f(basis[j]) * basis[u]
-    for tup, coeff in combos:
-        products = sig.subset_products(tup)
-        acc = [0] * (full + 1)  # by sub-block, as _shuffle_terms sums
-        acc[full] = coeff  # lhs
-        # the one shuffle with k = n, which has no complement
-        _shuffle_terms(acc, sig, products, rows[full][5], signs, -coeff, None)
-        groups = {}  # (block indices, complement product) -> [block, scalar]
-        for block in range(1, full):
-            r, tail = products[full ^ block]
-            if not r:  # the complement's product dies
-                continue
-            group = groups.setdefault((rows[block][2](tup), tail), [block, 0])
-            group[1] -= signs[block] * r
-        for (_, tail), (block, c) in groups.items():
-            if c:
-                _shuffle_terms(acc, sig, products, rows[block][5],
-                               tables[block], c * coeff, tail)
-        _formal_terms(terms, products, rows[full][5], acc)
+    _formal_terms(terms, products, rows[full][5], acc)
     diff = {}
     _read_terms(diff, f, terms)
     return not any(diff.values())

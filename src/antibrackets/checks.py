@@ -58,8 +58,7 @@ from .series import (
     itlog,
     julia_check,
     log_one_plus,
-    psi_of_series,
-    series_mul,
+    series_compose,
     stirling_derivative_check,
 )
 
@@ -257,13 +256,14 @@ def _polynomial(sig, N, seed):
 
 
 def _hurwitz_identity(d):
-    """psi(a_d) == (e^t - 1)^(d+1) / (d+1)! to order 15."""
-    lhs = psi_of_series(hurwitz_series(d, 14))
-    e = exp_minus_one(15)
-    power = [1] + [0] * 15
-    for _ in range(d + 1):
-        power = series_mul(power, e)
-    return _holds(lhs == [c * rat(1, factorial(d + 1)) for c in power])
+    """psi(a_d) == (e^t - 1)^(d+1) / (d+1)! to order 15, where psi sends z^n
+    to t^(n+1)/(n+1)!: the right side is one composition of t^(d+1)/(d+1)!
+    with e^t - 1, and (n+1)! times its t^(n+1) coefficient is a_d's z^n."""
+    power = [0] * 16
+    power[d + 1] = rat(1, factorial(d + 1))
+    rhs = series_compose(power, exp_minus_one(15))
+    return _holds(rhs[0] == 0 and [factorial(n + 1) * c for n, c in
+                                   enumerate(rhs[1:])] == hurwitz_series(d, 14))
 
 
 def _series(sig, N, seed):

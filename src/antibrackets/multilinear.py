@@ -161,28 +161,21 @@ ARGUMENT_MEMO_SIZE = 1 << 14
 
 
 def _canonical_arguments(sig: Signature, args):
-    """(sign, canonical index tuple) of operator arguments that are each one
-    basis index: a monomial, or an element with one term of coefficient 1;
-    (0, None) when an odd index repeats, and None when some argument is any
-    other element.  A tuple of monomials enters the signature's memo
-    ``sig._canonical``, up to :data:`ARGUMENT_MEMO_SIZE` entries."""
+    """(sign, canonical index tuple) of operator arguments that are all
+    basis monomials, (0, None) when an odd index repeats, and None when
+    some argument is an element.  The tuple of monomials enters the
+    signature's memo ``sig._canonical``, up to :data:`ARGUMENT_MEMO_SIZE`
+    entries."""
     sig.basis()
     index = sig._index
     indices = []
-    monomials = True
     for a in args:
-        if not isinstance(a, AlgebraElement):
-            i = index.get(a)
-            indices.append(sig.index_of(a) if i is None else i)
-        elif a.signature is not sig and a.signature != sig:
-            raise ValueError("signature mismatch")
-        elif len(a.terms) == 1 and 1 in a.terms.values():
-            indices.extend(a.terms)
-            monomials = False
-        else:
+        if isinstance(a, AlgebraElement):
             return None
+        i = index.get(a)
+        indices.append(sig.index_of(a) if i is None else i)
     hit = sig.canonical_indices(indices)
-    if monomials and len(sig._canonical) < ARGUMENT_MEMO_SIZE:
+    if len(sig._canonical) < ARGUMENT_MEMO_SIZE:
         sig._canonical[args] = hit
     return hit
 
@@ -443,8 +436,9 @@ def mu(signature: Signature, n: int) -> MultiOp:
 
     On a commutative signature every order gives the same product, so a
     value is one :meth:`~.Signature.mul_indices`.  On an associative one it
-    is the Koszul-signed sum over the (n+1)! orders, divided once by (n+1)!,
-    to an int wherever the division is exact.
+    is the Koszul-signed sum over the (n+1)! orders, which
+    :func:`op_combination` divides once by (n+1)!, to an int wherever the
+    division is exact.
 
     There is one node per (signature, n), kept in ``signature._mu``, so
     every caller reads one memo.
@@ -453,22 +447,21 @@ def mu(signature: Signature, n: int) -> MultiOp:
         raise ValueError("degree must be >= 0")
     node = signature._mu.get(n)
     if node is None:
-        node = signature._mu[n] = MultiOp(signature, n, 0, _mu_rule(signature, n))
+        node = signature._mu[n] = _mu_node(signature, n)
     return node
 
 
-def _mu_rule(signature: Signature, n: int):
-    """The evaluation rule of mu_n on canonical index tuples."""
+def _mu_node(signature: Signature, n: int) -> MultiOp:
+    """A new node of mu_n, outside ``signature._mu``."""
     if signature.commutative:
         def eval_basis(tup):
             sign, k = signature.mul_indices(tup)
             return {k: sign} if sign else {}
 
-        return eval_basis
-    den = factorial(n + 1)
+        return MultiOp(signature, n, 0, eval_basis)
     orders = list(itertools.permutations(range(n + 1)))
 
-    def eval_basis(tup):
+    def eval_sum(tup):  # (n+1)! mu_n
         parities = signature.basis_parities()
         tup_parities = [parities[i] for i in tup]
         acc = {}
@@ -476,10 +469,10 @@ def _mu_rule(signature: Signature, n: int):
             sign, k = signature.mul_indices([tup[i] for i in order])
             if sign:
                 acc[k] = acc.get(k, 0) + sign * koszul_sign(order, tup_parities)
-        return {k: v // den if not v % den else rat(v, den)
-                for k, v in acc.items() if v}
+        return _nonzero(acc)
 
-    return eval_basis
+    return op_combination([(MultiOp(signature, n, 0, eval_sum),
+                            rat(1, factorial(n + 1)))])
 
 
 def rho_combination(terms) -> MultiOp:

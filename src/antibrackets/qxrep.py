@@ -38,7 +38,7 @@ from .brackets import differential_order_check
 from .combinatorics import koszul_numbers_recursive, mu_bracket_factor
 from .multilinear import (
     SHAPE_CACHE_SIZE,
-    canonical_tuples,
+    _index_tuples,
     derivation_endo,
     mu,
     nr_product,
@@ -291,8 +291,8 @@ def conjecture_coefficients(n: int) -> list:
 
 def bn_zero_witness(n: int) -> bool:
     """Whether rho_1^(n-2)(Phi(2,2)_d/dx) meets its product-of-binomials
-    closed form on the (at least one) monomial tuples of positive degrees,
-    and Phi^(n+1) of the derivation d/dx vanishes.
+    closed form on the (at least one) canonical index tuples of positive
+    degrees, and Phi^(n+1) of the derivation d/dx vanishes.
 
     Builds the one-even-generator commutative algebra and realizes
     Phi(2,2)_f = mu_0 insertion (f insertion mu_1) for f = d/dx.
@@ -307,14 +307,14 @@ def bn_zero_witness(n: int) -> bool:
     prefactor = (-1) ** (n - 2)
     for i in range(3, n + 1):
         prefactor *= comb(i - 1, 2)
+    exponents = sig.basis_degrees()  # of x in each basis monomial
     checked = 0
-    for tup in canonical_tuples(sig, n):
-        exponents = [m[0][0] for m in tup]
-        if any(a < 1 for a in exponents):
+    for tup in _index_tuples(sig, n):
+        if not all(exponents[i] for i in tup):
             continue
-        total = sum(exponents)
-        expected = sig.monomial_element(((total - 1,), ()), prefactor * total)
-        if op.value(tup) != expected:
+        total = sum(exponents[i] for i in tup)
+        expected = {sig.index_of(((total - 1,), ())): prefactor * total}
+        if op._canonical_value(tup) != expected:
             return False
         checked += 1
     return checked > 0 and differential_order_check(partial, n)

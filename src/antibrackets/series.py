@@ -194,12 +194,6 @@ def hurwitz_series(d: int, N: int) -> list:
             for n in range(N + 1)]
 
 
-def psi_of_series(a: list) -> list:
-    """The map z^n -> t^(n+1)/(n+1)! applied coefficient-wise."""
-    _order(a)
-    return [rat(0)] + [c * rat(1, factorial(n + 1)) for n, c in enumerate(a)]
-
-
 def graded_exponential_check(d: int, D: int) -> bool:
     """Compare exp(sum K_n r_n)(t_d) with the a_d coefficients on indices <= D.
 

@@ -515,7 +515,7 @@ def test_run_tables_keep_one_block_per_class_of_the_all_ones_table():
 def _generic_mu(sig, n):
     """mu_n as a node outside ``sig._mu``, read from its memo, never off a
     product table."""
-    return MultiOp(sig, n, 0, multilinear._mu_rule(sig, n))
+    return multilinear._mu_node(sig, n)
 
 
 @pytest.mark.parametrize("parity", [0, 1])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from antibrackets import qxrep
 from antibrackets.combinatorics import mu_bracket_factor
+from antibrackets.multilinear import MultiOp
 from antibrackets.qxrep import (
     SingularMatrixError,
     coefficient_series,
@@ -452,6 +453,20 @@ def test_signed_sum_solves_standard_form():
                  for s in range(n + 5)]
         signed = [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
         assert total == _columns(phi_operator(signed), n + 4)
+
+
+def test_bn_zero_witness_reads_operators_on_index_tuples_only(monkeypatch):
+    # no operator is evaluated on monomials, and a wrong closed form fails
+    def refuse(*_args):
+        raise AssertionError("operator evaluated on monomials")
+
+    monkeypatch.setattr(MultiOp, "__call__", refuse)
+    for n in range(2, 6):
+        assert qxrep.bn_zero_witness(n)
+    monkeypatch.setattr(qxrep, "comb", lambda a, b: comb(a, b) + 1)
+    assert qxrep.bn_zero_witness(2)  # no binomial in its prefactor
+    for n in range(3, 6):
+        assert not qxrep.bn_zero_witness(n)
 
 
 def test_coderivation_matrix_entries():

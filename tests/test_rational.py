@@ -41,12 +41,14 @@ UNIVERSAL_RATIONALS = 115
 
 # Rationals that the series suite makes at (2,2,4), N = 5, seed 1, on
 # Python 3.11, in a fresh process: the Stirling derivative entries 1,140
-# plus 17 for the log(1+t) they share, the psi/Hurwitz entries 1,106, the
-# graded-variable checks 280 and the Julia equation 105.  Each series
-# operation returns its coefficients as rationals; the Stirling entries also
-# sum Fractions term by term (6,373 when the graded-variable checks did too,
-# 63,615 when every series operation did)
-SERIES_RATIONALS = 2648
+# plus 17 for the log(1+t) they share, the psi/Hurwitz entries 441 (63
+# each, one composition per entry), the graded-variable checks 280 and the
+# Julia equation 105.  Each series operation returns its coefficients as
+# rationals; the Stirling entries also sum Fractions term by term (2,648
+# when the psi/Hurwitz entries built (e^t - 1)^(d+1) product by product,
+# 6,373 when the graded-variable checks summed term by term too, 63,615
+# when every series operation did)
+SERIES_RATIONALS = 1983
 
 fraction_backend_only = pytest.mark.skipif(
     Rational is not Fraction,

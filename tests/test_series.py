@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antibrackets import series
+from antibrackets import checks, series
 from antibrackets.combinatorics import (
     koszul_numbers_chain,
     koszul_numbers_recursive,
@@ -23,7 +23,6 @@ from antibrackets.series import (
     julia_check,
     koszul_numbers_itlog,
     log_one_plus,
-    psi_of_series,
     series_compose,
     series_mul,
     hurwitz_series,
@@ -304,12 +303,31 @@ def test_hurwitz_series_low_orders():
 
 def test_psi_of_hurwitz_is_power_of_exp_minus_one():
     for d in range(5):
-        lhs = psi_of_series(hurwitz_series(d, 11))
+        # psi sends z^n to t^(n+1)/(n+1)!
+        lhs = [0] + [c * rat(1, factorial(n + 1))
+                     for n, c in enumerate(hurwitz_series(d, 11))]
         e = exp_minus_one(12)
         power = [1] + [0] * 12
         for _ in range(d + 1):
             power = series_mul(power, e)
         assert lhs == [c * rat(1, factorial(d + 1)) for c in power]
+
+
+def test_hurwitz_identity_check_reads_every_coefficient(monkeypatch):
+    # one composition per d holds on d = 0..6; a_d nudged at any one
+    # coefficient fails it
+    for d in range(7):
+        assert checks._hurwitz_identity(d) is None
+    original = hurwitz_series
+    for d, n in ((0, 0), (2, 5), (6, 14)):
+        def nudged(d_, N, n=n):
+            a = original(d_, N)
+            a[n] += rat(1, 3)
+            return a
+
+        monkeypatch.setattr(checks, "hurwitz_series", nudged)
+        assert checks._hurwitz_identity(d) is False
+        monkeypatch.setattr(checks, "hurwitz_series", original)
 
 
 def test_graded_variable_exponential_check():

@@ -394,28 +394,6 @@ def test_canonical_indices_match_the_general_path_on_random_lists():
     assert seen == {(0, 1), (1, 1), (2, 1), (2, -1), (2, 0)}
 
 
-def test_inversion_formula_on_multi_term_elements():
-    rng = random.Random(5)
-    by_parity = {
-        p: [m for m in SIG.basis() if 1 <= SIG.degree(m) <= 2 and SIG.parity(m) == p]
-        for p in (0, 1)
-    }
-
-    def homogeneous_element():
-        options = by_parity[rng.randint(0, 1)]
-        terms = {m: rng.choice([-3, -2, -1, 1, 2, 3])
-                 for m in rng.sample(options, 3)}
-        return SIG.element(terms)
-
-    for seed, parity in ((3, "even"), (4, "odd")):
-        f = random_endo(SIG, seed, parity=parity)
-        for n in range(1, 5):
-            for _ in range(2):
-                args = [homogeneous_element() for _ in range(n)]
-                assert all(len(a.terms) == 3 for a in args)
-                assert inversion_check(f, n, args)
-
-
 def test_noncommutative_product_concatenates():
     a, b = NC.even_generator(0), NC.even_generator(1)
     assert NC.mul_monomials(a, b) == (1, a + b)
