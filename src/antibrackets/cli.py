@@ -37,9 +37,8 @@ from .superalgebra import Signature
 
 __all__ = ["main"]
 
-# The largest --max-n of the three reports, where each takes 4-6 s, and of
-# verify, where the series suite takes about 4 s (Python 3.11, 2 cores);
-# the README gives their costs as functions of N.
+# The largest --max-n of the three reports (about 2 s each) and of verify
+# (its series suite about 3 s; Python 3.11, 2 cores), costed in the README.
 REPORT_MAX_N = 200
 
 
@@ -142,11 +141,9 @@ def cmd_koszul_numbers(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    rows = [
-        [str(n), format_rational(recursive[n]),
-         format_rational(factorial(n) * recursive[n])]
-        for n in range(1, N + 1)
-    ]
+    rows = [[str(n), format_rational(K),
+             format_rational(rat(K.numerator * factorial(n), K.denominator))]
+            for n, K in enumerate(recursive[1:], 1)]
     _emit_rows(rows, ["n", "K_n", "n!*K_n"], args.format)
     return 0
 

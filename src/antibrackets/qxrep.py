@@ -2,12 +2,10 @@
 
 A polynomial is ``{power: nonzero coeff}``, and an operator on polynomials
 is its monomial rule s -> image of x^s, a function applied by
-:func:`_apply`; no degree is truncated.  Three rules give the coderivation,
-duality and Witt checks: ``_d(n)`` = d_n = x d^(n+1)/dx^(n+1) / (n+1)!
-sends x^s to C(s, n+1) x^(s-n), ``_phi(n)`` = phi(L_n) = x d^(n+1)/dx^(n+1)
-sends it to s!/(s-n-1)! x^(s-n), and ``_psi(n)`` = psi(L_n) to
-(n+1-s) x^(s+n).  :func:`rho_action` takes the rule of psi to the rule of
-rho_k(psi) = (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
+:func:`_apply`; no degree is truncated.  The rules of d_n, phi(L_n) and
+psi(L_n) (:func:`_d`, :func:`_phi`, :func:`_psi`) give the coderivation,
+duality and Witt checks, and :func:`rho_action` takes the rule of psi to
+the rule of rho_k(psi) = (psi(L_k) psi - psi phi(L_k)) / (k+1)!.
 The rank-one operators Phi(n, i) sending x^i to x^(n-i)/(n-i)! span V^n.
 An element of V^n is the list of its n coordinates, ``coords[i-1]`` the
 coefficient of Phi(n, i); :func:`phi_operator` turns it into a monomial
@@ -17,15 +15,12 @@ Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i) in the induction basis yields
 the universal coefficients c_i^n and the auxiliary b_n, which must vanish;
 :func:`coefficient_series` gives each degree's c_i^n as a plain tuple and
 raises ArithmeticError on a nonzero b_n.  One pass builds the
-induction-basis systems of every degree, each from the one before, and
-each is solved on one path.  Degree 1 is a 2x2 system, solved by Cramer's
-rule.  From degree 2 on, the top n-2 rows of the system of degree n are
-triangular: the shape is checked at every n, those rows are solved by
-forward substitution and the last three by Cramer's rule; a system without
-the shape raises SingularMatrixError.  The coordinates, the
-solve and the conjectured closed formula run on Python ints and divide once
-per output coefficient.  :func:`rho_action` on monomial rules is the
-independent oracle for that computation.
+induction-basis systems of every degree, each row by row from the one
+before (:func:`_induction_systems`), and solves each by forward
+substitution and Cramer's rule (:func:`_induction_solution`).  The
+coordinates, the solve and the conjectured closed formula run on Python
+ints and divide once per output coefficient.  :func:`rho_action` on
+monomial rules is the independent oracle for that computation.
 """
 
 from __future__ import annotations
@@ -147,24 +142,27 @@ def rho_abstract(k: int, coords: list) -> list:
 
 
 def _induction_systems():
-    """Yield the int system (matrix, target) of degree n for n = 1, 2, ....
+    """Yield the int system (rows, target) of degree n for n = 1, 2, ....
 
     The columns are rho_1^(n-i) rho_i (Phi(1,1)) for i = 1..n and
     rho_1^(n-1)(Phi(2,2)), each the list of its n+1 coordinates in V^(n+1),
-    and the target is Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i).  Degree n
-    applies rho_1 to each column of degree n-1 and adds rho_n (Phi(1,1)):
-    n+1 :func:`rho_abstract` calls.
+    and the target is Phi^(n+1) = sum_i (-1)^(n+1-i) Phi(n+1, i).  By the
+    factors of rho_1, row j is stay_j row_j - shift_(j-1) row_(j-1) of degree
+    n-1, and rho_n (Phi(1,1)) = e_0 - e_n is inserted before the last column.
+    The rows are read again for the next degree: callers must not edit them.
     """
-    columns = [rho_abstract(1, [1])]
-    extra = [0, 1]
+    rows = [list(row) for row in zip(rho_abstract(1, [1]), [0, 1])]
     n = 1
     while True:
-        matrix = [list(row) for row in zip(*columns, extra)]
-        yield matrix, [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
+        yield rows, [(-1) ** (n + 1 - i) for i in range(1, n + 2)]
         n += 1
-        columns = [rho_abstract(1, c) for c in columns]
-        columns.append(rho_abstract(n, [1]))
-        extra = rho_abstract(1, extra)
+        factors, zero = _rho_factors(1, n), [0] * n
+        rows = [[a * stay - b * shift for a, b in zip(upper, lower)]
+                for (stay, _), (_, shift), upper, lower in zip(
+                    [*factors, (0, 0)], [(0, 0), *factors], [*rows, zero],
+                    [zero, *rows])]
+        for j, row in enumerate(rows):
+            row.insert(n - 1, (j == 0) - (j == n))
 
 
 def _triangular_shape(n: int, matrix) -> bool:
@@ -219,26 +217,25 @@ def _induction_solution(n: int, matrix, target) -> list:
     if not _triangular_shape(n, matrix):
         raise SingularMatrixError(
             f"the system of degree {n} lacks the triangular shape")
-    x = [0] * n  # numerators of x_2..x_(n-1) over d (of either sign)
+    x = []  # numerators of x_2, x_3, ... over d (of either sign)
     d = 1
     for r in range(n - 3, -1, -1):
-        p = n - 1 - r
-        pivot = matrix[r][p]
-        s = target[r] * d - sum(map(mul, matrix[r][2:p], x[2:p]))
+        pivot = matrix[r][n - 1 - r]
+        s = target[r] * d - sum(map(mul, matrix[r][2:], x))
         g = gcd(s, pivot)
-        if pivot != g:  # x_p = (s/g) / (d pivot/g)
+        if pivot != g:  # x_(n-1-r) = (s/g) / (d pivot/g)
             e = pivot // g
-            x[2:p] = [v * e for v in x[2:p]]
+            x = [v * e for v in x]
             d *= e
-        x[p] = s // g
+        x.append(s // g)
     tail = matrix[n - 2:]
     (c_1, c_2, b), det = _cramer(
         [[row[c] for row in tail] for c in (0, 1, n)],
-        [t * d - sum(map(mul, row[2:n], x[2:]))
+        [t * d - sum(map(mul, row[2:], x))
          for row, t in zip(tail, target[n - 2:])],
     )
     det *= d
-    return [rat(c_1, det), rat(c_2, det), *(rat(v, d) for v in x[2:]),
+    return [rat(c_1, det), rat(c_2, det), *(rat(v, d) for v in x),
             rat(b, det)]
 
 

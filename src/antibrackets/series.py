@@ -108,7 +108,16 @@ def itexp(a: list) -> list:
 
 
 def itlog(g: list) -> list:
-    """Iterative logarithm: the unique a with a(0)=a'(0)=0 and itexp(a) = g.
+    """Iterative logarithm: the unique a with a(0)=a'(0)=0 and itexp(a) = g."""
+    N = _order(g)
+    if g[0] or g[1] != 1:
+        raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
+    A, Q = _itlog_form(*_exp_form(g))
+    return [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
+
+
+def _itlog_form(G: list, dg: int) -> tuple:
+    """(A, Q) with m! a_m = A[m] / Q for a = itlog(g), m! g_m = G[m] / dg.
 
     Computed order by order, filling in the terms of itexp as it goes.  With
     T_1 = a and T_k = (a d/dt) T_(k-1) / k, itexp(a) = t + sum_k T_k.  In the
@@ -118,17 +127,13 @@ def itlog(g: list) -> list:
     The A_m are ints over one running denominator Q and the V_k ints over
     Q^k; when a new A_m brings a factor that Q lacks, Q grows and the stored
     values are rescaled once.  The cost is about N^3/6 integer
-    multiply-adds and one gcd per order.
+    multiply-adds at order N = len(G) - 1 and one gcd per order.
     """
-    N = _order(g)
-    if g[0] or g[1] != 1:
-        raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
-    G, dg = _exp_form(g)  # m! g_m = G[m] / dg
-    A = [0] * (N + 1)  # numerators of A_m over Q
+    A = [0] * len(G)  # numerators of A_m over Q
     V = [None, A]  # V[k][m]: numerator of V_k[m] over Q^k
     Q = 1
-    for m in range(2, N + 1):
-        V.append([0] * (N + 1))
+    for m in range(2, len(G)):
+        V.append([0] * len(G))
         w = [0, 0, *(comb(m, j - 1) * A[m + 1 - j] for j in range(2, m))]
         rest = 0  # numerator of sum_k V_k[m]/k! over (m-1)! Q^(m-1), by Horner
         for k in range(2, m):
@@ -144,7 +149,7 @@ def itlog(g: list) -> list:
                 V[k][:m + 1] = [v * factor for v in V[k][:m + 1]]
             Q *= grow
         A[m] = num * Q // den
-    return [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
+    return A, Q
 
 
 def exp_minus_one(order: int) -> list:
@@ -160,15 +165,15 @@ def log_one_plus(order: int) -> list:
 
 
 def koszul_numbers_itlog(N: int) -> list:
-    """K_1..K_N from K_n = (n+1)! [t^(n+1)] itlog(e^t - 1).
+    """K_1..K_N from K_n = (n+1)! [t^(n+1)] itlog(e^t - 1) = A[n+1] / Q.
 
     Returns a list of length N+1 with entry 0 unused, matching the layout of
     the routes in :mod:`antibrackets.combinatorics`.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    a = itlog(exp_minus_one(N + 1))
-    return [rat(0)] + [factorial(n + 1) * a[n + 1] for n in range(1, N + 1)]
+    A, Q = _itlog_form([0] + [1] * (N + 1), 1)  # e^t - 1: m! g_m = 1
+    return [rat(0)] + [rat(A[n + 1], Q) for n in range(1, N + 1)]
 
 
 def julia_check(a: list, N: int) -> bool:

@@ -187,6 +187,21 @@ def _recursion_sign_flipped(monkeypatch):
     monkeypatch.setitem(brackets._METHODS, "recursion", mutant)
 
 
+def _new_column_doubled(monkeypatch):
+    """The induction systems' new column rho_n (Phi(1,1)) is 2 in row 0 and
+    -2 in row n, so every column rho_1^(n-i) rho_i (Phi(1,1)) with i >= 2 is
+    doubled, every c_i^n with i >= 2 is halved and b_n stays 0."""
+    _mutate(monkeypatch, "_induction_systems", "(j == 0) - (j == n)",
+            "2 * (j == 0) - 2 * (j == n)")
+
+
+def _itlog_horner_drops_k(monkeypatch):
+    """The integer iterative logarithm sums V_k[m] / k! without the factor
+    k of each Horner step, so every a_m from m = 4 on is wrong."""
+    _mutate(monkeypatch, "_itlog_form", "rest = rest * k * Q + vkm",
+            "rest = rest * Q + vkm")
+
+
 def _failing_entries(sig):
     """{suite: number of failing registry entries} at N = 4, seed 42."""
     return dict(Counter(suite for suite, _, thunk in registry(sig, 4, 42, SUITES)
@@ -227,12 +242,35 @@ def _failing_entries(sig):
     (_combination_skips_division, {"universal"}),
     # 0 / 3 / 0 / 0 / 0 / 0
     (_recursion_sign_flipped, {"universal"}),
+    # 0 / 6 / 0 / 0 / 0 / 0: the standard forms of degrees 3 and 4, through
+    # coefficient_series(3)
+    (_new_column_doubled, {"universal"}),
+    # 0 / 0 / 0 / 0 / 0 / 0: the series suite reads itlog only in the Julia
+    # equation, which holds for every a with a(0) = a'(0) = 0, so no suite
+    # sees a wrong logarithm; tests/test_series.py's itlog references and
+    # the Koszul route agreement there fail
+    (_itlog_horner_drops_k, set()),
 ], ids=["clean", "shuffle-sign", "odd-inversion-sign", "insertion-bisect",
         "full-block-product", "koszul-k3", "series-c13", "mu-bracket-factor",
         "kernel-shift", "kernel-binomial", "shape-weights",
         "combination-rounds-down",
-        "combination-undivided", "recursion-sign"])
+        "combination-undivided", "recursion-sign", "new-column-doubled",
+        "itlog-horner"])
 def test_fault_is_caught_by_the_named_suites(monkeypatch, fault, caught_by):
     if fault is not None:
         fault(monkeypatch)
     assert set(_failing_entries(Signature(even=2, odd=2, degree_bound=4))) == caught_by
+
+
+def test_new_column_sign_fault_stops_the_universal_suite(monkeypatch):
+    """With the new column's -1 in row n written as +1, the system of degree
+    2 solves with b_2 = 1/2, so the universal suite's registry raises while
+    it is built; the other suites read no induction system."""
+    _mutate(monkeypatch, "_induction_systems", "(j == 0) - (j == n)",
+            "(j == 0) + (j == n)")
+    sig = Signature(even=2, odd=2, degree_bound=4)
+    with pytest.raises(ArithmeticError, match=r"b_2 = 1/2 != 0"):
+        list(registry(sig, 4, 42, ["universal"]))
+    others = [s for s in SUITES if s != "universal"]
+    assert not any(thunk() is not None
+                   for _, _, thunk in registry(sig, 4, 42, others))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from antibrackets import cli
 from antibrackets.checks import registry
 from antibrackets.rational import Rational, format_rational, rat
 from antibrackets.superalgebra import Signature
@@ -50,14 +51,21 @@ UNIVERSAL_RATIONALS = 115
 # when every series operation did)
 SERIES_RATIONALS = 1983
 
+# Rationals that the in-process `conjecture --max-n 20 --format json` and
+# `koszul-numbers --max-n 15 --format json` make on Python 3.11: one per
+# solved coefficient and b_n (230), and one per K_n of each of the three
+# routes plus one per n!*K_n (63).  `koszul_numbers_itlog` reading the
+# rationals of `itlog(exp_minus_one(N + 1))` and scaling each by (n+1)!
+# makes 97 and fails the test
+REPORT_RATIONALS = {"conjecture": 230, "koszul-numbers": 63}
+
 fraction_backend_only = pytest.mark.skipif(
     Rational is not Fraction,
     reason="counts through the constructor of fractions.Fraction")
 
 
-def _rationals_made(monkeypatch, N, suites):
-    """{suite: rationals constructed by its registry entries} at (2,2,4),
-    seed 1; every entry must pass."""
+def _counting_constructor(monkeypatch):
+    """A one-cell list that counts every rational constructed from now on."""
     made = [0]
     new = Rational.__new__
 
@@ -66,6 +74,13 @@ def _rationals_made(monkeypatch, N, suites):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Rational, "__new__", staticmethod(counted))
+    return made
+
+
+def _rationals_made(monkeypatch, N, suites):
+    """{suite: rationals constructed by its registry entries} at (2,2,4),
+    seed 1; every entry must pass."""
+    made = _counting_constructor(monkeypatch)
     sig = Signature(even=2, odd=2, degree_bound=4)
     counts = {}
     for suite in suites:
@@ -91,3 +106,13 @@ def test_commutative_suites_make_no_rationals(monkeypatch):
 def test_series_suite_rationals_stay_within_allowance(monkeypatch):
     counts = _rationals_made(monkeypatch, 5, ("series",))
     assert counts["series"] <= SERIES_RATIONALS, counts
+
+
+@fraction_backend_only
+def test_coefficient_reports_stay_within_rational_allowance(monkeypatch, capsys):
+    made = _counting_constructor(monkeypatch)
+    for command, N in (("conjecture", 20), ("koszul-numbers", 15)):
+        made[0] = 0
+        assert cli.main([command, "--max-n", str(N), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert made[0] <= REPORT_RATIONALS[command], (command, made[0])

@@ -287,6 +287,15 @@ def test_koszul_itlog_route_matches_recursion():
     assert koszul_numbers_chain(60) == recursive
 
 
+def test_koszul_itlog_route_reads_the_public_itlog():
+    # the integer form stays on the iterative-logarithm route, apart from
+    # the Stirling recursion it is compared with above
+    for N in range(1, 41):
+        a = itlog(exp_minus_one(N + 1))
+        assert koszul_numbers_itlog(N) == [
+            0, *(factorial(n + 1) * a[n + 1] for n in range(1, N + 1))], N
+
+
 def test_julia_for_exp_minus_one_generator():
     a = itlog(exp_minus_one(20))
     assert julia_check(a, 20)
