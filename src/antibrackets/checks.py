@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from functools import cache, partial
 from itertools import combinations, permutations
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .brackets import (
     differential_order_check,
@@ -54,11 +54,10 @@ from .rational import rat
 from .series import (
     exp_minus_one,
     graded_exponential_check,
-    hurwitz_series,
+    hurwitz_identity_check,
     itlog,
     julia_check,
     log_one_plus,
-    series_compose,
     stirling_derivative_check,
 )
 
@@ -98,7 +97,9 @@ def _universal(sig, N, seed):
     top = min(N, 5)
     methods = (["direct", "recursion", "bracket", "exponential"]
                if sig.commutative else ["bracket", "exponential"])
-    coefficients = coefficient_series(min(top, 4) - 1)
+    # solved when a standard-form check first runs, so that a failed solve
+    # fails those checks, not the building of the registry
+    coefficients = cache(partial(coefficient_series, min(top, 4) - 1))
     for k, parity in enumerate(("even", "odd", "even")):
         f = random_endo(sig, seed + k, parity=parity)
         yield from _universal_operator(f, seed + k, methods, top, coefficients)
@@ -119,7 +120,7 @@ def _universal(sig, N, seed):
 
 def _universal_operator(f, seed, methods, top, coefficients):
     """Every construction of f's hierarchy equals the first; and
-    Phi^(n+1) = (sum_i c_i rho_1^(n-i) rho_i) f, c = coefficients[n]."""
+    Phi^(n+1) = (sum_i c_i rho_1^(n-i) rho_i) f, c = coefficients()[n]."""
     hierarchies = {m: phi_hierarchy(f, top, method=m) for m in methods}
     base = hierarchies[methods[0]]
 
@@ -133,7 +134,10 @@ def _universal_operator(f, seed, methods, top, coefficients):
     def standard_form(n):
         # Horner on int weights w_j = L c_j: H_1 = w_1 rho_1 f and H_j =
         # rho_1 H_(j-1) + w_j rho_j f, so H_n / L is the sum, as rho_1 is linear
-        c = coefficients[n]
+        try:
+            c = coefficients()[n]
+        except ArithmeticError as exc:
+            return str(exc)
         L = lcm(*(x.denominator for x in c))
         w = [int(x.numerator * (L // x.denominator)) for x in c]
         horner = rho_combination([(1, f, w[0])])
@@ -144,7 +148,7 @@ def _universal_operator(f, seed, methods, top, coefficients):
     for m in methods[1:]:
         yield (f"construction {methods[0]}=={m} seed={seed}",
                partial(agrees, hierarchies[m]))
-    for n in coefficients:
+    for n in range(1, min(top, 4)):
         yield (f"standard form degree {n + 1} seed={seed}",
                partial(standard_form, n))
 
@@ -255,24 +259,13 @@ def _polynomial(sig, N, seed):
         yield f"Witt ({n},{m})", partial(_check, witt_check, n, m)
 
 
-def _hurwitz_identity(d):
-    """psi(a_d) == (e^t - 1)^(d+1) / (d+1)! to order 15, where psi sends z^n
-    to t^(n+1)/(n+1)!: the right side is one composition of t^(d+1)/(d+1)!
-    with e^t - 1, and (n+1)! times its t^(n+1) coefficient is a_d's z^n."""
-    power = [0] * 16
-    power[d + 1] = rat(1, factorial(d + 1))
-    rhs = series_compose(power, exp_minus_one(15))
-    return _holds(rhs[0] == 0 and [factorial(n + 1) * c for n, c in
-                                   enumerate(rhs[1:])] == hurwitz_series(d, 14))
-
-
 def _series(sig, N, seed):
     order = max(N, 20)
     yield (f"Julia equation at order {order}",
            lambda: _holds(julia_check(itlog(exp_minus_one(order)), order)))
     for d in range(7):
         yield (f"psi(a_{d}) == (e^t-1)^{d + 1}/{d + 1}!",
-               partial(_hurwitz_identity, d))
+               partial(_check, hurwitz_identity_check, d, 15))
     for d in range(5):
         yield (f"graded-variable exponential check d={d}",
                lambda d=d: _holds(graded_exponential_check(d, 10)))

@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 
-class SingularMatrixError(Exception):
+class SingularMatrixError(ArithmeticError):
     """The linear system for the induction-basis coordinates degenerated: a
     zero determinant, or a system without the triangular shape."""
 

@@ -17,6 +17,7 @@ from antibrackets import checks, cli
 from antibrackets.brackets import phi_hierarchy
 from antibrackets.cli import build_parser, main
 from antibrackets.multilinear import _index_tuples, random_endo
+from antibrackets.qxrep import SingularMatrixError
 from antibrackets.rational import Rational, format_rational, rat
 from antibrackets.superalgebra import Signature
 
@@ -375,6 +376,33 @@ def test_coefficient_reports_turn_arithmetic_error_into_exit_one(
     assert out == ""
     assert err.splitlines() == ["error: auxiliary coefficient b_3 = 1 != 0"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [
+    ArithmeticError("auxiliary coefficient b_2 = 1/2 != 0"),
+    SingularMatrixError("3x3 system has determinant 0"),
+], ids=["b_n", "singular"])
+def test_verify_reports_a_failed_solve_as_failed_checks(capsys, monkeypatch,
+                                                        error):
+    # the universal suite solves inside its standard-form checks, so a
+    # failed solve fails those checks and every other check still runs
+    def failing_series(N):
+        raise error
+
+    monkeypatch.setattr(checks, "coefficient_series", failing_series)
+    code, out, err = run_cli(capsys, "verify", "universal", "--even", "1",
+                             "--odd", "1", "--degree", "3", "--max-n", "4")
+    assert code == 1
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    failed = [(line, lines[i + 1]) for i, line in enumerate(lines)
+              if line.startswith("[FAIL]")]
+    assert failed == [
+        (f"[FAIL] universal: standard form degree {n} seed={seed}",
+         f"       {error}")
+        for seed in (42, 43, 44) for n in (2, 3, 4)]
+    passed = sum(line.startswith("[pass]") for line in lines)
+    assert lines[-1] == f"{passed}/{passed + 9} checks passed"
 
 
 def _perturb_conjecture(monkeypatch, degree, index):

@@ -106,6 +106,16 @@ def test_the_insertion_loop_is_written_once():
     assert len(callers) == 1, callers
 
 
+def test_only_the_series_module_reads_the_exponential_form():
+    # the kernel and the conversion into exponential form stay inside
+    # series.py; the checks registry calls its checks on plain series
+    src = Path(antibrackets.__file__).parent
+    callers = set().union(*(_functions_calling(path, name)
+                            for path in sorted(src.glob("*.py"))
+                            for name in ("_kernel", "_exp_form")))
+    assert callers and all(c.startswith("series.py:") for c in callers), callers
+
+
 def _private_definitions(path):
     """Module-level functions and classes of ``path`` whose names start with _."""
     return {node.name for node in ast.parse(path.read_text()).body

@@ -41,15 +41,17 @@ def test_exact_arithmetic():
 UNIVERSAL_RATIONALS = 115
 
 # Rationals that the series suite makes at (2,2,4), N = 5, seed 1, on
-# Python 3.11, in a fresh process: the Stirling derivative entries 1,140
-# plus 17 for the log(1+t) they share, the psi/Hurwitz entries 441 (63
-# each, one composition per entry), the graded-variable checks 280 and the
-# Julia equation 105.  Each series operation returns its coefficients as
-# rationals; the Stirling entries also sum Fractions term by term (2,648
-# when the psi/Hurwitz entries built (e^t - 1)^(d+1) product by product,
-# 6,373 when the graded-variable checks summed term by term too, 63,615
-# when every series operation did)
-SERIES_RATIONALS = 1983
+# Python 3.11, in a fresh process: the Julia equation 42 (the 21
+# coefficients of e^t - 1 and the 21 of their iterative logarithm), the
+# five graded-variable checks 55 (the 11 Koszul numbers each reads) and 17
+# for the log(1+t) the Stirling derivative entries share.  The seven
+# psi/Hurwitz and four Stirling entries make none: every check runs the
+# series kernel on exponential forms and compares them on ints (1,983
+# when the kernel took and returned rationals, 2,648 when the psi/Hurwitz
+# entries built (e^t - 1)^(d+1) product by product, 6,373 when the
+# graded-variable checks summed term by term too, 63,615 when every
+# series operation did)
+SERIES_RATIONALS = 114
 
 # Rationals that the in-process `conjecture --max-n 20 --format json` and
 # `koszul-numbers --max-n 15 --format json` make on Python 3.11: one per
@@ -106,6 +108,20 @@ def test_commutative_suites_make_no_rationals(monkeypatch):
 def test_series_suite_rationals_stay_within_allowance(monkeypatch):
     counts = _rationals_made(monkeypatch, 5, ("series",))
     assert counts["series"] <= SERIES_RATIONALS, counts
+
+
+@fraction_backend_only
+def test_psi_and_stirling_entries_make_no_rationals(monkeypatch):
+    made = _counting_constructor(monkeypatch)
+    sig = Signature(even=2, odd=2, degree_bound=4)
+    entries = [(label, thunk)
+               for _, label, thunk in registry(sig, 5, 1, ["series"])
+               if label.startswith(("psi", "Stirling"))]
+    assert len(entries) == 11
+    for label, thunk in entries:
+        made[0] = 0
+        assert thunk() is None, label
+        assert made[0] == 0, label
 
 
 @fraction_backend_only

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antibrackets import checks, series
+from antibrackets import series
 from antibrackets.combinatorics import (
     koszul_numbers_chain,
     koszul_numbers_recursive,
@@ -13,19 +13,19 @@ from antibrackets.combinatorics import (
 )
 from antibrackets.rational import Rational, rat
 from antibrackets.series import (
-    _derivation_apply,
-    _derivative,
+    _coefficients,
+    _exp_form,
+    _hurwitz_form,
     _kernel,
     graded_exponential_check,
     exp_minus_one,
+    hurwitz_identity_check,
     itexp,
     itlog,
     julia_check,
     koszul_numbers_itlog,
     log_one_plus,
     series_compose,
-    series_mul,
-    hurwitz_series,
     stirling_derivative_check,
 )
 
@@ -66,6 +66,12 @@ def itlog_fraction(g):
             rest += tkm
         a[m] = g[m] - rest
     return a
+
+
+def kernel_mul(a, b, shift=0):
+    """a b through the kernel, w = t and L(v) = a v, so w(L) b = a b; or
+    a b' with shift 1, exact when a has valuation >= 2."""
+    return _coefficients(_kernel(([0, 1], 1), _exp_form(a), _exp_form(b), shift))
 
 
 def series_mul_fraction(a, b):
@@ -142,7 +148,7 @@ def series_tuples(*valuations, max_order=9):
 @given(series_tuples(0, 0))
 def test_mul_matches_fraction_reference(pair):
     a, b = pair
-    assert series_mul(a, b) == series_mul_fraction(a, b)
+    assert kernel_mul(a, b) == series_mul_fraction(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +162,7 @@ def test_compose_matches_fraction_reference(pair):
 @given(series_tuples(2, 0))
 def test_derivation_apply_matches_fraction_reference(pair):
     a, f = pair
-    assert _derivation_apply(a, f) == derivation_apply_fraction(a, f)
+    assert kernel_mul(a, f, 1) == derivation_apply_fraction(a, f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,23 +176,44 @@ def test_references_cover_orders_one_and_two():
     for a in ([0, 0], [0, 0, rat(-3, 4)], [0, 0, 5]):
         assert itexp(a) == itexp_fraction(a)
         f = [rat(2, 3), -1, *a[2:]]
-        assert series_mul(f, a) == series_mul_fraction(f, a)
-        assert _derivation_apply(a, f) == derivation_apply_fraction(a, f)
+        assert kernel_mul(f, a) == series_mul_fraction(f, a)
+        assert kernel_mul(a, f, 1) == derivation_apply_fraction(a, f)
         g = [0, rat(1, 2), *a[2:]]
         assert series_compose(f, g) == series_compose_fraction(f, g)
 
 
 def test_kernel_powers_of_exp_minus_one_are_stirling_numbers():
     # w = t^k, whose exponential form is k! at entry k, so the kernel
-    # returns (e^t - 1)^k; its exponential-form entries are k! S(m, k)
+    # returns the form of (e^t - 1)^k, whose entries are k! S(m, k)
     N = 20
-    e, one = exp_minus_one(N), [1] + [0] * N
+    e, one = _exp_form(exp_minus_one(N)), ([1] + [0] * N, 1)
+    assert e == ([0] + [1] * N, 1)
     for k in range(1, N + 1):
         w = [0] * (N + 1)
         w[k] = factorial(k)
-        power = _kernel((w, 1), e, one)
-        assert [factorial(m) * c for m, c in enumerate(power)] == [0] * k + [
-            factorial(k) * stirling2(m, k) for m in range(k, N + 1)]
+        E, d = _kernel((w, 1), e, one)
+        assert E == [0] * k + [d * factorial(k) * stirling2(m, k)
+                               for m in range(k, N + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_tuples(0, 2, 0), st.sampled_from([0, 1]))
+def test_kernel_leaves_the_forms_it_is_given_unchanged(triple, shift):
+    # x has valuation 2, so that x v' is exact for shift 1 too
+    forms = [_exp_form(a) for a in triple]
+    before = [(list(E), d) for E, d in forms]
+    _kernel(*forms, shift)
+    assert forms == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_tuples(0))
+def test_exp_form_and_one_division_give_back_the_series(single):
+    (a,) = single
+    E, d = _exp_form(a)
+    assert all(type(e) is int for e in E) and type(d) is int and d >= 1
+    assert gcd(d, *E) == 1  # d is the least
+    assert _coefficients((E, d)) == a
 
 
 # Denominators up to 12, none of them 1, so that itlog's running
@@ -197,8 +224,8 @@ non_unit_rationals = st.builds(rat, st.integers(-6, 6), st.integers(2, 12))
 def test_mul_matches_known_product():
     t = [0, 1, 0, 0, 0, 0]
     one_plus_t = [1, 1, 0, 0, 0, 0]
-    assert series_mul(one_plus_t, one_plus_t) == [1, 2, 1, 0, 0, 0]
-    assert series_mul(t, t) == [0, 0, 1, 0, 0, 0]
+    assert kernel_mul(one_plus_t, one_plus_t) == [1, 2, 1, 0, 0, 0]
+    assert kernel_mul(t, t) == [0, 0, 1, 0, 0, 0]
 
 
 def test_compose_log_exp_is_identity():
@@ -216,17 +243,12 @@ def test_compose_requires_zero_constant_term():
 
 def test_order_mismatch_raises():
     t4, t5 = [0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]
-    for op in (series_mul, series_compose):
-        with pytest.raises(ValueError, match="order mismatch: 4 != 5"):
-            op(t4, t5)
-        # fewer than two coefficients: a series has order at least 1
-        for short in ([], [0]):
-            with pytest.raises(ValueError, match="order must be >= 1"):
-                op(short, short)
-
-
-def test_derivative_lowers_order():
-    assert _derivative([1, 2, 3, 4, 5]) == [2, 6, 12, 20]
+    with pytest.raises(ValueError, match="order mismatch: 4 != 5"):
+        series_compose(t4, t5)
+    # fewer than two coefficients: a series has order at least 1
+    for short in ([], [0]):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            series_compose(short, short)
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,20 +327,22 @@ def test_julia_for_exp_minus_one_generator():
 
 
 def test_hurwitz_series_low_orders():
-    # a_0(z) = 1/(1-z); a_1(z) = 1/(1-2z) - 1/(1-z)
-    assert hurwitz_series(0, 6) == [1] * 7
-    assert hurwitz_series(1, 6) == [2**n - 1 for n in range(7)]
+    # a_0(z) = 1/(1-z); a_1(z) = 1/(1-2z) - 1/(1-z);
+    # a_2(z) = (1/(1-3z) - 2/(1-2z) + 1/(1-z)) / 2
+    assert _hurwitz_form(0, 6) == ([1] * 7, 1)
+    assert _hurwitz_form(1, 6) == ([2**n - 1 for n in range(7)], 1)
+    assert _hurwitz_form(2, 6) == ([3**n - 2**(n + 1) + 1 for n in range(7)], 2)
 
 
 def test_psi_of_hurwitz_is_power_of_exp_minus_one():
     for d in range(5):
         # psi sends z^n to t^(n+1)/(n+1)!
-        lhs = [0] + [c * rat(1, factorial(n + 1))
-                     for n, c in enumerate(hurwitz_series(d, 11))]
+        H, h = _hurwitz_form(d, 11)
+        lhs = [0] + [rat(c, h * factorial(n + 1)) for n, c in enumerate(H)]
         e = exp_minus_one(12)
         power = [1] + [0] * 12
         for _ in range(d + 1):
-            power = series_mul(power, e)
+            power = kernel_mul(power, e)
         assert lhs == [c * rat(1, factorial(d + 1)) for c in power]
 
 
@@ -326,17 +350,17 @@ def test_hurwitz_identity_check_reads_every_coefficient(monkeypatch):
     # one composition per d holds on d = 0..6; a_d nudged at any one
     # coefficient fails it
     for d in range(7):
-        assert checks._hurwitz_identity(d) is None
-    original = hurwitz_series
+        assert hurwitz_identity_check(d, 15) is True
+    original = _hurwitz_form
     for d, n in ((0, 0), (2, 5), (6, 14)):
         def nudged(d_, N, n=n):
-            a = original(d_, N)
-            a[n] += rat(1, 3)
-            return a
+            H, h = original(d_, N)
+            H[n] += 1
+            return H, h
 
-        monkeypatch.setattr(checks, "hurwitz_series", nudged)
-        assert checks._hurwitz_identity(d) is False
-        monkeypatch.setattr(checks, "hurwitz_series", original)
+        monkeypatch.setattr(series, "_hurwitz_form", nudged)
+        assert hurwitz_identity_check(d, 15) is False
+        monkeypatch.setattr(series, "_hurwitz_form", original)
 
 
 def test_graded_variable_exponential_check():
@@ -395,3 +419,54 @@ def test_int_coefficients_give_no_floats():
     f = [0, 1, 2, 0, -3, 0, 0, 0, 1]
     for n in range(1, 4):
         assert stirling_derivative_check(f, n, 8) is True
+
+
+def _entry_plus_one_sixth(form, *args):
+    """The exponential form with 1/3! added to its coefficient of t^3."""
+    E, d = form
+    return [*E[:3], E[3] + d, *E[4:]], d
+
+
+JULIA_A = [0, 0, rat(1, 2), -1, 0, rat(3, 7), 2, 0, rat(-5, 3)]
+F_MIXED = [0, 1, 0, rat(1, 3), 0, rat(-2, 7)] + [0] * 9
+
+
+@pytest.mark.parametrize("check, args, nudge, verdict", [
+    (julia_check, (JULIA_A, 8), None, True),
+    (julia_check, (JULIA_A, 5), None, True),
+    (julia_check, (itlog(exp_minus_one(20)), 20), None, True),
+    # g = itexp(a) + t^3/6 changes a(g) by 2 a_2 t^4 / 6 and a g' by
+    # 3 a_2 t^4 / 6
+    (julia_check, (JULIA_A, 8), ("_itexp_form", _entry_plus_one_sixth), False),
+    (julia_check, (JULIA_A, 3), ("_itexp_form", _entry_plus_one_sixth), True),
+    *((stirling_derivative_check, (log_one_plus(16), n, 16), None, True)
+      for n in range(1, 5)),
+    (stirling_derivative_check, (F_MIXED, 3, 14), None, True),
+    (stirling_derivative_check, (log_one_plus(16), 2, 16),
+     ("stirling2", lambda s, n, k: s + (k == 1)), False),
+    (stirling_derivative_check, (log_one_plus(16), 4, 16),
+     ("stirling2", lambda s, n, k: s + (k == 4)), False),
+    *((graded_exponential_check, args, None, True)
+      for args in ((0, 1), (2, 5), (4, 10))),
+    # K_5 is first read at index d + 5
+    (graded_exponential_check, (1, 6), ("koszul_numbers_recursive",
+     lambda K, N: [*K[:5], K[5] + rat(1, 7), *K[6:]]), False),
+    (graded_exponential_check, (2, 6), ("koszul_numbers_recursive",
+     lambda K, N: [*K[:5], K[5] + rat(1, 7), *K[6:]]), True),
+    *((hurwitz_identity_check, (d, N), None, True)
+      for d, N in ((0, 2), (3, 8), (6, 15), (6, 4))),
+    # z^3 is a_3's first term; a_6 vanishes to order 5, (e^t - 1)^7 too
+    (hurwitz_identity_check, (3, 4), ("_hurwitz_form",
+     lambda form, d, N: ([*form[0][:3], 1, *form[0][4:]], form[1])), False),
+    (hurwitz_identity_check, (6, 4), ("_hurwitz_form",
+     lambda form, d, N: ([1, *form[0][1:]], form[1])), False),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_series_checks_verdicts(monkeypatch, check, args, nudge, verdict):
+    # each check on plain inputs, and with one value it reads nudged, where
+    # the nudge is one the check can see (False) or one out of its reach
+    if nudge is not None:
+        name, change = nudge
+        original = getattr(series, name)
+        monkeypatch.setattr(series, name,
+                            lambda *a: change(original(*a), *a))
+    assert check(*args) is verdict
