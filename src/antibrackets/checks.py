@@ -57,7 +57,6 @@ from .series import (
     hurwitz_identity_check,
     itlog,
     julia_check,
-    log_one_plus,
     stirling_derivative_check,
 )
 
@@ -269,7 +268,9 @@ def _series(sig, N, seed):
     for d in range(5):
         yield (f"graded-variable exponential check d={d}",
                lambda d=d: _holds(graded_exponential_check(d, 10)))
-    f = log_one_plus(16)
+    # not log(1+t), whose terms f^(k)(e^t - 1) e^(kt) are constants, so that
+    # both sides vanish for n >= 2
+    f = [0, 1, 0, rat(1, 3), 0, rat(-2, 7)] + [0] * 11
     for n in range(1, 5):
         yield (f"Stirling derivative identity n={n}",
                lambda n=n: _holds(stirling_derivative_check(f, n, 16)))

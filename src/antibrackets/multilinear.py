@@ -26,17 +26,21 @@ with the number of blocks that pick it as its weight, and the Koszul signs
 of the blocks of a parity pattern (:func:`_shuffle_signs`).  Any other
 linear combination is one node, built by :func:`op_combination` over one
 denominator; its terms are not flattened, as their memos are shared.
+Every value that is divided is divided once, by :func:`_divided`: a
+combination's by its denominator, and an associative mu_n's, which
+:func:`mu` builds from mu_(n-1) one argument at a time, by n+1.
 
 Per-tuple work that does not depend on the operator is done once per
 :class:`~antibrackets.superalgebra.Signature` and kept on it, in three stores:
 ``sig._tuples`` holds the canonical index tuples of each (arity, bound),
 which :func:`first_mismatch` and :func:`is_zero_op` walk; ``sig._plans``
 maps a canonical index tuple to its :func:`_plan` (product table, signs
-and shapes), which the direct route and every :func:`_insertions` node
-read (an associative plan has no product table), and holds only tuples of
-total degree within the degree bound; ``sig._canonical`` maps a tuple of
-monomial arguments of :meth:`MultiOp.__call__` to its sign and canonical
-index tuple, up to :data:`ARGUMENT_MEMO_SIZE` entries.  ``sig._mu`` holds
+and shapes), which the direct route, every :func:`_insertions` node and
+the associative :func:`mu` read (an associative plan has no product
+table), and holds only tuples of total degree within the degree bound;
+``sig._canonical`` maps a tuple of monomial arguments of
+:meth:`MultiOp.__call__` to its sign and canonical index tuple, up to
+:data:`ARGUMENT_MEMO_SIZE` entries.  ``sig._mu`` holds
 the one :func:`mu` node of each n, so every caller reads one memo, or, on a
 commutative signature and for n >= 1, the product table in its place.
 
@@ -58,12 +62,12 @@ import itertools
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from numbers import Real
 from operator import itemgetter
 
 from .rational import rat
-from .superalgebra import AlgebraElement, Signature, koszul_sign
+from .superalgebra import AlgebraElement, Signature
 
 __all__ = [
     "MultiOp",
@@ -220,12 +224,18 @@ def op_combination(terms) -> MultiOp:
         for read, c in terms:
             for k, v in read(tup).items():
                 acc[k] = acc.get(k, 0) + c * v
-        if den == 1:
-            return _nonzero(acc)
-        return {k: v // den if not v % den else rat(v, den)
-                for k, v in acc.items() if v}
+        return _divided(acc, den)
 
     return MultiOp(f.signature, f.degree, f.parity, eval_basis)
+
+
+def _divided(acc: dict, den: int) -> dict:
+    """The nonzero entries of ``acc`` each divided once by ``den``, to an
+    int where ``den`` divides it: the package's one division of a value."""
+    if den == 1:
+        return _nonzero(acc)
+    return {k: v // den if not v % den else rat(v, den)
+            for k, v in acc.items() if v}
 
 
 def _picker(positions):
@@ -328,8 +338,8 @@ def _plan(sig: Signature, tup: tuple) -> tuple:
     """(products, signs, odd, rows, by_size) of a canonical index tuple: its
     :meth:`~.Signature.subset_products` table, its :func:`_shuffle_signs`
     and the :func:`_shuffle_shapes` table of its runs.  On an associative
-    signature products is None, as no route reads it there: :func:`mu` is
-    read from its memo, and :func:`_insertions` reads only signs and shapes.
+    signature products is None, as no route reads it there: :func:`mu` and
+    :func:`_insertions` read only signs and shapes.
 
     None of it depends on an operator, so every node on the signature reads
     one plan per tuple.  Plans are kept in ``sig._plans`` for the tuples of
@@ -435,10 +445,14 @@ def mu(signature: Signature, n: int) -> MultiOp:
     over argument orders; mu_0 is the identity.
 
     On a commutative signature every order gives the same product, so a
-    value is one :meth:`~.Signature.mul_indices`.  On an associative one it
-    is the Koszul-signed sum over the (n+1)! orders, which
-    :func:`op_combination` divides once by (n+1)!, to an int wherever the
-    division is exact.
+    value is one :meth:`~.Signature.mul_indices`.  On an associative one,
+    for n >= 1, sorting the orders by their last argument a_i gives
+    (n+1) mu_n(a) = sum_i s_i mu_(n-1)(a without a_i) a_i, where s_i is the
+    Koszul sign of moving a_i to the end.  The tuple's :func:`_plan` gives
+    one block {a_i} per distinct entry, weighted by its copies, and the
+    signs; each term is one :meth:`~.Signature.mul_into` of mu_(n-1)'s memo
+    entry, and :func:`_divided` divides the sum once by n+1, to an int
+    wherever the division is exact.
 
     There is one node per (signature, n), kept in ``signature._mu``, so
     every caller reads one memo.
@@ -452,27 +466,26 @@ def mu(signature: Signature, n: int) -> MultiOp:
 
 
 def _mu_node(signature: Signature, n: int) -> MultiOp:
-    """A new node of mu_n, outside ``signature._mu``."""
-    if signature.commutative:
+    """A new node of mu_n, outside ``signature._mu``; on an associative
+    signature and for n >= 1 it reads mu_(n-1) from there."""
+    if signature.commutative or not n:
         def eval_basis(tup):
             sign, k = signature.mul_indices(tup)
             return {k: sign} if sign else {}
 
         return MultiOp(signature, n, 0, eval_basis)
-    orders = list(itertools.permutations(range(n + 1)))
+    read = mu(signature, n - 1)._canonical_value
+    full = (1 << (n + 1)) - 1
 
-    def eval_sum(tup):  # (n+1)! mu_n
-        parities = signature.basis_parities()
-        tup_parities = [parities[i] for i in tup]
+    def eval_basis(tup):
+        _, signs, _, _, by_size = _plan(signature, tup)
         acc = {}
-        for order in orders:
-            sign, k = signature.mul_indices([tup[i] for i in order])
-            if sign:
-                acc[k] = acc.get(k, 0) + sign * koszul_sign(order, tup_parities)
-        return _nonzero(acc)
+        for mask, weight, last, rest_of, _, _ in by_size[1]:
+            signature.mul_into(acc, read(rest_of(tup)).items(), last(tup)[0],
+                               signs[full ^ mask] * weight)
+        return _divided(acc, n + 1)
 
-    return op_combination([(MultiOp(signature, n, 0, eval_sum),
-                            rat(1, factorial(n + 1)))])
+    return MultiOp(signature, n, 0, eval_basis)
 
 
 def rho_combination(terms) -> MultiOp:

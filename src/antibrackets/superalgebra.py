@@ -45,27 +45,7 @@ from operator import add
 
 from .rational import format_rational
 
-__all__ = ["Signature", "AlgebraElement", "koszul_sign"]
-
-
-def koszul_sign(sigma, parities) -> int:
-    """Sign for reordering (v_1..v_n) into (v_sigma(1)..v_sigma(n)).
-
-    ``sigma`` lists the original (0-based) index placed at each position;
-    ``parities`` are the parities of the original sequence.  Each inverted
-    pair of odd elements contributes a factor -1.
-    """
-    if len(sigma) != len(parities):
-        raise ValueError("permutation and parity lengths differ")
-    sign = 1
-    n = len(sigma)
-    for i in range(n):
-        if not parities[sigma[i]]:
-            continue
-        for j in range(i + 1, n):
-            if sigma[i] > sigma[j] and parities[sigma[j]]:
-                sign = -sign
-    return sign
+__all__ = ["Signature", "AlgebraElement"]
 
 
 class Signature:

@@ -37,9 +37,10 @@ from antibrackets.multilinear import (
     rho_combination,
 )
 from antibrackets.rational import rat
-from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign
+from antibrackets.superalgebra import AlgebraElement, Signature
 
 from test_faults import _flip_first_block_sign
+from test_superalgebra import koszul_sign
 
 SIG = Signature(even=1, odd=1, degree_bound=3)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)

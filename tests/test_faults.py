@@ -2,7 +2,8 @@
 
 Each fault is applied with ``monkeypatch`` before a fresh signature builds
 any table, and the test asserts the set of suites with a failing entry in
-the registry at (2,2,4), N = 4, seed 42.  A fault wraps or replaces a
+the registry at (2,2,4), N = 4, seed 42, or, for a fault in the associative
+mu, on the associative (2,1,3).  A fault wraps or replaces a
 kernel, or recompiles it from its source with one edit (``_mutate``).  A
 suite that stops catching a fault, or starts failing on the clean kernels,
 fails the test.  A failing check stops at its first mismatch, so a faulted
@@ -173,17 +174,18 @@ def _shape_weights_dropped(monkeypatch):
 
 
 def _combination_rounds_down(monkeypatch):
-    """``op_combination`` divides each entry by the weights' common
-    denominator with ``//``, so a rational entry is rounded down."""
-    _mutate(monkeypatch, "op_combination",
+    """``_divided`` divides each entry by its denominator with ``//``, so a
+    rational entry of a combination or of an associative mu is rounded
+    down."""
+    _mutate(monkeypatch, "_divided",
             "v // den if not v % den else rat(v, den)", "v // den")
 
 
 def _combination_skips_division(monkeypatch):
-    """``op_combination`` returns the summed numerators undivided, so every
+    """``_divided`` returns the summed numerators undivided, so every
     combination with a rational weight is scaled by its weights' common
-    denominator."""
-    _mutate(monkeypatch, "op_combination", "if den == 1:", "if den:")
+    denominator, and an associative mu_n by n+1."""
+    _mutate(monkeypatch, "_divided", "if den == 1:", "if den:")
 
 
 def _recursion_sign_flipped(monkeypatch):
@@ -206,6 +208,25 @@ def _itlog_horner_drops_k(monkeypatch):
     k of each Horner step, so every a_m from m = 4 on is wrong."""
     _mutate(monkeypatch, "_itlog_form", "rest = rest * k * Q + vkm",
             "rest = rest * Q + vkm")
+
+
+def _mu_divided_by_n(monkeypatch):
+    """The associative mu_n divides its sum over the last argument by n
+    where it should divide by n+1."""
+    _mutate(monkeypatch, "_mu_node", "_divided(acc, n + 1)", "_divided(acc, n)")
+
+
+def _mu_weight_dropped(monkeypatch):
+    """The associative mu_n takes a repeated last argument once, not once
+    per copy."""
+    _mutate(monkeypatch, "_mu_node", "signs[full ^ mask] * weight",
+            "signs[full ^ mask]")
+
+
+def _mu_sign_to_the_front(monkeypatch):
+    """The associative mu_n signs each term by moving its last argument to
+    the front where it should move it to the end."""
+    _mutate(monkeypatch, "_mu_node", "signs[full ^ mask]", "signs[mask]")
 
 
 def _failing_entries(sig):
@@ -237,9 +258,7 @@ def _failing_entries(sig):
     (_kernel_ignores_shift, {"series"}),
     # 0 / 0 / 0 / 0 / 0 / 17: every entry of the series suite
     (_kernel_binomial_off_by_one, {"series"}),
-    # 0 / 0 / 0 / 0 / 0 / 1: with f = log(1 + t), f^(k)(e^t - 1) is
-    # (-1)^(k-1) (k-1)! e^(-kt), and sum_k {n k} (-1)^(k-1) (k-1)! vanishes
-    # for n >= 2, so the fault shows at n = 1 only
+    # 0 / 0 / 0 / 0 / 0 / 4: every Stirling derivative entry, n = 1..4
     (_stirling_exponential_off_by_one, {"series"}),
     # 6 / 21 / 0 / 1 / 2 / 0: the inversion check reads only the tables of
     # distinct positions, (1,) * n, where every class weighs 1
@@ -271,6 +290,26 @@ def test_fault_is_caught_by_the_named_suites(monkeypatch, fault, caught_by):
     if fault is not None:
         fault(monkeypatch)
     assert set(_failing_entries(Signature(even=2, odd=2, degree_bound=4))) == caught_by
+
+
+@pytest.mark.parametrize("fault, caught_by", [
+    (None, set()),
+    # 0 / 7 / 0 / 0 / 0 / 0 (linf and order are skipped on an associative
+    # signature)
+    (_mu_divided_by_n, {"universal"}),
+    # 0 / 7 / 0 / 0 / 0 / 0
+    (_mu_weight_dropped, {"universal"}),
+    # 0 / 0 / 0 / 0 / 0 / 0: no suite sees it; the associative cases of
+    # tests/test_multilinear.py::test_mu_is_the_symmetrized_product and the
+    # four associative hierarchy pins of tests/test_cli.py fail
+    (_mu_sign_to_the_front, set()),
+], ids=["clean", "mu-divided-by-n", "mu-weight", "mu-sign-to-the-front"])
+def test_associative_mu_fault_is_caught_by_the_named_suites(
+        monkeypatch, fault, caught_by):
+    if fault is not None:
+        fault(monkeypatch)
+    sig = Signature(even=2, odd=1, degree_bound=3, commutative=False)
+    assert set(_failing_entries(sig)) == caught_by
 
 
 def test_new_column_sign_fault_fails_the_standard_forms(monkeypatch):

@@ -29,7 +29,9 @@ from antibrackets.multilinear import (
     rho_combination,
 )
 from antibrackets.rational import Rational, rat
-from antibrackets.superalgebra import AlgebraElement, Signature, koszul_sign
+from antibrackets.superalgebra import AlgebraElement, Signature
+
+from test_superalgebra import koszul_sign
 
 SIG = Signature(even=1, odd=2, degree_bound=4)
 NC = Signature(even=1, odd=1, degree_bound=3, commutative=False)
@@ -110,9 +112,14 @@ def _symmetrized_product(sig, n):
     return MultiOp(sig, n, 0, eval_basis)
 
 
-@pytest.mark.parametrize("sig", [SIG, NC], ids=["commutative", "associative"])
-def test_mu_is_the_symmetrized_product(sig):
-    for n in range(4):
+@pytest.mark.parametrize("sig, top", [
+    (SIG, 3), (NC, 4),
+    (Signature(even=2, odd=1, degree_bound=3, commutative=False), 4),
+], ids=["commutative", "associative", "associative-2-1-3"])
+def test_mu_is_the_symmetrized_product(sig, top):
+    # an associative mu_n is built from mu_(n-1), so mu_4 runs that
+    # recursion three levels deep, over odd and repeated entries
+    for n in range(top + 1):
         op, reference = mu(sig, n), _symmetrized_product(sig, n)
         assert ops_equal(op, reference)
         # one division per value: an int wherever it is exact
@@ -120,6 +127,19 @@ def test_mu_is_the_symmetrized_product(sig):
             for k, c in op._canonical_value(tup).items():
                 exact = reference._canonical_value(tup)[k].denominator == 1
                 assert (type(c) is int) == exact, (n, tup)
+
+
+def test_associative_mu_is_one_node_per_degree():
+    # a fresh signature, so that the only operators on it are mu's; each
+    # mu_n reads mu_(n-1)'s memo and keeps no node of its own beside it
+    sig = Signature(even=2, odd=1, degree_bound=3, commutative=False)
+    nodes = [mu(sig, n) for n in range(5)]
+    for node in nodes:
+        is_zero_op(node)  # reads every value on the comparison domain
+    gc.collect()
+    held = [op for op in gc.get_objects()
+            if isinstance(op, MultiOp) and op.signature is sig]
+    assert sorted(map(id, held)) == sorted(map(id, nodes))
 
 
 @pytest.mark.parametrize("sig", [

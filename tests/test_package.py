@@ -116,6 +116,13 @@ def test_only_the_series_module_reads_the_exponential_form():
     assert callers and all(c.startswith("series.py:") for c in callers), callers
 
 
+def test_multilinear_divides_values_in_one_function():
+    # a combination's values by its denominator and an associative mu_n's
+    # by n+1: one division, int where exact, that the fault matrix mutates
+    path = Path(antibrackets.__file__).parent / "multilinear.py"
+    assert _functions_calling(path, "rat") == {"multilinear.py:_divided"}
+
+
 def _private_definitions(path):
     """Module-level functions and classes of ``path`` whose names start with _."""
     return {node.name for node in ast.parse(path.read_text()).body

@@ -22,13 +22,35 @@ from antibrackets.multilinear import (
     random_endo,
 )
 from antibrackets.rational import rat
-from antibrackets.superalgebra import Signature, koszul_sign
+from antibrackets.superalgebra import Signature
 
 SIG = Signature(even=2, odd=2, degree_bound=4)
 NC = Signature(even=2, odd=1, degree_bound=3, commutative=False)
 
 
 # -- koszul sign -------------------------------------------------------------
+
+
+# The reference sign of a reordering, which the package computes by its sign
+# tables instead; the test modules check those tables against it.
+def koszul_sign(sigma, parities) -> int:
+    """Sign for reordering (v_1..v_n) into (v_sigma(1)..v_sigma(n)).
+
+    ``sigma`` lists the original (0-based) index placed at each position;
+    ``parities`` are the parities of the original sequence.  Each inverted
+    pair of odd elements contributes a factor -1.
+    """
+    if len(sigma) != len(parities):
+        raise ValueError("permutation and parity lengths differ")
+    sign = 1
+    n = len(sigma)
+    for i in range(n):
+        if not parities[sigma[i]]:
+            continue
+        for j in range(i + 1, n):
+            if sigma[i] > sigma[j] and parities[sigma[j]]:
+                sign = -sign
+    return sign
 
 
 def test_koszul_sign_even_swap_is_plus():
