@@ -310,8 +310,7 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     sub-blocks are read per bit mask of the caller's order, from the
     :func:`~.multilinear._shuffle_shapes` table of ``(1,) * n`` and the
     :func:`_block_signs` of the n parities.  Shuffles whose complement's
-    product dies are skipped; those with the same block indices and
-    complement product are summed first, and each nonzero group is one
+    product dies are skipped; each other block, the whole one last, is one
     :func:`_shuffle_terms` with the complement product as its outer factor,
     all summed by sub-block and keyed by :func:`_formal_terms`.  Only then
     does :func:`_read_terms` read f, for the keys whose coefficient
@@ -334,19 +333,12 @@ def inversion_check(f: MultiOp, n: int, args) -> bool:
     products = sig.subset_products(tup)
     acc = [0] * (full + 1)  # by sub-block, as _shuffle_terms sums
     acc[full] = 1  # lhs
-    # the one shuffle with k = n, which has no complement
-    _shuffle_terms(acc, sig, products, rows[full][5], signs, -1, None)
-    groups = {}  # (block indices, complement product) -> [block, scalar]
-    for block in range(1, full):
-        r, tail = products[full ^ block]
-        if not r:  # the complement's product dies
-            continue
-        group = groups.setdefault((rows[block][2](tup), tail), [block, 0])
-        group[1] -= signs[block] * r
-    for (_, tail), (block, c) in groups.items():
-        if c:
-            _shuffle_terms(acc, sig, products, rows[block][5],
-                           tables[block], c, tail)
+    for block in range(1, full + 1):
+        # the whole block has no complement, and signs[full] is +1
+        r, tail = products[full ^ block] if block != full else (1, None)
+        if r:  # else the complement's product dies
+            _shuffle_terms(acc, sig, products, rows[block][5], tables[block],
+                           -signs[block] * r, tail)
     terms = {}  # (j, u) -> coeff of f(basis[j]) * basis[u]
     _formal_terms(terms, products, rows[full][5], acc)
     diff = {}

@@ -172,12 +172,6 @@ def exp_minus_one(order: int) -> list:
     return [rat(0)] + [rat(1, factorial(k)) for k in range(1, order + 1)]
 
 
-def log_one_plus(order: int) -> list:
-    """log(1 + t)."""
-    _check_order(order)
-    return [rat(0)] + [rat((-1) ** (k + 1), k) for k in range(1, order + 1)]
-
-
 def koszul_numbers_itlog(N: int) -> list:
     """K_1..K_N from K_n = (n+1)! [t^(n+1)] itlog(e^t - 1) = A[n+1] / Q.
 

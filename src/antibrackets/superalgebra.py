@@ -214,10 +214,9 @@ class Signature:
 
     def _build_row(self, j):
         """Row j by :meth:`mul_monomials` at degree <= 1.  Above, basis[j]
-        is g b' up to sign (:meth:`_split_letter`), and as a (g b') = (a g) b'
-        in the associative quotient, entry i is entry |row(g)[i]| - 1 of
-        row(b'), signed by both entries and by the product g b' (+1 for
-        this g)."""
+        is g b' (:meth:`_split_letter`), and as a (g b') = (a g) b' in the
+        associative quotient, entry i is entry |row(g)[i]| - 1 of row(b'),
+        signed by both entries."""
         basis, index = self._basis, self._index
         b = basis[j]
         size = bisect_right(self._degrees, self.degree_bound - self._degrees[j])
@@ -225,18 +224,16 @@ class Signature:
             return [s * (index[m] + 1) if s else 0 for s, m in
                     map(self.mul_monomials, basis[:size], itertools.repeat(b))]
         g, rest = self._split_letter(b)
-        s, _ = self.mul_monomials(g, rest)
         left = self.mul_row(index[g])
         right = self.mul_row(index[rest])
-        if s < 0:
-            right = [-e for e in right]
         return [right[e - 1] if e > 0 else -right[-e - 1] if e else 0
                 for e in itertools.islice(left, size)]
 
     def _split_letter(self, m):
-        """(g, m') with m = g m' up to sign, g the smallest letter of a
-        monomial of degree >= 1: its first even letter, else its first odd
-        one (the first letter of a word), which moves past no odd letter."""
+        """(g, m') with m = g m', g the smallest letter of a monomial of
+        degree >= 1: its first even letter, else its first odd one (the
+        first letter of a word), which moves past no odd letter, so the
+        product g m' takes no sign."""
         if not self.commutative:
             return m[:1], m[1:]
         exps, odds = m

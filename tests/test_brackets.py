@@ -558,29 +558,24 @@ def test_inversion_check_fails_on_a_flipped_complement_product(monkeypatch):
     assert not inversion_check(f, 3, args)
 
 
-def test_inversion_check_sums_once_per_nonzero_group(monkeypatch):
-    # shuffles with the same block indices and the same complement product
-    # are one term up to their scalars: one shuffle sum goes into the
-    # check's formal terms for each such group whose summed scalar is
-    # nonzero, and one for the whole block
+def test_inversion_check_sums_once_per_surviving_block(monkeypatch):
+    # one shuffle sum goes into the check's formal terms for each block whose
+    # complement's product survives, and one for the whole block, also where
+    # blocks share their indices and their complement product
     sig = Signature(even=1, odd=1, degree_bound=5)
     x, th = sig.even_generator(0), sig.odd_generator(0)
     args = [x, x, th, x, th]
     n = len(args)
     indices = [sig.index_of(m) for m in args]
-    parities = [sig.parity(m) for m in args]
-    groups, masks = {}, 0
+    keys, masks = set(), 0
     for size in range(1, n):
         for block in itertools.combinations(range(n), size):
-            rest = tuple(q for q in range(n) if q not in block)
-            r, tail = sig.mul_indices([indices[q] for q in rest])
+            rest = [indices[q] for q in range(n) if q not in block]
+            r, tail = sig.mul_indices(rest)
             if r:
                 masks += 1
-                key = (tuple(indices[q] for q in block), tail)
-                sign = koszul_sign(block + rest, parities)
-                groups[key] = groups.get(key, 0) - sign * r
-    nonzero = [key for key, c in groups.items() if c]
-    assert 0 < len(nonzero) < len(groups) < masks
+                keys.add((tuple(indices[q] for q in block), tail))
+    assert 0 < len(keys) < masks < 2**n - 2
     calls = []
     original = brackets._shuffle_terms
 
@@ -592,7 +587,7 @@ def test_inversion_check_sums_once_per_nonzero_group(monkeypatch):
     for seed, parity in ((1, "even"), (2, "odd")):
         calls.clear()
         assert inversion_check(random_endo(sig, seed, parity=parity), n, args)
-        assert len(calls) == 1 + len(nonzero)
+        assert len(calls) == 1 + masks
 
 
 def test_associative_bracket_hierarchy_builds_no_product_table(monkeypatch):

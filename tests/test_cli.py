@@ -364,6 +364,33 @@ def test_bad_flag_returns_usage_error(capsys):
     ]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("all", "--even", "-1"), "generator counts must be non-negative"),
+    (("inversion", "--degree", "0"), "degree bound must be >= 1"),
+], ids=["negative count", "degree zero"])
+def test_verify_refuses_a_bad_signature_as_usage_error(capsys, flags, message):
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_koszul_numbers_exits_one_when_the_routes_disagree(capsys, monkeypatch):
+    original = cli.koszul_numbers_chain
+
+    def off_at_three(N):
+        chain = original(N)
+        chain[3] += 1
+        return chain
+
+    monkeypatch.setattr(cli, "koszul_numbers_chain", off_at_three)
+    code, out, err = run_cli(capsys, "koszul-numbers", "--max-n", "5")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: computation routes disagree at n = 3: "
+                   "recursive 1/2, chain 3/2, itlog 1/2\n")
+
+
 @pytest.mark.parametrize("command", ["coefficients", "conjecture"])
 def test_coefficient_reports_turn_arithmetic_error_into_exit_one(
         capsys, monkeypatch, command):

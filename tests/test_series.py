@@ -24,7 +24,6 @@ from antibrackets.series import (
     itlog,
     julia_check,
     koszul_numbers_itlog,
-    log_one_plus,
     series_compose,
     stirling_derivative_check,
 )
@@ -32,6 +31,12 @@ from antibrackets.series import (
 small_rationals = st.builds(
     rat, st.integers(-6, 6), st.integers(1, 4)
 )
+
+
+# The reference series log(1 + t), which no package function builds.
+def log_one_plus(order: int) -> list:
+    """log(1 + t) to order ``order``."""
+    return [rat(0)] + [rat((-1) ** (k + 1), k) for k in range(1, order + 1)]
 
 
 def series_with_valuation_two(order=10):

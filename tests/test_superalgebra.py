@@ -242,11 +242,14 @@ def test_rows_cover_the_surviving_degree_prefix(sig):
         assert len(sig.mul_row(j)) == sum(sig.degree(m) <= room for m in basis)
 
 
-@pytest.mark.parametrize("sig", KERNEL_SIGNATURES + [
+COMPOSED_SIGNATURES = KERNEL_SIGNATURES + [
     Signature(even=0, odd=3, degree_bound=4),
     Signature(even=3, odd=0, degree_bound=5),
     Signature(even=1, odd=2, degree_bound=3, commutative=False, unital=False),
-], ids=repr)
+]
+
+
+@pytest.mark.parametrize("sig", COMPOSED_SIGNATURES, ids=repr)
 def test_composed_rows_match_product_rule_rows(sig):
     # rows of degree >= 2 are composed from two other rows; each must be
     # the row the monomial product rule gives entry by entry
@@ -263,6 +266,29 @@ def test_composed_rows_match_product_rule_rows(sig):
         assert sig.mul_row(j) == expected, b
         composed += sig.degree(b) >= 2 and any(expected)
     assert composed
+
+
+@pytest.mark.parametrize("sig", COMPOSED_SIGNATURES + [
+    Signature(even=1, odd=1, degree_bound=5),
+    Signature(even=2, odd=2, degree_bound=4),
+    Signature(even=0, odd=4, degree_bound=4, unital=False),
+    Signature(even=0, odd=2, degree_bound=4, commutative=False),
+    Signature(even=1, odd=1, degree_bound=4, commutative=False),
+], ids=repr)
+def test_split_letter_products_take_no_sign(sig):
+    # a row of degree >= 2 is composed from the rows of g and m' with no sign
+    # of its own: g is the first even letter, else the first odd one, so it
+    # moves past no odd letter of m' and g m' is +m on every split
+    splits = odd_past_odd = 0
+    for m in sig.basis():
+        if sig.degree(m) >= 2:
+            g, rest = sig._split_letter(m)
+            assert sig.mul_monomials(g, rest) == (1, m), m
+            splits += 1
+            odds = rest[1] if sig.commutative else [l for l in rest if l >= sig.even]
+            odd_past_odd += sig.parity(g) and bool(odds)
+    assert splits
+    assert odd_past_odd or sig.odd < (2 if sig.commutative else 1)
 
 
 @pytest.mark.parametrize("sig", KERNEL_SIGNATURES, ids=repr)
@@ -446,6 +472,27 @@ def test_element_arithmetic_drops_zeros():
     x = SIG.monomial_element(SIG.even_generator(0))
     assert (x - x).is_zero()
     assert (x.scale(0)).is_zero()
+
+
+def test_element_negation_scaling_and_comparison():
+    x = SIG.monomial_element(SIG.even_generator(0))
+    assert repr(-x) == "-x1"
+    assert x * 3 == 3 * x == x.scale(3)
+    assert repr(x * 3) == "3*x1"
+    assert (x == 1) is False
+
+
+@pytest.mark.parametrize("c, text", [(1, "1 + x1"), (-1, "-1 + x1")])
+def test_element_repr_shows_a_unit_constant_term(c, text):
+    x = SIG.monomial_element(SIG.even_generator(0))
+    assert repr(SIG.one().scale(c) + x) == text
+
+
+def test_associative_odd_generators_follow_the_even_letters():
+    assert [NC.odd_generator(i) for i in range(NC.odd)] == [(NC.even,)]
+    sig = Signature(even=1, odd=2, degree_bound=2, commutative=False)
+    assert [sig.odd_generator(i) for i in range(2)] == [(1,), (2,)]
+    assert sig.parity(sig.odd_generator(1)) == 1
 
 
 # -- linear operators: degree-0 MultiOps on these algebras --------------------
