@@ -1,17 +1,15 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series over exact rationals, and the identity
+checks built on them.
 
 A series of order N is the plain list of its N+1 coefficients: ``a[k]`` is
 the coefficient of t^k, and N = ``len(a) - 1`` is at least 1.  Coefficients
-are ints or rationals.  Operations never silently mix orders: two series
-combined must have the same length.  Below the functions that take and
-return series, a series is held in exponential form (E, d), ints with
-a_k = E[k] / (k! d): one kernel maps forms to forms, each function that
-returns a series divides once per coefficient, and the identity checks
-compare forms on ints.  On top of the kernel this module implements
-composition, the iterative exponential exp(a d/dt)(t) and logarithm, and
-the identity checks built from them (Julia's equation, psi of the
-Hurwitz-number series a_d(z), the nilpotent-exponential check on the graded
-variable space, and the Stirling formula for derivatives of f(e^t - 1)).
+are ints or rationals.  Inside this module a series is held in exponential
+form (E, d), ints with a_k = E[k] / (k! d): one kernel maps forms to forms,
+the iterative logarithm itlog is computed on forms, and the checks compare
+forms on ints.  The checks are Julia's equation a(g) = a g' for
+a = itlog(g), psi of the Hurwitz-number series a_d(z), the
+nilpotent-exponential check on the graded variable space, and the Stirling
+formula for derivatives of f(e^t - 1).
 """
 
 from __future__ import annotations
@@ -30,31 +28,12 @@ def _check_order(N: int) -> None:
         raise ValueError("order must be >= 1")
 
 
-def _order(a: list) -> int:
-    """The order N of ``a``, refusing a list of fewer than two coefficients."""
-    N = len(a) - 1
-    _check_order(N)
-    return N
-
-
-def _common_order(a: list, b: list) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"order mismatch: {len(a) - 1} != {len(b) - 1}")
-    return _order(a)
-
-
 def _exp_form(a: list) -> tuple:
     """(E, d), the exponential form of a: ints with a_k = E[k] / (k! d), d least."""
     pairs = [(int(c.numerator) * factorial(k), int(c.denominator))
              for k, c in enumerate(a)]
     d = lcm(*(q // gcd(p, q) for p, q in pairs))
     return [p * d // q for p, q in pairs], d
-
-
-def _coefficients(form: tuple) -> list:
-    """The series of the exponential form (E, d): one division per entry."""
-    E, d = form
-    return [rat(e, factorial(m) * d) for m, e in enumerate(E)]
 
 
 def _monomial_form(k: int, N: int) -> tuple:
@@ -90,51 +69,13 @@ def _kernel(w: tuple, x: tuple, y: tuple, shift: int = 0) -> tuple:
     return [s // g for s in S], D * c // g
 
 
-def series_compose(f: list, g: list) -> list:
-    """f(g(t)) = sum_k f_k g^k; g must have zero constant term."""
-    N = _common_order(f, g)
-    if g[0]:
-        raise ValueError("composition requires g(0) = 0")
-    one = _monomial_form(0, N)
-    return _coefficients(_kernel(_exp_form(f), _exp_form(g), one))
-
-
-def _check_itlog_domain(a: list) -> None:
-    _order(a)
-    if a[0] or a[1]:
-        raise ValueError("series must satisfy a(0) = a'(0) = 0")
-
-
-def itexp(a: list) -> list:
-    """Iterative exponential exp(a d/dt)(t), for a with a(0) = a'(0) = 0.
-
-    Each application of a d/dt raises the valuation, so the exponential sum
-    is finite at any truncation order.
-    """
-    _check_itlog_domain(a)
-    return _coefficients(_itexp_form(_exp_form(a)))
-
-
-def _itexp_form(A: tuple) -> tuple:
-    """The exponential form of itexp(a), from a's form A."""
-    N = len(A[0]) - 1
-    return _kernel(([1] * (N + 1), 1), A, _monomial_form(1, N), 1)
-
-
-def itlog(g: list) -> list:
-    """Iterative logarithm: the unique a with a(0)=a'(0)=0 and itexp(a) = g."""
-    N = _order(g)
-    if g[0] or g[1] != 1:
-        raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
-    A, Q = _itlog_form(*_exp_form(g))
-    return [rat(A[m], Q * factorial(m)) for m in range(N + 1)]
-
-
 def _itlog_form(G: list, dg: int) -> tuple:
     """(A, Q) with m! a_m = A[m] / Q for a = itlog(g), m! g_m = G[m] / dg.
 
-    Computed order by order, filling in the terms of itexp as it goes.  With
-    T_1 = a and T_k = (a d/dt) T_(k-1) / k, itexp(a) = t + sum_k T_k.  In the
+    itlog(g) is the a with a(0) = a'(0) = 0 whose iterative exponential
+    exp(a d/dt)(t) is g.  It is computed order by order, filling in the
+    terms of that exponential as it goes: with T_1 = a and
+    T_k = (a d/dt) T_(k-1) / k, exp(a d/dt)(t) = t + sum_k T_k.  In the
     exponential form A_m = m! a_m, V_k[m] = k! m! T_k[m], the recurrence
     V_k[m] = sum_(j=k..m-1) C(m, j-1) A_(m+1-j) V_(k-1)[j] has no division
     and reads only A_2..A_(m-k+1), and A_m = m! g_m - sum_(k=2..m-1) V_k[m]/k!.
@@ -184,13 +125,21 @@ def koszul_numbers_itlog(N: int) -> list:
     return [rat(0)] + [rat(A[n + 1], Q) for n in range(1, N + 1)]
 
 
-def julia_check(a: list, N: int) -> bool:
-    """a(g(t)) == a(t) g'(t) with g = itexp(a), coefficient-wise to order N."""
-    _check_itlog_domain(a)
-    if not 1 <= N < len(a):
-        raise ValueError("need 1 <= N <= the order of a")
-    A = _exp_form(a[:N + 1])
-    G = _itexp_form(A)
+def julia_check(g: list, N: int) -> bool:
+    """a(g(t)) == a(t) g'(t) for a = itlog(g), coefficient-wise to order N.
+
+    g is read once into its exponential form and a is taken from the
+    iterative logarithm on that form.  g is the time-one flow of a d/dt,
+    which carries a d/dt to itself, so the equation holds for the true
+    logarithm and fails for a wrong one unless g carries that one to
+    itself too (as it does a constant multiple of the logarithm).
+    """
+    if not 1 <= N < len(g):
+        raise ValueError("need 1 <= N <= the order of g")
+    if g[0] or g[1] != 1:
+        raise ValueError("series must satisfy g(0) = 0 and g'(0) = 1")
+    G = _exp_form(g[:N + 1])
+    A = _itlog_form(*G)
     return _same(_kernel(A, G, _monomial_form(0, N)),  # a(g)
                  _kernel(([0, 1], 1), A, G, 1))  # a * g', exact to order N
 

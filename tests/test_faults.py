@@ -274,11 +274,8 @@ def _failing_entries(sig):
     # 0 / 6 / 0 / 0 / 0 / 0: the standard forms of degrees 3 and 4, through
     # coefficient_series(3)
     (_new_column_doubled, {"universal"}),
-    # 0 / 0 / 0 / 0 / 0 / 0: the series suite reads itlog only in the Julia
-    # equation, which holds for every a with a(0) = a'(0) = 0, so no suite
-    # sees a wrong logarithm; tests/test_series.py's itlog references and
-    # the Koszul route agreement there fail
-    (_itlog_horner_drops_k, set()),
+    # 0 / 0 / 0 / 0 / 0 / 1: the Julia entry reads itlog of the given g
+    (_itlog_horner_drops_k, {"series"}),
 ], ids=["clean", "shuffle-sign", "odd-inversion-sign", "insertion-bisect",
         "full-block-product", "koszul-k3", "series-c13", "mu-bracket-factor",
         "kernel-shift", "kernel-binomial", "stirling-exponential",

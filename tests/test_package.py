@@ -155,6 +155,30 @@ def test_every_private_src_name_is_referenced():
     assert _unreferenced_private_names(src, Path(__file__).parent) == []
 
 
+def _unread_public_functions(src):
+    """``module:name`` for each module-level function of a src module whose
+    name is public, that its module's __all__ leaves out and that no src
+    module reads."""
+    paths = sorted(src.glob("*.py"))
+    referenced = set().union(*map(_referenced_names, paths))
+    unread = []
+    for path in paths:
+        module = importlib.import_module(f"antibrackets.{path.stem}")
+        kept = referenced | set(getattr(module, "__all__", ()))
+        unread += [f"{path.name}:{node.name}"
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_") and node.name not in kept]
+    return sorted(unread)
+
+
+def test_every_public_function_is_exported_or_read_in_src():
+    # a public function its module does not export is there for the
+    # package's own callers; one that only tests call is dead code
+    src = Path(antibrackets.__file__).parent
+    assert _unread_public_functions(src) == []
+
+
 # __all__ names that no other module, the README or perfbench reads, each
 # kept for its reason
 UNREAD_EXPORTS = [

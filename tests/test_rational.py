@@ -41,25 +41,26 @@ def test_exact_arithmetic():
 UNIVERSAL_RATIONALS = 115
 
 # Rationals that the series suite makes at (2,2,4), N = 5, seed 1, on
-# Python 3.11, in a fresh process: the Julia equation 42 (the 21
-# coefficients of e^t - 1 and the 21 of their iterative logarithm), the
+# Python 3.11, in a fresh process: the Julia equation 21 (the coefficients
+# of e^t - 1, the g it takes the iterative logarithm of on ints), the
 # five graded-variable checks 55 (the 11 Koszul numbers each reads) and 2
 # for the coefficients 1/3 and -2/7 of the series the Stirling derivative
 # entries share.  The seven psi/Hurwitz and four Stirling entries make
 # none: every check runs the series kernel on exponential forms and
-# compares them on ints (114 when the Stirling entries shared the 17
-# coefficients of log(1+t), 1,983 when the kernel took and returned
-# rationals, 2,648 when the psi/Hurwitz entries built (e^t - 1)^(d+1)
-# product by product, 6,373 when the graded-variable checks summed term by
-# term too, 63,615 when every series operation did)
-SERIES_RATIONALS = 99
+# compares them on ints (99 when the Julia entry was handed the 21
+# rational coefficients of itlog(e^t - 1) too, 114 when the Stirling
+# entries shared the 17 coefficients of log(1+t), 1,983 when the kernel
+# took and returned rationals, 2,648 when the psi/Hurwitz entries built
+# (e^t - 1)^(d+1) product by product, 6,373 when the graded-variable
+# checks summed term by term too, 63,615 when every series operation did)
+SERIES_RATIONALS = 78
 
 # Rationals that the in-process `conjecture --max-n 20 --format json` and
 # `koszul-numbers --max-n 15 --format json` make on Python 3.11: one per
 # solved coefficient and b_n (230), and one per K_n of each of the three
-# routes plus one per n!*K_n (63).  `koszul_numbers_itlog` reading the
-# rationals of `itlog(exp_minus_one(N + 1))` and scaling each by (n+1)!
-# makes 97 and fails the test
+# routes plus one per n!*K_n (63).  `koszul_numbers_itlog` reading each
+# K_n as (n+1)! times a rational coefficient of itlog(e^t - 1), not as one
+# division of the integer form, makes 97 and fails the test
 REPORT_RATIONALS = {"conjecture": 230, "koszul-numbers": 63}
 
 fraction_backend_only = pytest.mark.skipif(

@@ -13,18 +13,15 @@ from antibrackets.combinatorics import (
 )
 from antibrackets.rational import Rational, rat
 from antibrackets.series import (
-    _coefficients,
     _exp_form,
     _hurwitz_form,
+    _itlog_form,
     _kernel,
     graded_exponential_check,
     exp_minus_one,
     hurwitz_identity_check,
-    itexp,
-    itlog,
     julia_check,
     koszul_numbers_itlog,
-    series_compose,
     stirling_derivative_check,
 )
 
@@ -45,12 +42,32 @@ def series_with_valuation_two(order=10):
     )
 
 
+def coefficients(form):
+    """The series of the exponential form (E, d): one division per entry."""
+    E, d = form
+    return [rat(e, factorial(m) * d) for m, e in enumerate(E)]
+
+
+def kernel_itexp(a):
+    """exp(a d/dt)(t) through the kernel: w = e^t and L(v) = a v', applied
+    to t; a must have valuation >= 2."""
+    N = len(a) - 1
+    t = [0, 1] + [0] * (N - 1)
+    return coefficients(_kernel(([1] * (N + 1), 1), _exp_form(a), (t, 1), 1))
+
+
+def form_itlog(g):
+    """itlog(g) from the package's integer form: one division per entry."""
+    A, Q = _itlog_form(*_exp_form(g))
+    return [rat(e, factorial(m) * Q) for m, e in enumerate(A)]
+
+
 def itlog_rebuilding_itexp(g):
     """Reference: match itexp(a), rebuilt at order m, against g at each m."""
     N = len(g) - 1
     acoef = [rat(0)] * (N + 1)
     for m in range(2, N + 1):
-        acoef[m] = g[m] - itexp(acoef[: m + 1])[m]
+        acoef[m] = g[m] - itexp_fraction(acoef[: m + 1])[m]
     return acoef
 
 
@@ -76,7 +93,13 @@ def itlog_fraction(g):
 def kernel_mul(a, b, shift=0):
     """a b through the kernel, w = t and L(v) = a v, so w(L) b = a b; or
     a b' with shift 1, exact when a has valuation >= 2."""
-    return _coefficients(_kernel(([0, 1], 1), _exp_form(a), _exp_form(b), shift))
+    return coefficients(_kernel(([0, 1], 1), _exp_form(a), _exp_form(b), shift))
+
+
+def kernel_compose(f, g):
+    """f(g) through the kernel: w = f and L(v) = g v, applied to 1."""
+    one = [1] + [0] * (len(f) - 1)
+    return coefficients(_kernel(_exp_form(f), _exp_form(g), (one, 1)))
 
 
 def series_mul_fraction(a, b):
@@ -160,7 +183,7 @@ def test_mul_matches_fraction_reference(pair):
 @given(series_tuples(0, 1))
 def test_compose_matches_fraction_reference(pair):
     f, g = pair
-    assert series_compose(f, g) == series_compose_fraction(f, g)
+    assert kernel_compose(f, g) == series_compose_fraction(f, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,17 +197,17 @@ def test_derivation_apply_matches_fraction_reference(pair):
 @given(series_tuples(2))
 def test_itexp_matches_fraction_reference(single):
     (a,) = single
-    assert itexp(a) == itexp_fraction(a)
+    assert kernel_itexp(a) == itexp_fraction(a)
 
 
 def test_references_cover_orders_one_and_two():
     for a in ([0, 0], [0, 0, rat(-3, 4)], [0, 0, 5]):
-        assert itexp(a) == itexp_fraction(a)
+        assert kernel_itexp(a) == itexp_fraction(a)
         f = [rat(2, 3), -1, *a[2:]]
         assert kernel_mul(f, a) == series_mul_fraction(f, a)
         assert kernel_mul(a, f, 1) == derivation_apply_fraction(a, f)
         g = [0, rat(1, 2), *a[2:]]
-        assert series_compose(f, g) == series_compose_fraction(f, g)
+        assert kernel_compose(f, g) == series_compose_fraction(f, g)
 
 
 def test_kernel_powers_of_exp_minus_one_are_stirling_numbers():
@@ -218,10 +241,10 @@ def test_exp_form_and_one_division_give_back_the_series(single):
     E, d = _exp_form(a)
     assert all(type(e) is int for e in E) and type(d) is int and d >= 1
     assert gcd(d, *E) == 1  # d is the least
-    assert _coefficients((E, d)) == a
+    assert coefficients((E, d)) == a
 
 
-# Denominators up to 12, none of them 1, so that itlog's running
+# Denominators up to 12, none of them 1, so that _itlog_form's running
 # denominator grows and its stored values are rescaled.
 non_unit_rationals = st.builds(rat, st.integers(-6, 6), st.integers(2, 12))
 
@@ -235,44 +258,28 @@ def test_mul_matches_known_product():
 
 def test_compose_log_exp_is_identity():
     order = 12
-    assert series_compose(log_one_plus(order), exp_minus_one(order)) == (
+    assert kernel_compose(log_one_plus(order), exp_minus_one(order)) == (
         [0, 1] + [0] * (order - 1)
     )
-
-
-def test_compose_requires_zero_constant_term():
-    f = [1, 1, 0, 0, 0]
-    with pytest.raises(ValueError, match="g\\(0\\) = 0"):
-        series_compose(f, f)
-
-
-def test_order_mismatch_raises():
-    t4, t5 = [0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]
-    with pytest.raises(ValueError, match="order mismatch: 4 != 5"):
-        series_compose(t4, t5)
-    # fewer than two coefficients: a series has order at least 1
-    for short in ([], [0]):
-        with pytest.raises(ValueError, match="order must be >= 1"):
-            series_compose(short, short)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_with_valuation_two())
 def test_itlog_inverts_itexp(a):
-    g = itexp(a)
-    assert itlog(g) == a
+    g = kernel_itexp(a)
+    assert form_itlog(g) == a
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_with_valuation_two())
 def test_itlog_matches_rebuilding_reference(a):
     g = [a[0], a[1] + 1, *a[2:]]
-    assert itlog(g) == itlog_rebuilding_itexp(g)
+    assert form_itlog(g) == itlog_rebuilding_itexp(g)
 
 
 def test_itlog_of_exp_minus_one_matches_rebuilding_reference():
     g = exp_minus_one(25)
-    assert itlog(g) == itlog_rebuilding_itexp(g)
+    assert form_itlog(g) == itlog_rebuilding_itexp(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,31 +287,33 @@ def test_itlog_of_exp_minus_one_matches_rebuilding_reference():
     non_unit_rationals, min_size=order - 1, max_size=order - 1).map(
         lambda tail: [0, 1, *tail])))
 def test_itlog_matches_fraction_reference(g):
-    assert itlog(g) == itlog_fraction(g)
+    assert form_itlog(g) == itlog_fraction(g)
 
 
 def test_itlog_of_exp_minus_one_matches_fraction_reference():
     g = exp_minus_one(41)
-    assert itlog(g) == itlog_fraction(g)
+    assert form_itlog(g) == itlog_fraction(g)
 
 
 def test_itlog_refuses_series_outside_its_domain():
+    # julia_check is the one function that takes a g and logs it
     for coeffs in ([1, 1], [0, 2], [0, 0, 1]):
         with pytest.raises(ValueError, match="g'\\(0\\) = 1"):
-            itlog(coeffs + [0] * (5 - len(coeffs)))
-    for coeffs in ([1, 0], [0, 1]):
-        with pytest.raises(ValueError, match="a'\\(0\\) = 0"):
-            itexp(coeffs + [0] * 3)
-    for short in ([], [0], [1]):
-        for op in (itlog, itexp):
-            with pytest.raises(ValueError, match="order must be >= 1"):
-                op(short)
+            julia_check(coeffs + [0] * (5 - len(coeffs)), 4)
+    for g, N in (([0, 1, 0], 0), ([0, 1, 0], 3), ([], 1), ([0], 1)):
+        with pytest.raises(ValueError, match="order of g"):
+            julia_check(g, N)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        exp_minus_one(0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_with_valuation_two())
 def test_julia_equation_for_any_generator(a):
-    assert julia_check(a, len(a) - 1)
+    # any g with g(0) = 0 and g'(0) = 1, at its full order and below
+    g = [0, 1, *a[2:]]
+    for N in range(1, len(g)):
+        assert julia_check(g, N)
 
 
 def test_koszul_itlog_route_matches_recursion():
@@ -316,19 +325,20 @@ def test_koszul_itlog_route_matches_recursion():
 
 def test_koszul_itlog_route_reads_the_public_itlog():
     # the integer form stays on the iterative-logarithm route, apart from
-    # the Stirling recursion it is compared with above
+    # the Stirling recursion it is compared with above: the route against
+    # the rational reference, not against its own integer form
+    a = itlog_fraction(exp_minus_one(41))  # a_m reads g_2..g_m only
     for N in range(1, 41):
-        a = itlog(exp_minus_one(N + 1))
         assert koszul_numbers_itlog(N) == [
             0, *(factorial(n + 1) * a[n + 1] for n in range(1, N + 1))], N
 
 
 def test_julia_for_exp_minus_one_generator():
-    a = itlog(exp_minus_one(20))
-    assert julia_check(a, 20)
+    g = exp_minus_one(20)
+    assert julia_check(g, 20)
     for N in (0, 21):
-        with pytest.raises(ValueError, match="order of a"):
-            julia_check(a, N)
+        with pytest.raises(ValueError, match="order of g"):
+            julia_check(g, N)
 
 
 def test_hurwitz_series_low_orders():
@@ -415,12 +425,14 @@ def test_int_coefficients_give_no_floats():
     """Plain int lists stay exact: every coefficient out is an int or a Rational."""
     exact = (int, Rational)
     a = [0, 0, 3, -1, 0, 2, 0, 0]
-    g = itexp(a)
-    for out in (g, itlog(g), itlog([0, 1, 1, -2, 0, 5, 0, 0]),
-                series_compose([1, 2, 0, -1, 4, 0, 0, 7], [0, 1, 3, 0, -2, 0, 0, 1])):
+    g = kernel_itexp(a)
+    for out in (g, form_itlog(g), form_itlog([0, 1, 1, -2, 0, 5, 0, 0]),
+                kernel_compose([1, 2, 0, -1, 4, 0, 0, 7], [0, 1, 3, 0, -2, 0, 0, 1]),
+                koszul_numbers_itlog(7)):
         assert all(isinstance(c, exact) for c in out), out
-    assert itlog(g) == a
-    assert julia_check(a, 7) is True
+    assert form_itlog(g) == a
+    assert julia_check(g, 7) is True
+    assert julia_check([0, 1, 1, -2, 0, 5, 0, 0], 7) is True
     f = [0, 1, 2, 0, -3, 0, 0, 0, 1]
     for n in range(1, 4):
         assert stirling_derivative_check(f, n, 8) is True
@@ -432,18 +444,18 @@ def _entry_plus_one_sixth(form, *args):
     return [*E[:3], E[3] + d, *E[4:]], d
 
 
-JULIA_A = [0, 0, rat(1, 2), -1, 0, rat(3, 7), 2, 0, rat(-5, 3)]
+JULIA_G = [0, 1, rat(1, 2), -1, 0, rat(3, 7), 2, 0, rat(-5, 3)]
 F_MIXED = [0, 1, 0, rat(1, 3), 0, rat(-2, 7)] + [0] * 9
 
 
 @pytest.mark.parametrize("check, args, nudge, verdict", [
-    (julia_check, (JULIA_A, 8), None, True),
-    (julia_check, (JULIA_A, 5), None, True),
-    (julia_check, (itlog(exp_minus_one(20)), 20), None, True),
-    # g = itexp(a) + t^3/6 changes a(g) by 2 a_2 t^4 / 6 and a g' by
-    # 3 a_2 t^4 / 6
-    (julia_check, (JULIA_A, 8), ("_itexp_form", _entry_plus_one_sixth), False),
-    (julia_check, (JULIA_A, 3), ("_itexp_form", _entry_plus_one_sixth), True),
+    (julia_check, (JULIA_G, 8), None, True),
+    (julia_check, (JULIA_G, 5), None, True),
+    (julia_check, (exp_minus_one(20), 20), None, True),
+    # a = itlog(g) + t^3/6 adds (g^3 - g' t^3)/6 = g_2 t^4/6 + ... to
+    # a(g) - a g', which order 4 reads and order 3 does not
+    (julia_check, (JULIA_G, 8), ("_itlog_form", _entry_plus_one_sixth), False),
+    (julia_check, (JULIA_G, 3), ("_itlog_form", _entry_plus_one_sixth), True),
     *((stirling_derivative_check, (log_one_plus(16), n, 16), None, True)
       for n in range(1, 5)),
     (stirling_derivative_check, (F_MIXED, 3, 14), None, True),
