@@ -38,7 +38,8 @@ from .superalgebra import Signature
 __all__ = ["main"]
 
 # The largest --max-n of the three reports (about 2 s each) and of verify
-# (its series suite about 3 s; Python 3.11, 2 cores), costed in the README.
+# (its series suite 1.8-2.8 s in process; Python 3.11, 2 cores), costed in
+# the README.
 REPORT_MAX_N = 200
 
 

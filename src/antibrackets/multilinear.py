@@ -27,8 +27,8 @@ of the blocks of a parity pattern (:func:`_shuffle_signs`).  Any other
 linear combination is one node, built by :func:`op_combination` over one
 denominator; its terms are not flattened, as their memos are shared.
 Every value that is divided is divided once, by :func:`_divided`: a
-combination's by its denominator, and an associative mu_n's, which
-:func:`mu` builds from mu_(n-1) one argument at a time, by n+1.
+combination's by its denominator, and mu_n's, which :func:`mu` builds
+from mu_(n-1) one argument at a time on either kind of signature, by n+1.
 
 Per-tuple work that does not depend on the operator is done once per
 :class:`~antibrackets.superalgebra.Signature` and kept on it, in three stores:
@@ -36,13 +36,14 @@ Per-tuple work that does not depend on the operator is done once per
 which :func:`first_mismatch` and :func:`is_zero_op` walk; ``sig._plans``
 maps a canonical index tuple to its :func:`_plan` (product table, signs
 and shapes), which the direct route, every :func:`_insertions` node and
-the associative :func:`mu` read (an associative plan has no product
-table), and holds only tuples of total degree within the degree bound;
+:func:`mu` read (an associative plan has no product table), and holds
+only tuples of total degree within the degree bound;
 ``sig._canonical`` maps a tuple of monomial arguments of
 :meth:`MultiOp.__call__` to its sign and canonical index tuple, up to
 :data:`ARGUMENT_MEMO_SIZE` entries.  ``sig._mu`` holds
-the one :func:`mu` node of each n, so every caller reads one memo, or, on a
-commutative signature and for n >= 1, the product table in its place.
+the one :func:`mu` node of each n, so every caller reads one memo, except
+an :func:`_insertions` node on a commutative signature, which reads mu_n
+for n >= 1 off the product table in its place.
 
 A linear operator is an operator of degree 0, reading its image of each
 basis index from a stored row.  :func:`linear_op` validates the images a
@@ -444,9 +445,8 @@ def mu(signature: Signature, n: int) -> MultiOp:
     """The multiplication operator mu_n: the product a_0...a_n, symmetrized
     over argument orders; mu_0 is the identity.
 
-    On a commutative signature every order gives the same product, so a
-    value is one :meth:`~.Signature.mul_indices`.  On an associative one,
-    for n >= 1, sorting the orders by their last argument a_i gives
+    On either kind of signature and for n >= 1, sorting the orders by
+    their last argument a_i gives
     (n+1) mu_n(a) = sum_i s_i mu_(n-1)(a without a_i) a_i, where s_i is the
     Koszul sign of moving a_i to the end.  The tuple's :func:`_plan` gives
     one block {a_i} per distinct entry, weighted by its copies, and the
@@ -455,7 +455,10 @@ def mu(signature: Signature, n: int) -> MultiOp:
     wherever the division is exact.
 
     There is one node per (signature, n), kept in ``signature._mu``, so
-    every caller reads one memo.
+    every caller reads one memo.  The one exception is :func:`_insertions`
+    on a commutative signature, which reads mu_n for n >= 1 off the
+    tuple's product table, so the checks that read mu's memo there compare
+    this recursion with that table.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -466,14 +469,10 @@ def mu(signature: Signature, n: int) -> MultiOp:
 
 
 def _mu_node(signature: Signature, n: int) -> MultiOp:
-    """A new node of mu_n, outside ``signature._mu``; on an associative
-    signature and for n >= 1 it reads mu_(n-1) from there."""
-    if signature.commutative or not n:
-        def eval_basis(tup):
-            sign, k = signature.mul_indices(tup)
-            return {k: sign} if sign else {}
-
-        return MultiOp(signature, n, 0, eval_basis)
+    """A new node of mu_n, outside ``signature._mu``; for n >= 1 it reads
+    mu_(n-1) from there."""
+    if not n:
+        return MultiOp(signature, 0, 0, lambda tup: {tup[0]: 1})
     read = mu(signature, n - 1)._canonical_value
     full = (1 << (n + 1)) - 1
 
@@ -514,19 +513,14 @@ def linear_op(signature: Signature, images, parity: int) -> MultiOp:
     """
     parities = signature.basis_parities()
     size = len(parities)
-    indices = set(range(size))
-    by_parity = [{k for k in indices if parities[k] == p} for p in (0, 1)]
     stored = [{}] * size
     for i, image in images.items():
         # a bool or float key equals an int one, so the types are checked too
-        if not ({type(i), *map(type, image)} <= {int}
-                and i in indices and image.keys() <= indices):
-            for key in (i, *image):
-                if type(key) is not int or not 0 <= key < size:
-                    raise ValueError(
-                        f"{key!r} is not a basis index in range({size})")
+        for key in (i, *image):
+            if type(key) is not int or not 0 <= key < size:
+                raise ValueError(f"{key!r} is not a basis index in range({size})")
         image = stored[i] = {k: c for k, c in image.items() if c}
-        if not image.keys() <= by_parity[(parities[i] + parity) % 2]:
+        if any(parities[k] != (parities[i] + parity) % 2 for k in image):
             raise ValueError(f"image of basis index {i} violates parity {parity}")
     return MultiOp(signature, 0, parity, lambda t: stored[t[0]])
 

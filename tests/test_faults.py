@@ -2,8 +2,8 @@
 
 Each fault is applied with ``monkeypatch`` before a fresh signature builds
 any table, and the test asserts the set of suites with a failing entry in
-the registry at (2,2,4), N = 4, seed 42, or, for a fault in the associative
-mu, on the associative (2,1,3).  A fault wraps or replaces a
+the registry at (2,2,4), N = 4, seed 42, and, for a fault in mu, also on
+the associative (2,1,3).  A fault wraps or replaces a
 kernel, or recompiles it from its source with one edit (``_mutate``).  A
 suite that stops catching a fault, or starts failing on the clean kernels,
 fails the test.  A failing check stops at its first mismatch, so a faulted
@@ -175,8 +175,7 @@ def _shape_weights_dropped(monkeypatch):
 
 def _combination_rounds_down(monkeypatch):
     """``_divided`` divides each entry by its denominator with ``//``, so a
-    rational entry of a combination or of an associative mu is rounded
-    down."""
+    rational entry of a combination or of mu is rounded down."""
     _mutate(monkeypatch, "_divided",
             "v // den if not v % den else rat(v, den)", "v // den")
 
@@ -184,7 +183,7 @@ def _combination_rounds_down(monkeypatch):
 def _combination_skips_division(monkeypatch):
     """``_divided`` returns the summed numerators undivided, so every
     combination with a rational weight is scaled by its weights' common
-    denominator, and an associative mu_n by n+1."""
+    denominator, and mu_n by n+1."""
     _mutate(monkeypatch, "_divided", "if den == 1:", "if den:")
 
 
@@ -211,21 +210,20 @@ def _itlog_horner_drops_k(monkeypatch):
 
 
 def _mu_divided_by_n(monkeypatch):
-    """The associative mu_n divides its sum over the last argument by n
-    where it should divide by n+1."""
+    """mu_n divides its sum over the last argument by n where it should
+    divide by n+1."""
     _mutate(monkeypatch, "_mu_node", "_divided(acc, n + 1)", "_divided(acc, n)")
 
 
 def _mu_weight_dropped(monkeypatch):
-    """The associative mu_n takes a repeated last argument once, not once
-    per copy."""
+    """mu_n takes a repeated last argument once, not once per copy."""
     _mutate(monkeypatch, "_mu_node", "signs[full ^ mask] * weight",
             "signs[full ^ mask]")
 
 
 def _mu_sign_to_the_front(monkeypatch):
-    """The associative mu_n signs each term by moving its last argument to
-    the front where it should move it to the end."""
+    """mu_n signs each term by moving its last argument to the front where
+    it should move it to the end."""
     _mutate(monkeypatch, "_mu_node", "signs[full ^ mask]", "signs[mask]")
 
 
@@ -240,7 +238,7 @@ def _failing_entries(sig):
     # 3 / 18 / 0 / 0 / 1 / 0 failing entries (jacobi / universal / inversion
     # / linf / order / series)
     (_flip_first_block_sign, {"jacobi", "universal", "order"}),
-    # 6 / 20 / 0 / 1 / 2 / 0
+    # 6 / 18 / 0 / 1 / 2 / 0
     (_flip_odd_inversion_sign, {"jacobi", "universal", "linf", "order"}),
     # 6 / 12 / 0 / 0 / 0 / 0
     (_bisect_right_for_left, {"jacobi", "universal"}),
@@ -267,7 +265,7 @@ def _failing_entries(sig):
     # exact, so rounding it down changes nothing; tests/test_multilinear.py::
     # test_op_combination_divides_inexact_sums_of_integral_operators fails
     (_combination_rounds_down, set()),
-    # 0 / 14 / 0 / 0 / 0 / 0
+    # 0 / 18 / 0 / 0 / 0 / 0
     (_combination_skips_division, {"universal"}),
     # 0 / 3 / 0 / 0 / 0 / 0
     (_recursion_sign_flipped, {"universal"}),
@@ -276,13 +274,20 @@ def _failing_entries(sig):
     (_new_column_doubled, {"universal"}),
     # 0 / 0 / 0 / 0 / 0 / 1: the Julia entry reads itlog of the given g
     (_itlog_horner_drops_k, {"series"}),
+    # 0 / 6 / 0 / 0 / 0 / 0: the identity-operator and mu-bracket entries,
+    # which read mu's memo, against the product table the routes read
+    (_mu_divided_by_n, {"universal"}),
+    # 0 / 6 / 0 / 0 / 0 / 0
+    (_mu_weight_dropped, {"universal"}),
+    # 0 / 6 / 0 / 0 / 0 / 0
+    (_mu_sign_to_the_front, {"universal"}),
 ], ids=["clean", "shuffle-sign", "odd-inversion-sign", "insertion-bisect",
         "full-block-product", "koszul-k3", "series-c13", "mu-bracket-factor",
         "kernel-shift", "kernel-binomial", "stirling-exponential",
         "shape-weights",
         "combination-rounds-down",
         "combination-undivided", "recursion-sign", "new-column-doubled",
-        "itlog-horner"])
+        "itlog-horner", "mu-divided-by-n", "mu-weight", "mu-sign-to-the-front"])
 def test_fault_is_caught_by_the_named_suites(monkeypatch, fault, caught_by):
     if fault is not None:
         fault(monkeypatch)

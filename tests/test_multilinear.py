@@ -113,12 +113,12 @@ def _symmetrized_product(sig, n):
 
 
 @pytest.mark.parametrize("sig, top", [
-    (SIG, 3), (NC, 4),
+    (SIG, 3), (Signature(even=2, odd=2, degree_bound=4), 4), (NC, 4),
     (Signature(even=2, odd=1, degree_bound=3, commutative=False), 4),
-], ids=["commutative", "associative", "associative-2-1-3"])
+], ids=["commutative", "commutative-2-2-4", "associative", "associative-2-1-3"])
 def test_mu_is_the_symmetrized_product(sig, top):
-    # an associative mu_n is built from mu_(n-1), so mu_4 runs that
-    # recursion three levels deep, over odd and repeated entries
+    # mu_n is built from mu_(n-1), so mu_4 runs that recursion three levels
+    # deep, over odd and repeated entries
     for n in range(top + 1):
         op, reference = mu(sig, n), _symmetrized_product(sig, n)
         assert ops_equal(op, reference)
@@ -129,10 +129,12 @@ def test_mu_is_the_symmetrized_product(sig, top):
                 assert (type(c) is int) == exact, (n, tup)
 
 
-def test_associative_mu_is_one_node_per_degree():
+@pytest.mark.parametrize("commutative", [True, False],
+                         ids=["commutative", "associative"])
+def test_mu_is_one_node_per_degree(commutative):
     # a fresh signature, so that the only operators on it are mu's; each
     # mu_n reads mu_(n-1)'s memo and keeps no node of its own beside it
-    sig = Signature(even=2, odd=1, degree_bound=3, commutative=False)
+    sig = Signature(even=2, odd=1, degree_bound=3, commutative=commutative)
     nodes = [mu(sig, n) for n in range(5)]
     for node in nodes:
         is_zero_op(node)  # reads every value on the comparison domain
@@ -533,8 +535,8 @@ def test_run_tables_keep_one_block_per_class_of_the_all_ones_table():
 
 
 def _generic_mu(sig, n):
-    """mu_n as a node outside ``sig._mu``, read from its memo, never off a
-    product table."""
+    """mu_n as a node outside ``sig._mu``: the one-letter recursion on
+    mu_(n-1)'s memo, read from its own memo, never off a product table."""
     return multilinear._mu_node(sig, n)
 
 

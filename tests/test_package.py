@@ -106,6 +106,14 @@ def test_the_insertion_loop_is_written_once():
     assert len(callers) == 1, callers
 
 
+def test_multilinear_builds_mu_by_one_rule():
+    # mu_n for n >= 1 is the one-letter recursion on either kind of
+    # signature; the product table is read only as the insertion loop's
+    # shortcut, never by an ordered product of a whole tuple
+    path = Path(antibrackets.__file__).parent / "multilinear.py"
+    assert _functions_calling(path, "mul_indices") == set()
+
+
 def test_only_the_series_module_reads_the_exponential_form():
     # the kernel and the conversion into exponential form stay inside
     # series.py; the checks registry calls its checks on plain series
@@ -117,7 +125,7 @@ def test_only_the_series_module_reads_the_exponential_form():
 
 
 def test_multilinear_divides_values_in_one_function():
-    # a combination's values by its denominator and an associative mu_n's
+    # a combination's values by its denominator and mu_n's
     # by n+1: one division, int where exact, that the fault matrix mutates
     path = Path(antibrackets.__file__).parent / "multilinear.py"
     assert _functions_calling(path, "rat") == {"multilinear.py:_divided"}
