@@ -176,23 +176,15 @@ def _recursion_ops(f: MultiOp, N: int) -> dict:
 
 
 def _bracket_ops(f: MultiOp, N: int) -> dict:
-    """Phi^1..Phi^N by the bracket recursion, on integer-scaled operators.
-
-    Phi^(n+1) = (1/n) sum_h (-1)^h [mu_h, Phi^(n-h+1)] divides at every
-    level.  The recursion runs instead on Psi_(n+1) = n! Phi^(n+1), which
-    satisfies Psi_(n+1) = sum_h (-1)^h ((n-1)!/(n-h)!) [mu_h, Psi_(n-h+1)]
-    with integer weights, so integer data stays integer throughout; each
-    Psi_(n+1) is one :func:`~.multilinear.rho_combination` node.  Each
-    returned Phi^(n+1) is Psi_(n+1) divided once by n!.
+    """Phi^1..Phi^N by the bracket recursion
+    Phi^(n+1) = (1/n) sum_h (-1)^h [mu_h, Phi^(n-h+1)]: each level is one
+    :func:`~.multilinear.rho_combination` node with weights (-1)^h and
+    divisor n, which divides each value once, to an int where n divides it.
     """
-    psi = {1: f}
-    ops = {1: psi[1]}
+    ops = {1: f}
     for n in range(1, N):
-        psi[n + 1] = rho_combination(
-            (h, psi[n - h + 1], (-1) ** h * (factorial(n - 1) // factorial(n - h)))
-            for h in range(1, n + 1)
-        )
-        ops[n + 1] = op_combination([(psi[n + 1], rat(1, factorial(n)))])
+        ops[n + 1] = rho_combination(
+            ((h, ops[n - h + 1], (-1) ** h) for h in range(1, n + 1)), n)
     return ops
 
 
@@ -208,16 +200,17 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     is built as T_k = k! L^k term_k, where L is the lcm of the coefficient
     denominators; T_k = sum_n (L c_n) rho_n(T_(k-1)) has integer weights,
     and its part of each degree is one :func:`~.multilinear.rho_combination`
-    node.  A component is one combination of the T_k of its degree with
-    weights 1/(k! L^k), which :func:`~.multilinear.op_combination` sums over
-    their common denominator K! L^K (K the largest k contributing) and
-    divides once per entry.
+    node.  A component below ``max_degree`` is one combination of the T_k of
+    its degree with weights 1/(k! L^k), which
+    :func:`~.multilinear.op_combination` sums over their common denominator
+    K! L^K (K the largest k contributing) and divides once per entry.
 
     No part of degree ``max_degree`` is read again, so that component takes
     one rho term per n instead of one per (k, n): by the linearity of rho_n
-    it is (1/(K! L^K)) sum_n (L c_n) rho_n(G_n), with G_n the integer
+    it is (sum_n (L c_n) rho_n(G_n)) / (K! L^K), with G_n the integer
     combination sum_j (K!/(j+1)!) L^(K-j-1) T_j of the parts of degree
-    max_degree - n.
+    max_degree - n, and it is one rho_combination node whose divisor
+    K! L^K divides each value once.
     """
     coefficients = {n: c for n, c in coefficients.items() if c}
     if any(n < 1 for n in coefficients):
@@ -247,13 +240,12 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
     }
     if top:
         K = 1 + max(j for parts in top.values() for j, _ in parts)
-        rhos = rho_combination(
-            (n, op_combination((op, factorial(K) // factorial(j + 1)
-                                * lcm_den ** (K - j - 1)) for j, op in parts),
-             weights[n])
-            for n, parts in top.items())
-        components[max_degree] = op_combination(
-            [(rhos, rat(1, factorial(K) * lcm_den**K))])
+        components[max_degree] = rho_combination(
+            ((n, op_combination((op, factorial(K) // factorial(j + 1)
+                                 * lcm_den ** (K - j - 1)) for j, op in parts),
+              weights[n])
+             for n, parts in top.items()),
+            factorial(K) * lcm_den**K)
     return components
 
 

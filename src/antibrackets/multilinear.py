@@ -13,22 +13,23 @@ total input degree stays within a bound (tuples beyond it are zero in the
 quotient for the multiplication operators, and are outside the comparison
 domain for everything else).
 Every insertion product is one :func:`_insertions` node for a weighted sum
-of terms f ⊼ g, which holds the insertion loop: :func:`nr_product` is its
-one-term case, :func:`nr_bracket` its two-term case, and
-:func:`rho_combination`, a weighted sum of [mu_n, omega] terms (rho_n omega
-is ``[(n, omega, 1)]``), gives it two terms per term.  It evaluates the
-outer operator on tuples beyond that domain whenever the inner one raises
-degrees, as a general linear operator does; those values are computed
-lazily in the same way and never tabulated in advance.  Every shuffle sum
-of the package reads two bounded tables: the block shapes of a pattern of
-repeated arguments (:func:`_shuffle_shapes`), one block per sub-multiset
-with the number of blocks that pick it as its weight, and the Koszul signs
-of the blocks of a parity pattern (:func:`_shuffle_signs`).  Any other
-linear combination is one node, built by :func:`op_combination` over one
-denominator; its terms are not flattened, as their memos are shared.
-Every value that is divided is divided once, by :func:`_divided`: a
-combination's by its denominator, and mu_n's, which :func:`mu` builds
-from mu_(n-1) one argument at a time on either kind of signature, by n+1.
+of terms f ⊼ g over an int divisor, which holds the insertion loop:
+:func:`nr_product` is its one-term case, :func:`nr_bracket` its two-term
+case, and :func:`rho_combination`, a weighted sum of [mu_n, omega] terms
+(rho_n omega is ``[(n, omega, 1)]``) over a divisor, gives it two terms per
+term.  It evaluates the outer operator on tuples beyond that domain whenever
+the inner one raises degrees, as a general linear operator does; those
+values are computed lazily in the same way and never tabulated in advance.
+Every shuffle sum of the package reads two bounded tables: the block shapes
+of a pattern of repeated arguments (:func:`_shuffle_shapes`), one block per
+sub-multiset with the number of blocks that pick it as its weight, and the
+Koszul signs of the blocks of a parity pattern (:func:`_shuffle_signs`).
+Any other linear combination is one node, built by :func:`op_combination`
+over one denominator; its terms are not flattened, as their memos are
+shared.  Every value that is divided is divided once, by :func:`_divided`:
+a combination's by its denominator, an insertion node's by its divisor,
+and mu_n's, which :func:`mu` builds from mu_(n-1) one argument at a time on
+either kind of signature, by n+1.
 
 Per-tuple work that does not depend on the operator is done once per
 :class:`~antibrackets.superalgebra.Signature` and kept on it, in three stores:
@@ -218,7 +219,8 @@ def op_combination(terms) -> MultiOp:
     if len(terms) == 1 and terms[0][1] == 1:
         return f
     den = lcm(*(int(c.denominator) for _, c in terms))
-    terms = [(g._canonical_value, int(c * den)) for g, c in terms]
+    terms = [(g._canonical_value,
+              int(c.numerator) * (den // int(c.denominator))) for g, c in terms]
 
     def eval_basis(tup):
         acc = {}
@@ -358,9 +360,10 @@ def _plan(sig: Signature, tup: tuple) -> tuple:
     return plan
 
 
-def _insertions(terms) -> MultiOp:
-    """One node for sum_i w_i (f_i ⊼ g_i) over (f_i, g_i, w_i), with int
-    weights w_i: every insertion product of the package, in one loop.
+def _insertions(terms, den=1) -> MultiOp:
+    """One node for (sum_i w_i (f_i ⊼ g_i)) / den over (f_i, g_i, w_i), with
+    int weights w_i and an int divisor: every insertion product of the
+    package, in one loop.
 
     All terms share signature, degree and parity.  On a canonical tuple,
     each shuffle block and its complement are canonical already, so g is
@@ -377,7 +380,9 @@ def _insertions(terms) -> MultiOp:
     off the plan's :meth:`~.Signature.subset_products` table: as g, its
     value on a block is the block's entry; as f, g's value on a block is
     multiplied by the complement's entry.  Every other operator, mu_0 and
-    mu on an associative signature among them, is read from its memo.
+    mu on an associative signature among them, is read from its memo.  The
+    sum is divided once by :func:`_divided`, to an int where ``den``
+    divides it.
     """
     terms = list(terms)
     if any(f.signature != g.signature for f, g, _ in terms):
@@ -424,7 +429,7 @@ def _insertions(terms) -> MultiOp:
                     c *= coeff
                     for out, v in read_f(rest[:at] + (k,) + rest[at:]).items():
                         acc[out] = acc.get(out, 0) + c * v
-        return _nonzero(acc)
+        return _divided(acc, den)
 
     return MultiOp(sig, f.degree + g.degree, f.parity + g.parity, eval_basis)
 
@@ -487,20 +492,20 @@ def _mu_node(signature: Signature, n: int) -> MultiOp:
     return MultiOp(signature, n, 0, eval_basis)
 
 
-def rho_combination(terms) -> MultiOp:
-    """One node for sum_i w_i [mu_(n_i), omega_i] over (n_i, omega_i, w_i),
-    with int weights w_i.
+def rho_combination(terms, den=1) -> MultiOp:
+    """One node for (sum_i w_i [mu_(n_i), omega_i]) / den over
+    (n_i, omega_i, w_i), with int weights w_i and an int divisor.
 
     All terms share signature, parity and degree n_i + omega_i.degree.  It
     is the :func:`_insertions` node of the terms (omega, mu_n, -w) and
-    (mu_n, omega, w), so on a commutative signature both halves of every
-    term with n >= 1 read one product table per tuple.
+    (mu_n, omega, w) with divisor ``den``, so on a commutative signature
+    both halves of every term with n >= 1 read one product table per tuple.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, m + g.degree, g.parity) for m, g, _ in terms])
     sig = terms[0][1].signature
-    return _insertions(term for m, omega, w in terms
-                       for term in ((omega, mu(sig, m), -w), (mu(sig, m), omega, w)))
+    return _insertions([term for m, omega, w in terms for term in
+                        ((omega, mu(sig, m), -w), (mu(sig, m), omega, w))], den)
 
 
 def linear_op(signature: Signature, images, parity: int) -> MultiOp:

@@ -379,13 +379,13 @@ def test_exponential_hierarchy_matches_direct():
 
 
 @pytest.mark.parametrize("method, nodes", [
-    # f, psi_n for n = 2..5, and Phi^n = psi_n / (n-1)! for n = 3..5 (Phi^2
-    # is psi_2)
-    ("bracket", 1 + 4 + 3),
+    # f, and one rho node per level n = 2..5, which divides its own values
+    ("bracket", 1 + 4),
     # f, one T_k per 1 <= k <= degree <= 3, and the components of degree
-    # >= 1; degree 4 has no T_k parts but one G_n per n = 1..4 (each an
-    # integer combination of the T_j of degree 4 - n) and one rho node
-    ("exponential", 1 + 6 + 4 + 1 + 4),
+    # 1..3; degree 4 has no T_k parts but one G_n per n = 1..4 (each an
+    # integer combination of the T_j of degree 4 - n) and one rho node,
+    # which divides its own values and is the component
+    ("exponential", 1 + 6 + 3 + 1 + 4),
 ])
 def test_rho_routes_keep_one_memo_per_level(method, nodes):
     # a fresh signature, so that the only operators on it are this test's

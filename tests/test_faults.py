@@ -2,8 +2,9 @@
 
 Each fault is applied with ``monkeypatch`` before a fresh signature builds
 any table, and the test asserts the set of suites with a failing entry in
-the registry at (2,2,4), N = 4, seed 42, and, for a fault in mu, also on
-the associative (2,1,3).  A fault wraps or replaces a
+the registry at (2,2,4), N = 4, seed 42, and, for a fault in mu or in the
+insertion node's divisor, also on the associative (2,1,3), where the
+bracket route is the definition.  A fault wraps or replaces a
 kernel, or recompiles it from its source with one edit (``_mutate``).  A
 suite that stops catching a fault, or starts failing on the clean kernels,
 fails the test.  A failing check stops at its first mismatch, so a faulted
@@ -175,7 +176,8 @@ def _shape_weights_dropped(monkeypatch):
 
 def _combination_rounds_down(monkeypatch):
     """``_divided`` divides each entry by its denominator with ``//``, so a
-    rational entry of a combination or of mu is rounded down."""
+    rational entry of a combination, an insertion node or mu is rounded
+    down."""
     _mutate(monkeypatch, "_divided",
             "v // den if not v % den else rat(v, den)", "v // den")
 
@@ -183,8 +185,15 @@ def _combination_rounds_down(monkeypatch):
 def _combination_skips_division(monkeypatch):
     """``_divided`` returns the summed numerators undivided, so every
     combination with a rational weight is scaled by its weights' common
-    denominator, and mu_n by n+1."""
+    denominator, every insertion node by its divisor, and mu_n by n+1."""
     _mutate(monkeypatch, "_divided", "if den == 1:", "if den:")
+
+
+def _insertion_undivided(monkeypatch):
+    """Every insertion node returns its summed terms undivided, so each
+    level n of the bracket route is scaled by n and the exponential route's
+    top degree by its divisor K! L^K."""
+    _mutate(monkeypatch, "_insertions", "_divided(acc, den)", "_nonzero(acc)")
 
 
 def _recursion_sign_flipped(monkeypatch):
@@ -281,13 +290,17 @@ def _failing_entries(sig):
     (_mu_weight_dropped, {"universal"}),
     # 0 / 6 / 0 / 0 / 0 / 0
     (_mu_sign_to_the_front, {"universal"}),
+    # 0 / 7 / 0 / 0 / 0 / 0: the bracket and exponential constructions of
+    # every seed, and the identity-operator bracket of degree 3
+    (_insertion_undivided, {"universal"}),
 ], ids=["clean", "shuffle-sign", "odd-inversion-sign", "insertion-bisect",
         "full-block-product", "koszul-k3", "series-c13", "mu-bracket-factor",
         "kernel-shift", "kernel-binomial", "stirling-exponential",
         "shape-weights",
         "combination-rounds-down",
         "combination-undivided", "recursion-sign", "new-column-doubled",
-        "itlog-horner", "mu-divided-by-n", "mu-weight", "mu-sign-to-the-front"])
+        "itlog-horner", "mu-divided-by-n", "mu-weight", "mu-sign-to-the-front",
+        "insertion-undivided"])
 def test_fault_is_caught_by_the_named_suites(monkeypatch, fault, caught_by):
     if fault is not None:
         fault(monkeypatch)
@@ -305,9 +318,17 @@ def test_fault_is_caught_by_the_named_suites(monkeypatch, fault, caught_by):
     # tests/test_multilinear.py::test_mu_is_the_symmetrized_product and the
     # four associative hierarchy pins of tests/test_cli.py fail
     (_mu_sign_to_the_front, set()),
-], ids=["clean", "mu-divided-by-n", "mu-weight", "mu-sign-to-the-front"])
+    # 3 / 10 / 0 / 0 / 0 / 0: the bracket route is the hierarchy here, so the
+    # Jacobi entries of n = 3 fail, and in universal the bracket==exponential
+    # constructions, the standard forms of degrees 3 and 4 and the
+    # identity-operator bracket of degree 3
+    (_insertion_undivided, {"jacobi", "universal"}),
+], ids=["clean", "mu-divided-by-n", "mu-weight", "mu-sign-to-the-front",
+        "insertion-undivided"])
 def test_associative_mu_fault_is_caught_by_the_named_suites(
         monkeypatch, fault, caught_by):
+    """The faults in mu and in the insertion node's divisor on the
+    associative (2,1,3), where the bracket route defines the hierarchy."""
     if fault is not None:
         fault(monkeypatch)
     sig = Signature(even=2, odd=1, degree_bound=3, commutative=False)

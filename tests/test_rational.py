@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antibrackets import cli
+from antibrackets.brackets import phi_hierarchy
 from antibrackets.checks import registry
+from antibrackets.multilinear import _index_tuples, random_endo
 from antibrackets.rational import Rational, format_rational, rat
 from antibrackets.superalgebra import Signature
 
@@ -36,9 +38,14 @@ def test_exact_arithmetic():
 
 
 # Rationals that the universal suite makes at (2,2,4), N = 4, seed 1, in a
-# fresh process (its coefficients are rational); every other commutative
-# suite below runs on ints only
-UNIVERSAL_RATIONALS = 115
+# fresh process: all are coefficients, none an operator value.  They are the
+# Koszul numbers the exponential route reads (with their negations, lcm and
+# integer weights) and its components' weights 1/(k! L^k), the standard
+# forms' solved coefficients and weights, and the mu-bracket factors (115
+# when each level of the bracket route was a second node dividing by n! and
+# op_combination converted each weight through a rational); every other
+# commutative suite below runs on ints only
+UNIVERSAL_RATIONALS = 72
 
 # Rationals that the series suite makes at (2,2,4), N = 5, seed 1, on
 # Python 3.11, in a fresh process: the Julia equation 21 (the coefficients
@@ -104,6 +111,22 @@ def test_commutative_suites_make_no_rationals(monkeypatch):
     assert counts["linf"] == 0, counts
     assert counts["order"] == 0, counts
     assert counts["universal"] <= UNIVERSAL_RATIONALS, counts
+
+
+@fraction_backend_only
+@pytest.mark.parametrize("method", ["direct", "recursion", "bracket"])
+def test_routes_make_no_rationals_on_integer_data(monkeypatch, method):
+    # every value is an int: the bracket route divides each level's sum
+    # once by n, which divides it exactly
+    made = _counting_constructor(monkeypatch)
+    sig = Signature(even=2, odd=2, degree_bound=4)
+    for seed, parity in ((1, "even"), (2, "odd")):
+        hierarchy = phi_hierarchy(random_endo(sig, seed, parity=parity), 5,
+                                  method=method)
+        for n, op in hierarchy.items():
+            for tup in _index_tuples(sig, n):
+                op._canonical_value(tup)
+    assert made[0] == 0, made[0]
 
 
 @fraction_backend_only
