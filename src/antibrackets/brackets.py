@@ -40,7 +40,6 @@ from .multilinear import (
     op_combination,
     rho_combination,
 )
-from .rational import rat
 
 __all__ = [
     "phi_direct_op",
@@ -198,54 +197,55 @@ def exp_rho_family(base: MultiOp, coefficients: dict, max_degree: int) -> dict:
 
     The k-th term of the series, term_k = (1/k) sum_n c_n rho_n(term_(k-1)),
     is built as T_k = k! L^k term_k, where L is the lcm of the coefficient
-    denominators; T_k = sum_n (L c_n) rho_n(T_(k-1)) has integer weights,
-    and its part of each degree is one :func:`~.multilinear.rho_combination`
-    node.  A component below ``max_degree`` is one combination of the T_k of
-    its degree with weights 1/(k! L^k), which
-    :func:`~.multilinear.op_combination` sums over their common denominator
-    K! L^K (K the largest k contributing) and divides once per entry.
+    denominators; T_k = sum_n (L c_n) rho_n(T_(k-1)) has int weights, and
+    its part of each degree is one :func:`~.multilinear.rho_combination`
+    node.  Every component is written over one divisor: with K the number
+    of passes the loop made and scale(j) = K!/j! L^(K-j), term_j is
+    scale(j) T_j / scale(0), so a component below ``max_degree`` is one
+    :func:`~.multilinear.op_combination` of the T_j of its degree with int
+    weights scale(j) over the divisor scale(0), which divides each value
+    once.
 
     No part of degree ``max_degree`` is read again, so that component takes
     one rho term per n instead of one per (k, n): by the linearity of rho_n
-    it is (sum_n (L c_n) rho_n(G_n)) / (K! L^K), with G_n the integer
-    combination sum_j (K!/(j+1)!) L^(K-j-1) T_j of the parts of degree
-    max_degree - n, and it is one rho_combination node whose divisor
-    K! L^K divides each value once.
+    it is (sum_n (L c_n) rho_n(G_n)) / scale(0), with G_n the int
+    combination sum_j scale(j+1) T_j of the parts of degree
+    max_degree - n, and it is one rho_combination node with that divisor.
     """
     coefficients = {n: c for n, c in coefficients.items() if c}
     if any(n < 1 for n in coefficients):
         raise ValueError("exp_rho_family needs coefficients at n >= 1 only")
-    lcm_den = lcm(*(int(rat(c).denominator) for c in coefficients.values()))
-    weights = {n: int(c * lcm_den) for n, c in coefficients.items()}
+    L = lcm(*(int(c.denominator) for c in coefficients.values()))
+    weights = {n: int(c.numerator) * (L // int(c.denominator))
+               for n, c in coefficients.items()}
     levels = {base.degree: {0: base}}  # degree -> {k: part of T_k}
     top = {}  # n -> [(j, part of T_j of degree max_degree - n)]
     term = {base.degree: base}
-    k = 1
+    K = 0
     while term and min(term) < max_degree:
+        K += 1
         pieces = {}
         for d, op in term.items():
             for n, w in weights.items():
                 if d + n < max_degree:
                     pieces.setdefault(d + n, []).append((n, op, w))
                 elif d + n == max_degree:
-                    top.setdefault(n, []).append((k - 1, op))
+                    top.setdefault(n, []).append((K - 1, op))
         term = {d: rho_combination(terms) for d, terms in pieces.items()}
         for d, op in term.items():
-            levels.setdefault(d, {})[k] = op
-        k += 1
+            levels.setdefault(d, {})[K] = op
+
+    def scale(j):
+        return factorial(K) // factorial(j) * L ** (K - j)
+
     components = {
-        d: op_combination((op, rat(1, factorial(k) * lcm_den**k))
-                          for k, op in parts.items())
+        d: op_combination(((op, scale(j)) for j, op in parts.items()), scale(0))
         for d, parts in levels.items()
     }
     if top:
-        K = 1 + max(j for parts in top.values() for j, _ in parts)
         components[max_degree] = rho_combination(
-            ((n, op_combination((op, factorial(K) // factorial(j + 1)
-                                 * lcm_den ** (K - j - 1)) for j, op in parts),
-              weights[n])
-             for n, parts in top.items()),
-            factorial(K) * lcm_den**K)
+            ((n, op_combination((op, scale(j + 1)) for j, op in parts),
+              weights[n]) for n, parts in top.items()), scale(0))
     return components
 
 

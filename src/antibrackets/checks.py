@@ -109,11 +109,13 @@ def _universal(sig, N, seed):
                    ident[n + 1], op_combination([(mu(sig, n), (-1) ** n)])))
     for n in range(3):
         for m in range(n):
-            yield (f"mu-bracket ({n},{m})",
-                   lambda n=n, m=m: first_mismatch(
-                       nr_bracket(mu(sig, n), mu(sig, m)),
-                       op_combination(
-                           [(mu(sig, n + m), mu_bracket_factor(n, m))])))
+            yield f"mu-bracket ({n},{m})", partial(_mu_bracket, sig, n, m)
+
+
+def _mu_bracket(sig, n, m):
+    c = mu_bracket_factor(n, m)
+    return first_mismatch(nr_bracket(mu(sig, n), mu(sig, m)), op_combination(
+        [(mu(sig, n + m), int(c.numerator))], int(c.denominator)))
 
 
 def _universal_operator(f, seed, methods, top, coefficients):
@@ -141,7 +143,7 @@ def _universal_operator(f, seed, methods, top, coefficients):
         horner = rho_combination([(1, f, w[0])])
         for j in range(2, n + 1):
             horner = rho_combination([(1, horner, 1), (j, f, w[j - 1])])
-        return first_mismatch(base[n + 1], op_combination([(horner, rat(1, L))]))
+        return first_mismatch(base[n + 1], op_combination([(horner, 1)], L))
 
     for m in methods[1:]:
         yield (f"construction {methods[0]}=={m} seed={seed}",

@@ -25,9 +25,10 @@ of a pattern of repeated arguments (:func:`_shuffle_shapes`), one block per
 sub-multiset with the number of blocks that pick it as its weight, and the
 Koszul signs of the blocks of a parity pattern (:func:`_shuffle_signs`).
 Any other linear combination is one node, built by :func:`op_combination`
-over one denominator; its terms are not flattened, as their memos are
-shared.  Every value that is divided is divided once, by :func:`_divided`:
-a combination's by its denominator, an insertion node's by its divisor,
+as a weighted sum over an int divisor; its terms are not flattened, as
+their memos are shared.  Every node below the boundary takes int weights
+and one int divisor, and every value that is divided is divided once, by
+:func:`_divided`: a combination's and an insertion node's by its divisor,
 and mu_n's, which :func:`mu` builds from mu_(n-1) one argument at a time on
 either kind of signature, by n+1.
 
@@ -64,7 +65,7 @@ import itertools
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 from numbers import Real
 from operator import itemgetter
 
@@ -202,25 +203,25 @@ def _refuse_unequal(shapes):
             raise ValueError("parity mismatch in operator sum")
 
 
-def op_combination(terms) -> MultiOp:
-    """One node for sum_i c_i f_i over pairs (f_i, c_i); f itself for [(f, 1)].
+def op_combination(terms, den=1) -> MultiOp:
+    """One node for (sum_i c_i f_i) / den over pairs (f_i, c_i), with a
+    positive int divisor; f itself for [(f, den)].
 
     This is the one way to build a linear combination of operators.  All
     terms share signature, degree and parity.  Terms that are combinations
     are not flattened into theirs, as their memos are shared, e.g. across
     degrees in :func:`~antibrackets.brackets.exp_rho_family`.  A value sums
-    the integer numerators L c_i over the lcm L of the weights' denominators
-    and divides each output entry once by L, to an int when L divides it;
-    int weights keep ints int.
+    the weighted terms as given and :func:`_divided` divides each output
+    entry once by ``den``, as for :func:`rho_combination`: int weights give
+    ints wherever ``den`` divides the sum, and a rational weight gives
+    rational values.
     """
     terms = list(terms)
     _refuse_unequal([(g.signature, g.degree, g.parity) for g, _ in terms])
     f = terms[0][0]
-    if len(terms) == 1 and terms[0][1] == 1:
+    if len(terms) == 1 and terms[0][1] == den:
         return f
-    den = lcm(*(int(c.denominator) for _, c in terms))
-    terms = [(g._canonical_value,
-              int(c.numerator) * (den // int(c.denominator))) for g, c in terms]
+    terms = [(g._canonical_value, c) for g, c in terms]
 
     def eval_basis(tup):
         acc = {}

@@ -183,9 +183,9 @@ def _combination_rounds_down(monkeypatch):
 
 
 def _combination_skips_division(monkeypatch):
-    """``_divided`` returns the summed numerators undivided, so every
-    combination with a rational weight is scaled by its weights' common
-    denominator, every insertion node by its divisor, and mu_n by n+1."""
+    """``_divided`` returns the weighted sums undivided, so every
+    combination and every insertion node is scaled by its divisor, and mu_n
+    by n+1."""
     _mutate(monkeypatch, "_divided", "if den == 1:", "if den:")
 
 
@@ -272,7 +272,8 @@ def _failing_entries(sig):
     (_shape_weights_dropped, {"jacobi", "universal", "linf", "order"}),
     # 0 / 0 / 0 / 0 / 0 / 0: every division the registry makes here is
     # exact, so rounding it down changes nothing; tests/test_multilinear.py::
-    # test_op_combination_divides_inexact_sums_of_integral_operators fails
+    # test_op_combination_divides_inexact_sums_of_integral_operators, whose
+    # int weights 3 and 2 over the divisor 6 leave rationals, fails
     (_combination_rounds_down, set()),
     # 0 / 18 / 0 / 0 / 0 / 0
     (_combination_skips_division, {"universal"}),

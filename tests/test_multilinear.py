@@ -203,6 +203,7 @@ def test_op_combination_checks_compatibility():
 def test_op_combination_of_one_unit_term_is_the_operator():
     f = mu(SIG, 1)
     assert op_combination([(f, 1)]) is f
+    assert op_combination([(f, 3)], 3) is f
     with pytest.raises(ValueError):
         op_combination([])
 
@@ -232,7 +233,7 @@ def test_op_combination_with_rational_weights():
 
 def test_op_combination_quotients_are_ints_when_exact():
     f = _general_op(SIG, 1, 1)
-    halves = op_combination([(f, rat(1, 2))])
+    halves = op_combination([(f, 1)], 2)
     kinds = set()
     for tup in _index_tuples(SIG, 2):
         for k, v in halves._canonical_value(tup).items():
@@ -244,11 +245,12 @@ def test_op_combination_quotients_are_ints_when_exact():
 
 
 def test_op_combination_divides_inexact_sums_of_integral_operators():
-    # weights 1/2 and 1/3 on operators with int entries sum to (3a + 2b)/6,
-    # which is a rational wherever 6 does not divide it; no registry suite
-    # reaches such a division, as its combinations divide exactly
+    # int weights 3 and 2 over the divisor 6 on operators with int entries
+    # give (3a + 2b)/6, which is a rational wherever 6 does not divide it;
+    # no registry suite reaches such a division, as its combinations
+    # divide exactly
     f, g = random_endo(SIG, 1), random_endo(SIG, 2)
-    combined = op_combination([(f, rat(1, 2)), (g, rat(1, 3))])
+    combined = op_combination([(f, 3), (g, 2)], 6)
     rational = 0
     for (i,) in _index_tuples(SIG, 1):
         a, b = f._canonical_value((i,)), g._canonical_value((i,))

@@ -125,10 +125,14 @@ def test_only_the_series_module_reads_the_exponential_form():
 
 
 def test_multilinear_divides_values_in_one_function():
-    # a combination's values by its denominator and mu_n's
-    # by n+1: one division, int where exact, that the fault matrix mutates
-    path = Path(antibrackets.__file__).parent / "multilinear.py"
-    assert _functions_calling(path, "rat") == {"multilinear.py:_divided"}
+    # a combination's and an insertion node's values by its divisor and
+    # mu_n's by n+1: one division, int where exact, that the fault matrix
+    # mutates; the constructions hand every node int weights and make no
+    # rational of their own
+    src = Path(antibrackets.__file__).parent
+    assert _functions_calling(src / "multilinear.py", "rat") == {
+        "multilinear.py:_divided"}
+    assert _functions_calling(src / "brackets.py", "rat") == set()
 
 
 def _private_definitions(path):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antibrackets import cli
-from antibrackets.brackets import phi_hierarchy
+from antibrackets.brackets import exp_rho_family, phi_hierarchy
 from antibrackets.checks import registry
+from antibrackets.combinatorics import koszul_numbers_recursive
 from antibrackets.multilinear import _index_tuples, random_endo
 from antibrackets.rational import Rational, format_rational, rat
 from antibrackets.superalgebra import Signature
@@ -38,14 +39,16 @@ def test_exact_arithmetic():
 
 
 # Rationals that the universal suite makes at (2,2,4), N = 4, seed 1, in a
-# fresh process: all are coefficients, none an operator value.  They are the
-# Koszul numbers the exponential route reads (with their negations, lcm and
-# integer weights) and its components' weights 1/(k! L^k), the standard
-# forms' solved coefficients and weights, and the mu-bracket factors (115
-# when each level of the bracket route was a second node dividing by n! and
-# op_combination converted each weight through a rational); every other
-# commutative suite below runs on ints only
-UNIVERSAL_RATIONALS = 72
+# fresh process: all are boundary values, none an operator value or a
+# weight.  They are the Koszul numbers the exponential route reads (12) and
+# their negations (9), the standard forms' solved coefficients (9) and the
+# mu-bracket factors (3) (72 when the exponential route made two rationals
+# per coefficient and weighed its components by 1/(k! L^k), and the
+# standard forms and mu-bracket entries handed op_combination rational
+# weights; 115 when each level of the bracket route was a second node
+# dividing by n! and op_combination converted each weight through a
+# rational); every other commutative suite below runs on ints only
+UNIVERSAL_RATIONALS = 33
 
 # Rationals that the series suite makes at (2,2,4), N = 5, seed 1, on
 # Python 3.11, in a fresh process: the Julia equation 21 (the coefficients
@@ -125,6 +128,26 @@ def test_routes_make_no_rationals_on_integer_data(monkeypatch, method):
                                   method=method)
         for n, op in hierarchy.items():
             for tup in _index_tuples(sig, n):
+                op._canonical_value(tup)
+    assert made[0] == 0, made[0]
+
+
+@fraction_backend_only
+def test_exponential_route_makes_no_rationals_on_its_coefficients(monkeypatch):
+    # the negated Koszul numbers are the boundary values; exp_rho_family
+    # turns them into int weights and writes every component over one int
+    # divisor, so building and reading the components makes none (30 when
+    # it made two rationals per coefficient and weighed each component's
+    # parts by rationals 1/(k! L^k))
+    koszul = koszul_numbers_recursive(4)
+    coefficients = {n: -koszul[n] for n in range(1, 5)}
+    made = _counting_constructor(monkeypatch)
+    sig = Signature(even=2, odd=2, degree_bound=4)
+    for seed, parity in ((1, "even"), (2, "odd")):
+        components = exp_rho_family(random_endo(sig, seed, parity=parity),
+                                    coefficients, 4)
+        for op in components.values():
+            for tup in _index_tuples(sig, op.arity):
                 op._canonical_value(tup)
     assert made[0] == 0, made[0]
 
